@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprs import Bindings, Expr, evaluate_jet_env
-from .jets import Jet, jet_matrix_inverse, seed_point
+from .jets import Jet, jet_matrix_inverse, seed_point, stack
 
 KIND_COMPLEX = "generalized_complex"
 KIND_CONTACT = "generalized_sasakian"
@@ -144,56 +144,47 @@ def coefficients_at(space: AmbientModel, x) -> tuple[float, ...]:
 
 # -- jets of the metric and connection ---------------------------------------
 
-def metric_jet(space: AmbientModel, x, order: int):
-    """Jets of metric components at ``x``.
+def metric_jet(space: AmbientModel, x, order: int) -> Jet:
+    """Jets of metric components at ``x``, as an (n, n) jet array.
 
     Chart backend: coordinates are the jet variables.  Embedded backend:
     ``x`` is a point of the model's own parametrization and the pullback
     metric is assembled from embedding jets one order higher.
     """
     if space.backend == "chart":
-        env = seed_point(x, order)
-        g = _as_jets(_eval_field(space.metric, env, space.bindings), len(x), order)
-        if np.linalg.eigvalsh(_values(g)).min() <= 0.0:
+        g = stack(_eval_field(space.metric, seed_point(x, order), space.bindings), len(x), order)
+        if np.linalg.eigvalsh(g.value).min() <= 0.0:
             raise GeometryError(f"metric not positive definite at {tuple(x)}")
         return g
-    emb = [evaluate_jet_env(c, seed_point(x, order + 1), space.bindings) for c in space.embed_map]
-    tangents = [[c.derivative(p) for c in emb] for p in range(len(x))]
-    n = len(x)
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            acc = tangents[i][0] * tangents[j][0]
-            for a in range(1, len(emb)):
-                acc = acc + tangents[i][a] * tangents[j][a]
-            g[i][j] = g[j][i] = acc
-    if np.linalg.eigvalsh(_values(g)).min() <= 0.0:
+    env = seed_point(x, order + 1)
+    emb = stack([evaluate_jet_env(c, env, space.bindings) for c in space.embed_map],
+                len(x), order + 1)
+    tangents = emb.gradient()
+    g = (tangents[:, None] * tangents[None]).sum(-1)
+    if np.linalg.eigvalsh(g.value).min() <= 0.0:
         raise GeometryError(f"pullback metric degenerate at {tuple(x)}")
     return g
 
 
-def christoffel_from_metric_jets(g):
+def christoffel_symbols(ginv: Jet, dg: Jet) -> Jet:
+    """Christoffel symbol jets Gamma[c, a, b] from the inverse metric and
+    ``dg[c, a, b]`` = d_c g_ab, both of the same order."""
+    n = ginv.shape[0]
+    low = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg) * 0.5
+    # Gamma is symmetric in (a, b): contract the upper triangle only
+    a, b = np.triu_indices(n)
+    upper = (ginv[:, :, None] * low[None, :, a, b]).sum(1)
+    out = np.empty((n, n, n, upper.coeffs.shape[-1]))
+    out[:, a, b] = upper.coeffs
+    out[:, b, a] = upper.coeffs
+    return Jet(upper.space, out)
+
+
+def christoffel_from_metric_jets(g) -> Jet:
     """Christoffel symbol jets (one order lower than the metric jets)."""
-    n = len(g)
-    ginv = jet_matrix_inverse(g)
-    k = g[0][0].order - 1
-    ginv = [[e.truncate(min(e.order, k)) for e in row] for row in ginv]
-    dg = [[[g[a][b].derivative(c) for b in range(n)] for a in range(n)] for c in range(n)]
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1):
-            for c in range(n):
-                low = (dg[a][c][b] + dg[b][c][a] - dg[c][a][b]) * 0.5
-                gamma[c][a][b] = low
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for c in range(n):
-        for a in range(n):
-            for b in range(a + 1):
-                acc = ginv[c][0] * gamma[0][a][b]
-                for d in range(1, n):
-                    acc = acc + ginv[c][d] * gamma[d][a][b]
-                out[c][a][b] = out[c][b][a] = acc
-    return out
+    g = stack(g)
+    dg = g.gradient()
+    return christoffel_symbols(jet_matrix_inverse(g.truncate(dg.order)), dg)
 
 
 def christoffel_jet(space: AmbientModel, x, order: int):
@@ -202,14 +193,11 @@ def christoffel_jet(space: AmbientModel, x, order: int):
         raise GeometryError("christoffel_jet needs a chart backend")
     if order > 2:
         raise ValueError("christoffel jets supported up to order 2")
-    g = metric_jet(space, x, order + 1)
-    return christoffel_from_metric_jets(g)
+    return christoffel_from_metric_jets(metric_jet(space, x, order + 1))
 
 
 def christoffel_point(space: AmbientModel, x) -> np.ndarray:
-    gamma = christoffel_jet(space, x, 0)
-    n = space.dim
-    return np.array([[[gamma[c][a][b].value for b in range(n)] for a in range(n)] for c in range(n)])
+    return christoffel_jet(space, x, 0).value
 
 
 def riemann_from_metric_jets(g) -> np.ndarray:
@@ -218,32 +206,18 @@ def riemann_from_metric_jets(g) -> np.ndarray:
     Sign convention R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y]; metric jets
     must carry order >= 2.
     """
-    n = len(g)
     gamma = christoffel_from_metric_jets(g)
-    gval = np.array([[[gamma[c][a][b].value for b in range(n)] for a in range(n)] for c in range(n)])
-    dgamma = np.array(
-        [[[[gamma[c][a][b].derivative(p).value for b in range(n)] for a in range(n)] for c in range(n)]
-         for p in range(n)]
-    )
-    riem = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    val = dgamma[i][l][j][k] - dgamma[j][l][i][k]
-                    val += np.dot(gval[l, i, :], gval[:, j, k]) - np.dot(gval[l, j, :], gval[:, i, k])
-                    riem[i, j, k, l] = val
-    return riem
+    gval = gamma.value
+    dgamma = gamma.gradient().value
+    return ((np.einsum("iljk->ijkl", dgamma) - np.einsum("jlik->ijkl", dgamma))
+            + (np.einsum("lis,sjk->ijkl", gval, gval) - np.einsum("ljs,sik->ijkl", gval, gval)))
 
 
 def scalar_from_metric_jets(g) -> float:
     """Scalar curvature of the metric given by jets of order >= 2."""
-    n = len(g)
-    riem = riemann_from_metric_jets(g)
-    gval = _values(g)
-    ginv = np.linalg.inv(gval)
-    ricci = np.einsum("ijki->jk", riem)
-    return float(np.einsum("jk,jk->", ginv, ricci))
+    g = stack(g)
+    ricci = np.einsum("ijki->jk", riemann_from_metric_jets(g))
+    return float(np.einsum("jk,jk->", np.linalg.inv(g.value), ricci))
 
 
 # -- algebraic curvature terms ------------------------------------------------
@@ -319,23 +293,6 @@ def tangent_projector(space: AmbientModel, x) -> np.ndarray:
         n = n / np.linalg.norm(n)
         P -= np.outer(n, n)
     return P
-
-
-def project_jets(space: AmbientModel, pos, vec):
-    """Jet-level tangential projection of ``vec`` along the position field."""
-    out = list(vec)
-    for nf in space.normals:
-        n = _eval_field(nf, pos, space.bindings)
-        nn = n[0] * n[0]
-        for a in range(1, len(n)):
-            nn = nn + n[a] * n[a]
-        inv = nn.reciprocal() if isinstance(nn, Jet) else 1.0 / nn
-        dot = out[0] * n[0]
-        for a in range(1, len(n)):
-            dot = dot + out[a] * n[a]
-        scale = dot * inv
-        out = [out[a] - scale * n[a] for a in range(len(n))]
-    return out
 
 
 # -- structure verification -----------------------------------------------------

@@ -1,11 +1,18 @@
 """Truncated multivariate Taylor jets.
 
 A :class:`Jet` carries the value and every partial derivative of a smooth
-scalar quantity up to a fixed order, at one point.  Entries are stored as
-raw partial-derivative values (factorials folded out), indexed by dense
-multi-indices in graded lexicographic order.  Sums, products, quotients and
-the elementary functions propagate derivatives exactly at the retained
-order, so downstream geometry never needs finite differencing.
+quantity up to a fixed order, at one point.  Entries are stored as raw
+partial-derivative values (factorials folded out), indexed by dense
+multi-indices in graded lexicographic order, so truncation to a lower order
+is a prefix slice.  Sums, products, quotients and the elementary functions
+propagate derivatives exactly at the retained order, so downstream geometry
+never needs finite differencing.
+
+Coefficients have shape ``(..., size)``: the leading axes hold a whole
+vector field, matrix or tensor of jets (Neidinger's multivariate Taylor
+arrays, SIAM Review 52, 2010), and a scalar jet is the 0-d case.  Arithmetic
+broadcasts over the leading axes like numpy, and every product of two jets,
+whatever its shape, is one call of the kernel :meth:`_JetSpace.mul`.
 
 Jets over different variable counts never mix; mixing orders truncates to
 the lower order (the product of two truncated expansions is only exact to
@@ -22,7 +29,8 @@ import numpy as np
 
 
 class DomainError(ArithmeticError):
-    """Evaluation left the domain of a partial function (log, sqrt, /, ^)."""
+    """Evaluation left the domain of a partial function (log, sqrt, /, ^),
+    or produced a non-finite value."""
 
 
 def n_entries(nvars: int, order: int) -> int:
@@ -49,32 +57,25 @@ class _JetSpace:
         self.indices = _multi_indices(nvars, order)
         self.size = len(self.indices)
         self.position = {m: i for i, m in enumerate(self.indices)}
-        self.degree = np.array([sum(m) for m in self.indices])
-        # per-degree prefix sizes: truncation to order k is a slice
-        self.sizes = [n_entries(nvars, k) for k in range(order + 1)]
         self._mul = None
         self._diff = {}
+        self._restrict = {}
 
     def mul_table(self):
+        """Product terms ``(out, ia, ib, w)``: entry ``out`` of a product sums
+        ``a[ia] * b[ib] * w``, in table order."""
         if self._mul is None:
-            by_degree: dict[int, list[int]] = {}
-            for i, m in enumerate(self.indices):
-                by_degree.setdefault(sum(m), []).append(i)
             out, ia, ib, w = [], [], [], []
-            for da, rows in by_degree.items():
-                for i in rows:
-                    mi = self.indices[i]
-                    for db in range(self.order - da + 1):
-                        for j in by_degree.get(db, ()):
-                            mj = self.indices[j]
-                            tgt = tuple(a + b for a, b in zip(mi, mj))
-                            coeff = 1.0
-                            for a, b in zip(mi, mj):
-                                coeff *= math.comb(a + b, a)
-                            out.append(self.position[tgt])
-                            ia.append(i)
-                            ib.append(j)
-                            w.append(coeff)
+            for i, mi in enumerate(self.indices):
+                # indices are graded, so partners of degree <= order - |mi| are a prefix
+                for j, mj in enumerate(self.indices[: n_entries(self.nvars, self.order - sum(mi))]):
+                    coeff = 1.0
+                    for a, b in zip(mi, mj):
+                        coeff *= math.comb(a + b, a)
+                    out.append(self.position[tuple(a + b for a, b in zip(mi, mj))])
+                    ia.append(i)
+                    ib.append(j)
+                    w.append(coeff)
             self._mul = (
                 np.array(out, dtype=np.intp),
                 np.array(ia, dtype=np.intp),
@@ -95,9 +96,45 @@ class _JetSpace:
             self._diff[var] = src
         return self._diff[var]
 
+    def restrict_map(self, nvars: int, order: int, pad: tuple):
+        """Source positions of ``m + pad`` for every multi-index m of (nvars, order)."""
+        key = (nvars, order, pad)
+        if key not in self._restrict:
+            sub = _space(nvars, order)
+            self._restrict[key] = np.array(
+                [self.position[m + pad] for m in sub.indices], dtype=np.intp)
+        return self._restrict[key]
+
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of coefficient arrays ``(..., >= size)``, broadcast over the
+        leading axes, truncated to this space's order.
+
+        One ``bincount`` over the terms of every product at once: each
+        output entry is summed in table order, so every element of a batch
+        is bitwise the product of its own pair.
+        """
         out, ia, ib, w = self.mul_table()
-        return np.bincount(out, weights=a[ia] * b[ib] * w, minlength=self.size)
+        if a.ndim == 1 and b.ndim == 1:  # a single product: no offsets to build
+            terms = a.take(ia) * b.take(ib)
+            terms *= w
+            return np.bincount(out, weights=terms, minlength=self.size)
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        rows = math.prod(shape)
+        if rows > 1 and rows * len(out) > _CHUNK_TERMS:  # bound the temporaries
+            a = np.broadcast_to(a, shape + a.shape[-1:]).reshape(rows, -1)
+            b = np.broadcast_to(b, shape + b.shape[-1:]).reshape(rows, -1)
+            step = max(1, _CHUNK_TERMS // len(out))
+            return np.concatenate([self.mul(a[i:i + step], b[i:i + step])
+                                   for i in range(0, rows, step)]).reshape(shape + (self.size,))
+        terms = a.take(ia, axis=-1) * b.take(ib, axis=-1)
+        terms *= w
+        offsets = (np.arange(0, rows * self.size, self.size)[:, None] + out).ravel()
+        return np.bincount(offsets, weights=terms.ravel(), minlength=rows * self.size
+                           ).reshape(shape + (self.size,))
+
+
+# products per kernel pass: larger batches run in row chunks of this many terms
+_CHUNK_TERMS = 1 << 13
 
 
 @lru_cache(maxsize=None)
@@ -105,10 +142,18 @@ def _space(nvars: int, order: int) -> _JetSpace:
     return _JetSpace(nvars, order)
 
 
+def _checked(values, what):
+    if not np.isfinite(values).all():
+        raise DomainError(f"non-finite {what}")
+    return values
+
+
 class Jet:
-    """Dense truncated jet: value plus partials up to ``order``."""
+    """Dense truncated jets: values plus partials up to ``order``, with
+    coefficients of shape ``(..., size)``."""
 
     __slots__ = ("space", "coeffs")
+    __array_ufunc__ = None  # ndarray (op) Jet defers to the Jet operators
 
     def __init__(self, space: _JetSpace, coeffs: np.ndarray):
         self.space = space
@@ -116,10 +161,11 @@ class Jet:
 
     # -- constructors ----------------------------------------------------
     @staticmethod
-    def constant(nvars: int, order: int, value: float) -> "Jet":
+    def constant(nvars: int, order: int, value) -> "Jet":
         sp = _space(nvars, order)
-        c = np.zeros(sp.size)
-        c[0] = value
+        value = np.asarray(value, dtype=float)
+        c = np.zeros(value.shape + (sp.size,))
+        c[..., 0] = value
         return Jet(sp, c)
 
     @staticmethod
@@ -141,21 +187,48 @@ class Jet:
         return self.space.order
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def shape(self) -> tuple:
+        return self.coeffs.shape[:-1]
 
-    def partial(self, alpha) -> float:
+    @property
+    def value(self):
+        """Point values: a float for a scalar jet, else an array of ``shape``."""
+        v = self.coeffs[..., 0]
+        return float(v) if v.ndim == 0 else v.copy()
+
+    def partial(self, alpha):
         """Partial derivative for the multi-index ``alpha``."""
         alpha = tuple(alpha)
         if len(alpha) != self.nvars or sum(alpha) > self.order:
             raise ValueError(f"multi-index {alpha} outside jet of order {self.order}")
-        return float(self.coeffs[self.space.position[alpha]])
+        v = self.coeffs[..., self.space.position[alpha]]
+        return float(v) if v.ndim == 0 else v
 
     def partials(self) -> dict:
-        return {m: float(v) for m, v in zip(self.space.indices, self.coeffs)}
+        return {m: self.partial(m) for m in self.space.indices}
 
     def __repr__(self):
+        if self.shape:
+            return f"Jet(nvars={self.nvars}, order={self.order}, shape={self.shape})"
         return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value:.6g})"
+
+    # -- leading axes ----------------------------------------------------
+    def __getitem__(self, key) -> "Jet":
+        if not isinstance(key, tuple):
+            key = (key,)
+        return Jet(self.space, self.coeffs[key + (slice(None),)])
+
+    def __iter__(self):
+        if not self.shape:
+            raise TypeError("iteration over a scalar jet")
+        return (self[i] for i in range(self.shape[0]))
+
+    def sum(self, axis) -> "Jet":
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        return Jet(self.space, self.coeffs.sum(tuple(a - 1 if a < 0 else a for a in axes)))
+
+    def transpose(self, *axes) -> "Jet":
+        return Jet(self.space, self.coeffs.transpose(axes + (len(axes),)))
 
     # -- structure -------------------------------------------------------
     def truncate(self, order: int) -> "Jet":
@@ -164,37 +237,44 @@ class Jet:
         if order > self.order:
             raise ValueError("cannot extend a jet to higher order")
         sp = _space(self.nvars, order)
-        return Jet(sp, self.coeffs[: sp.size])
+        return Jet(sp, self.coeffs[..., : sp.size])
 
     def derivative(self, var: int) -> "Jet":
         """The jet of the partial derivative in variable ``var`` (one order lower)."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         src = self.space.diff_map(var)
-        return Jet(_space(self.nvars, self.order - 1), self.coeffs[src].copy())
+        return Jet(_space(self.nvars, self.order - 1), self.coeffs.take(src, axis=-1))
+
+    def gradient(self) -> "Jet":
+        """Every first partial, stacked on a new leading axis (one order lower)."""
+        return stack([self.derivative(q) for q in range(self.nvars)])
 
     # -- arithmetic ------------------------------------------------------
     def _pair(self, other):
+        """Coefficient arrays of both operands in their common space."""
         if isinstance(other, Jet):
+            if other.space is self.space:
+                return self.space, self.coeffs, other.coeffs
             if other.nvars != self.nvars:
                 raise ValueError("jets over different variable counts")
-            k = min(self.order, other.order)
-            return self.truncate(k), other.truncate(k)
-        if isinstance(other, (int, float)):
-            return self, float(other)
-        return None, None
+            sp = self.space if self.order <= other.order else other.space
+            return sp, self.coeffs[..., : sp.size], other.coeffs[..., : sp.size]
+        if isinstance(other, np.ndarray):
+            return self.space, self.coeffs, Jet.constant(self.nvars, self.order, other).coeffs
+        return None, None, None
 
     def __add__(self, other):
         if isinstance(other, Jet) and other.space is self.space:
             return Jet(self.space, self.coeffs + other.coeffs)
-        a, b = self._pair(other)
-        if a is None:
+        if isinstance(other, (int, float)):
+            c = self.coeffs.copy()
+            c[..., 0] += other
+            return Jet(self.space, c)
+        sp, a, b = self._pair(other)
+        if sp is None:
             return NotImplemented
-        if isinstance(b, float):
-            c = a.coeffs.copy()
-            c[0] += b
-            return Jet(a.space, c)
-        return Jet(a.space, a.coeffs + b.coeffs)
+        return Jet(sp, a + b)
 
     __radd__ = __add__
 
@@ -202,46 +282,32 @@ class Jet:
         return Jet(self.space, -self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, Jet) and other.space is self.space:
-            return Jet(self.space, self.coeffs - other.coeffs)
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        if isinstance(b, float):
-            c = a.coeffs.copy()
-            c[0] -= b
-            return Jet(a.space, c)
-        return Jet(a.space, a.coeffs - b.coeffs)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Jet) and other.space is self.space:
-            sp = self.space
-            if not (self.coeffs.any() and other.coeffs.any()):
-                return Jet(sp, np.zeros(sp.size))
-            return Jet(sp, sp.mul(self.coeffs, other.coeffs))
-        a, b = self._pair(other)
-        if a is None:
+        if isinstance(other, (int, float)):
+            return Jet(self.space, self.coeffs * other)
+        sp, a, b = self._pair(other)
+        if sp is None:
             return NotImplemented
-        if isinstance(b, float):
-            return Jet(a.space, a.coeffs * b)
-        if not (a.coeffs.any() and b.coeffs.any()):
-            return Jet(a.space, np.zeros(a.space.size))
-        return Jet(a.space, a.space.mul(a.coeffs, b.coeffs))
+        if not (a.any() and b.any()):
+            shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+            return Jet(sp, np.zeros(shape + (sp.size,)))
+        return Jet(sp, sp.mul(a, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        if isinstance(b, float):
-            if b == 0.0:
+        if isinstance(other, Jet):
+            return self * other.reciprocal()
+        if isinstance(other, (int, float)):
+            if other == 0.0:
                 raise DomainError("division by zero")
-            return Jet(a.space, a.coeffs / b)
-        return a * b.reciprocal()
+            return Jet(self.space, self.coeffs / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -256,58 +322,68 @@ class Jet:
         return NotImplemented
 
     # -- composition with univariate functions ---------------------------
-    def _series(self, derivs) -> "Jet":
-        """Compose with a univariate f given f^(j) at the jet's value, j = 0..order."""
+    def _series(self, derivs, name) -> "Jet":
+        """Compose with a univariate f given f^(j) at the values, j = 0..order."""
         k = self.order
-        coeffs = [derivs[j] / math.factorial(j) for j in range(k + 1)]
+        coeffs = [_checked(derivs[j], f"{name} value") / math.factorial(j)
+                  for j in range(k + 1)]
         delta = Jet(self.space, self.coeffs.copy())
-        delta.coeffs[0] = 0.0
+        delta.coeffs[..., 0] = 0.0
         acc = Jet.constant(self.nvars, k, coeffs[k])
         for j in range(k - 1, -1, -1):
             acc = acc * delta + coeffs[j]
+        _checked(acc.coeffs, f"{name} jet")
         return acc
 
+    def _values(self):
+        return self.coeffs[..., 0]
+
     def reciprocal(self) -> "Jet":
-        x = self.value
-        if x == 0.0:
+        x = self._values()
+        if (x == 0.0).any():
             raise DomainError("division by zero")
-        derivs = [(-1.0) ** j * math.factorial(j) / x ** (j + 1) for j in range(self.order + 1)]
-        return self._series(derivs)
+        with np.errstate(over="ignore"):
+            derivs = [(-1.0) ** j * math.factorial(j) / x ** (j + 1)
+                      for j in range(self.order + 1)]
+        return self._series(derivs, "reciprocal")
 
     def exp(self) -> "Jet":
-        e = math.exp(self.value)
-        return self._series([e] * (self.order + 1))
+        with np.errstate(over="ignore"):
+            e = np.exp(self._values())
+        return self._series([e] * (self.order + 1), "exp")
 
     def log(self) -> "Jet":
-        x = self.value
-        if x <= 0.0:
-            raise DomainError(f"log of non-positive value {x:.6g}")
-        derivs = [math.log(x)]
-        derivs += [(-1.0) ** (j - 1) * math.factorial(j - 1) / x**j for j in range(1, self.order + 1)]
-        return self._series(derivs)
+        x = self._values()
+        if (x <= 0.0).any():
+            raise DomainError(f"log of non-positive value {x.min():.6g}")
+        derivs = [np.log(x)]
+        derivs += [(-1.0) ** (j - 1) * math.factorial(j - 1) / x**j
+                   for j in range(1, self.order + 1)]
+        return self._series(derivs, "log")
 
     def sqrt(self) -> "Jet":
-        x = self.value
-        if x < 0.0 or (x == 0.0 and self.order >= 1):
-            raise DomainError(f"sqrt at non-positive value {x:.6g}")
-        if x == 0.0:
-            return Jet.constant(self.nvars, 0, 0.0)
+        x = self._values()
+        if (x < 0.0).any() or ((x == 0.0).any() and self.order >= 1):
+            raise DomainError(f"sqrt at non-positive value {x.min():.6g}")
+        if self.order == 0 and (x == 0.0).any():
+            return Jet(self.space, np.sqrt(self.coeffs))
         return self.powr(0.5)
 
     def powr(self, r: float) -> "Jet":
-        x = self.value
-        if x <= 0.0:
-            raise DomainError(f"x^{r:.6g} needs positive base, got {x:.6g}")
+        x = self._values()
+        if (x <= 0.0).any():
+            raise DomainError(f"x^{r:.6g} needs positive base, got {x.min():.6g}")
         derivs, fall = [], 1.0
-        for j in range(self.order + 1):
-            derivs.append(fall * x ** (r - j))
-            fall *= r - j
-        return self._series(derivs)
+        with np.errstate(over="ignore"):
+            for j in range(self.order + 1):
+                derivs.append(fall * x ** (r - j))
+                fall *= r - j
+        return self._series(derivs, "power")
 
     def powi(self, n: int) -> "Jet":
         if n < 0:
             return self.reciprocal().powi(-n)
-        result = Jet.constant(self.nvars, self.order, 1.0)
+        result = Jet.constant(self.nvars, self.order, np.ones(self.shape))
         base = self
         while n:
             if n & 1:
@@ -317,37 +393,56 @@ class Jet:
         return result
 
     def sin(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
+        x = self._values()
+        s, c = np.sin(x), np.cos(x)
         cycle = [s, c, -s, -c]
-        return self._series([cycle[j % 4] for j in range(self.order + 1)])
+        return self._series([cycle[j % 4] for j in range(self.order + 1)], "sin")
 
     def cos(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
+        x = self._values()
+        s, c = np.sin(x), np.cos(x)
         cycle = [c, -s, -c, s]
-        return self._series([cycle[j % 4] for j in range(self.order + 1)])
+        return self._series([cycle[j % 4] for j in range(self.order + 1)], "cos")
 
     def tan(self) -> "Jet":
         c = self.cos()
-        if c.value == 0.0:
+        if (c._values() == 0.0).any():
             raise DomainError("tan at a pole")
         return self.sin() / c
 
     def atan(self) -> "Jet":
         # Taylor coefficients of atan at x0, from the reciprocal power series
         # of 1 + (x0 + t)^2 integrated term by term.
-        x = self.value
+        x = self._values()
         k = self.order
         den = [1.0 + x * x, 2.0 * x, 1.0]
         rec = [1.0 / den[0]]
         for j in range(1, k):
             acc = 0.0
             for i in range(1, min(j, 2) + 1):
-                acc += den[i] * rec[j - i]
+                acc = acc + den[i] * rec[j - i]
             rec.append(-acc / den[0])
-        derivs = [math.atan(x)]
+        derivs = [np.arctan(x)]
         for j in range(1, k + 1):
             derivs.append(rec[j - 1] / j * math.factorial(j))
-        return self._series(derivs)
+        return self._series(derivs, "atan")
+
+
+# -- arrays of jets ----------------------------------------------------------
+
+def stack(items, nvars: int | None = None, order: int | None = None) -> Jet:
+    """One jet array from a (nested) sequence of jets over the same variables,
+    at the lowest order among them; plain numbers become constant jets of
+    (``nvars``, ``order``)."""
+    if isinstance(items, Jet):
+        return items
+    if not isinstance(items, (list, tuple)):
+        return Jet.constant(nvars, order, float(items))
+    parts = [stack(x, nvars, order) for x in items]
+    sp = min((p.space for p in parts), key=lambda s: s.order)
+    if any(p.nvars != sp.nvars for p in parts):
+        raise ValueError("jets over different variable counts")
+    return Jet(sp, np.stack([p.coeffs[..., : sp.size] for p in parts]))
 
 
 # -- cross-space plumbing -------------------------------------------------
@@ -357,10 +452,9 @@ def embed(jet: Jet, nvars: int) -> Jet:
     if nvars < jet.nvars:
         raise ValueError("target space smaller than source")
     sp = _space(nvars, jet.order)
-    out = np.zeros(sp.size)
-    pad = (0,) * (nvars - jet.nvars)
-    for i, m in enumerate(jet.space.indices):
-        out[sp.position[m + pad]] = jet.coeffs[i]
+    dst = sp.restrict_map(jet.nvars, jet.order, (0,) * (nvars - jet.nvars))
+    out = np.zeros(jet.shape + (sp.size,))
+    out[..., dst] = jet.coeffs
     return Jet(sp, out)
 
 
@@ -371,16 +465,11 @@ def extract(jet: Jet, nvars: int, order: int, extra: int | None = None) -> Jet:
     augmented variable ``extra`` (an index >= nvars), i.e. the slice of
     entries whose extra-variable part is exactly e_extra.
     """
-    sp = _space(nvars, order)
-    out = np.empty(sp.size)
     pad = [0] * (jet.nvars - nvars)
     if extra is not None:
         pad[extra - nvars] = 1
-    pad = tuple(pad)
-    src_pos = jet.space.position
-    for i, m in enumerate(sp.indices):
-        out[i] = jet.coeffs[src_pos[m + pad]]
-    return Jet(sp, out)
+    src = jet.space.restrict_map(nvars, order, tuple(pad))
+    return Jet(_space(nvars, order), jet.coeffs.take(src, axis=-1))
 
 
 def seed_point(point, order: int) -> list[Jet]:
@@ -389,31 +478,25 @@ def seed_point(point, order: int) -> list[Jet]:
     return [Jet.variable(n, order, i, float(point[i])) for i in range(n)]
 
 
-def jet_matrix_inverse(mat):
-    """Invert a square matrix of jets by Gauss-Jordan with value pivoting."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    nv, k = a[0][0].nvars, min(e.order for row in a for e in row)
-    eye = [
-        [Jet.constant(nv, k, 1.0 if i == j else 0.0) for j in range(n)]
-        for i in range(n)
-    ]
-    a = [[e.truncate(k) for e in row] for row in a]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if a[piv][col].value == 0.0:
-            raise DomainError("singular matrix of jets")
-        a[col], a[piv] = a[piv], a[col]
-        eye[col], eye[piv] = eye[piv], eye[col]
-        inv = a[col][col].reciprocal()
-        a[col] = [e * inv for e in a[col]]
-        eye[col] = [e * inv for e in eye[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if np.all(f.coeffs == 0.0):
-                continue
-            a[r] = [e - f * g for e, g in zip(a[r], a[col])]
-            eye[r] = [e - f * g for e, g in zip(eye[r], eye[col])]
-    return eye
+def jet_matrix_inverse(mat) -> Jet:
+    """Invert a square matrix of jets (a jet array or nested rows of jets).
+
+    With A = A0 + N, N free of constant terms, the inverse is the Neumann
+    series sum_j (-A0^-1 N)^j A0^-1, which terminates at the jet order;
+    it is summed in Horner form, one jet matrix product per order.
+    """
+    a = stack(mat)
+    a0 = a.value
+    if not np.isfinite(a0).all():
+        raise DomainError("non-finite matrix of jets")
+    try:
+        inv0 = np.linalg.inv(a0)
+    except np.linalg.LinAlgError:
+        raise DomainError("singular matrix of jets") from None
+    step = Jet(a.space, -np.einsum("ij,jk...->ik...", inv0, a.coeffs))
+    step.coeffs[..., 0] = 0.0
+    head = Jet.constant(a.nvars, a.order, inv0)
+    out = head
+    for _ in range(a.order):
+        out = head + (step[:, :, None] * out[None]).sum(1)
+    return out

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +67,6 @@ from .submanifold import (
 )
 
 SCHEMA_VERSION = 1
-THREAD_ENV = "BIHARM_THREADS"
 
 KNOWN_CHECKS = (
     "residual",
@@ -293,6 +290,8 @@ def load_scenario(document) -> ScenarioConfig:
         op = _require(c, "op", f"checks[{i}]")
         if op not in KNOWN_CHECKS:
             raise ConfigError(f"unknown check op {op!r}", f"checks[{i}].op")
+        if any(spec.op == op for spec in checks):
+            raise ConfigError(f"duplicate check op {op!r}", f"checks[{i}].op")
         extra = {k: v for k, v in c.items() if k not in ("op", "tol")}
         checks.append(CheckSpec(op, c.get("tol"), extra))
     order = int(doc.get("order", 4))
@@ -326,73 +325,82 @@ class PointRecord:
     signed_normal: float | None = None
 
 
-def _evaluate_point(cfg: ScenarioConfig, u) -> PointRecord:
-    space, imm = cfg.ambient, cfg.immersion
-    try:
-        pg = point_geometry(space, imm, u, cfg.order)
-        nd = normal_derivatives(pg)
-        ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
-        flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
-        residuals = {GENERAL: residual_general(space, pg, nd)}
-        red = None
-        if space.kind == KIND_COMPLEX:
-            if pg.m < 4:
-                residuals.update(residual_gcsf(space, pg, nd, ops, flags))
-        else:
-            residuals.update(residual_gssf(space, pg, nd, ops, flags))
-            red = reduction_residual(space, pg, ops)
-        branch = CLOSED_FORM if CLOSED_FORM in residuals else GENERAL
-        for name in BRANCH_PRIORITY[space.kind]:
-            if name in residuals:
-                branch = name
-                break
-        _, dev = pseudo_umbilical_check(pg)
-        scal = scalar_curvature(space, pg)
-        data = PointData(
-            u=tuple(u),
-            h_norm=pg.mean_curvature_norm,
-            b_norm2=pg.second_fundamental_norm2,
-            coeffs=coefficients_at(space, pg.position),
-            flags=flags,
-            scal_intrinsic=scal[0],
-            scal_via_gauss=scal[1],
-            pseudo_deviation=dev,
-            nabla_h_norm=nd.nabla_norm,
-            reduction_residual=red,
-            residuals=residuals,
-        )
-        gen = residuals[GENERAL]
-        signed = None
-        if pg.mean_curvature_norm > 1e-9:
-            from .ambient import metric_at
+def _require_finite(pg, residuals, scal):
+    """Raise DomainError naming every sample quantity that is not finite."""
+    values = {"|H|": pg.mean_curvature_norm, "|B|^2": pg.second_fundamental_norm2,
+              "intrinsic scalar curvature": scal[0], "Gauss scalar curvature": scal[1]}
+    for name, res in residuals.items():
+        values[f"{name} normal residual"] = res.normal_norm
+        values[f"{name} tangential residual"] = res.tangential_norm
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise DomainError("non-finite " + ", ".join(bad))
 
-            g = metric_at(space, pg.position)
-            signed = float(gen.normal @ g @ pg.mean_curvature) / pg.mean_curvature_norm
-        eta_h = None
-        if ops.xi_nor is not None:
-            eta_h = float(ops.xi_nor @ pg.mean_normal_components)
-        return PointRecord(
-            u=tuple(u), data=data, relations=verify_relations(ops), scal_pair=scal,
-            branch=branch, eta_h=eta_h, h_vec=pg.mean_curvature,
-            residual_normal_vec=gen.normal, signed_normal=signed,
-        )
-    except (GeometryError, DomainError) as e:
+
+def _evaluate_point(cfg: ScenarioConfig, u) -> PointRecord:
+    """Every check's per-sample data at ``u``; a geometric, arithmetic or
+    non-finite fault fails just this point, naming the reason."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _evaluate_point_data(cfg, u)
+    except (GeometryError, ArithmeticError, np.linalg.LinAlgError) as e:
         return PointRecord(u=tuple(u), error=str(e))
 
 
-def _run_grid(cfg: ScenarioConfig) -> list[PointRecord]:
-    grid = cfg.immersion.grid()
-    threads = int(os.environ.get(THREAD_ENV, "1") or "1")
-    records: list[PointRecord | None] = [None] * len(grid)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_evaluate_point, cfg, u): i for i, u in enumerate(grid)}
-            for fut, i in futures.items():
-                records[i] = fut.result()
+def _evaluate_point_data(cfg: ScenarioConfig, u) -> PointRecord:
+    space, imm = cfg.ambient, cfg.immersion
+    pg = point_geometry(space, imm, u, cfg.order)
+    nd = normal_derivatives(pg)
+    ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
+    flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
+    residuals = {GENERAL: residual_general(space, pg, nd)}
+    red = None
+    if space.kind == KIND_COMPLEX:
+        if pg.m < 4:
+            residuals.update(residual_gcsf(space, pg, nd, ops, flags))
     else:
-        for i, u in enumerate(grid):
-            records[i] = _evaluate_point(cfg, u)
-    return records
+        residuals.update(residual_gssf(space, pg, nd, ops, flags))
+        red = reduction_residual(space, pg, ops)
+    branch = CLOSED_FORM if CLOSED_FORM in residuals else GENERAL
+    for name in BRANCH_PRIORITY[space.kind]:
+        if name in residuals:
+            branch = name
+            break
+    _, dev = pseudo_umbilical_check(pg)
+    scal = scalar_curvature(space, pg)
+    _require_finite(pg, residuals, scal)
+    data = PointData(
+        u=tuple(u),
+        h_norm=pg.mean_curvature_norm,
+        b_norm2=pg.second_fundamental_norm2,
+        coeffs=coefficients_at(space, pg.position),
+        flags=flags,
+        scal_intrinsic=scal[0],
+        scal_via_gauss=scal[1],
+        pseudo_deviation=dev,
+        nabla_h_norm=nd.nabla_norm,
+        reduction_residual=red,
+        residuals=residuals,
+    )
+    gen = residuals[GENERAL]
+    signed = None
+    if pg.mean_curvature_norm > 1e-9:
+        from .ambient import metric_at
+
+        g = metric_at(space, pg.position)
+        signed = float(gen.normal @ g @ pg.mean_curvature) / pg.mean_curvature_norm
+    eta_h = None
+    if ops.xi_nor is not None:
+        eta_h = float(ops.xi_nor @ pg.mean_normal_components)
+    return PointRecord(
+        u=tuple(u), data=data, relations=verify_relations(ops), scal_pair=scal,
+        branch=branch, eta_h=eta_h, h_vec=pg.mean_curvature,
+        residual_normal_vec=gen.normal, signed_normal=signed,
+    )
+
+
+def _run_grid(cfg: ScenarioConfig) -> list[PointRecord]:
+    return [_evaluate_point(cfg, u) for u in cfg.immersion.grid()]
 
 
 def _flag_consensus(datas) -> dict:

@@ -19,13 +19,14 @@ from .ambient import (
     AmbientModel,
     GeometryError,
     christoffel_point,
+    christoffel_symbols,
     curvature_parts,
     metric_at,
     scalar_from_metric_jets,
     tangent_projector,
 )
 from .exprs import Bindings, Expr, evaluate_jet_env
-from .jets import Jet, embed, extract, jet_matrix_inverse, seed_point
+from .jets import DomainError, Jet, embed, extract, jet_matrix_inverse, seed_point, stack
 
 RANK_TOL = 1e-8
 
@@ -60,129 +61,68 @@ class ImmersionModel:
 
 
 # -- jet-level linear algebra over a metric backend ---------------------------
+#
+# Fields are jet arrays: a batch of vector fields has shape (..., d), so an
+# inner product, a covariant derivative or a projection of the whole batch is
+# a few jet products plus an axis sum.
 
 
 class _ChartCalc:
     """Covariant calculus along the immersion for a chart ambient."""
 
     def __init__(self, space, pos):
-        m, d = pos[0].nvars, space.dim
-        order = pos[0].order
+        m, d, order = pos.nvars, space.dim, pos.order
         self.space, self.m, self.d = space, m, d
-        aug = [embed(p, m + d) for p in pos]
-        for a in range(d):
-            aug[a] = aug[a] + Jet.variable(m + d, order, m + a, 0.0)
-        env = aug
-        g_aug = [
-            [evaluate_jet_env(e, env, space.bindings) for e in row] for row in space.metric
-        ]
-
-        def as_aug(x):
-            return x if isinstance(x, Jet) else Jet.constant(m + d, order, float(x))
-
-        g_aug = [[as_aug(e) for e in row] for row in g_aug]
-        self.g = [[extract(e, m, order) for e in row] for row in g_aug]
-        gval = np.array([[e.value for e in row] for row in self.g])
-        if np.linalg.eigvalsh(gval).min() <= 0.0:
+        aug = embed(pos, m + d) + stack([Jet.variable(m + d, order, m + a, 0.0)
+                                         for a in range(d)])
+        env = list(aug)
+        g_aug = stack([[evaluate_jet_env(e, env, space.bindings) for e in row]
+                       for row in space.metric], m + d, order)
+        self.g = extract(g_aug, m, order)
+        if np.linalg.eigvalsh(self.g.value).min() <= 0.0:
             raise GeometryError("ambient metric not positive definite along immersion")
-        dg = [
-            [[extract(g_aug[a][b], m, order - 1, extra=m + c) for b in range(d)] for a in range(d)]
-            for c in range(d)
-        ]
-        ginv = jet_matrix_inverse([[e.truncate(order - 1) for e in row] for row in self.g])
-        gamma = [[[None] * d for _ in range(d)] for _ in range(d)]
-        for a in range(d):
-            for b in range(a + 1):
-                low = [ (dg[a][c][b] + dg[b][c][a] - dg[c][a][b]) * 0.5 for c in range(d)]
-                for c in range(d):
-                    acc = ginv[c][0] * low[0]
-                    for e in range(1, d):
-                        acc = acc + ginv[c][e] * low[e]
-                    gamma[c][a][b] = gamma[c][b][a] = acc
-        self.gamma = gamma
-        self.T = [[p.derivative(q) for p in pos] for q in range(m)]
-        # precontracted Gamma(T_q, .): covd then costs d^2 multiplies, not d^3
-        self.gamma_t = []
-        for q in range(m):
-            Tq = self.T[q]
-            gt = [[None] * d for _ in range(d)]
-            for c in range(d):
-                for b in range(d):
-                    acc = gamma[c][0][b] * Tq[0]
-                    for a in range(1, d):
-                        acc = acc + gamma[c][a][b] * Tq[a]
-                    gt[c][b] = acc
-            self.gamma_t.append(gt)
+        dg = stack([extract(g_aug, m, order - 1, extra=m + c) for c in range(d)])
+        gamma = christoffel_symbols(jet_matrix_inverse(self.g.truncate(order - 1)), dg)
+        self.T = pos.gradient()
+        # precontracted Gamma(T_q, .)[q, c, b]: covd then costs d^2 products, not d^3
+        self.gamma_t = (gamma[None] * self.T[:, None, :, None]).sum(2)
 
     def inner(self, v, w):
-        acc = None
-        for a in range(self.d):
-            for b in range(self.d):
-                t = self.g[a][b] * v[a] * w[b]
-                acc = t if acc is None else acc + t
-        return acc
+        """g(v, w) over broadcast batches; put the smaller batch in ``v``."""
+        return ((self.g * v[..., :, None]).sum(-2) * w).sum(-1)
 
-    def covd(self, v, q):
-        """Ambient covariant derivative of the field ``v`` along parameter q."""
-        out = []
-        gt = self.gamma_t[q]
-        for c in range(self.d):
-            acc = v[c].derivative(q)
-            for b in range(self.d):
-                acc = acc + gt[c][b] * v[b]
-            out.append(acc)
-        return out
+    def covd(self, v):
+        """Ambient covariant derivatives (m, ...) of the fields ``v`` along every parameter."""
+        gt = self.gamma_t[(slice(None),) + (None,) * (len(v.shape) - 1)]
+        return v.gradient() + (gt * v[None, ..., None, :]).sum(-1)
 
     def frame_candidates(self):
-        m, order = self.m, self.T[0][0].order
-        return [
-            [Jet.constant(m, order, 1.0 if a == c else 0.0) for c in range(self.d)]
-            for a in range(self.d)
-        ]
+        return Jet.constant(self.m, self.T.order, np.eye(self.d))
 
 
 class _EmbeddedCalc:
     """Covariant calculus via Euclidean derivatives and tangential projection."""
 
     def __init__(self, space, pos):
-        self.space = space
-        self.m = pos[0].nvars
-        self.d = space.rep_dim
-        self.pos = pos
-        self.T = [[p.derivative(q) for p in pos] for q in range(self.m)]
-        order = pos[0].order
-        self.normals = []
-        for nf in space.normals:
-            n = [evaluate_jet_env(e, pos, space.bindings) for e in nf]
-            n = [e if isinstance(e, Jet) else Jet.constant(self.m, order, float(e)) for e in n]
-            norm = self.inner(n, n).sqrt()
-            inv = norm.reciprocal()
-            self.normals.append([e * inv for e in n])
+        self.space, self.m, self.d = space, pos.nvars, space.rep_dim
+        self.T = pos.gradient()
+        env = list(pos)
+        n = stack([[evaluate_jet_env(e, env, space.bindings) for e in nf]
+                   for nf in space.normals], self.m, pos.order)
+        self.normals = n * self.inner(n, n).powr(-0.5)[:, None]
 
     def inner(self, v, w):
-        acc = v[0] * w[0]
-        for a in range(1, self.d):
-            acc = acc + v[a] * w[a]
-        return acc
+        return (v * w).sum(-1)
 
     def project(self, v):
-        out = list(v)
-        for n in self.normals:
-            k = min(min(e.order for e in out), n[0].order)
-            dot = self.inner([e.truncate(k) for e in out], [e.truncate(k) for e in n])
-            out = [out[a] - dot * n[a] for a in range(self.d)]
-        return out
+        dots = self.inner(v[..., None, :], self.normals)
+        return v - (dots[..., None] * self.normals).sum(-2)
 
-    def covd(self, v, q):
-        return self.project([v[c].derivative(q) for c in range(self.d)])
+    def covd(self, v):
+        return self.project(v.gradient())
 
     def frame_candidates(self):
-        order = self.T[0][0].order
-        basis = [
-            [Jet.constant(self.m, order, 1.0 if a == c else 0.0) for c in range(self.d)]
-            for a in range(self.d)
-        ]
-        return [self.project(v) for v in basis]
+        return self.project(Jet.constant(self.m, self.T.order, np.eye(self.d)))
 
 
 def _make_calc(space, pos):
@@ -192,64 +132,48 @@ def _make_calc(space, pos):
 # -- frames --------------------------------------------------------------------
 
 
-def _combine(vecs, coeffs):
-    out = None
-    for c, v in zip(coeffs, vecs):
-        term = [c * x for x in v]
-        out = term if out is None else [a + b for a, b in zip(out, term)]
-    return out
-
-
 def _orthonormal_tangent(calc, T):
     """Gram-Schmidt on the coordinate tangent fields, tracking coefficients."""
+    m = T.shape[0]
+    eye = Jet.constant(calc.m, T.order, np.eye(m))
     frames, coeffs = [], []
-    for i, t in enumerate(T):
-        v = list(t)
-        c = [Jet.constant(calc.m, t[0].order, 0.0) for _ in range(len(T))]
-        c[i] = Jet.constant(calc.m, t[0].order, 1.0)
+    for i in range(m):
+        v, c = T[i], eye[i]
         for Xj, cj in zip(frames, coeffs):
-            dot = calc.inner(v, Xj)
-            v = [a - dot * b for a, b in zip(v, Xj)]
-            c = [a - dot * b for a, b in zip(c, cj)]
+            dot = calc.inner(Xj, v)
+            v = v - dot * Xj
+            c = c - dot * cj
         n2 = calc.inner(v, v)
         if n2.value <= RANK_TOL**2:
             raise GeometryError(f"immersion differential rank-deficient (direction {i + 1})")
-        inv = n2.sqrt().reciprocal()
-        frames.append([inv * a for a in v])
-        coeffs.append([inv * a for a in c])
-    return frames, coeffs
+        inv = n2.powr(-0.5)
+        frames.append(inv * v)
+        coeffs.append(inv * c)
+    return stack(frames), stack(coeffs)
 
 
 def _complete_normal(calc, frames, need):
     """Pivoted Gram-Schmidt completion of the tangent frame to a normal frame."""
-    cands = calc.frame_candidates()
-    reduced = []
-    for v in cands:
-        w = list(v)
-        for X in frames:
-            dot = calc.inner(w, X)
-            w = [a - dot * b for a, b in zip(w, X)]
-        reduced.append(w)
-    normals = []
-    used = set()
+    reduced = calc.frame_candidates()
+    for X in frames:
+        reduced = reduced - calc.inner(X, reduced)[:, None] * X
+    normals, used = [], set()
     while len(normals) < need:
+        v = reduced
+        for N in normals:
+            v = v - calc.inner(N, v)[:, None] * N
+        n2 = calc.inner(v, v)
+        nv = n2.value
         best, best_norm = None, -1.0
-        for idx, w in enumerate(reduced):
-            if idx in used:
-                continue
-            v = list(w)
-            for N in normals:
-                dot = calc.inner(v, N)
-                v = [a - dot * b for a, b in zip(v, N)]
-            nv = calc.inner(v, v).value
-            if nv > best_norm + 1e-14:  # strict improvement; ties keep lowest index
-                best, best_norm, best_vec = idx, nv, v
+        for idx in range(len(nv)):
+            # strict improvement; ties keep lowest index
+            if idx not in used and nv[idx] > best_norm + 1e-14:
+                best, best_norm = idx, nv[idx]
         if best is None or best_norm <= RANK_TOL**2:
             raise GeometryError("could not complete an orthonormal normal frame")
         used.add(best)
-        inv = calc.inner(best_vec, best_vec).sqrt().reciprocal()
-        normals.append([inv * a for a in best_vec])
-    return normals
+        normals.append(n2[best].powr(-0.5) * v[best])
+    return stack(normals)
 
 
 # -- public data ---------------------------------------------------------------
@@ -295,13 +219,14 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
     """Frames, fundamental forms and mean curvature at one parameter point."""
     m = imm.dim
     env = seed_point(u, order)
-    pos = []
-    for comp in imm.components:
-        val = evaluate_jet_env(comp, env, imm.bindings)
-        pos.append(val if isinstance(val, Jet) else Jet.constant(m, order, float(val)))
+    pos = stack([evaluate_jet_env(comp, env, imm.bindings) for comp in imm.components],
+                m, order)
     calc = _make_calc(space, pos)
-    T = [[pos[a].derivative(q) for a in range(calc.d)] for q in range(m)]
-    gram = np.array([[calc.inner(T[i], T[j]).value for j in range(m)] for i in range(m)])
+    T = calc.T
+    g_ind = calc.inner(T[:, None], T[None])
+    gram = g_ind.value
+    if not np.isfinite(gram).all():
+        raise DomainError(f"non-finite induced metric at {tuple(u)}")
     if np.linalg.eigvalsh(gram).min() <= RANK_TOL**2:
         raise GeometryError(f"immersion differential rank-deficient at {tuple(u)}")
 
@@ -309,22 +234,14 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
     codim = space.dim - m
     normals = _complete_normal(calc, frames, codim)
 
-    nablaXX = [[None] * m for _ in range(m)]
-    for j in range(m):
-        covs = [calc.covd(frames[j], q) for q in range(m)]
-        for i in range(m):
-            nablaXX[i][j] = _combine(covs, coeffs[i])
-    b = [[[calc.inner(nablaXX[i][j], normals[a]) for j in range(m)] for i in range(m)]
-         for a in range(codim)]
+    # nabla_{X_i} X_j = sum_q coeffs[i, q] nabla_{d_q} X_j
+    nablaXX = (coeffs[:, :, None, None] * calc.covd(frames)[None]).sum(1)
+    b = calc.inner(normals[:, None, None], nablaXX[None])
 
     # mean curvature field H = (1/m) sum_i B(X_i, X_i), as jets
-    h_n = [None] * codim
-    for a in range(codim):
-        acc = b[a][0][0]
-        for i in range(1, m):
-            acc = acc + b[a][i][i]
-        h_n[a] = acc * (1.0 / m)
-    H = _combine(normals, h_n)
+    diag = np.arange(m)
+    h_n = b[:, diag, diag].sum(-1) * (1.0 / m)
+    H = (h_n[:, None] * normals).sum(0)
 
     # deterministic hypersurface orientation: <H, nu> >= 0, else first
     # nonvanishing component positive
@@ -334,22 +251,15 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
         if s < -1e-12:
             flip = True
         elif abs(s) <= 1e-12:
-            for comp in normals[0]:
-                if abs(comp.value) > 1e-12:
-                    flip = comp.value < 0.0
+            for comp in normals[0].value:
+                if abs(comp) > 1e-12:
+                    flip = comp < 0.0
                     break
         if flip:
-            normals[0] = [-e for e in normals[0]]
-            b[0] = [[-e for e in row] for row in b[0]]
-            h_n[0] = -h_n[0]
+            normals, b, h_n = -normals, -b, -h_n
 
-    b_vals = np.array([[[b[a][i][j].value for j in range(m)] for i in range(m)]
-                       for a in range(codim)])
-    h_vec = np.array([e.value for e in H])
-    h_n_vals = np.array([e.value for e in h_n])
-    h_norm = float(np.sqrt((h_n_vals**2).sum()))
-    g_ind = [[calc.inner(T[i], T[j]) for j in range(m)] for i in range(m)]
-
+    b_vals = b.value
+    h_n_vals = h_n.value
     state = {
         "calc": calc,
         "pos": pos,
@@ -366,13 +276,13 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
     }
     return PointGeometry(
         u=tuple(float(v) for v in u),
-        position=np.array([p.value for p in pos]),
-        tangent_frame=np.array([[e.value for e in X] for X in frames]),
-        normal_frame=np.array([[e.value for e in N] for N in normals]),
-        induced_metric=np.array([[e.value for e in row] for row in g_ind]),
+        position=pos.value,
+        tangent_frame=frames.value,
+        normal_frame=normals.value,
+        induced_metric=gram,
         second_fundamental=b_vals,
-        mean_curvature=h_vec,
-        mean_curvature_norm=h_norm,
+        mean_curvature=H.value,
+        mean_curvature_norm=float(np.sqrt((h_n_vals**2).sum())),
         second_fundamental_norm2=float((b_vals**2).sum()),
         shape_operators=b_vals,
         m=m,
@@ -388,46 +298,34 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
         raise GeometryError("normal derivatives need immersion jets of order 4")
     st = pg._state
     calc, frames, coeffs, normals = st["calc"], st["frames"], st["coeffs"], st["normals"]
-    H, b = st["H"], st["b"]
-    m, codim = pg.m, pg.codim
+    H, m = st["H"], pg.m
 
-    covH = [calc.covd(H, q) for q in range(m)]
-    DH = [_combine(covH, coeffs[i]) for i in range(m)]
-    w = [[calc.inner(DH[i], normals[a]) for i in range(m)] for a in range(codim)]
-    W = [_combine(normals, [w[a][i] for a in range(codim)]) for i in range(m)]
+    DH = (coeffs[:, :, None] * calc.covd(H)[None]).sum(1)
+    w = calc.inner(normals[:, None], DH[None])
+    W = (w[:, :, None] * normals[:, None]).sum(0)
 
-    w_vals = np.array([[w[a][i].value for i in range(m)] for a in range(codim)])
+    w_vals = w.value
     nabla_norm = float(np.sqrt((w_vals**2).sum(axis=0)).max()) if m else 0.0
 
     # rough Laplacian: sum_i nabla-perp_{X_i} nabla-perp_{X_i} H
     #                  - nabla-perp over the induced-connection drift
+    cvals = coeffs.value
+    cov_w = calc.covd(W).value
+    diag = np.arange(m)
+    drift = calc.inner(st["nablaXX"][diag, diag][:, None], frames[None]).value
+    w_field = W.value
     lap = np.zeros(calc.d)
-    tframe = pg.tangent_frame
-    cvals = np.array([[c.value for c in row] for row in st["coeffs"]])
-    nablaXX = st["nablaXX"]
     for i in range(m):
-        covW = [calc.covd(W[i], q) for q in range(m)]
-        DiWi = np.zeros(calc.d)
-        for q in range(m):
-            DiWi += cvals[i][q] * np.array([e.value for e in covW[q]])
-        lap += _project_normal(pg, DiWi)
-        for j in range(m):
-            z = calc.inner(nablaXX[i][i], frames[j]).value
-            lap -= z * np.array([e.value for e in W[j]])
+        lap += _project_normal(pg, cvals[i] @ cov_w[:, i])
+        lap -= drift[i] @ w_field
 
     # grad |H|^2 from the scalar jet <H, H>
-    h2 = calc.inner(H, H)
-    grad = np.zeros(calc.d)
-    for i in range(m):
-        di = 0.0
-        for q in range(m):
-            di += cvals[i][q] * h2.derivative(q).value
-        grad += di * tframe[i]
+    grad = (cvals @ calc.inner(H, H).gradient().value) @ pg.tangent_frame
 
     bv = pg.second_fundamental
     hn = pg.mean_normal_components
     trace_mean = np.einsum("aij,a,bij->b", bv, hn, bv) @ pg.normal_frame
-    trace_grad = np.einsum("aij,ai->j", bv, w_vals) @ tframe
+    trace_grad = np.einsum("aij,ai->j", bv, w_vals) @ pg.tangent_frame
 
     return NormalFieldDerivatives(
         nabla_components=w_vals,
@@ -453,11 +351,6 @@ def project_tangent(pg, vec):
     for X in pg.tangent_frame:
         out += (X @ g @ vec) * X
     return out
-
-
-def curvature_traces(pg: PointGeometry, nd: NormalFieldDerivatives):
-    """The two shape-operator traces of the biharmonicity equations."""
-    return nd.trace_shape_mean, nd.trace_shape_gradient
 
 
 def scalar_curvature(space: AmbientModel, pg: PointGeometry):
@@ -530,22 +423,15 @@ def fd_normal_laplacian(space: AmbientModel, imm: ImmersionModel, u, h: float) -
         vm[q] -= h
         dH = (H_at(vp) - H_at(vm)) / (2.0 * h)
         pg, Hv = _mean_curvature_point(space, imm, v)
-        dpos = np.array([p.derivative(q).value for p in pg._state["pos"]])
+        dpos = pg._state["pos"].derivative(q).value
         cov = _covd_pointwise(space, pg.position, dpos, Hv, dH)
         return _project_normal(pg, cov)
 
     pg0, _ = _mean_curvature_point(space, imm, u)
-    g_ind = pg0.induced_metric
-    ginv = np.linalg.inv(g_ind)
-    gj = pg0._state["g_ind"]
-    n = m
-    gamma_ind = np.zeros((n, n, n))
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                low = [0.5 * (gj[a][e].derivative(b).value + gj[b][e].derivative(a).value
-                              - gj[a][b].derivative(e).value) for e in range(n)]
-                gamma_ind[c, a, b] = np.dot(ginv[c], low)
+    ginv = np.linalg.inv(pg0.induced_metric)
+    dg = pg0._state["g_ind"].gradient().value  # dg[p, a, b] = d_p g_ab
+    low = 0.5 * (dg.transpose(2, 1, 0) + dg.transpose(2, 0, 1) - dg)
+    gamma_ind = np.einsum("ce,eab->cab", ginv, low)
 
     lap = np.zeros(space.rep_dim)
     W0 = [W_at(u, q) for q in range(m)]
@@ -555,7 +441,7 @@ def fd_normal_laplacian(space: AmbientModel, imm: ImmersionModel, u, h: float) -
             up[p] += h
             um[p] -= h
             dW = (W_at(up, q) - W_at(um, q)) / (2.0 * h)
-            dpos = np.array([c.derivative(p).value for c in pg0._state["pos"]])
+            dpos = pg0._state["pos"].derivative(p).value
             cov = _covd_pointwise(space, pg0.position, dpos, W0[q], dW)
             term = _project_normal(pg0, cov)
             term = term - np.einsum("r,rc->c", gamma_ind[:, p, q], np.array(W0))

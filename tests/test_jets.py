@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biharm.jets import DomainError, Jet, embed, extract, jet_matrix_inverse, seed_point
+from biharm.jets import (
+    DomainError,
+    Jet,
+    _space,
+    embed,
+    extract,
+    jet_matrix_inverse,
+    n_entries,
+    seed_point,
+)
 
 from conftest import fd_partial, poly_partial, random_poly
 
@@ -207,3 +216,91 @@ def test_jet_matrix_inverse():
             target = 1.0 if i == j else 0.0
             assert acc.value == pytest.approx(target, abs=1e-13)
             assert np.abs(acc.coeffs[1:]).max() < 1e-12
+
+
+# -- array jets against a per-element loop over scalar jets -----------------
+
+SERIES = {
+    "reciprocal": lambda j: j.reciprocal(),
+    "exp": lambda j: j.exp(),
+    "log": lambda j: j.log(),
+    "sqrt": lambda j: j.sqrt(),
+    "powr": lambda j: j.powr(1.7),
+    "powi": lambda j: j.powi(3),
+    "sin": lambda j: j.sin(),
+    "cos": lambda j: j.cos(),
+    "tan": lambda j: j.tan(),
+    "atan": lambda j: j.atan(),
+}
+
+
+def _random_jet(rng, nvars, order, shape):
+    coeffs = rng.uniform(-1.0, 1.0, shape + (n_entries(nvars, order),))
+    coeffs[..., 0] = rng.uniform(0.5, 1.5, shape)  # inside every series' domain
+    return Jet(_space(nvars, order), coeffs)
+
+
+def _per_element(fn, *jets):
+    """``fn`` applied to the scalar jets at every index of the broadcast shape."""
+    shape = np.broadcast_shapes(*(j.shape for j in jets))
+    out = None
+    for idx in np.ndindex(shape):
+        parts = [Jet(j.space, np.broadcast_to(j.coeffs, shape + j.coeffs.shape[-1:])[idx].copy())
+                 for j in jets]
+        c = fn(*parts).coeffs
+        if out is None:
+            out = np.empty(shape + c.shape)
+        out[idx] = c
+    return out
+
+
+def _close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from([(), (1,), (3,), (4,), (2, 3), (3, 4), (3, 1)]),
+       st.sampled_from(["same", "trailing", "scalar"]), st.integers(0, 2**32 - 1))
+def test_array_kernel_matches_scalar_loop(nvars, order_a, order_b, shape, b_kind, seed):
+    rng = np.random.default_rng(seed)
+    b_shape = {"same": shape, "trailing": shape[1:], "scalar": ()}[b_kind]
+    a = _random_jet(rng, nvars, order_a, shape)
+    b = _random_jet(rng, nvars, order_b, b_shape)
+    low = min(order_a, order_b)
+
+    sp = _space(nvars, low)
+    _close(sp.mul(a.coeffs, b.coeffs), _per_element(lambda x, y: x * y, a, b))
+    _close((a * b).coeffs, _per_element(lambda x, y: x * y, a, b))
+    _close((a - b).coeffs, _per_element(lambda x, y: x - y, a, b))
+    _close(a.truncate(low).coeffs, _per_element(lambda x: x.truncate(low), a))
+    if order_a >= 1:
+        for var in range(nvars):
+            _close(a.derivative(var).coeffs, _per_element(lambda x: x.derivative(var), a))
+    for name, fn in SERIES.items():
+        _close(fn(a).coeffs, _per_element(fn, a))
+
+
+def test_array_jet_series_rejects_non_finite():
+    (u,) = seed_point([800.0], 2)
+    with pytest.raises(DomainError):
+        u.exp()
+    big = Jet.constant(1, 2, np.array([1.0, 1e300]))
+    with pytest.raises(DomainError):
+        big.powr(2.5)
+
+
+def test_jet_matrix_inverse_of_array_matches_nested_rows():
+    u1, u2 = seed_point([0.3, -0.2], 3)
+    rows = [[u1.exp() + 1.0, u1 * u2], [u2.sin(), u2 * u2 + 2.0]]
+    from biharm.jets import stack
+
+    assert np.array_equal(jet_matrix_inverse(rows).coeffs,
+                          jet_matrix_inverse(stack(rows)).coeffs)
+
+
+def test_large_batches_run_in_chunks_with_the_same_result():
+    rng = np.random.default_rng(3)
+    a = _random_jet(rng, 4, 4, (8, 5))
+    b = _random_jet(rng, 4, 3, (5,))
+    assert np.array_equal((a * b).coeffs, _per_element(lambda x, y: x * y, a, b))

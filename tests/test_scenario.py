@@ -69,6 +69,59 @@ def test_unknown_check_rejected():
         _cfg(checks=[{"op": "frobnicate"}])
 
 
+def test_duplicate_check_rejected(tmp_path, capsys):
+    checks = [{"op": "residual", "tol": 1e-12}, {"op": "residual", "tol": 10}]
+    with pytest.raises(ConfigError) as err:
+        _cfg(checks=checks)
+    assert "checks[1].op" in str(err.value) and "duplicate" in str(err.value)
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({
+        "ambient": {"catalog": "flat_c2"},
+        "immersion": {"catalog": "round_hypersphere", "params": {"r": 1.0}},
+        "checks": checks,
+    }))
+    assert cli_main(["check", str(path)]) == 2
+    capsys.readouterr()
+
+
+def test_overflowing_component_fails_points_not_the_run():
+    # exp(800 u1) overflows at u1 = 1 (its value) and at u1 = 0.5 (the
+    # induced metric); only u1 = 0 evaluates cleanly
+    cfg = _cfg(ambient={"catalog": "cosymplectic_r5"}, immersion={
+        "components": ["u1", "u2", "exp(800*u1)", "0", "0"],
+        "params": ["u1", "u2"],
+        "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 3},
+                             {"lo": 0, "hi": 1, "samples": 2}]},
+    })
+    rep = run_check(cfg)
+    assert rep.aggregates["points_total"] == 6
+    assert rep.aggregates["points_failed"] == 4
+    failed = [p for p in rep.document["points"] if "error" in p]
+    assert {p["u"][0] for p in failed} == {0.5, 1.0}
+    assert all(p["error"] for p in failed)
+
+
+def test_nan_residual_at_second_sample_fails_that_point(monkeypatch):
+    import biharm.scenario as scenario
+
+    calls = []
+    real = scenario.residual_general
+
+    def poisoned(space, pg, nd):
+        res = real(space, pg, nd)
+        calls.append(pg.u)
+        if len(calls) == 2:
+            res.normal = res.normal * float("nan")
+        return res
+
+    monkeypatch.setattr(scenario, "residual_general", poisoned)
+    rep = run_check(_cfg())
+    assert rep.aggregates["points_failed"] == 1
+    bad = rep.document["points"][1]
+    assert "non-finite" in bad["error"] and "normal residual" in bad["error"]
+    assert rep.aggregates["max_normal_residual"] == pytest.approx(3.0, rel=1e-9)
+
+
 def test_immersion_must_have_lower_dimension():
     with pytest.raises(ConfigError):
         _cfg(immersion={
@@ -153,15 +206,6 @@ def test_document_round_trip_and_determinism():
 
     doc3 = emit_report(Report(parsed), "document")
     assert doc3 == doc1
-
-
-def test_thread_pool_gives_identical_document(monkeypatch):
-    cfg = _cfg(ambient={"catalog": "sasakian_sphere_s5"},
-               immersion={"catalog": "clifford_torus_s5"})
-    serial = emit_report(run_check(cfg), "document")
-    monkeypatch.setenv("BIHARM_THREADS", "4")
-    threaded = emit_report(run_check(cfg), "document")
-    assert serial == threaded
 
 
 def test_table_format():
