@@ -23,8 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprs import Bindings, Expr, evaluate_jet_env
+from .exprs import Bindings, CompiledFields, Expr, evaluate_jet_env  # noqa: F401
 from .jets import Jet, jet_matrix_inverse, seed_point, stack
+
+# evaluate_jet_env is imported for bench/tracing.py, which wraps it in this
+# module's namespace; the tensors here run as compiled programs.
 
 KIND_COMPLEX = "generalized_complex"
 KIND_CONTACT = "generalized_sasakian"
@@ -62,7 +65,11 @@ def coefficients_for_tag(tag: ClassicalTag) -> tuple[float, ...]:
 
 
 @dataclass
-class AmbientModel:
+class AmbientModel(CompiledFields):
+    """An ambient space form.  Its expression fields (``metric``,
+    ``cstruct``, ``phi``, ``reeb``, ``coeffs``, ``embed_map``, ``normals``)
+    each compile to one program on first use (see :class:`CompiledFields`)."""
+
     name: str
     kind: str                       # KIND_COMPLEX | KIND_CONTACT
     backend: str                    # "chart" | "embedded"
@@ -91,37 +98,13 @@ class AmbientModel:
         return self.dim if self.backend == "chart" else len(self.coords)
 
 
-def _eval_field(exprs, env, bindings):
-    if isinstance(exprs, (list, tuple)) and exprs and isinstance(exprs[0], (list, tuple)):
-        return [[evaluate_jet_env(e, env, bindings) for e in row] for row in exprs]
-    return [evaluate_jet_env(e, env, bindings) for e in exprs]
-
-
-def _values(nested):
-    def v(x):
-        return x.value if isinstance(x, Jet) else float(x)
-
-    if isinstance(nested[0], list):
-        return np.array([[v(e) for e in row] for row in nested])
-    return np.array([v(e) for e in nested])
-
-
-def _as_jets(evaluated, nvars, order):
-    def j(x):
-        return x if isinstance(x, Jet) else Jet.constant(nvars, order, float(x))
-
-    if isinstance(evaluated[0], list):
-        return [[j(e) for e in row] for row in evaluated]
-    return [j(e) for e in evaluated]
-
-
 # -- pointwise tensors -------------------------------------------------------
 
 def metric_at(space: AmbientModel, x) -> np.ndarray:
     """Metric matrix in the vector representation at ``x`` (floats)."""
     if space.backend == "embedded":
         return np.eye(space.rep_dim)
-    g = _values(_eval_field(space.metric, [float(v) for v in x], space.bindings))
+    g = space.values("metric", x)
     if np.linalg.eigvalsh(g).min() <= 0.0:
         raise GeometryError(f"metric not positive definite at {tuple(x)}")
     return g
@@ -129,17 +112,13 @@ def metric_at(space: AmbientModel, x) -> np.ndarray:
 
 def structure_at(space: AmbientModel, x):
     """Structure tensors at ``x``: J matrix, or (phi matrix, xi vector)."""
-    env = [float(v) for v in x]
     if space.kind == KIND_COMPLEX:
-        return _values(_eval_field(space.cstruct, env, space.bindings))
-    phi = _values(_eval_field(space.phi, env, space.bindings))
-    xi = _values(_eval_field(space.reeb, env, space.bindings))
-    return phi, xi
+        return space.values("cstruct", x)
+    return space.values("phi", x), space.values("reeb", x)
 
 
 def coefficients_at(space: AmbientModel, x) -> tuple[float, ...]:
-    env = [float(v) for v in x]
-    return tuple(float(_values([evaluate_jet_env(c, env, space.bindings)])[0]) for c in space.coeffs)
+    return tuple(float(c) for c in space.values("coeffs", x))
 
 
 # -- jets of the metric and connection ---------------------------------------
@@ -152,13 +131,11 @@ def metric_jet(space: AmbientModel, x, order: int) -> Jet:
     metric is assembled from embedding jets one order higher.
     """
     if space.backend == "chart":
-        g = stack(_eval_field(space.metric, seed_point(x, order), space.bindings), len(x), order)
+        g = space.jets("metric", seed_point(x, order))
         if np.linalg.eigvalsh(g.value).min() <= 0.0:
             raise GeometryError(f"metric not positive definite at {tuple(x)}")
         return g
-    env = seed_point(x, order + 1)
-    emb = stack([evaluate_jet_env(c, env, space.bindings) for c in space.embed_map],
-                len(x), order + 1)
+    emb = space.jets("embed_map", seed_point(x, order + 1))
     tangents = emb.gradient()
     g = (tangents[:, None] * tangents[None]).sum(-1)
     if np.linalg.eigvalsh(g.value).min() <= 0.0:
@@ -286,10 +263,8 @@ def tangent_projector(space: AmbientModel, x) -> np.ndarray:
     """Orthogonal projector of R^D onto the tangent space of N at ``x``."""
     if space.backend != "embedded":
         return np.eye(space.rep_dim)
-    env = [float(v) for v in x]
     P = np.eye(space.rep_dim)
-    for nf in space.normals:
-        n = _values(_eval_field(nf, env, space.bindings))
+    for n in space.values("normals", x):
         n = n / np.linalg.norm(n)
         P -= np.outer(n, n)
     return P
@@ -337,34 +312,21 @@ def _covariant_residuals_chart(space, x):
     gam = christoffel_point(space, x)
     g = metric_at(space, x)
     fam = space.tag.family
+
+    def nabla(name):
+        """Values and covariant derivative of a structure field: [a, c, b] =
+        (nabla_a T)^c_b for a (1,1)-tensor, [a, c] for a vector field."""
+        f = space.jets(name, env)
+        v = f.value
+        out = f.gradient().value + np.einsum("cae,e...->ac...", gam, v)
+        if v.ndim == 2:
+            out -= np.einsum("eab,ce->acb", gam, v)
+        return v, out
+
     if space.kind == KIND_COMPLEX:
-        J = _as_jets(_eval_field(space.cstruct, env, space.bindings), d, 1)
-        Jv = _values(J)
-        nJ = np.empty((d, d, d))
-        for a in range(d):
-            for c in range(d):
-                for b in range(d):
-                    nJ[a, c, b] = (
-                        J[c][b].derivative(a).value
-                        + np.dot(gam[c, a, :], Jv[:, b])
-                        - np.dot(gam[:, a, b], Jv[c, :])
-                    )
-        return {"covariant_complex": float(np.abs(nJ).max())}
-    phi = _as_jets(_eval_field(space.phi, env, space.bindings), d, 1)
-    xi = _as_jets(_eval_field(space.reeb, env, space.bindings), d, 1)
-    phiv, xiv = _values(phi), _values(xi)
+        return {"covariant_complex": float(np.abs(nabla("cstruct")[1]).max())}
+    (phiv, nphi), (xiv, nxi) = nabla("phi"), nabla("reeb")
     eta = g @ xiv
-    nphi = np.empty((d, d, d))
-    nxi = np.empty((d, d))
-    for a in range(d):
-        for c in range(d):
-            nxi[a, c] = xi[c].derivative(a).value + np.dot(gam[c, a, :], xiv)
-            for b in range(d):
-                nphi[a, c, b] = (
-                    phi[c][b].derivative(a).value
-                    + np.dot(gam[c, a, :], phiv[:, b])
-                    - np.dot(gam[:, a, b], phiv[c, :])
-                )
     if fam == SASAKI:
         rhs_phi = np.einsum("ab,c->acb", g, xiv) - np.einsum("b,ca->acb", eta, np.eye(d))
         rhs_xi = -phiv.T
@@ -384,6 +346,7 @@ def _covariant_residuals_embedded(space, x):
     # Differentiate the structure fields along great-circle-like curves
     # c(t) = (x + tX)/|x + tX| using one-variable jets; the ambient covariant
     # derivative is the curve derivative followed by tangential projection.
+    # All tangent fields Y of the basis go through as one jet array.
     D = space.rep_dim
     x = np.asarray(x, dtype=float)
     P = tangent_projector(space, x)
@@ -394,39 +357,27 @@ def _covariant_residuals_embedded(space, x):
             v = v - (v @ b) * b
         if np.linalg.norm(v) > 1e-8:
             basis.append(v / np.linalg.norm(v))
+    Y = np.array(basis)
     phi0, xi0 = structure_at(space, x)
     eta0 = xi0  # Euclidean representation: eta(v) = <v, xi>
     res_phi, res_xi = 0.0, 0.0
     for X in basis:
-        t = Jet.variable(1, 1, 0, 0.0)
-        pos = [t * X[a] + x[a] for a in range(D)]
-        norm2 = pos[0] * pos[0]
-        for a in range(1, D):
-            norm2 = norm2 + pos[a] * pos[a]
-        inv = norm2.sqrt().reciprocal()
-        pos = [p * inv for p in pos]
-        phi_j = _as_jets(_eval_field(space.phi, pos, space.bindings), 1, 1)
-        xi_j = _as_jets(_eval_field(space.reeb, pos, space.bindings), 1, 1)
-        dxi = P @ np.array([c.derivative(0).value for c in xi_j])
+        pos = Jet.constant(1, 1, x)
+        pos.coeffs[:, 1] = X
+        pos = pos * (pos * pos).sum(-1).sqrt().reciprocal()
+        env = list(pos)
+        phi_j = space.jets("phi", env)
+        xi_j = space.jets("reeb", env)
+        dxi = P @ xi_j.derivative(0).value
         res_xi = max(res_xi, np.abs(dxi - (-(phi0 @ X))).max())
-        for Y in basis:
-            yfield = [None] * D
-            dotpy = pos[0] * Y[0]
-            for a in range(1, D):
-                dotpy = dotpy + pos[a] * Y[a]
-            for a in range(D):
-                yfield[a] = Y[a] - dotpy * pos[a]
-            phiy = [None] * D
-            for c in range(D):
-                acc = phi_j[c][0] * yfield[0]
-                for b in range(1, D):
-                    acc = acc + phi_j[c][b] * yfield[b]
-                phiy[c] = acc
-            d_phiy = P @ np.array([c.derivative(0).value for c in phiy])
-            d_y = P @ np.array([c.derivative(0).value for c in yfield])
-            lhs = d_phiy - phi0 @ d_y
-            rhs = (X @ Y) * xi0 - (eta0 @ Y) * X
-            res_phi = max(res_phi, np.abs(lhs - rhs).max())
+        # Y extended along the curve as its projection onto T_c S
+        yfield = Y - (pos * Y).sum(-1)[:, None] * pos
+        phiy = (phi_j * yfield[:, None, :]).sum(-1)
+        d_phiy = phiy.derivative(0).value @ P.T
+        d_y = yfield.derivative(0).value @ P.T
+        lhs = d_phiy - d_y @ phi0.T
+        rhs = np.outer(Y @ X, xi0) - np.outer(Y @ eta0, X)
+        res_phi = max(res_phi, np.abs(lhs - rhs).max())
     return {"covariant_phi": res_phi, "covariant_reeb": res_xi}
 
 

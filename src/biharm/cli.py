@@ -87,6 +87,7 @@ def _cmd_sweep(args) -> int:
         "values": result.values,
         "samples": result.objective,
         "roots": result.roots,
+        "discontinuities": result.discontinuities,
     }
     print(json.dumps(doc, indent=2, default=float))
     expect = cfg.expect.get("sweep", {})

@@ -1,8 +1,9 @@
 """Expression language for immersion components and coefficient functions.
 
-A small real-valued language parsed by hand (recursive descent), evaluated
-either on plain floats or on :class:`~biharm.jets.Jet` values, which is how
-every derivative in the engine is obtained.
+A small real-valued language parsed by hand (recursive descent).  Tuples of
+expressions compile into straight-line programs (:func:`compile_program`)
+that run either on plain floats or on :class:`~biharm.jets.Jet` values,
+which is how every derivative in the engine is obtained.
 
 Grammar, loosest binding first::
 
@@ -20,11 +21,15 @@ Identifiers are parameter names (declared at parse time), named constants
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
-from .jets import DomainError, Jet, seed_point
+import numpy as np
+
+from .jets import DomainError, Jet, seed_point, stack
 
 Bindings = dict[str, float]
 
@@ -213,11 +218,20 @@ def parse_expression(source: str, params) -> Expr:
     return _Parser(source, params).parse()
 
 
-# -- evaluation --------------------------------------------------------------
+# -- compilation and evaluation ---------------------------------------------
+#
+# A tuple of expressions (a metric, a structure tensor, the components of an
+# immersion) compiles into one straight-line program, a tape in the sense of
+# Griewank & Walther, *Evaluating Derivatives* (SIAM 2008): structurally equal
+# subtrees become one instruction, so a shared subexpression is computed once
+# per run.  The same program runs on floats or on jets; constants are looked
+# up at every run, so rebinding them never needs a recompile.
 
 def _call(fn: str, x):
     if isinstance(x, Jet):
         return getattr(x, fn)()
+    if not math.isfinite(x):
+        raise DomainError(f"{fn} of non-finite value {x}")
     if fn == "log":
         if x <= 0.0:
             raise DomainError(f"log of non-positive value {x:.6g}")
@@ -236,6 +250,8 @@ def _power(base, expo):
         # parameter-dependent exponent: b^e = exp(e log b), positive base only
         logb = base.log() if isinstance(base, Jet) else _call("log", base)
         return (expo * logb).exp()
+    if not math.isfinite(expo):
+        raise DomainError(f"non-finite exponent {expo}")
     if expo == int(expo):
         n = int(expo)
         if isinstance(base, Jet):
@@ -250,50 +266,183 @@ def _power(base, expo):
     return math.pow(base, expo)
 
 
-def evaluate(node: Expr, env, bindings: Bindings):
-    """Evaluate over an environment of parameter values (floats or Jets)."""
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Param):
-        return env[node.index]
-    if isinstance(node, Const):
+# a / b compiles to a / inv(b): a jet divisor becomes its reciprocal, which
+# is what Jet division multiplies by, so every quotient over one divisor
+# shares a single reciprocal; a float divisor passes through unchanged.
+
+def _inverse(b):
+    return b.reciprocal() if isinstance(b, Jet) else b
+
+
+def _divide(a, inv_b):
+    if isinstance(inv_b, Jet):
+        return a * inv_b
+    if not isinstance(a, Jet) and inv_b == 0.0:
+        raise DomainError("division by zero")
+    return a / inv_b
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
+_UNARY = {fn: partial(_call, fn) for fn in FUNCTIONS}
+_UNARY["neg"] = operator.neg
+_UNARY["inv"] = _inverse
+
+
+def _constant(name: str, bindings: Bindings | None) -> float:
+    try:
+        if bindings and name in bindings:
+            return float(bindings[name])
+        return float(DEFAULT_BINDINGS[name])
+    except KeyError:
+        raise UnboundConstantError(f"constant {name!r} is not bound") from None
+
+
+class Program:
+    """Straight-line program computing a (nested) tuple of expressions.
+
+    A run fills a list of slots: the literals, then the parameters, then the
+    constants, then one slot per instruction ``(fn, a, b)``, which applies
+    ``fn`` to slot ``a`` (and slot ``b`` when ``b >= 0``).  ``outputs``
+    names the slot of every expression, in row-major order of ``shape``.
+    """
+
+    __slots__ = ("literals", "params", "consts", "code", "outputs", "shape")
+
+    def __init__(self, literals, params, consts, code, outputs, shape):
+        self.literals = tuple(literals)
+        self.params = tuple(params)
+        self.consts = tuple(consts)
+        self.code = tuple(code)
+        self.outputs = tuple(outputs)
+        self.shape = tuple(shape)
+
+    def __len__(self):
+        return len(self.code)
+
+    def run(self, env, bindings: Bindings | None = None) -> list:
+        """Every output over parameter values ``env`` (floats or jets).
+
+        A float output that is not finite, or a float operation that
+        overflows, raises :class:`DomainError`, the rule jets follow.
+        """
+        slots = list(self.literals)
+        slots += [env[k] for k in self.params]
+        slots += [_constant(name, bindings) for name in self.consts]
+        append = slots.append
         try:
-            return float(bindings[node.name])
-        except KeyError:
-            raise UnboundConstantError(f"constant {node.name!r} is not bound") from None
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, env, bindings)
-    if isinstance(node, Call):
-        return _call(node.fn, evaluate(node.arg, env, bindings))
-    if isinstance(node, BinOp):
-        a = evaluate(node.left, env, bindings)
-        b = evaluate(node.right, env, bindings)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if not isinstance(a, Jet) and not isinstance(b, Jet) and b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
-        return _power(a, b)
-    raise TypeError(f"not an expression node: {node!r}")
+            for fn, a, b in self.code:
+                append(fn(slots[a]) if b < 0 else fn(slots[a], slots[b]))
+        except OverflowError as e:
+            raise DomainError(f"float overflow ({e})") from None
+        out = [slots[k] for k in self.outputs]
+        for v in out:
+            if not isinstance(v, Jet) and not math.isfinite(v):
+                raise DomainError(f"non-finite value {v}")
+        return out
+
+    def values(self, point, bindings: Bindings | None = None) -> np.ndarray:
+        """Float outputs at ``point``, as an array of the compiled shape."""
+        out = self.run([float(x) for x in point], bindings)
+        return np.array(out, dtype=float).reshape(self.shape)
+
+    def jets(self, env, bindings: Bindings | None = None) -> Jet:
+        """Jet outputs over the jet parameters ``env``, as one jet array of
+        the compiled shape; float outputs become constant jets."""
+        ref = next(v for v in env if isinstance(v, Jet))
+        out = stack(self.run(env, bindings), ref.nvars, ref.order)
+        return Jet(out.space, out.coeffs.reshape(self.shape + out.coeffs.shape[-1:]))
 
 
-def _merged(bindings: Bindings | None) -> Bindings:
-    if not bindings:
-        return DEFAULT_BINDINGS
-    out = dict(DEFAULT_BINDINGS)
-    out.update(bindings)
-    return out
+def compile_program(exprs) -> Program:
+    """Compile an expression, or a nested tuple of them, into one program."""
+    tree = np.array(exprs, dtype=object)
+    ids: dict = {}      # structural key -> node number, children first
+    sigs: list = []     # node number -> nested tuple ordering subtrees by structure alone
+    literal: dict = {}  # node number -> literal value
+
+    def node(key, sig) -> int:
+        n = ids.setdefault(key, len(ids))
+        if n == len(sigs):
+            sigs.append(sig)
+        return n
+
+    def visit(e) -> int:
+        if isinstance(e, BinOp):
+            a, b = visit(e.left), visit(e.right)
+            if e.op == "/":
+                b = node(("inv", b), ("inv", sigs[b]))
+            elif e.op in "+*" and a != b and sigs[b] < sigs[a]:
+                a, b = b, a  # commutative: one operand order, whatever the context
+            return node((e.op, a, b), (e.op, sigs[a], sigs[b]))
+        if isinstance(e, Call):
+            a = visit(e.arg)
+            return node((e.fn, a), (e.fn, sigs[a]))
+        if isinstance(e, Neg):
+            a = visit(e.arg)
+            return node(("neg", a), ("neg", sigs[a]))
+        if isinstance(e, Param):
+            key = ("param", e.index)
+        elif isinstance(e, Const):
+            key = ("const", e.name)
+        elif isinstance(e, Lit):
+            key = ("lit", repr(e.value))  # repr keeps -0.0 apart from 0.0
+            n = node(key, key)
+            literal.setdefault(n, e.value)
+            return n
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        return node(key, key)
+
+    outputs = [visit(e) for e in tree.ravel()]
+    slot: dict = {}
+    leaves = {"lit": [], "param": [], "const": []}
+    for kind, items in leaves.items():
+        for key, n in ids.items():
+            if key[0] == kind:
+                slot[n] = len(slot)
+                items.append(literal[n] if kind == "lit" else key[1])
+    code = []
+    for key, n in ids.items():
+        if key[0] in leaves:
+            continue
+        slot[n] = len(slot)
+        if len(key) == 3:
+            code.append((_BINARY[key[0]], slot[key[1]], slot[key[2]]))
+        else:
+            code.append((_UNARY[key[0]], slot[key[1]], -1))
+    return Program(leaves["lit"], leaves["param"], leaves["const"], code,
+                   [slot[n] for n in outputs], tree.shape)
+
+
+class CompiledFields:
+    """Mixin for models whose attributes hold (nested tuples of) expressions
+    and whose ``bindings`` attribute holds their constants.
+
+    ``program(name)`` compiles attribute ``name`` on first use and keeps the
+    program on the instance, so a program lives and dies with its model; a
+    new tuple assigned to the attribute is compiled on its next use.
+    """
+
+    def program(self, name: str) -> Program:
+        source = getattr(self, name)
+        cache = self.__dict__.setdefault("_programs", {})
+        hit = cache.get(name)
+        if hit is None or hit[0] is not source:
+            hit = cache[name] = (source, compile_program(source))
+        return hit[1]
+
+    def values(self, name: str, point) -> np.ndarray:
+        """Field ``name`` at ``point`` (floats), shaped like the field."""
+        return self.program(name).values(point, self.bindings)
+
+    def jets(self, name: str, env) -> Jet:
+        """Field ``name`` over jet parameter values ``env``, as a jet array."""
+        return self.program(name).jets(env, self.bindings)
 
 
 def evaluate_jet(expr: Expr, point, order: int, bindings: Bindings | None = None) -> Jet:
     """Exact partial derivatives of ``expr`` at ``point``, up to ``order``."""
-    env = seed_point(point, order)
-    out = evaluate(expr, env, _merged(bindings))
+    out = compile_program(expr).run(seed_point(point, order), bindings)[0]
     if isinstance(out, Jet):
         return out
     return Jet.constant(len(point), order, float(out))
@@ -301,12 +450,12 @@ def evaluate_jet(expr: Expr, point, order: int, bindings: Bindings | None = None
 
 def evaluate_jet_env(expr: Expr, env, bindings: Bindings | None = None):
     """Evaluate against prebuilt jet (or float) parameter values."""
-    return evaluate(expr, env, _merged(bindings))
+    return compile_program(expr).run(env, bindings)[0]
 
 
 def evaluate_expr(expr: Expr, point, bindings: Bindings | None = None) -> float:
     """Plain (order-0) evaluation on floats."""
-    return float(evaluate(expr, [float(x) for x in point], _merged(bindings)))
+    return float(compile_program(expr).run([float(x) for x in point], bindings)[0])
 
 
 def expr_constants(expr: Expr) -> set[str]:

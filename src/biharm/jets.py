@@ -383,13 +383,14 @@ class Jet:
     def powi(self, n: int) -> "Jet":
         if n < 0:
             return self.reciprocal().powi(-n)
-        result = Jet.constant(self.nvars, self.order, np.ones(self.shape))
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
+        if result is None:
+            return Jet.constant(self.nvars, self.order, np.ones(self.shape))
         return result
 
     def sin(self) -> "Jet":

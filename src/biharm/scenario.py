@@ -385,9 +385,7 @@ def _evaluate_point_data(cfg: ScenarioConfig, u) -> PointRecord:
     gen = residuals[GENERAL]
     signed = None
     if pg.mean_curvature_norm > 1e-9:
-        from .ambient import metric_at
-
-        g = metric_at(space, pg.position)
+        g = pg.ambient_metric
         signed = float(gen.normal @ g @ pg.mean_curvature) / pg.mean_curvature_norm
     eta_h = None
     if ops.xi_nor is not None:
@@ -442,7 +440,8 @@ def run_check(cfg: ScenarioConfig) -> Report:
 
     hs = [d.h_norm for d in datas]
     cmc = (max(hs) - min(hs)) < 1e-7 * (1.0 + max(hs))
-    verdict = proper_biharmonic_verdict(datas)
+    # a verdict must hold at every sample: a partial grid decides nothing
+    verdict = proper_biharmonic_verdict(datas) if len(ok) == len(records) else "Inconclusive"
     flags = _flag_consensus(datas)
 
     branch_gap = 0.0
@@ -581,15 +580,8 @@ def _run_single_check(cfg, spec, records, datas, aggregates) -> dict:
         return out
     if spec.op == "structure":
         t = tol if tol is not None else 1e-9
-        from .exprs import evaluate_expr
-
-        pts = []
-        for r in records:
-            if r.error is None:
-                pts.append([evaluate_expr(c, r.u, cfg.immersion.bindings)
-                            for c in cfg.immersion.components])
-            if len(pts) == 6:
-                break
+        pts = [cfg.immersion.values("components", u)
+               for u in [r.u for r in records if r.error is None][:6]]
         rep = verify_structure(space, pts)
         return {"op": "structure", "tol": t, "residuals": rep.residuals,
                 "status": "ok" if rep.ok(t) else "violated"}
@@ -613,6 +605,9 @@ class SweepResult:
     objective: list[float]
     roots: list[float]
     objective_name: str
+    # sign changes whose bisection limit has |f| no smaller than at both
+    # bracket ends: poles or jumps of the objective, not roots
+    discontinuities: list[float] = field(default_factory=list)
 
 
 def _sweep_objective(cfg: ScenarioConfig, objective: str) -> float:
@@ -642,7 +637,12 @@ def _sweep_objective(cfg: ScenarioConfig, objective: str) -> float:
 def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
                 samples: int, objective: str = "characterization_gap",
                 xtol: float = 1e-10) -> SweepResult:
-    """Sample the objective over a constant's range and bisect each sign change."""
+    """Sample the objective over a constant's range and bisect each sign change.
+
+    A bisection limit counts as a root only if |f| there is below |f| at both
+    ends of its sampled bracket; otherwise the objective changed sign across
+    a pole or a jump, and the limit is reported as a discontinuity.
+    """
     known = set(cfg.constants) | set(cfg.immersion.bindings) | set(cfg.ambient.bindings)
     if parameter not in known:
         raise ConfigError(f"constant {parameter!r} does not appear in the config",
@@ -653,7 +653,7 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
 
     xs = list(np.linspace(lo, hi, samples))
     ys = [f(x) for x in xs]
-    roots = []
+    roots, jumps = [], []
     for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
         if y0 == 0.0:
             roots.append(x0)
@@ -669,10 +669,13 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
                     b = mid
                 else:
                     a, fa = mid, fm
-            roots.append(0.5 * (a + b))
+            if abs(fm) < min(abs(y0), abs(y1)):
+                roots.append(mid)
+            else:
+                jumps.append(mid)
     if ys and ys[-1] == 0.0:
         roots.append(xs[-1])
-    return SweepResult(parameter, xs, ys, roots, objective)
+    return SweepResult(parameter, xs, ys, roots, objective, jumps)
 
 
 def convergence_study(cfg: ScenarioConfig, steps=(0.05, 0.025, 0.0125), probe=None) -> dict:

@@ -21,12 +21,16 @@ from .ambient import (
     christoffel_point,
     christoffel_symbols,
     curvature_parts,
-    metric_at,
+    metric_at,  # noqa: F401
     scalar_from_metric_jets,
     tangent_projector,
 )
-from .exprs import Bindings, Expr, evaluate_jet_env
+from .exprs import Bindings, CompiledFields, Expr, evaluate_jet_env  # noqa: F401
 from .jets import DomainError, Jet, embed, extract, jet_matrix_inverse, seed_point, stack
+
+# metric_at and evaluate_jet_env are imported for bench/tracing.py, which
+# wraps them in this module's namespace; the ambient metric at a sample comes
+# with its PointGeometry, and expressions run as compiled programs.
 
 RANK_TOL = 1e-8
 
@@ -40,7 +44,10 @@ class Axis:
 
 
 @dataclass
-class ImmersionModel:
+class ImmersionModel(CompiledFields):
+    """A parametrized immersion; its ``components`` compile to one program
+    on first use (see :class:`CompiledFields`)."""
+
     name: str
     dim: int
     params: tuple[str, ...]
@@ -75,9 +82,7 @@ class _ChartCalc:
         self.space, self.m, self.d = space, m, d
         aug = embed(pos, m + d) + stack([Jet.variable(m + d, order, m + a, 0.0)
                                          for a in range(d)])
-        env = list(aug)
-        g_aug = stack([[evaluate_jet_env(e, env, space.bindings) for e in row]
-                       for row in space.metric], m + d, order)
+        g_aug = space.jets("metric", list(aug))
         self.g = extract(g_aug, m, order)
         if np.linalg.eigvalsh(self.g.value).min() <= 0.0:
             raise GeometryError("ambient metric not positive definite along immersion")
@@ -106,9 +111,7 @@ class _EmbeddedCalc:
     def __init__(self, space, pos):
         self.space, self.m, self.d = space, pos.nvars, space.rep_dim
         self.T = pos.gradient()
-        env = list(pos)
-        n = stack([[evaluate_jet_env(e, env, space.bindings) for e in nf]
-                   for nf in space.normals], self.m, pos.order)
+        n = space.jets("normals", list(pos))
         self.normals = n * self.inner(n, n).powr(-0.5)[:, None]
 
     def inner(self, v, w):
@@ -186,6 +189,7 @@ class PointGeometry:
     tangent_frame: np.ndarray        # rows are orthonormal tangent vectors
     normal_frame: np.ndarray         # rows are orthonormal normal vectors
     induced_metric: np.ndarray       # coordinate-basis first fundamental form
+    ambient_metric: np.ndarray       # ambient metric at the position (identity if embedded)
     second_fundamental: np.ndarray   # [normal, i, j] frame components of B
     mean_curvature: np.ndarray       # ambient-representation vector
     mean_curvature_norm: float
@@ -218,9 +222,7 @@ class NormalFieldDerivatives:
 def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) -> PointGeometry:
     """Frames, fundamental forms and mean curvature at one parameter point."""
     m = imm.dim
-    env = seed_point(u, order)
-    pos = stack([evaluate_jet_env(comp, env, imm.bindings) for comp in imm.components],
-                m, order)
+    pos = imm.jets("components", seed_point(u, order))
     calc = _make_calc(space, pos)
     T = calc.T
     g_ind = calc.inner(T[:, None], T[None])
@@ -280,6 +282,7 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
         tangent_frame=frames.value,
         normal_frame=normals.value,
         induced_metric=gram,
+        ambient_metric=calc.g.value if space.backend == "chart" else np.eye(calc.d),
         second_fundamental=b_vals,
         mean_curvature=H.value,
         mean_curvature_norm=float(np.sqrt((h_n_vals**2).sum())),
@@ -338,7 +341,7 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
 
 
 def _project_normal(pg, vec):
-    g = metric_at(pg._state["calc"].space, pg.position)
+    g = pg.ambient_metric
     out = np.zeros_like(vec)
     for nu in pg.normal_frame:
         out += (nu @ g @ vec) * nu
@@ -346,7 +349,7 @@ def _project_normal(pg, vec):
 
 
 def project_tangent(pg, vec):
-    g = metric_at(pg._state["calc"].space, pg.position)
+    g = pg.ambient_metric
     out = np.zeros_like(vec)
     for X in pg.tangent_frame:
         out += (X @ g @ vec) * X
@@ -365,7 +368,7 @@ def scalar_curvature(space: AmbientModel, pg: PointGeometry):
     m = pg.m
     intrinsic = 0.0 if m == 1 else scalar_from_metric_jets(g_ind)
     amb = 0.0
-    g = metric_at(space, pg.position)
+    g = pg.ambient_metric
     for i in range(m):
         for j in range(m):
             R = curvature_parts(space, pg.position, pg.tangent_frame[i], pg.tangent_frame[j],

@@ -5,22 +5,26 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biharm.exprs import (
     BinOp,
     Call,
+    Const,
     DomainError,
     ExprError,
     ExprSyntaxError,
     Lit,
+    Neg,
     Param,
     UnboundConstantError,
+    compile_program,
     evaluate_expr,
     evaluate_jet,
     expr_constants,
     parse_expression,
 )
+from biharm.jets import Jet, seed_point
 
 from conftest import fd_partial, poly_partial, poly_to_source, random_poly
 
@@ -170,3 +174,86 @@ def test_chain_rule_against_jet_composition():
     via_env = evaluate_jet_env(outer, [g])
     direct = evaluate_jet(composed, point, 4)
     assert np.abs(via_env.coeffs - direct.coeffs).max() < 1e-10
+
+
+def test_non_finite_float_results_raise_domain_error():
+    # plain float arithmetic gives inf, the float power overflows: both are
+    # domain faults, as for jets
+    with pytest.raises(DomainError):
+        evaluate_expr(parse_expression("u1*u1", ["u1"]), (1e200,))
+    with pytest.raises(DomainError):
+        evaluate_expr(parse_expression("u1^2", ["u1"]), (1e200,))
+    with pytest.raises(DomainError):
+        evaluate_expr(parse_expression("sin(u1*u1)", ["u1"]), (1e200,))
+
+
+def test_program_shares_subtrees():
+    e = parse_expression("sin(u1*k)/(1+u1^2)", ["u1"])
+    f = parse_expression("cos(k*u1)/(1+u1^2)", ["u1"])
+    assert len(compile_program((e, e))) == len(compile_program(e))
+    # f adds only cos and its quotient: u1*k, 1+u1^2 and its reciprocal are shared
+    assert len(compile_program((e, f))) == len(compile_program(e)) + 2
+    assert compile_program(((e, f), (f, e))).shape == (2, 2)
+
+
+def test_program_reads_constants_at_each_run():
+    prog = compile_program(parse_expression("k*u1 + pi", ["u1"]))
+    assert prog.run([2.0], {"k": 3.0}) == [6.0 + math.pi]
+    assert prog.run([2.0], {"k": 5.0, "pi": 0.0}) == [10.0]
+    with pytest.raises(UnboundConstantError):
+        prog.run([2.0])
+
+
+_LEAVES = (Param("u1", 0), Param("u2", 1), Param("u3", 2), Const("k"), Lit(0.5), Lit(2.0))
+
+
+def _grow(pool, step):
+    kind, i, j = step
+    a, b = pool[i % len(pool)], pool[j % len(pool)]
+    return (
+        BinOp("+", a, b),
+        BinOp("-", a, b),
+        BinOp("*", a, b),
+        BinOp("*", b, a),
+        BinOp("/", a, BinOp("+", Lit(2.0), Call("cos", b))),
+        BinOp("^", a, Lit(2.0)),
+        Neg(a),
+        Call("sin", a),
+        Call("atan", a),
+        Call("exp", Call("sin", a)),
+        Call("sqrt", BinOp("+", Lit(1.0), BinOp("*", a, a))),
+        Call("log", BinOp("+", Lit(1.5), Call("cos", b))),
+    )[kind]
+
+
+def _bits(v):
+    return (v.coeffs if isinstance(v, Jet) else np.float64(v)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 99), st.integers(0, 99)),
+                min_size=1, max_size=14),
+       st.lists(st.integers(0, 99), min_size=2, max_size=6),
+       st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+# (s + u1, s^2 * (s + u1)) with s = u1 + u3: together, s + u1 is met before
+# s^2, so an operand order that followed compile order would flip the product
+@example([(0, 0, 2), (0, 6, 0), (5, 6, 1), (2, 8, 7)], [7, 9], [0.3, -0.6, 0.8])
+def test_program_entries_equal_their_own_programs_bitwise(steps, picks, point):
+    # a tuple drawn from one pool of growing subtrees shares many of them;
+    # compiled together, every entry must still be bit for bit what the
+    # entry's own program gives, on floats and on order-4 jets
+    pool = list(_LEAVES)
+    for step in steps:
+        pool.append(_grow(pool, step))
+    exprs = tuple(pool[p % len(pool)] for p in picks)
+    bindings = {"k": 0.7}
+    prog = compile_program(exprs)
+    for env in ([float(x) for x in point], seed_point(point, 4)):
+        try:
+            alone = [compile_program(e).run(env, bindings)[0] for e in exprs]
+        except DomainError:
+            with pytest.raises(DomainError):
+                prog.run(env, bindings)
+            continue
+        together = prog.run(env, bindings)
+        assert [_bits(v) for v in together] == [_bits(v) for v in alone]

@@ -1,6 +1,7 @@
 """Scenario loading, grid runs, reports, sweeps, CLI plumbing."""
 
 import json
+import math
 
 import pytest
 
@@ -96,6 +97,8 @@ def test_overflowing_component_fails_points_not_the_run():
     rep = run_check(cfg)
     assert rep.aggregates["points_total"] == 6
     assert rep.aggregates["points_failed"] == 4
+    # the 2 clean points alone would read NotBiharmonic
+    assert rep.verdict == "Inconclusive"
     failed = [p for p in rep.document["points"] if "error" in p]
     assert {p["u"][0] for p in failed} == {0.5, 1.0}
     assert all(p["error"] for p in failed)
@@ -251,6 +254,30 @@ def test_sweep_clifford_family_root_at_quarter_pi():
     assert any(abs(r - math.pi / 4) <= 1e-9 for r in res.roots)
     for r in res.roots:
         assert min(abs(r - math.pi / 4), abs(r - math.pi / 3)) <= 1e-7
+
+
+def test_sweep_reports_pole_as_discontinuity_not_root():
+    # alpha = tan(c) flips sign across its pole at c = pi/2; bisection
+    # converges there, but |f| grows instead of shrinking
+    eye = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    cfg = _cfg(
+        ambient={
+            "kind": "generalized_complex", "backend": "chart", "dim": 4,
+            "coordinates": ["x1", "y1", "x2", "y2"], "metric": eye,
+            "complex_structure": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                                  ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+            "coefficients": {"alpha": "tan(c)", "beta": "0"},
+        },
+        immersion={"catalog": "round_hypersphere", "params": {"r": 1.3}},
+        constants={"c": 1.2},
+        domain={"axes": [{"lo": 0.6, "hi": 1.2, "samples": 1},
+                         {"lo": 0.5, "hi": 1.0, "samples": 1},
+                         {"lo": 0.3, "hi": 1.0, "samples": 1}]},
+    )
+    res = sweep_solve(cfg, "c", 1.2, 2.0, 5)
+    assert res.roots == []
+    assert len(res.discontinuities) == 1
+    assert res.discontinuities[0] == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 def test_sweep_unknown_parameter():

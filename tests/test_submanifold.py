@@ -47,6 +47,17 @@ def test_hypersphere_closed_form():
     assert pg.mean_curvature @ pg.normal_frame[0] == pytest.approx(1 / r, rel=1e-12)
 
 
+def test_point_geometry_carries_the_ambient_metric():
+    from biharm.ambient import metric_at
+
+    space, imm = _setup("cp2", "geodesic_sphere_cp2", {"r": 0.6})
+    pg = point_geometry(space, imm, (0.7, 1.3, 2.1))
+    assert np.abs(pg.ambient_metric - metric_at(space, pg.position)).max() < 1e-15
+    space, imm = _setup("sasakian_sphere_s5", "small_hypersphere")
+    pg = point_geometry(space, imm, imm.grid()[0])
+    assert np.array_equal(pg.ambient_metric, np.eye(6))
+
+
 def test_b_symmetry_and_shape_adjointness():
     space, imm = _setup("cp2", "geodesic_sphere_cp2", {"r": 0.6})
     pg = point_geometry(space, imm, (0.7, 1.3, 2.1))
