@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -85,9 +86,11 @@ def _cmd_sweep(args) -> int:
         "parameter": result.parameter,
         "objective": result.objective_name,
         "values": result.values,
-        "samples": result.objective,
+        # a partly failed grid gives a NaN objective, written as null
+        "samples": [None if math.isnan(y) else y for y in result.objective],
         "roots": result.roots,
         "discontinuities": result.discontinuities,
+        "partial": result.partial,
     }
     print(json.dumps(doc, indent=2, default=float))
     expect = cfg.expect.get("sweep", {})

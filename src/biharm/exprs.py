@@ -24,7 +24,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Union
 
 import numpy as np
@@ -208,14 +208,22 @@ class _Parser:
 
 
 def parse_expression(source: str, params) -> Expr:
-    """Parse ``source`` over the given parameter names (distinct identifiers)."""
-    params = list(params)
+    """Parse ``source`` over the given parameter names (distinct identifiers).
+
+    Trees are immutable, so an equal ``(source, params)`` pair returns the
+    tree already parsed; reloading a model then parses nothing.
+    """
+    return _parse_cached(source, tuple(params))
+
+
+@lru_cache(maxsize=4096)
+def _parse_cached(source: str, params: tuple) -> Expr:
     if len(set(params)) != len(params):
-        raise ExprError(f"duplicate parameter names in {params}")
+        raise ExprError(f"duplicate parameter names in {list(params)}")
     for p in params:
         if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", p) or p in FUNCTIONS:
             raise ExprError(f"invalid parameter name {p!r}")
-    return _Parser(source, params).parse()
+    return _Parser(source, list(params)).parse()
 
 
 # -- compilation and evaluation ---------------------------------------------
@@ -414,13 +422,20 @@ def compile_program(exprs) -> Program:
                    [slot[n] for n in outputs], tree.shape)
 
 
+# Fields are nested tuples of frozen trees, so they hash and compare by
+# structure; the bound keeps the programs of a few dozen models.
+_compile_field = lru_cache(maxsize=256)(compile_program)
+
+
 class CompiledFields:
     """Mixin for models whose attributes hold (nested tuples of) expressions
     and whose ``bindings`` attribute holds their constants.
 
     ``program(name)`` compiles attribute ``name`` on first use and keeps the
-    program on the instance, so a program lives and dies with its model; a
-    new tuple assigned to the attribute is compiled on its next use.
+    program on the instance; a new tuple assigned to the attribute is
+    compiled on its next use.  A field equal to one compiled before (as on
+    every reload of a model) reuses that program: programs hold no state
+    between runs, and constants come from the model at each run.
     """
 
     def program(self, name: str) -> Program:
@@ -428,7 +443,7 @@ class CompiledFields:
         cache = self.__dict__.setdefault("_programs", {})
         hit = cache.get(name)
         if hit is None or hit[0] is not source:
-            hit = cache[name] = (source, compile_program(source))
+            hit = cache[name] = (source, _compile_field(source))
         return hit[1]
 
     def values(self, name: str, point) -> np.ndarray:

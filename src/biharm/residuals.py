@@ -232,19 +232,20 @@ def reduction_residual(space, pg, ops) -> float:
 
 @dataclass
 class PointData:
-    """Per-sample data consumed by the grid-level verdicts."""
+    """Per-sample data consumed by the grid-level verdicts; a quantity that
+    the grid run was not asked for stays None (``residuals`` stays empty)."""
 
     u: tuple
     h_norm: float
     b_norm2: float
-    coeffs: tuple
-    flags: ClassificationFlags
-    scal_intrinsic: float
-    scal_via_gauss: float
-    pseudo_deviation: float | None
-    nabla_h_norm: float
-    reduction_residual: float | None
-    residuals: dict[str, BiharmonicResidual]
+    coeffs: tuple | None = None
+    flags: ClassificationFlags | None = None
+    scal_intrinsic: float | None = None
+    scal_via_gauss: float | None = None
+    pseudo_deviation: float | None = None
+    nabla_h_norm: float | None = None
+    reduction_residual: float | None = None
+    residuals: dict[str, BiharmonicResidual] = field(default_factory=dict)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 A scenario is a JSON document naming an ambient model and an immersion
 (catalog entries or inline expressions), a sampling domain, constants, and
 a list of requested checks.  ``run_check`` evaluates every check at every
-grid sample and aggregates into a deterministic report; ``sweep_solve``
+grid sample, computing only the per-sample quantities the requested checks
+declare, and aggregates into a deterministic report; ``sweep_solve``
 root-finds along one named constant; ``convergence_study`` replays the
 finite-difference oracle at shrinking steps.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -43,9 +45,12 @@ from .ambient import (
 from .exprs import ExprError, ExprSyntaxError, parse_expression
 from .jets import DomainError
 from .residuals import (
-    GENERAL,
     CLOSED_FORM,
+    GENERAL,
+    MINIMAL_TOL,
+    PROPER_TOL,
     PointData,
+    _cmc,
     bound_check,
     cmc_characterization,
     nonexistence_audit,
@@ -55,7 +60,7 @@ from .residuals import (
     residual_general,
     residual_gssf,
 )
-from .structure import classify, decompose, verify_relations
+from .structure import CLASSIFY_TOL, classify, decompose, verify_relations
 from .submanifold import (
     Axis,
     ImmersionModel,
@@ -67,17 +72,6 @@ from .submanifold import (
 )
 
 SCHEMA_VERSION = 1
-
-KNOWN_CHECKS = (
-    "residual",
-    "characterization",
-    "bound",
-    "audit",
-    "relations",
-    "gauss",
-    "structure",
-    "pseudo_umbilical",
-)
 
 BRANCH_PRIORITY = {
     KIND_COMPLEX: ("curve", "hypersurface", "complex_surface", "lagrangian_surface"),
@@ -288,7 +282,7 @@ def load_scenario(document) -> ScenarioConfig:
     checks = []
     for i, c in enumerate(doc.get("checks", [{"op": "residual"}])):
         op = _require(c, "op", f"checks[{i}]")
-        if op not in KNOWN_CHECKS:
+        if op not in CHECKS:
             raise ConfigError(f"unknown check op {op!r}", f"checks[{i}].op")
         if any(spec.op == op for spec in checks):
             raise ConfigError(f"duplicate check op {op!r}", f"checks[{i}].op")
@@ -309,6 +303,26 @@ def load_scenario(document) -> ScenarioConfig:
 
 
 # -- grid evaluation -------------------------------------------------------------
+#
+# Per-sample quantities.  Every check and every sweep objective declares the
+# ones it reads; a grid run computes only their union, together with what
+# they rest on, and gates exactly those for finiteness.
+
+GEOMETRY = "geometry"            # frames, B and H; |H| and |B|^2 (always computed)
+COEFFICIENTS = "coefficients"    # curvature coefficients at the sample
+NORMAL = "normal_derivatives"    # nabla-perp H and its normal Laplacian
+SPLIT = "split"                  # tangential/normal split of J or phi, flags
+RESIDUALS = "residuals"          # general, closed-form and branch residuals
+SCALAR = "scalar_curvature"      # intrinsic and Gauss-equation scalar curvature
+RELATIONS = "relations"          # algebraic relations of the split
+PSEUDO = "pseudo_umbilical"      # deviation of A_H from |H|^2 Id
+
+QUANTITIES = frozenset((GEOMETRY, COEFFICIENTS, NORMAL, SPLIT, RESIDUALS, SCALAR,
+                        RELATIONS, PSEUDO))
+_REQUIRES = {RESIDUALS: (NORMAL, SPLIT), RELATIONS: (SPLIT,)}
+# |H|, |B|^2 and the coefficients read jets only to second order, and come
+# out bitwise the same at jet order 2 as at order 4
+_ORDER2 = frozenset((GEOMETRY, COEFFICIENTS))
 
 
 @dataclass
@@ -317,19 +331,17 @@ class PointRecord:
     error: str | None = None
     data: PointData | None = None
     relations: dict | None = None
-    scal_pair: tuple | None = None
     branch: str | None = None
-    eta_h: float | None = None
-    h_vec: np.ndarray | None = None
-    residual_normal_vec: np.ndarray | None = None
     signed_normal: float | None = None
 
 
-def _require_finite(pg, residuals, scal):
-    """Raise DomainError naming every sample quantity that is not finite."""
-    values = {"|H|": pg.mean_curvature_norm, "|B|^2": pg.second_fundamental_norm2,
-              "intrinsic scalar curvature": scal[0], "Gauss scalar curvature": scal[1]}
-    for name, res in residuals.items():
+def _require_finite(data: PointData):
+    """Raise DomainError naming every computed sample quantity that is not finite."""
+    values = {"|H|": data.h_norm, "|B|^2": data.b_norm2}
+    if data.scal_intrinsic is not None:
+        values["intrinsic scalar curvature"] = data.scal_intrinsic
+        values["Gauss scalar curvature"] = data.scal_via_gauss
+    for name, res in data.residuals.items():
         values[f"{name} normal residual"] = res.normal_norm
         values[f"{name} tangential residual"] = res.tangential_norm
     bad = [name for name, v in values.items() if not math.isfinite(v)]
@@ -337,78 +349,70 @@ def _require_finite(pg, residuals, scal):
         raise DomainError("non-finite " + ", ".join(bad))
 
 
-def _evaluate_point(cfg: ScenarioConfig, u) -> PointRecord:
-    """Every check's per-sample data at ``u``; a geometric, arithmetic or
-    non-finite fault fails just this point, naming the reason."""
+def _evaluate_point(cfg: ScenarioConfig, u, needs: frozenset) -> PointRecord:
+    """The quantities ``needs`` at ``u``, each listed with what it rests on;
+    a geometric, arithmetic or non-finite fault fails just this point,
+    naming the reason."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _evaluate_point_data(cfg, u)
+            return _evaluate_point_data(cfg, u, needs)
     except (GeometryError, ArithmeticError, np.linalg.LinAlgError) as e:
         return PointRecord(u=tuple(u), error=str(e))
 
 
-def _evaluate_point_data(cfg: ScenarioConfig, u) -> PointRecord:
+def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset) -> PointRecord:
     space, imm = cfg.ambient, cfg.immersion
-    pg = point_geometry(space, imm, u, cfg.order)
-    nd = normal_derivatives(pg)
-    ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
-    flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
-    residuals = {GENERAL: residual_general(space, pg, nd)}
-    red = None
-    if space.kind == KIND_COMPLEX:
-        if pg.m < 4:
-            residuals.update(residual_gcsf(space, pg, nd, ops, flags))
-    else:
-        residuals.update(residual_gssf(space, pg, nd, ops, flags))
-        red = reduction_residual(space, pg, ops)
-    branch = CLOSED_FORM if CLOSED_FORM in residuals else GENERAL
-    for name in BRANCH_PRIORITY[space.kind]:
-        if name in residuals:
-            branch = name
-            break
-    _, dev = pseudo_umbilical_check(pg)
-    scal = scalar_curvature(space, pg)
-    _require_finite(pg, residuals, scal)
-    data = PointData(
-        u=tuple(u),
-        h_norm=pg.mean_curvature_norm,
-        b_norm2=pg.second_fundamental_norm2,
-        coeffs=coefficients_at(space, pg.position),
-        flags=flags,
-        scal_intrinsic=scal[0],
-        scal_via_gauss=scal[1],
-        pseudo_deviation=dev,
-        nabla_h_norm=nd.nabla_norm,
-        reduction_residual=red,
-        residuals=residuals,
-    )
-    gen = residuals[GENERAL]
-    signed = None
-    if pg.mean_curvature_norm > 1e-9:
-        g = pg.ambient_metric
-        signed = float(gen.normal @ g @ pg.mean_curvature) / pg.mean_curvature_norm
-    eta_h = None
-    if ops.xi_nor is not None:
-        eta_h = float(ops.xi_nor @ pg.mean_normal_components)
-    return PointRecord(
-        u=tuple(u), data=data, relations=verify_relations(ops), scal_pair=scal,
-        branch=branch, eta_h=eta_h, h_vec=pg.mean_curvature,
-        residual_normal_vec=gen.normal, signed_normal=signed,
-    )
+    pg = point_geometry(space, imm, u, 2 if needs <= _ORDER2 else cfg.order)
+    data = PointData(u=tuple(u), h_norm=pg.mean_curvature_norm,
+                     b_norm2=pg.second_fundamental_norm2)
+    record = PointRecord(u=tuple(u), data=data)
+    if NORMAL in needs:
+        nd = normal_derivatives(pg)
+        data.nabla_h_norm = nd.nabla_norm
+    if SPLIT in needs:
+        ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
+        data.flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
+    if RESIDUALS in needs:
+        residuals = data.residuals = {GENERAL: residual_general(space, pg, nd)}
+        if space.kind == KIND_COMPLEX:
+            if pg.m < 4:
+                residuals.update(residual_gcsf(space, pg, nd, ops, data.flags))
+        else:
+            residuals.update(residual_gssf(space, pg, nd, ops, data.flags))
+            data.reduction_residual = reduction_residual(space, pg, ops)
+        record.branch = next((name for name in BRANCH_PRIORITY[space.kind] if name in residuals),
+                             CLOSED_FORM if CLOSED_FORM in residuals else GENERAL)
+    if PSEUDO in needs:
+        _, data.pseudo_deviation = pseudo_umbilical_check(pg)
+    if SCALAR in needs:
+        data.scal_intrinsic, data.scal_via_gauss = scalar_curvature(space, pg)
+    _require_finite(data)
+    if COEFFICIENTS in needs:
+        data.coeffs = coefficients_at(space, pg.position)
+    if RESIDUALS in needs and pg.mean_curvature_norm > 1e-9:
+        normal = data.residuals[GENERAL].normal
+        record.signed_normal = (float(normal @ pg.ambient_metric @ pg.mean_curvature)
+                                / pg.mean_curvature_norm)
+    if RELATIONS in needs:
+        record.relations = verify_relations(ops)
+    return record
 
 
-def _run_grid(cfg: ScenarioConfig) -> list[PointRecord]:
-    return [_evaluate_point(cfg, u) for u in cfg.immersion.grid()]
+def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointRecord]:
+    """``needs`` at every grid sample, with the geometry and what they rest on."""
+    closed = {GEOMETRY, *needs}
+    for q in needs:
+        closed.update(_REQUIRES.get(q, ()))
+    closed = frozenset(closed)
+    return [_evaluate_point(cfg, u, closed) for u in cfg.immersion.grid()]
 
 
 def _flag_consensus(datas) -> dict:
     out = {}
-    for name in ("is_curve", "is_hypersurface", "is_complex", "is_lagrangian",
-                 "is_invariant", "is_anti_invariant", "xi_tangent", "xi_normal",
-                 "phi_h_tangent", "phi_h_normal"):
-        vals = [getattr(d.flags, name) for d in datas]
-        known = [v for v in vals if v is not None]
-        out[name] = bool(known) and all(known) if known else None
+    flags = [d.flags.as_dict() for d in datas]
+    for name in flags[0]:
+        known = [f[name] for f in flags if f[name] is not None]
+        out[name] = all(known) if known else None
     return out
 
 
@@ -430,8 +434,14 @@ class Report:
 
 
 def run_check(cfg: ScenarioConfig) -> Report:
-    """Evaluate every requested check on the scenario grid."""
-    records = _run_grid(cfg)
+    """Evaluate every requested check on the scenario grid.
+
+    The grid computes what the verdict and the aggregates read (geometry,
+    normal derivatives, split, residuals) plus what the requested checks
+    declare; see :data:`CHECKS`.
+    """
+    needs = {RESIDUALS}.union(*(CHECKS[spec.op].needs for spec in cfg.checks))
+    records = _run_grid(cfg, needs)
     ok = [r for r in records if r.error is None]
     datas = [r.data for r in ok]
     if not datas:
@@ -439,10 +449,8 @@ def run_check(cfg: ScenarioConfig) -> Report:
             "no grid point evaluated cleanly: " + (records[0].error or "empty grid"))
 
     hs = [d.h_norm for d in datas]
-    cmc = (max(hs) - min(hs)) < 1e-7 * (1.0 + max(hs))
     # a verdict must hold at every sample: a partial grid decides nothing
     verdict = proper_biharmonic_verdict(datas) if len(ok) == len(records) else "Inconclusive"
-    flags = _flag_consensus(datas)
 
     branch_gap = 0.0
     closed_form_gap = 0.0
@@ -463,19 +471,18 @@ def run_check(cfg: ScenarioConfig) -> Report:
         "h_max": max(hs),
         "b_norm2_min": min(d.b_norm2 for d in datas),
         "b_norm2_max": max(d.b_norm2 for d in datas),
-        "cmc": cmc,
+        "cmc": _cmc(datas)[0],
         "max_normal_residual": max(d.residuals[GENERAL].normal_norm for d in datas),
         "max_tangential_residual": max(d.residuals[GENERAL].tangential_norm for d in datas),
         "max_closed_form_vs_general": closed_form_gap,
         "max_branch_vs_general": branch_gap,
         "verdict": verdict,
-        "classification": flags,
+        "classification": _flag_consensus(datas),
         "branch": ok[0].branch,
     }
 
-    checks_out = {}
-    for spec in cfg.checks:
-        checks_out[spec.op] = _run_single_check(cfg, spec, records, datas, aggregates)
+    grid = _Grid(cfg, records, datas, aggregates)
+    checks_out = {spec.op: CHECKS[spec.op].run(grid, spec) for spec in cfg.checks}
 
     points_doc = []
     for r in records:
@@ -500,8 +507,8 @@ def run_check(cfg: ScenarioConfig) -> Report:
         "engine": {
             "jet_order": cfg.order,
             "grid": [ax.samples for ax in cfg.immersion.domain],
-            "tolerances": {"proper_residual": 1e-6, "minimal_h": 1e-6,
-                           "classification": 1e-8},
+            "tolerances": {"proper_residual": PROPER_TOL, "minimal_h": MINIMAL_TOL,
+                           "classification": CLASSIFY_TOL},
         },
         "points": points_doc,
         "aggregates": aggregates,
@@ -510,89 +517,141 @@ def run_check(cfg: ScenarioConfig) -> Report:
     return Report(document)
 
 
-def _run_single_check(cfg, spec, records, datas, aggregates) -> dict:
-    space = cfg.ambient
-    m = cfg.immersion.dim
-    tol = spec.tol
-    if spec.op == "residual":
-        t = tol if tol is not None else 1e-6
-        worst = max(max(d.residuals[GENERAL].normal_norm,
-                        d.residuals[GENERAL].tangential_norm) for d in datas)
-        return {
-            "op": "residual",
-            "tol": t,
-            "max_residual": worst,
-            "status": "ok" if worst <= t else "violated",
-            "verdict": aggregates["verdict"],
-            "terms": {k: max(d.residuals[GENERAL].terms[k] for d in datas)
-                      for k in datas[0].residuals[GENERAL].terms},
-        }
-    if spec.op == "characterization":
-        v = cmc_characterization(space, datas, m, tol=tol if tol is not None else 1e-5)
-        return {
-            "op": "characterization", "status": v.verdict, "target": v.target,
-            "gap": v.gap, "hypotheses": v.hypotheses,
-            "failed_hypothesis": v.failed_hypothesis, "scalar_check": v.scalar_check,
-        }
-    if spec.op == "bound":
-        b = bound_check(space, datas, m, kind=spec.params.get("kind"),
-                        tol=tol if tol is not None else 1e-8)
-        return {
-            "op": "bound", "kind": b.kind, "status": b.verdict, "k_value": b.k_value,
-            "bound": b.bound, "h2": b.h2, "within_bound": b.within_bound,
-            "equality": b.equality, "equality_case": b.equality_case,
-            "hypotheses": b.hypotheses, "failed_hypothesis": b.failed_hypothesis,
-        }
-    if spec.op == "audit":
-        findings = nonexistence_audit(space, datas, m)
-        contradiction = any(
-            f.relevant and f.applies for f in findings
-        ) and aggregates["verdict"] == "ProperBiharmonic"
-        return {
-            "op": "audit",
-            "status": "contradiction" if contradiction else "ok",
-            "findings": [
-                {"rule": f.rule, "relevant": f.relevant, "applies": f.applies,
-                 "detail": f.detail}
-                for f in findings
-            ],
-        }
-    if spec.op == "relations":
-        t = tol if tol is not None else 1e-10
-        worst = {}
-        for r in records:
-            if r.relations:
-                for k, v in r.relations.items():
-                    worst[k] = max(worst.get(k, 0.0), v)
-        status = "ok" if worst and max(worst.values()) <= t else "violated"
-        return {"op": "relations", "tol": t, "residuals": worst, "status": status}
-    if spec.op == "gauss":
-        t = tol if tol is not None else 1e-6
-        worst = max(abs(d.scal_intrinsic - d.scal_via_gauss) for d in datas)
-        out = {"op": "gauss", "tol": t, "max_gap": worst,
-               "status": "ok" if worst <= t else "violated"}
-        if space.kind == KIND_COMPLEX and m == 3:
-            form = max(
-                abs(d.scal_via_gauss
-                    - (6.0 * (d.coeffs[0] + d.coeffs[1]) - d.b_norm2 + 9.0 * d.h_norm**2))
-                for d in datas)
-            out["hypersurface_form_gap"] = form
-        return out
-    if spec.op == "structure":
-        t = tol if tol is not None else 1e-9
-        pts = [cfg.immersion.values("components", u)
-               for u in [r.u for r in records if r.error is None][:6]]
-        rep = verify_structure(space, pts)
-        return {"op": "structure", "tol": t, "residuals": rep.residuals,
-                "status": "ok" if rep.ok(t) else "violated"}
-    if spec.op == "pseudo_umbilical":
-        devs = [d.pseudo_deviation for d in datas if d.pseudo_deviation is not None]
-        if not devs:
-            return {"op": "pseudo_umbilical", "status": "NotApplicable"}
-        t = tol if tol is not None else 1e-8
-        return {"op": "pseudo_umbilical", "max_deviation": max(devs),
-                "status": "ok" if max(devs) < t else "violated"}
-    raise ConfigError(f"unhandled check {spec.op!r}")
+# -- checks ----------------------------------------------------------------------
+#
+# One function per check op, registered with the per-sample quantities it
+# reads.  ``run_check`` hands each the grid and its CheckSpec.
+
+
+@dataclass
+class _Grid:
+    cfg: ScenarioConfig
+    records: list[PointRecord]
+    datas: list[PointData]       # of the records that evaluated cleanly
+    aggregates: dict
+
+
+@dataclass(frozen=True)
+class Declared:
+    """A check or sweep objective and the per-sample quantities it reads."""
+
+    needs: frozenset
+    run: Callable
+
+
+CHECKS: dict[str, Declared] = {}
+
+
+def _declare(table: dict, name: str, *needs: str):
+    def register(fn):
+        table[name] = Declared(frozenset(needs), fn)
+        return fn
+    return register
+
+
+@_declare(CHECKS, "residual", RESIDUALS)
+def _check_residual(grid, spec) -> dict:
+    datas = grid.datas
+    t = spec.tol if spec.tol is not None else PROPER_TOL
+    worst = max(max(d.residuals[GENERAL].normal_norm,
+                    d.residuals[GENERAL].tangential_norm) for d in datas)
+    return {
+        "op": "residual",
+        "tol": t,
+        "max_residual": worst,
+        "status": "ok" if worst <= t else "violated",
+        "verdict": grid.aggregates["verdict"],
+        "terms": {k: max(d.residuals[GENERAL].terms[k] for d in datas)
+                  for k in datas[0].residuals[GENERAL].terms},
+    }
+
+
+@_declare(CHECKS, "characterization", COEFFICIENTS, SPLIT, RESIDUALS, SCALAR)
+def _check_characterization(grid, spec) -> dict:
+    v = cmc_characterization(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim,
+                             tol=spec.tol if spec.tol is not None else 1e-5)
+    return {
+        "op": "characterization", "status": v.verdict, "target": v.target,
+        "gap": v.gap, "hypotheses": v.hypotheses,
+        "failed_hypothesis": v.failed_hypothesis, "scalar_check": v.scalar_check,
+    }
+
+
+@_declare(CHECKS, "bound", COEFFICIENTS, SPLIT, RESIDUALS, PSEUDO)
+def _check_bound(grid, spec) -> dict:
+    b = bound_check(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim,
+                    kind=spec.params.get("kind"),
+                    tol=spec.tol if spec.tol is not None else 1e-8)
+    return {
+        "op": "bound", "kind": b.kind, "status": b.verdict, "k_value": b.k_value,
+        "bound": b.bound, "h2": b.h2, "within_bound": b.within_bound,
+        "equality": b.equality, "equality_case": b.equality_case,
+        "hypotheses": b.hypotheses, "failed_hypothesis": b.failed_hypothesis,
+    }
+
+
+@_declare(CHECKS, "audit", COEFFICIENTS, SPLIT)
+def _check_audit(grid, spec) -> dict:
+    findings = nonexistence_audit(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim)
+    contradiction = any(
+        f.relevant and f.applies for f in findings
+    ) and grid.aggregates["verdict"] == "ProperBiharmonic"
+    return {
+        "op": "audit",
+        "status": "contradiction" if contradiction else "ok",
+        "findings": [
+            {"rule": f.rule, "relevant": f.relevant, "applies": f.applies,
+             "detail": f.detail}
+            for f in findings
+        ],
+    }
+
+
+@_declare(CHECKS, "relations", RELATIONS)
+def _check_relations(grid, spec) -> dict:
+    t = spec.tol if spec.tol is not None else 1e-10
+    worst = {}
+    for r in grid.records:
+        if r.relations:
+            for k, v in r.relations.items():
+                worst[k] = max(worst.get(k, 0.0), v)
+    status = "ok" if worst and max(worst.values()) <= t else "violated"
+    return {"op": "relations", "tol": t, "residuals": worst, "status": status}
+
+
+@_declare(CHECKS, "gauss", COEFFICIENTS, SCALAR)
+def _check_gauss(grid, spec) -> dict:
+    datas = grid.datas
+    t = spec.tol if spec.tol is not None else 1e-6
+    worst = max(abs(d.scal_intrinsic - d.scal_via_gauss) for d in datas)
+    out = {"op": "gauss", "tol": t, "max_gap": worst,
+           "status": "ok" if worst <= t else "violated"}
+    if grid.cfg.ambient.kind == KIND_COMPLEX and grid.cfg.immersion.dim == 3:
+        form = max(
+            abs(d.scal_via_gauss
+                - (6.0 * (d.coeffs[0] + d.coeffs[1]) - d.b_norm2 + 9.0 * d.h_norm**2))
+            for d in datas)
+        out["hypersurface_form_gap"] = form
+    return out
+
+
+@_declare(CHECKS, "structure", GEOMETRY)
+def _check_structure(grid, spec) -> dict:
+    t = spec.tol if spec.tol is not None else 1e-9
+    pts = [grid.cfg.immersion.values("components", d.u) for d in grid.datas[:6]]
+    rep = verify_structure(grid.cfg.ambient, pts)
+    return {"op": "structure", "tol": t, "residuals": rep.residuals,
+            "status": "ok" if rep.ok(t) else "violated"}
+
+
+@_declare(CHECKS, "pseudo_umbilical", PSEUDO)
+def _check_pseudo_umbilical(grid, spec) -> dict:
+    devs = [d.pseudo_deviation for d in grid.datas if d.pseudo_deviation is not None]
+    if not devs:
+        return {"op": "pseudo_umbilical", "status": "NotApplicable"}
+    t = spec.tol if spec.tol is not None else 1e-8
+    return {"op": "pseudo_umbilical", "max_deviation": max(devs),
+            "status": "ok" if max(devs) < t else "violated"}
 
 
 # -- parameter sweeps --------------------------------------------------------------
@@ -605,51 +664,122 @@ class SweepResult:
     objective: list[float]
     roots: list[float]
     objective_name: str
-    # sign changes whose bisection limit has |f| no smaller than at both
+    # sign changes whose root-finding limit has |f| no smaller than at both
     # bracket ends: poles or jumps of the objective, not roots
     discontinuities: list[float] = field(default_factory=list)
+    # parameter values where only part of the grid evaluated: the objective
+    # is NaN there, and no root is bracketed across them
+    partial: list[float] = field(default_factory=list)
+
+
+SWEEP_OBJECTIVES: dict[str, Declared] = {}
+
+
+@_declare(SWEEP_OBJECTIVES, "normal_residual", RESIDUALS)
+def _objective_normal_residual(cfg, records) -> float:
+    if records[0].signed_normal is not None:
+        return records[0].signed_normal
+    return max(r.data.residuals[GENERAL].normal_norm for r in records)
+
+
+@_declare(SWEEP_OBJECTIVES, "characterization_gap", COEFFICIENTS)
+def _objective_characterization_gap(cfg, records) -> float:
+    m = cfg.immersion.dim
+    gaps = []
+    for d in (r.data for r in records):
+        if cfg.ambient.kind == KIND_COMPLEX:
+            target = 3.0 * (d.coeffs[0] + d.coeffs[1])
+        else:
+            target = m * d.coeffs[0] - d.coeffs[1] + 3.0 * d.coeffs[2]
+        gaps.append(d.b_norm2 - target)
+    return float(np.mean(gaps))
 
 
 def _sweep_objective(cfg: ScenarioConfig, objective: str) -> float:
-    records = _run_grid(cfg)
-    datas = [r.data for r in records if r.error is None]
-    if not datas:
+    """The objective on the scenario grid; NaN when part of the grid failed."""
+    if objective not in SWEEP_OBJECTIVES:
+        raise ConfigError(f"unknown sweep objective {objective!r}")
+    declared = SWEEP_OBJECTIVES[objective]
+    records = _run_grid(cfg, declared.needs)
+    failed = sum(r.error is not None for r in records)
+    if failed == len(records):
         raise GeometryError("sweep point failed everywhere")
-    if objective == "normal_residual":
-        anchor = next(r for r in records if r.error is None)
-        if anchor.signed_normal is not None:
-            return anchor.signed_normal
-        return max(d.residuals[GENERAL].normal_norm for d in datas)
-    if objective == "characterization_gap":
-        space = cfg.ambient
-        m = cfg.immersion.dim
-        gaps = []
-        for d in datas:
-            if space.kind == KIND_COMPLEX:
-                target = 3.0 * (d.coeffs[0] + d.coeffs[1])
+    return math.nan if failed else declared.run(cfg, records)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _zeroin(f, a, b, fa, fb, xtol, maxiter=200):
+    """Brent's zeroin on a bracket with f(a) f(b) < 0.
+
+    Secant or inverse quadratic steps, and a bisection step whenever they
+    would not shrink the bracket fast enough (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4).  Returns ``(x, f(x))``
+    at the end of the last bracket with the smaller |f|, once that bracket
+    is within ``xtol``, or None if f turned NaN inside the bracket.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(maxiter):
+        if fb * fc > 0.0:
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
             else:
-                target = m * d.coeffs[0] - d.coeffs[1] + 3.0 * d.coeffs[2]
-            gaps.append(d.b_norm2 - target)
-        return float(np.mean(gaps))
-    raise ConfigError(f"unknown sweep objective {objective!r}")
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = half
+        else:
+            e = d = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = f(b)
+        if math.isnan(fb):
+            return None
+    return b, fb
 
 
 def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
                 samples: int, objective: str = "characterization_gap",
                 xtol: float = 1e-10) -> SweepResult:
-    """Sample the objective over a constant's range and bisect each sign change.
+    """Sample the objective over a constant's range and find the root in
+    each sign change with Brent's method.
 
-    A bisection limit counts as a root only if |f| there is below |f| at both
-    ends of its sampled bracket; otherwise the objective changed sign across
-    a pole or a jump, and the limit is reported as a discontinuity.
+    A limit counts as a root only if |f| there is below |f| at both ends of
+    its sampled bracket; otherwise the objective changed sign across a pole
+    or a jump, and the limit is reported as a discontinuity.  A value whose
+    grid evaluated only in part gives a NaN objective: it is listed under
+    ``partial``, never ends a bracket, and a NaN inside a bracket ends that
+    bracket's search.
     """
     known = set(cfg.constants) | set(cfg.immersion.bindings) | set(cfg.ambient.bindings)
     if parameter not in known:
         raise ConfigError(f"constant {parameter!r} does not appear in the config",
                           "sweep.parameter")
+    partial = []
 
     def f(value: float) -> float:
-        return _sweep_objective(cfg.with_constant(parameter, value), objective)
+        y = _sweep_objective(cfg.with_constant(parameter, value), objective)
+        if math.isnan(y):
+            partial.append(value)
+        return y
 
     xs = list(np.linspace(lo, hi, samples))
     ys = [f(x) for x in xs]
@@ -657,25 +787,14 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
         if y0 == 0.0:
             roots.append(x0)
-            continue
-        if y0 * y1 < 0.0:
-            a, b, fa = x0, x1, y0
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fm == 0.0 or (b - a) < xtol:
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            if abs(fm) < min(abs(y0), abs(y1)):
-                roots.append(mid)
-            else:
-                jumps.append(mid)
+        elif y0 * y1 < 0.0:  # false when either end is NaN
+            limit = _zeroin(f, x0, x1, y0, y1, xtol)
+            if limit is not None:
+                x, fx = limit
+                (roots if abs(fx) < min(abs(y0), abs(y1)) else jumps).append(x)
     if ys and ys[-1] == 0.0:
         roots.append(xs[-1])
-    return SweepResult(parameter, xs, ys, roots, objective, jumps)
+    return SweepResult(parameter, xs, ys, roots, objective, jumps, partial)
 
 
 def convergence_study(cfg: ScenarioConfig, steps=(0.05, 0.025, 0.0125), probe=None) -> dict:

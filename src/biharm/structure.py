@@ -33,6 +33,7 @@ from .ambient import (
 )
 
 FRAME_TOL = 1e-10
+CLASSIFY_TOL = 1e-8       # block norms below it count as zero in classification
 
 
 @dataclass
@@ -147,7 +148,8 @@ class ClassificationFlags:
         }
 
 
-def classify(ops: DecompositionOperators, dims, h_normal=None, tol: float = 1e-8) -> ClassificationFlags:
+def classify(ops: DecompositionOperators, dims, h_normal=None,
+             tol: float = CLASSIFY_TOL) -> ClassificationFlags:
     """Per-point flags from Frobenius norms of the decomposition blocks.
 
     ``dims`` is (intrinsic dimension, ambient manifold dimension);

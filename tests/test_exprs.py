@@ -204,6 +204,20 @@ def test_program_reads_constants_at_each_run():
         prog.run([2.0])
 
 
+def test_reloaded_models_reuse_parse_trees_and_programs():
+    assert parse_expression("u1*k + 1", ["u1"]) is parse_expression("u1*k + 1", ("u1",))
+    from biharm import catalog
+
+    one, two = catalog.ambient("cp2", {"rho": 1.0}), catalog.ambient("cp2", {"rho": 2.0})
+    assert one.metric == two.metric
+    assert one.program("metric") is two.program("metric")
+    # one program, each model's own constants
+    x = (0.3, -0.2, 0.5, 0.1)
+    g1, g2 = one.values("metric", x), two.values("metric", x)
+    assert not np.array_equal(g1, g2)
+    assert np.array_equal(g2, compile_program(two.metric).values(x, {"rho": 2.0}))
+
+
 _LEAVES = (Param("u1", 0), Param("u2", 1), Param("u3", 2), Const("k"), Lit(0.5), Lit(2.0))
 
 

@@ -391,3 +391,147 @@ def test_checks_never_silently_skipped():
     assert rep.checks["characterization"]["status"] == "NotApplicable"
     assert rep.checks["bound"]["status"] == "NotApplicable"
     assert rep.checks["pseudo_umbilical"]["status"] == "NotApplicable"
+
+
+# -- demand-driven sample evaluation -------------------------------------------
+
+GEODESIC_SWEEP_DOMAIN = {"axes": [
+    {"lo": 0.6, "hi": 1.0, "samples": 1},
+    {"lo": 0.4, "hi": 6.6831853, "samples": 2, "periodic": True},
+    {"lo": 1.1, "hi": 7.3831853, "samples": 2, "periodic": True},
+]}
+R_STAR = math.atan(math.sqrt(3.0 / (4.0 + math.sqrt(13.0))))
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("ambient, immersion", [
+    ({"catalog": "flat_c2"}, {"catalog": "round_hypersphere", "params": {"r": 1.0}}),
+    ({"catalog": "sasakian_r5"}, {"catalog": "hyperplane_y1"}),
+])
+def test_residual_only_document_skips_unrequested_quantities(monkeypatch, ambient, immersion):
+    import biharm.scenario as scenario
+
+    skipped = ("scalar_curvature", "verify_relations", "pseudo_umbilical_check")
+    calls = _count_calls(monkeypatch, scenario, skipped + ("normal_derivatives",))
+    rep = run_check(_cfg(ambient=ambient, immersion=immersion))
+    points = rep.aggregates["points_total"]
+    assert rep.aggregates["points_failed"] == 0
+    assert {name: calls[name] for name in skipped} == dict.fromkeys(skipped, 0)
+    assert calls["normal_derivatives"] == points  # the verdict still needs the residuals
+
+    all_checks = [{"op": op} for op in scenario.CHECKS]
+    run_check(_cfg(ambient=ambient, immersion=immersion, checks=all_checks))
+    assert {name: calls[name] for name in skipped} == dict.fromkeys(skipped, points)
+
+
+@pytest.mark.parametrize("r", [0.3, R_STAR, 0.9])
+def test_characterization_gap_objective_equals_full_pipeline_bitwise(monkeypatch, r):
+    import biharm.scenario as scenario
+
+    cfg = _cfg(ambient={"catalog": "cp2"},
+               immersion={"catalog": "geodesic_sphere_cp2", "params": {"r": 0.5}},
+               domain=GEODESIC_SWEEP_DOMAIN).with_constant("r", r)
+    objective = scenario.SWEEP_OBJECTIVES["characterization_gap"]
+    full = objective.run(cfg, scenario._run_grid(cfg))  # every quantity, jet order 4
+    calls = _count_calls(monkeypatch, scenario, ("normal_derivatives",))
+    fast = scenario._sweep_objective(cfg, "characterization_gap")
+    assert calls["normal_derivatives"] == 0
+    assert fast == full
+
+
+def test_criterion_6_sweep_takes_at_most_eight_evaluations_per_root(monkeypatch):
+    import biharm.scenario as scenario
+
+    base = _cfg(ambient={"catalog": "cp2"},
+                immersion={"catalog": "geodesic_sphere_cp2", "params": {"r": 0.5}},
+                domain=GEODESIC_SWEEP_DOMAIN)
+    calls = _count_calls(monkeypatch, scenario, ("load_scenario",))  # one per evaluation
+    res = sweep_solve(base, "r", 0.2, 1.2, 50, "characterization_gap")
+    assert len(res.roots) == 1 and abs(res.roots[0] - R_STAR) <= 1e-10
+    assert 50 < calls["load_scenario"] <= 50 + 8
+
+
+def test_catalog_reports_unchanged_by_demand_driven_evaluation():
+    # The acceptance catalog with all eight checks, as emitted by the engine
+    # that ran the full pipeline at every sample.  Values are compared
+    # byte for byte: the registry must compute the same numbers in the same
+    # order.  (Near-zero residuals print every bit, so a different BLAS can
+    # move their last digits.)
+    from pathlib import Path
+
+    path = Path(__file__).parent / "data" / "catalog_reports.jsonl"
+    lines = path.read_text().splitlines()
+    assert len(lines) == 15
+    for line in lines:
+        doc = json.loads(line)
+        assert set(c["op"] for c in doc["scenario"]["checks"]) == {
+            "residual", "characterization", "bound", "audit", "relations", "gauss",
+            "structure", "pseudo_umbilical"}
+        assert emit_report(run_check(load_scenario(doc["scenario"]))) == line, \
+            doc["scenario"]
+
+
+def _partial_sweep_doc():
+    # alpha = c, so the objective mean|B|^2 - 3c falls through 0 near
+    # c = 0.504; the zero term fails the samples at u1 = 0 (one of three
+    # columns of the grid) whenever |c - 0.5| < 0.1
+    eye = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    return {
+        "ambient": {
+            "kind": "generalized_complex", "backend": "chart", "dim": 4,
+            "coordinates": ["x1", "y1", "x2", "y2"], "metric": eye,
+            "complex_structure": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                                  ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+            "coefficients": {"alpha": "c", "beta": "0"},
+        },
+        "immersion": {
+            "components": ["u1", "u2", "u1*u1 + 0*sqrt(u1 + (c - 0.5)^2 - 0.01)", "0"],
+            "params": ["u1", "u2"],
+            "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 3},
+                                 {"lo": 0, "hi": 1, "samples": 2}]},
+        },
+        "constants": {"c": 0.2},
+        "checks": [{"op": "residual"}],
+    }
+
+
+def test_sweep_objective_is_nan_on_a_partial_grid_and_never_brackets_across_it():
+    cfg = load_scenario(_partial_sweep_doc())
+    # samples 0.2 (f > 0), 0.5 (partial), 0.8 (f < 0): no bracket across the NaN
+    res = sweep_solve(cfg, "c", 0.2, 0.8, 3)
+    assert res.objective[0] > 0.0 > res.objective[2]
+    assert math.isnan(res.objective[1])
+    assert res.partial == [0.5]
+    assert res.roots == [] and res.discontinuities == []
+    # the full grid is there at both ends, so this time the sign change is a
+    # bracket, but its first secant step lands at c = 0.5035 (partial)
+    res = sweep_solve(cfg, "c", 0.2, 0.8, 2)
+    assert res.roots == [] and res.discontinuities == []
+    assert len(res.partial) == 1 and abs(res.partial[0] - 0.5) < 0.1
+    # without the failing term the grid is whole and the root is found
+    doc = _partial_sweep_doc()
+    doc["immersion"]["components"][2] = "u1*u1"
+    res = sweep_solve(load_scenario(doc), "c", 0.2, 0.8, 3)
+    assert res.partial == [] and len(res.roots) == 1
+    assert abs(res.roots[0] - 0.5036) < 1e-3
+
+
+def test_cli_sweep_prints_partial_values(tmp_path, capsys):
+    scn = tmp_path / "partial.json"
+    scn.write_text(json.dumps(_partial_sweep_doc()))
+    assert cli_main(["sweep", str(scn), "--param", "c", "--range", "0.2:0.8:3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["partial"] == [0.5]
+    assert out["samples"][1] is None and out["roots"] == []
