@@ -20,6 +20,7 @@ Two metric backends:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -227,29 +228,57 @@ def curv_fundform_term(g, phi, X, Y, Z):
     return omega(Z, Y) * pX - omega(Z, X) * pY + 2.0 * omega(X, Y) * pZ
 
 
+class PointAmbient:
+    """The ambient tensors at one point, each evaluated on first use and
+    then kept: the metric ``g`` (checked positive definite), the curvature
+    ``coeffs`` and the ``structure`` (J, or (phi, xi)).  A sample's readers
+    share one snapshot, so each tensor runs its program once per point."""
+
+    def __init__(self, space: AmbientModel, x):
+        self.space = space
+        self.x = x
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return metric_at(self.space, self.x)
+
+    @cached_property
+    def coeffs(self) -> tuple[float, ...]:
+        return coefficients_at(self.space, self.x)
+
+    @cached_property
+    def structure(self):
+        return structure_at(self.space, self.x)
+
+    def curvature_parts(self, X, Y, Z) -> dict:
+        """Each generalized curvature term, plus the coefficient-weighted sum."""
+        g = self.g
+        X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
+        coeffs = self.coeffs
+        if self.space.kind == KIND_COMPLEX:
+            J = self.structure
+            parts = {
+                "const": curv_const_term(g, X, Y, Z),
+                "complex": curv_complex_term(g, J, X, Y, Z),
+            }
+            parts["combined"] = coeffs[0] * parts["const"] + coeffs[1] * parts["complex"]
+        else:
+            phi, xi = self.structure
+            parts = {
+                "const": curv_const_term(g, X, Y, Z),
+                "reeb": curv_reeb_term(g, xi, X, Y, Z),
+                "fundform": curv_fundform_term(g, phi, X, Y, Z),
+            }
+            parts["combined"] = (
+                coeffs[0] * parts["const"] + coeffs[1] * parts["reeb"]
+                + coeffs[2] * parts["fundform"]
+            )
+        return parts
+
+
 def curvature_parts(space: AmbientModel, x, X, Y, Z) -> dict:
     """Each generalized curvature term at ``x``, plus the coefficient-weighted sum."""
-    g = metric_at(space, x)
-    X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-    coeffs = coefficients_at(space, x)
-    if space.kind == KIND_COMPLEX:
-        J = structure_at(space, x)
-        parts = {
-            "const": curv_const_term(g, X, Y, Z),
-            "complex": curv_complex_term(g, J, X, Y, Z),
-        }
-        parts["combined"] = coeffs[0] * parts["const"] + coeffs[1] * parts["complex"]
-    else:
-        phi, xi = structure_at(space, x)
-        parts = {
-            "const": curv_const_term(g, X, Y, Z),
-            "reeb": curv_reeb_term(g, xi, X, Y, Z),
-            "fundform": curv_fundform_term(g, phi, X, Y, Z),
-        }
-        parts["combined"] = (
-            coeffs[0] * parts["const"] + coeffs[1] * parts["reeb"] + coeffs[2] * parts["fundform"]
-        )
-    return parts
+    return PointAmbient(space, x).curvature_parts(X, Y, Z)
 
 
 def curvature_apply(space: AmbientModel, x, X, Y, Z) -> np.ndarray:
@@ -306,11 +335,12 @@ def _algebraic_residuals_contact(g, phi, xi, P=None):
     return r
 
 
-def _covariant_residuals_chart(space, x):
+def _covariant_residuals_chart(amb: PointAmbient):
+    space, x = amb.space, amb.x
     d = space.dim
     env = seed_point(x, 1)
     gam = christoffel_point(space, x)
-    g = metric_at(space, x)
+    g = amb.g
     fam = space.tag.family
 
     def nabla(name):
@@ -342,14 +372,16 @@ def _covariant_residuals_chart(space, x):
     }
 
 
-def _covariant_residuals_embedded(space, x):
+def _covariant_residuals_embedded(amb: PointAmbient, P):
     # Differentiate the structure fields along great-circle-like curves
     # c(t) = (x + tX)/|x + tX| using one-variable jets; the ambient covariant
-    # derivative is the curve derivative followed by tangential projection.
-    # All tangent fields Y of the basis go through as one jet array.
+    # derivative is the curve derivative followed by tangential projection
+    # P.  The curves of all basis directions X run the phi and xi programs
+    # as one jet array, and all tangent fields Y of the basis go through
+    # each direction as one jet array.
+    space = amb.space
     D = space.rep_dim
-    x = np.asarray(x, dtype=float)
-    P = tangent_projector(space, x)
+    x = np.asarray(amb.x, dtype=float)
     basis = []
     for a in range(D):
         v = P[:, a]
@@ -358,18 +390,17 @@ def _covariant_residuals_embedded(space, x):
         if np.linalg.norm(v) > 1e-8:
             basis.append(v / np.linalg.norm(v))
     Y = np.array(basis)
-    phi0, xi0 = structure_at(space, x)
+    phi0, xi0 = amb.structure
     eta0 = xi0  # Euclidean representation: eta(v) = <v, xi>
+    curves = Jet.constant(1, 1, np.broadcast_to(x, Y.shape))
+    curves.coeffs[..., 1] = Y
+    curves = curves * (curves * curves).sum(-1).sqrt().reciprocal()[:, None]
+    env = list(curves.transpose(1, 0))
+    phi_all = space.jets("phi", env)
+    dxi_all = space.jets("reeb", env).derivative(0).value
     res_phi, res_xi = 0.0, 0.0
-    for X in basis:
-        pos = Jet.constant(1, 1, x)
-        pos.coeffs[:, 1] = X
-        pos = pos * (pos * pos).sum(-1).sqrt().reciprocal()
-        env = list(pos)
-        phi_j = space.jets("phi", env)
-        xi_j = space.jets("reeb", env)
-        dxi = P @ xi_j.derivative(0).value
-        res_xi = max(res_xi, np.abs(dxi - (-(phi0 @ X))).max())
+    for X, pos, phi_j, dxi in zip(basis, curves, phi_all, dxi_all):
+        res_xi = max(res_xi, np.abs(P @ dxi - (-(phi0 @ X))).max())
         # Y extended along the curve as its projection onto T_c S
         yfield = Y - (pos * Y).sum(-1)[:, None] * pos
         phiy = (phi_j * yfield[:, None, :]).sum(-1)
@@ -391,16 +422,17 @@ def verify_structure(space: AmbientModel, points) -> StructureReport:
             residuals[k] = max(residuals.get(k, 0.0), float(v))
 
     for x in points:
-        g = metric_at(space, x)
+        amb = PointAmbient(space, x)
+        g = amb.g
         if space.kind == KIND_COMPLEX:
-            keep(_algebraic_residuals_complex(g, structure_at(space, x)))
+            keep(_algebraic_residuals_complex(g, amb.structure))
         else:
-            phi, xi = structure_at(space, x)
+            phi, xi = amb.structure
             P = tangent_projector(space, x) if space.backend == "embedded" else None
             keep(_algebraic_residuals_contact(g, phi, xi, P))
         if space.tag is not None:
             if space.backend == "chart":
-                keep(_covariant_residuals_chart(space, x))
+                keep(_covariant_residuals_chart(amb))
             elif space.kind == KIND_CONTACT and space.tag.family == SASAKI:
-                keep(_covariant_residuals_embedded(space, x))
+                keep(_covariant_residuals_embedded(amb, P))
     return StructureReport(space.name, residuals)

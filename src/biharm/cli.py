@@ -86,7 +86,7 @@ def _cmd_sweep(args) -> int:
         "parameter": result.parameter,
         "objective": result.objective_name,
         "values": result.values,
-        # a partly failed grid gives a NaN objective, written as null
+        # a grid that failed in part or everywhere gives a NaN objective, written as null
         "samples": [None if math.isnan(y) else y for y in result.objective],
         "roots": result.roots,
         "discontinuities": result.discontinuities,

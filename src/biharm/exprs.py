@@ -355,10 +355,21 @@ class Program:
 
     def jets(self, env, bindings: Bindings | None = None) -> Jet:
         """Jet outputs over the jet parameters ``env``, as one jet array of
-        the compiled shape; float outputs become constant jets."""
+        the compiled shape; float outputs become constant jets.
+
+        Parameters that are jet arrays of one batch shape S run the program
+        once for the whole batch, and the result has shape S + the compiled
+        shape."""
         ref = next(v for v in env if isinstance(v, Jet))
-        out = stack(self.run(env, bindings), ref.nvars, ref.order)
-        return Jet(out.space, out.coeffs.reshape(self.shape + out.coeffs.shape[-1:]))
+        out = self.run(env, bindings)
+        if not ref.shape:
+            out = stack(out, ref.nvars, ref.order)
+            return Jet(out.space, out.coeffs.reshape(self.shape + out.coeffs.shape[-1:]))
+        batch, k = ref.shape, len(self.shape)
+        out = stack([v if isinstance(v, Jet) else Jet.constant(ref.nvars, ref.order, np.full(batch, v))
+                     for v in out])
+        coeffs = out.coeffs.reshape(self.shape + batch + out.coeffs.shape[-1:])
+        return Jet(out.space, np.moveaxis(coeffs, range(k), range(len(batch), len(batch) + k)))
 
 
 def compile_program(exprs) -> Program:
@@ -451,7 +462,8 @@ class CompiledFields:
         return self.program(name).values(point, self.bindings)
 
     def jets(self, name: str, env) -> Jet:
-        """Field ``name`` over jet parameter values ``env``, as a jet array."""
+        """Field ``name`` over jet parameter values ``env``, as a jet array
+        (batch axes of the parameters first, see :meth:`Program.jets`)."""
         return self.program(name).jets(env, self.bindings)
 
 

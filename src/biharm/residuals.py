@@ -30,14 +30,18 @@ from .ambient import (
     SASAKI,
     AmbientModel,
     GeometryError,
-    coefficients_at,
+    coefficients_at,  # noqa: F401
     coefficients_for_tag,
     ClassicalTag,
-    curvature_parts,
-    structure_at,
+    curvature_parts,  # noqa: F401
+    structure_at,  # noqa: F401
 )
 from .structure import ClassificationFlags, DecompositionOperators
 from .submanifold import NormalFieldDerivatives, PointGeometry, project_tangent, _project_normal
+
+# coefficients_at, curvature_parts and structure_at are imported for
+# bench/tracing.py, which wraps them in this module's namespace; the residuals
+# read the ambient tensors from the sample's snapshot, ``pg.ambient``.
 
 GENERAL = "general"
 CLOSED_FORM = "closed_form"
@@ -67,7 +71,7 @@ def curvature_trace(space: AmbientModel, pg: PointGeometry):
     """sum_i R(X_i, H) X_i over the tangent frame, split into parts."""
     total = np.zeros(space.rep_dim)
     for X in pg.tangent_frame:
-        total += curvature_parts(space, pg.position, X, pg.mean_curvature, X)["combined"]
+        total += pg.ambient.curvature_parts(X, pg.mean_curvature, X)["combined"]
     return _project_normal(pg, total), project_tangent(pg, total)
 
 
@@ -108,7 +112,7 @@ def residual_gcsf(space, pg, nd, ops: DecompositionOperators,
     m = pg.m
     if m >= 4:
         raise GeometryError("complex-case residuals cover submanifolds of dimension < 4")
-    alpha, beta = coefficients_at(space, pg.position)
+    alpha, beta = pg.ambient.coeffs
     H = pg.mean_curvature
     hn = pg.mean_normal_components
     lH = ops.nt @ hn                       # tangent components of J H
@@ -166,7 +170,7 @@ def residual_gssf(space, pg, nd, ops: DecompositionOperators,
     """Residuals for submanifolds of a generalized Sasakian space form."""
     if space.kind != KIND_CONTACT:
         raise GeometryError("residual_gssf needs a generalized Sasakian ambient")
-    f1, f2, f3 = coefficients_at(space, pg.position)
+    f1, f2, f3 = pg.ambient.coeffs
     m = pg.m
     H = pg.mean_curvature
     base_n = -nd.laplacian + nd.trace_shape_mean
@@ -192,7 +196,7 @@ def residual_gssf(space, pg, nd, ops: DecompositionOperators,
             "anti_invariant", base_n - rhs_n,
             base_t + 2.0 * f2 * (m - 1) * eta_h * xi_top)
     if flags.xi_normal:
-        _, xi_full = structure_at(space, pg.position)
+        _, xi_full = pg.ambient.structure
         out["xi_normal"] = BiharmonicResidual(
             "xi_normal",
             base_n - (m * f1 * H - m * f2 * eta_h * xi_full - 3.0 * f3 * NtH),
@@ -220,7 +224,7 @@ def reduction_residual(space, pg, ops) -> float:
     condition under which the constant-mean-curvature characterization and
     the mean-curvature bounds apply.
     """
-    coeffs = coefficients_at(space, pg.position)
+    coeffs = pg.ambient.coeffs
     rhs_n, _, _ = _gssf_rhs_closed_form(space, pg, ops, coeffs)
     f1, f2, f3 = coeffs
     target = (pg.m * f1 - f2 + 3.0 * f3) * pg.mean_curvature

@@ -39,10 +39,16 @@ from .ambient import (
     AmbientModel,
     ClassicalTag,
     GeometryError,
-    coefficients_at,
+    coefficients_at,  # noqa: F401
     verify_structure,
 )
-from .exprs import ExprError, ExprSyntaxError, parse_expression
+from .exprs import (
+    DEFAULT_BINDINGS,
+    ExprError,
+    ExprSyntaxError,
+    expr_constants,
+    parse_expression,
+)
 from .jets import DomainError
 from .residuals import (
     CLOSED_FORM,
@@ -70,6 +76,10 @@ from .submanifold import (
     pseudo_umbilical_check,
     scalar_curvature,
 )
+
+# coefficients_at is imported for bench/tracing.py, which wraps it in this
+# module's namespace; a sample's coefficients come from its snapshot,
+# ``pg.ambient``.
 
 SCHEMA_VERSION = 1
 
@@ -141,13 +151,13 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
         rows = _require(doc, key, path)
         out = []
         for i, row in enumerate(rows):
-            out.append(tuple(_parse(e, coords, f"{path}.{key}[{i}][{j}]")
+            out.append(tuple(_parse(e, coords, f"{path}.{key}[{i}][{j}]", constants)
                              for j, e in enumerate(row)))
         return tuple(out)
 
     def vec(key, source=None):
         entries = source if source is not None else _require(doc, key, path)
-        return tuple(_parse(e, coords, f"{path}.{key}[{i}]")
+        return tuple(_parse(e, coords, f"{path}.{key}[{i}]", constants)
                      for i, e in enumerate(entries))
 
     coeffs_doc = _require(doc, "coefficients", path)
@@ -178,7 +188,7 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
         params = tuple(_require(doc, "embedding_params", path))
         kwargs["embed_params"] = params
         kwargs["embed_map"] = tuple(
-            _parse(e, params, f"{path}.embedding[{i}]")
+            _parse(e, params, f"{path}.embedding[{i}]", constants)
             for i, e in enumerate(_require(doc, "embedding", path)))
         kwargs["normals"] = tuple(
             vec("normals", nf) for nf in _require(doc, "normals", path))
@@ -188,13 +198,21 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
         raise ConfigError(str(e), path) from None
 
 
-def _parse(source, params, path):
+def _parse(source, params, path, bindings):
+    """An inline expression over ``params`` whose constants are all in
+    ``bindings`` (the inline model's bindings, which are the document's
+    constants) or the default bindings: the names its program reads when it
+    runs."""
     try:
-        return parse_expression(str(source), params)
+        expr = parse_expression(str(source), params)
     except ExprSyntaxError as e:
         raise ConfigError(f"parse error: {e}", path) from None
     except ExprError as e:
         raise ConfigError(str(e), path) from None
+    unbound = sorted(expr_constants(expr) - set(bindings) - set(DEFAULT_BINDINGS))
+    if unbound:
+        raise ConfigError("unbound constant " + ", ".join(map(repr, unbound)), path)
+    return expr
 
 
 def _load_immersion(doc, space, constants, path) -> ImmersionModel:
@@ -215,7 +233,8 @@ def _load_immersion(doc, space, constants, path) -> ImmersionModel:
                 f"{len(comps)} components for ambient of representation "
                 f"dimension {space.rep_dim}", path + ".components")
         components = tuple(
-            _parse(c, params, f"{path}.components[{i}]") for i, c in enumerate(comps))
+            _parse(c, params, f"{path}.components[{i}]", constants)
+            for i, c in enumerate(comps))
         axes_doc = _require(doc, "domain", path).get("axes")
         axes = _load_axes(axes_doc, path + ".domain")
         if len(axes) != len(params):
@@ -388,7 +407,7 @@ def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset) -> PointRecor
         data.scal_intrinsic, data.scal_via_gauss = scalar_curvature(space, pg)
     _require_finite(data)
     if COEFFICIENTS in needs:
-        data.coeffs = coefficients_at(space, pg.position)
+        data.coeffs = pg.ambient.coeffs
     if RESIDUALS in needs and pg.mean_curvature_norm > 1e-9:
         normal = data.residuals[GENERAL].normal
         record.signed_normal = (float(normal @ pg.ambient_metric @ pg.mean_curvature)
@@ -667,8 +686,8 @@ class SweepResult:
     # sign changes whose root-finding limit has |f| no smaller than at both
     # bracket ends: poles or jumps of the objective, not roots
     discontinuities: list[float] = field(default_factory=list)
-    # parameter values where only part of the grid evaluated: the objective
-    # is NaN there, and no root is bracketed across them
+    # parameter values whose grid failed at some or all grid points: the
+    # objective is NaN there, and no root is bracketed across them
     partial: list[float] = field(default_factory=list)
 
 
@@ -695,15 +714,20 @@ def _objective_characterization_gap(cfg, records) -> float:
     return float(np.mean(gaps))
 
 
+class _GridFailed(GeometryError):
+    """Every point of a sweep value's grid failed."""
+
+
 def _sweep_objective(cfg: ScenarioConfig, objective: str) -> float:
-    """The objective on the scenario grid; NaN when part of the grid failed."""
+    """The objective on the scenario grid; NaN when part of the grid failed,
+    :class:`_GridFailed` when all of it did."""
     if objective not in SWEEP_OBJECTIVES:
         raise ConfigError(f"unknown sweep objective {objective!r}")
     declared = SWEEP_OBJECTIVES[objective]
     records = _run_grid(cfg, declared.needs)
     failed = sum(r.error is not None for r in records)
     if failed == len(records):
-        raise GeometryError("sweep point failed everywhere")
+        raise _GridFailed("sweep point failed everywhere: " + records[0].error)
     return math.nan if failed else declared.run(cfg, records)
 
 
@@ -765,24 +789,32 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     A limit counts as a root only if |f| there is below |f| at both ends of
     its sampled bracket; otherwise the objective changed sign across a pole
     or a jump, and the limit is reported as a discontinuity.  A value whose
-    grid evaluated only in part gives a NaN objective: it is listed under
-    ``partial``, never ends a bracket, and a NaN inside a bracket ends that
-    bracket's search.
+    grid failed at some or all grid points gives a NaN objective: it is
+    listed under ``partial``, never ends a bracket, and a NaN inside a
+    bracket ends that bracket's search.  Only a sweep in which no sampled
+    value evaluated at any grid point raises.
     """
     known = set(cfg.constants) | set(cfg.immersion.bindings) | set(cfg.ambient.bindings)
     if parameter not in known:
         raise ConfigError(f"constant {parameter!r} does not appear in the config",
                           "sweep.parameter")
-    partial = []
+    partial, evaluated = [], []
 
     def f(value: float) -> float:
-        y = _sweep_objective(cfg.with_constant(parameter, value), objective)
+        try:
+            y = _sweep_objective(cfg.with_constant(parameter, value), objective)
+        except _GridFailed:
+            y = math.nan
+        else:
+            evaluated.append(value)
         if math.isnan(y):
             partial.append(value)
         return y
 
     xs = list(np.linspace(lo, hi, samples))
     ys = [f(x) for x in xs]
+    if xs and not evaluated:
+        raise GeometryError("no sampled value evaluated at any grid point")
     roots, jumps = [], []
     for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
         if y0 == 0.0:

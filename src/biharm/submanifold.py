@@ -18,9 +18,10 @@ import numpy as np
 from .ambient import (
     AmbientModel,
     GeometryError,
+    PointAmbient,
     christoffel_point,
     christoffel_symbols,
-    curvature_parts,
+    curvature_parts,  # noqa: F401
     metric_at,  # noqa: F401
     scalar_from_metric_jets,
     tangent_projector,
@@ -28,9 +29,10 @@ from .ambient import (
 from .exprs import Bindings, CompiledFields, Expr, evaluate_jet_env  # noqa: F401
 from .jets import DomainError, Jet, embed, extract, jet_matrix_inverse, seed_point, stack
 
-# metric_at and evaluate_jet_env are imported for bench/tracing.py, which
-# wraps them in this module's namespace; the ambient metric at a sample comes
-# with its PointGeometry, and expressions run as compiled programs.
+# metric_at, curvature_parts and evaluate_jet_env are imported for
+# bench/tracing.py, which wraps them in this module's namespace; the ambient
+# tensors at a sample come with its PointGeometry (``ambient``, one snapshot
+# per sample), and expressions run as compiled programs.
 
 RANK_TOL = 1e-8
 
@@ -190,6 +192,7 @@ class PointGeometry:
     normal_frame: np.ndarray         # rows are orthonormal normal vectors
     induced_metric: np.ndarray       # coordinate-basis first fundamental form
     ambient_metric: np.ndarray       # ambient metric at the position (identity if embedded)
+    ambient: PointAmbient = field(repr=False)  # ambient tensors at the position, on first use
     second_fundamental: np.ndarray   # [normal, i, j] frame components of B
     mean_curvature: np.ndarray       # ambient-representation vector
     mean_curvature_norm: float
@@ -262,6 +265,7 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
 
     b_vals = b.value
     h_n_vals = h_n.value
+    position = pos.value
     state = {
         "calc": calc,
         "pos": pos,
@@ -278,11 +282,12 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
     }
     return PointGeometry(
         u=tuple(float(v) for v in u),
-        position=pos.value,
+        position=position,
         tangent_frame=frames.value,
         normal_frame=normals.value,
         induced_metric=gram,
         ambient_metric=calc.g.value if space.backend == "chart" else np.eye(calc.d),
+        ambient=PointAmbient(space, position),
         second_fundamental=b_vals,
         mean_curvature=H.value,
         mean_curvature_norm=float(np.sqrt((h_n_vals**2).sum())),
@@ -371,8 +376,8 @@ def scalar_curvature(space: AmbientModel, pg: PointGeometry):
     g = pg.ambient_metric
     for i in range(m):
         for j in range(m):
-            R = curvature_parts(space, pg.position, pg.tangent_frame[i], pg.tangent_frame[j],
-                                pg.tangent_frame[j])["combined"]
+            R = pg.ambient.curvature_parts(pg.tangent_frame[i], pg.tangent_frame[j],
+                                           pg.tangent_frame[j])["combined"]
             amb += pg.tangent_frame[i] @ g @ R
     via_gauss = amb + m * m * pg.mean_curvature_norm**2 - pg.second_fundamental_norm2
     return float(intrinsic), float(via_gauss)

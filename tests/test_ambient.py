@@ -12,6 +12,7 @@ from biharm.ambient import (
     SASAKI,
     ClassicalTag,
     GeometryError,
+    PointAmbient,
     christoffel_jet,
     coefficients_at,
     coefficients_for_tag,
@@ -261,3 +262,48 @@ def test_complex_dimension_enforced():
     with pytest.raises(GeometryError):
         AmbientModel(name="bad", kind=KIND_COMPLEX, backend="chart", dim=6,
                      coords=tuple("abcdef"), coeffs=())
+
+
+def test_point_ambient_evaluates_each_tensor_once_on_first_use(monkeypatch):
+    from collections import Counter
+
+    from biharm.exprs import CompiledFields
+
+    sr5 = catalog.ambient("sasakian_r5")
+    runs = Counter()
+    real = CompiledFields.values
+
+    def counted(self, name, point):
+        runs[name] += 1
+        return real(self, name, point)
+
+    monkeypatch.setattr(CompiledFields, "values", counted)
+    x = (0.1, -0.2, 0.3, 0.05, 0.4)
+    amb = PointAmbient(sr5, x)
+    assert amb.coeffs == coefficients_at(sr5, x)
+    assert set(runs) == {"coeffs"}  # nothing else is evaluated before its use
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        X, Y, Z = rng.standard_normal((3, 5))
+        snap = amb.curvature_parts(X, Y, Z)
+        ref = curvature_parts(sr5, x, X, Y, Z)
+        assert snap.keys() == ref.keys()
+        assert all(np.array_equal(snap[k], ref[k]) for k in ref)
+    runs.clear()
+    amb.curvature_parts(X, Y, Z)
+    assert not runs
+    assert np.array_equal(amb.g, metric_at(sr5, x))
+
+
+def test_point_ambient_checks_the_metric_on_first_use():
+    from biharm.exprs import parse_expression
+
+    space = catalog.ambient("flat_c2")
+    rows = [["0"] * 4 for _ in range(4)]
+    for i, d in enumerate(("-1", "1", "1", "1")):
+        rows[i][i] = d
+    space.metric = tuple(tuple(parse_expression(e, space.coords) for e in row) for row in rows)
+    amb = PointAmbient(space, (0.0, 0.0, 0.0, 0.0))
+    assert amb.coeffs == (0.0, 0.0)  # a fault of one tensor stays with its first use
+    with pytest.raises(GeometryError):
+        amb.g

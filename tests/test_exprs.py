@@ -271,3 +271,19 @@ def test_program_entries_equal_their_own_programs_bitwise(steps, picks, point):
             continue
         together = prog.run(env, bindings)
         assert [_bits(v) for v in together] == [_bits(v) for v in alone]
+
+
+def test_program_over_a_batch_of_jets_equals_each_element_bitwise():
+    # One run over jet parameters of batch shape (3,) against a run per
+    # element; the field has a constant entry, which becomes a constant jet.
+    srcs = (("u1*u2 + sin(u1)", "2"), ("exp(u2)/(1 + u1*u1)", "sqrt(u1 + 3)*u2^3"))
+    prog = compile_program(tuple(tuple(parse_expression(s, ["u1", "u2"]) for s in row)
+                                 for row in srcs))
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, (3, 2))
+    env = [Jet(j.space, np.stack([seed_point(p, 3)[k].coeffs for p in pts]))
+           for k, j in enumerate(seed_point(pts[0], 3))]
+    batch = prog.jets(env)
+    assert batch.shape == (3, 2, 2)
+    for i, p in enumerate(pts):
+        assert np.array_equal(batch[i].coeffs, prog.jets(seed_point(p, 3)).coeffs)

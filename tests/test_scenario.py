@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from biharm.ambient import GeometryError
 from biharm.cli import main as cli_main
 from biharm.scenario import (
     ConfigError,
@@ -535,3 +536,75 @@ def test_cli_sweep_prints_partial_values(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["partial"] == [0.5]
     assert out["samples"][1] is None and out["roots"] == []
+
+
+def _unbound_constant_doc():
+    doc = _partial_sweep_doc()
+    doc["immersion"]["components"][2] = "k*u1*u1"
+    return doc
+
+
+def test_unbound_constant_is_a_config_error_at_its_path(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_unbound_constant_doc())
+    assert err.value.path == "immersion.components[2]"
+    assert "'k'" in str(err.value)
+    doc = _partial_sweep_doc()
+    doc["ambient"]["coefficients"]["beta"] = "0*b"
+    with pytest.raises(ConfigError) as err:
+        load_scenario(doc)
+    assert err.value.path == "ambient.coefficients[1]"
+    # bound by the document's constants or the defaults: loads
+    doc = _unbound_constant_doc()
+    doc["constants"]["k"] = 2.0
+    doc["immersion"]["components"][3] = "0*pi"
+    load_scenario(doc)
+
+    scn = tmp_path / "unbound.json"
+    scn.write_text(json.dumps(_unbound_constant_doc()))
+    assert cli_main(["check", str(scn)]) == 2
+    assert "unbound constant 'k'" in capsys.readouterr().err
+
+
+def test_sweep_value_failing_everywhere_is_partial_not_fatal(tmp_path, capsys):
+    doc = _partial_sweep_doc()
+    doc["immersion"]["components"][2] = "u1*u1 + 0*sqrt(c - 1)"
+    res = sweep_solve(load_scenario(doc), "c", 0.5, 2.0, 4)
+    assert math.isnan(res.objective[0])
+    assert res.partial == [0.5]
+    assert all(math.isfinite(y) for y in res.objective[1:])
+
+    scn = tmp_path / "fails.json"
+    scn.write_text(json.dumps(doc))
+    assert cli_main(["sweep", str(scn), "--param", "c", "--range", "0.5:2.0:4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["partial"] == [0.5] and out["samples"][0] is None
+
+    # a sweep in which nothing evaluates still fails
+    with pytest.raises(GeometryError):
+        sweep_solve(load_scenario(doc), "c", 0.2, 0.8, 3)
+
+
+def test_each_ambient_tensor_runs_at_most_twice_per_sample(monkeypatch):
+    # Once for the sample's ambient snapshot, which every curvature,
+    # coefficient and structure reader shares, and once in decompose.
+    from collections import Counter
+
+    from biharm.exprs import CompiledFields
+
+    cfg = _cfg(ambient={"catalog": "kenmotsu_hyperbolic"},
+               immersion={"catalog": "hyperplane_y1"},
+               checks=[{"op": "residual"}, {"op": "gauss"}])
+    runs = Counter()
+    real = CompiledFields.values
+
+    def counted(self, name, point):
+        runs[name] += 1
+        return real(self, name, point)
+
+    monkeypatch.setattr(CompiledFields, "values", counted)
+    rep = run_check(cfg)
+    samples = rep.aggregates["points_total"]
+    assert rep.aggregates["points_failed"] == 0 and samples > 1
+    for name in ("metric", "phi", "reeb", "coeffs"):
+        assert 0 < runs[name] <= 2 * samples, (name, runs[name], samples)
