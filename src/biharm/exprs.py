@@ -361,13 +361,9 @@ class Program:
         once for the whole batch, and the result has shape S + the compiled
         shape."""
         ref = next(v for v in env if isinstance(v, Jet))
-        out = self.run(env, bindings)
-        if not ref.shape:
-            out = stack(out, ref.nvars, ref.order)
-            return Jet(out.space, out.coeffs.reshape(self.shape + out.coeffs.shape[-1:]))
         batch, k = ref.shape, len(self.shape)
         out = stack([v if isinstance(v, Jet) else Jet.constant(ref.nvars, ref.order, np.full(batch, v))
-                     for v in out])
+                     for v in self.run(env, bindings)])
         coeffs = out.coeffs.reshape(self.shape + batch + out.coeffs.shape[-1:])
         return Jet(out.space, np.moveaxis(coeffs, range(k), range(len(batch), len(batch) + k)))
 

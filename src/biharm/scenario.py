@@ -720,14 +720,15 @@ class _GridFailed(GeometryError):
 
 def _sweep_objective(cfg: ScenarioConfig, objective: str) -> float:
     """The objective on the scenario grid; NaN when part of the grid failed,
-    :class:`_GridFailed` when all of it did."""
+    :class:`_GridFailed`, carrying the first point's error, when all of it
+    did."""
     if objective not in SWEEP_OBJECTIVES:
         raise ConfigError(f"unknown sweep objective {objective!r}")
     declared = SWEEP_OBJECTIVES[objective]
     records = _run_grid(cfg, declared.needs)
     failed = sum(r.error is not None for r in records)
     if failed == len(records):
-        raise _GridFailed("sweep point failed everywhere: " + records[0].error)
+        raise _GridFailed(records[0].error)
     return math.nan if failed else declared.run(cfg, records)
 
 
@@ -798,12 +799,13 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     if parameter not in known:
         raise ConfigError(f"constant {parameter!r} does not appear in the config",
                           "sweep.parameter")
-    partial, evaluated = [], []
+    partial, evaluated, errors = [], [], []
 
     def f(value: float) -> float:
         try:
             y = _sweep_objective(cfg.with_constant(parameter, value), objective)
-        except _GridFailed:
+        except _GridFailed as e:
+            errors.append(f"{parameter}={value:g}: {e}")
             y = math.nan
         else:
             evaluated.append(value)
@@ -814,7 +816,8 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     xs = list(np.linspace(lo, hi, samples))
     ys = [f(x) for x in xs]
     if xs and not evaluated:
-        raise GeometryError("no sampled value evaluated at any grid point")
+        raise GeometryError("no sampled value evaluated at any grid point; first error at "
+                            + errors[0])
     roots, jumps = [], []
     for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
         if y0 == 0.0:

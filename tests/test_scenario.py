@@ -580,8 +580,8 @@ def test_sweep_value_failing_everywhere_is_partial_not_fatal(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["partial"] == [0.5] and out["samples"][0] is None
 
-    # a sweep in which nothing evaluates still fails
-    with pytest.raises(GeometryError):
+    # a sweep in which nothing evaluates still fails, and names the cause
+    with pytest.raises(GeometryError, match=r"first error at c=0\.2: .*sqrt"):
         sweep_solve(load_scenario(doc), "c", 0.2, 0.8, 3)
 
 
