@@ -23,6 +23,7 @@ from pathlib import Path
 from . import catalog
 from .ambient import GeometryError
 from .scenario import (
+    SWEEP_OBJECTIVES,
     ConfigError,
     SweepResult,
     convergence_study,
@@ -150,8 +151,7 @@ def main(argv=None) -> int:
     p.add_argument("config")
     p.add_argument("--param", required=True)
     p.add_argument("--range", required=True, help="LO:HI:N")
-    p.add_argument("--objective", default="characterization_gap",
-                   choices=("characterization_gap", "normal_residual"))
+    p.add_argument("--objective", default="characterization_gap", choices=SWEEP_OBJECTIVES)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("convergence", help="finite-difference oracle convergence study")

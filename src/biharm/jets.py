@@ -204,9 +204,6 @@ class Jet:
         v = self.coeffs[..., self.space.position[alpha]]
         return float(v) if v.ndim == 0 else v
 
-    def partials(self) -> dict:
-        return {m: self.partial(m) for m in self.space.indices}
-
     def __repr__(self):
         if self.shape:
             return f"Jet(nvars={self.nvars}, order={self.order}, shape={self.shape})"

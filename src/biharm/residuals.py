@@ -49,6 +49,18 @@ CLOSED_FORM = "closed_form"
 CMC_RTOL = 1e-7
 MINIMAL_TOL = 1e-6
 PROPER_TOL = 1e-6
+CHARACTERIZATION_TOL = 1e-5   # |B|^2 against its target
+BOUND_TOL = 1e-8              # |H|^2 against the mean-curvature bound
+REDUCTION_TOL = 1e-8          # contact normal equation against its constant-target form
+
+# The mean-curvature bounds by ambient kind.  Complex: the bound is the grid
+# minimum of a coefficient expression.  Contact: it is (K - shift)/m, with
+# K = m f1 - f2 + 3 f3, and needs K > shift.
+BOUND_KINDS = {
+    KIND_COMPLEX: {"lagrangian": lambda alpha, beta: (2.0 * alpha + 3.0 * beta) / 2.0,
+                   "complex_surface": lambda alpha, beta: alpha},
+    KIND_CONTACT: {"xi_phi_h_tangent": 0.0, "xi_tangent_phi_h_normal": 3.0},
+}
 
 
 @dataclass
@@ -123,11 +135,7 @@ def residual_gcsf(space, pg, nd, ops: DecompositionOperators,
 
     out = {
         CLOSED_FORM: BiharmonicResidual(
-            CLOSED_FORM,
-            base_n - m * alpha * H + 3.0 * beta * klH,
-            base_t + 6.0 * beta * jlH,
-            {"kl_h": float(np.linalg.norm(klH)), "jl_h": float(np.linalg.norm(jlH))},
-        )
+            CLOSED_FORM, base_n - m * alpha * H + 3.0 * beta * klH, base_t + 6.0 * beta * jlH)
     }
     if flags.is_hypersurface:
         out["hypersurface"] = BiharmonicResidual(
@@ -180,11 +188,7 @@ def residual_gssf(space, pg, nd, ops: DecompositionOperators,
     xi_top, xi_perp, eta_h, xt2 = aux["xi_top"], aux["xi_perp"], aux["eta_h"], aux["xt2"]
 
     out = {
-        CLOSED_FORM: BiharmonicResidual(
-            CLOSED_FORM, base_n - rhs_n, base_t - rhs_t,
-            {"Nt_h": float(np.linalg.norm(NtH)), "Pt_h": float(np.linalg.norm(PtH)),
-             "eta_h": eta_h, "xi_tan_norm2": xt2},
-        )
+        CLOSED_FORM: BiharmonicResidual(CLOSED_FORM, base_n - rhs_n, base_t - rhs_t)
     }
     if flags.is_invariant:
         out["invariant"] = BiharmonicResidual(
@@ -252,39 +256,6 @@ class PointData:
     residuals: dict[str, BiharmonicResidual] = field(default_factory=dict)
 
 
-@dataclass
-class CharacterizationVerdict:
-    quantity: str
-    verdict: str                   # Satisfied | Violated | NotApplicable
-    target: float | None
-    gap: float | None
-    hypotheses: dict
-    scalar_check: dict | None = None
-    failed_hypothesis: str | None = None
-
-
-@dataclass
-class BoundReport:
-    kind: str
-    verdict: str                   # WithinBound | Violated | NotApplicable
-    k_value: float | None
-    bound: float | None
-    h2: float | None
-    within_bound: bool | None
-    equality: bool | None
-    equality_case: dict | None
-    hypotheses: dict
-    failed_hypothesis: str | None = None
-
-
-@dataclass
-class AuditFinding:
-    rule: str
-    relevant: bool
-    applies: bool
-    detail: dict
-
-
 def _cmc(points) -> tuple[bool, float]:
     hs = [p.h_norm for p in points]
     spread = max(hs) - min(hs)
@@ -295,47 +266,43 @@ def _all_flag(points, name) -> bool:
     return all(getattr(p.flags, name) for p in points)
 
 
-def contact_reduction_ok(points, tol: float = 1e-8) -> bool:
+def contact_reduction_ok(points) -> bool:
     vals = [p.reduction_residual for p in points if p.reduction_residual is not None]
     if not vals:
         return False
     scale = 1.0 + max(p.h_norm for p in points)
-    return max(vals) <= tol * scale
+    return max(vals) <= REDUCTION_TOL * scale
 
 
 def cmc_characterization(space: AmbientModel, points, m: int,
-                         tol: float = 1e-5) -> CharacterizationVerdict:
+                         tol: float = CHARACTERIZATION_TOL) -> dict:
     """Constant-mean-curvature characterization |B|^2 = target for hypersurfaces.
 
     Complex ambient: target 3(alpha + beta), with the equivalent scalar
     curvature form cross-reported.  Contact ambient: target
     m f1 - f2 + 3 f3, applicable when xi is tangent or when the structure
-    terms of the normal equation vanish identically on the grid.
+    terms of the normal equation vanish identically on the grid.  Returns
+    the report entry: ``status`` is Satisfied, Violated or NotApplicable.
     """
-    points = [p for p in points]
+    points = list(points)
     cmc, hmax = _cmc(points)
     hyp = {
         "cmc": cmc,
         "nonzero_mean_curvature": hmax > MINIMAL_TOL,
         "hypersurface": _all_flag(points, "is_hypersurface"),
     }
+    # a complex ambient has no xi; a reducing equation stands in for a tangent one
+    holds = dict(hyp, xi_tangent=True)
     if space.kind == KIND_CONTACT:
         hyp["xi_tangent"] = _all_flag(points, "xi_tangent")
         hyp["equation_reduces"] = contact_reduction_ok(points)
-        required = ["cmc", "nonzero_mean_curvature", "hypersurface"]
-        ok_contact = hyp["xi_tangent"] or hyp["equation_reduces"]
-    else:
-        required = ["cmc", "nonzero_mean_curvature", "hypersurface"]
-        ok_contact = True
-    for name in required:
-        if not hyp[name]:
-            return CharacterizationVerdict(
-                "second_fundamental_norm2", "NotApplicable", None, None, hyp,
-                failed_hypothesis=name)
-    if not ok_contact:
-        return CharacterizationVerdict(
-            "second_fundamental_norm2", "NotApplicable", None, None, hyp,
-            failed_hypothesis="xi_tangent")
+        holds["xi_tangent"] = hyp["xi_tangent"] or hyp["equation_reduces"]
+    out = {"status": "NotApplicable", "target": None, "gap": None, "hypotheses": hyp,
+           "failed_hypothesis": None, "scalar_check": None}
+    for name in ("cmc", "nonzero_mean_curvature", "hypersurface", "xi_tangent"):
+        if not holds[name]:
+            out["failed_hypothesis"] = name
+            return out
 
     gaps, targets, scal_gaps = [], [], []
     for p in points:
@@ -349,12 +316,10 @@ def cmc_characterization(space: AmbientModel, points, m: int,
         targets.append(target)
         gaps.append(abs(p.b_norm2 - target))
     gap = max(gaps)
-    verdict = "Satisfied" if gap < tol else "Violated"
-    scalar_check = None
+    out.update(status="Satisfied" if gap < tol else "Violated", target=targets[0], gap=gap)
     if space.kind == KIND_COMPLEX:
-        scalar_check = {"max_gap": max(scal_gaps), "form": "3(alpha+beta)+9|H|^2"}
-    return CharacterizationVerdict(
-        "second_fundamental_norm2", verdict, targets[0], gap, hyp, scalar_check)
+        out["scalar_check"] = {"max_gap": max(scal_gaps), "form": "3(alpha+beta)+9|H|^2"}
+    return out
 
 
 def bound_constant(family: str, m: int, c: float) -> float:
@@ -391,7 +356,7 @@ def _bound_kind(space, points) -> str | None:
 
 
 def bound_check(space: AmbientModel, points, m: int, kind: str | None = None,
-                tol: float = 1e-8) -> BoundReport:
+                tol: float = BOUND_TOL) -> dict:
     """Mean-curvature bound for proper biharmonic CMC submanifolds.
 
     Complex case: |H|^2 <= inf (2 alpha + 3 beta)/2 for Lagrangian surfaces,
@@ -399,6 +364,9 @@ def bound_check(space: AmbientModel, points, m: int, kind: str | None = None,
     with xi and phi(H) tangent, or (K-3)/m with phi(H) normal, where K is
     m f1 - f2 + 3 f3.  At equality the pseudo-umbilical and parallel-H
     characterization is reported.  Infima are minima over grid samples.
+    ``kind`` (one of :data:`BOUND_KINDS` for the ambient) is matched from
+    the flags when not given.  Returns the report entry: ``status`` is
+    WithinBound, Violated or NotApplicable.
     """
     points = list(points)
     cmc, hmax = _cmc(points)
@@ -407,95 +375,79 @@ def bound_check(space: AmbientModel, points, m: int, kind: str | None = None,
            "infimum": "min_over_grid_samples"}
     if kind is None:
         kind = _bound_kind(space, points)
+    elif kind not in BOUND_KINDS[space.kind]:
+        raise ValueError(f"unknown bound kind {kind!r}")
+    out = {"kind": kind or "unmatched", "status": "NotApplicable", "k_value": None,
+           "bound": None, "h2": None, "within_bound": None, "equality": None,
+           "equality_case": None, "hypotheses": hyp, "failed_hypothesis": None}
     if kind is None:
-        return BoundReport("unmatched", "NotApplicable", None, None, None, None,
-                           None, None, hyp, failed_hypothesis="flag_pattern")
+        out["failed_hypothesis"] = "flag_pattern"
+        return out
     hyp["kind"] = kind
     for name in ("cmc", "nonzero_mean_curvature"):
         if not hyp[name]:
-            return BoundReport(kind, "NotApplicable", None, None, None, None, None,
-                               None, hyp, failed_hypothesis=name)
+            out["failed_hypothesis"] = name
+            return out
 
-    k_value = None
     if space.kind == KIND_COMPLEX:
-        if kind == "lagrangian":
-            bound = min((2.0 * p.coeffs[0] + 3.0 * p.coeffs[1]) / 2.0 for p in points)
-        elif kind == "complex_surface":
-            bound = min(p.coeffs[0] for p in points)
-        else:
-            raise ValueError(f"unknown bound kind {kind!r}")
-        if bound <= 0.0:
-            hyp["positive_bound"] = False
-            return BoundReport(kind, "NotApplicable", None, bound, hmax**2, None,
-                               None, None, hyp, failed_hypothesis="positive_bound")
+        bound = min(BOUND_KINDS[KIND_COMPLEX][kind](*p.coeffs) for p in points)
     else:
         if space.tag is not None and space.tag.family in (SASAKI, KENMOTSU, COSYMPLECTIC):
             k_value = bound_constant(space.tag.family, m, space.tag.value)
         else:
             k_value = min(m * p.coeffs[0] - p.coeffs[1] + 3.0 * p.coeffs[2] for p in points)
-        if kind == "xi_phi_h_tangent":
-            if k_value <= 0.0:
-                hyp["positive_bound"] = False
-                return BoundReport(kind, "NotApplicable", k_value, None, hmax**2, None,
-                                   None, None, hyp, failed_hypothesis="positive_bound")
-            bound = k_value / m
-        elif kind == "xi_tangent_phi_h_normal":
-            if k_value <= 3.0:
-                hyp["positive_bound"] = False
-                return BoundReport(kind, "NotApplicable", k_value, None, hmax**2, None,
-                                   None, None, hyp, failed_hypothesis="positive_bound")
-            bound = (k_value - 3.0) / m
-        else:
-            raise ValueError(f"unknown bound kind {kind!r}")
-
+        shift = BOUND_KINDS[KIND_CONTACT][kind]
+        bound = None if k_value <= shift else (k_value - shift) / m
+        out["k_value"] = k_value
     h2 = hmax**2
+    out["h2"] = h2
+    if bound is None or bound <= 0.0:
+        out["bound"] = bound
+        hyp["positive_bound"] = False
+        out["failed_hypothesis"] = "positive_bound"
+        return out
+
     within = h2 <= bound + tol
     equality = abs(h2 - bound) < max(tol, 1e-9 * (1.0 + bound))
-    eq_case = None
     if equality:
         devs = [p.pseudo_deviation for p in points if p.pseudo_deviation is not None]
-        eq_case = {
+        out["equality_case"] = {
             "pseudo_umbilical": bool(devs) and max(devs) < 1e-6,
             "parallel_mean_curvature": max(p.nabla_h_norm for p in points) < 1e-6,
         }
-    verdict = "WithinBound" if within else "Violated"
-    return BoundReport(kind, verdict, k_value, bound, h2, within, equality, eq_case, hyp)
+    out.update(status="WithinBound" if within else "Violated", bound=bound, within_bound=within,
+               equality=equality)
+    return out
 
 
-def nonexistence_audit(space: AmbientModel, points, m: int) -> list[AuditFinding]:
+def nonexistence_audit(space: AmbientModel, points, m: int) -> list[dict]:
     """Which non-existence statements cover the scenario's flag pattern.
 
     A finding is ``relevant`` when the scenario matches the statement's
     hypotheses and ``applies`` when the coefficient inequality holds, in
     which case any proper-biharmonic verdict on the same grid contradicts
-    the theory and is flagged by the runner as a hard failure.
+    the theory and is flagged by the runner as a hard failure.  Returns the
+    findings as report entries.
     """
     points = list(points)
-    cmc, hmax = _cmc(points)
-    out = []
+    cmc = _cmc(points)[0]
+
+    def finding(rule, relevant, applies, detail):
+        return {"rule": rule, "relevant": relevant, "applies": applies, "detail": detail}
+
     if space.kind == KIND_COMPLEX:
         ab = [p.coeffs[0] + p.coeffs[1] for p in points]
-        out.append(AuditFinding(
-            "cmc_hypersurface_nonpositive_scalar",
-            relevant=cmc and _all_flag(points, "is_hypersurface"),
-            applies=max(ab) <= 0.0,
-            detail={"sup_alpha_plus_beta": max(ab)},
-        ))
         lag = [2.0 * p.coeffs[0] + 3.0 * p.coeffs[1] for p in points]
-        out.append(AuditFinding(
-            "cmc_lagrangian_surface",
-            relevant=cmc and _all_flag(points, "is_lagrangian"),
-            applies=max(lag) <= 0.0,
-            detail={"sup_2alpha_plus_3beta": max(lag)},
-        ))
         comp = [p.coeffs[0] for p in points]
-        out.append(AuditFinding(
-            "cmc_complex_surface",
-            relevant=cmc and _all_flag(points, "is_complex"),
-            applies=max(comp) <= 0.0,
-            detail={"sup_alpha": max(comp)},
-        ))
-        return out
+        return [
+            finding("cmc_hypersurface_nonpositive_scalar",
+                    cmc and _all_flag(points, "is_hypersurface"), max(ab) <= 0.0,
+                    {"sup_alpha_plus_beta": max(ab)}),
+            finding("cmc_lagrangian_surface", cmc and _all_flag(points, "is_lagrangian"),
+                    max(lag) <= 0.0, {"sup_2alpha_plus_3beta": max(lag)}),
+            finding("cmc_complex_surface", cmc and _all_flag(points, "is_complex"),
+                    max(comp) <= 0.0, {"sup_alpha": max(comp)}),
+        ]
 
     kvals = [m * p.coeffs[0] - p.coeffs[1] + 3.0 * p.coeffs[2] for p in points]
     detail = {"sup_target": max(kvals)}
@@ -503,50 +455,39 @@ def nonexistence_audit(space: AmbientModel, points, m: int) -> list[AuditFinding
         c = space.tag.value
         if space.tag.family == SASAKI:
             thr = -(3.0 * m - 2.0) / (m + 2.0)
-            tag_applies = c <= thr
         elif space.tag.family == KENMOTSU:
             thr = (3.0 * m - 2.0) / (m + 2.0)
-            tag_applies = c <= thr
         else:
             thr = 0.0
-            tag_applies = c <= thr
         detail.update({"family": space.tag.family, "c": c,
-                       "c_threshold": thr, "threshold_applies": tag_applies})
-    out.append(AuditFinding(
-        "cmc_reeb_tangent_hypersurface",
-        relevant=cmc and _all_flag(points, "is_hypersurface") and _all_flag(points, "xi_tangent"),
-        applies=max(kvals) <= 0.0,
-        detail=detail,
-    ))
-    out.append(AuditFinding(
-        "cmc_xi_phi_h_tangent",
-        relevant=cmc and _all_flag(points, "xi_tangent")
-        and all(p.flags.phi_h_tangent for p in points if p.flags.phi_h_tangent is not None),
-        applies=max(kvals) <= 0.0,
-        detail={"sup_k": max(kvals)},
-    ))
-    out.append(AuditFinding(
-        "cmc_xi_tangent_phi_h_normal",
-        relevant=cmc and _all_flag(points, "xi_tangent")
-        and all(p.flags.phi_h_normal for p in points if p.flags.phi_h_normal is not None)
-        and any(p.flags.phi_h_normal is not None for p in points),
-        applies=max(kvals) <= 3.0,
-        detail={"sup_k": max(kvals), "threshold": 3.0},
-    ))
-    return out
+                       "c_threshold": thr, "threshold_applies": c <= thr})
+    return [
+        finding("cmc_reeb_tangent_hypersurface",
+                cmc and _all_flag(points, "is_hypersurface") and _all_flag(points, "xi_tangent"),
+                max(kvals) <= 0.0, detail),
+        finding("cmc_xi_phi_h_tangent",
+                cmc and _all_flag(points, "xi_tangent")
+                and all(p.flags.phi_h_tangent for p in points
+                        if p.flags.phi_h_tangent is not None),
+                max(kvals) <= 0.0, {"sup_k": max(kvals)}),
+        finding("cmc_xi_tangent_phi_h_normal",
+                cmc and _all_flag(points, "xi_tangent")
+                and all(p.flags.phi_h_normal for p in points if p.flags.phi_h_normal is not None)
+                and any(p.flags.phi_h_normal is not None for p in points),
+                max(kvals) <= 3.0, {"sup_k": max(kvals), "threshold": 3.0}),
+    ]
 
 
-def proper_biharmonic_verdict(points, residual_tol: float = PROPER_TOL) -> str:
+def proper_biharmonic_verdict(points) -> str:
     """MinimalHenceBiharmonic | ProperBiharmonic | NotBiharmonic from the grid.
 
-    Biharmonic means both residual norms stay below the tolerance at every
-    sample; proper additionally needs a mean curvature bounded away from 0.
+    Biharmonic means both residual norms stay below :data:`PROPER_TOL` at
+    every sample; proper additionally needs a mean curvature bounded away
+    from 0.
     """
     hmax = max(p.h_norm for p in points)
     worst = max(max(p.residuals[GENERAL].normal_norm,
                     p.residuals[GENERAL].tangential_norm) for p in points)
-    if hmax <= MINIMAL_TOL:
-        return "MinimalHenceBiharmonic" if worst <= residual_tol else "NotBiharmonic"
-    if worst <= residual_tol:
-        return "ProperBiharmonic"
-    return "NotBiharmonic"
+    if not worst <= PROPER_TOL:
+        return "NotBiharmonic"
+    return "MinimalHenceBiharmonic" if hmax <= MINIMAL_TOL else "ProperBiharmonic"

@@ -27,10 +27,15 @@ from .ambient import (
     KIND_COMPLEX,
     AmbientModel,
     GeometryError,
+    PointAmbient,
     metric_at,
-    structure_at,
+    structure_at,  # noqa: F401
     tangent_projector,
 )
+
+# structure_at is imported for bench/tracing.py, which wraps it in this
+# module's namespace; decompose reads the structure from the sample's
+# snapshot, ``pg.ambient``.
 
 FRAME_TOL = 1e-10
 CLASSIFY_TOL = 1e-8       # block norms below it count as zero in classification
@@ -45,9 +50,6 @@ class DecompositionOperators:
     nn: np.ndarray
     xi_tan: np.ndarray | None = None   # contact: tangent-frame components of xi
     xi_nor: np.ndarray | None = None   # contact: normal-frame components of xi
-    point: np.ndarray | None = None
-    tangent_frame: np.ndarray | None = None
-    normal_frame: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -58,35 +60,29 @@ class DecompositionOperators:
         return self.nn.shape[0]
 
 
-def decompose(space: AmbientModel, x, tangent_frame, normal_frame) -> DecompositionOperators:
-    """Frame components of the tangential/normal split of J (or phi).
+def decompose(amb: PointAmbient, tangent_frame, normal_frame) -> DecompositionOperators:
+    """Frame components of the tangential/normal split of J (or phi), with
+    the metric and the structure read from the snapshot ``amb``.
 
-    Frames must be orthonormal for the ambient metric at ``x`` (checked to
+    Frames must be orthonormal for the ambient metric there (checked to
     1e-10); rows are vectors in the ambient representation.
     """
-    g = metric_at(space, x)
+    g = amb.g
     frames = np.vstack([tangent_frame, normal_frame])
     gram = frames @ g @ frames.T
     if np.abs(gram - np.eye(len(frames))).max() > FRAME_TOL:
         raise GeometryError("frames are not orthonormal for the ambient metric")
 
-    if space.kind == KIND_COMPLEX:
-        S = structure_at(space, x)
-        xi = None
-    else:
-        S, xi = structure_at(space, x)
+    S, xi = (amb.structure, None) if amb.space.kind == KIND_COMPLEX else amb.structure
 
     Xt = np.asarray(tangent_frame, dtype=float)
     Nu = np.asarray(normal_frame, dtype=float)
     ops = DecompositionOperators(
-        kind=space.kind,
+        kind=amb.space.kind,
         tt=Xt @ g @ (S @ Xt.T),
         tn=Nu @ g @ (S @ Xt.T),
         nt=Xt @ g @ (S @ Nu.T),
         nn=Nu @ g @ (S @ Nu.T),
-        point=np.asarray(x, dtype=float),
-        tangent_frame=Xt,
-        normal_frame=Nu,
     )
     if xi is not None:
         ops.xi_tan = Xt @ g @ xi
@@ -148,8 +144,7 @@ class ClassificationFlags:
         }
 
 
-def classify(ops: DecompositionOperators, dims, h_normal=None,
-             tol: float = CLASSIFY_TOL) -> ClassificationFlags:
+def classify(ops: DecompositionOperators, dims, h_normal=None) -> ClassificationFlags:
     """Per-point flags from Frobenius norms of the decomposition blocks.
 
     ``dims`` is (intrinsic dimension, ambient manifold dimension);
@@ -169,22 +164,21 @@ def classify(ops: DecompositionOperators, dims, h_normal=None,
         norms=norms,
     )
     if ops.kind == KIND_COMPLEX:
-        flags.is_complex = norms["tn"] < tol and norms["nt"] < tol
-        flags.is_lagrangian = (
-            m == 2 and ambient_dim == 4 and norms["tt"] < tol and norms["nn"] < tol
-        )
+        flags.is_complex = norms["tn"] < CLASSIFY_TOL and norms["nt"] < CLASSIFY_TOL
+        flags.is_lagrangian = (m == 2 and ambient_dim == 4
+                               and norms["tt"] < CLASSIFY_TOL and norms["nn"] < CLASSIFY_TOL)
     else:
-        flags.is_invariant = norms["tn"] < tol
-        flags.is_anti_invariant = norms["tt"] < tol
+        flags.is_invariant = norms["tn"] < CLASSIFY_TOL
+        flags.is_anti_invariant = norms["tt"] < CLASSIFY_TOL
         norms["xi_tan"] = float(np.linalg.norm(ops.xi_tan))
         norms["xi_nor"] = float(np.linalg.norm(ops.xi_nor))
-        flags.xi_tangent = norms["xi_nor"] < tol
-        flags.xi_normal = norms["xi_tan"] < tol
-        if h_normal is not None and float(np.linalg.norm(h_normal)) > tol:
+        flags.xi_tangent = norms["xi_nor"] < CLASSIFY_TOL
+        flags.xi_normal = norms["xi_tan"] < CLASSIFY_TOL
+        if h_normal is not None and float(np.linalg.norm(h_normal)) > CLASSIFY_TOL:
             norms["s_h"] = float(np.linalg.norm(ops.nn @ h_normal))
             norms["t_h"] = float(np.linalg.norm(ops.nt @ h_normal))
-            flags.phi_h_tangent = norms["s_h"] < tol
-            flags.phi_h_normal = norms["t_h"] < tol
+            flags.phi_h_tangent = norms["s_h"] < CLASSIFY_TOL
+            flags.phi_h_normal = norms["t_h"] < CLASSIFY_TOL
         if flags.xi_normal and not flags.is_anti_invariant:
             flags.consistency_ok = False  # xi normal forces anti-invariance
     return flags

@@ -197,9 +197,7 @@ class PointGeometry:
     mean_curvature: np.ndarray       # ambient-representation vector
     mean_curvature_norm: float
     second_fundamental_norm2: float
-    shape_operators: np.ndarray      # [normal, i, j], equal to B components
     m: int
-    codim: int
     order: int
     _state: dict = field(repr=False, default_factory=dict)
 
@@ -210,16 +208,11 @@ class PointGeometry:
 
 @dataclass
 class NormalFieldDerivatives:
-    nabla_components: np.ndarray     # [normal, direction] of nabla-perp H
     nabla_norm: float                # max_i |nabla-perp_{X_i} H|
     laplacian: np.ndarray            # rough Laplacian of H in the normal bundle
     grad_h2: np.ndarray              # tangent vector grad |H|^2
     trace_shape_mean: np.ndarray     # sum_i B(X_i, A_H X_i)
     trace_shape_gradient: np.ndarray # sum_i A_{nabla-perp_{X_i} H}(X_i)
-
-    @property
-    def parallel(self) -> bool:
-        return self.nabla_norm <= 1e-8
 
 
 def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) -> PointGeometry:
@@ -269,14 +262,11 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
     state = {
         "calc": calc,
         "pos": pos,
-        "T": T,
         "frames": frames,
         "coeffs": coeffs,
         "normals": normals,
         "nablaXX": nablaXX,
-        "b": b,
         "H": H,
-        "h_n": h_n,
         "g_ind": g_ind,
         "h_normal": h_n_vals,
     }
@@ -292,9 +282,7 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
         mean_curvature=H.value,
         mean_curvature_norm=float(np.sqrt((h_n_vals**2).sum())),
         second_fundamental_norm2=float((b_vals**2).sum()),
-        shape_operators=b_vals,
         m=m,
-        codim=codim,
         order=order,
         _state=state,
     )
@@ -336,7 +324,6 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
     trace_grad = np.einsum("aij,ai->j", bv, w_vals) @ pg.tangent_frame
 
     return NormalFieldDerivatives(
-        nabla_components=w_vals,
         nabla_norm=nabla_norm,
         laplacian=lap,
         grad_h2=grad,

@@ -24,7 +24,7 @@ from biharm.structure import (
     reeb_tangent_hypersurface_identities,
     verify_relations,
 )
-from biharm.ambient import curvature_parts, metric_at, structure_at
+from biharm.ambient import PointAmbient, curvature_parts, metric_at, structure_at
 from biharm.submanifold import point_geometry
 
 
@@ -70,7 +70,7 @@ def test_criterion_1_structure_relations():
             for _ in range(100):
                 m = int(rng.randint(1, 4))
                 tf, nf = random_orthonormal_frames(space, x, m, rng)
-                rel = verify_relations(decompose(space, x, tf, nf))
+                rel = verify_relations(decompose(PointAmbient(space, x), tf, nf))
                 assert max(rel.values()) <= 1e-10, (name, rel)
         contact_points = {
             "sasakian_r5": (0.3, -0.2, 0.4, 0.1, 0.5),
@@ -82,14 +82,14 @@ def test_criterion_1_structure_relations():
             for _ in range(100):
                 m = int(rng.randint(1, 5))
                 tf, nf = random_orthonormal_frames(space, x, m, rng)
-                rel = verify_relations(decompose(space, x, tf, nf))
+                rel = verify_relations(decompose(PointAmbient(space, x), tf, nf))
                 assert max(rel.values()) <= 1e-10, (name, rel)
         s5 = catalog.ambient("sasakian_sphere_s5")
         p = rng.randn(6)
         p /= np.linalg.norm(p)
         for _ in range(100):
             tf, nf = random_orthonormal_frames(s5, p, int(rng.randint(1, 5)), rng)
-            rel = verify_relations(decompose(s5, p, tf, nf))
+            rel = verify_relations(decompose(PointAmbient(s5, p), tf, nf))
             assert max(rel.values()) <= 1e-10
 
 
@@ -101,7 +101,7 @@ def test_criterion_2_reeb_tangent_hypersurface_identities():
         for _ in range(50):
             u = rng.uniform(-0.8, 0.8, 4)
             pg = point_geometry(space, imm, tuple(u), order=2)
-            ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
+            ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
             assert np.linalg.norm(ops.xi_nor) <= 1e-12  # xi tangent here
             pt, nt = reeb_tangent_hypersurface_identities(ops)
             assert pt <= 1e-9 and nt <= 1e-9
@@ -116,7 +116,7 @@ def test_criterion_3_trace_identities():
         for _ in range(50):
             m = int(rng.randint(1, 4))
             tf, nf = random_orthonormal_frames(flat, x, m, rng)
-            ops = decompose(flat, x, tf, nf)
+            ops = decompose(PointAmbient(flat, x), tf, nf)
             hn = rng.randn(4 - m)
             H = hn @ nf
             trace = np.zeros(4)
@@ -134,7 +134,7 @@ def test_criterion_3_trace_identities():
             m = int(rng.randint(1, 5))
             f1, f2, f3 = rng.uniform(-2, 2, 3)
             tf, nf = random_orthonormal_frames(sr5, x, m, rng)
-            ops = decompose(sr5, x, tf, nf)
+            ops = decompose(PointAmbient(sr5, x), tf, nf)
             hn = rng.randn(5 - m)
             H = hn @ nf
             trace = np.zeros(5)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from biharm import catalog
-from biharm.ambient import GeometryError, curvature_parts, metric_at, structure_at
+from biharm.ambient import GeometryError, PointAmbient, curvature_parts, metric_at, structure_at
 from biharm.residuals import (
     CLOSED_FORM,
     bound_check,
@@ -27,7 +27,7 @@ def _full_point(space_name, imm_name, u, params=None, ambient_params=None):
     imm = catalog.immersion(imm_name, space, params)
     pg = point_geometry(space, imm, u)
     nd = normal_derivatives(pg)
-    ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
+    ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
     return space, pg, nd, ops, flags
 
@@ -41,7 +41,7 @@ def test_complex_curvature_trace_identity():
         for _ in range(20):
             m = int(rng.randint(1, 4))
             tf, nf = random_orthonormal_frames(space, x, m, rng)
-            ops = decompose(space, x, tf, nf)
+            ops = decompose(PointAmbient(space, x), tf, nf)
             hn = rng.randn(4 - m)
             H = hn @ nf
             trace = np.zeros(4)
@@ -69,7 +69,7 @@ def test_contact_curvature_trace_identity():
         for _ in range(12):
             m = int(rng.randint(1, 5))
             tf, nf = random_orthonormal_frames(space, x, m, rng)
-            ops = decompose(space, x, tf, nf)
+            ops = decompose(PointAmbient(space, x), tf, nf)
             hn = rng.randn(space.dim - m)
             H = hn @ nf
             trace = np.zeros(space.rep_dim)
@@ -208,9 +208,9 @@ def test_characterization_geodesic_sphere():
     imm = catalog.immersion("geodesic_sphere_cp2", space, {"r": rstar})
     data = _grid_data(space, imm)
     v = cmc_characterization(space, data, 3)
-    assert v.verdict == "Satisfied"
-    assert v.target == pytest.approx(6.0)
-    assert v.scalar_check["max_gap"] < 1e-8
+    assert v["status"] == "Satisfied"
+    assert v["target"] == pytest.approx(6.0)
+    assert v["scalar_check"]["max_gap"] < 1e-8
 
 
 def test_characterization_flat_sphere_violated():
@@ -218,9 +218,9 @@ def test_characterization_flat_sphere_violated():
     imm = catalog.immersion("round_hypersphere", space, {"r": 1.0})
     data = _grid_data(space, imm)
     v = cmc_characterization(space, data, 3)
-    assert v.verdict == "Violated"
-    assert v.target == 0.0
-    assert v.gap == pytest.approx(3.0)
+    assert v["status"] == "Violated"
+    assert v["target"] == 0.0
+    assert v["gap"] == pytest.approx(3.0)
 
 
 def test_characterization_small_hypersphere():
@@ -229,8 +229,8 @@ def test_characterization_small_hypersphere():
         imm = catalog.immersion("small_hypersphere", space, {"rho": rho})
         data = _grid_data(space, imm)
         v = cmc_characterization(space, data, 4)
-        assert v.verdict == expected, rho
-        assert v.target == pytest.approx(4.0)
+        assert v["status"] == expected, rho
+        assert v["target"] == pytest.approx(4.0)
 
 
 def test_characterization_not_applicable_for_minimal():
@@ -238,8 +238,8 @@ def test_characterization_not_applicable_for_minimal():
     imm = catalog.immersion("hyperplane_y1", space)
     data = _grid_data(space, imm)
     v = cmc_characterization(space, data, 4)
-    assert v.verdict == "NotApplicable"
-    assert v.failed_hypothesis == "nonzero_mean_curvature"
+    assert v["status"] == "NotApplicable"
+    assert v["failed_hypothesis"] == "nonzero_mean_curvature"
 
 
 def test_bound_constant_values():
@@ -255,12 +255,12 @@ def test_bound_equality_small_hypersphere():
     imm = catalog.immersion("small_hypersphere", space, {"rho": 2**-0.5})
     data = _grid_data(space, imm)
     rep = bound_check(space, data, 4)
-    assert rep.kind == "xi_phi_h_tangent"
-    assert rep.k_value == pytest.approx(4.0)
-    assert rep.bound == pytest.approx(1.0)
-    assert rep.h2 == pytest.approx(1.0)
-    assert rep.within_bound and rep.equality
-    assert rep.equality_case == {"pseudo_umbilical": True, "parallel_mean_curvature": True}
+    assert rep["kind"] == "xi_phi_h_tangent"
+    assert rep["k_value"] == pytest.approx(4.0)
+    assert rep["bound"] == pytest.approx(1.0)
+    assert rep["h2"] == pytest.approx(1.0)
+    assert rep["within_bound"] and rep["equality"]
+    assert rep["equality_case"] == {"pseudo_umbilical": True, "parallel_mean_curvature": True}
 
 
 def test_bound_broken_by_perturbed_radius():
@@ -268,8 +268,8 @@ def test_bound_broken_by_perturbed_radius():
     imm = catalog.immersion("small_hypersphere", space, {"rho": 0.65})
     data = _grid_data(space, imm)
     rep = bound_check(space, data, 4)
-    assert rep.equality is False
-    assert rep.within_bound is False  # |H|^2 = (1-rho^2)/rho^2 > 1, not biharmonic
+    assert rep["equality"] is False
+    assert rep["within_bound"] is False  # |H|^2 = (1-rho^2)/rho^2 > 1, not biharmonic
 
 
 def test_bound_lagrangian_value_formula():
@@ -279,7 +279,7 @@ def test_bound_lagrangian_value_formula():
     data = _grid_data(space, imm)
     if all(d.flags.is_lagrangian for d in data):
         rep = bound_check(space, data, 2, kind="lagrangian")
-        assert rep.bound == pytest.approx(2.5)
+        assert rep["bound"] == pytest.approx(2.5)
 
 
 def test_bound_lagrangian_flat_not_applicable():
@@ -287,40 +287,40 @@ def test_bound_lagrangian_flat_not_applicable():
     imm = catalog.immersion("product_torus", space, {"a": 1.0, "b": 0.5})
     data = _grid_data(space, imm)
     rep = bound_check(space, data, 2)
-    assert rep.kind == "lagrangian"
-    assert rep.verdict == "NotApplicable"
-    assert rep.failed_hypothesis == "positive_bound"
+    assert rep["kind"] == "lagrangian"
+    assert rep["status"] == "NotApplicable"
+    assert rep["failed_hypothesis"] == "positive_bound"
 
 
 def test_audit_sasakian_r5_applies():
     space = catalog.ambient("sasakian_r5")
     imm = catalog.immersion("hyperplane_y1", space)
     data = _grid_data(space, imm)
-    findings = {f.rule: f for f in nonexistence_audit(space, data, 4)}
+    findings = {f["rule"]: f for f in nonexistence_audit(space, data, 4)}
     f = findings["cmc_reeb_tangent_hypersurface"]
-    assert f.relevant and f.applies
-    assert f.detail["c_threshold"] == pytest.approx(-10.0 / 6.0)
-    assert f.detail["threshold_applies"] is True
+    assert f["relevant"] and f["applies"]
+    assert f["detail"]["c_threshold"] == pytest.approx(-10.0 / 6.0)
+    assert f["detail"]["threshold_applies"] is True
     # target = m f1 - f2 + 3 f3 with (f1, f2, f3) = (0, -1, -1)
-    assert f.detail["sup_target"] == pytest.approx(-2.0)
+    assert f["detail"]["sup_target"] == pytest.approx(-2.0)
 
 
 def test_audit_flat_complex_applies():
     space = catalog.ambient("flat_c2")
     imm = catalog.immersion("round_hypersphere", space, {"r": 1.0})
     data = _grid_data(space, imm)
-    findings = {f.rule: f for f in nonexistence_audit(space, data, 3)}
+    findings = {f["rule"]: f for f in nonexistence_audit(space, data, 3)}
     f = findings["cmc_hypersurface_nonpositive_scalar"]
-    assert f.relevant and f.applies
+    assert f["relevant"] and f["applies"]
 
 
 def test_audit_positive_curvature_does_not_apply():
     space = catalog.ambient("sasakian_sphere_s5")
     imm = catalog.immersion("small_hypersphere", space, {"rho": 2**-0.5})
     data = _grid_data(space, imm)
-    findings = {f.rule: f for f in nonexistence_audit(space, data, 4)}
-    assert findings["cmc_reeb_tangent_hypersurface"].applies is False
-    assert findings["cmc_xi_phi_h_tangent"].applies is False
+    findings = {f["rule"]: f for f in nonexistence_audit(space, data, 4)}
+    assert findings["cmc_reeb_tangent_hypersurface"]["applies"] is False
+    assert findings["cmc_xi_phi_h_tangent"]["applies"] is False
 
 
 def test_reduction_residual_vanishes_when_xi_terms_drop():

@@ -86,6 +86,43 @@ def test_duplicate_check_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("overrides, path", [
+    ({"checks": [5]}, "checks[0]"),
+    ({"checks": {"op": "residual"}}, "checks"),
+    ({"constants": {"r": "abc"}}, "constants.r"),
+    ({"constants": [1.0]}, "constants"),
+    ({"ambient": {"catalog": "flat_c2", "params": 5}}, "ambient.params"),
+    ({"immersion": {"catalog": "round_hypersphere", "params": [1.0]}}, "immersion.params"),
+    ({"domain": 5}, "domain"),
+    ({"order": "four"}, "order"),
+    ({"order": 4.5}, "order"),
+    ({"checks": [{"op": "residual", "tol": "1e-6"}]}, "checks[0].tol"),
+    ({"checks": [{"op": "residual", "tol": True}]}, "checks[0].tol"),
+    ({"checks": [{"op": "residual", "tol": -1}]}, "checks[0].tol"),
+    ({"checks": [{"op": "residual", "tolerance": 1e-6}]}, "checks[0].tolerance"),
+    ({"checks": [{"op": "audit", "tol": 1e-6}]}, "checks[0].tol"),
+    ({"checks": [{"op": "bound", "kind": "sideways"}]}, "checks[0].kind"),
+    ({"checks": [{"op": "bound", "kind": "xi_phi_h_tangent"}]}, "checks[0].kind"),
+])
+def test_malformed_document_field_is_config_error(tmp_path, capsys, overrides, path):
+    doc = {
+        "ambient": {"catalog": "flat_c2"},
+        "immersion": {"catalog": "round_hypersphere", "params": {"r": 1.0}},
+        "checks": [{"op": "residual"}],
+        **overrides,
+    }
+    scn = tmp_path / "bad.json"
+    scn.write_text(json.dumps(doc))
+    assert cli_main(["check", str(scn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: "), err
+
+
+def test_check_tol_defaults_to_its_declaration():
+    cfg = _cfg(checks=[{"op": "residual"}, {"op": "gauss", "tol": 0}, {"op": "audit"}])
+    assert [spec.tol for spec in cfg.checks] == [1e-6, 0, None]
+
+
 def test_overflowing_component_fails_points_not_the_run():
     # exp(800 u1) overflows at u1 = 1 (its value) and at u1 = 0.5 (the
     # induced metric); only u1 = 0 evaluates cleanly
@@ -585,9 +622,9 @@ def test_sweep_value_failing_everywhere_is_partial_not_fatal(tmp_path, capsys):
         sweep_solve(load_scenario(doc), "c", 0.2, 0.8, 3)
 
 
-def test_each_ambient_tensor_runs_at_most_twice_per_sample(monkeypatch):
-    # Once for the sample's ambient snapshot, which every curvature,
-    # coefficient and structure reader shares, and once in decompose.
+def test_each_ambient_tensor_runs_once_per_sample(monkeypatch):
+    # For the sample's ambient snapshot, which every curvature, coefficient
+    # and structure reader shares, decompose included.
     from collections import Counter
 
     from biharm.exprs import CompiledFields
@@ -607,4 +644,4 @@ def test_each_ambient_tensor_runs_at_most_twice_per_sample(monkeypatch):
     samples = rep.aggregates["points_total"]
     assert rep.aggregates["points_failed"] == 0 and samples > 1
     for name in ("metric", "phi", "reeb", "coeffs"):
-        assert 0 < runs[name] <= 2 * samples, (name, runs[name], samples)
+        assert runs[name] == samples, (name, runs[name], samples)

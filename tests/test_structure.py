@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from biharm import catalog
-from biharm.ambient import GeometryError
+from biharm.ambient import GeometryError, PointAmbient
 from biharm.structure import (
     DecompositionOperators,
     classify,
@@ -30,7 +30,7 @@ def test_relations_random_frames_flat():
     for _ in range(100):
         m = int(rng.randint(1, 4))
         tf, nf = random_orthonormal_frames(flat, x, m, rng)
-        rel = verify_relations(decompose(flat, x, tf, nf))
+        rel = verify_relations(decompose(PointAmbient(flat, x), tf, nf))
         assert max(rel.values()) < 1e-12
 
 
@@ -41,7 +41,7 @@ def test_relations_random_frames_contact():
     for _ in range(100):
         m = int(rng.randint(1, 5))
         tf, nf = random_orthonormal_frames(sr5, x, m, rng)
-        rel = verify_relations(decompose(sr5, x, tf, nf))
+        rel = verify_relations(decompose(PointAmbient(sr5, x), tf, nf))
         assert max(rel.values()) < 1e-10
 
 
@@ -61,12 +61,12 @@ def test_nonorthonormal_frames_rejected():
     bad = np.array([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0]])
     nf = np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0]])
     with pytest.raises(GeometryError):
-        decompose(flat, (0, 0, 0, 0), bad, nf)
+        decompose(PointAmbient(flat, (0, 0, 0, 0)), bad, nf)
 
 
 def test_product_torus_is_lagrangian():
     space, pg = _frames_from_immersion("flat_c2", "product_torus", (0.7, 1.9))
-    ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
+    ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     flags = classify(ops, (2, 4), pg.mean_normal_components)
     assert flags.is_lagrangian is True
     assert flags.is_complex is False
@@ -75,7 +75,7 @@ def test_product_torus_is_lagrangian():
 
 def test_hypersphere_flags():
     space, pg = _frames_from_immersion("flat_c2", "round_hypersphere", (0.7, 1.1, 0.9))
-    ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
+    ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     flags = classify(ops, (3, 4), pg.mean_normal_components)
     assert flags.is_hypersurface and not flags.is_curve
     assert flags.is_complex is False and flags.is_lagrangian is False
@@ -85,7 +85,7 @@ def test_hypersphere_flags():
 
 def test_hyperplane_reeb_tangent_and_lemma():
     space, pg = _frames_from_immersion("sasakian_r5", "hyperplane_y1", (0.2, -0.4, 0.3, 0.6))
-    ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
+    ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     flags = classify(ops, (4, 5), pg.mean_normal_components)
     assert flags.xi_tangent is True and flags.xi_normal is False
     pt, nt = reeb_tangent_hypersurface_identities(ops)
@@ -100,7 +100,7 @@ def test_adjoint_identity_tn_nt():
     p /= np.linalg.norm(p)
     for _ in range(25):
         tf, nf = random_orthonormal_frames(s5, p, int(rng.randint(1, 5)), rng)
-        ops = decompose(s5, p, tf, nf)
+        ops = decompose(PointAmbient(s5, p), tf, nf)
         assert np.abs(ops.tn + ops.nt.T).max() < 1e-12
 
 
@@ -112,7 +112,7 @@ def test_xi_normal_forces_anti_invariance():
     co = catalog.ambient("cosymplectic_r5")
     tf = np.eye(5)[:4]
     nf = np.eye(5)[4:]
-    ops = decompose(co, (0.1, 0.2, 0.3, 0.4, 0.5), tf, nf)
+    ops = decompose(PointAmbient(co, (0.1, 0.2, 0.3, 0.4, 0.5)), tf, nf)
     flags = classify(ops, (4, 5), None)
     assert flags.xi_normal is True
     assert flags.is_anti_invariant is False
@@ -124,7 +124,7 @@ def test_frame_independence_of_flags_and_relations():
     imm = catalog.immersion("hyperplane_y1", space)
     pg = point_geometry(space, imm, (0.1, 0.3, -0.2, 0.5), order=2)
     rng = np.random.RandomState(7)
-    base_ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
+    base_ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     base_rel = verify_relations(base_ops)
     base_flags = classify(base_ops, (4, 5), pg.mean_normal_components).as_dict()
     for _ in range(10):
@@ -132,7 +132,7 @@ def test_frame_independence_of_flags_and_relations():
         tf = q @ pg.tangent_frame
         s = rng.choice([-1.0, 1.0])
         nf = s * pg.normal_frame
-        ops = decompose(space, pg.position, tf, nf)
+        ops = decompose(pg.ambient, tf, nf)
         rel = verify_relations(ops)
         for key in base_rel:
             assert rel[key] == pytest.approx(base_rel[key], abs=1e-9)
@@ -144,7 +144,7 @@ def test_frame_independence_of_flags_and_relations():
 
 def test_phi_h_flags_not_applicable_when_minimal():
     space, pg = _frames_from_immersion("sasakian_r5", "hyperplane_y1", (0.0, 0.0, 0.0, 0.0))
-    ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
+    ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     flags = classify(ops, (4, 5), pg.mean_normal_components)
     assert pg.mean_curvature_norm < 1e-12
     assert flags.phi_h_tangent is None and flags.phi_h_normal is None
@@ -153,7 +153,7 @@ def test_phi_h_flags_not_applicable_when_minimal():
 def test_clifford_torus_flags():
     space, pg = _frames_from_immersion(
         "sasakian_sphere_s5", "clifford_torus_s5", (0.8, 1.1, 0.9, 2.2))
-    ops = decompose(space, pg.position, pg.tangent_frame, pg.normal_frame)
+    ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     flags = classify(ops, (4, 5), pg.mean_normal_components)
     assert flags.xi_tangent is True
     assert flags.phi_h_tangent is True

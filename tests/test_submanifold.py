@@ -41,7 +41,7 @@ def test_hypersphere_closed_form():
     r = 1.7
     assert pg.mean_curvature_norm == pytest.approx(1 / r, rel=1e-12)
     assert pg.second_fundamental_norm2 == pytest.approx(3 / r**2, rel=1e-12)
-    assert np.abs(pg.shape_operators[0] - np.eye(3) / r).max() < 1e-12
+    assert np.abs(pg.second_fundamental[0] - np.eye(3) / r).max() < 1e-12
     # inward normal: <nu, position> < 0 and <H, nu> = |H|
     assert pg.normal_frame[0] @ pg.position == pytest.approx(-r, rel=1e-12)
     assert pg.mean_curvature @ pg.normal_frame[0] == pytest.approx(1 / r, rel=1e-12)
@@ -77,7 +77,7 @@ def test_small_hypersphere_closed_form():
     pg = point_geometry(space, imm, (0.9, 1.4, 0.6, 2.2))
     assert pg.mean_curvature_norm == pytest.approx(1.0, rel=1e-12)
     assert pg.second_fundamental_norm2 == pytest.approx(4.0, rel=1e-12)
-    assert np.abs(pg.shape_operators[0] - np.eye(4)).max() < 1e-11
+    assert np.abs(pg.second_fundamental[0] - np.eye(4)).max() < 1e-11
     flag, dev = pseudo_umbilical_check(pg)
     assert flag is True and dev < 1e-10
 
