@@ -400,9 +400,8 @@ def bound_check(space: AmbientModel, points, m: int, kind: str | None = None,
         bound = None if k_value <= shift else (k_value - shift) / m
         out["k_value"] = k_value
     h2 = hmax**2
-    out["h2"] = h2
+    out.update(bound=bound, h2=h2)
     if bound is None or bound <= 0.0:
-        out["bound"] = bound
         hyp["positive_bound"] = False
         out["failed_hypothesis"] = "positive_bound"
         return out
@@ -415,7 +414,7 @@ def bound_check(space: AmbientModel, points, m: int, kind: str | None = None,
             "pseudo_umbilical": bool(devs) and max(devs) < 1e-6,
             "parallel_mean_curvature": max(p.nabla_h_norm for p in points) < 1e-6,
         }
-    out.update(status="WithinBound" if within else "Violated", bound=bound, within_bound=within,
+    out.update(status="WithinBound" if within else "Violated", within_bound=within,
                equality=equality)
     return out
 
