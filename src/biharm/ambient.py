@@ -125,7 +125,8 @@ def coefficients_at(space: AmbientModel, x) -> tuple[float, ...]:
 # -- jets of the metric and connection ---------------------------------------
 
 def metric_jet(space: AmbientModel, x, order: int) -> Jet:
-    """Jets of metric components at ``x``, as an (n, n) jet array.
+    """Jets of metric components at ``x``, as an (n, n) jet array; points
+    ``x`` of shape S + (n,) give one (n, n) array per sample, in one pass.
 
     Chart backend: coordinates are the jet variables.  Embedded backend:
     ``x`` is a point of the model's own parametrization and the pullback
@@ -137,31 +138,32 @@ def metric_jet(space: AmbientModel, x, order: int) -> Jet:
             raise GeometryError(f"metric not positive definite at {tuple(x)}")
         return g
     emb = space.jets("embed_map", seed_point(x, order + 1))
-    tangents = emb.gradient()
-    g = (tangents[:, None] * tangents[None]).sum(-1)
+    tangents = emb.gradient(axis=-2)
+    g = (tangents[..., :, None, :] * tangents[..., None, :, :]).sum(-1)
     if np.linalg.eigvalsh(g.value).min() <= 0.0:
         raise GeometryError(f"pullback metric degenerate at {tuple(x)}")
     return g
 
 
 def christoffel_symbols(ginv: Jet, dg: Jet) -> Jet:
-    """Christoffel symbol jets Gamma[c, a, b] from the inverse metric and
-    ``dg[c, a, b]`` = d_c g_ab, both of the same order."""
-    n = ginv.shape[0]
+    """Christoffel symbol jets Gamma[..., c, a, b] from the inverse metric and
+    ``dg[..., c, a, b]`` = d_c g_ab, both of the same order; leading axes
+    are sample axes."""
+    n = ginv.shape[-1]
     low = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg) * 0.5
     # Gamma is symmetric in (a, b): contract the upper triangle only
     a, b = np.triu_indices(n)
-    upper = (ginv[:, :, None] * low[None, :, a, b]).sum(1)
-    out = np.empty((n, n, n, upper.coeffs.shape[-1]))
-    out[:, a, b] = upper.coeffs
-    out[:, b, a] = upper.coeffs
+    upper = (ginv[..., :, :, None] * low[..., None, :, a, b]).sum(-2)
+    out = np.empty(upper.shape[:-2] + (n, n, n, upper.coeffs.shape[-1]))
+    out[..., :, a, b, :] = upper.coeffs
+    out[..., :, b, a, :] = upper.coeffs
     return Jet(upper.space, out)
 
 
 def christoffel_from_metric_jets(g) -> Jet:
     """Christoffel symbol jets (one order lower than the metric jets)."""
     g = stack(g)
-    dg = g.gradient()
+    dg = g.gradient(axis=-3)
     return christoffel_symbols(jet_matrix_inverse(g.truncate(dg.order)), dg)
 
 
@@ -175,6 +177,8 @@ def christoffel_jet(space: AmbientModel, x, order: int):
 
 
 def christoffel_point(space: AmbientModel, x) -> np.ndarray:
+    """Gamma^c_ab at ``x``; points of shape S + (n,) give S + (n, n, n) from
+    one batched metric jet."""
     return christoffel_jet(space, x, 0).value
 
 

@@ -118,7 +118,7 @@ class _JetSpace:
             terms = a.take(ia) * b.take(ib)
             terms *= w
             return np.bincount(out, weights=terms, minlength=self.size)
-        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        shape = np.broadcast(a[..., 0], b[..., 0]).shape  # twice as fast as broadcast_shapes
         rows = math.prod(shape)
         if rows > 1 and rows * len(out) > _CHUNK_TERMS:  # bound the temporaries
             a = np.broadcast_to(a, shape + a.shape[-1:]).reshape(rows, -1)
@@ -225,7 +225,11 @@ class Jet:
         return Jet(self.space, self.coeffs.sum(tuple(a - 1 if a < 0 else a for a in axes)))
 
     def transpose(self, *axes) -> "Jet":
-        return Jet(self.space, self.coeffs.transpose(axes + (len(axes),)))
+        """Permute the last ``len(axes)`` leading axes; any axes before them
+        (sample axes) stay in place."""
+        lead = len(self.shape) - len(axes)
+        perm = tuple(range(lead)) + tuple(lead + a for a in axes) + (len(self.shape),)
+        return Jet(self.space, self.coeffs.transpose(perm))
 
     # -- structure -------------------------------------------------------
     def truncate(self, order: int) -> "Jet":
@@ -243,35 +247,36 @@ class Jet:
         src = self.space.diff_map(var)
         return Jet(_space(self.nvars, self.order - 1), self.coeffs.take(src, axis=-1))
 
-    def gradient(self) -> "Jet":
-        """Every first partial, stacked on a new leading axis (one order lower)."""
-        return stack([self.derivative(q) for q in range(self.nvars)])
+    def gradient(self, axis: int = 0) -> "Jet":
+        """Every first partial, stacked on a new leading axis at position
+        ``axis`` (see :func:`stack`), one order lower."""
+        return stack([self.derivative(q) for q in range(self.nvars)], axis=axis)
 
     # -- arithmetic ------------------------------------------------------
-    def _pair(self, other):
-        """Coefficient arrays of both operands in their common space."""
-        if isinstance(other, Jet):
-            if other.space is self.space:
-                return self.space, self.coeffs, other.coeffs
-            if other.nvars != self.nvars:
-                raise ValueError("jets over different variable counts")
-            sp = self.space if self.order <= other.order else other.space
-            return sp, self.coeffs[..., : sp.size], other.coeffs[..., : sp.size]
-        if isinstance(other, np.ndarray):
-            return self.space, self.coeffs, Jet.constant(self.nvars, self.order, other).coeffs
-        return None, None, None
+    def _pair(self, other: "Jet"):
+        """Coefficient arrays of two jets in their common space."""
+        if other.space is self.space:
+            return self.space, self.coeffs, other.coeffs
+        if other.nvars != self.nvars:
+            raise ValueError("jets over different variable counts")
+        sp = self.space if self.order <= other.order else other.space
+        return sp, self.coeffs[..., : sp.size], other.coeffs[..., : sp.size]
 
     def __add__(self, other):
-        if isinstance(other, Jet) and other.space is self.space:
-            return Jet(self.space, self.coeffs + other.coeffs)
+        if isinstance(other, Jet):
+            if other.space is self.space:
+                return Jet(self.space, self.coeffs + other.coeffs)
+            sp, a, b = self._pair(other)
+            return Jet(sp, a + b)
         if isinstance(other, (int, float)):
             c = self.coeffs.copy()
-            c[..., 0] += other
-            return Jet(self.space, c)
-        sp, a, b = self._pair(other)
-        if sp is None:
+        elif isinstance(other, np.ndarray):  # an array of constants, over the leading axes
+            c = np.empty(np.broadcast_shapes(self.shape, other.shape) + self.coeffs.shape[-1:])
+            c[...] = self.coeffs
+        else:
             return NotImplemented
-        return Jet(sp, a + b)
+        c[..., 0] += other  # a constant moves the values only
+        return Jet(self.space, c)
 
     __radd__ = __add__
 
@@ -285,15 +290,17 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Jet):
+            sp, a, b = self._pair(other)
+            if not (a.any() and b.any()):
+                shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+                return Jet(sp, np.zeros(shape + (sp.size,)))
+            return Jet(sp, sp.mul(a, b))
         if isinstance(other, (int, float)):
             return Jet(self.space, self.coeffs * other)
-        sp, a, b = self._pair(other)
-        if sp is None:
-            return NotImplemented
-        if not (a.any() and b.any()):
-            shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-            return Jet(sp, np.zeros(shape + (sp.size,)))
-        return Jet(sp, sp.mul(a, b))
+        if isinstance(other, np.ndarray):  # an array of constants, over the leading axes
+            return Jet(self.space, self.coeffs * other[..., None])
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -428,10 +435,12 @@ class Jet:
 
 # -- arrays of jets ----------------------------------------------------------
 
-def stack(items, nvars: int | None = None, order: int | None = None) -> Jet:
+def stack(items, nvars: int | None = None, order: int | None = None, axis: int = 0) -> Jet:
     """One jet array from a (nested) sequence of jets over the same variables,
     at the lowest order among them; plain numbers become constant jets of
-    (``nvars``, ``order``)."""
+    (``nvars``, ``order``).  The outermost new axis sits at leading position
+    ``axis`` of the result; a negative ``axis`` counts from its last leading
+    axis, so fields with sample axes in front stack with ``axis=-k``."""
     if isinstance(items, Jet):
         return items
     if not isinstance(items, (list, tuple)):
@@ -440,7 +449,8 @@ def stack(items, nvars: int | None = None, order: int | None = None) -> Jet:
     sp = min((p.space for p in parts), key=lambda s: s.order)
     if any(p.nvars != sp.nvars for p in parts):
         raise ValueError("jets over different variable counts")
-    return Jet(sp, np.stack([p.coeffs[..., : sp.size] for p in parts]))
+    return Jet(sp, np.stack([p.coeffs[..., : sp.size] for p in parts],
+                            axis=axis - 1 if axis < 0 else axis))
 
 
 # -- cross-space plumbing -------------------------------------------------
@@ -471,13 +481,24 @@ def extract(jet: Jet, nvars: int, order: int, extra: int | None = None) -> Jet:
 
 
 def seed_point(point, order: int) -> list[Jet]:
-    """Variable jets for every coordinate of ``point``."""
-    n = len(point)
-    return [Jet.variable(n, order, i, float(point[i])) for i in range(n)]
+    """Variable jets for every coordinate of ``point``, an array of shape
+    S + (n,): the jets carry the sample axes S, and a single point is the
+    case S = ()."""
+    point = np.asarray(point, dtype=float)
+    sp = _space(point.shape[-1], order)
+    out = []
+    for i in range(sp.nvars):
+        c = np.zeros(point.shape[:-1] + (sp.size,))
+        c[..., 0] = point[..., i]
+        if order >= 1:
+            c[..., 1 + i] = 1.0  # first-degree entries follow the value, in variable order
+        out.append(Jet(sp, c))
+    return out
 
 
 def jet_matrix_inverse(mat) -> Jet:
-    """Invert a square matrix of jets (a jet array or nested rows of jets).
+    """Invert a square matrix of jets (a jet array or nested rows of jets),
+    or one per sample when the array has sample axes in front.
 
     With A = A0 + N, N free of constant terms, the inverse is the Neumann
     series sum_j (-A0^-1 N)^j A0^-1, which terminates at the jet order;
@@ -491,10 +512,10 @@ def jet_matrix_inverse(mat) -> Jet:
         inv0 = np.linalg.inv(a0)
     except np.linalg.LinAlgError:
         raise DomainError("singular matrix of jets") from None
-    step = Jet(a.space, -np.einsum("ij,jk...->ik...", inv0, a.coeffs))
+    step = Jet(a.space, -np.einsum("...ij,...jkz->...ikz", inv0, a.coeffs))
     step.coeffs[..., 0] = 0.0
     head = Jet.constant(a.nvars, a.order, inv0)
     out = head
     for _ in range(a.order):
-        out = head + (step[:, :, None] * out[None]).sum(1)
+        out = head + (step[..., :, :, None] * out[..., None, :, :]).sum(-2)
     return out

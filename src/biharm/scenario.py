@@ -34,8 +34,12 @@ import numpy as np
 
 from . import catalog
 from .ambient import (
+    COMPLEX_SPACE_FORM,
+    COSYMPLECTIC,
+    KENMOTSU,
     KIND_COMPLEX,
     KIND_CONTACT,
+    SASAKI,
     AmbientModel,
     ClassicalTag,
     GeometryError,
@@ -85,6 +89,10 @@ from .submanifold import (
 # ``pg.ambient``.
 
 SCHEMA_VERSION = 1
+
+# the classical families an inline ambient's ``tag`` may name, per kind
+TAG_FAMILIES = {KIND_COMPLEX: (COMPLEX_SPACE_FORM,),
+                KIND_CONTACT: (SASAKI, KENMOTSU, COSYMPLECTIC)}
 
 BRANCH_PRIORITY = {
     KIND_COMPLEX: ("curve", "hypersurface", "complex_surface", "lagrangian_surface"),
@@ -139,15 +147,28 @@ def _mapping(doc, path) -> dict:
     return doc
 
 
+def _number(value, path) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected a number, got {value!r}", path) from None
+
+
 def _numbers(doc, path) -> dict:
     """A mapping of names to numbers, as floats."""
-    out = {}
-    for k, v in _mapping(doc, path).items():
-        try:
-            out[str(k)] = float(v)
-        except (TypeError, ValueError):
-            raise ConfigError(f"expected a number, got {v!r}", f"{path}.{k}") from None
-    return out
+    return {str(k): _number(v, f"{path}.{k}") for k, v in _mapping(doc, path).items()}
+
+
+def _integer(value, path) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise ConfigError(f"expected an integer, got {value!r}", path)
+    return int(value)
+
+
+def _boolean(value, path) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"expected true or false, got {value!r}", path)
+    return value
 
 
 def _load_ambient(doc, constants, path) -> AmbientModel:
@@ -183,12 +204,18 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
                                   for n in names])
     tag = None
     if doc.get("tag"):
-        tag = ClassicalTag(doc["tag"]["family"], float(doc["tag"]["value"]))
+        tag_doc = _mapping(doc["tag"], path + ".tag")
+        family = _require(tag_doc, "family", path + ".tag")
+        if family not in TAG_FAMILIES[kind]:
+            raise ConfigError(f"{family!r} is not one of {', '.join(TAG_FAMILIES[kind])} for a "
+                              f"{kind} ambient", path + ".tag.family")
+        tag = ClassicalTag(family, _number(_require(tag_doc, "value", path + ".tag"),
+                                           path + ".tag.value"))
     kwargs = dict(
         name=doc.get("name", "inline"),
         kind=kind,
         backend=doc.get("backend", "chart"),
-        dim=int(_require(doc, "dim", path)),
+        dim=_integer(_require(doc, "dim", path), path + ".dim"),
         coords=coords,
         coeffs=coeffs,
         tag=tag,
@@ -278,17 +305,18 @@ def _load_axes(axes_doc, path) -> tuple[Axis, ...]:
         raise ConfigError("expected a non-empty list of axes", path)
     axes = []
     for i, ax in enumerate(axes_doc):
+        at = f"{path}.axes[{i}]"
         try:
             axes.append(Axis(
-                lo=float(_require(ax, "lo", f"{path}.axes[{i}]")),
-                hi=float(_require(ax, "hi", f"{path}.axes[{i}]")),
-                samples=int(_require(ax, "samples", f"{path}.axes[{i}]")),
-                periodic=bool(ax.get("periodic", False)),
+                lo=float(_require(ax, "lo", at)),
+                hi=float(_require(ax, "hi", at)),
+                samples=int(_require(ax, "samples", at)),
+                periodic=_boolean(ax.get("periodic", False), at + ".periodic"),
             ))
         except (TypeError, ValueError) as e:
-            raise ConfigError(str(e), f"{path}.axes[{i}]") from None
+            raise ConfigError(str(e), at) from None
         if axes[-1].samples < 1 or axes[-1].hi <= axes[-1].lo:
-            raise ConfigError("need hi > lo and samples >= 1", f"{path}.axes[{i}]")
+            raise ConfigError("need hi > lo and samples >= 1", at)
     return tuple(axes)
 
 
@@ -347,10 +375,7 @@ def load_scenario(document) -> ScenarioConfig:
     checks = []
     for i, c in enumerate(checks_doc):
         checks.append(_load_check(c, f"checks[{i}]", space, [spec.op for spec in checks]))
-    order = doc.get("order", 4)
-    if isinstance(order, bool) or not isinstance(order, (int, float)) or order % 1 != 0:
-        raise ConfigError(f"expected an integer, got {order!r}", "order")
-    order = int(order)
+    order = _integer(doc.get("order", 4), "order")
     if order < 4:
         raise ConfigError("jet order below 4 cannot feed the normal Laplacian", "order")
     return ScenarioConfig(
@@ -397,34 +422,50 @@ class PointRecord:
     signed_normal: float | None = None
 
 
-def _require_finite(data: PointData):
-    """Raise DomainError naming every computed sample quantity that is not finite."""
+def _require_finite(data: PointData, relations: dict | None):
+    """Raise DomainError naming every computed sample quantity that is not
+    finite: the aggregates reduce them with ``max``, which would drop a NaN."""
     values = {"|H|": data.h_norm, "|B|^2": data.b_norm2}
     if data.scal_intrinsic is not None:
         values["intrinsic scalar curvature"] = data.scal_intrinsic
         values["Gauss scalar curvature"] = data.scal_via_gauss
+    if data.pseudo_deviation is not None:
+        values["pseudo-umbilical deviation"] = data.pseudo_deviation
+    if data.reduction_residual is not None:
+        values["reduction residual"] = data.reduction_residual
     for name, res in data.residuals.items():
         values[f"{name} normal residual"] = res.normal_norm
         values[f"{name} tangential residual"] = res.tangential_norm
+    for name, v in (relations or {}).items():
+        values[f"{name} relation"] = v
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
         raise DomainError("non-finite " + ", ".join(bad))
 
 
-def _evaluate_point(cfg: ScenarioConfig, u, needs: frozenset) -> PointRecord:
-    """The quantities ``needs`` at ``u``, each listed with what it rests on;
-    a geometric, arithmetic or non-finite fault fails just this point,
-    naming the reason."""
+# the faults that fail a sample (a batch of samples: every one of them)
+_POINT_FAULTS = (GeometryError, ArithmeticError, np.linalg.LinAlgError)
+
+
+def _faults_raise():
+    return np.errstate(over="raise", invalid="raise", divide="raise")
+
+
+def _evaluate_point(cfg: ScenarioConfig, u, needs: frozenset, pg=None) -> PointRecord:
+    """The quantities ``needs`` at ``u``, each listed with what it rests on,
+    from its geometry ``pg`` when given; a geometric, arithmetic or
+    non-finite fault fails just this point, naming the reason."""
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _evaluate_point_data(cfg, u, needs)
-    except (GeometryError, ArithmeticError, np.linalg.LinAlgError) as e:
+        with _faults_raise():
+            return _evaluate_point_data(cfg, u, needs, pg)
+    except _POINT_FAULTS as e:
         return PointRecord(u=tuple(u), error=str(e))
 
 
-def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset) -> PointRecord:
+def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset, pg) -> PointRecord:
     space, imm = cfg.ambient, cfg.immersion
-    pg = point_geometry(space, imm, u, 2 if needs <= _ORDER2 else cfg.order)
+    if pg is None:
+        pg = point_geometry(space, imm, u, 2 if needs <= _ORDER2 else cfg.order)
     data = PointData(u=tuple(u), h_norm=pg.mean_curvature_norm,
                      b_norm2=pg.second_fundamental_norm2)
     record = PointRecord(u=tuple(u), data=data)
@@ -448,25 +489,39 @@ def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset) -> PointRecor
         _, data.pseudo_deviation = pseudo_umbilical_check(pg)
     if SCALAR in needs:
         data.scal_intrinsic, data.scal_via_gauss = scalar_curvature(space, pg)
-    _require_finite(data)
+    if RELATIONS in needs:
+        record.relations = verify_relations(ops)
+    _require_finite(data, record.relations)
     if COEFFICIENTS in needs:
         data.coeffs = pg.ambient.coeffs
     if RESIDUALS in needs and pg.mean_curvature_norm > 1e-9:
         normal = data.residuals[GENERAL].normal
         record.signed_normal = (float(normal @ pg.ambient_metric @ pg.mean_curvature)
                                 / pg.mean_curvature_norm)
-    if RELATIONS in needs:
-        record.relations = verify_relations(ops)
     return record
 
 
 def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointRecord]:
-    """``needs`` at every grid sample, with the geometry and what they rest on."""
+    """``needs`` at every grid sample, with the geometry and what they rest on.
+
+    At jet order 2 the whole grid's geometry is one batch; a fault anywhere
+    in it reruns the grid one sample at a time, so that each failed point
+    keeps its own reason.  Order-4 grids run one sample per call.
+    """
     closed = {GEOMETRY, *needs}
     for q in needs:
         closed.update(_REQUIRES.get(q, ()))
     closed = frozenset(closed)
-    return [_evaluate_point(cfg, u, closed) for u in cfg.immersion.grid()]
+    grid = cfg.immersion.grid()
+    if closed <= _ORDER2:
+        try:
+            with _faults_raise():
+                batch = point_geometry(cfg.ambient, cfg.immersion, grid, 2)
+        except _POINT_FAULTS:
+            pass
+        else:
+            return [_evaluate_point(cfg, u, closed, batch.sample(i)) for i, u in enumerate(grid)]
+    return [_evaluate_point(cfg, u, closed) for u in grid]
 
 
 def _flag_consensus(datas) -> dict:

@@ -11,7 +11,10 @@ differences appear only inside the independent cross-check oracle
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,63 +74,101 @@ class ImmersionModel(CompiledFields):
 
 # -- jet-level linear algebra over a metric backend ---------------------------
 #
-# Fields are jet arrays: a batch of vector fields has shape (..., d), so an
-# inner product, a covariant derivative or a projection of the whole batch is
-# a few jet products plus an axis sum.
+# Fields are jet arrays with the sample axes S in front: a batch of vector
+# fields has shape S + (..., d), so an inner product, a covariant derivative
+# or a projection of the whole batch is a few jet products plus an axis sum.
+# The per-sample tensors of a calculus (metric, connection, normals) are
+# lifted over a field's own axes by ``_lift``.
 
 
-class _ChartCalc:
+def _lift(x, nb: int, k: int):
+    """``x`` with ``k`` singleton axes inserted after its ``nb`` leading
+    axes; with none, numpy's right-aligned broadcasting already lines up."""
+    return x[(slice(None),) * nb + (None,) * k] if nb and k else x
+
+
+class _Calc:
+    """Covariant calculus along the immersion at the samples of ``pos``
+    (shape S + (d,)); ``sample(index)`` is the calculus of one sample."""
+
+    def __init__(self, space, pos):
+        self.space, self.m, self.nb = space, pos.nvars, len(pos.shape) - 1
+        self.T = pos.gradient(axis=-2)
+
+    def _rank(self, v):
+        """Field axes of ``v`` besides the samples and the vector axis."""
+        return v.coeffs.ndim - self.nb - 2
+
+    def sample(self, index):
+        out = copy.copy(self)
+        out.nb = 0
+        for name, value in vars(self).items():
+            if isinstance(value, Jet):
+                setattr(out, name, value[index])
+        return out
+
+
+@lru_cache(maxsize=None)
+def _displacements(m: int, d: int, order: int) -> Jet:
+    """The d ambient displacement variables of the augmented (m + d)-variable
+    chart space, at 0, as one (d,) jet array (read only)."""
+    return stack([Jet.variable(m + d, order, m + a, 0.0) for a in range(d)])
+
+
+class _ChartCalc(_Calc):
     """Covariant calculus along the immersion for a chart ambient."""
 
     def __init__(self, space, pos):
-        m, d, order = pos.nvars, space.dim, pos.order
-        self.space, self.m, self.d = space, m, d
-        aug = embed(pos, m + d) + stack([Jet.variable(m + d, order, m + a, 0.0)
-                                         for a in range(d)])
-        g_aug = space.jets("metric", list(aug))
+        super().__init__(space, pos)
+        m, d, order = self.m, space.dim, pos.order
+        self.d = d
+        aug = embed(pos, m + d) + _displacements(m, d, order)
+        g_aug = space.jets("metric", [aug[..., a] for a in range(d)])
         self.g = extract(g_aug, m, order)
         if np.linalg.eigvalsh(self.g.value).min() <= 0.0:
             raise GeometryError("ambient metric not positive definite along immersion")
-        dg = stack([extract(g_aug, m, order - 1, extra=m + c) for c in range(d)])
+        dg = stack([extract(g_aug, m, order - 1, extra=m + c) for c in range(d)], axis=-3)
         gamma = christoffel_symbols(jet_matrix_inverse(self.g.truncate(order - 1)), dg)
-        self.T = pos.gradient()
         # precontracted Gamma(T_q, .)[q, c, b]: covd then costs d^2 products, not d^3
-        self.gamma_t = (gamma[None] * self.T[:, None, :, None]).sum(2)
+        self.gamma_t = (gamma[..., None, :, :, :] * self.T[..., :, None, :, None]).sum(-2)
 
     def inner(self, v, w):
-        """g(v, w) over broadcast batches; put the smaller batch in ``v``."""
-        return ((self.g * v[..., :, None]).sum(-2) * w).sum(-1)
+        """g(v, w) over broadcast batches of equal rank; put the smaller batch in ``v``."""
+        g = _lift(self.g, self.nb, self._rank(v))
+        return ((g * v[..., :, None]).sum(-2) * w).sum(-1)
 
     def covd(self, v):
-        """Ambient covariant derivatives (m, ...) of the fields ``v`` along every parameter."""
-        gt = self.gamma_t[(slice(None),) + (None,) * (len(v.shape) - 1)]
-        return v.gradient() + (gt * v[None, ..., None, :]).sum(-1)
+        """Ambient covariant derivatives S + (m, ...) of the fields ``v`` along every parameter."""
+        gt = _lift(self.gamma_t, self.nb + 1, self._rank(v))
+        return v.gradient(axis=self.nb) + (gt * _lift(v, self.nb, 1)[..., None, :]).sum(-1)
 
     def frame_candidates(self):
         return Jet.constant(self.m, self.T.order, np.eye(self.d))
 
 
-class _EmbeddedCalc:
+class _EmbeddedCalc(_Calc):
     """Covariant calculus via Euclidean derivatives and tangential projection."""
 
     def __init__(self, space, pos):
-        self.space, self.m, self.d = space, pos.nvars, space.rep_dim
-        self.T = pos.gradient()
-        n = space.jets("normals", list(pos))
-        self.normals = n * self.inner(n, n).powr(-0.5)[:, None]
+        super().__init__(space, pos)
+        self.d = space.rep_dim
+        n = space.jets("normals", [pos[..., a] for a in range(self.d)])
+        self.normals = n * self.inner(n, n).powr(-0.5)[..., None]
 
     def inner(self, v, w):
         return (v * w).sum(-1)
 
     def project(self, v):
-        dots = self.inner(v[..., None, :], self.normals)
-        return v - (dots[..., None] * self.normals).sum(-2)
+        normals = _lift(self.normals, self.nb, self._rank(v))
+        dots = self.inner(v[..., None, :], normals)
+        return v - (dots[..., None] * normals).sum(-2)
 
     def covd(self, v):
-        return self.project(v.gradient())
+        return self.project(v.gradient(axis=self.nb))
 
     def frame_candidates(self):
-        return self.project(Jet.constant(self.m, self.T.order, np.eye(self.d)))
+        eye = np.broadcast_to(np.eye(self.d), self.T.shape[:-2] + (self.d, self.d))
+        return self.project(Jet.constant(self.m, self.T.order, eye))
 
 
 def _make_calc(space, pos):
@@ -139,46 +180,60 @@ def _make_calc(space, pos):
 
 def _orthonormal_tangent(calc, T):
     """Gram-Schmidt on the coordinate tangent fields, tracking coefficients."""
-    m = T.shape[0]
+    m = T.shape[-2]
     eye = Jet.constant(calc.m, T.order, np.eye(m))
     frames, coeffs = [], []
     for i in range(m):
-        v, c = T[i], eye[i]
+        v, c = T[..., i, :], eye[i]
         for Xj, cj in zip(frames, coeffs):
-            dot = calc.inner(Xj, v)
+            dot = calc.inner(Xj, v)[..., None]
             v = v - dot * Xj
             c = c - dot * cj
         n2 = calc.inner(v, v)
-        if n2.value <= RANK_TOL**2:
+        if (n2.coeffs[..., 0] <= RANK_TOL**2).any():
             raise GeometryError(f"immersion differential rank-deficient (direction {i + 1})")
-        inv = n2.powr(-0.5)
+        inv = n2.powr(-0.5)[..., None]
         frames.append(inv * v)
         coeffs.append(inv * c)
-    return stack(frames), stack(coeffs)
+    return stack(frames, axis=-2), stack(coeffs, axis=-2)
+
+
+def _pick(jet, batch, picks):
+    """Entry ``picks[r]`` of the first field axis after the sample axes
+    ``batch``, at every sample r (in row-major order)."""
+    c = jet.coeffs
+    rows = c.reshape((len(picks),) + c.shape[len(batch):])[np.arange(len(picks)), picks]
+    return Jet(jet.space, rows.reshape(batch + rows.shape[1:]))
 
 
 def _complete_normal(calc, frames, need):
-    """Pivoted Gram-Schmidt completion of the tangent frame to a normal frame."""
+    """Pivoted Gram-Schmidt completion of the tangent frame to a normal
+    frame; every sample takes its own pivots, applied by a gather."""
     reduced = calc.frame_candidates()
-    for X in frames:
-        reduced = reduced - calc.inner(X, reduced)[:, None] * X
-    normals, used = [], set()
+    for i in range(frames.shape[-2]):
+        X = frames[..., i:i + 1, :]
+        reduced = reduced - calc.inner(X, reduced)[..., :, None] * X
+    batch = frames.shape[:-2]
+    used = [set() for _ in range(math.prod(batch))]
+    normals = []
     while len(normals) < need:
         v = reduced
         for N in normals:
-            v = v - calc.inner(N, v)[:, None] * N
+            v = v - calc.inner(N[..., None, :], v)[..., :, None] * N[..., None, :]
         n2 = calc.inner(v, v)
-        nv = n2.value
-        best, best_norm = None, -1.0
-        for idx in range(len(nv)):
-            # strict improvement; ties keep lowest index
-            if idx not in used and nv[idx] > best_norm + 1e-14:
-                best, best_norm = idx, nv[idx]
-        if best is None or best_norm <= RANK_TOL**2:
-            raise GeometryError("could not complete an orthonormal normal frame")
-        used.add(best)
-        normals.append(n2[best].powr(-0.5) * v[best])
-    return stack(normals)
+        picks = []
+        for taken, norms in zip(used, n2.coeffs[..., 0].reshape(len(used), -1).tolist()):
+            best, best_norm = None, -1.0
+            for idx, norm in enumerate(norms):
+                # strict improvement; ties keep lowest index
+                if idx not in taken and norm > best_norm + 1e-14:
+                    best, best_norm = idx, norm
+            if best is None or best_norm <= RANK_TOL**2:
+                raise GeometryError("could not complete an orthonormal normal frame")
+            taken.add(best)
+            picks.append(best)
+        normals.append(_pick(n2, batch, picks).powr(-0.5)[..., None] * _pick(v, batch, picks))
+    return stack(normals, axis=-2)
 
 
 # -- public data ---------------------------------------------------------------
@@ -186,17 +241,21 @@ def _complete_normal(calc, frames, need):
 
 @dataclass
 class PointGeometry:
-    u: tuple
+    """The geometry at parameter points of shape S + (m,): every array has
+    the sample axes S in front, and a single sample (S = ()) carries its
+    ambient snapshot and plain floats.  ``sample(index)`` is one sample."""
+
+    u: tuple | np.ndarray
     position: np.ndarray
     tangent_frame: np.ndarray        # rows are orthonormal tangent vectors
     normal_frame: np.ndarray         # rows are orthonormal normal vectors
     induced_metric: np.ndarray       # coordinate-basis first fundamental form
     ambient_metric: np.ndarray       # ambient metric at the position (identity if embedded)
-    ambient: PointAmbient = field(repr=False)  # ambient tensors at the position, on first use
+    ambient: PointAmbient | None = field(repr=False)  # ambient tensors at the position, on first use
     second_fundamental: np.ndarray   # [normal, i, j] frame components of B
     mean_curvature: np.ndarray       # ambient-representation vector
-    mean_curvature_norm: float
-    second_fundamental_norm2: float
+    mean_curvature_norm: float | np.ndarray
+    second_fundamental_norm2: float | np.ndarray
     m: int
     order: int
     _state: dict = field(repr=False, default_factory=dict)
@@ -204,6 +263,29 @@ class PointGeometry:
     @property
     def mean_normal_components(self) -> np.ndarray:
         return self._state["h_normal"]
+
+    def sample(self, index) -> "PointGeometry":
+        """The single-sample geometry at ``index`` of the sample axes: the
+        same values, jets and calculus as a call at that point alone."""
+        st = self._state
+        state = {k: v.sample(index) if k == "calc" else v[index] for k, v in st.items()}
+        position = self.position[index]
+        return PointGeometry(
+            u=tuple(self.u[index].tolist()),
+            position=position,
+            tangent_frame=self.tangent_frame[index],
+            normal_frame=self.normal_frame[index],
+            induced_metric=self.induced_metric[index],
+            ambient_metric=self.ambient_metric[index],
+            ambient=PointAmbient(st["calc"].space, position),
+            second_fundamental=self.second_fundamental[index],
+            mean_curvature=self.mean_curvature[index],
+            mean_curvature_norm=float(self.mean_curvature_norm[index]),
+            second_fundamental_norm2=float(self.second_fundamental_norm2[index]),
+            m=self.m,
+            order=self.order,
+            _state=state,
+        )
 
 
 @dataclass
@@ -215,50 +297,61 @@ class NormalFieldDerivatives:
     trace_shape_gradient: np.ndarray # sum_i A_{nabla-perp_{X_i} H}(X_i)
 
 
+def _orientation(calc, H, normals):
+    """Per-sample sign of a hypersurface normal: <H, nu> >= 0, else first
+    nonvanishing component positive."""
+    s = calc.inner(H, normals[..., 0, :]).coeffs[..., 0]
+    nu = normals[..., 0, :].coeffs[..., 0]
+    signs = []
+    for s_row, nu_row in zip(s.reshape(-1).tolist(), nu.reshape(s.size, -1).tolist()):
+        flip = s_row < -1e-12
+        if abs(s_row) <= 1e-12:
+            flip = next((c for c in nu_row if abs(c) > 1e-12), 0.0) < 0.0
+        signs.append(-1.0 if flip else 1.0)
+    return np.reshape(signs, s.shape)
+
+
 def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) -> PointGeometry:
-    """Frames, fundamental forms and mean curvature at one parameter point."""
-    m = imm.dim
+    """Frames, fundamental forms and mean curvature at the parameter points
+    ``u`` (shape S + (m,)), every sample in one jet pass; one point is the
+    case S = ().  A fault at any sample raises for the whole batch."""
+    u = np.asarray(u, dtype=float)
+    batch, m = u.shape[:-1], imm.dim
     pos = imm.jets("components", seed_point(u, order))
     calc = _make_calc(space, pos)
     T = calc.T
-    g_ind = calc.inner(T[:, None], T[None])
+    g_ind = calc.inner(T[..., :, None, :], T[..., None, :, :])
     gram = g_ind.value
     if not np.isfinite(gram).all():
-        raise DomainError(f"non-finite induced metric at {tuple(u)}")
+        raise DomainError(f"non-finite induced metric at {tuple(u.tolist())}")
     if np.linalg.eigvalsh(gram).min() <= RANK_TOL**2:
-        raise GeometryError(f"immersion differential rank-deficient at {tuple(u)}")
+        raise GeometryError(f"immersion differential rank-deficient at {tuple(u.tolist())}")
 
     frames, coeffs = _orthonormal_tangent(calc, T)
     codim = space.dim - m
     normals = _complete_normal(calc, frames, codim)
 
     # nabla_{X_i} X_j = sum_q coeffs[i, q] nabla_{d_q} X_j
-    nablaXX = (coeffs[:, :, None, None] * calc.covd(frames)[None]).sum(1)
-    b = calc.inner(normals[:, None, None], nablaXX[None])
+    nablaXX = (coeffs[..., :, :, None, None] * calc.covd(frames)[..., None, :, :, :]).sum(-3)
+    b = calc.inner(normals[..., :, None, None, :], nablaXX[..., None, :, :, :])
 
     # mean curvature field H = (1/m) sum_i B(X_i, X_i), as jets
     diag = np.arange(m)
-    h_n = b[:, diag, diag].sum(-1) * (1.0 / m)
-    H = (h_n[:, None] * normals).sum(0)
+    h_n = b[..., :, diag, diag].sum(-1) * (1.0 / m)
+    H = (h_n[..., :, None] * normals).sum(-2)
 
-    # deterministic hypersurface orientation: <H, nu> >= 0, else first
-    # nonvanishing component positive
     if codim == 1:
-        s = calc.inner(H, normals[0]).value
-        flip = False
-        if s < -1e-12:
-            flip = True
-        elif abs(s) <= 1e-12:
-            for comp in normals[0].value:
-                if abs(comp) > 1e-12:
-                    flip = comp < 0.0
-                    break
-        if flip:
-            normals, b, h_n = -normals, -b, -h_n
+        sign = _orientation(calc, H, normals)
+        if (sign < 0.0).any():
+            normals = normals * sign[..., None, None]
+            b = b * sign[..., None, None, None]
+            h_n = h_n * sign[..., None]
 
     b_vals = b.value
     h_n_vals = h_n.value
     position = pos.value
+    h_norm = np.sqrt((h_n_vals**2).sum(-1))
+    b_norm2 = (b_vals**2).reshape(batch + (-1,)).sum(-1)
     state = {
         "calc": calc,
         "pos": pos,
@@ -270,18 +363,20 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
         "g_ind": g_ind,
         "h_normal": h_n_vals,
     }
+    single = not batch
     return PointGeometry(
-        u=tuple(float(v) for v in u),
+        u=tuple(u.tolist()) if single else u,
         position=position,
         tangent_frame=frames.value,
         normal_frame=normals.value,
         induced_metric=gram,
-        ambient_metric=calc.g.value if space.backend == "chart" else np.eye(calc.d),
-        ambient=PointAmbient(space, position),
+        ambient_metric=(calc.g.value if space.backend == "chart"
+                        else np.broadcast_to(np.eye(calc.d), batch + (calc.d, calc.d)).copy()),
+        ambient=PointAmbient(space, position) if single else None,
         second_fundamental=b_vals,
         mean_curvature=H.value,
-        mean_curvature_norm=float(np.sqrt((h_n_vals**2).sum())),
-        second_fundamental_norm2=float((b_vals**2).sum()),
+        mean_curvature_norm=float(h_norm) if single else h_norm,
+        second_fundamental_norm2=float(b_norm2) if single else b_norm2,
         m=m,
         order=order,
         _state=state,
@@ -289,9 +384,12 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
 
 
 def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
-    """Normal-connection derivatives of the mean curvature field at the point."""
+    """Normal-connection derivatives of the mean curvature field at one
+    sample (of a batch: ``pg.sample(index)``)."""
     if pg.order < 4:
         raise GeometryError("normal derivatives need immersion jets of order 4")
+    if pg.ambient is None:
+        raise GeometryError("normal derivatives take the geometry of one sample")
     st = pg._state
     calc, frames, coeffs, normals = st["calc"], st["frames"], st["coeffs"], st["normals"]
     H, m = st["H"], pg.m
@@ -332,20 +430,20 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
     )
 
 
-def _project_normal(pg, vec):
-    g = pg.ambient_metric
+def _project(frame, g, vec):
+    """Projection of ``vec`` onto the span of the g-orthonormal rows of ``frame``."""
     out = np.zeros_like(vec)
-    for nu in pg.normal_frame:
-        out += (nu @ g @ vec) * nu
+    for e in frame:
+        out += (e @ g @ vec) * e
     return out
+
+
+def _project_normal(pg, vec):
+    return _project(pg.normal_frame, pg.ambient_metric, vec)
 
 
 def project_tangent(pg, vec):
-    g = pg.ambient_metric
-    out = np.zeros_like(vec)
-    for X in pg.tangent_frame:
-        out += (X @ g @ vec) * X
-    return out
+    return _project(pg.tangent_frame, pg.ambient_metric, vec)
 
 
 def scalar_curvature(space: AmbientModel, pg: PointGeometry):
@@ -383,18 +481,18 @@ def pseudo_umbilical_check(pg: PointGeometry, tol: float = 1e-8):
 # -- finite-difference oracle ----------------------------------------------------
 
 
-def _mean_curvature_point(space, imm, u):
-    pg = point_geometry(space, imm, u, order=2)
-    return pg, pg.mean_curvature
+def _shifted(v, q, step):
+    w = v.copy()
+    w[q] += step
+    return w
 
 
-def _covd_pointwise(space, pos, dpos_q, vec_val, dvec_q):
-    """Ambient covariant derivative from point values and plain derivatives."""
+def _covd_pointwise(space, conn, dpos_q, vec_val, dvec_q):
+    """Ambient covariant derivative from point values and plain derivatives;
+    ``conn`` is the Christoffel array (chart) or the tangent projector."""
     if space.backend == "chart":
-        gam = christoffel_point(space, pos)
-        return dvec_q + np.einsum("cab,a,b->c", gam, dpos_q, vec_val)
-    P = tangent_projector(space, pos)
-    return P @ dvec_q
+        return dvec_q + np.einsum("cab,a,b->c", conn, dpos_q, vec_val)
+    return conn @ dvec_q
 
 
 def fd_normal_laplacian(space: AmbientModel, imm: ImmersionModel, u, h: float) -> np.ndarray:
@@ -403,28 +501,42 @@ def fd_normal_laplacian(space: AmbientModel, imm: ImmersionModel, u, h: float) -
     Differences the mean-curvature field over the parameter grid; all
     pointwise data (frames, connection, induced metric) are evaluated
     exactly, so the h^2 truncation error of the differencing is what a
-    convergence study observes.
+    convergence study observes.  The distinct stencil points (keyed by
+    their exact coordinates) run as one batch of order-2 geometry, and the
+    connection at the points that carry a covariant derivative as one more.
     """
     u = np.asarray(u, dtype=float)
     m = imm.dim
+    # nabla-perp_{d_q} H is differenced around u and around u +- h e_p
+    bases = [u] + [_shifted(u, p, s) for p in range(m) for s in (h, -h)]
+    points: dict = {}
+    for v in bases:
+        for w in [v] + [_shifted(v, q, s) for q in range(m) for s in (h, -h)]:
+            points.setdefault(w.tobytes(), w)
+    row = {key: i for i, key in enumerate(points)}
 
-    def H_at(v):
-        return _mean_curvature_point(space, imm, v)[1]
+    def at(v):
+        return row[v.tobytes()]
+
+    pg = point_geometry(space, imm, np.array(list(points.values())), 2)
+    H = pg.mean_curvature
+    dpos = pg._state["pos"].gradient(axis=-2).value  # dpos[row, q] = d_q position
+    base_rows = [at(v) for v in bases]
+    if space.backend == "chart":
+        conn = dict(zip(base_rows, christoffel_point(space, pg.position[base_rows])))
+    else:
+        conn = {i: tangent_projector(space, pg.position[i]) for i in base_rows}
 
     def W_at(v, q):
         # nabla-perp_{d_q} H by one central difference around v
-        vp, vm = v.copy(), v.copy()
-        vp[q] += h
-        vm[q] -= h
-        dH = (H_at(vp) - H_at(vm)) / (2.0 * h)
-        pg, Hv = _mean_curvature_point(space, imm, v)
-        dpos = pg._state["pos"].derivative(q).value
-        cov = _covd_pointwise(space, pg.position, dpos, Hv, dH)
-        return _project_normal(pg, cov)
+        dH = (H[at(_shifted(v, q, h))] - H[at(_shifted(v, q, -h))]) / (2.0 * h)
+        i = at(v)
+        cov = _covd_pointwise(space, conn[i], dpos[i, q], H[i], dH)
+        return _project(pg.normal_frame[i], pg.ambient_metric[i], cov)
 
-    pg0, _ = _mean_curvature_point(space, imm, u)
-    ginv = np.linalg.inv(pg0.induced_metric)
-    dg = pg0._state["g_ind"].gradient().value  # dg[p, a, b] = d_p g_ab
+    i0 = at(u)
+    ginv = np.linalg.inv(pg.induced_metric[i0])
+    dg = pg._state["g_ind"][i0].gradient().value  # dg[p, a, b] = d_p g_ab
     low = 0.5 * (dg.transpose(2, 1, 0) + dg.transpose(2, 0, 1) - dg)
     gamma_ind = np.einsum("ce,eab->cab", ginv, low)
 
@@ -432,13 +544,9 @@ def fd_normal_laplacian(space: AmbientModel, imm: ImmersionModel, u, h: float) -
     W0 = [W_at(u, q) for q in range(m)]
     for p in range(m):
         for q in range(m):
-            up, um = u.copy(), u.copy()
-            up[p] += h
-            um[p] -= h
-            dW = (W_at(up, q) - W_at(um, q)) / (2.0 * h)
-            dpos = pg0._state["pos"].derivative(p).value
-            cov = _covd_pointwise(space, pg0.position, dpos, W0[q], dW)
-            term = _project_normal(pg0, cov)
+            dW = (W_at(_shifted(u, p, h), q) - W_at(_shifted(u, p, -h), q)) / (2.0 * h)
+            cov = _covd_pointwise(space, conn[i0], dpos[i0, p], W0[q], dW)
+            term = _project(pg.normal_frame[i0], pg.ambient_metric[i0], cov)
             term = term - np.einsum("r,rc->c", gamma_ind[:, p, q], np.array(W0))
             lap += ginv[p, q] * term
     return lap

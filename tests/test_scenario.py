@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from biharm.ambient import GeometryError
@@ -86,6 +87,17 @@ def test_duplicate_check_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+_IDENTITY = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+_FLAT_INLINE = {
+    "kind": "generalized_complex", "backend": "chart", "dim": 4,
+    "coordinates": ["x1", "y1", "x2", "y2"],
+    "metric": _IDENTITY,
+    "complex_structure": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                          ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+    "coefficients": {"alpha": "0", "beta": "0"},
+}
+
+
 @pytest.mark.parametrize("overrides, path", [
     ({"checks": [5]}, "checks[0]"),
     ({"checks": {"op": "residual"}}, "checks"),
@@ -103,6 +115,13 @@ def test_duplicate_check_rejected(tmp_path, capsys):
     ({"checks": [{"op": "audit", "tol": 1e-6}]}, "checks[0].tol"),
     ({"checks": [{"op": "bound", "kind": "sideways"}]}, "checks[0].kind"),
     ({"checks": [{"op": "bound", "kind": "xi_phi_h_tangent"}]}, "checks[0].kind"),
+    ({"ambient": dict(_FLAT_INLINE, dim="four")}, "ambient.dim"),
+    ({"ambient": dict(_FLAT_INLINE, tag={"family": "complex_space_form"})}, "ambient.tag"),
+    ({"ambient": dict(_FLAT_INLINE, tag={"family": "sasaki", "value": 1})}, "ambient.tag.family"),
+    ({"domain": {"axes": [{"lo": 0.5, "hi": 2.6, "samples": 2},
+                          {"lo": 0.5, "hi": 2.6, "samples": 2},
+                          {"lo": 0.3, "hi": 6.5, "samples": 3, "periodic": "false"}]}},
+     "domain.axes[2].periodic"),
 ])
 def test_malformed_document_field_is_config_error(tmp_path, capsys, overrides, path):
     doc = {
@@ -161,6 +180,63 @@ def test_nan_residual_at_second_sample_fails_that_point(monkeypatch):
     bad = rep.document["points"][1]
     assert "non-finite" in bad["error"] and "normal residual" in bad["error"]
     assert rep.aggregates["max_normal_residual"] == pytest.approx(3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("target, poison, reason", [
+    ("verify_relations", lambda out: dict(out, adjoint_skew=math.nan), "adjoint_skew relation"),
+    ("pseudo_umbilical_check", lambda out: (None, math.nan), "pseudo-umbilical deviation"),
+])
+def test_nan_reduced_value_at_second_sample_fails_that_point(monkeypatch, target, poison, reason):
+    # the aggregates reduce these with max, which drops a NaN that is not first
+    import biharm.scenario as scenario
+
+    calls = []
+    real = getattr(scenario, target)
+
+    def poisoned(*args):
+        out = real(*args)
+        calls.append(out)
+        return poison(out) if len(calls) == 2 else out
+
+    monkeypatch.setattr(scenario, target, poisoned)
+    rep = run_check(_cfg(checks=[{"op": "relations"}, {"op": "pseudo_umbilical"}]))
+    assert rep.aggregates["points_failed"] == 1
+    bad = rep.document["points"][1]
+    assert "non-finite" in bad["error"] and reason in bad["error"]
+    assert rep.verdict == "Inconclusive"
+
+
+def test_order2_grid_batch_fault_reruns_each_sample(monkeypatch):
+    # sqrt(c - u1) leaves its domain at u1 >= c: the order-2 grid batch
+    # fails, and the per-sample rerun gives each point its own reason
+    import biharm.scenario as scenario
+    import biharm.submanifold as submanifold
+
+    cfg = _cfg(constants={"c": 0.6}, immersion={
+        "components": ["u1", "u2", "sqrt(c - u1)", "0"],
+        "params": ["u1", "u2"],
+        "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 3},
+                             {"lo": 0, "hi": 1, "samples": 2}]},
+    })
+    needs = frozenset((scenario.GEOMETRY, scenario.COEFFICIENTS))
+    expected = [scenario._evaluate_point(cfg, u, needs) for u in cfg.immersion.grid()]
+    calls = []
+    real = submanifold.point_geometry
+
+    def counted(space, imm, u, order=4):
+        calls.append(np.shape(u))
+        return real(space, imm, u, order)
+
+    monkeypatch.setattr(scenario, "point_geometry", counted)
+    records = scenario._run_grid(cfg, {scenario.COEFFICIENTS})
+    assert calls == [(6, 2)] + [(2,)] * 6  # one batch, then one call per sample
+    assert [r.error for r in records] == [r.error for r in expected]
+    assert [r.error is None for r in records] == [True] * 4 + [False] * 2
+    assert all(a.data.b_norm2 == b.data.b_norm2 for a, b in zip(records[:4], expected))
+
+    res = sweep_solve(cfg, "c", 0.6, 1.4, 3, "characterization_gap")
+    assert res.partial == [0.6, 1.0]
+    assert math.isnan(res.objective[0]) and math.isfinite(res.objective[2])
 
 
 def test_immersion_must_have_lower_dimension():

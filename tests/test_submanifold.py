@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import biharm.submanifold as sm
 from biharm import catalog
-from biharm.ambient import GeometryError
+from biharm.ambient import GeometryError, christoffel_point, tangent_projector
 from biharm.exprs import parse_expression
 from biharm.submanifold import (
     Axis,
@@ -267,3 +268,164 @@ def test_insufficient_jet_order_for_normal_derivatives():
     pg = point_geometry(space, imm, (0.8, 1.2, 2.5), order=3)
     with pytest.raises(GeometryError):
         normal_derivatives(pg)
+
+
+# -- the sample axis ------------------------------------------------------------
+
+# one immersion per catalog ambient, both backends: round_hypersphere is a
+# hypersurface whose orientation flips on some grid rows, and product_torus
+# completes its normal frame with pivots that differ between rows
+BATCH_CASES = [
+    ("flat_c2", "round_hypersphere", {"r": 1.3}),
+    ("flat_c2", "product_torus", {"a": 1.0, "b": 0.6}),
+    ("cp2", "geodesic_sphere_cp2", {"r": 0.7}),
+    ("synthetic_complex", "helix", None),
+    ("sasakian_r5", "graph_surface", None),
+    ("cosymplectic_r5", "graph_surface", None),
+    ("kenmotsu_hyperbolic", "hyperplane_y1", None),
+    ("sasakian_sphere_s5", "clifford_torus_s5", None),
+]
+VALUES = ("position", "tangent_frame", "normal_frame", "second_fundamental", "mean_curvature",
+          "mean_curvature_norm", "second_fundamental_norm2", "induced_metric", "ambient_metric")
+JETS = ("pos", "g_ind", "frames", "coeffs", "normals", "nablaXX", "H")
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("space_name, imm_name, params", BATCH_CASES)
+def test_grid_batch_equals_per_sample_calls_bitwise(space_name, imm_name, params, order):
+    space, imm = _setup(space_name, imm_name, params)
+    grid = imm.grid()
+    batch = point_geometry(space, imm, grid, order)
+    assert batch.position.shape == (len(grid), space.rep_dim)
+    for i, u in enumerate(grid):
+        one, row = point_geometry(space, imm, u, order), batch.sample(i)
+        assert row.u == one.u == u
+        for name in VALUES:
+            assert _bitwise(getattr(row, name), getattr(one, name)), (i, name)
+            assert _bitwise(getattr(batch, name)[i], getattr(one, name)), (i, name)
+        for key in JETS:
+            assert _bitwise(row._state[key].coeffs, one._state[key].coeffs), (i, key)
+        if order == 4:
+            a, b = normal_derivatives(row), normal_derivatives(one)
+            for name in ("laplacian", "grad_h2", "trace_shape_mean", "trace_shape_gradient"):
+                assert _bitwise(getattr(a, name), getattr(b, name)), (i, name)
+
+
+def test_batch_rows_take_their_own_orientation_and_pivots(monkeypatch):
+    signs, pivots = [], []
+    orientation, pick = sm._orientation, sm._pick
+
+    def recorded_orientation(*args):
+        signs.append(orientation(*args))
+        return signs[-1]
+
+    def recorded_pick(jet, batch, picks):
+        pivots.append(list(picks))
+        return pick(jet, batch, picks)
+
+    monkeypatch.setattr(sm, "_orientation", recorded_orientation)
+    monkeypatch.setattr(sm, "_pick", recorded_pick)
+    space, imm = _setup("flat_c2", "round_hypersphere", {"r": 1.3})
+    point_geometry(space, imm, imm.grid(), 2)
+    assert set(signs[0].tolist()) == {-1.0, 1.0}
+    space, imm = _setup("flat_c2", "product_torus", {"a": 1.0, "b": 0.6})
+    pivots.clear()
+    point_geometry(space, imm, imm.grid(), 2)
+    assert len(set(pivots[0])) > 1
+
+
+def test_a_batch_fault_raises_for_the_whole_batch():
+    space = catalog.ambient("flat_c2")
+    params = ("u1", "u2")
+    comps = tuple(parse_expression(s, params) for s in ("u1", "u2", "sqrt(0.5 - u1)", "0"))
+    imm = ImmersionModel("half", 2, params, comps, (Axis(0, 1, 3), Axis(0, 1, 2)), {})
+    with pytest.raises(ArithmeticError):
+        point_geometry(space, imm, imm.grid(), 2)
+    assert point_geometry(space, imm, imm.grid()[:2], 2).mean_curvature_norm.shape == (2,)
+
+
+def _fd_reference(space, imm, u, h, points):
+    """The FD oracle with one order-2 geometry call per stencil visit, as it
+    stood before its stencil became one batch; ``points`` collects the visits."""
+    u = np.asarray(u, dtype=float)
+    m = imm.dim
+
+    def geometry(v):
+        points.append(v.copy())
+        return point_geometry(space, imm, v, 2)
+
+    def covd(pg, dpos_q, vec, dvec):
+        if space.backend == "chart":
+            gam = christoffel_point(space, pg.position)
+            return dvec + np.einsum("cab,a,b->c", gam, dpos_q, vec)
+        return tangent_projector(space, pg.position) @ dvec
+
+    def project_normal(pg, vec):
+        out = np.zeros_like(vec)
+        for nu in pg.normal_frame:
+            out += (nu @ pg.ambient_metric @ vec) * nu
+        return out
+
+    def W_at(v, q):
+        vp, vm = v.copy(), v.copy()
+        vp[q] += h
+        vm[q] -= h
+        dH = (geometry(vp).mean_curvature - geometry(vm).mean_curvature) / (2.0 * h)
+        pg = geometry(v)
+        dpos = pg._state["pos"].derivative(q).value
+        return project_normal(pg, covd(pg, dpos, pg.mean_curvature, dH))
+
+    pg0 = geometry(u)
+    ginv = np.linalg.inv(pg0.induced_metric)
+    dg = pg0._state["g_ind"].gradient().value
+    low = 0.5 * (dg.transpose(2, 1, 0) + dg.transpose(2, 0, 1) - dg)
+    gamma_ind = np.einsum("ce,eab->cab", ginv, low)
+    lap = np.zeros(space.rep_dim)
+    W0 = [W_at(u, q) for q in range(m)]
+    for p in range(m):
+        for q in range(m):
+            up, um = u.copy(), u.copy()
+            up[p] += h
+            um[p] -= h
+            dW = (W_at(up, q) - W_at(um, q)) / (2.0 * h)
+            dpos = pg0._state["pos"].derivative(p).value
+            term = project_normal(pg0, covd(pg0, dpos, W0[q], dW))
+            term = term - np.einsum("r,rc->c", gamma_ind[:, p, q], np.array(W0))
+            lap += ginv[p, q] * term
+    return lap
+
+
+@pytest.mark.parametrize("space_name, imm_name, u, h", [
+    ("cosymplectic_r5", "graph_surface", (0.31, -0.17), 0.05),
+    ("sasakian_r5", "graph_surface", (0.0976, 0.0976), 0.0125),
+    ("cp2", "geodesic_sphere_cp2", (0.7, 1.3, 2.1), 0.025),
+    ("sasakian_sphere_s5", "clifford_torus_s5", (0.7, 1.0, 1.2, 2.0), 0.05),
+])
+def test_fd_stencil_evaluates_each_distinct_point_once(monkeypatch, space_name, imm_name, u, h):
+    space, imm = _setup(space_name, imm_name)
+    visits = []
+    reference = _fd_reference(space, imm, u, h, visits)
+    calls = []
+    real = sm.point_geometry
+
+    def counted(space, imm, points, order=4):
+        calls.append((np.asarray(points, dtype=float), order))
+        return real(space, imm, points, order)
+
+    monkeypatch.setattr(sm, "point_geometry", counted)
+    got = fd_normal_laplacian(space, imm, u, h)
+    assert len(calls) == 1
+    rows, order = calls[0]
+    assert order == 2 and rows.ndim == 2
+    distinct = {v.tobytes() for v in visits}
+    assert [r.tobytes() for r in rows] == list(dict.fromkeys(r.tobytes() for r in rows))
+    assert {r.tobytes() for r in rows} == distinct
+    assert len(visits) > len(distinct)
+    if imm.dim == 2:
+        assert 13 <= len(distinct) <= 17
+    assert _bitwise(got, reference)
