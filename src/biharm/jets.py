@@ -111,7 +111,11 @@ class _JetSpace:
 
         One ``bincount`` over the terms of every product at once: each
         output entry is summed in table order, so every element of a batch
-        is bitwise the product of its own pair.
+        is bitwise the product of its own pair.  A batch of more than
+        :data:`_CHUNK_TERMS` terms runs in row chunks written into one
+        output array; each chunk gathers its operand rows through a row
+        index of the broadcast, so the pass allocates the result plus one
+        chunk's temporaries, never the operands at full broadcast size.
         """
         out, ia, ib, w = self.mul_table()
         if a.ndim == 1 and b.ndim == 1:  # a single product: no offsets to build
@@ -120,17 +124,36 @@ class _JetSpace:
             return np.bincount(out, weights=terms, minlength=self.size)
         shape = np.broadcast(a[..., 0], b[..., 0]).shape  # twice as fast as broadcast_shapes
         rows = math.prod(shape)
-        if rows > 1 and rows * len(out) > _CHUNK_TERMS:  # bound the temporaries
-            a = np.broadcast_to(a, shape + a.shape[-1:]).reshape(rows, -1)
-            b = np.broadcast_to(b, shape + b.shape[-1:]).reshape(rows, -1)
-            step = max(1, _CHUNK_TERMS // len(out))
-            return np.concatenate([self.mul(a[i:i + step], b[i:i + step])
-                                   for i in range(0, rows, step)]).reshape(shape + (self.size,))
+        step = max(1, _CHUNK_TERMS // len(out))
+        if rows > step:  # bound the temporaries: chunks of ``step`` rows
+            offsets = (np.arange(0, step * self.size, self.size)[:, None] + out).ravel()
+            res = np.empty(rows * self.size)
+            chunk_a, chunk_b = _chunks(a, shape, step), _chunks(b, shape, step)
+            for i in range(0, rows, step):
+                terms = chunk_a(i).take(ia, axis=-1)
+                terms *= chunk_b(i).take(ib, axis=-1)
+                terms *= w
+                k = len(terms) * self.size
+                res[i * self.size:i * self.size + k] = np.bincount(
+                    offsets[:terms.size], weights=terms.ravel(), minlength=k)
+            return res.reshape(shape + (self.size,))
         terms = a.take(ia, axis=-1) * b.take(ib, axis=-1)
         terms *= w
         offsets = (np.arange(0, rows * self.size, self.size)[:, None] + out).ravel()
         return np.bincount(offsets, weights=terms.ravel(), minlength=rows * self.size
                            ).reshape(shape + (self.size,))
+
+
+def _chunks(x, shape, step):
+    """Chunk ``i`` of coefficients ``x`` broadcast over ``shape``: rows
+    ``i:i + step``, as an array (rows, width).  An operand of the full shape
+    is sliced; any other gathers its rows through the flat row index of the
+    broadcast, so it is never copied at full size."""
+    flat = x.reshape(-1, x.shape[-1])
+    if x.shape[:-1] == shape:
+        return lambda i: flat[i:i + step]
+    index = np.broadcast_to(np.arange(len(flat)).reshape(x.shape[:-1]), shape).ravel()
+    return lambda i: flat.take(index[i:i + step], axis=0)
 
 
 # products per kernel pass: larger batches run in row chunks of this many terms

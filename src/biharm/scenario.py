@@ -53,7 +53,7 @@ from .exprs import (
     expr_constants,
     parse_expression,
 )
-from .jets import DomainError
+from .jets import DomainError, n_entries
 from .residuals import (
     BOUND_KINDS,
     BOUND_TOL,
@@ -78,6 +78,7 @@ from .submanifold import (
     Axis,
     ImmersionModel,
     fd_normal_laplacian,
+    geometry_jet_size,
     normal_derivatives,
     point_geometry,
     pseudo_umbilical_check,
@@ -148,10 +149,9 @@ def _mapping(doc, path) -> dict:
 
 
 def _number(value, path) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected a number, got {value!r}", path) from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}", path)
+    return float(value)
 
 
 def _numbers(doc, path) -> dict:
@@ -300,21 +300,24 @@ def _load_immersion(doc, space, constants, path) -> ImmersionModel:
     return imm
 
 
+_AXIS_FIELDS = ("lo", "hi", "samples", "periodic")
+
+
 def _load_axes(axes_doc, path) -> tuple[Axis, ...]:
     if not isinstance(axes_doc, list) or not axes_doc:
         raise ConfigError("expected a non-empty list of axes", path)
     axes = []
     for i, ax in enumerate(axes_doc):
         at = f"{path}.axes[{i}]"
-        try:
-            axes.append(Axis(
-                lo=float(_require(ax, "lo", at)),
-                hi=float(_require(ax, "hi", at)),
-                samples=int(_require(ax, "samples", at)),
-                periodic=_boolean(ax.get("periodic", False), at + ".periodic"),
-            ))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(str(e), at) from None
+        for key in _mapping(ax, at):
+            if key not in _AXIS_FIELDS:
+                raise ConfigError(f"unknown field {key!r} of an axis", f"{at}.{key}")
+        axes.append(Axis(
+            lo=_number(_require(ax, "lo", at), at + ".lo"),
+            hi=_number(_require(ax, "hi", at), at + ".hi"),
+            samples=_integer(_require(ax, "samples", at), at + ".samples"),
+            periodic=_boolean(ax.get("periodic", False), at + ".periodic"),
+        ))
         if axes[-1].samples < 1 or axes[-1].hi <= axes[-1].lo:
             raise ConfigError("need hi > lo and samples >= 1", at)
     return tuple(axes)
@@ -501,27 +504,47 @@ def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset, pg) -> PointR
     return record
 
 
+# jet coefficients per field of a grid block: four samples of order-4 jets
+# over the 9 variables of a hypersurface's augmented chart space, the
+# largest in the catalog, where each sample adds about 0.45 MB of peak memory
+_BLOCK_COEFFS = 4 * n_entries(9, 4)
+
+
+def _block_rows(cfg: ScenarioConfig, order: int) -> int:
+    """Samples per geometry call of a grid: as many as keep one jet field of
+    the block within :data:`_BLOCK_COEFFS` coefficients."""
+    return max(1, _BLOCK_COEFFS // geometry_jet_size(cfg.ambient, cfg.immersion, order))
+
+
 def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointRecord]:
     """``needs`` at every grid sample, with the geometry and what they rest on.
 
-    At jet order 2 the whole grid's geometry is one batch; a fault anywhere
-    in it reruns the grid one sample at a time, so that each failed point
-    keeps its own reason.  Order-4 grids run one sample per call.
+    The grid's geometry runs as consecutive row blocks (:func:`_block_rows`
+    samples), one ``point_geometry`` call each, at jet order 2 when
+    ``needs`` reads nothing of higher order, else at the scenario's order;
+    every sample is then evaluated from its row of the block.  A fault
+    anywhere in a block reruns that block alone one sample at a time, so
+    that each failed point keeps its own reason.
     """
     closed = {GEOMETRY, *needs}
     for q in needs:
         closed.update(_REQUIRES.get(q, ()))
     closed = frozenset(closed)
+    order = 2 if closed <= _ORDER2 else cfg.order
     grid = cfg.immersion.grid()
-    if closed <= _ORDER2:
+    rows = _block_rows(cfg, order)
+    records = []
+    for start in range(0, len(grid), rows):
+        block = grid[start:start + rows]
         try:
             with _faults_raise():
-                batch = point_geometry(cfg.ambient, cfg.immersion, grid, 2)
+                batch = point_geometry(cfg.ambient, cfg.immersion, block, order)
         except _POINT_FAULTS:
-            pass
+            records += [_evaluate_point(cfg, u, closed) for u in block]
         else:
-            return [_evaluate_point(cfg, u, closed, batch.sample(i)) for i, u in enumerate(grid)]
-    return [_evaluate_point(cfg, u, closed) for u in grid]
+            records += [_evaluate_point(cfg, u, closed, batch.sample(i))
+                        for i, u in enumerate(block)]
+    return records
 
 
 def _flag_consensus(datas) -> dict:

@@ -30,7 +30,16 @@ from .ambient import (
     tangent_projector,
 )
 from .exprs import Bindings, CompiledFields, Expr, evaluate_jet_env  # noqa: F401
-from .jets import DomainError, Jet, embed, extract, jet_matrix_inverse, seed_point, stack
+from .jets import (
+    DomainError,
+    Jet,
+    embed,
+    extract,
+    jet_matrix_inverse,
+    n_entries,
+    seed_point,
+    stack,
+)
 
 # metric_at, curvature_parts and evaluate_jet_env are imported for
 # bench/tracing.py, which wraps them in this module's namespace; the ambient
@@ -173,6 +182,14 @@ class _EmbeddedCalc(_Calc):
 
 def _make_calc(space, pos):
     return _ChartCalc(space, pos) if space.backend == "chart" else _EmbeddedCalc(space, pos)
+
+
+def geometry_jet_size(space: AmbientModel, imm: ImmersionModel, order: int) -> int:
+    """Coefficients per jet in the widest jet space of ``point_geometry`` at
+    ``order``: a chart's augmented space runs over the m parameters and the
+    d ambient displacements, an embedded calculus over the m parameters."""
+    nvars = imm.dim + (space.dim if space.backend == "chart" else 0)
+    return n_entries(nvars, order)
 
 
 # -- frames --------------------------------------------------------------------

@@ -304,3 +304,21 @@ def test_large_batches_run_in_chunks_with_the_same_result():
     a = _random_jet(rng, 4, 4, (8, 5))
     b = _random_jet(rng, 4, 3, (5,))
     assert np.array_equal((a * b).coeffs, _per_element(lambda x, y: x * y, a, b))
+
+
+def test_chunked_product_gathers_rows_without_broadcast_copies():
+    # leading shapes that broadcast on different axes, far past one chunk
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    a = _random_jet(rng, 4, 4, (16, 4, 1, 5))
+    b = _random_jet(rng, 4, 4, (1, 4, 4, 5))
+    tracemalloc.start()
+    try:
+        product = a * b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.shape == (16, 4, 4, 5)
+    assert product.coeffs.tobytes() == _per_element(lambda x, y: x * y, a, b).tobytes()
+    assert peak <= 1.5 * product.coeffs.nbytes, (peak, product.coeffs.nbytes)

@@ -1,5 +1,6 @@
 """Scenario loading, grid runs, reports, sweeps, CLI plumbing."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from biharm.ambient import GeometryError
 from biharm.cli import main as cli_main
+from biharm.jets import n_entries
 from biharm.scenario import (
     ConfigError,
     convergence_study,
@@ -122,6 +124,14 @@ _FLAT_INLINE = {
                           {"lo": 0.5, "hi": 2.6, "samples": 2},
                           {"lo": 0.3, "hi": 6.5, "samples": 3, "periodic": "false"}]}},
      "domain.axes[2].periodic"),
+    ({"domain": {"axes": [{"lo": 0.5, "hi": 2.6, "samples": 2.9}]}}, "domain.axes[0].samples"),
+    ({"domain": {"axes": [{"lo": 0, "hi": True, "samples": 2}]}}, "domain.axes[0].hi"),
+    ({"domain": {"axes": [{"lo": "0", "hi": 1, "samples": 2}]}}, "domain.axes[0].lo"),
+    ({"domain": {"axes": [{"lo": 0, "hi": 1, "samples": 2, "periodc": True}]}},
+     "domain.axes[0].periodc"),
+    ({"domain": {"axes": [5]}}, "domain.axes[0]"),
+    ({"constants": {"r": True}}, "constants.r"),
+    ({"immersion": {"catalog": "round_hypersphere", "params": {"r": "1.0"}}}, "immersion.params.r"),
 ])
 def test_malformed_document_field_is_config_error(tmp_path, capsys, overrides, path):
     doc = {
@@ -237,6 +247,71 @@ def test_order2_grid_batch_fault_reruns_each_sample(monkeypatch):
     res = sweep_solve(cfg, "c", 0.6, 1.4, 3, "characterization_gap")
     assert res.partial == [0.6, 1.0]
     assert math.isnan(res.objective[0]) and math.isfinite(res.objective[2])
+
+
+def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
+    # sqrt(c - u1) leaves its domain at u1 = 1: the second block fails as a
+    # whole and reruns one sample at a time, the first stays one batch
+    import biharm.scenario as scenario
+    import biharm.submanifold as submanifold
+
+    monkeypatch.setattr(scenario, "_BLOCK_COEFFS", 6 * n_entries(2 + 4, 4))  # 6-sample blocks
+    cfg = _cfg(constants={"c": 0.6}, immersion={
+        "components": ["u1", "u2", "sqrt(c - u1)", "0"],
+        "params": ["u1", "u2"],
+        "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 3},
+                             {"lo": 0, "hi": 1, "samples": 4}]},
+    }, checks=[{"op": "residual"}])
+    needs = frozenset((scenario.GEOMETRY, scenario.RESIDUALS, scenario.NORMAL, scenario.SPLIT))
+    expected = [scenario._evaluate_point(cfg, u, needs) for u in cfg.immersion.grid()]
+    calls = []
+    real = submanifold.point_geometry
+
+    def counted(space, imm, u, order=4):
+        calls.append((np.shape(u), order))
+        return real(space, imm, u, order)
+
+    monkeypatch.setattr(scenario, "point_geometry", counted)
+    records = scenario._run_grid(cfg, {scenario.RESIDUALS})
+    assert calls == [((6, 2), 4), ((6, 2), 4)] + [((2,), 4)] * 6
+    assert [r.error for r in records] == [r.error for r in expected]
+    assert [r.error is None for r in records] == [True] * 8 + [False] * 4
+    assert all("sqrt" in r.error for r in records[8:])
+    assert run_check(cfg).verdict == "Inconclusive"
+
+
+def _same(a, b) -> bool:
+    """Equal values, floats and arrays compared bitwise."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, (float, np.ndarray, np.generic)):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return a == b
+
+
+@pytest.mark.parametrize("ambient, immersion, blocks", [
+    ("sasakian_r5", "hyperplane_y1", 4),             # chart, 9 jet variables
+    ("sasakian_sphere_s5", "clifford_torus_s5", 1),  # embedded, 4 jet variables
+    ("flat_c2", "round_hypersphere", 2),             # chart, 8 + 4 samples
+])
+def test_grid_blocks_change_no_record(ambient, immersion, blocks):
+    import biharm.scenario as scenario
+
+    cfg = _cfg(ambient={"catalog": ambient}, immersion={"catalog": immersion})
+    grid = cfg.immersion.grid()
+    assert math.ceil(len(grid) / scenario._block_rows(cfg, cfg.order)) == blocks
+    records = scenario._run_grid(cfg)
+    assert len(records) == len(grid)
+    for u, record in zip(grid, records):
+        assert record.error is None
+        assert _same(record, scenario._evaluate_point(cfg, u, scenario.QUANTITIES)), u
 
 
 def test_immersion_must_have_lower_dimension():
