@@ -182,24 +182,35 @@ def christoffel_point(space: AmbientModel, x) -> np.ndarray:
     return christoffel_jet(space, x, 0).value
 
 
-def riemann_from_metric_jets(g) -> np.ndarray:
-    """Riemann tensor values R[i,j,k,l]: R(e_i,e_j)e_k = sum_l R[i,j,k,l] e_l.
+def riemann_from_christoffel(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """Riemann tensor values R[i,j,k,l]: R(e_i,e_j)e_k = sum_l R[i,j,k,l] e_l,
+    from the Christoffel values ``gamma[c, a, b]`` and their partials
+    ``dgamma[i, c, a, b]`` = d_i Gamma^c_ab at one point.
 
-    Sign convention R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y]; metric jets
-    must carry order >= 2.
+    Sign convention R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y].
     """
-    gamma = christoffel_from_metric_jets(g)
-    gval = gamma.value
-    dgamma = gamma.gradient().value
     return ((np.einsum("iljk->ijkl", dgamma) - np.einsum("jlik->ijkl", dgamma))
-            + (np.einsum("lis,sjk->ijkl", gval, gval) - np.einsum("ljs,sik->ijkl", gval, gval)))
+            + (np.einsum("lis,sjk->ijkl", gamma, gamma) - np.einsum("ljs,sik->ijkl", gamma, gamma)))
+
+
+def riemann_from_metric_jets(g) -> np.ndarray:
+    """Riemann tensor values of the metric given by jets of order >= 2."""
+    gamma = christoffel_from_metric_jets(g)
+    return riemann_from_christoffel(gamma.value, gamma.gradient().value)
+
+
+def scalar_from_christoffel(g: np.ndarray, gamma: np.ndarray, dgamma: np.ndarray) -> float:
+    """Scalar curvature at one point from the metric values ``g`` and the
+    Christoffel values and partials (see :func:`riemann_from_christoffel`)."""
+    ricci = np.einsum("ijki->jk", riemann_from_christoffel(gamma, dgamma))
+    return float(np.einsum("jk,jk->", np.linalg.inv(g), ricci))
 
 
 def scalar_from_metric_jets(g) -> float:
     """Scalar curvature of the metric given by jets of order >= 2."""
     g = stack(g)
-    ricci = np.einsum("ijki->jk", riemann_from_metric_jets(g))
-    return float(np.einsum("jk,jk->", np.linalg.inv(g.value), ricci))
+    gamma = christoffel_from_metric_jets(g)
+    return scalar_from_christoffel(g.value, gamma.value, gamma.gradient().value)
 
 
 # -- algebraic curvature terms ------------------------------------------------
@@ -339,104 +350,128 @@ def _algebraic_residuals_contact(g, phi, xi, P=None):
     return r
 
 
-def _covariant_residuals_chart(amb: PointAmbient):
-    space, x = amb.space, amb.x
+def _covariant_residuals_chart(space: AmbientModel, ambs: list):
+    """Covariant-identity residuals at the points of ``ambs``, one dict per
+    point; the Christoffel symbols and the structure-field jets of all the
+    points run as one batch."""
     d = space.dim
-    env = seed_point(x, 1)
-    gam = christoffel_point(space, x)
-    g = amb.g
+    points = np.array([amb.x for amb in ambs], dtype=float)
+    env = seed_point(points, 1)
+    gammas = christoffel_point(space, points)
     fam = space.tag.family
 
-    def nabla(name):
-        """Values and covariant derivative of a structure field: [a, c, b] =
-        (nabla_a T)^c_b for a (1,1)-tensor, [a, c] for a vector field."""
+    def fields(name):
+        """Values, and plain first partials [n, a, ...] = d_a T, of a structure field."""
         f = space.jets(name, env)
-        v = f.value
-        out = f.gradient().value + np.einsum("cae,e...->ac...", gam, v)
+        return f.value, f.gradient(axis=1).value
+
+    def nabla(gam, v, dv):
+        """Covariant derivative of a structure field at one point: [a, c, b] =
+        (nabla_a T)^c_b for a (1,1)-tensor, [a, c] for a vector field."""
+        out = dv + np.einsum("cae,e...->ac...", gam, v)
         if v.ndim == 2:
             out -= np.einsum("eab,ce->acb", gam, v)
-        return v, out
+        return out
 
     if space.kind == KIND_COMPLEX:
-        return {"covariant_complex": float(np.abs(nabla("cstruct")[1]).max())}
-    (phiv, nphi), (xiv, nxi) = nabla("phi"), nabla("reeb")
-    eta = g @ xiv
-    if fam == SASAKI:
-        rhs_phi = np.einsum("ab,c->acb", g, xiv) - np.einsum("b,ca->acb", eta, np.eye(d))
-        rhs_xi = -phiv.T
-    elif fam == KENMOTSU:
-        rhs_phi = -np.einsum("b,ca->acb", eta, phiv) - np.einsum("ab,c->acb", g @ phiv, xiv)
-        rhs_xi = np.eye(d) - np.outer(eta, xiv)
-    else:
-        rhs_phi = np.zeros((d, d, d))
-        rhs_xi = np.zeros((d, d))
-    return {
-        "covariant_phi": float(np.abs(nphi - rhs_phi).max()),
-        "covariant_reeb": float(np.abs(nxi - rhs_xi).max()),
-    }
+        J, dJ = fields("cstruct")
+        return [{"covariant_complex": float(np.abs(nabla(gam, v, dv)).max())}
+                for gam, v, dv in zip(gammas, J, dJ)]
+    (phis, dphis), (xis, dxis) = fields("phi"), fields("reeb")
+    out = []
+    for amb, gam, phiv, dphi, xiv, dxi in zip(ambs, gammas, phis, dphis, xis, dxis):
+        g = amb.g
+        nphi, nxi = nabla(gam, phiv, dphi), nabla(gam, xiv, dxi)
+        eta = g @ xiv
+        if fam == SASAKI:
+            rhs_phi = np.einsum("ab,c->acb", g, xiv) - np.einsum("b,ca->acb", eta, np.eye(d))
+            rhs_xi = -phiv.T
+        elif fam == KENMOTSU:
+            rhs_phi = -np.einsum("b,ca->acb", eta, phiv) - np.einsum("ab,c->acb", g @ phiv, xiv)
+            rhs_xi = np.eye(d) - np.outer(eta, xiv)
+        else:
+            rhs_phi = np.zeros((d, d, d))
+            rhs_xi = np.zeros((d, d))
+        out.append({
+            "covariant_phi": float(np.abs(nphi - rhs_phi).max()),
+            "covariant_reeb": float(np.abs(nxi - rhs_xi).max()),
+        })
+    return out
 
 
-def _covariant_residuals_embedded(amb: PointAmbient, P):
+def _covariant_residuals_embedded(ambs: list, projectors: list):
     # Differentiate the structure fields along great-circle-like curves
     # c(t) = (x + tX)/|x + tX| using one-variable jets; the ambient covariant
     # derivative is the curve derivative followed by tangential projection
-    # P.  The curves of all basis directions X run the phi and xi programs
-    # as one jet array, and all tangent fields Y of the basis go through
-    # each direction as one jet array.
-    space = amb.space
+    # P.  The curves of all basis directions X at all the points run the
+    # phi and xi programs as one jet array, and all tangent fields Y of a
+    # point's basis go through each of its directions as one jet array.
+    space = ambs[0].space
     D = space.rep_dim
-    x = np.asarray(amb.x, dtype=float)
-    basis = []
-    for a in range(D):
-        v = P[:, a]
-        for b in basis:
-            v = v - (v @ b) * b
-        if np.linalg.norm(v) > 1e-8:
-            basis.append(v / np.linalg.norm(v))
-    Y = np.array(basis)
-    phi0, xi0 = amb.structure
-    eta0 = xi0  # Euclidean representation: eta(v) = <v, xi>
-    curves = Jet.constant(1, 1, np.broadcast_to(x, Y.shape))
-    curves.coeffs[..., 1] = Y
+    bases = []
+    for P in projectors:
+        basis = []
+        for a in range(D):
+            v = P[:, a]
+            for b in basis:
+                v = v - (v @ b) * b
+            if np.linalg.norm(v) > 1e-8:
+                basis.append(v / np.linalg.norm(v))
+        bases.append(np.array(basis))
+    starts = np.cumsum([0] + [len(Y) for Y in bases])
+    curves = Jet.constant(1, 1, np.concatenate(
+        [np.broadcast_to(np.asarray(amb.x, dtype=float), Y.shape) for amb, Y in zip(ambs, bases)]))
+    curves.coeffs[..., 1] = np.concatenate(bases)
     curves = curves * (curves * curves).sum(-1).sqrt().reciprocal()[:, None]
     env = list(curves.transpose(1, 0))
     phi_all = space.jets("phi", env)
     dxi_all = space.jets("reeb", env).derivative(0).value
-    res_phi, res_xi = 0.0, 0.0
-    for X, pos, phi_j, dxi in zip(basis, curves, phi_all, dxi_all):
-        res_xi = max(res_xi, np.abs(P @ dxi - (-(phi0 @ X))).max())
-        # Y extended along the curve as its projection onto T_c S
-        yfield = Y - (pos * Y).sum(-1)[:, None] * pos
-        phiy = (phi_j * yfield[:, None, :]).sum(-1)
-        d_phiy = phiy.derivative(0).value @ P.T
-        d_y = yfield.derivative(0).value @ P.T
-        lhs = d_phiy - d_y @ phi0.T
-        rhs = np.outer(Y @ X, xi0) - np.outer(Y @ eta0, X)
-        res_phi = max(res_phi, np.abs(lhs - rhs).max())
-    return {"covariant_phi": res_phi, "covariant_reeb": res_xi}
+    out = []
+    for amb, P, Y, lo, hi in zip(ambs, projectors, bases, starts, starts[1:]):
+        phi0, xi0 = amb.structure
+        eta0 = xi0  # Euclidean representation: eta(v) = <v, xi>
+        res_phi, res_xi = 0.0, 0.0
+        for X, pos, phi_j, dxi in zip(Y, curves[lo:hi], phi_all[lo:hi], dxi_all[lo:hi]):
+            res_xi = max(res_xi, np.abs(P @ dxi - (-(phi0 @ X))).max())
+            # Y extended along the curve as its projection onto T_c S
+            yfield = Y - (pos * Y).sum(-1)[:, None] * pos
+            phiy = (phi_j * yfield[:, None, :]).sum(-1)
+            d_phiy = phiy.derivative(0).value @ P.T
+            d_y = yfield.derivative(0).value @ P.T
+            lhs = d_phiy - d_y @ phi0.T
+            rhs = np.outer(Y @ X, xi0) - np.outer(Y @ eta0, X)
+            res_phi = max(res_phi, np.abs(lhs - rhs).max())
+        out.append({"covariant_phi": res_phi, "covariant_reeb": res_xi})
+    return out
 
 
 def verify_structure(space: AmbientModel, points) -> StructureReport:
     """Max residual of the algebraic structure identities, and of the
-    covariant-derivative identities when a classical tag is present."""
+    covariant-derivative identities when a classical tag is present; the
+    jets of the covariant identities run for all ``points`` as one batch."""
     residuals: dict[str, float] = {}
 
     def keep(update):
         for k, v in update.items():
             residuals[k] = max(residuals.get(k, 0.0), float(v))
 
-    for x in points:
-        amb = PointAmbient(space, x)
-        g = amb.g
-        if space.kind == KIND_COMPLEX:
-            keep(_algebraic_residuals_complex(g, amb.structure))
-        else:
+    if not len(points):
+        return StructureReport(space.name, residuals)
+    ambs = [PointAmbient(space, x) for x in points]
+    contact = space.kind == KIND_CONTACT
+    projectors = [tangent_projector(space, x) if contact and space.backend == "embedded"
+                  else None for x in points]
+    covariant = [{}] * len(ambs)
+    if space.tag is not None:
+        if space.backend == "chart":
+            covariant = _covariant_residuals_chart(space, ambs)
+        elif contact and space.tag.family == SASAKI:
+            covariant = _covariant_residuals_embedded(ambs, projectors)
+    for amb, P, cov in zip(ambs, projectors, covariant):
+        if contact:
             phi, xi = amb.structure
-            P = tangent_projector(space, x) if space.backend == "embedded" else None
-            keep(_algebraic_residuals_contact(g, phi, xi, P))
-        if space.tag is not None:
-            if space.backend == "chart":
-                keep(_covariant_residuals_chart(amb))
-            elif space.kind == KIND_CONTACT and space.tag.family == SASAKI:
-                keep(_covariant_residuals_embedded(amb, P))
+            keep(_algebraic_residuals_contact(amb.g, phi, xi, P))
+        else:
+            keep(_algebraic_residuals_complex(amb.g, amb.structure))
+        keep(cov)
     return StructureReport(space.name, residuals)

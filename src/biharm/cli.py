@@ -23,6 +23,7 @@ from pathlib import Path
 from . import catalog
 from .ambient import GeometryError
 from .scenario import (
+    CONVERGENCE_STEPS,
     SWEEP_OBJECTIVES,
     ConfigError,
     SweepResult,
@@ -81,7 +82,7 @@ def _cmd_sweep(args) -> int:
         lo, hi, n = args.range.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
-        raise ConfigError(f"bad --range {args.range!r}, need LO:HI:N") from None
+        raise ConfigError(f"bad --range {args.range!r}, need LO:HI:N", "sweep.range") from None
     result: SweepResult = sweep_solve(cfg, args.param, lo, hi, n, args.objective)
     doc = {
         "parameter": result.parameter,
@@ -110,7 +111,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_convergence(args) -> int:
     cfg = _load(args.config)
-    steps = tuple(float(s) for s in args.steps.split(",")) if args.steps else (0.05, 0.025, 0.0125)
+    try:
+        steps = tuple(float(s) for s in args.steps.split(",")) if args.steps else CONVERGENCE_STEPS
+    except ValueError:
+        raise ConfigError(f"bad --steps {args.steps!r}, need H1,H2,...",
+                          "convergence.steps") from None
     result = convergence_study(cfg, steps)
     print(json.dumps(result, indent=2, default=float))
     wanted = cfg.expect.get("convergence_order_gte")

@@ -79,7 +79,9 @@ from .submanifold import (
     ImmersionModel,
     fd_normal_laplacian,
     geometry_jet_size,
+    intrinsic_jets,
     normal_derivatives,
+    normal_jets,
     point_geometry,
     pseudo_umbilical_check,
     scalar_curvature,
@@ -157,6 +159,13 @@ def _number(value, path) -> float:
 def _numbers(doc, path) -> dict:
     """A mapping of names to numbers, as floats."""
     return {str(k): _number(v, f"{path}.{k}") for k, v in _mapping(doc, path).items()}
+
+
+def _finite(value, path) -> float:
+    x = _number(value, path)
+    if not math.isfinite(x):
+        raise ConfigError(f"expected a finite number, got {value!r}", path)
+    return x
 
 
 def _integer(value, path) -> int:
@@ -522,9 +531,11 @@ def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointRecord]:
     The grid's geometry runs as consecutive row blocks (:func:`_block_rows`
     samples), one ``point_geometry`` call each, at jet order 2 when
     ``needs`` reads nothing of higher order, else at the scenario's order;
-    every sample is then evaluated from its row of the block.  A fault
-    anywhere in a block reruns that block alone one sample at a time, so
-    that each failed point keeps its own reason.
+    the jets of the normal derivatives and of the intrinsic curvature run
+    once per block too, when needed.  Every sample is then evaluated from
+    its row of the block.  A fault anywhere in a block reruns that block
+    alone one sample at a time, so that each failed point keeps its own
+    reason.
     """
     closed = {GEOMETRY, *needs}
     for q in needs:
@@ -539,6 +550,10 @@ def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointRecord]:
         try:
             with _faults_raise():
                 batch = point_geometry(cfg.ambient, cfg.immersion, block, order)
+                if NORMAL in closed:
+                    normal_jets(batch)
+                if SCALAR in closed:
+                    intrinsic_jets(batch)
         except _POINT_FAULTS:
             records += [_evaluate_point(cfg, u, closed) for u in block]
         else:
@@ -885,7 +900,8 @@ def _zeroin(f, a, b, fa, fb):
 def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
                 samples: int, objective: str = "characterization_gap") -> SweepResult:
     """Sample the objective over a constant's range and find the root in
-    each sign change with Brent's method.
+    each sign change with Brent's method; ``lo`` and ``hi`` must be finite
+    and ``samples`` an integer of at least 2.
 
     A limit counts as a root only if |f| there is below |f| at both ends of
     its sampled bracket; otherwise the objective changed sign across a pole
@@ -899,6 +915,10 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     if parameter not in known:
         raise ConfigError(f"constant {parameter!r} does not appear in the config",
                           "sweep.parameter")
+    lo, hi = _finite(lo, "sweep.range"), _finite(hi, "sweep.range")
+    samples = _integer(samples, "sweep.range")
+    if samples < 2:
+        raise ConfigError(f"need at least 2 samples, got {samples!r}", "sweep.range")
     partial, evaluated, errors = [], [], []
 
     def f(value: float) -> float:
@@ -932,13 +952,22 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     return SweepResult(parameter, xs, ys, roots, objective, jumps, partial)
 
 
-def convergence_study(cfg: ScenarioConfig, steps=(0.05, 0.025, 0.0125)) -> dict:
+CONVERGENCE_STEPS = (0.05, 0.025, 0.0125)
+
+
+def convergence_study(cfg: ScenarioConfig, steps=CONVERGENCE_STEPS) -> dict:
     """Jet-vs-finite-difference comparison of the normal Laplacian at shrinking steps,
     at a probe point just off the middle of the domain.
 
     Error against the jet value should shrink like h^2; the report carries
-    the observed orders between consecutive steps.
+    the observed orders between consecutive steps.  ``steps`` must be a
+    non-empty sequence of finite positive step sizes.
     """
+    path = "convergence.steps"
+    if not isinstance(steps, (list, tuple)) or not steps:
+        raise ConfigError(f"expected a non-empty list of step sizes, got {steps!r}", path)
+    if min(_finite(h, path) for h in steps) <= 0.0:
+        raise ConfigError(f"step sizes must be positive, got {list(steps)}", path)
     imm = cfg.immersion
     probe = tuple(0.5 * (ax.lo + ax.hi) + 0.061 * (ax.hi - ax.lo) for ax in imm.domain)
     pg = point_geometry(cfg.ambient, imm, probe, cfg.order)

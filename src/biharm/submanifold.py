@@ -22,11 +22,13 @@ from .ambient import (
     AmbientModel,
     GeometryError,
     PointAmbient,
+    christoffel_from_metric_jets,
     christoffel_point,
     christoffel_symbols,
     curvature_parts,  # noqa: F401
     metric_at,  # noqa: F401
-    scalar_from_metric_jets,
+    scalar_from_christoffel,
+    scalar_from_metric_jets,  # noqa: F401
     tangent_projector,
 )
 from .exprs import Bindings, CompiledFields, Expr, evaluate_jet_env  # noqa: F401
@@ -41,10 +43,12 @@ from .jets import (
     stack,
 )
 
-# metric_at, curvature_parts and evaluate_jet_env are imported for
-# bench/tracing.py, which wraps them in this module's namespace; the ambient
-# tensors at a sample come with its PointGeometry (``ambient``, one snapshot
-# per sample), and expressions run as compiled programs.
+# metric_at, curvature_parts, scalar_from_metric_jets and evaluate_jet_env
+# are imported for bench/tracing.py, which wraps them in this module's
+# namespace; the ambient tensors at a sample come with its PointGeometry
+# (``ambient``, one snapshot per sample), the intrinsic curvature comes from
+# Christoffel values (``intrinsic_jets``), and expressions run as compiled
+# programs.
 
 RANK_TOL = 1e-8
 
@@ -400,38 +404,53 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
     )
 
 
-def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
-    """Normal-connection derivatives of the mean curvature field at one
-    sample (of a batch: ``pg.sample(index)``)."""
+def normal_jets(pg: PointGeometry) -> None:
+    """The jet part of :func:`normal_derivatives` at every sample of ``pg``:
+    nabla-perp H (``w`` in normal-frame components, ``W`` as a vector), its
+    ambient covariant derivative, the induced-connection drift and
+    grad <H, H>, kept as value arrays in ``pg``'s state, so that
+    ``pg.sample(index)`` carries them."""
     if pg.order < 4:
         raise GeometryError("normal derivatives need immersion jets of order 4")
+    st = pg._state
+    calc, frames, coeffs, normals, H = (st[k] for k in ("calc", "frames", "coeffs", "normals", "H"))
+
+    DH = (coeffs[..., :, :, None] * calc.covd(H)[..., None, :, :]).sum(-2)
+    w = calc.inner(normals[..., :, None, :], DH[..., None, :, :])
+    W = (w[..., :, :, None] * normals[..., :, None, :]).sum(-3)
+    diag = np.arange(pg.m)
+    st.update(
+        w=w.value,
+        W=W.value,
+        cov_W=calc.covd(W).value,
+        drift=calc.inner(st["nablaXX"][..., diag, diag, :][..., :, None, :],
+                         frames[..., None, :, :]).value,
+        grad_hh=calc.inner(H, H).gradient(axis=calc.nb).value,
+    )
+
+
+def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
+    """Normal-connection derivatives of the mean curvature field at one
+    sample (of a batch: ``pg.sample(index)``), from the jets of
+    :func:`normal_jets`, run here unless the batch ran it."""
     if pg.ambient is None:
         raise GeometryError("normal derivatives take the geometry of one sample")
     st = pg._state
-    calc, frames, coeffs, normals = st["calc"], st["frames"], st["coeffs"], st["normals"]
-    H, m = st["H"], pg.m
-
-    DH = (coeffs[:, :, None] * calc.covd(H)[None]).sum(1)
-    w = calc.inner(normals[:, None], DH[None])
-    W = (w[:, :, None] * normals[:, None]).sum(0)
-
-    w_vals = w.value
+    if "w" not in st:
+        normal_jets(pg)
+    m = pg.m
+    w_vals, w_field, cov_w, drift = st["w"], st["W"], st["cov_W"], st["drift"]
     nabla_norm = float(np.sqrt((w_vals**2).sum(axis=0)).max()) if m else 0.0
 
     # rough Laplacian: sum_i nabla-perp_{X_i} nabla-perp_{X_i} H
     #                  - nabla-perp over the induced-connection drift
-    cvals = coeffs.value
-    cov_w = calc.covd(W).value
-    diag = np.arange(m)
-    drift = calc.inner(st["nablaXX"][diag, diag][:, None], frames[None]).value
-    w_field = W.value
-    lap = np.zeros(calc.d)
+    cvals = st["coeffs"].value
+    lap = np.zeros(st["calc"].d)
     for i in range(m):
         lap += _project_normal(pg, cvals[i] @ cov_w[:, i])
         lap -= drift[i] @ w_field
 
-    # grad |H|^2 from the scalar jet <H, H>
-    grad = (cvals @ calc.inner(H, H).gradient().value) @ pg.tangent_frame
+    grad = (cvals @ st["grad_hh"]) @ pg.tangent_frame
 
     bv = pg.second_fundamental
     hn = pg.mean_normal_components
@@ -463,17 +482,32 @@ def project_tangent(pg, vec):
     return _project(pg.tangent_frame, pg.ambient_metric, vec)
 
 
+def intrinsic_jets(pg: PointGeometry) -> None:
+    """The induced metric's Christoffel symbols and their first partials at
+    every sample of ``pg``, kept as value arrays in its state (a curve has
+    no intrinsic curvature and keeps none)."""
+    if pg.m > 1:
+        gamma = christoffel_from_metric_jets(pg._state["g_ind"])
+        pg._state.update(gamma_ind=gamma.value,
+                         dgamma_ind=gamma.gradient(axis=pg._state["calc"].nb).value)
+
+
 def scalar_curvature(space: AmbientModel, pg: PointGeometry):
     """(intrinsic, via_gauss) scalar curvature of the induced metric.
 
-    ``intrinsic`` comes from the induced metric's own Christoffel jets;
+    ``intrinsic`` comes from the induced metric's own Christoffel jets (of
+    :func:`intrinsic_jets`, run here unless the batch ran it);
     ``via_gauss`` contracts the ambient algebraic curvature over the tangent
     frame and adds m^2 |H|^2 - |B|^2.  Their agreement is the Gauss-equation
     consistency check.
     """
-    g_ind = pg._state["g_ind"]
-    m = pg.m
-    intrinsic = 0.0 if m == 1 else scalar_from_metric_jets(g_ind)
+    m, st = pg.m, pg._state
+    if m == 1:
+        intrinsic = 0.0
+    else:
+        if "gamma_ind" not in st:
+            intrinsic_jets(pg)
+        intrinsic = scalar_from_christoffel(pg.induced_metric, st["gamma_ind"], st["dgamma_ind"])
     amb = 0.0
     g = pg.ambient_metric
     for i in range(m):

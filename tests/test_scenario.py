@@ -280,6 +280,72 @@ def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
     assert run_check(cfg).verdict == "Inconclusive"
 
 
+def test_normal_jet_stage_fault_reruns_that_block_per_sample(monkeypatch):
+    # a fault in a block's normal-jet stage (here at u1 = 1) fails the whole
+    # block; it reruns one sample at a time, so that only the samples that
+    # fault on their own fail, each with its own reason
+    import biharm.scenario as scenario
+    import biharm.submanifold as submanifold
+    from biharm.jets import DomainError
+
+    monkeypatch.setattr(scenario, "_BLOCK_COEFFS", 6 * n_entries(2 + 4, 4))  # 6-sample blocks
+    cfg = _cfg(immersion={
+        "components": ["u1", "u2", "u1 * u2", "0"],
+        "params": ["u1", "u2"],
+        "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 3},
+                             {"lo": 0, "hi": 1, "samples": 4}]},
+    }, checks=[{"op": "residual"}])
+    grid = cfg.immersion.grid()
+    expected = scenario._run_grid(cfg, {scenario.RESIDUALS})
+    real, calls = submanifold.normal_jets, []
+
+    def faulty(pg):
+        calls.append(np.shape(pg.position)[:-1])
+        bad = [tuple(u) for u in np.reshape(pg.u, (-1, 2)).tolist() if u[0] == 1.0]
+        if bad:
+            raise DomainError(f"normal-jet fault at {bad}")
+        real(pg)
+
+    monkeypatch.setattr(scenario, "normal_jets", faulty)
+    monkeypatch.setattr(submanifold, "normal_jets", faulty)
+    records = scenario._run_grid(cfg, {scenario.RESIDUALS})
+    assert calls == [(6,), (6,)] + [()] * 6  # two blocks, then the second per sample
+    assert [r.error is None for r in records] == [True] * 8 + [False] * 4
+    assert [r.error for r in records[8:]] == [f"normal-jet fault at {[u]}" for u in grid[8:]]
+    assert all(_same(a, b) for a, b in zip(records[:8], expected))
+    assert run_check(cfg).verdict == "Inconclusive"
+
+
+def test_sweep_range_must_be_finite_with_at_least_two_samples(tmp_path, capsys):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"ambient": {"catalog": "flat_c2"},
+                               "immersion": {"catalog": "round_hypersphere",
+                                             "params": {"r": 1.0}}}))
+    for bad in ("0.3:1.2:-3", "nan:1.2:4", "0.3:inf:4", "0.3:1.2:0", "0.3:1.2:1",
+                "0.3:1.2:2.5"):
+        assert cli_main(["sweep", str(scn), "--param", "r", "--range", bad]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.range: "), (bad, err)
+    cfg = _cfg()
+    for lo, hi, n in ((0.3, 1.2, 2.5), (0.3, math.nan, 4), ("0.3", 1.2, 4), (0.3, 1.2, True)):
+        with pytest.raises(ConfigError, match="sweep.range"):
+            sweep_solve(cfg, "r", lo, hi, n)
+
+
+def test_convergence_steps_must_be_finite_and_positive(tmp_path, capsys):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"ambient": {"catalog": "cosymplectic_r5"},
+                               "immersion": {"catalog": "graph_surface"}}))
+    for bad in ("a,b", "0,0.1", "nan,0.1", "-0.1", "0.1,inf", ","):
+        assert cli_main(["convergence", str(scn), "--steps", bad]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error: convergence.steps: "), (bad, err)
+    cfg = load_scenario(scn.read_text())
+    for steps in ((), [], 0.05, (0.05, "0.025"), (0.05, math.nan)):
+        with pytest.raises(ConfigError, match="convergence.steps"):
+            convergence_study(cfg, steps)
+
+
 def _same(a, b) -> bool:
     """Equal values, floats and arrays compared bitwise."""
     if type(a) is not type(b):

@@ -7,13 +7,21 @@ import pytest
 
 import biharm.submanifold as sm
 from biharm import catalog
-from biharm.ambient import GeometryError, christoffel_point, tangent_projector
+from biharm.ambient import (
+    GeometryError,
+    christoffel_point,
+    scalar_from_metric_jets,
+    tangent_projector,
+    verify_structure,
+)
 from biharm.exprs import parse_expression
 from biharm.submanifold import (
     Axis,
     ImmersionModel,
     fd_normal_laplacian,
+    intrinsic_jets,
     normal_derivatives,
+    normal_jets,
     point_geometry,
     pseudo_umbilical_check,
     scalar_curvature,
@@ -302,6 +310,9 @@ def test_grid_batch_equals_per_sample_calls_bitwise(space_name, imm_name, params
     grid = imm.grid()
     batch = point_geometry(space, imm, grid, order)
     assert batch.position.shape == (len(grid), space.rep_dim)
+    if order == 4:  # the block stages of a grid run
+        normal_jets(batch)
+        intrinsic_jets(batch)
     for i, u in enumerate(grid):
         one, row = point_geometry(space, imm, u, order), batch.sample(i)
         assert row.u == one.u == u
@@ -311,9 +322,34 @@ def test_grid_batch_equals_per_sample_calls_bitwise(space_name, imm_name, params
         for key in JETS:
             assert _bitwise(row._state[key].coeffs, one._state[key].coeffs), (i, key)
         if order == 4:
+            # the row reads the block's stage values; the single point runs its own
+            assert "w" in row._state and ("gamma_ind" in row._state or imm.dim == 1)
             a, b = normal_derivatives(row), normal_derivatives(one)
-            for name in ("laplacian", "grad_h2", "trace_shape_mean", "trace_shape_gradient"):
+            for name in ("nabla_norm", "laplacian", "grad_h2", "trace_shape_mean",
+                         "trace_shape_gradient"):
                 assert _bitwise(getattr(a, name), getattr(b, name)), (i, name)
+            scal = scalar_curvature(space, row)
+            assert _bitwise(scal, scalar_curvature(space, one)), i
+            if imm.dim > 1:
+                assert _bitwise(scal[0], scalar_from_metric_jets(one._state["g_ind"])), i
+
+
+TAGGED = [name for name in sorted(catalog.AMBIENTS) if catalog.ambient(name).tag is not None]
+
+
+@pytest.mark.parametrize("name", TAGGED)
+def test_batched_structure_audit_equals_per_point_maxima_bitwise(name):
+    space = catalog.ambient(name)
+    rng = np.random.RandomState(3)
+    pts = rng.uniform(-0.5, 0.5, (6, space.rep_dim))
+    if space.backend == "embedded":
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+    batch = verify_structure(space, pts).residuals
+    singles = [verify_structure(space, [x]).residuals for x in pts]
+    assert any(k.startswith("covariant") for k in batch)
+    assert list(batch) == list(singles[0])
+    for key, value in batch.items():
+        assert _bitwise(value, max(r[key] for r in singles)), key
 
 
 def test_batch_rows_take_their_own_orientation_and_pivots(monkeypatch):
