@@ -17,8 +17,9 @@ kenmotsu_hyperbolic warped product line x_{e^t} C^2 (hyperbolic space),
 cosymplectic_r5    flat R^5 product structure, c = 0 (all coefficients 0)
 ================== ============================================================
 
-Immersion entries are expression templates over named constants; scenario
-constants override the defaults recorded here.
+Entries are expression templates over named parameters.  A scenario binds
+each one to the default recorded here, unless the document's constants name
+it, unless the model's own params do.
 """
 
 from __future__ import annotations

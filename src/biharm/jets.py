@@ -118,10 +118,6 @@ class _JetSpace:
         chunk's temporaries, never the operands at full broadcast size.
         """
         out, ia, ib, w = self.mul_table()
-        if a.ndim == 1 and b.ndim == 1:  # a single product: no offsets to build
-            terms = a.take(ia) * b.take(ib)
-            terms *= w
-            return np.bincount(out, weights=terms, minlength=self.size)
         shape = np.broadcast(a[..., 0], b[..., 0]).shape  # twice as fast as broadcast_shapes
         rows = math.prod(shape)
         step = max(1, _CHUNK_TERMS // len(out))

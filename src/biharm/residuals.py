@@ -53,9 +53,16 @@ CHARACTERIZATION_TOL = 1e-5   # |B|^2 against its target
 BOUND_TOL = 1e-8              # |H|^2 against the mean-curvature bound
 REDUCTION_TOL = 1e-8          # contact normal equation against its constant-target form
 
+# The special-case branches by ambient kind, in the order in which a sample
+# reports the first one its flags activate (see :func:`branch_of`).
+BRANCH_PRIORITY = {
+    KIND_COMPLEX: ("curve", "hypersurface", "complex_surface", "lagrangian_surface"),
+    KIND_CONTACT: ("hypersurface", "xi_normal", "xi_tangent", "invariant", "anti_invariant"),
+}
+
 # The mean-curvature bounds by ambient kind.  Complex: the bound is the grid
 # minimum of a coefficient expression.  Contact: it is (K - shift)/m, with
-# K = m f1 - f2 + 3 f3, and needs K > shift.
+# K the characterization target, and needs K > shift.
 BOUND_KINDS = {
     KIND_COMPLEX: {"lagrangian": lambda alpha, beta: (2.0 * alpha + 3.0 * beta) / 2.0,
                    "complex_surface": lambda alpha, beta: alpha},
@@ -65,7 +72,6 @@ BOUND_KINDS = {
 
 @dataclass
 class BiharmonicResidual:
-    branch: str
     normal: np.ndarray
     tangential: np.ndarray
     terms: dict = field(default_factory=dict)
@@ -77,6 +83,17 @@ class BiharmonicResidual:
     @property
     def tangential_norm(self) -> float:
         return float(np.linalg.norm(self.tangential))
+
+
+def characterization_target(kind: str, m: int, coeffs) -> float:
+    """The constant that |B|^2 of a CMC hypersurface is held to: 3(alpha + beta)
+    in a generalized complex space form, K = m f1 - f2 + 3 f3 in a
+    generalized Sasakian one."""
+    if kind == KIND_COMPLEX:
+        alpha, beta = coeffs
+        return 3.0 * (alpha + beta)
+    f1, f2, f3 = coeffs
+    return m * f1 - f2 + 3.0 * f3
 
 
 def curvature_trace(space: AmbientModel, pg: PointGeometry):
@@ -101,7 +118,7 @@ def residual_general(space: AmbientModel, pg: PointGeometry, nd: NormalFieldDeri
         "trace_shape_gradient": float(np.linalg.norm(nd.trace_shape_gradient)),
         "curvature_tangential": float(np.linalg.norm(ctr_tangent)),
     }
-    return BiharmonicResidual(GENERAL, normal, tangential, terms)
+    return BiharmonicResidual(normal, tangential, terms)
 
 
 def _vec_from_normal(pg, comps):
@@ -135,21 +152,19 @@ def residual_gcsf(space, pg, nd, ops: DecompositionOperators,
 
     out = {
         CLOSED_FORM: BiharmonicResidual(
-            CLOSED_FORM, base_n - m * alpha * H + 3.0 * beta * klH, base_t + 6.0 * beta * jlH)
+            base_n - m * alpha * H + 3.0 * beta * klH, base_t + 6.0 * beta * jlH)
     }
     if flags.is_hypersurface:
         out["hypersurface"] = BiharmonicResidual(
-            "hypersurface", base_n - 3.0 * (alpha + beta) * H, base_t)
+            base_n - characterization_target(KIND_COMPLEX, m, (alpha, beta)) * H, base_t)
     if flags.is_complex and m == 2:
-        out["complex_surface"] = BiharmonicResidual(
-            "complex_surface", base_n - 2.0 * alpha * H, base_t)
+        out["complex_surface"] = BiharmonicResidual(base_n - 2.0 * alpha * H, base_t)
     if flags.is_lagrangian:
         out["lagrangian_surface"] = BiharmonicResidual(
-            "lagrangian_surface", base_n - (2.0 * alpha + 3.0 * beta) * H, base_t)
+            base_n - (2.0 * alpha + 3.0 * beta) * H, base_t)
     if flags.is_curve:
         mmH = _vec_from_normal(pg, ops.nn @ (ops.nn @ hn))
-        out["curve"] = BiharmonicResidual(
-            "curve", base_n - alpha * H - 3.0 * beta * (H + mmH), base_t)
+        out["curve"] = BiharmonicResidual(base_n - alpha * H - 3.0 * beta * (H + mmH), base_t)
     return out
 
 
@@ -188,41 +203,45 @@ def residual_gssf(space, pg, nd, ops: DecompositionOperators,
     xi_top, xi_perp, eta_h, xt2 = aux["xi_top"], aux["xi_perp"], aux["eta_h"], aux["xt2"]
 
     out = {
-        CLOSED_FORM: BiharmonicResidual(CLOSED_FORM, base_n - rhs_n, base_t - rhs_t)
+        CLOSED_FORM: BiharmonicResidual(base_n - rhs_n, base_t - rhs_t)
     }
     if flags.is_invariant:
         out["invariant"] = BiharmonicResidual(
-            "invariant",
             base_n - (m * f1 * H - f2 * xt2 * H - m * f2 * eta_h * xi_perp),
             base_t - rhs_t)
     if flags.is_anti_invariant:
         out["anti_invariant"] = BiharmonicResidual(
-            "anti_invariant", base_n - rhs_n,
-            base_t + 2.0 * f2 * (m - 1) * eta_h * xi_top)
+            base_n - rhs_n, base_t + 2.0 * f2 * (m - 1) * eta_h * xi_top)
     if flags.xi_normal:
         _, xi_full = pg.ambient.structure
         out["xi_normal"] = BiharmonicResidual(
-            "xi_normal",
             base_n - (m * f1 * H - m * f2 * eta_h * xi_full - 3.0 * f3 * NtH),
             base_t)
     if flags.xi_tangent:
         out["xi_tangent"] = BiharmonicResidual(
-            "xi_tangent",
             base_n - (m * f1 * H - f2 * H - 3.0 * f3 * NtH),
             base_t + 6.0 * f3 * PtH)
     if flags.is_hypersurface:
         out["hypersurface"] = BiharmonicResidual(
-            "hypersurface",
             base_n - ((m * f1 + 3.0 * f3) * H - f2 * xt2 * H
                       - (m * f2 + 3.0 * f3) * eta_h * xi_perp),
             base_t + (2.0 * (m - 1) * f2 + 6.0 * f3) * eta_h * xi_top)
     return out
 
 
+def branch_of(kind: str, residuals: dict) -> str:
+    """The residual a sample reports as its branch: the first special-case
+    branch in :data:`BRANCH_PRIORITY` that its flags activated, else the
+    closed form, else the general split."""
+    return next((name for name in BRANCH_PRIORITY[kind] if name in residuals),
+                CLOSED_FORM if CLOSED_FORM in residuals else GENERAL)
+
+
 def reduction_residual(space, pg, ops) -> float:
     """How far the contact normal equation is from its constant-target form.
 
-    Distance between the closed-form right-hand side and (m f1 - f2 + 3 f3) H.
+    Distance between the closed-form right-hand side and K H, with K the
+    characterization target m f1 - f2 + 3 f3.
     It vanishes whenever xi and phi(H) are tangent, and also when the
     coefficients in front of the structure terms vanish, which is the
     condition under which the constant-mean-curvature characterization and
@@ -230,8 +249,7 @@ def reduction_residual(space, pg, ops) -> float:
     """
     coeffs = pg.ambient.coeffs
     rhs_n, _, _ = _gssf_rhs_closed_form(space, pg, ops, coeffs)
-    f1, f2, f3 = coeffs
-    target = (pg.m * f1 - f2 + 3.0 * f3) * pg.mean_curvature
+    target = characterization_target(KIND_CONTACT, pg.m, coeffs) * pg.mean_curvature
     return float(np.linalg.norm(rhs_n - target))
 
 
@@ -240,12 +258,14 @@ def reduction_residual(space, pg, ops) -> float:
 
 @dataclass
 class PointData:
-    """Per-sample data consumed by the grid-level verdicts; a quantity that
-    the grid run was not asked for stays None (``residuals`` stays empty)."""
+    """One grid sample's result.  A failed sample carries its ``error`` and
+    nothing else; on a clean one, a quantity that the grid run was not asked
+    for stays None (``residuals`` stays empty)."""
 
     u: tuple
-    h_norm: float
-    b_norm2: float
+    error: str | None = None
+    h_norm: float | None = None
+    b_norm2: float | None = None
     coeffs: tuple | None = None
     flags: ClassificationFlags | None = None
     scal_intrinsic: float | None = None
@@ -254,6 +274,9 @@ class PointData:
     nabla_h_norm: float | None = None
     reduction_residual: float | None = None
     residuals: dict[str, BiharmonicResidual] = field(default_factory=dict)
+    relations: dict | None = None
+    branch: str | None = None          # see :func:`branch_of`
+    signed_normal: float | None = None  # general normal residual along H/|H|
 
 
 def _cmc(points) -> tuple[bool, float]:
@@ -306,13 +329,9 @@ def cmc_characterization(space: AmbientModel, points, m: int,
 
     gaps, targets, scal_gaps = [], [], []
     for p in points:
+        target = characterization_target(space.kind, m, p.coeffs)
         if space.kind == KIND_COMPLEX:
-            a, b = p.coeffs
-            target = 3.0 * (a + b)
-            scal_gaps.append(abs(p.scal_intrinsic - (3.0 * (a + b) + 9.0 * p.h_norm**2)))
-        else:
-            f1, f2, f3 = p.coeffs
-            target = m * f1 - f2 + 3.0 * f3
+            scal_gaps.append(abs(p.scal_intrinsic - (target + 9.0 * p.h_norm**2)))
         targets.append(target)
         gaps.append(abs(p.b_norm2 - target))
     gap = max(gaps)
@@ -323,7 +342,8 @@ def cmc_characterization(space: AmbientModel, points, m: int,
 
 
 def bound_constant(family: str, m: int, c: float) -> float:
-    """The constant m f1 - f2 + 3 f3 for the classical space-form families."""
+    """The characterization target m f1 - f2 + 3 f3 for the classical
+    Sasakian, Kenmotsu and cosymplectic space forms, in closed form."""
     if family == SASAKI:
         k = (m + 2) * c / 4.0 + (3 * m - 2) / 4.0
     elif family == KENMOTSU:
@@ -332,8 +352,8 @@ def bound_constant(family: str, m: int, c: float) -> float:
         k = (m + 2) * c / 4.0
     else:
         raise ValueError(f"no mean-curvature bound constant for family {family!r}")
-    f1, f2, f3 = coefficients_for_tag(ClassicalTag(family, c))
-    assert abs(k - (m * f1 - f2 + 3.0 * f3)) < 1e-12
+    coeffs = coefficients_for_tag(ClassicalTag(family, c))
+    assert abs(k - characterization_target(KIND_CONTACT, m, coeffs)) < 1e-12
     return k
 
 
@@ -395,7 +415,7 @@ def bound_check(space: AmbientModel, points, m: int, kind: str | None = None,
         if space.tag is not None and space.tag.family in (SASAKI, KENMOTSU, COSYMPLECTIC):
             k_value = bound_constant(space.tag.family, m, space.tag.value)
         else:
-            k_value = min(m * p.coeffs[0] - p.coeffs[1] + 3.0 * p.coeffs[2] for p in points)
+            k_value = min(characterization_target(KIND_CONTACT, m, p.coeffs) for p in points)
         shift = BOUND_KINDS[KIND_CONTACT][kind]
         bound = None if k_value <= shift else (k_value - shift) / m
         out["k_value"] = k_value
@@ -448,7 +468,7 @@ def nonexistence_audit(space: AmbientModel, points, m: int) -> list[dict]:
                     max(comp) <= 0.0, {"sup_alpha": max(comp)}),
         ]
 
-    kvals = [m * p.coeffs[0] - p.coeffs[1] + 3.0 * p.coeffs[2] for p in points]
+    kvals = [characterization_target(KIND_CONTACT, m, p.coeffs) for p in points]
     detail = {"sup_target": max(kvals)}
     if space.tag is not None and space.tag.family in (SASAKI, KENMOTSU, COSYMPLECTIC):
         c = space.tag.value

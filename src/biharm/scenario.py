@@ -65,6 +65,8 @@ from .residuals import (
     PointData,
     _cmc,
     bound_check,
+    branch_of,
+    characterization_target,
     cmc_characterization,
     nonexistence_audit,
     proper_biharmonic_verdict,
@@ -96,11 +98,6 @@ SCHEMA_VERSION = 1
 # the classical families an inline ambient's ``tag`` may name, per kind
 TAG_FAMILIES = {KIND_COMPLEX: (COMPLEX_SPACE_FORM,),
                 KIND_CONTACT: (SASAKI, KENMOTSU, COSYMPLECTIC)}
-
-BRANCH_PRIORITY = {
-    KIND_COMPLEX: ("curve", "hypersurface", "complex_surface", "lagrangian_surface"),
-    KIND_CONTACT: ("hypersurface", "xi_normal", "xi_tangent", "invariant", "anti_invariant"),
-}
 
 
 class ConfigError(Exception):
@@ -182,13 +179,12 @@ def _boolean(value, path) -> bool:
 
 def _load_ambient(doc, constants, path) -> AmbientModel:
     if "catalog" in _mapping(doc, path):
-        name = doc["catalog"]
         try:
-            space = catalog.ambient(name, _numbers(doc.get("params", {}), path + ".params"))
+            return catalog.ambient(doc["catalog"], _catalog_params(doc, constants, path))
         except KeyError as e:
             raise ConfigError(str(e), path + ".catalog") from None
-        space.bindings.update({k: v for k, v in constants.items() if k not in space.bindings})
-        return space
+        except ValueError as e:
+            raise ConfigError(str(e), path) from None
     kind = _require(doc, "kind", path)
     if kind not in (KIND_COMPLEX, KIND_CONTACT):
         raise ConfigError(f"unknown kind {kind!r}", path + ".kind")
@@ -268,11 +264,16 @@ def _parse(source, params, path, bindings):
     return expr
 
 
+def _catalog_params(doc, constants, path) -> dict:
+    """The parameters a catalog model is built with: its own defaults, under
+    the document's constants, under the model's ``params``."""
+    return {**constants, **_numbers(doc.get("params", {}), path + ".params")}
+
+
 def _load_immersion(doc, space, constants, path) -> ImmersionModel:
     if "catalog" in _mapping(doc, path):
         try:
-            imm = catalog.immersion(doc["catalog"], space,
-                                    _numbers(doc.get("params", {}), path + ".params"))
+            imm = catalog.immersion(doc["catalog"], space, _catalog_params(doc, constants, path))
         except KeyError as e:
             raise ConfigError(str(e), path + ".catalog") from None
         except ValueError as e:
@@ -297,15 +298,12 @@ def _load_immersion(doc, space, constants, path) -> ImmersionModel:
             params=params,
             components=components,
             domain=axes,
-            bindings={},
+            bindings=dict(constants),
         )
     if imm.dim >= space.dim:
         raise ConfigError(
             f"immersion dimension {imm.dim} must be below ambient dimension {space.dim}",
             path)
-    merged = dict(constants)
-    merged.update(imm.bindings)
-    imm.bindings = merged
     return imm
 
 
@@ -424,17 +422,7 @@ _REQUIRES = {RESIDUALS: (NORMAL, SPLIT), RELATIONS: (SPLIT,)}
 _ORDER2 = frozenset((GEOMETRY, COEFFICIENTS))
 
 
-@dataclass
-class PointRecord:
-    u: tuple
-    error: str | None = None
-    data: PointData | None = None
-    relations: dict | None = None
-    branch: str | None = None
-    signed_normal: float | None = None
-
-
-def _require_finite(data: PointData, relations: dict | None):
+def _require_finite(data: PointData):
     """Raise DomainError naming every computed sample quantity that is not
     finite: the aggregates reduce them with ``max``, which would drop a NaN."""
     values = {"|H|": data.h_norm, "|B|^2": data.b_norm2}
@@ -448,7 +436,7 @@ def _require_finite(data: PointData, relations: dict | None):
     for name, res in data.residuals.items():
         values[f"{name} normal residual"] = res.normal_norm
         values[f"{name} tangential residual"] = res.tangential_norm
-    for name, v in (relations or {}).items():
+    for name, v in (data.relations or {}).items():
         values[f"{name} relation"] = v
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
@@ -463,7 +451,7 @@ def _faults_raise():
     return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
-def _evaluate_point(cfg: ScenarioConfig, u, needs: frozenset, pg=None) -> PointRecord:
+def _evaluate_point(cfg: ScenarioConfig, u, needs: frozenset, pg=None) -> PointData:
     """The quantities ``needs`` at ``u``, each listed with what it rests on,
     from its geometry ``pg`` when given; a geometric, arithmetic or
     non-finite fault fails just this point, naming the reason."""
@@ -471,16 +459,15 @@ def _evaluate_point(cfg: ScenarioConfig, u, needs: frozenset, pg=None) -> PointR
         with _faults_raise():
             return _evaluate_point_data(cfg, u, needs, pg)
     except _POINT_FAULTS as e:
-        return PointRecord(u=tuple(u), error=str(e))
+        return PointData(u=tuple(u), error=str(e))
 
 
-def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset, pg) -> PointRecord:
+def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset, pg) -> PointData:
     space, imm = cfg.ambient, cfg.immersion
     if pg is None:
         pg = point_geometry(space, imm, u, 2 if needs <= _ORDER2 else cfg.order)
     data = PointData(u=tuple(u), h_norm=pg.mean_curvature_norm,
                      b_norm2=pg.second_fundamental_norm2)
-    record = PointRecord(u=tuple(u), data=data)
     if NORMAL in needs:
         nd = normal_derivatives(pg)
         data.nabla_h_norm = nd.nabla_norm
@@ -495,22 +482,21 @@ def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset, pg) -> PointR
         else:
             residuals.update(residual_gssf(space, pg, nd, ops, data.flags))
             data.reduction_residual = reduction_residual(space, pg, ops)
-        record.branch = next((name for name in BRANCH_PRIORITY[space.kind] if name in residuals),
-                             CLOSED_FORM if CLOSED_FORM in residuals else GENERAL)
+        data.branch = branch_of(space.kind, residuals)
     if PSEUDO in needs:
         _, data.pseudo_deviation = pseudo_umbilical_check(pg)
     if SCALAR in needs:
         data.scal_intrinsic, data.scal_via_gauss = scalar_curvature(space, pg)
     if RELATIONS in needs:
-        record.relations = verify_relations(ops)
-    _require_finite(data, record.relations)
+        data.relations = verify_relations(ops)
+    _require_finite(data)
     if COEFFICIENTS in needs:
         data.coeffs = pg.ambient.coeffs
     if RESIDUALS in needs and pg.mean_curvature_norm > 1e-9:
         normal = data.residuals[GENERAL].normal
-        record.signed_normal = (float(normal @ pg.ambient_metric @ pg.mean_curvature)
-                                / pg.mean_curvature_norm)
-    return record
+        data.signed_normal = (float(normal @ pg.ambient_metric @ pg.mean_curvature)
+                              / pg.mean_curvature_norm)
+    return data
 
 
 # jet coefficients per field of a grid block: four samples of order-4 jets
@@ -525,7 +511,7 @@ def _block_rows(cfg: ScenarioConfig, order: int) -> int:
     return max(1, _BLOCK_COEFFS // geometry_jet_size(cfg.ambient, cfg.immersion, order))
 
 
-def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointRecord]:
+def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointData]:
     """``needs`` at every grid sample, with the geometry and what they rest on.
 
     The grid's geometry runs as consecutive row blocks (:func:`_block_rows`
@@ -598,18 +584,17 @@ def run_check(cfg: ScenarioConfig) -> Report:
     needs = {RESIDUALS}.union(*(CHECKS[spec.op].needs for spec in cfg.checks))
     records = _run_grid(cfg, needs)
     ok = [r for r in records if r.error is None]
-    datas = [r.data for r in ok]
-    if not datas:
+    if not ok:
         raise GeometryError(
             "no grid point evaluated cleanly: " + (records[0].error or "empty grid"))
 
-    hs = [d.h_norm for d in datas]
+    hs = [d.h_norm for d in ok]
     # a verdict must hold at every sample: a partial grid decides nothing
-    verdict = proper_biharmonic_verdict(datas) if len(ok) == len(records) else "Inconclusive"
+    verdict = proper_biharmonic_verdict(ok) if len(ok) == len(records) else "Inconclusive"
 
     branch_gap = 0.0
     closed_form_gap = 0.0
-    for d in datas:
+    for d in ok:
         gen = d.residuals[GENERAL]
         for name, res in d.residuals.items():
             gap = max(np.linalg.norm(res.normal - gen.normal),
@@ -624,38 +609,36 @@ def run_check(cfg: ScenarioConfig) -> Report:
         "points_failed": len(records) - len(ok),
         "h_min": min(hs),
         "h_max": max(hs),
-        "b_norm2_min": min(d.b_norm2 for d in datas),
-        "b_norm2_max": max(d.b_norm2 for d in datas),
-        "cmc": _cmc(datas)[0],
-        "max_normal_residual": max(d.residuals[GENERAL].normal_norm for d in datas),
-        "max_tangential_residual": max(d.residuals[GENERAL].tangential_norm for d in datas),
+        "b_norm2_min": min(d.b_norm2 for d in ok),
+        "b_norm2_max": max(d.b_norm2 for d in ok),
+        "cmc": _cmc(ok)[0],
+        "max_normal_residual": max(d.residuals[GENERAL].normal_norm for d in ok),
+        "max_tangential_residual": max(d.residuals[GENERAL].tangential_norm for d in ok),
         "max_closed_form_vs_general": closed_form_gap,
         "max_branch_vs_general": branch_gap,
         "verdict": verdict,
-        "classification": _flag_consensus(datas),
+        "classification": _flag_consensus(ok),
         "branch": ok[0].branch,
     }
 
-    grid = _Grid(cfg, records, datas, aggregates)
+    grid = _Grid(cfg, ok, aggregates)
     checks_out = {spec.op: {"op": spec.op, **CHECKS[spec.op].run(grid, spec)}
                   for spec in cfg.checks}
 
     points_doc = []
-    for r in records:
-        if r.error is not None:
-            points_doc.append({"u": list(r.u), "error": r.error})
+    for d in records:
+        if d.error is not None:
+            points_doc.append({"u": list(d.u), "error": d.error})
             continue
-        d = r.data
-        entry = {
-            "u": list(r.u),
+        points_doc.append({
+            "u": list(d.u),
             "h_norm": d.h_norm,
             "b_norm2": d.b_norm2,
             "normal_residual": d.residuals[GENERAL].normal_norm,
             "tangential_residual": d.residuals[GENERAL].tangential_norm,
-            "branch": r.branch,
+            "branch": d.branch,
             "flags": d.flags.as_dict(),
-        }
-        points_doc.append(entry)
+        })
 
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -682,8 +665,7 @@ def run_check(cfg: ScenarioConfig) -> Report:
 @dataclass
 class _Grid:
     cfg: ScenarioConfig
-    records: list[PointRecord]
-    datas: list[PointData]       # of the records that evaluated cleanly
+    datas: list[PointData]       # the samples that evaluated cleanly
     aggregates: dict
 
 
@@ -749,9 +731,9 @@ def _check_audit(grid, spec) -> dict:
 @_declare(CHECKS, "relations", RELATIONS, tol=1e-10)
 def _check_relations(grid, spec) -> dict:
     worst = {}
-    for r in grid.records:
-        if r.relations:
-            for k, v in r.relations.items():
+    for d in grid.datas:
+        if d.relations:
+            for k, v in d.relations.items():
                 worst[k] = max(worst.get(k, 0.0), v)
     status = "ok" if worst and max(worst.values()) <= spec.tol else "violated"
     return {"tol": spec.tol, "residuals": worst, "status": status}
@@ -810,22 +792,20 @@ SWEEP_OBJECTIVES: dict[str, Declared] = {}
 
 @_declare(SWEEP_OBJECTIVES, "normal_residual", RESIDUALS)
 def _objective_normal_residual(cfg, records) -> float:
-    if records[0].signed_normal is not None:
-        return records[0].signed_normal
-    return max(r.data.residuals[GENERAL].normal_norm for r in records)
+    """The signed general normal residual of largest magnitude over the grid
+    (the first on ties); the largest normal-residual norm when some sample
+    has no sign (a minimal point)."""
+    signed = [d.signed_normal for d in records]
+    if None in signed:
+        return max(d.residuals[GENERAL].normal_norm for d in records)
+    return max(signed, key=abs)
 
 
 @_declare(SWEEP_OBJECTIVES, "characterization_gap", COEFFICIENTS)
 def _objective_characterization_gap(cfg, records) -> float:
-    m = cfg.immersion.dim
-    gaps = []
-    for d in (r.data for r in records):
-        if cfg.ambient.kind == KIND_COMPLEX:
-            target = 3.0 * (d.coeffs[0] + d.coeffs[1])
-        else:
-            target = m * d.coeffs[0] - d.coeffs[1] + 3.0 * d.coeffs[2]
-        gaps.append(d.b_norm2 - target)
-    return float(np.mean(gaps))
+    kind, m = cfg.ambient.kind, cfg.immersion.dim
+    return float(np.mean([d.b_norm2 - characterization_target(kind, m, d.coeffs)
+                          for d in records]))
 
 
 class _GridFailed(GeometryError):

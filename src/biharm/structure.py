@@ -19,7 +19,7 @@ of individual blocks drive submanifold classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -134,14 +134,10 @@ class ClassificationFlags:
     consistency_ok: bool = True
 
     def as_dict(self) -> dict:
-        return {
-            k: getattr(self, k)
-            for k in (
-                "is_curve", "is_hypersurface", "is_complex", "is_lagrangian",
-                "is_invariant", "is_anti_invariant", "xi_tangent", "xi_normal",
-                "phi_h_tangent", "phi_h_normal",
-            )
-        }
+        """The flags by name, in field order: every field but the norms and
+        the consistency mark."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("norms", "consistency_ok")}
 
 
 def classify(ops: DecompositionOperators, dims, h_normal=None) -> ClassificationFlags:

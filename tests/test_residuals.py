@@ -199,7 +199,7 @@ def _grid_data(space, imm, checks=()):
 
     cfg = ScenarioConfig(ambient=space, immersion=imm, checks=[], constants={},
                          expect={}, raw={})
-    return [r.data for r in _run_grid(cfg) if r.error is None]
+    return [d for d in _run_grid(cfg) if d.error is None]
 
 
 def test_characterization_geodesic_sphere():

@@ -39,6 +39,27 @@ def test_load_catalog_names():
     assert cfg.immersion.bindings["r"] == 1.0
 
 
+def test_catalog_binding_precedence_default_constant_params():
+    # a catalog model's default < the document's constant < the model's params
+    cfg = _cfg(ambient={"catalog": "cp2"}, immersion={"catalog": "geodesic_sphere_cp2"},
+               constants={"rho": 2.0, "r": 0.4})
+    assert (cfg.ambient.bindings["rho"], cfg.immersion.bindings["r"]) == (2.0, 0.4)
+    cfg = _cfg(ambient={"catalog": "cp2", "params": {"rho": 0.5}},
+               immersion={"catalog": "geodesic_sphere_cp2", "params": {"r": 0.3}},
+               constants={"rho": 2.0, "r": 0.4})
+    assert (cfg.ambient.bindings["rho"], cfg.immersion.bindings["r"]) == (0.5, 0.3)
+    assert _cfg(ambient={"catalog": "cp2"}).ambient.bindings["rho"] == 1.0
+
+
+def test_document_constant_binds_a_catalog_default():
+    # round_hypersphere defaults to r = 1; the constant r = 2 must win over
+    # it, giving the flat normal residual 3 / r^3
+    cfg = _cfg(immersion={"catalog": "round_hypersphere"}, constants={"r": 2.0})
+    assert run_check(cfg).aggregates["max_normal_residual"] == pytest.approx(0.375, rel=1e-9)
+    res = sweep_solve(cfg, "r", 0.5, 2.0, 4, "normal_residual")
+    assert res.objective == pytest.approx([24.0, 3.0, 8.0 / 9.0, 0.375], rel=1e-9)
+
+
 def test_unknown_catalog_name():
     with pytest.raises(ConfigError) as err:
         _cfg(ambient={"catalog": "cp3"})
@@ -132,6 +153,7 @@ _FLAT_INLINE = {
     ({"domain": {"axes": [5]}}, "domain.axes[0]"),
     ({"constants": {"r": True}}, "constants.r"),
     ({"immersion": {"catalog": "round_hypersphere", "params": {"r": "1.0"}}}, "immersion.params.r"),
+    ({"ambient": {"catalog": "cp2", "params": {"rho": -1.0}}}, "ambient"),
 ])
 def test_malformed_document_field_is_config_error(tmp_path, capsys, overrides, path):
     doc = {
@@ -242,7 +264,7 @@ def test_order2_grid_batch_fault_reruns_each_sample(monkeypatch):
     assert calls == [(6, 2)] + [(2,)] * 6  # one batch, then one call per sample
     assert [r.error for r in records] == [r.error for r in expected]
     assert [r.error is None for r in records] == [True] * 4 + [False] * 2
-    assert all(a.data.b_norm2 == b.data.b_norm2 for a, b in zip(records[:4], expected))
+    assert all(a.b_norm2 == b.b_norm2 for a, b in zip(records[:4], expected))
 
     res = sweep_solve(cfg, "c", 0.6, 1.4, 3, "characterization_gap")
     assert res.partial == [0.6, 1.0]
@@ -533,6 +555,24 @@ def test_sweep_reports_pole_as_discontinuity_not_root():
     assert res.roots == []
     assert len(res.discontinuities) == 1
     assert res.discontinuities[0] == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+def test_normal_residual_objective_reads_every_sample():
+    import biharm.scenario as scenario
+    from biharm.residuals import GENERAL, BiharmonicResidual, PointData
+
+    def sample(signed, norm):
+        res = BiharmonicResidual(normal=np.array([norm, 0.0]), tangential=np.zeros(2))
+        return PointData(u=(0.0,), h_norm=1.0, b_norm2=1.0, residuals={GENERAL: res},
+                         signed_normal=signed)
+
+    objective = scenario.SWEEP_OBJECTIVES["normal_residual"].run
+    # the largest magnitude, keeping its sign; the first one on ties
+    records = [sample(0.1, 0.1), sample(-0.5, 0.5), sample(0.5, 0.5), sample(0.2, 0.2)]
+    assert objective(None, records) == -0.5
+    # a sample with no sign (a minimal point): the largest norm
+    records[3] = sample(None, 0.7)
+    assert objective(None, records) == 0.7
 
 
 def test_sweep_unknown_parameter():
