@@ -4,9 +4,10 @@ Two kinds of ambient space are supported: generalized complex space forms
 (4-dimensional almost Hermitian, curvature alpha*R_const + beta*R_complex)
 and generalized Sasakian space forms (odd-dimensional almost contact metric,
 curvature f1*R_const + f2*R_reeb + f3*R_fundform).  The curvature tensor is
-always the algebraic combination of these generalized curvature terms with
-the model's coefficient functions; agreement with the Riemann tensor of the
-chart metric is a test property of catalog models, never a runtime path.
+always the coefficient-weighted sum of these generalized terms, which
+:class:`PointAmbient` builds once per point as (D, D, D, D) arrays from g,
+J or (phi, xi); agreement with the Riemann tensor of the chart metric is a
+test property of catalog models, never a runtime path.
 
 Two metric backends:
 
@@ -213,41 +214,23 @@ def scalar_from_metric_jets(g) -> float:
     return scalar_from_christoffel(g.value, gamma.value, gamma.gradient().value)
 
 
-# -- algebraic curvature terms ------------------------------------------------
+# -- algebraic curvature ------------------------------------------------------
 
-def curv_const_term(g, X, Y, Z):
-    """Constant-sectional-curvature building block g(Y,Z)X - g(X,Z)Y."""
-    return (Y @ g @ Z) * X - (X @ g @ Z) * Y
-
-
-def curv_complex_term(g, J, X, Y, Z):
-    """Complex-structure building block of holomorphic space-form curvature."""
-    JX, JY, JZ = J @ X, J @ Y, J @ Z
-    return (JY @ g @ Z) * JX - (JX @ g @ Z) * JY + 2.0 * (JY @ g @ X) * JZ
-
-
-def curv_reeb_term(g, xi, X, Y, Z):
-    """Reeb-direction building block of contact space-form curvature."""
-    eta = g @ xi
-    eX, eY, eZ = eta @ X, eta @ Y, eta @ Z
-    return eX * eZ * Y - eY * eZ * X + (X @ g @ Z) * eY * xi - (Y @ g @ Z) * eX * xi
-
-
-def curv_fundform_term(g, phi, X, Y, Z):
-    """Fundamental-2-form building block of contact space-form curvature."""
-    pX, pY, pZ = phi @ X, phi @ Y, phi @ Z
-
-    def omega(A, B):  # Omega(A, B) = g(A, phi B)
-        return A @ g @ (phi @ B)
-
-    return omega(Z, Y) * pX - omega(Z, X) * pY + 2.0 * omega(X, Y) * pZ
+def _twisted_term(g, S):
+    """The building block g(SY, Z) SX - g(SX, Z) SY + 2 g(SY, X) SZ of a
+    structure S (R_complex for S = J, R_fundform for S = phi), as
+    T[x, y, z, a]."""
+    W = S.T @ g  # W[u, v] = g(S e_u, e_v)
+    return (np.einsum("yz,ax->xyza", W, S) - np.einsum("xz,ay->xyza", W, S)
+            + 2.0 * np.einsum("yx,az->xyza", W, S))
 
 
 class PointAmbient:
     """The ambient tensors at one point, each evaluated on first use and
     then kept: the metric ``g`` (checked positive definite), the curvature
-    ``coeffs`` and the ``structure`` (J, or (phi, xi)).  A sample's readers
-    share one snapshot, so each tensor runs its program once per point."""
+    ``coeffs``, the ``structure`` (J, or (phi, xi)) and the declared
+    ``curvature``.  A sample's readers share one snapshot, so each tensor
+    runs its program once per point."""
 
     def __init__(self, space: AmbientModel, x):
         self.space = space
@@ -265,35 +248,32 @@ class PointAmbient:
     def structure(self):
         return structure_at(self.space, self.x)
 
-    def curvature_parts(self, X, Y, Z) -> dict:
-        """Each generalized curvature term, plus the coefficient-weighted sum."""
+    @cached_property
+    def curvature(self) -> dict:
+        """Each generalized curvature term, plus the coefficient-weighted
+        ``combined``, as (D, D, D, D) arrays T with R(X, Y)Z = T[x, y, z, a]
+        X^x Y^y Z^z."""
         g = self.g
-        X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-        coeffs = self.coeffs
+        eye = np.eye(len(g))
+        parts = {"const": np.einsum("yz,xa->xyza", g, eye) - np.einsum("xz,ya->xyza", g, eye)}
         if self.space.kind == KIND_COMPLEX:
-            J = self.structure
-            parts = {
-                "const": curv_const_term(g, X, Y, Z),
-                "complex": curv_complex_term(g, J, X, Y, Z),
-            }
-            parts["combined"] = coeffs[0] * parts["const"] + coeffs[1] * parts["complex"]
+            parts["complex"] = _twisted_term(g, self.structure)
         else:
             phi, xi = self.structure
-            parts = {
-                "const": curv_const_term(g, X, Y, Z),
-                "reeb": curv_reeb_term(g, xi, X, Y, Z),
-                "fundform": curv_fundform_term(g, phi, X, Y, Z),
-            }
-            parts["combined"] = (
-                coeffs[0] * parts["const"] + coeffs[1] * parts["reeb"]
-                + coeffs[2] * parts["fundform"]
-            )
+            eta = g @ xi
+            parts["reeb"] = (np.einsum("x,z,ya->xyza", eta, eta, eye)
+                             - np.einsum("y,z,xa->xyza", eta, eta, eye)
+                             + np.einsum("xz,y,a->xyza", g, eta, xi)
+                             - np.einsum("yz,x,a->xyza", g, eta, xi))
+            parts["fundform"] = _twisted_term(g, phi)
+        parts["combined"] = sum(c * t for c, t in zip(self.coeffs, parts.values()))
         return parts
 
 
 def curvature_parts(space: AmbientModel, x, X, Y, Z) -> dict:
-    """Each generalized curvature term at ``x``, plus the coefficient-weighted sum."""
-    return PointAmbient(space, x).curvature_parts(X, Y, Z)
+    """Each generalized curvature term R(X, Y)Z at ``x``, plus the weighted sum."""
+    return {k: np.einsum("xyza,x,y,z->a", t, X, Y, Z)
+            for k, t in PointAmbient(space, x).curvature.items()}
 
 
 def curvature_apply(space: AmbientModel, x, X, Y, Z) -> np.ndarray:

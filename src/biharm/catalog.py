@@ -17,9 +17,10 @@ kenmotsu_hyperbolic warped product line x_{e^t} C^2 (hyperbolic space),
 cosymplectic_r5    flat R^5 product structure, c = 0 (all coefficients 0)
 ================== ============================================================
 
-Entries are expression templates over named parameters.  A scenario binds
-each one to the default recorded here, unless the document's constants name
-it, unless the model's own params do.
+Entries are expression templates over named parameters, each declared with
+its default in :data:`AMBIENTS` or :data:`IMMERSIONS`.  A scenario binds each
+one to the default, unless the document's constants name it, unless the
+model's own params do; a params name the entry does not declare is an error.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _fubini_study_rows():
 
 
 def _cp2(params):
-    rho = float(params.get("rho", 1.0))
+    rho = params["rho"]
     if rho <= 0.0:
         raise ValueError("cp2 needs rho > 0")
     coords = ("x1", "y1", "x2", "y2")
@@ -112,13 +113,11 @@ def _cp2(params):
         cstruct=_matrix(_J_STANDARD, coords),
         coeffs=_vector(("rho", "rho"), coords),
         tag=ClassicalTag(COMPLEX_SPACE_FORM, rho),
-        bindings={"rho": rho},
+        bindings=params,
     )
 
 
 def _synthetic_complex(params):
-    alpha = float(params.get("alpha", 1.0))
-    beta = float(params.get("beta", -0.5))
     coords = ("x1", "y1", "x2", "y2")
     eye = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
     return AmbientModel(
@@ -130,7 +129,7 @@ def _synthetic_complex(params):
         metric=_matrix(eye, coords),
         cstruct=_matrix(_J_STANDARD, coords),
         coeffs=_vector(("alpha", "beta"), coords),
-        bindings={"alpha": alpha, "beta": beta},
+        bindings=params,
     )
 
 
@@ -249,28 +248,38 @@ def _sasakian_sphere_s5(params):
     )
 
 
+# name -> (builder, declared parameters with their defaults)
 AMBIENTS = {
-    "flat_c2": _flat_c2,
-    "cp2": _cp2,
-    "synthetic_complex": _synthetic_complex,
-    "sasakian_r5": _sasakian_r5,
-    "cosymplectic_r5": _cosymplectic_r5,
-    "kenmotsu_hyperbolic": _kenmotsu_hyperbolic,
-    "sasakian_sphere_s5": _sasakian_sphere_s5,
+    "flat_c2": (_flat_c2, {}),
+    "cp2": (_cp2, {"rho": 1.0}),
+    "synthetic_complex": (_synthetic_complex, {"alpha": 1.0, "beta": -0.5}),
+    "sasakian_r5": (_sasakian_r5, {}),
+    "cosymplectic_r5": (_cosymplectic_r5, {}),
+    "kenmotsu_hyperbolic": (_kenmotsu_hyperbolic, {}),
+    "sasakian_sphere_s5": (_sasakian_sphere_s5, {}),
 }
 
 
+def _entry(entries: dict, kind: str, name: str, params: dict | None):
+    """The builder of catalog entry ``name`` and its parameters: the declared
+    defaults under ``params``, which may name only declared parameters."""
+    if name not in entries:
+        raise KeyError(f"unknown {kind} catalog entry {name!r}")
+    build, defaults = entries[name]
+    undeclared = sorted(set(params or {}) - set(defaults))
+    if undeclared:
+        raise ValueError(f"{name} declares no parameter {undeclared[0]!r}")
+    return build, {**defaults, **{k: float(v) for k, v in (params or {}).items()}}
+
+
 def ambient(name: str, params: dict | None = None) -> AmbientModel:
-    if name not in AMBIENTS:
-        raise KeyError(f"unknown ambient catalog entry {name!r}")
-    return AMBIENTS[name](params or {})
+    build, params = _entry(AMBIENTS, "ambient", name, params)
+    return build(params)
 
 
 # -- immersions ----------------------------------------------------------------
 
-def _immersion(name, space, params, components, axes, defaults):
-    bindings = dict(defaults)
-    bindings.update({k: float(v) for k, v in (params or {}).items()})
+def _immersion(name, space, params, components, axes):
     expected = space.rep_dim
     if len(components) != expected:
         raise ValueError(
@@ -283,7 +292,7 @@ def _immersion(name, space, params, components, axes, defaults):
         params=pnames,
         components=tuple(parse_expression(c, pnames) for c in components),
         domain=tuple(axes),
-        bindings=bindings,
+        bindings=params,
     )
 
 
@@ -295,7 +304,6 @@ def _affine_plane(space, params):
         "affine_plane", space, params,
         ("u1", "u2", "0", "0"),
         (Axis(-1.0, 1.0, 2), Axis(-1.0, 1.0, 2)),
-        {},
     )
 
 
@@ -307,13 +315,13 @@ def _round_hypersphere(space, params):
         "r*sin(u1)*sin(u2)*sin(u3)",
     )
     axes = (Axis(0.5, 2.6, 2), Axis(0.5, 2.6, 2), Axis(0.3, 0.3 + TWO_PI, 3, periodic=True))
-    return _immersion("round_hypersphere", space, params, comps, axes, {"r": 1.0})
+    return _immersion("round_hypersphere", space, params, comps, axes)
 
 
 def _product_torus(space, params):
     comps = ("a*cos(u1)", "a*sin(u1)", "b*cos(u2)", "b*sin(u2)")
     axes = (Axis(0.3, 0.3 + TWO_PI, 3, periodic=True), Axis(0.9, 0.9 + TWO_PI, 3, periodic=True))
-    return _immersion("product_torus", space, params, comps, axes, {"a": 1.0, "b": 1.0})
+    return _immersion("product_torus", space, params, comps, axes)
 
 
 def _geodesic_sphere_cp2(space, params):
@@ -328,21 +336,19 @@ def _geodesic_sphere_cp2(space, params):
         Axis(0.4, 0.4 + TWO_PI, 2, periodic=True),
         Axis(1.1, 1.1 + TWO_PI, 2, periodic=True),
     )
-    return _immersion("geodesic_sphere_cp2", space, params, comps, axes, {"r": 0.5})
+    return _immersion("geodesic_sphere_cp2", space, params, comps, axes)
 
 
 def _circle(space, params):
     comps = ("r*cos(u1)", "r*sin(u1)", "0", "0")
     return _immersion(
-        "circle", space, params, comps, (Axis(0.2, 0.2 + TWO_PI, 4, periodic=True),), {"r": 1.0}
+        "circle", space, params, comps, (Axis(0.2, 0.2 + TWO_PI, 4, periodic=True),)
     )
 
 
 def _helix(space, params):
     comps = ("a*cos(u1)", "a*sin(u1)", "b*u1", "0")
-    return _immersion(
-        "helix", space, params, comps, (Axis(0.0, 6.0, 4),), {"a": 1.0, "b": 0.5}
-    )
+    return _immersion("helix", space, params, comps, (Axis(0.0, 6.0, 4),))
 
 
 def _small_hypersphere(space, params):
@@ -360,9 +366,7 @@ def _small_hypersphere(space, params):
         Axis(0.5, 2.6, 2),
         Axis(0.45, 0.45 + TWO_PI, 2, periodic=True),
     )
-    return _immersion(
-        "small_hypersphere", space, params, comps, axes, {"rho": 0.7071067811865476}
-    )
+    return _immersion("small_hypersphere", space, params, comps, axes)
 
 
 def _clifford_torus_s5(space, params):
@@ -380,9 +384,7 @@ def _clifford_torus_s5(space, params):
         Axis(0.5, 2.6, 2),
         Axis(0.8, 0.8 + TWO_PI, 2, periodic=True),
     )
-    return _immersion(
-        "clifford_torus_s5", space, params, comps, axes, {"theta": math.pi / 4.0}
-    )
+    return _immersion("clifford_torus_s5", space, params, comps, axes)
 
 
 def _hyperplane_y1(space, params):
@@ -396,7 +398,7 @@ def _hyperplane_y1(space, params):
             k += 1
             comps.append(f"u{k}")
     axes = tuple(Axis(-0.8, 0.8, 2) for _ in range(k))
-    return _immersion("hyperplane_y1", space, params, tuple(comps), axes, {})
+    return _immersion("hyperplane_y1", space, params, tuple(comps), axes)
 
 
 def _graph_surface(space, params):
@@ -413,24 +415,24 @@ def _graph_surface(space, params):
         else:
             comps.append("0")
     axes = (Axis(-0.8, 0.8, 3), Axis(-0.8, 0.8, 3))
-    return _immersion("graph_surface", space, params, tuple(comps), axes, {})
+    return _immersion("graph_surface", space, params, tuple(comps), axes)
 
 
+# name -> (builder, declared parameters with their defaults)
 IMMERSIONS = {
-    "affine_plane": _affine_plane,
-    "round_hypersphere": _round_hypersphere,
-    "product_torus": _product_torus,
-    "geodesic_sphere_cp2": _geodesic_sphere_cp2,
-    "circle": _circle,
-    "helix": _helix,
-    "small_hypersphere": _small_hypersphere,
-    "clifford_torus_s5": _clifford_torus_s5,
-    "hyperplane_y1": _hyperplane_y1,
-    "graph_surface": _graph_surface,
+    "affine_plane": (_affine_plane, {}),
+    "round_hypersphere": (_round_hypersphere, {"r": 1.0}),
+    "product_torus": (_product_torus, {"a": 1.0, "b": 1.0}),
+    "geodesic_sphere_cp2": (_geodesic_sphere_cp2, {"r": 0.5}),
+    "circle": (_circle, {"r": 1.0}),
+    "helix": (_helix, {"a": 1.0, "b": 0.5}),
+    "small_hypersphere": (_small_hypersphere, {"rho": 0.7071067811865476}),
+    "clifford_torus_s5": (_clifford_torus_s5, {"theta": math.pi / 4.0}),
+    "hyperplane_y1": (_hyperplane_y1, {}),
+    "graph_surface": (_graph_surface, {}),
 }
 
 
 def immersion(name: str, space: AmbientModel, params: dict | None = None) -> ImmersionModel:
-    if name not in IMMERSIONS:
-        raise KeyError(f"unknown immersion catalog entry {name!r}")
-    return IMMERSIONS[name](space, params)
+    build, params = _entry(IMMERSIONS, "immersion", name, params)
+    return build(space, params)

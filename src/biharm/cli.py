@@ -130,12 +130,11 @@ def _cmd_convergence(args) -> int:
 def _cmd_catalog(args) -> int:
     if args.what != "list":
         raise ConfigError(f"unknown catalog action {args.what!r}")
-    print("ambient models:")
-    for name in sorted(catalog.AMBIENTS):
-        print(f"  {name}")
-    print("immersions:")
-    for name in sorted(catalog.IMMERSIONS):
-        print(f"  {name}")
+    for title, entries in (("ambient models", catalog.AMBIENTS),
+                           ("immersions", catalog.IMMERSIONS)):
+        print(f"{title}:")
+        for name, (_, defaults) in sorted(entries.items()):
+            print(f"  {name}" + "".join(f"  {k} = {v:g}" for k, v in defaults.items()))
     return 0
 
 

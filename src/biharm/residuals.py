@@ -96,18 +96,17 @@ def characterization_target(kind: str, m: int, coeffs) -> float:
     return m * f1 - f2 + 3.0 * f3
 
 
-def curvature_trace(space: AmbientModel, pg: PointGeometry):
+def curvature_trace(pg: PointGeometry):
     """sum_i R(X_i, H) X_i over the tangent frame, split into parts."""
-    total = np.zeros(space.rep_dim)
-    for X in pg.tangent_frame:
-        total += pg.ambient.curvature_parts(X, pg.mean_curvature, X)["combined"]
+    total = np.einsum("ix,y,iz,xyza->a", pg.tangent_frame, pg.mean_curvature,
+                      pg.tangent_frame, pg.ambient.curvature["combined"])
     return _project_normal(pg, total), project_tangent(pg, total)
 
 
 def residual_general(space: AmbientModel, pg: PointGeometry, nd: NormalFieldDerivatives) -> BiharmonicResidual:
     """Residual of the split bitension equations with the curvature trace
     evaluated directly from the ambient algebraic curvature."""
-    ctr_normal, ctr_tangent = curvature_trace(space, pg)
+    ctr_normal, ctr_tangent = curvature_trace(pg)
     normal = -nd.laplacian + nd.trace_shape_mean + ctr_normal
     tangential = 0.5 * pg.m * nd.grad_h2 + 2.0 * nd.trace_shape_gradient + 2.0 * ctr_tangent
     terms = {

@@ -179,12 +179,7 @@ def _boolean(value, path) -> bool:
 
 def _load_ambient(doc, constants, path) -> AmbientModel:
     if "catalog" in _mapping(doc, path):
-        try:
-            return catalog.ambient(doc["catalog"], _catalog_params(doc, constants, path))
-        except KeyError as e:
-            raise ConfigError(str(e), path + ".catalog") from None
-        except ValueError as e:
-            raise ConfigError(str(e), path) from None
+        return _load_catalog(doc, constants, path, catalog.AMBIENTS, catalog.ambient)
     kind = _require(doc, "kind", path)
     if kind not in (KIND_COMPLEX, KIND_CONTACT):
         raise ConfigError(f"unknown kind {kind!r}", path + ".kind")
@@ -264,20 +259,28 @@ def _parse(source, params, path, bindings):
     return expr
 
 
-def _catalog_params(doc, constants, path) -> dict:
-    """The parameters a catalog model is built with: its own defaults, under
-    the document's constants, under the model's ``params``."""
-    return {**constants, **_numbers(doc.get("params", {}), path + ".params")}
+def _load_catalog(doc, constants, path, entries, build, *args):
+    """A catalog model, built with each parameter its entry declares bound to
+    the default, under the document's constants, under the model's
+    ``params``; a ``params`` name the entry does not declare is a config error."""
+    name = doc["catalog"]
+    if not isinstance(name, str) or name not in entries:
+        raise ConfigError(f"unknown catalog entry {name!r}", path + ".catalog")
+    declared = entries[name][1]
+    params = _numbers(doc.get("params", {}), path + ".params")
+    undeclared = sorted(set(params) - set(declared))
+    if undeclared:
+        raise ConfigError(f"{name} declares no parameter {undeclared[0]!r} (it declares "
+                          f"{', '.join(declared) or 'none'})", f"{path}.params.{undeclared[0]}")
+    try:
+        return build(name, *args, {k: v for k, v in constants.items() if k in declared} | params)
+    except ValueError as e:
+        raise ConfigError(str(e), path) from None
 
 
 def _load_immersion(doc, space, constants, path) -> ImmersionModel:
     if "catalog" in _mapping(doc, path):
-        try:
-            imm = catalog.immersion(doc["catalog"], space, _catalog_params(doc, constants, path))
-        except KeyError as e:
-            raise ConfigError(str(e), path + ".catalog") from None
-        except ValueError as e:
-            raise ConfigError(str(e), path) from None
+        imm = _load_catalog(doc, constants, path, catalog.IMMERSIONS, catalog.immersion, space)
     else:
         params = tuple(_require(doc, "params", path))
         comps = _require(doc, "components", path)
@@ -451,21 +454,21 @@ def _faults_raise():
     return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
-def _evaluate_point(cfg: ScenarioConfig, u, needs: frozenset, pg=None) -> PointData:
+def _evaluate_point(cfg: ScenarioConfig, u, needs: frozenset, order: int, pg=None) -> PointData:
     """The quantities ``needs`` at ``u``, each listed with what it rests on,
-    from its geometry ``pg`` when given; a geometric, arithmetic or
-    non-finite fault fails just this point, naming the reason."""
+    from its geometry ``pg`` if given, else from its own at jet order ``order``;
+    a geometric, arithmetic or non-finite fault fails just this point, naming the reason."""
     try:
         with _faults_raise():
-            return _evaluate_point_data(cfg, u, needs, pg)
+            return _evaluate_point_data(cfg, u, needs, order, pg)
     except _POINT_FAULTS as e:
         return PointData(u=tuple(u), error=str(e))
 
 
-def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset, pg) -> PointData:
+def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset, order: int, pg) -> PointData:
     space, imm = cfg.ambient, cfg.immersion
     if pg is None:
-        pg = point_geometry(space, imm, u, 2 if needs <= _ORDER2 else cfg.order)
+        pg = point_geometry(space, imm, u, order)
     data = PointData(u=tuple(u), h_norm=pg.mean_curvature_norm,
                      b_norm2=pg.second_fundamental_norm2)
     if NORMAL in needs:
@@ -541,9 +544,9 @@ def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointData]:
                 if SCALAR in closed:
                     intrinsic_jets(batch)
         except _POINT_FAULTS:
-            records += [_evaluate_point(cfg, u, closed) for u in block]
+            records += [_evaluate_point(cfg, u, closed, order) for u in block]
         else:
-            records += [_evaluate_point(cfg, u, closed, batch.sample(i))
+            records += [_evaluate_point(cfg, u, closed, order, batch.sample(i))
                         for i, u in enumerate(block)]
     return records
 

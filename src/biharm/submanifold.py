@@ -508,13 +508,9 @@ def scalar_curvature(space: AmbientModel, pg: PointGeometry):
         if "gamma_ind" not in st:
             intrinsic_jets(pg)
         intrinsic = scalar_from_christoffel(pg.induced_metric, st["gamma_ind"], st["dgamma_ind"])
-    amb = 0.0
-    g = pg.ambient_metric
-    for i in range(m):
-        for j in range(m):
-            R = pg.ambient.curvature_parts(pg.tangent_frame[i], pg.tangent_frame[j],
-                                           pg.tangent_frame[j])["combined"]
-            amb += pg.tangent_frame[i] @ g @ R
+    frame = pg.tangent_frame
+    amb = np.einsum("ia,ix,jy,jz,xyza->", frame @ pg.ambient_metric, frame, frame, frame,
+                    pg.ambient.curvature["combined"])
     via_gauss = amb + m * m * pg.mean_curvature_norm**2 - pg.second_fundamental_norm2
     return float(intrinsic), float(via_gauss)
 

@@ -185,49 +185,43 @@ def test_curvature_antisymmetry():
                 assert np.abs(p1[key] + p2[key]).max() < 1e-10
 
 
-def test_fubini_study_certification():
-    # Riemann tensor from Christoffel jets equals the algebraic curvature
-    # with alpha = beta = rho at random points
+CHART_AMBIENTS = [pytest.param(name, {}, id=name) for name in sorted(catalog.AMBIENTS)
+                  if catalog.ambient(name).backend == "chart" and name != "synthetic_complex"]
+
+
+@pytest.mark.parametrize("name, params",
+                         CHART_AMBIENTS + [pytest.param("cp2", {"rho": 0.55}, id="cp2-rho0.55")])
+def test_fubini_study_certification(name, params):
+    # every chart catalog ambient but synthetic_complex (algebraic curvature
+    # only): the declared curvature tensor equals the Riemann tensor of the
+    # chart metric, and the coefficients are those of the classical tag
+    space = catalog.ambient(name, params)
     rng = np.random.RandomState(9)
-    for rho in (1.0, 0.55):
-        cp2 = catalog.ambient("cp2", {"rho": rho})
-        for _ in range(20):
-            x = rng.uniform(-0.6, 0.6, 4)
-            riem = riemann_from_metric_jets(metric_jet(cp2, x, 2))
-            X, Y, Z = rng.randn(3, 4)
-            alg = curvature_apply(cp2, x, X, Y, Z)
-            num = np.einsum("ijkl,i,j,k->l", riem, X, Y, Z)
-            assert np.abs(num - alg).max() < 1e-6
-            assert coefficients_at(cp2, x) == (rho, rho)
+    for _ in range(20):
+        x = rng.uniform(-0.6, 0.6, space.dim)
+        riem = riemann_from_metric_jets(metric_jet(space, x, 2))
+        declared = PointAmbient(space, x).curvature["combined"]
+        assert np.abs(riem - declared).max() <= 1e-12 * max(1.0, np.abs(riem).max())
+        X, Y, Z = rng.randn(3, space.dim)
+        num = np.einsum("ijkl,i,j,k->l", riem, X, Y, Z)
+        assert np.abs(num - curvature_apply(space, x, X, Y, Z)).max() < 1e-6
+        assert coefficients_at(space, x) == coefficients_for_tag(space.tag)
 
 
 def test_sphere_gauss_curvature_matches_algebraic():
     # embedded S^5: Gauss equation of the round sphere in R^6 gives
-    # <R(X,Y)Z,W> = <Y,Z><X,W> - <X,Z><Y,W>, the f1 = 1 algebraic form
+    # <R(X,Y)Z,W> = <Y,Z><X,W> - <X,Z><Y,W>, the f1 = 1 algebraic form, on
+    # tangent vectors X, Y, Z
     s5 = catalog.ambient("sasakian_sphere_s5")
     rng = np.random.RandomState(6)
-    p = rng.randn(6)
-    p /= np.linalg.norm(p)
-    P = np.eye(6) - np.outer(p, p)
-    for _ in range(20):
-        X, Y, Z = (P @ v for v in rng.randn(3, 6))
-        gauss = (Y @ Z) * X - (X @ Z) * Y
-        alg = curvature_apply(s5, p, X, Y, Z)
-        assert np.abs(gauss - alg).max() < 1e-6
-
-
-def test_kenmotsu_warped_metric_is_hyperbolic():
-    # the Kenmotsu catalog model has constant curvature -1, i.e. the
-    # algebraic form f1 = -1 agrees with the chart Riemann tensor
-    km = catalog.ambient("kenmotsu_hyperbolic")
-    rng = np.random.RandomState(12)
     for _ in range(5):
-        x = rng.uniform(-0.4, 0.4, 5)
-        riem = riemann_from_metric_jets(metric_jet(km, x, 2))
-        X, Y, Z = rng.randn(3, 5)
-        alg = curvature_apply(km, x, X, Y, Z)
-        num = np.einsum("ijkl,i,j,k->l", riem, X, Y, Z)
-        assert np.abs(num - alg).max() < 1e-6
+        p = rng.randn(6)
+        p /= np.linalg.norm(p)
+        P = np.eye(6) - np.outer(p, p)
+        gauss = np.einsum("jk,ia->ijka", P, P) - np.einsum("ik,ja->ijka", P, P)
+        declared = np.einsum("xyza,xi,yj,zk->ijka", PointAmbient(s5, p).curvature["combined"],
+                             P, P, P)
+        assert np.abs(gauss - declared).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name,tol", [
@@ -285,12 +279,12 @@ def test_point_ambient_evaluates_each_tensor_once_on_first_use(monkeypatch):
     rng = np.random.default_rng(3)
     for _ in range(4):
         X, Y, Z = rng.standard_normal((3, 5))
-        snap = amb.curvature_parts(X, Y, Z)
+        snap = {k: np.einsum("xyza,x,y,z->a", t, X, Y, Z) for k, t in amb.curvature.items()}
         ref = curvature_parts(sr5, x, X, Y, Z)
         assert snap.keys() == ref.keys()
         assert all(np.array_equal(snap[k], ref[k]) for k in ref)
     runs.clear()
-    amb.curvature_parts(X, Y, Z)
+    assert amb.curvature is amb.curvature
     assert not runs
     assert np.array_equal(amb.g, metric_at(sr5, x))
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from biharm import catalog
 from biharm.ambient import GeometryError
 from biharm.cli import main as cli_main
 from biharm.jets import n_entries
@@ -58,6 +59,31 @@ def test_document_constant_binds_a_catalog_default():
     assert run_check(cfg).aggregates["max_normal_residual"] == pytest.approx(0.375, rel=1e-9)
     res = sweep_solve(cfg, "r", 0.5, 2.0, 4, "normal_residual")
     assert res.objective == pytest.approx([24.0, 3.0, 8.0 / 9.0, 0.375], rel=1e-9)
+
+
+@pytest.mark.parametrize("model, entry, name", [
+    ("immersion", "round_hypersphere", "radius"),
+    ("ambient", "cp2", "rh0"),
+    ("ambient", "flat_c2", "rho"),
+])
+def test_catalog_params_must_be_declared(model, entry, name):
+    # a misspelt parameter would otherwise run the entry at its default
+    with pytest.raises(ConfigError) as err:
+        _cfg(**{model: {"catalog": entry, "params": {name: 2.0}}})
+    assert err.value.path == f"{model}.params.{name}"
+    with pytest.raises(ValueError):
+        if model == "ambient":
+            catalog.ambient(entry, {name: 2.0})
+        else:
+            catalog.immersion(entry, catalog.ambient("flat_c2"), {name: 2.0})
+
+
+def test_document_constants_may_name_anything():
+    # constants bind only the names an entry declares, and may name others
+    cfg = _cfg(ambient={"catalog": "cp2"}, immersion={"catalog": "geodesic_sphere_cp2"},
+               constants={"radius": 2.0, "r": 0.4, "rh0": 4.0})
+    assert cfg.ambient.bindings == {"rho": 1.0}
+    assert cfg.immersion.bindings == {"r": 0.4}
 
 
 def test_unknown_catalog_name():
@@ -154,6 +180,10 @@ _FLAT_INLINE = {
     ({"constants": {"r": True}}, "constants.r"),
     ({"immersion": {"catalog": "round_hypersphere", "params": {"r": "1.0"}}}, "immersion.params.r"),
     ({"ambient": {"catalog": "cp2", "params": {"rho": -1.0}}}, "ambient"),
+    ({"ambient": {"catalog": "cp2", "params": {"rh0": 4.0}}}, "ambient.params.rh0"),
+    ({"immersion": {"catalog": "round_hypersphere", "params": {"radius": 2.0}}},
+     "immersion.params.radius"),
+    ({"ambient": {"catalog": ["cp2"]}}, "ambient.catalog"),
 ])
 def test_malformed_document_field_is_config_error(tmp_path, capsys, overrides, path):
     doc = {
@@ -251,17 +281,18 @@ def test_order2_grid_batch_fault_reruns_each_sample(monkeypatch):
                              {"lo": 0, "hi": 1, "samples": 2}]},
     })
     needs = frozenset((scenario.GEOMETRY, scenario.COEFFICIENTS))
-    expected = [scenario._evaluate_point(cfg, u, needs) for u in cfg.immersion.grid()]
+    expected = [scenario._evaluate_point(cfg, u, needs, 2) for u in cfg.immersion.grid()]
     calls = []
     real = submanifold.point_geometry
 
     def counted(space, imm, u, order=4):
-        calls.append(np.shape(u))
+        calls.append((np.shape(u), order))
         return real(space, imm, u, order)
 
     monkeypatch.setattr(scenario, "point_geometry", counted)
     records = scenario._run_grid(cfg, {scenario.COEFFICIENTS})
-    assert calls == [(6, 2)] + [(2,)] * 6  # one batch, then one call per sample
+    # one batch, then one call per sample, all at the block's jet order
+    assert calls == [((6, 2), 2)] + [((2,), 2)] * 6
     assert [r.error for r in records] == [r.error for r in expected]
     assert [r.error is None for r in records] == [True] * 4 + [False] * 2
     assert all(a.b_norm2 == b.b_norm2 for a, b in zip(records[:4], expected))
@@ -285,7 +316,7 @@ def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
                              {"lo": 0, "hi": 1, "samples": 4}]},
     }, checks=[{"op": "residual"}])
     needs = frozenset((scenario.GEOMETRY, scenario.RESIDUALS, scenario.NORMAL, scenario.SPLIT))
-    expected = [scenario._evaluate_point(cfg, u, needs) for u in cfg.immersion.grid()]
+    expected = [scenario._evaluate_point(cfg, u, needs, cfg.order) for u in cfg.immersion.grid()]
     calls = []
     real = submanifold.point_geometry
 
@@ -399,7 +430,7 @@ def test_grid_blocks_change_no_record(ambient, immersion, blocks):
     assert len(records) == len(grid)
     for u, record in zip(grid, records):
         assert record.error is None
-        assert _same(record, scenario._evaluate_point(cfg, u, scenario.QUANTITIES)), u
+        assert _same(record, scenario._evaluate_point(cfg, u, scenario.QUANTITIES, cfg.order)), u
 
 
 def test_immersion_must_have_lower_dimension():
@@ -744,6 +775,31 @@ def test_characterization_gap_objective_equals_full_pipeline_bitwise(monkeypatch
     fast = scenario._sweep_objective(cfg, "characterization_gap")
     assert calls["normal_derivatives"] == 0
     assert fast == full
+
+
+def test_curvature_tensor_is_built_once_per_sample_and_only_on_demand(monkeypatch):
+    from functools import cached_property
+
+    from biharm.ambient import PointAmbient
+
+    builds = []
+    build = PointAmbient.__dict__["curvature"].func
+
+    def counted(amb):
+        builds.append(tuple(amb.x))
+        return build(amb)
+
+    prop = cached_property(counted)
+    prop.__set_name__(PointAmbient, "curvature")
+    monkeypatch.setattr(PointAmbient, "curvature", prop)
+    cfg = _cfg(ambient={"catalog": "cp2"}, immersion={"catalog": "geodesic_sphere_cp2"},
+               checks=[{"op": "residual"}, {"op": "gauss"}])
+    rep = run_check(cfg)
+    # the curvature trace and the Gauss contraction share one tensor per sample
+    assert rep.aggregates["points_total"] == len(builds) == len(set(builds)) == 8
+    builds.clear()
+    sweep_solve(cfg, "r", 0.3, 0.9, 3, "characterization_gap")
+    assert builds == []
 
 
 def test_criterion_6_sweep_takes_at_most_eight_evaluations_per_root(monkeypatch):
