@@ -33,7 +33,6 @@ from .submanifold import (
 from .residuals import (
     BiharmonicResidual,
     bound_check,
-    bound_constant,
     cmc_characterization,
     nonexistence_audit,
     residual_gcsf,
@@ -72,7 +71,6 @@ __all__ = [
     "ScenarioConfig",
     "UnboundConstantError",
     "bound_check",
-    "bound_constant",
     "classify",
     "cmc_characterization",
     "coefficients_for_tag",

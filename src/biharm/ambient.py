@@ -296,18 +296,6 @@ def tangent_projector(space: AmbientModel, x) -> np.ndarray:
 
 # -- structure verification -----------------------------------------------------
 
-@dataclass
-class StructureReport:
-    name: str
-    residuals: dict
-
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    def ok(self, tol: float) -> bool:
-        return self.max_residual() <= tol
-
-
 def _algebraic_residuals_complex(g, J):
     r = {"square": np.linalg.norm(J @ J + np.eye(len(g)), 2)}
     r["compatibility"] = np.linalg.norm(J.T @ g @ J - g, 2)
@@ -425,10 +413,11 @@ def _covariant_residuals_embedded(ambs: list, projectors: list):
     return out
 
 
-def verify_structure(space: AmbientModel, points) -> StructureReport:
+def verify_structure(space: AmbientModel, points) -> dict[str, float]:
     """Max residual of the algebraic structure identities, and of the
-    covariant-derivative identities when a classical tag is present; the
-    jets of the covariant identities run for all ``points`` as one batch."""
+    covariant-derivative identities when a classical tag is present, by
+    identity; the jets of the covariant identities run for all ``points`` as
+    one batch."""
     residuals: dict[str, float] = {}
 
     def keep(update):
@@ -436,7 +425,7 @@ def verify_structure(space: AmbientModel, points) -> StructureReport:
             residuals[k] = max(residuals.get(k, 0.0), float(v))
 
     if not len(points):
-        return StructureReport(space.name, residuals)
+        return residuals
     ambs = [PointAmbient(space, x) for x in points]
     contact = space.kind == KIND_CONTACT
     projectors = [tangent_projector(space, x) if contact and space.backend == "embedded"
@@ -454,4 +443,4 @@ def verify_structure(space: AmbientModel, points) -> StructureReport:
         else:
             keep(_algebraic_residuals_complex(amb.g, amb.structure))
         keep(cov)
-    return StructureReport(space.name, residuals)
+    return residuals

@@ -43,16 +43,9 @@ def _load(path: str):
 
 
 def _check_expectations(expect: dict, values: dict) -> list[str]:
-    failures = []
-    for key, wanted in expect.items():
-        got = values.get(key)
-        if isinstance(wanted, (int, float)) and not isinstance(wanted, bool):
-            ok = got is not None and abs(float(got) - float(wanted)) <= 1e-9
-        else:
-            ok = got == wanted
-        if not ok:
-            failures.append(f"expected {key}={wanted!r}, got {got!r}")
-    return failures
+    """Each expected string in ``values`` that the run did not report."""
+    return [f"expected {key}={wanted!r}, got {values[key]!r}"
+            for key, wanted in expect.items() if key in values and values[key] != wanted]
 
 
 def _cmd_check(args) -> int:
@@ -68,9 +61,7 @@ def _cmd_check(args) -> int:
         **{f"checks.{name}.status": chk.get("status")
            for name, chk in report.checks.items()},
     }
-    expect = dict(cfg.expect)
-    failures = _check_expectations(
-        {k: v for k, v in expect.items() if k in values}, values)
+    failures = _check_expectations(cfg.expect, values)
     for f in failures:
         print(f"EXPECT FAILED: {f}", file=sys.stderr)
     return 1 if failures else 0
@@ -100,8 +91,8 @@ def _cmd_sweep(args) -> int:
     if "roots_count" in expect and len(result.roots) != expect["roots_count"]:
         failures.append(f"expected {expect['roots_count']} roots, found {len(result.roots)}")
     if "root_near" in expect:
-        target = float(expect["root_near"])
-        tol = float(expect.get("root_tol", 1e-6))
+        target = expect["root_near"]
+        tol = expect.get("root_tol", 1e-6)
         if not any(abs(r - target) <= tol for r in result.roots):
             failures.append(f"no root within {tol} of {target}")
     for f in failures:
@@ -120,7 +111,7 @@ def _cmd_convergence(args) -> int:
     print(json.dumps(result, indent=2, default=float))
     wanted = cfg.expect.get("convergence_order_gte")
     if wanted is not None:
-        if result["min_order"] is None or result["min_order"] < float(wanted):
+        if result["min_order"] is None or result["min_order"] < wanted:
             print(f"EXPECT FAILED: observed order {result['min_order']} < {wanted}",
                   file=sys.stderr)
             return 1

@@ -31,8 +31,6 @@ from .ambient import (
     AmbientModel,
     GeometryError,
     coefficients_at,  # noqa: F401
-    coefficients_for_tag,
-    ClassicalTag,
     curvature_parts,  # noqa: F401
     structure_at,  # noqa: F401
 )
@@ -103,12 +101,20 @@ def curvature_trace(pg: PointGeometry):
     return _project_normal(pg, total), project_tangent(pg, total)
 
 
+def _bitension_base(pg: PointGeometry, nd: NormalFieldDerivatives):
+    """The normal and tangential bitension terms without the curvature trace:
+    -Delta-perp H + tr B(., A_H .) and (m/2) grad|H|^2 + 2 tr A_{nabla-perp H}."""
+    return (-nd.laplacian + nd.trace_shape_mean,
+            0.5 * pg.m * nd.grad_h2 + 2.0 * nd.trace_shape_gradient)
+
+
 def residual_general(space: AmbientModel, pg: PointGeometry, nd: NormalFieldDerivatives) -> BiharmonicResidual:
     """Residual of the split bitension equations with the curvature trace
     evaluated directly from the ambient algebraic curvature."""
     ctr_normal, ctr_tangent = curvature_trace(pg)
-    normal = -nd.laplacian + nd.trace_shape_mean + ctr_normal
-    tangential = 0.5 * pg.m * nd.grad_h2 + 2.0 * nd.trace_shape_gradient + 2.0 * ctr_tangent
+    base_n, base_t = _bitension_base(pg, nd)
+    normal = base_n + ctr_normal
+    tangential = base_t + 2.0 * ctr_tangent
     terms = {
         "laplacian": float(np.linalg.norm(nd.laplacian)),
         "trace_shape_mean": float(np.linalg.norm(nd.trace_shape_mean)),
@@ -146,8 +152,7 @@ def residual_gcsf(space, pg, nd, ops: DecompositionOperators,
     lH = ops.nt @ hn                       # tangent components of J H
     klH = _vec_from_normal(pg, ops.tn @ lH)
     jlH = _vec_from_tangent(pg, ops.tt @ lH)
-    base_n = -nd.laplacian + nd.trace_shape_mean
-    base_t = 0.5 * m * nd.grad_h2 + 2.0 * nd.trace_shape_gradient
+    base_n, base_t = _bitension_base(pg, nd)
 
     out = {
         CLOSED_FORM: BiharmonicResidual(
@@ -195,8 +200,7 @@ def residual_gssf(space, pg, nd, ops: DecompositionOperators,
     f1, f2, f3 = pg.ambient.coeffs
     m = pg.m
     H = pg.mean_curvature
-    base_n = -nd.laplacian + nd.trace_shape_mean
-    base_t = 0.5 * m * nd.grad_h2 + 2.0 * nd.trace_shape_gradient
+    base_n, base_t = _bitension_base(pg, nd)
     rhs_n, rhs_t, aux = _gssf_rhs_closed_form(space, pg, ops, (f1, f2, f3))
     NtH, PtH = aux["NtH"], aux["PtH"]
     xi_top, xi_perp, eta_h, xt2 = aux["xi_top"], aux["xi_perp"], aux["eta_h"], aux["xt2"]
@@ -284,8 +288,15 @@ def _cmc(points) -> tuple[bool, float]:
     return spread < CMC_RTOL * (1.0 + max(hs)), max(hs)
 
 
-def _all_flag(points, name) -> bool:
-    return all(getattr(p.flags, name) for p in points)
+def flag_consensus(points) -> dict:
+    """Each classification flag over the grid: True when every sample that
+    decides it says True, False when one says False, None when none decides."""
+    out = {}
+    flags = [p.flags.as_dict() for p in points]
+    for name in flags[0]:
+        known = [f[name] for f in flags if f[name] is not None]
+        out[name] = all(known) if known else None
+    return out
 
 
 def contact_reduction_ok(points) -> bool:
@@ -308,15 +319,16 @@ def cmc_characterization(space: AmbientModel, points, m: int,
     """
     points = list(points)
     cmc, hmax = _cmc(points)
+    flags = flag_consensus(points)
     hyp = {
         "cmc": cmc,
         "nonzero_mean_curvature": hmax > MINIMAL_TOL,
-        "hypersurface": _all_flag(points, "is_hypersurface"),
+        "hypersurface": flags["is_hypersurface"] is True,
     }
     # a complex ambient has no xi; a reducing equation stands in for a tangent one
     holds = dict(hyp, xi_tangent=True)
     if space.kind == KIND_CONTACT:
-        hyp["xi_tangent"] = _all_flag(points, "xi_tangent")
+        hyp["xi_tangent"] = flags["xi_tangent"] is True
         hyp["equation_reduces"] = contact_reduction_ok(points)
         holds["xi_tangent"] = hyp["xi_tangent"] or hyp["equation_reduces"]
     out = {"status": "NotApplicable", "target": None, "gap": None, "hypotheses": hyp,
@@ -340,36 +352,20 @@ def cmc_characterization(space: AmbientModel, points, m: int,
     return out
 
 
-def bound_constant(family: str, m: int, c: float) -> float:
-    """The characterization target m f1 - f2 + 3 f3 for the classical
-    Sasakian, Kenmotsu and cosymplectic space forms, in closed form."""
-    if family == SASAKI:
-        k = (m + 2) * c / 4.0 + (3 * m - 2) / 4.0
-    elif family == KENMOTSU:
-        k = (m + 2) * c / 4.0 - (3 * m - 2) / 4.0
-    elif family == COSYMPLECTIC:
-        k = (m + 2) * c / 4.0
-    else:
-        raise ValueError(f"no mean-curvature bound constant for family {family!r}")
-    coeffs = coefficients_for_tag(ClassicalTag(family, c))
-    assert abs(k - characterization_target(KIND_CONTACT, m, coeffs)) < 1e-12
-    return k
-
-
 def _bound_kind(space, points) -> str | None:
+    flags = flag_consensus(points)
     if space.kind == KIND_COMPLEX:
-        if _all_flag(points, "is_lagrangian"):
+        if flags["is_lagrangian"] is True:
             return "lagrangian"
-        if _all_flag(points, "is_complex"):
+        if flags["is_complex"] is True:
             return "complex_surface"
         return None
-    phi_h_t = all(p.flags.phi_h_tangent for p in points if p.flags.phi_h_tangent is not None)
-    phi_h_n = all(p.flags.phi_h_normal for p in points if p.flags.phi_h_normal is not None)
-    xi_t = _all_flag(points, "xi_tangent")
+    xi_t = flags["xi_tangent"] is True
     reduces = contact_reduction_ok(points)
-    if (xi_t or reduces) and (phi_h_t or _all_flag(points, "is_hypersurface")):
+    if (xi_t or reduces) and (flags["phi_h_tangent"] is not False
+                              or flags["is_hypersurface"] is True):
         return "xi_phi_h_tangent"
-    if xi_t and phi_h_n:
+    if xi_t and flags["phi_h_normal"] is not False:
         return "xi_tangent_phi_h_normal"
     return None
 
@@ -381,7 +377,7 @@ def bound_check(space: AmbientModel, points, m: int, kind: str | None = None,
     Complex case: |H|^2 <= inf (2 alpha + 3 beta)/2 for Lagrangian surfaces,
     |H|^2 <= inf alpha for complex surfaces.  Contact case: |H|^2 <= K/m
     with xi and phi(H) tangent, or (K-3)/m with phi(H) normal, where K is
-    m f1 - f2 + 3 f3.  At equality the pseudo-umbilical and parallel-H
+    the grid minimum of m f1 - f2 + 3 f3 over the declared coefficients.  At equality the pseudo-umbilical and parallel-H
     characterization is reported.  Infima are minima over grid samples.
     ``kind`` (one of :data:`BOUND_KINDS` for the ambient) is matched from
     the flags when not given.  Returns the report entry: ``status`` is
@@ -411,10 +407,7 @@ def bound_check(space: AmbientModel, points, m: int, kind: str | None = None,
     if space.kind == KIND_COMPLEX:
         bound = min(BOUND_KINDS[KIND_COMPLEX][kind](*p.coeffs) for p in points)
     else:
-        if space.tag is not None and space.tag.family in (SASAKI, KENMOTSU, COSYMPLECTIC):
-            k_value = bound_constant(space.tag.family, m, space.tag.value)
-        else:
-            k_value = min(characterization_target(KIND_CONTACT, m, p.coeffs) for p in points)
+        k_value = min(characterization_target(KIND_CONTACT, m, p.coeffs) for p in points)
         shift = BOUND_KINDS[KIND_CONTACT][kind]
         bound = None if k_value <= shift else (k_value - shift) / m
         out["k_value"] = k_value
@@ -449,6 +442,7 @@ def nonexistence_audit(space: AmbientModel, points, m: int) -> list[dict]:
     """
     points = list(points)
     cmc = _cmc(points)[0]
+    flags = flag_consensus(points)
 
     def finding(rule, relevant, applies, detail):
         return {"rule": rule, "relevant": relevant, "applies": applies, "detail": detail}
@@ -459,14 +453,15 @@ def nonexistence_audit(space: AmbientModel, points, m: int) -> list[dict]:
         comp = [p.coeffs[0] for p in points]
         return [
             finding("cmc_hypersurface_nonpositive_scalar",
-                    cmc and _all_flag(points, "is_hypersurface"), max(ab) <= 0.0,
+                    cmc and flags["is_hypersurface"] is True, max(ab) <= 0.0,
                     {"sup_alpha_plus_beta": max(ab)}),
-            finding("cmc_lagrangian_surface", cmc and _all_flag(points, "is_lagrangian"),
+            finding("cmc_lagrangian_surface", cmc and flags["is_lagrangian"] is True,
                     max(lag) <= 0.0, {"sup_2alpha_plus_3beta": max(lag)}),
-            finding("cmc_complex_surface", cmc and _all_flag(points, "is_complex"),
+            finding("cmc_complex_surface", cmc and flags["is_complex"] is True,
                     max(comp) <= 0.0, {"sup_alpha": max(comp)}),
         ]
 
+    xi_t = flags["xi_tangent"] is True
     kvals = [characterization_target(KIND_CONTACT, m, p.coeffs) for p in points]
     detail = {"sup_target": max(kvals)}
     if space.tag is not None and space.tag.family in (SASAKI, KENMOTSU, COSYMPLECTIC):
@@ -481,17 +476,13 @@ def nonexistence_audit(space: AmbientModel, points, m: int) -> list[dict]:
                        "c_threshold": thr, "threshold_applies": c <= thr})
     return [
         finding("cmc_reeb_tangent_hypersurface",
-                cmc and _all_flag(points, "is_hypersurface") and _all_flag(points, "xi_tangent"),
+                cmc and xi_t and flags["is_hypersurface"] is True,
                 max(kvals) <= 0.0, detail),
-        finding("cmc_xi_phi_h_tangent",
-                cmc and _all_flag(points, "xi_tangent")
-                and all(p.flags.phi_h_tangent for p in points
-                        if p.flags.phi_h_tangent is not None),
+        # a grid on which no sample decides phi(H) (a minimal one) reads as
+        # phi(H) tangent here: a vacuous truth that the report pins still hold
+        finding("cmc_xi_phi_h_tangent", cmc and xi_t and flags["phi_h_tangent"] is not False,
                 max(kvals) <= 0.0, {"sup_k": max(kvals)}),
-        finding("cmc_xi_tangent_phi_h_normal",
-                cmc and _all_flag(points, "xi_tangent")
-                and all(p.flags.phi_h_normal for p in points if p.flags.phi_h_normal is not None)
-                and any(p.flags.phi_h_normal is not None for p in points),
+        finding("cmc_xi_tangent_phi_h_normal", cmc and xi_t and flags["phi_h_normal"] is True,
                 max(kvals) <= 3.0, {"sup_k": max(kvals), "threshold": 3.0}),
     ]
 

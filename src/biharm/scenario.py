@@ -68,6 +68,7 @@ from .residuals import (
     branch_of,
     characterization_target,
     cmc_characterization,
+    flag_consensus,
     nonexistence_audit,
     proper_biharmonic_verdict,
     reduction_residual,
@@ -94,10 +95,25 @@ from .submanifold import (
 # ``pg.ambient``.
 
 SCHEMA_VERSION = 1
+# the jet order of every grid that reads past second derivatives: the normal
+# Laplacian needs 4, and a higher order gives the same values, only slower
+JET_ORDER = 4
 
 # the classical families an inline ambient's ``tag`` may name, per kind
 TAG_FAMILIES = {KIND_COMPLEX: (COMPLEX_SPACE_FORM,),
                 KIND_CONTACT: (SASAKI, KENMOTSU, COSYMPLECTIC)}
+
+# the fields each mapping of a document may have
+DOCUMENT_FIELDS = ("schema_version", "name", "ambient", "immersion", "domain", "constants",
+                   "checks", "expect")
+CATALOG_FIELDS = ("catalog", "params")
+# an inline ambient's: every kind's and backend's, then its own kind's and backend's
+INLINE_AMBIENT_FIELDS = ("name", "kind", "backend", "dim", "coordinates", "coefficients", "tag")
+KIND_FIELDS = {KIND_COMPLEX: ("complex_structure",), KIND_CONTACT: ("phi", "reeb")}
+BACKEND_FIELDS = {"chart": ("metric",), "embedded": ("embedding_params", "embedding", "normals")}
+INLINE_IMMERSION_FIELDS = ("name", "params", "components", "domain")
+AXIS_FIELDS = ("lo", "hi", "samples", "periodic")
+SWEEP_EXPECT_FIELDS = ("roots_count", "root_near", "root_tol")
 
 
 class ConfigError(Exception):
@@ -120,7 +136,6 @@ class ScenarioConfig:
     checks: list[CheckSpec]
     constants: dict
     expect: dict
-    order: int = 4
     raw: dict = field(default_factory=dict)
 
     def with_constant(self, name: str, value: float) -> "ScenarioConfig":
@@ -141,9 +156,14 @@ def _require(doc, key, path):
     return doc[key]
 
 
-def _mapping(doc, path) -> dict:
+def _mapping(doc, path, fields=None) -> dict:
+    """``doc``, which must be a mapping, with no field outside ``fields``
+    (when given)."""
     if not isinstance(doc, dict):
         raise ConfigError("expected a mapping", path)
+    for key in doc:
+        if fields is not None and key not in fields:
+            raise ConfigError(f"unknown field {key!r}", f"{path}.{key}" if path else str(key))
     return doc
 
 
@@ -181,8 +201,12 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
     if "catalog" in _mapping(doc, path):
         return _load_catalog(doc, constants, path, catalog.AMBIENTS, catalog.ambient)
     kind = _require(doc, "kind", path)
-    if kind not in (KIND_COMPLEX, KIND_CONTACT):
+    if kind not in KIND_FIELDS:
         raise ConfigError(f"unknown kind {kind!r}", path + ".kind")
+    backend = doc.get("backend", "chart")
+    if backend not in BACKEND_FIELDS:
+        raise ConfigError(f"unknown backend {backend!r}", path + ".backend")
+    _mapping(doc, path, INLINE_AMBIENT_FIELDS + KIND_FIELDS[kind] + BACKEND_FIELDS[backend])
     coords = tuple(_require(doc, "coordinates", path))
 
     def mat(key):
@@ -198,13 +222,13 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
         return tuple(_parse(e, coords, f"{path}.{key}[{i}]", constants)
                      for i, e in enumerate(entries))
 
-    coeffs_doc = _require(doc, "coefficients", path)
     names = ("alpha", "beta") if kind == KIND_COMPLEX else ("f1", "f2", "f3")
+    coeffs_doc = _mapping(_require(doc, "coefficients", path), path + ".coefficients", names)
     coeffs = vec("coefficients", [str(_require(coeffs_doc, n, path + ".coefficients"))
                                   for n in names])
     tag = None
     if doc.get("tag"):
-        tag_doc = _mapping(doc["tag"], path + ".tag")
+        tag_doc = _mapping(doc["tag"], path + ".tag", ("family", "value"))
         family = _require(tag_doc, "family", path + ".tag")
         if family not in TAG_FAMILIES[kind]:
             raise ConfigError(f"{family!r} is not one of {', '.join(TAG_FAMILIES[kind])} for a "
@@ -214,7 +238,7 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
     kwargs = dict(
         name=doc.get("name", "inline"),
         kind=kind,
-        backend=doc.get("backend", "chart"),
+        backend=backend,
         dim=_integer(_require(doc, "dim", path), path + ".dim"),
         coords=coords,
         coeffs=coeffs,
@@ -226,7 +250,7 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
     else:
         kwargs["phi"] = mat("phi")
         kwargs["reeb"] = vec("reeb")
-    if kwargs["backend"] == "chart":
+    if backend == "chart":
         kwargs["metric"] = mat("metric")
     else:
         params = tuple(_require(doc, "embedding_params", path))
@@ -263,7 +287,7 @@ def _load_catalog(doc, constants, path, entries, build, *args):
     """A catalog model, built with each parameter its entry declares bound to
     the default, under the document's constants, under the model's
     ``params``; a ``params`` name the entry does not declare is a config error."""
-    name = doc["catalog"]
+    name = _mapping(doc, path, CATALOG_FIELDS)["catalog"]
     if not isinstance(name, str) or name not in entries:
         raise ConfigError(f"unknown catalog entry {name!r}", path + ".catalog")
     declared = entries[name][1]
@@ -282,7 +306,7 @@ def _load_immersion(doc, space, constants, path) -> ImmersionModel:
     if "catalog" in _mapping(doc, path):
         imm = _load_catalog(doc, constants, path, catalog.IMMERSIONS, catalog.immersion, space)
     else:
-        params = tuple(_require(doc, "params", path))
+        params = tuple(_require(_mapping(doc, path, INLINE_IMMERSION_FIELDS), "params", path))
         comps = _require(doc, "components", path)
         if len(comps) != space.rep_dim:
             raise ConfigError(
@@ -291,8 +315,7 @@ def _load_immersion(doc, space, constants, path) -> ImmersionModel:
         components = tuple(
             _parse(c, params, f"{path}.components[{i}]", constants)
             for i, c in enumerate(comps))
-        domain = _mapping(_require(doc, "domain", path), path + ".domain")
-        axes = _load_axes(domain.get("axes"), path + ".domain")
+        axes = _load_domain(_require(doc, "domain", path), path + ".domain")
         if len(axes) != len(params):
             raise ConfigError("one domain axis per parameter is required", path + ".domain")
         imm = ImmersionModel(
@@ -310,18 +333,14 @@ def _load_immersion(doc, space, constants, path) -> ImmersionModel:
     return imm
 
 
-_AXIS_FIELDS = ("lo", "hi", "samples", "periodic")
-
-
-def _load_axes(axes_doc, path) -> tuple[Axis, ...]:
+def _load_domain(doc, path) -> tuple[Axis, ...]:
+    axes_doc = _mapping(doc, path, ("axes",)).get("axes")
     if not isinstance(axes_doc, list) or not axes_doc:
         raise ConfigError("expected a non-empty list of axes", path)
     axes = []
     for i, ax in enumerate(axes_doc):
         at = f"{path}.axes[{i}]"
-        for key in _mapping(ax, at):
-            if key not in _AXIS_FIELDS:
-                raise ConfigError(f"unknown field {key!r} of an axis", f"{at}.{key}")
+        _mapping(ax, at, AXIS_FIELDS)
         axes.append(Axis(
             lo=_number(_require(ax, "lo", at), at + ".lo"),
             hi=_number(_require(ax, "hi", at), at + ".hi"),
@@ -371,6 +390,7 @@ def load_scenario(document) -> ScenarioConfig:
         doc = document
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
+    _mapping(doc, "", DOCUMENT_FIELDS)
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}", "schema_version")
@@ -378,7 +398,7 @@ def load_scenario(document) -> ScenarioConfig:
     space = _load_ambient(_require(doc, "ambient", ""), constants, "ambient")
     imm = _load_immersion(_require(doc, "immersion", ""), space, constants, "immersion")
     if "domain" in doc:
-        axes = _load_axes(_mapping(doc["domain"], "domain").get("axes"), "domain")
+        axes = _load_domain(doc["domain"], "domain")
         if len(axes) != imm.dim:
             raise ConfigError("one axis per immersion parameter", "domain")
         imm.domain = axes
@@ -388,18 +408,33 @@ def load_scenario(document) -> ScenarioConfig:
     checks = []
     for i, c in enumerate(checks_doc):
         checks.append(_load_check(c, f"checks[{i}]", space, [spec.op for spec in checks]))
-    order = _integer(doc.get("order", 4), "order")
-    if order < 4:
-        raise ConfigError("jet order below 4 cannot feed the normal Laplacian", "order")
     return ScenarioConfig(
         ambient=space,
         immersion=imm,
         checks=checks,
         constants=constants,
-        expect=doc.get("expect", {}),
-        order=order,
+        expect=_load_expect(doc.get("expect", {}), [spec.op for spec in checks]),
         raw=doc,
     )
+
+
+def _load_expect(doc, ops) -> dict:
+    """The expectations the CLI compares a run with: ``verdict`` and
+    ``checks.<op>.status`` (for a requested op) are strings, ``sweep`` names
+    :data:`SWEEP_EXPECT_FIELDS`, ``convergence_order_gte`` is a number."""
+    expect = dict(_mapping(doc, "expect", ("verdict", "sweep", "convergence_order_gte",
+                                           *(f"checks.{op}.status" for op in ops))))
+    for key, value in expect.items():
+        path = f"expect.{key}"
+        if key == "sweep":
+            sweep = _mapping(value, path, SWEEP_EXPECT_FIELDS)
+            expect[key] = {k: (_integer if k == "roots_count" else _finite)(v, f"{path}.{k}")
+                           for k, v in sweep.items()}
+        elif key == "convergence_order_gte":
+            expect[key] = _finite(value, path)
+        elif not isinstance(value, str):
+            raise ConfigError(f"expected a string, got {value!r}", path)
+    return expect
 
 
 # -- grid evaluation -------------------------------------------------------------
@@ -519,7 +554,7 @@ def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointData]:
 
     The grid's geometry runs as consecutive row blocks (:func:`_block_rows`
     samples), one ``point_geometry`` call each, at jet order 2 when
-    ``needs`` reads nothing of higher order, else at the scenario's order;
+    ``needs`` reads nothing of higher order, else at :data:`JET_ORDER`;
     the jets of the normal derivatives and of the intrinsic curvature run
     once per block too, when needed.  Every sample is then evaluated from
     its row of the block.  A fault anywhere in a block reruns that block
@@ -530,7 +565,7 @@ def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointData]:
     for q in needs:
         closed.update(_REQUIRES.get(q, ()))
     closed = frozenset(closed)
-    order = 2 if closed <= _ORDER2 else cfg.order
+    order = 2 if closed <= _ORDER2 else JET_ORDER
     grid = cfg.immersion.grid()
     rows = _block_rows(cfg, order)
     records = []
@@ -549,15 +584,6 @@ def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointData]:
             records += [_evaluate_point(cfg, u, closed, order, batch.sample(i))
                         for i, u in enumerate(block)]
     return records
-
-
-def _flag_consensus(datas) -> dict:
-    out = {}
-    flags = [d.flags.as_dict() for d in datas]
-    for name in flags[0]:
-        known = [f[name] for f in flags if f[name] is not None]
-        out[name] = all(known) if known else None
-    return out
 
 
 @dataclass
@@ -620,7 +646,7 @@ def run_check(cfg: ScenarioConfig) -> Report:
         "max_closed_form_vs_general": closed_form_gap,
         "max_branch_vs_general": branch_gap,
         "verdict": verdict,
-        "classification": _flag_consensus(ok),
+        "classification": flag_consensus(ok),
         "branch": ok[0].branch,
     }
 
@@ -647,7 +673,7 @@ def run_check(cfg: ScenarioConfig) -> Report:
         "schema_version": SCHEMA_VERSION,
         "scenario": cfg.raw,
         "engine": {
-            "jet_order": cfg.order,
+            "jet_order": JET_ORDER,
             "grid": [ax.samples for ax in cfg.immersion.domain],
             "tolerances": {"proper_residual": PROPER_TOL, "minimal_h": MINIMAL_TOL,
                            "classification": CLASSIFY_TOL},
@@ -696,9 +722,8 @@ def _declare(table: dict, name: str, *needs: str, tol=None, fields=None):
 
 @_declare(CHECKS, "residual", RESIDUALS, tol=PROPER_TOL)
 def _check_residual(grid, spec) -> dict:
-    datas = grid.datas
-    worst = max(max(d.residuals[GENERAL].normal_norm,
-                    d.residuals[GENERAL].tangential_norm) for d in datas)
+    datas, agg = grid.datas, grid.aggregates
+    worst = max(agg["max_normal_residual"], agg["max_tangential_residual"])
     return {
         "tol": spec.tol,
         "max_residual": worst,
@@ -749,8 +774,8 @@ def _check_gauss(grid, spec) -> dict:
     out = {"tol": spec.tol, "max_gap": worst, "status": "ok" if worst <= spec.tol else "violated"}
     if grid.cfg.ambient.kind == KIND_COMPLEX and grid.cfg.immersion.dim == 3:
         form = max(
-            abs(d.scal_via_gauss
-                - (6.0 * (d.coeffs[0] + d.coeffs[1]) - d.b_norm2 + 9.0 * d.h_norm**2))
+            abs(d.scal_via_gauss - (2.0 * characterization_target(KIND_COMPLEX, 3, d.coeffs)
+                                    - d.b_norm2 + 9.0 * d.h_norm**2))
             for d in datas)
         out["hypersurface_form_gap"] = form
     return out
@@ -759,9 +784,9 @@ def _check_gauss(grid, spec) -> dict:
 @_declare(CHECKS, "structure", GEOMETRY, tol=1e-9)
 def _check_structure(grid, spec) -> dict:
     pts = [grid.cfg.immersion.values("components", d.u) for d in grid.datas[:6]]
-    rep = verify_structure(grid.cfg.ambient, pts)
-    return {"tol": spec.tol, "residuals": rep.residuals,
-            "status": "ok" if rep.ok(spec.tol) else "violated"}
+    residuals = verify_structure(grid.cfg.ambient, pts)
+    return {"tol": spec.tol, "residuals": residuals,
+            "status": "ok" if max(residuals.values()) <= spec.tol else "violated"}
 
 
 @_declare(CHECKS, "pseudo_umbilical", PSEUDO, tol=1e-8)
@@ -953,7 +978,7 @@ def convergence_study(cfg: ScenarioConfig, steps=CONVERGENCE_STEPS) -> dict:
         raise ConfigError(f"step sizes must be positive, got {list(steps)}", path)
     imm = cfg.immersion
     probe = tuple(0.5 * (ax.lo + ax.hi) + 0.061 * (ax.hi - ax.lo) for ax in imm.domain)
-    pg = point_geometry(cfg.ambient, imm, probe, cfg.order)
+    pg = point_geometry(cfg.ambient, imm, probe, JET_ORDER)
     nd = normal_derivatives(pg)
     exact = nd.laplacian
     errors = []
@@ -1024,7 +1049,3 @@ def emit_report(report: Report, format: str = "document") -> str:
             f"{k}={_fmt(v, 6)}" for k, v in list(detail.items())[:3])
         lines.append(f"{name:<18} {str(chk.get('status')):<16} {short}")
     return "\n".join(lines) + "\n"
-
-
-def parse_document(text: str) -> dict:
-    return json.loads(text)

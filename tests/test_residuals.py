@@ -6,19 +6,34 @@ import numpy as np
 import pytest
 
 from biharm import catalog
-from biharm.ambient import GeometryError, PointAmbient, curvature_parts, metric_at, structure_at
+from biharm.ambient import (
+    COSYMPLECTIC,
+    KENMOTSU,
+    KIND_CONTACT,
+    SASAKI,
+    ClassicalTag,
+    GeometryError,
+    PointAmbient,
+    coefficients_at,
+    coefficients_for_tag,
+    curvature_parts,
+    metric_at,
+    structure_at,
+)
 from biharm.residuals import (
     CLOSED_FORM,
+    PointData,
     bound_check,
-    bound_constant,
+    characterization_target,
     cmc_characterization,
+    flag_consensus,
     nonexistence_audit,
     reduction_residual,
     residual_gcsf,
     residual_general,
     residual_gssf,
 )
-from biharm.structure import classify, decompose, random_orthonormal_frames
+from biharm.structure import ClassificationFlags, classify, decompose, random_orthonormal_frames
 from biharm.submanifold import normal_derivatives, point_geometry
 
 
@@ -242,12 +257,61 @@ def test_characterization_not_applicable_for_minimal():
     assert v["failed_hypothesis"] == "nonzero_mean_curvature"
 
 
-def test_bound_constant_values():
-    assert bound_constant("sasaki", 4, 1.0) == pytest.approx(4.0)
-    assert bound_constant("cosymplectic", 4, 2.0) == pytest.approx(3.0)
-    assert bound_constant("kenmotsu", 2, 1.0) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        bound_constant("complex_space_form", 2, 1.0)
+# K = m f1 - f2 + 3 f3 of the classical contact space forms of constant
+# phi-sectional curvature c, in closed form
+CLASSICAL_TARGETS = {
+    SASAKI: lambda m, c: (m + 2) * c / 4.0 + (3 * m - 2) / 4.0,
+    KENMOTSU: lambda m, c: (m + 2) * c / 4.0 - (3 * m - 2) / 4.0,
+    COSYMPLECTIC: lambda m, c: (m + 2) * c / 4.0,
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLASSICAL_TARGETS))
+def test_characterization_target_matches_classical_closed_forms(family):
+    for m in range(1, 5):
+        for c in (-3.0, -1.0, 0.0, 0.5, 1.0, 2.0):
+            coeffs = coefficients_for_tag(ClassicalTag(family, c))
+            got = characterization_target(KIND_CONTACT, m, coeffs)
+            assert got == pytest.approx(CLASSICAL_TARGETS[family](m, c), abs=1e-12), (m, c)
+
+
+@pytest.mark.parametrize("name, x", [
+    ("sasakian_r5", (0.1, -0.2, 0.3, 0.05, 0.2)),
+    ("cosymplectic_r5", (0.1, -0.2, 0.3, 0.05, 0.2)),
+    ("kenmotsu_hyperbolic", (0.1, -0.2, 0.3, 0.05, 0.2)),
+    ("sasakian_sphere_s5", (0.6, 0.0, 0.0, 0.8, 0.0, 0.0)),
+])
+def test_bound_k_value_of_tagged_contact_ambients_matches_closed_form(name, x):
+    # K comes from the samples' coefficients; on a tagged catalog ambient it
+    # equals the family's closed form
+    space = catalog.ambient(name)
+    points = [PointData(u=(0.0,), h_norm=0.5, coeffs=coefficients_at(space, x),
+                        nabla_h_norm=0.0) for _ in range(2)]
+    for m in range(1, 5):
+        k = bound_check(space, points, m, "xi_phi_h_tangent")["k_value"]
+        assert k == pytest.approx(CLASSICAL_TARGETS[space.tag.family](m, space.tag.value),
+                                  abs=1e-12), m
+
+
+def _with_flags(**flags):
+    return PointData(u=(0.0,), flags=ClassificationFlags(is_curve=False, is_hypersurface=True,
+                                                         **flags))
+
+
+def test_flag_consensus_is_tri_state():
+    # a flag no sample decides is None, one that every deciding sample sets
+    # is True, and one that any sample clears is False
+    consensus = flag_consensus([_with_flags(xi_tangent=None, phi_h_tangent=None,
+                                            phi_h_normal=None, xi_normal=True),
+                                _with_flags(xi_tangent=None, phi_h_tangent=True,
+                                            phi_h_normal=False, xi_normal=True)])
+    assert consensus["xi_tangent"] is None
+    assert consensus["phi_h_tangent"] is True
+    assert consensus["phi_h_normal"] is False
+    assert consensus["xi_normal"] is True
+    assert consensus["is_hypersurface"] is True and consensus["is_curve"] is False
+    assert flag_consensus([_with_flags(xi_normal=False), _with_flags(xi_normal=True)]) \
+        ["xi_normal"] is False
 
 
 def test_bound_equality_small_hypersphere():

@@ -16,7 +16,6 @@ from biharm.scenario import (
     convergence_study,
     emit_report,
     load_scenario,
-    parse_document,
     run_check,
     sweep_solve,
 )
@@ -167,6 +166,7 @@ _FLAT_INLINE = {
     ({"ambient": dict(_FLAT_INLINE, dim="four")}, "ambient.dim"),
     ({"ambient": dict(_FLAT_INLINE, tag={"family": "complex_space_form"})}, "ambient.tag"),
     ({"ambient": dict(_FLAT_INLINE, tag={"family": "sasaki", "value": 1})}, "ambient.tag.family"),
+    ({"ambient": dict(_FLAT_INLINE, backend="chrat")}, "ambient.backend"),
     ({"domain": {"axes": [{"lo": 0.5, "hi": 2.6, "samples": 2},
                           {"lo": 0.5, "hi": 2.6, "samples": 2},
                           {"lo": 0.3, "hi": 6.5, "samples": 3, "periodic": "false"}]}},
@@ -197,6 +197,107 @@ def test_malformed_document_field_is_config_error(tmp_path, capsys, overrides, p
     assert cli_main(["check", str(scn)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: "), err
+
+
+_INLINE_PLANE = {
+    "params": ["u", "v"], "components": ["u", "v", "0", "0"],
+    "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 2}, {"lo": 0, "hi": 1, "samples": 2}]},
+}
+_CONTACT_INLINE = {
+    "kind": "generalized_sasakian", "dim": 3, "coordinates": ["x", "y", "z"],
+    "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]], "reeb": ["0", "0", "1"],
+    "coefficients": {"f1": "0", "f2": "0", "f3": "0"},
+}
+
+
+# a misspelt or misplaced field would otherwise be ignored, and the scenario
+# run with its defaults: "constant" below would check r = 1, not r = 2
+@pytest.mark.parametrize("overrides, path", [
+    ({"constant": {"r": 2.0}}, "constant"),
+    ({"chekcs": [{"op": "gauss"}]}, "chekcs"),
+    ({"domian": {"axes": []}}, "domian"),
+    ({"order": 4}, "order"),
+    ({"ambient": {"catalog": "cp2", "param": {"rho": 4.0}}}, "ambient.param"),
+    ({"immersion": {"catalog": "round_hypersphere", "param": {"r": 2.0}}}, "immersion.param"),
+    ({"ambient": dict(_FLAT_INLINE, metirc=_IDENTITY)}, "ambient.metirc"),
+    ({"ambient": dict(_FLAT_INLINE, phi=_IDENTITY)}, "ambient.phi"),
+    ({"ambient": dict(_FLAT_INLINE, normals=[])}, "ambient.normals"),
+    ({"ambient": dict(_FLAT_INLINE, coefficients={"alpha": "0", "beta": "0", "gamma": "1"})},
+     "ambient.coefficients.gamma"),
+    ({"ambient": dict(_FLAT_INLINE, tag={"family": "complex_space_form", "value": 0, "c": 1})},
+     "ambient.tag.c"),
+    ({"ambient": dict(_CONTACT_INLINE, complex_structure=_IDENTITY)},
+     "ambient.complex_structure"),
+    ({"immersion": dict(_INLINE_PLANE, paramz=["u"])}, "immersion.paramz"),
+    ({"immersion": dict(_INLINE_PLANE, domain={"axes": _INLINE_PLANE["domain"]["axes"],
+                                               "axis": []})}, "immersion.domain.axis"),
+    ({"domain": {"axes": [{"lo": 0.5, "hi": 2.6, "samples": 2}], "samples": 3}},
+     "domain.samples"),
+])
+def test_unknown_document_field_is_config_error(tmp_path, capsys, overrides, path):
+    doc = {
+        "ambient": {"catalog": "flat_c2"},
+        "immersion": {"catalog": "round_hypersphere", "params": {"r": 1.0}},
+        **overrides,
+    }
+    scn = tmp_path / "stray.json"
+    scn.write_text(json.dumps(doc))
+    assert cli_main(["check", str(scn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: unknown field"), err
+
+
+def test_inline_contact_ambient_takes_its_kind_fields():
+    cfg = load_scenario({"ambient": _CONTACT_INLINE,
+                         "immersion": {"params": ["u"], "components": ["u", "0", "0"],
+                                       "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 2}]}}})
+    assert cfg.ambient.kind == "generalized_sasakian"
+
+
+# expectations are validated when the document loads, for every subcommand:
+# before the run, not after it
+@pytest.mark.parametrize("command, expect, path", [
+    ("check", {"verdcit": "ProperBiharmonic"}, "expect.verdcit"),
+    ("check", {"checks.gauss.status": "ok"}, "expect.checks.gauss.status"),
+    ("check", {"checks.residual.stat": "ok"}, "expect.checks.residual.stat"),
+    ("check", {"verdict": 1}, "expect.verdict"),
+    ("check", {"checks.residual.status": True}, "expect.checks.residual.status"),
+    ("check", ["verdict"], "expect"),
+    ("sweep", {"sweep": {"roots": 1}}, "expect.sweep.roots"),
+    ("sweep", {"sweep": {"root_near": "one"}}, "expect.sweep.root_near"),
+    ("sweep", {"sweep": {"root_near": 1.0, "root_tol": "1e-6"}}, "expect.sweep.root_tol"),
+    ("sweep", {"sweep": {"roots_count": 1.5}}, "expect.sweep.roots_count"),
+    ("sweep", {"sweep": 1}, "expect.sweep"),
+    ("convergence", {"convergence_order_gte": "2"}, "expect.convergence_order_gte"),
+])
+def test_malformed_expectation_is_config_error(tmp_path, capsys, command, expect, path):
+    scn = tmp_path / "expect.json"
+    scn.write_text(json.dumps({
+        "ambient": {"catalog": "cosymplectic_r5"},
+        "immersion": {"catalog": "graph_surface"},
+        "checks": [{"op": "residual"}],
+        "expect": expect,
+    }))
+    args = {"check": [], "sweep": ["--param", "r", "--range", "0.5:2.0:3"],
+            "convergence": ["--steps", "0.05,0.025"]}[command]
+    assert cli_main([command, str(scn), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: "), err
+
+
+def test_check_status_expectation_compares_the_requested_check(tmp_path, capsys):
+    scn = tmp_path / "status.json"
+    doc = {"ambient": {"catalog": "sasakian_r5"}, "immersion": {"catalog": "hyperplane_y1"},
+           "checks": [{"op": "residual"}, {"op": "gauss"}],
+           "expect": {"verdict": "MinimalHenceBiharmonic", "checks.gauss.status": "ok"}}
+    scn.write_text(json.dumps(doc))
+    assert cli_main(["check", str(scn)]) == 0
+    doc["expect"]["checks.gauss.status"] = "violated"
+    scn.write_text(json.dumps(doc))
+    assert cli_main(["check", str(scn)]) == 1
+    err = capsys.readouterr().err
+    assert "EXPECT FAILED: expected checks.gauss.status='violated', got 'ok'" in err
 
 
 def test_check_tol_defaults_to_its_declaration():
@@ -316,7 +417,8 @@ def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
                              {"lo": 0, "hi": 1, "samples": 4}]},
     }, checks=[{"op": "residual"}])
     needs = frozenset((scenario.GEOMETRY, scenario.RESIDUALS, scenario.NORMAL, scenario.SPLIT))
-    expected = [scenario._evaluate_point(cfg, u, needs, cfg.order) for u in cfg.immersion.grid()]
+    expected = [scenario._evaluate_point(cfg, u, needs, scenario.JET_ORDER)
+                for u in cfg.immersion.grid()]
     calls = []
     real = submanifold.point_geometry
 
@@ -425,12 +527,13 @@ def test_grid_blocks_change_no_record(ambient, immersion, blocks):
 
     cfg = _cfg(ambient={"catalog": ambient}, immersion={"catalog": immersion})
     grid = cfg.immersion.grid()
-    assert math.ceil(len(grid) / scenario._block_rows(cfg, cfg.order)) == blocks
+    assert math.ceil(len(grid) / scenario._block_rows(cfg, scenario.JET_ORDER)) == blocks
     records = scenario._run_grid(cfg)
     assert len(records) == len(grid)
     for u, record in zip(grid, records):
         assert record.error is None
-        assert _same(record, scenario._evaluate_point(cfg, u, scenario.QUANTITIES, cfg.order)), u
+        single = scenario._evaluate_point(cfg, u, scenario.QUANTITIES, scenario.JET_ORDER)
+        assert _same(record, single), u
 
 
 def test_immersion_must_have_lower_dimension():
@@ -510,7 +613,7 @@ def test_document_round_trip_and_determinism():
     doc1 = emit_report(run_check(cfg), "document")
     doc2 = emit_report(run_check(cfg), "document")
     assert doc1 == doc2
-    parsed = parse_document(doc1)
+    parsed = json.loads(doc1)
     assert parsed["aggregates"]["verdict"] == "NotBiharmonic"
     # emit(parse(emit)) is idempotent at 12 significant digits
     from biharm.scenario import Report
@@ -530,7 +633,7 @@ def test_document_numbers_have_12_digits():
     rep = run_check(_cfg())
     doc = emit_report(rep, "document")
     # 1/3 style fractions must be rendered at 12 significant digits
-    parsed = parse_document(doc)
+    parsed = json.loads(doc)
     res = parsed["aggregates"]["max_normal_residual"]
     assert abs(res - 3.0) < 1e-9
     assert "0.333333333333" in doc or "3" in doc
@@ -699,7 +802,7 @@ def test_cli_report_out_file(tmp_path):
     }))
     out = tmp_path / "report.json"
     assert cli_main(["check", str(scn), "--out", str(out)]) == 0
-    parsed = parse_document(out.read_text())
+    parsed = json.loads(out.read_text())
     assert parsed["aggregates"]["verdict"] == "NotBiharmonic"
 
 

@@ -344,8 +344,8 @@ def test_batched_structure_audit_equals_per_point_maxima_bitwise(name):
     pts = rng.uniform(-0.5, 0.5, (6, space.rep_dim))
     if space.backend == "embedded":
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-    batch = verify_structure(space, pts).residuals
-    singles = [verify_structure(space, [x]).residuals for x in pts]
+    batch = verify_structure(space, pts)
+    singles = [verify_structure(space, [x]) for x in pts]
     assert any(k.startswith("covariant") for k in batch)
     assert list(batch) == list(singles[0])
     for key, value in batch.items():
