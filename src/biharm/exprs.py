@@ -31,7 +31,9 @@ import numpy as np
 
 from .jets import DomainError, Jet, seed_point, stack
 
-Bindings = dict[str, float]
+# a constant's value: a float, or an array over the rows of a block, one
+# value per row (see "compilation and evaluation" below)
+Bindings = dict[str, "float | np.ndarray"]
 
 DEFAULT_BINDINGS: Bindings = {"pi": math.pi}
 
@@ -234,10 +236,26 @@ def _parse_cached(source: str, params: tuple) -> Expr:
 # subtrees become one instruction, so a shared subexpression is computed once
 # per run.  The same program runs on floats or on jets; constants are looked
 # up at every run, so rebinding them never needs a recompile.
+#
+# A constant bound to an array runs a block of rows at once, each row with
+# its own value.  Sums, differences, products and quotients of arrays are
+# numpy's elementwise IEEE operations, so each element equals the float
+# operation; functions and powers on arrays apply their float path to each
+# element, domain checks included (numpy's own sin or tan may differ from
+# libm by an ulp).
+
+def _elementwise(fn, *args) -> np.ndarray:
+    """``fn`` on the floats of each element of the broadcast ``args``."""
+    arrays = np.broadcast_arrays(*args)
+    out = [fn(*xs) for xs in zip(*(a.ravel().tolist() for a in arrays))]
+    return np.array(out, dtype=float).reshape(arrays[0].shape)
+
 
 def _call(fn: str, x):
     if isinstance(x, Jet):
         return getattr(x, fn)()
+    if isinstance(x, np.ndarray):
+        return _elementwise(partial(_call, fn), x)
     if not math.isfinite(x):
         raise DomainError(f"{fn} of non-finite value {x}")
     if fn == "log":
@@ -254,6 +272,12 @@ def _call(fn: str, x):
 
 
 def _power(base, expo):
+    if isinstance(expo, np.ndarray):
+        if isinstance(base, Jet):  # each row raises its jet to its own exponent
+            return stack([_power(base[i], e) for i, e in enumerate(expo.tolist())])
+        return _elementwise(_power, base, expo)
+    if isinstance(base, np.ndarray) and not isinstance(expo, Jet):
+        return _elementwise(_power, base, expo)
     if isinstance(expo, Jet):
         # parameter-dependent exponent: b^e = exp(e log b), positive base only
         logb = base.log() if isinstance(base, Jet) else _call("log", base)
@@ -285,7 +309,8 @@ def _inverse(b):
 def _divide(a, inv_b):
     if isinstance(inv_b, Jet):
         return a * inv_b
-    if not isinstance(a, Jet) and inv_b == 0.0:
+    if not isinstance(a, Jet) and (
+            (inv_b == 0.0).any() if isinstance(inv_b, np.ndarray) else inv_b == 0.0):
         raise DomainError("division by zero")
     return a / inv_b
 
@@ -296,13 +321,12 @@ _UNARY["neg"] = operator.neg
 _UNARY["inv"] = _inverse
 
 
-def _constant(name: str, bindings: Bindings | None) -> float:
+def _constant(name: str, bindings: Bindings | None):
     try:
-        if bindings and name in bindings:
-            return float(bindings[name])
-        return float(DEFAULT_BINDINGS[name])
+        value = bindings[name] if bindings and name in bindings else DEFAULT_BINDINGS[name]
     except KeyError:
         raise UnboundConstantError(f"constant {name!r} is not bound") from None
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 class Program:
@@ -344,13 +368,20 @@ class Program:
             raise DomainError(f"float overflow ({e})") from None
         out = [slots[k] for k in self.outputs]
         for v in out:
-            if not isinstance(v, Jet) and not math.isfinite(v):
-                raise DomainError(f"non-finite value {v}")
+            if isinstance(v, float):
+                if not math.isfinite(v):
+                    raise DomainError(f"non-finite value {v}")
+            elif isinstance(v, np.ndarray) and not np.isfinite(v).all():
+                raise DomainError(f"non-finite value {v[~np.isfinite(v)][0]}")
         return out
 
     def values(self, point, bindings: Bindings | None = None) -> np.ndarray:
-        """Float outputs at ``point``, as an array of the compiled shape."""
+        """Float outputs at ``point``, as an array of the compiled shape;
+        constants bound to arrays of shape S give S + the compiled shape."""
         out = self.run([float(x) for x in point], bindings)
+        if any(isinstance(v, np.ndarray) for v in out):
+            out = np.broadcast_arrays(*out)
+            return np.stack(out, axis=-1).reshape(out[0].shape + self.shape)
         return np.array(out, dtype=float).reshape(self.shape)
 
     def jets(self, env, bindings: Bindings | None = None) -> Jet:
@@ -359,7 +390,8 @@ class Program:
 
         Parameters that are jet arrays of one batch shape S run the program
         once for the whole batch, and the result has shape S + the compiled
-        shape."""
+        shape; a constant bound to an array of shape S gives each sample its
+        own value."""
         ref = next(v for v in env if isinstance(v, Jet))
         batch, k = ref.shape, len(self.shape)
         out = stack([v if isinstance(v, Jet) else Jet.constant(ref.nvars, ref.order, np.full(batch, v))

@@ -330,6 +330,10 @@ class Jet:
             if other == 0.0:
                 raise DomainError("division by zero")
             return Jet(self.space, self.coeffs / other)
+        if isinstance(other, np.ndarray):  # an array of constants, over the leading axes
+            if (other == 0.0).any():
+                raise DomainError("division by zero")
+            return Jet(self.space, self.coeffs / other[..., None])
         return NotImplemented
 
     def __rtruediv__(self, other):

@@ -25,6 +25,7 @@ Document schema (see README for the full field list)::
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -549,40 +550,70 @@ def _block_rows(cfg: ScenarioConfig, order: int) -> int:
     return max(1, _BLOCK_COEFFS // geometry_jet_size(cfg.ambient, cfg.immersion, order))
 
 
-def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointData]:
-    """``needs`` at every grid sample, with the geometry and what they rest on.
-
-    The grid's geometry runs as consecutive row blocks (:func:`_block_rows`
-    samples), one ``point_geometry`` call each, at jet order 2 when
-    ``needs`` reads nothing of higher order, else at :data:`JET_ORDER`;
-    the jets of the normal derivatives and of the intrinsic curvature run
-    once per block too, when needed.  Every sample is then evaluated from
-    its row of the block.  A fault anywhere in a block reruns that block
-    alone one sample at a time, so that each failed point keeps its own
-    reason.
-    """
+def _grid_needs(needs) -> tuple[frozenset, int]:
+    """``needs`` with the geometry and what each rests on, and the jet order
+    they read: 2 when nothing past second order, else :data:`JET_ORDER`."""
     closed = {GEOMETRY, *needs}
     for q in needs:
         closed.update(_REQUIRES.get(q, ()))
     closed = frozenset(closed)
-    order = 2 if closed <= _ORDER2 else JET_ORDER
-    grid = cfg.immersion.grid()
-    rows = _block_rows(cfg, order)
+    return closed, 2 if closed <= _ORDER2 else JET_ORDER
+
+
+def _block_model(models):
+    """The model of a block whose rows have ``models`` (one per row): the
+    first row's, with each constant that differs between the rows bound to
+    the array of the rows' values."""
+    first = models[0]
+    if all(m is first for m in models):
+        return first
+    block = copy.copy(first)
+    block.bindings = {
+        name: value if all(m.bindings[name] == value for m in models)
+        else np.array([m.bindings[name] for m in models], dtype=float)
+        for name, value in first.bindings.items()}
+    return block
+
+
+def _run_grid(cfgs, needs=QUANTITIES) -> list[PointData]:
+    """``needs`` at every grid sample of the config ``cfgs``, or of each of
+    the configs ``cfgs`` in turn, with the geometry and what they rest on.
+
+    Several configs are one document at several values of its constants,
+    as :meth:`ScenarioConfig.with_constant` makes them: they differ in
+    their bindings alone.  Their (config, sample) rows run as consecutive
+    row blocks (:func:`_block_rows` rows), one ``point_geometry`` call each,
+    at the jet order of :func:`_grid_needs`; a block binds each constant
+    that differs between its rows to an array over them, so its programs
+    run once for the block.  The jets of the normal derivatives and of the
+    intrinsic curvature run once per block too, when needed.  Every sample
+    is then evaluated from its row of the block with its own config.  A
+    fault anywhere in a block reruns that block alone one sample at a time,
+    each with its own config, so that each failed point keeps its own
+    reason.
+    """
+    if isinstance(cfgs, ScenarioConfig):
+        cfgs = [cfgs]
+    closed, order = _grid_needs(needs)
+    rows = [(cfg, u) for cfg in cfgs for u in cfg.immersion.grid()]
+    size = _block_rows(cfgs[0], order)
     records = []
-    for start in range(0, len(grid), rows):
-        block = grid[start:start + rows]
+    for start in range(0, len(rows), size):
+        block = rows[start:start + size]
         try:
             with _faults_raise():
-                batch = point_geometry(cfg.ambient, cfg.immersion, block, order)
+                batch = point_geometry(_block_model([cfg.ambient for cfg, _ in block]),
+                                       _block_model([cfg.immersion for cfg, _ in block]),
+                                       [u for _, u in block], order)
                 if NORMAL in closed:
                     normal_jets(batch)
                 if SCALAR in closed:
                     intrinsic_jets(batch)
         except _POINT_FAULTS:
-            records += [_evaluate_point(cfg, u, closed, order) for u in block]
+            records += [_evaluate_point(cfg, u, closed, order) for cfg, u in block]
         else:
-            records += [_evaluate_point(cfg, u, closed, order, batch.sample(i))
-                        for i, u in enumerate(block)]
+            records += [_evaluate_point(cfg, u, closed, order, batch.sample(i, cfg.ambient))
+                        for i, (cfg, u) in enumerate(block)]
     return records
 
 
@@ -807,7 +838,7 @@ class SweepResult:
     objective: list[float]
     roots: list[float]
     objective_name: str
-    # sign changes whose root-finding limit has |f| no smaller than at both
+    # sign changes whose root-finding limit has |f| above |f| at one of the
     # bracket ends: poles or jumps of the objective, not roots
     discontinuities: list[float] = field(default_factory=list)
     # parameter values whose grid failed at some or all grid points: the
@@ -840,14 +871,20 @@ class _GridFailed(GeometryError):
     """Every point of a sweep value's grid failed."""
 
 
-def _sweep_objective(cfg: ScenarioConfig, objective: str) -> float:
-    """The objective on the scenario grid; NaN when part of the grid failed,
-    :class:`_GridFailed`, carrying the first point's error, when all of it
-    did."""
+def _sweep_declared(objective: str) -> Declared:
     if objective not in SWEEP_OBJECTIVES:
         raise ConfigError(f"unknown sweep objective {objective!r}")
-    declared = SWEEP_OBJECTIVES[objective]
-    records = _run_grid(cfg, declared.needs)
+    return SWEEP_OBJECTIVES[objective]
+
+
+def _sweep_objective(cfg: ScenarioConfig, objective: str, records=None) -> float:
+    """The objective on the scenario grid, from its grid's ``records`` for
+    the objective's needs when given; NaN when part of the grid failed,
+    :class:`_GridFailed`, carrying the first point's error, when all of it
+    did."""
+    declared = _sweep_declared(objective)
+    if records is None:
+        records = _run_grid(cfg, declared.needs)
     failed = sum(r.error is not None for r in records)
     if failed == len(records):
         raise _GridFailed(records[0].error)
@@ -911,13 +948,16 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     each sign change with Brent's method; ``lo`` and ``hi`` must be finite
     and ``samples`` an integer of at least 2.
 
-    A limit counts as a root only if |f| there is below |f| at both ends of
-    its sampled bracket; otherwise the objective changed sign across a pole
-    or a jump, and the limit is reported as a discontinuity.  A value whose
-    grid failed at some or all grid points gives a NaN objective: it is
-    listed under ``partial``, never ends a bracket, and a NaN inside a
-    bracket ends that bracket's search.  Only a sweep in which no sampled
-    value evaluated at any grid point raises.
+    The sampled values run their grids as shared geometry blocks (see
+    :func:`_run_grid`), as many values at once as fill a block; Brent's
+    steps run one value at a time.  A limit counts as a root only if |f|
+    there is at or below |f| at both ends of its sampled bracket (a sample
+    that lands on a root is its own limit); otherwise the objective changed
+    sign across a pole or a jump, and the limit is reported as a
+    discontinuity.  A value whose grid failed at some or all grid points
+    gives a NaN objective: it is listed under ``partial``, never ends a
+    bracket, and a NaN inside a bracket ends that bracket's search.  Only a
+    sweep in which no sampled value evaluated at any grid point raises.
     """
     known = set(cfg.constants) | set(cfg.immersion.bindings) | set(cfg.ambient.bindings)
     if parameter not in known:
@@ -927,22 +967,36 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     samples = _integer(samples, "sweep.range")
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples!r}", "sweep.range")
+    needs = _sweep_declared(objective).needs
     partial, evaluated, errors = [], [], []
 
+    def evaluate(values) -> list[float]:
+        """The objective at each of ``values``, whose grids run as shared blocks."""
+        cfgs = [cfg.with_constant(parameter, value) for value in values]
+        records = _run_grid(cfgs, needs)
+        ys, start = [], 0
+        for value, c in zip(values, cfgs):
+            stop = start + len(c.immersion.grid())
+            try:
+                y = _sweep_objective(c, objective, records[start:stop])
+            except _GridFailed as e:
+                errors.append(f"{parameter}={value:g}: {e}")
+                y = math.nan
+            else:
+                evaluated.append(value)
+            if math.isnan(y):
+                partial.append(value)
+            ys.append(y)
+            start = stop
+        return ys
+
     def f(value: float) -> float:
-        try:
-            y = _sweep_objective(cfg.with_constant(parameter, value), objective)
-        except _GridFailed as e:
-            errors.append(f"{parameter}={value:g}: {e}")
-            y = math.nan
-        else:
-            evaluated.append(value)
-        if math.isnan(y):
-            partial.append(value)
-        return y
+        return evaluate([value])[0]
 
     xs = list(np.linspace(lo, hi, samples))
-    ys = [f(x) for x in xs]
+    # as many values per run as fill one geometry block with their grids
+    per_run = max(1, _block_rows(cfg, _grid_needs(needs)[1]) // len(cfg.immersion.grid()))
+    ys = [y for i in range(0, len(xs), per_run) for y in evaluate(xs[i:i + per_run])]
     if xs and not evaluated:
         raise GeometryError("no sampled value evaluated at any grid point; first error at "
                             + errors[0])
@@ -954,7 +1008,7 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
             limit = _zeroin(f, x0, x1, y0, y1)
             if limit is not None:
                 x, fx = limit
-                (roots if abs(fx) < min(abs(y0), abs(y1)) else jumps).append(x)
+                (roots if abs(fx) <= min(abs(y0), abs(y1)) else jumps).append(x)
     if ys and ys[-1] == 0.0:
         roots.append(xs[-1])
     return SweepResult(parameter, xs, ys, roots, objective, jumps, partial)

@@ -285,9 +285,12 @@ class PointGeometry:
     def mean_normal_components(self) -> np.ndarray:
         return self._state["h_normal"]
 
-    def sample(self, index) -> "PointGeometry":
+    def sample(self, index, space: AmbientModel | None = None) -> "PointGeometry":
         """The single-sample geometry at ``index`` of the sample axes: the
-        same values, jets and calculus as a call at that point alone."""
+        same values, jets and calculus as a call at that point alone.  Its
+        ambient snapshot is of ``space``, the model of that sample alone
+        when the batch bound a constant to an array over its rows (by
+        default the batch's model)."""
         st = self._state
         state = {k: v.sample(index) if k == "calc" else v[index] for k, v in st.items()}
         position = self.position[index]
@@ -298,7 +301,7 @@ class PointGeometry:
             normal_frame=self.normal_frame[index],
             induced_metric=self.induced_metric[index],
             ambient_metric=self.ambient_metric[index],
-            ambient=PointAmbient(st["calc"].space, position),
+            ambient=PointAmbient(space or st["calc"].space, position),
             second_fundamental=self.second_fundamental[index],
             mean_curvature=self.mean_curvature[index],
             mean_curvature_norm=float(self.mean_curvature_norm[index]),

@@ -287,3 +287,74 @@ def test_program_over_a_batch_of_jets_equals_each_element_bitwise():
     assert batch.shape == (3, 2, 2)
     for i, p in enumerate(pts):
         assert np.array_equal(batch[i].coeffs, prog.jets(seed_point(p, 3)).coeffs)
+
+
+def _row(v, i):
+    """Row ``i`` of a run output bound over rows, or the output itself when
+    no array constant reached it."""
+    return v[i] if isinstance(v, (np.ndarray, Jet)) and v.shape else v
+
+
+def test_array_constant_runs_each_row_as_its_own_float_binding_bitwise():
+    # Constants bound to arrays over three rows: every row of a run, of the
+    # values and of the jets is bit for bit the run with that row's values
+    # bound as floats.  Float-path functions (tan, sqrt) and powers with a
+    # constant base or exponent (k has an integer and a fractional row) go
+    # element by element; products, sums and quotients are numpy's.
+    srcs = ("tan(c)*u1", "sqrt(1 - c^2)*cos(u2)", "c^u1", "u2^k", "2^c*u1", "c^k",
+            "u1/c", "(c + 1)/c", "c", "u1*u2")
+    prog = compile_program(tuple(parse_expression(s, ["u1", "u2"]) for s in srcs))
+    rows = {"c": np.array([0.3, 0.5, 0.7]), "k": np.array([2.0, 0.5, -1.0])}
+    per_row = [{name: float(v[i]) for name, v in rows.items()} for i in range(3)]
+    pts = np.array([[0.4, 0.2], [0.9, 1.3], [1.3, 0.8]])
+
+    run = prog.run([0.4, 0.2], rows)
+    values = prog.values([0.4, 0.2], rows)
+    jets = prog.jets(seed_point(pts, 3), rows)
+    assert values.shape == (3, len(srcs)) and jets.shape == (3, len(srcs))
+    assert isinstance(run[-1], float)  # no constant: a plain float, as before
+    for i, bindings in enumerate(per_row):
+        alone = prog.run([0.4, 0.2], bindings)
+        assert [_bits(_row(v, i)) for v in run] == [_bits(v) for v in alone]
+        assert values[i].tobytes() == prog.values([0.4, 0.2], bindings).tobytes()
+        assert jets[i].coeffs.tobytes() == prog.jets(seed_point(pts[i], 3), bindings).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("src, bad", [
+    ("log(c)*u1", -1.0),       # log of a non-positive value
+    ("u1/c", 0.0),             # division by zero, jet dividend
+    ("(1 + c)/c", 0.0),        # division by zero, constant dividend
+    ("c^-1*u1", 0.0),          # 0 raised to a negative power
+    ("2*c", math.inf),         # a non-finite (constant-only) output
+])
+def test_array_constant_with_one_bad_row_raises_domain_error(src, bad):
+    prog = compile_program(parse_expression(src, ["u1"]))
+    rows = {"c": np.array([0.5, bad, 2.0])}
+    for env in ([0.3], seed_point([[0.3], [0.4], [0.5]], 2)):
+        with pytest.raises(DomainError):
+            prog.run(env, rows)
+    with pytest.raises(DomainError):  # as the float run of that row alone
+        prog.run([0.3], {"c": bad})
+    prog.run([0.3], {"c": 0.5})
+
+
+def test_array_constant_keeps_the_tan_pole_check_per_row(monkeypatch):
+    # No double is an exact pole of tan, so a cosine that reads 0 at c = 1.5
+    # stands in for one: the row that meets it raises, as its float run does.
+    import biharm.exprs as exprs
+
+    class PoleAt15:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def cos(x):
+            return 0.0 if x == 1.5 else math.cos(x)
+
+    monkeypatch.setattr(exprs, "math", PoleAt15())
+    prog = compile_program(parse_expression("tan(c)*u1", ["u1"]))
+    with pytest.raises(DomainError, match="tan at a pole"):
+        prog.run([0.3], {"c": 1.5})
+    with pytest.raises(DomainError, match="tan at a pole"):
+        prog.run([0.3], {"c": np.array([0.5, 1.5, 2.0])})
+    prog.run([0.3], {"c": np.array([0.5, 1.4, 2.0])})

@@ -1061,3 +1061,112 @@ def test_each_ambient_tensor_runs_once_per_sample(monkeypatch):
     assert rep.aggregates["points_failed"] == 0 and samples > 1
     for name in ("metric", "phi", "reeb", "coeffs"):
         assert runs[name] == samples, (name, runs[name], samples)
+
+
+def _legendre_torus_doc():
+    # the flat Legendre torus (s e^{i t1}, s e^{i t2}, sqrt(1 - 2 s^2) e^{i t3})
+    # of S^5, t1 = u1 + (1 - 2 s^2) u2, t2 = -u1 + (1 - 2 s^2) u2, t3 = -2 s^2 u2:
+    # proper biharmonic at s = 1/2, minimal at s = 1/sqrt(3); s runs inside
+    # sqrt and ^ on the embedded backend
+    t = "(1 - 2*s^2)*u2"
+    return {
+        "ambient": {"catalog": "sasakian_sphere_s5"},
+        "immersion": {
+            "components": [f"s*cos(u1 + {t})", f"s*sin(u1 + {t})",
+                           f"s*cos(-u1 + {t})", f"s*sin(-u1 + {t})",
+                           "sqrt(1 - 2*s^2)*cos(-2*s^2*u2)", "sqrt(1 - 2*s^2)*sin(-2*s^2*u2)"],
+            "params": ["u1", "u2"],
+            "domain": {"axes": [{"lo": 0.3, "hi": 2.0, "samples": 2},
+                                 {"lo": 0.4, "hi": 2.5, "samples": 2}]},
+        },
+        "constants": {"s": 0.5},
+        "checks": [{"op": "residual"}],
+    }
+
+
+def test_sweep_reports_a_root_that_falls_on_a_sample():
+    # s = 0.5 is a sample of both ranges and |f| there is roundoff: Brent
+    # returns the sample itself, which is a root, not a discontinuity
+    cfg = load_scenario(_legendre_torus_doc())
+    res = sweep_solve(cfg, "s", 0.2, 0.7, 11, "normal_residual")
+    assert res.values[6] == 0.5 and abs(res.objective[6]) < 1e-14
+    # the minimal root: within 1e-9 of it |H| is too small to sign the residual
+    assert res.roots == [0.5, pytest.approx(1.0 / math.sqrt(3.0), abs=1e-8)]
+    assert res.discontinuities == [] and res.partial == []
+    res = sweep_solve(cfg, "s", 0.42, 0.56, 8, "normal_residual")
+    assert res.roots == [0.5] and res.discontinuities == []
+
+
+def _tan_pole_doc():
+    # alpha = tan(c) over the flat metric: a pole at c = pi/2
+    eye = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    return {
+        "ambient": {
+            "kind": "generalized_complex", "backend": "chart", "dim": 4,
+            "coordinates": ["x1", "y1", "x2", "y2"], "metric": eye,
+            "complex_structure": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                                  ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+            "coefficients": {"alpha": "tan(c)", "beta": "0"},
+        },
+        "immersion": {"catalog": "round_hypersphere", "params": {"r": 1.3}},
+        "constants": {"c": 1.2},
+        "domain": {"axes": [{"lo": 0.6, "hi": 1.2, "samples": 1},
+                            {"lo": 0.5, "hi": 1.0, "samples": 1},
+                            {"lo": 0.3, "hi": 1.0, "samples": 2}]},
+    }
+
+
+def _geodesic_sweep_doc():
+    return {"ambient": {"catalog": "cp2"},
+            "immersion": {"catalog": "geodesic_sphere_cp2", "params": {"r": 0.5}},
+            "domain": GEODESIC_SWEEP_DOMAIN, "checks": [{"op": "residual"}]}
+
+
+def _failing_everywhere_doc():
+    doc = _partial_sweep_doc()
+    doc["immersion"]["components"][2] = "u1*u1 + 0*sqrt(c - 1)"
+    return doc
+
+
+@pytest.mark.parametrize("doc, parameter, sweep_range, objective", [
+    (_geodesic_sweep_doc(), "r", (0.2, 1.2, 50), "characterization_gap"),  # criterion 6
+    (_partial_sweep_doc(), "c", (0.2, 0.8, 3), "characterization_gap"),    # a partial value
+    (_failing_everywhere_doc(), "c", (0.5, 2.0, 4), "characterization_gap"),  # an all-failed one
+    (_geodesic_sweep_doc(), "rho", (0.5, 1.5, 6), "normal_residual"),      # an ambient parameter
+    (_geodesic_sweep_doc(), "rho", (0.5, 1.5, 6), "characterization_gap"),
+    (_tan_pole_doc(), "c", (1.2, 2.0, 5), "characterization_gap"),         # an inline ambient's
+    (_legendre_torus_doc(), "s", (0.2, 0.7, 11), "normal_residual"),       # embedded backend
+], ids=["criterion-6", "partial", "all-failed", "cp2-rho-residual", "cp2-rho-gap", "tan-pole",
+        "legendre-torus"])
+def test_sweep_over_shared_blocks_equals_the_per_value_loop_bitwise(
+        monkeypatch, doc, parameter, sweep_range, objective):
+    import biharm.scenario as scenario
+
+    cfg = load_scenario(doc)
+    res = sweep_solve(cfg, parameter, *sweep_range, objective)
+    expected = []
+    for x in res.values:
+        try:
+            expected.append(scenario._sweep_objective(cfg.with_constant(parameter, x), objective))
+        except scenario._GridFailed:
+            expected.append(math.nan)
+    assert _same(res.objective, expected)
+    nan_values = [x for x, y in zip(res.values, expected) if math.isnan(y)]
+    assert res.partial[:len(nan_values)] == nan_values
+    # one-sample blocks and one value per grid run: the loop of single points
+    monkeypatch.setattr(scenario, "_block_rows", lambda cfg, order: 1)
+    assert _same(res, sweep_solve(cfg, parameter, *sweep_range, objective))
+
+
+def test_criterion_6_sweep_shares_geometry_blocks_between_values(monkeypatch):
+    # the 50 sampled values run as shared blocks, Brent's steps one value each
+    import biharm.scenario as scenario
+
+    base = load_scenario(_geodesic_sweep_doc())
+    rows = scenario._block_rows(base, 2)  # characterization_gap runs at jet order 2
+    samples = 50 * len(base.immersion.grid())
+    calls = _count_calls(monkeypatch, scenario, ("point_geometry", "load_scenario"))
+    res = sweep_solve(base, "r", 0.2, 1.2, 50, "characterization_gap")
+    assert len(res.roots) == 1
+    brent = calls["load_scenario"] - 50
+    assert calls["point_geometry"] <= math.ceil(samples / rows) + brent
