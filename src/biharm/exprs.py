@@ -376,12 +376,8 @@ class Program:
         return out
 
     def values(self, point, bindings: Bindings | None = None) -> np.ndarray:
-        """Float outputs at ``point``, as an array of the compiled shape;
-        constants bound to arrays of shape S give S + the compiled shape."""
+        """Float outputs at ``point``, as an array of the compiled shape."""
         out = self.run([float(x) for x in point], bindings)
-        if any(isinstance(v, np.ndarray) for v in out):
-            out = np.broadcast_arrays(*out)
-            return np.stack(out, axis=-1).reshape(out[0].shape + self.shape)
         return np.array(out, dtype=float).reshape(self.shape)
 
     def jets(self, env, bindings: Bindings | None = None) -> Jet:

@@ -29,6 +29,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -550,16 +551,6 @@ def _block_rows(cfg: ScenarioConfig, order: int) -> int:
     return max(1, _BLOCK_COEFFS // geometry_jet_size(cfg.ambient, cfg.immersion, order))
 
 
-def _grid_needs(needs) -> tuple[frozenset, int]:
-    """``needs`` with the geometry and what each rests on, and the jet order
-    they read: 2 when nothing past second order, else :data:`JET_ORDER`."""
-    closed = {GEOMETRY, *needs}
-    for q in needs:
-        closed.update(_REQUIRES.get(q, ()))
-    closed = frozenset(closed)
-    return closed, 2 if closed <= _ORDER2 else JET_ORDER
-
-
 def _block_model(models):
     """The model of a block whose rows have ``models`` (one per row): the
     first row's, with each constant that differs between the rows bound to
@@ -575,46 +566,68 @@ def _block_model(models):
     return block
 
 
-def _run_grid(cfgs, needs=QUANTITIES) -> list[PointData]:
-    """``needs`` at every grid sample of the config ``cfgs``, or of each of
-    the configs ``cfgs`` in turn, with the geometry and what they rest on.
+def _run_block(rows, needs: frozenset, order: int):
+    """Evaluate the (config, sample, records) ``rows`` from one
+    ``point_geometry`` call, appending each sample's record to its config's
+    records.  A fault anywhere in the block reruns each config's rows as a
+    block of their own, and a block of one config one sample at a time, so
+    that each failed point keeps its own reason and no other config loses
+    its block."""
+    try:
+        with _faults_raise():
+            batch = point_geometry(_block_model([cfg.ambient for cfg, _, _ in rows]),
+                                   _block_model([cfg.immersion for cfg, _, _ in rows]),
+                                   [u for _, u, _ in rows], order)
+            if NORMAL in needs:
+                normal_jets(batch)
+            if SCALAR in needs:
+                intrinsic_jets(batch)
+    except _POINT_FAULTS:
+        configs = [list(g) for _, g in groupby(rows, key=lambda row: id(row[2]))]
+        if len(configs) > 1:
+            for config_rows in configs:
+                _run_block(config_rows, needs, order)
+        else:
+            for cfg, u, records in rows:
+                records.append(_evaluate_point(cfg, u, needs, order))
+    else:
+        for i, (cfg, u, records) in enumerate(rows):
+            records.append(_evaluate_point(cfg, u, needs, order, batch.sample(i, cfg.ambient)))
 
-    Several configs are one document at several values of its constants,
+
+def _run_grids(cfgs, needs=QUANTITIES) -> list[list[PointData]]:
+    """``needs`` at every grid sample of each of the configs ``cfgs``, with
+    the geometry and what they rest on: one list of records per config.
+
+    The configs are one document at one or more values of its constants,
     as :meth:`ScenarioConfig.with_constant` makes them: they differ in
     their bindings alone.  Their (config, sample) rows run as consecutive
     row blocks (:func:`_block_rows` rows), one ``point_geometry`` call each,
-    at the jet order of :func:`_grid_needs`; a block binds each constant
-    that differs between its rows to an array over them, so its programs
-    run once for the block.  The jets of the normal derivatives and of the
-    intrinsic curvature run once per block too, when needed.  Every sample
-    is then evaluated from its row of the block with its own config.  A
-    fault anywhere in a block reruns that block alone one sample at a time,
-    each with its own config, so that each failed point keeps its own
-    reason.
+    at jet order 2 when ``needs`` reads nothing of higher order, else at
+    :data:`JET_ORDER`; a block binds each constant that differs between its
+    rows to an array over them, so its programs run once for the block.
+    The jets of the normal derivatives and of the intrinsic curvature run
+    once per block too, when needed.  Every sample is then evaluated from
+    its row of the block with its own config; see :func:`_run_block` for a
+    block that faults.
     """
-    if isinstance(cfgs, ScenarioConfig):
-        cfgs = [cfgs]
-    closed, order = _grid_needs(needs)
-    rows = [(cfg, u) for cfg in cfgs for u in cfg.immersion.grid()]
+    closed = {GEOMETRY, *needs}
+    for q in needs:
+        closed.update(_REQUIRES.get(q, ()))
+    closed = frozenset(closed)
+    order = 2 if closed <= _ORDER2 else JET_ORDER
+    grids = [[] for _ in cfgs]
+    rows = [(cfg, u, records) for cfg, records in zip(cfgs, grids)
+            for u in cfg.immersion.grid()]
     size = _block_rows(cfgs[0], order)
-    records = []
     for start in range(0, len(rows), size):
-        block = rows[start:start + size]
-        try:
-            with _faults_raise():
-                batch = point_geometry(_block_model([cfg.ambient for cfg, _ in block]),
-                                       _block_model([cfg.immersion for cfg, _ in block]),
-                                       [u for _, u in block], order)
-                if NORMAL in closed:
-                    normal_jets(batch)
-                if SCALAR in closed:
-                    intrinsic_jets(batch)
-        except _POINT_FAULTS:
-            records += [_evaluate_point(cfg, u, closed, order) for cfg, u in block]
-        else:
-            records += [_evaluate_point(cfg, u, closed, order, batch.sample(i, cfg.ambient))
-                        for i, (cfg, u) in enumerate(block)]
-    return records
+        _run_block(rows[start:start + size], closed, order)
+    return grids
+
+
+def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointData]:
+    """The records of :func:`_run_grids` for the one config ``cfg``."""
+    return _run_grids([cfg], needs)[0]
 
 
 @dataclass
@@ -949,12 +962,11 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     and ``samples`` an integer of at least 2.
 
     The sampled values run their grids as shared geometry blocks (see
-    :func:`_run_grid`), as many values at once as fill a block; Brent's
-    steps run one value at a time.  A limit counts as a root only if |f|
-    there is at or below |f| at both ends of its sampled bracket (a sample
-    that lands on a root is its own limit); otherwise the objective changed
-    sign across a pole or a jump, and the limit is reported as a
-    discontinuity.  A value whose grid failed at some or all grid points
+    :func:`_run_grids`); Brent's steps run one value at a time.  A limit
+    counts as a root only if |f| there is at or below |f| at both ends of
+    its sampled bracket (a sample that lands on a root is its own limit);
+    otherwise the objective changed sign across a pole or a jump, and the
+    limit is reported as a discontinuity.  A value whose grid failed at some or all grid points
     gives a NaN objective: it is listed under ``partial``, never ends a
     bracket, and a NaN inside a bracket ends that bracket's search.  Only a
     sweep in which no sampled value evaluated at any grid point raises.
@@ -970,33 +982,26 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     needs = _sweep_declared(objective).needs
     partial, evaluated, errors = [], [], []
 
-    def evaluate(values) -> list[float]:
-        """The objective at each of ``values``, whose grids run as shared blocks."""
-        cfgs = [cfg.with_constant(parameter, value) for value in values]
-        records = _run_grid(cfgs, needs)
-        ys, start = [], 0
-        for value, c in zip(values, cfgs):
-            stop = start + len(c.immersion.grid())
-            try:
-                y = _sweep_objective(c, objective, records[start:stop])
-            except _GridFailed as e:
-                errors.append(f"{parameter}={value:g}: {e}")
-                y = math.nan
-            else:
-                evaluated.append(value)
-            if math.isnan(y):
-                partial.append(value)
-            ys.append(y)
-            start = stop
-        return ys
+    def objective_at(value: float, value_cfg: ScenarioConfig, records) -> float:
+        try:
+            y = _sweep_objective(value_cfg, objective, records)
+        except _GridFailed as e:
+            errors.append(f"{parameter}={value:g}: {e}")
+            y = math.nan
+        else:
+            evaluated.append(value)
+        if math.isnan(y):
+            partial.append(value)
+        return y
 
     def f(value: float) -> float:
-        return evaluate([value])[0]
+        value_cfg = cfg.with_constant(parameter, value)
+        return objective_at(value, value_cfg, _run_grid(value_cfg, needs))
 
     xs = list(np.linspace(lo, hi, samples))
-    # as many values per run as fill one geometry block with their grids
-    per_run = max(1, _block_rows(cfg, _grid_needs(needs)[1]) // len(cfg.immersion.grid()))
-    ys = [y for i in range(0, len(xs), per_run) for y in evaluate(xs[i:i + per_run])]
+    cfgs = [cfg.with_constant(parameter, x) for x in xs]
+    ys = [objective_at(x, c, records)
+          for x, c, records in zip(xs, cfgs, _run_grids(cfgs, needs))]
     if xs and not evaluated:
         raise GeometryError("no sampled value evaluated at any grid point; first error at "
                             + errors[0])

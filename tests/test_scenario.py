@@ -1170,3 +1170,23 @@ def test_criterion_6_sweep_shares_geometry_blocks_between_values(monkeypatch):
     assert len(res.roots) == 1
     brent = calls["load_scenario"] - 50
     assert calls["point_geometry"] <= math.ceil(samples / rows) + brent
+
+
+def test_a_faulting_value_costs_its_shared_block_at_most_one_call(monkeypatch):
+    # a block that faults reruns each value's rows as a block of their own,
+    # and only a faulting value's rows one sample at a time: at most one
+    # call per shared block more than running each value's grid alone
+    import biharm.scenario as scenario
+
+    cfg = load_scenario(_partial_sweep_doc())
+    calls = _count_calls(monkeypatch, scenario, ("point_geometry",))
+    res = sweep_solve(cfg, "c", 0.2, 0.8, 25)
+    assert res.partial and res.roots == [] and res.discontinuities == []
+    shared, calls["point_geometry"] = calls["point_geometry"], 0
+    for x in res.values:
+        try:
+            scenario._sweep_objective(cfg.with_constant("c", x), "characterization_gap")
+        except scenario._GridFailed:
+            pass
+    blocks = math.ceil(len(res.values) * len(cfg.immersion.grid()) / scenario._block_rows(cfg, 2))
+    assert shared <= calls["point_geometry"] + blocks
