@@ -982,7 +982,7 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     needs = _sweep_declared(objective).needs
     partial, evaluated, errors = [], [], []
 
-    def objective_at(value: float, value_cfg: ScenarioConfig, records) -> float:
+    def objective_at(value: float, value_cfg: ScenarioConfig, records=None) -> float:
         try:
             y = _sweep_objective(value_cfg, objective, records)
         except _GridFailed as e:
@@ -995,8 +995,7 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
         return y
 
     def f(value: float) -> float:
-        value_cfg = cfg.with_constant(parameter, value)
-        return objective_at(value, value_cfg, _run_grid(value_cfg, needs))
+        return objective_at(value, cfg.with_constant(parameter, value))
 
     xs = list(np.linspace(lo, hi, samples))
     cfgs = [cfg.with_constant(parameter, x) for x in xs]
