@@ -17,7 +17,6 @@ from .ambient import (
     ClassicalTag,
     GeometryError,
     coefficients_for_tag,
-    curvature_apply,
     verify_structure,
 )
 from .structure import ClassificationFlags, DecompositionOperators, classify, decompose, verify_relations
@@ -75,7 +74,6 @@ __all__ = [
     "cmc_characterization",
     "coefficients_for_tag",
     "convergence_study",
-    "curvature_apply",
     "decompose",
     "emit_report",
     "evaluate_expr",

@@ -69,7 +69,7 @@ def coefficients_for_tag(tag: ClassicalTag) -> tuple[float, ...]:
 @dataclass
 class AmbientModel(CompiledFields):
     """An ambient space form.  Its expression fields (``metric``,
-    ``cstruct``, ``phi``, ``reeb``, ``coeffs``, ``embed_map``, ``normals``)
+    ``cstruct``, ``phi``, ``reeb``, ``coeffs``, ``normals``)
     each compile to one program on first use (see :class:`CompiledFields`)."""
 
     name: str
@@ -82,8 +82,6 @@ class AmbientModel(CompiledFields):
     cstruct: tuple | None = None    # complex: matrix of Expr for J
     phi: tuple | None = None        # contact: matrix of Expr
     reeb: tuple | None = None       # contact: vector of Expr
-    embed_map: tuple | None = None  # embedded: own-chart parametrization into R^D
-    embed_params: tuple[str, ...] | None = None
     normals: tuple | None = None    # embedded: normal fields of N in R^D
     tag: ClassicalTag | None = None
     bindings: Bindings = field(default_factory=dict)
@@ -126,23 +124,14 @@ def coefficients_at(space: AmbientModel, x) -> tuple[float, ...]:
 # -- jets of the metric and connection ---------------------------------------
 
 def metric_jet(space: AmbientModel, x, order: int) -> Jet:
-    """Jets of metric components at ``x``, as an (n, n) jet array; points
-    ``x`` of shape S + (n,) give one (n, n) array per sample, in one pass.
-
-    Chart backend: coordinates are the jet variables.  Embedded backend:
-    ``x`` is a point of the model's own parametrization and the pullback
-    metric is assembled from embedding jets one order higher.
-    """
-    if space.backend == "chart":
-        g = space.jets("metric", seed_point(x, order))
-        if np.linalg.eigvalsh(g.value).min() <= 0.0:
-            raise GeometryError(f"metric not positive definite at {tuple(x)}")
-        return g
-    emb = space.jets("embed_map", seed_point(x, order + 1))
-    tangents = emb.gradient(axis=-2)
-    g = (tangents[..., :, None, :] * tangents[..., None, :, :]).sum(-1)
+    """Jets of the chart metric components at ``x``, the coordinates being
+    the jet variables, as an (n, n) jet array; points ``x`` of shape
+    S + (n,) give one (n, n) array per sample, in one pass."""
+    if space.backend != "chart":
+        raise GeometryError("metric jets need a chart backend")
+    g = space.jets("metric", seed_point(x, order))
     if np.linalg.eigvalsh(g.value).min() <= 0.0:
-        raise GeometryError(f"pullback metric degenerate at {tuple(x)}")
+        raise GeometryError(f"metric not positive definite at {tuple(x)}")
     return g
 
 
@@ -170,8 +159,6 @@ def christoffel_from_metric_jets(g) -> Jet:
 
 def christoffel_jet(space: AmbientModel, x, order: int):
     """Jets of the chart Christoffel symbols Gamma^c_ab at ``x`` (order <= 2)."""
-    if space.backend != "chart":
-        raise GeometryError("christoffel_jet needs a chart backend")
     if order > 2:
         raise ValueError("christoffel jets supported up to order 2")
     return christoffel_from_metric_jets(metric_jet(space, x, order + 1))
@@ -274,11 +261,6 @@ def curvature_parts(space: AmbientModel, x, X, Y, Z) -> dict:
     """Each generalized curvature term R(X, Y)Z at ``x``, plus the weighted sum."""
     return {k: np.einsum("xyza,x,y,z->a", t, X, Y, Z)
             for k, t in PointAmbient(space, x).curvature.items()}
-
-
-def curvature_apply(space: AmbientModel, x, X, Y, Z) -> np.ndarray:
-    """The model's curvature tensor R(X, Y)Z at ``x`` (algebraic form)."""
-    return curvature_parts(space, x, X, Y, Z)["combined"]
 
 
 # -- embedded-backend helpers --------------------------------------------------

@@ -226,12 +226,6 @@ def _sasakian_sphere_s5(params):
     for a in range(6):
         for b in range(6):
             phi[a][b] = f"{j0[a][b]}-p{a+1}*({xi[b]})"
-    angles = ("t1", "t2", "t3", "t4", "t5")
-    emb, prefix = [], ""
-    for k in range(5):
-        emb.append(f"{prefix}cos(t{k+1})" if prefix else f"cos(t{k+1})")
-        prefix += f"sin(t{k+1})*"
-    emb.append(prefix[:-1])
     return AmbientModel(
         name="sasakian_sphere_s5",
         kind=KIND_CONTACT,
@@ -241,8 +235,6 @@ def _sasakian_sphere_s5(params):
         phi=_matrix(phi, coords),
         reeb=_vector(tuple(xi), coords),
         coeffs=_vector(("1", "0", "0"), coords),
-        embed_map=_vector(tuple(emb), angles),
-        embed_params=angles,
         normals=(_vector(coords, coords),),
         tag=ClassicalTag(SASAKI, 1.0),
     )

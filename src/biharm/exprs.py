@@ -354,8 +354,9 @@ class Program:
     def run(self, env, bindings: Bindings | None = None) -> list:
         """Every output over parameter values ``env`` (floats or jets).
 
-        A float output that is not finite, or a float operation that
-        overflows, raises :class:`DomainError`, the rule jets follow.
+        An output that is not finite (a float, an array row or a jet
+        coefficient), or a float operation that overflows, raises
+        :class:`DomainError`.
         """
         slots = list(self.literals)
         slots += [env[k] for k in self.params]
@@ -373,6 +374,8 @@ class Program:
                     raise DomainError(f"non-finite value {v}")
             elif isinstance(v, np.ndarray) and not np.isfinite(v).all():
                 raise DomainError(f"non-finite value {v[~np.isfinite(v)][0]}")
+            elif isinstance(v, Jet) and not np.isfinite(v.coeffs).all():
+                raise DomainError("non-finite jet coefficient")
         return out
 
     def values(self, point, bindings: Bindings | None = None) -> np.ndarray:

@@ -370,8 +370,7 @@ def _bound_kind(space, points) -> str | None:
     return None
 
 
-def bound_check(space: AmbientModel, points, m: int, kind: str | None = None,
-                tol: float = BOUND_TOL) -> dict:
+def bound_check(space: AmbientModel, points, m: int, tol: float = BOUND_TOL) -> dict:
     """Mean-curvature bound for proper biharmonic CMC submanifolds.
 
     Complex case: |H|^2 <= inf (2 alpha + 3 beta)/2 for Lagrangian surfaces,
@@ -379,8 +378,8 @@ def bound_check(space: AmbientModel, points, m: int, kind: str | None = None,
     with xi and phi(H) tangent, or (K-3)/m with phi(H) normal, where K is
     the grid minimum of m f1 - f2 + 3 f3 over the declared coefficients.  At equality the pseudo-umbilical and parallel-H
     characterization is reported.  Infima are minima over grid samples.
-    ``kind`` (one of :data:`BOUND_KINDS` for the ambient) is matched from
-    the flags when not given.  Returns the report entry: ``status`` is
+    The kind (one of :data:`BOUND_KINDS` for the ambient) is matched from
+    the flags.  Returns the report entry: ``status`` is
     WithinBound, Violated or NotApplicable.
     """
     points = list(points)
@@ -388,10 +387,7 @@ def bound_check(space: AmbientModel, points, m: int, kind: str | None = None,
     # infima are taken over grid samples, never claimed globally
     hyp = {"cmc": cmc, "nonzero_mean_curvature": hmax > MINIMAL_TOL,
            "infimum": "min_over_grid_samples"}
-    if kind is None:
-        kind = _bound_kind(space, points)
-    elif kind not in BOUND_KINDS[space.kind]:
-        raise ValueError(f"unknown bound kind {kind!r}")
+    kind = _bound_kind(space, points)
     out = {"kind": kind or "unmatched", "status": "NotApplicable", "k_value": None,
            "bound": None, "h2": None, "within_bound": None, "equality": None,
            "equality_case": None, "hypotheses": hyp, "failed_hypothesis": None}

@@ -28,6 +28,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable
@@ -57,7 +58,6 @@ from .exprs import (
 )
 from .jets import DomainError, n_entries
 from .residuals import (
-    BOUND_KINDS,
     BOUND_TOL,
     CHARACTERIZATION_TOL,
     CLOSED_FORM,
@@ -112,7 +112,7 @@ CATALOG_FIELDS = ("catalog", "params")
 # an inline ambient's: every kind's and backend's, then its own kind's and backend's
 INLINE_AMBIENT_FIELDS = ("name", "kind", "backend", "dim", "coordinates", "coefficients", "tag")
 KIND_FIELDS = {KIND_COMPLEX: ("complex_structure",), KIND_CONTACT: ("phi", "reeb")}
-BACKEND_FIELDS = {"chart": ("metric",), "embedded": ("embedding_params", "embedding", "normals")}
+BACKEND_FIELDS = {"chart": ("metric",), "embedded": ("normals",)}
 INLINE_IMMERSION_FIELDS = ("name", "params", "components", "domain")
 AXIS_FIELDS = ("lo", "hi", "samples", "periodic")
 SWEEP_EXPECT_FIELDS = ("roots_count", "root_near", "root_tol")
@@ -128,7 +128,6 @@ class ConfigError(Exception):
 class CheckSpec:
     op: str
     tol: float | None                 # the document's, else the check's declared default
-    params: dict = field(default_factory=dict)   # the check's declared fields
 
 
 @dataclass
@@ -170,21 +169,17 @@ def _mapping(doc, path, fields=None) -> dict:
 
 
 def _number(value, path) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", path)
+    """A JSON number that is a finite float: not ``Infinity``, ``NaN`` or an
+    integer past the float range."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (numeric and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"expected a finite number, got {value!r}", path)
     return float(value)
 
 
 def _numbers(doc, path) -> dict:
     """A mapping of names to numbers, as floats."""
     return {str(k): _number(v, f"{path}.{k}") for k, v in _mapping(doc, path).items()}
-
-
-def _finite(value, path) -> float:
-    x = _number(value, path)
-    if not math.isfinite(x):
-        raise ConfigError(f"expected a finite number, got {value!r}", path)
-    return x
 
 
 def _integer(value, path) -> int:
@@ -255,11 +250,6 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
     if backend == "chart":
         kwargs["metric"] = mat("metric")
     else:
-        params = tuple(_require(doc, "embedding_params", path))
-        kwargs["embed_params"] = params
-        kwargs["embed_map"] = tuple(
-            _parse(e, params, f"{path}.embedding[{i}]", constants)
-            for i, e in enumerate(_require(doc, "embedding", path)))
         kwargs["normals"] = tuple(
             vec("normals", nf) for nf in _require(doc, "normals", path))
     try:
@@ -354,9 +344,9 @@ def _load_domain(doc, path) -> tuple[Axis, ...]:
     return tuple(axes)
 
 
-def _load_check(doc, path, space, seen) -> CheckSpec:
-    """A check entry: its op, the fields that op declares, and its tol (the
-    declared default unless the entry sets one)."""
+def _load_check(doc, path, seen) -> CheckSpec:
+    """A check entry: its op and its tol (the declared default unless the
+    entry sets one)."""
     op = _require(_mapping(doc, path), "op", path)
     if not isinstance(op, str) or op not in CHECKS:
         raise ConfigError(f"unknown check op {op!r}", path + ".op")
@@ -370,12 +360,6 @@ def _load_check(doc, path, space, seen) -> CheckSpec:
             if not (numeric and 0 <= value < math.inf):
                 raise ConfigError(f"expected a finite number >= 0, got {value!r}", path + ".tol")
             spec.tol = value
-        elif key in declared.fields:
-            allowed = declared.fields[key][space.kind]
-            if not isinstance(value, str) or value not in allowed:
-                raise ConfigError(f"{value!r} is not one of {', '.join(allowed)} for a "
-                                  f"{space.kind} ambient", f"{path}.{key}")
-            spec.params[key] = value
         elif key != "op":
             raise ConfigError(f"unknown field {key!r} of check {op!r}", f"{path}.{key}")
     return spec
@@ -409,7 +393,7 @@ def load_scenario(document) -> ScenarioConfig:
         raise ConfigError("expected a list", "checks")
     checks = []
     for i, c in enumerate(checks_doc):
-        checks.append(_load_check(c, f"checks[{i}]", space, [spec.op for spec in checks]))
+        checks.append(_load_check(c, f"checks[{i}]", [spec.op for spec in checks]))
     return ScenarioConfig(
         ambient=space,
         immersion=imm,
@@ -430,10 +414,10 @@ def _load_expect(doc, ops) -> dict:
         path = f"expect.{key}"
         if key == "sweep":
             sweep = _mapping(value, path, SWEEP_EXPECT_FIELDS)
-            expect[key] = {k: (_integer if k == "roots_count" else _finite)(v, f"{path}.{k}")
+            expect[key] = {k: (_integer if k == "roots_count" else _number)(v, f"{path}.{k}")
                            for k, v in sweep.items()}
         elif key == "convergence_order_gte":
-            expect[key] = _finite(value, path)
+            expect[key] = _number(value, path)
         elif not isinstance(value, str):
             raise ConfigError(f"expected a string, got {value!r}", path)
     return expect
@@ -745,21 +729,19 @@ class _Grid:
 @dataclass(frozen=True)
 class Declared:
     """A check or sweep objective and the per-sample quantities it reads.
-    A check also declares its default ``tol`` (None: it takes none) and the
-    further fields it accepts, each with its allowed values per ambient kind."""
+    A check also declares its default ``tol`` (None: it takes none)."""
 
     needs: frozenset
     run: Callable
     tol: float | None = None
-    fields: dict = field(default_factory=dict)
 
 
 CHECKS: dict[str, Declared] = {}
 
 
-def _declare(table: dict, name: str, *needs: str, tol=None, fields=None):
+def _declare(table: dict, name: str, *needs: str, tol=None):
     def register(fn):
-        table[name] = Declared(frozenset(needs), fn, tol, fields or {})
+        table[name] = Declared(frozenset(needs), fn, tol)
         return fn
     return register
 
@@ -784,11 +766,9 @@ def _check_characterization(grid, spec) -> dict:
     return cmc_characterization(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim, spec.tol)
 
 
-@_declare(CHECKS, "bound", COEFFICIENTS, SPLIT, RESIDUALS, PSEUDO, tol=BOUND_TOL,
-          fields={"kind": BOUND_KINDS})
+@_declare(CHECKS, "bound", COEFFICIENTS, SPLIT, RESIDUALS, PSEUDO, tol=BOUND_TOL)
 def _check_bound(grid, spec) -> dict:
-    return bound_check(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim,
-                       spec.params.get("kind"), spec.tol)
+    return bound_check(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim, spec.tol)
 
 
 @_declare(CHECKS, "audit", COEFFICIENTS, SPLIT)
@@ -975,7 +955,7 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     if parameter not in known:
         raise ConfigError(f"constant {parameter!r} does not appear in the config",
                           "sweep.parameter")
-    lo, hi = _finite(lo, "sweep.range"), _finite(hi, "sweep.range")
+    lo, hi = _number(lo, "sweep.range"), _number(hi, "sweep.range")
     samples = _integer(samples, "sweep.range")
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples!r}", "sweep.range")
@@ -1032,7 +1012,7 @@ def convergence_study(cfg: ScenarioConfig, steps=CONVERGENCE_STEPS) -> dict:
     path = "convergence.steps"
     if not isinstance(steps, (list, tuple)) or not steps:
         raise ConfigError(f"expected a non-empty list of step sizes, got {steps!r}", path)
-    if min(_finite(h, path) for h in steps) <= 0.0:
+    if min(_number(h, path) for h in steps) <= 0.0:
         raise ConfigError(f"step sizes must be positive, got {list(steps)}", path)
     imm = cfg.immersion
     probe = tuple(0.5 * (ax.lo + ax.hi) + 0.061 * (ax.hi - ax.lo) for ax in imm.domain)

@@ -131,13 +131,10 @@ class ClassificationFlags:
     phi_h_tangent: bool | None = None
     phi_h_normal: bool | None = None
     norms: dict = field(default_factory=dict)
-    consistency_ok: bool = True
 
     def as_dict(self) -> dict:
-        """The flags by name, in field order: every field but the norms and
-        the consistency mark."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("norms", "consistency_ok")}
+        """The flags by name, in field order: every field but the norms."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "norms"}
 
 
 def classify(ops: DecompositionOperators, dims, h_normal=None) -> ClassificationFlags:
@@ -175,8 +172,6 @@ def classify(ops: DecompositionOperators, dims, h_normal=None) -> Classification
             norms["t_h"] = float(np.linalg.norm(ops.nt @ h_normal))
             flags.phi_h_tangent = norms["s_h"] < CLASSIFY_TOL
             flags.phi_h_normal = norms["t_h"] < CLASSIFY_TOL
-        if flags.xi_normal and not flags.is_anti_invariant:
-            flags.consistency_ok = False  # xi normal forces anti-invariance
     return flags
 
 

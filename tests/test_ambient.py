@@ -1,7 +1,5 @@
 """Ambient models: metrics, connections, algebraic curvature, structure."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from biharm.ambient import (
     christoffel_jet,
     coefficients_at,
     coefficients_for_tag,
-    curvature_apply,
     curvature_parts,
     metric_at,
     metric_jet,
@@ -61,20 +58,6 @@ def test_metric_jet_sasakian_values():
     assert gv[0][0] == pytest.approx(0.25 * (1 + y[0] ** 2))
     assert gv[0][4] == pytest.approx(-y[0] / 4.0)
     assert gv[4][4] == pytest.approx(0.25)
-
-
-def test_metric_jet_embedded_pullback_round_sphere():
-    s5 = catalog.ambient("sasakian_sphere_s5")
-    t = (0.7, 1.1, 0.6, 2.0, 0.9)
-    g = metric_jet(s5, t, 1)
-    vals = np.array([[e.value for e in row] for row in g])
-    expect = np.zeros((5, 5))
-    expect[0, 0] = 1.0
-    acc = 1.0
-    for k in range(1, 5):
-        acc *= math.sin(t[k - 1]) ** 2
-        expect[k, k] = acc
-    assert np.abs(vals - expect).max() < 1e-12
 
 
 def test_christoffel_flat_zero_and_symmetry():
@@ -202,9 +185,6 @@ def test_fubini_study_certification(name, params):
         riem = riemann_from_metric_jets(metric_jet(space, x, 2))
         declared = PointAmbient(space, x).curvature["combined"]
         assert np.abs(riem - declared).max() <= 1e-12 * max(1.0, np.abs(riem).max())
-        X, Y, Z = rng.randn(3, space.dim)
-        num = np.einsum("ijkl,i,j,k->l", riem, X, Y, Z)
-        assert np.abs(num - curvature_apply(space, x, X, Y, Z)).max() < 1e-6
         assert coefficients_at(space, x) == coefficients_for_tag(space.tag)
 
 

@@ -187,6 +187,19 @@ def test_non_finite_float_results_raise_domain_error():
         evaluate_expr(parse_expression("sin(u1*u1)", ["u1"]), (1e200,))
 
 
+def test_non_finite_jet_output_raises_domain_error():
+    # a jet output is checked as a float one is: a non-finite constant in
+    # it raises on jet parameters, one point or a batch of rows
+    prog = compile_program(parse_expression("2*c + u1", ["u1"]))
+    for env, c in ((seed_point([0.3], 2), math.inf),
+                   (seed_point([[0.3], [0.4]], 2), np.array([0.5, math.nan]))):
+        with pytest.raises(DomainError):
+            prog.run(env, {"c": c})
+        with pytest.raises(DomainError):
+            prog.jets(env, {"c": c})
+    assert prog.run(seed_point([0.3], 2), {"c": 1.0})[0].value == 2.3
+
+
 def test_program_shares_subtrees():
     e = parse_expression("sin(u1*k)/(1+u1^2)", ["u1"])
     f = parse_expression("cos(k*u1)/(1+u1^2)", ["u1"])

@@ -285,10 +285,13 @@ def test_bound_k_value_of_tagged_contact_ambients_matches_closed_form(name, x):
     # K comes from the samples' coefficients; on a tagged catalog ambient it
     # equals the family's closed form
     space = catalog.ambient(name)
+    flags = ClassificationFlags(is_curve=False, is_hypersurface=False, xi_tangent=True)
     points = [PointData(u=(0.0,), h_norm=0.5, coeffs=coefficients_at(space, x),
-                        nabla_h_norm=0.0) for _ in range(2)]
+                        nabla_h_norm=0.0, flags=flags) for _ in range(2)]
     for m in range(1, 5):
-        k = bound_check(space, points, m, "xi_phi_h_tangent")["k_value"]
+        rep = bound_check(space, points, m)
+        assert rep["kind"] == "xi_phi_h_tangent"
+        k = rep["k_value"]
         assert k == pytest.approx(CLASSICAL_TARGETS[space.tag.family](m, space.tag.value),
                                   abs=1e-12), m
 
@@ -341,9 +344,10 @@ def test_bound_lagrangian_value_formula():
     space = catalog.ambient("cp2")
     imm = catalog.immersion("product_torus", space, {"a": 0.6, "b": 0.8})
     data = _grid_data(space, imm)
-    if all(d.flags.is_lagrangian for d in data):
-        rep = bound_check(space, data, 2, kind="lagrangian")
-        assert rep["bound"] == pytest.approx(2.5)
+    assert all(d.flags.is_lagrangian for d in data)
+    rep = bound_check(space, data, 2)
+    assert rep["kind"] == "lagrangian"
+    assert rep["bound"] == pytest.approx(2.5)
 
 
 def test_bound_lagrangian_flat_not_applicable():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +185,13 @@ _FLAT_INLINE = {
     ({"immersion": {"catalog": "round_hypersphere", "params": {"radius": 2.0}}},
      "immersion.params.radius"),
     ({"ambient": {"catalog": ["cp2"]}}, "ambient.catalog"),
+    # JSON Infinity and NaN, which Python's reader accepts, are not numbers here
+    ({"constants": {"r": math.inf}}, "constants.r"),
+    ({"constants": {"r": 10**400}}, "constants.r"),   # an integer past the float range
+    ({"ambient": {"catalog": "cp2", "params": {"rho": math.nan}}}, "ambient.params.rho"),
+    ({"domain": {"axes": [{"lo": -math.inf, "hi": 1, "samples": 2}]}}, "domain.axes[0].lo"),
+    ({"ambient": dict(_FLAT_INLINE, tag={"family": "complex_space_form", "value": math.inf})},
+     "ambient.tag.value"),
 ])
 def test_malformed_document_field_is_config_error(tmp_path, capsys, overrides, path):
     doc = {
@@ -209,6 +217,8 @@ _CONTACT_INLINE = {
     "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]], "reeb": ["0", "0", "1"],
     "coefficients": {"f1": "0", "f2": "0", "f3": "0"},
 }
+# the catalog S^5, written inline (embedded backend)
+_INLINE_S5 = json.loads((Path(__file__).parent / "data" / "inline_s5.json").read_text())
 
 
 # a misspelt or misplaced field would otherwise be ignored, and the scenario
@@ -229,6 +239,10 @@ _CONTACT_INLINE = {
      "ambient.tag.c"),
     ({"ambient": dict(_CONTACT_INLINE, complex_structure=_IDENTITY)},
      "ambient.complex_structure"),
+    # an embedded ambient gives its normals, and no parametrization
+    ({"ambient": dict(_INLINE_S5["ambient"], embedding_params=["t1", "t2", "t3", "t4", "t5"])},
+     "ambient.embedding_params"),
+    ({"ambient": dict(_INLINE_S5["ambient"], embedding=["t1"])}, "ambient.embedding"),
     ({"immersion": dict(_INLINE_PLANE, paramz=["u"])}, "immersion.paramz"),
     ({"immersion": dict(_INLINE_PLANE, domain={"axes": _INLINE_PLANE["domain"]["axes"],
                                                "axis": []})}, "immersion.domain.axis"),
@@ -567,6 +581,33 @@ def test_inline_ambient_and_immersion():
     # cylinder in flat space: CMC but not biharmonic
     assert rep.verdict == "NotBiharmonic"
     assert rep.aggregates["cmc"] is True
+
+
+def test_inline_embedded_ambient_reports_as_the_catalog_sphere():
+    # the catalog S^5's fields written inline: every aggregate and check
+    # value is the catalog run's, bit for bit
+    inline = run_check(load_scenario(_INLINE_S5))
+    doc = dict(_INLINE_S5, ambient={"catalog": "sasakian_sphere_s5"})
+    ref = run_check(load_scenario(doc))
+    assert inline.verdict == "ProperBiharmonic"
+    assert inline.aggregates == ref.aggregates
+    assert inline.checks == ref.checks
+
+
+def test_bound_kind_is_matched_from_the_flags_never_forced(tmp_path, capsys):
+    # a Lagrangian torus of CP^2 with the complex-surface bound forced: the
+    # document may not name the kind, and without it the flags match lagrangian
+    doc = {"ambient": {"catalog": "cp2"},
+           "immersion": {"catalog": "product_torus", "params": {"b": 0.5462946835578539}},
+           "checks": [{"op": "residual"}, {"op": "bound", "kind": "complex_surface"}]}
+    scn = tmp_path / "forced.json"
+    scn.write_text(json.dumps(doc))
+    assert cli_main(["check", str(scn)]) == 2
+    assert capsys.readouterr().err.startswith("config error: checks[1].kind: ")
+    del doc["checks"][1]["kind"]
+    rep = run_check(load_scenario(doc))
+    assert rep.aggregates["classification"]["is_complex"] is False
+    assert rep.checks["bound"]["kind"] == "lagrangian"
 
 
 def test_flat_sphere_report_values():

@@ -105,10 +105,9 @@ def test_adjoint_identity_tn_nt():
 
 
 def test_xi_normal_forces_anti_invariance():
-    # hyperplane {z = const} in cosymplectic R^5 has xi = dz normal and
-    # phi mapping its tangent space into itself would violate consistency;
-    # here phi maps the tangent 4-plane to itself, so the submanifold is NOT
-    # anti-invariant and the consistency flag must fire
+    # hyperplane {z = const} in cosymplectic R^5 has xi = dz normal, and
+    # phi maps the tangent 4-plane to itself: xi normal does not force
+    # anti-invariance there, and the flags report both as they are
     co = catalog.ambient("cosymplectic_r5")
     tf = np.eye(5)[:4]
     nf = np.eye(5)[4:]
@@ -116,7 +115,6 @@ def test_xi_normal_forces_anti_invariance():
     flags = classify(ops, (4, 5), None)
     assert flags.xi_normal is True
     assert flags.is_anti_invariant is False
-    assert flags.consistency_ok is False
 
 
 def test_frame_independence_of_flags_and_relations():
