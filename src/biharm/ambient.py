@@ -91,6 +91,10 @@ class AmbientModel(CompiledFields):
             raise GeometryError("generalized complex space forms are 4-dimensional")
         if self.kind == KIND_CONTACT and self.dim % 2 == 0:
             raise GeometryError("generalized Sasakian space forms are odd-dimensional")
+        codim = len(self.normals or ())
+        if self.dim != len(self.coords) - codim:
+            raise GeometryError(f"dim {self.dim} does not match {len(self.coords)} coordinates "
+                                f"and {codim} normal fields")
 
     @property
     def rep_dim(self) -> int:

@@ -9,7 +9,8 @@ Subcommands::
 
 Exit codes: 0 all verdicts match the config's optional ``expect`` block
 (or no expectations given), 1 an expectation failed, 2 configuration or
-usage error.
+usage error, or a geometric or arithmetic fault outside the per-point grid
+records (a grid with no clean point, a convergence probe, a structure check).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .ambient import GeometryError
 from .scenario import (
     CONVERGENCE_STEPS,
+    POINT_FAULTS,
     SWEEP_OBJECTIVES,
     ConfigError,
     SweepResult,
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except GeometryError as e:
+    except POINT_FAULTS as e:
         print(f"geometry error: {e}", file=sys.stderr)
         return 2
 

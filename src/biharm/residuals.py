@@ -307,8 +307,7 @@ def contact_reduction_ok(points) -> bool:
     return max(vals) <= REDUCTION_TOL * scale
 
 
-def cmc_characterization(space: AmbientModel, points, m: int,
-                         tol: float = CHARACTERIZATION_TOL) -> dict:
+def cmc_characterization(space: AmbientModel, points, m: int) -> dict:
     """Constant-mean-curvature characterization |B|^2 = target for hypersurfaces.
 
     Complex ambient: target 3(alpha + beta), with the equivalent scalar
@@ -346,7 +345,8 @@ def cmc_characterization(space: AmbientModel, points, m: int,
         targets.append(target)
         gaps.append(abs(p.b_norm2 - target))
     gap = max(gaps)
-    out.update(status="Satisfied" if gap < tol else "Violated", target=targets[0], gap=gap)
+    out.update(status="Satisfied" if gap < CHARACTERIZATION_TOL else "Violated",
+               target=targets[0], gap=gap)
     if space.kind == KIND_COMPLEX:
         out["scalar_check"] = {"max_gap": max(scal_gaps), "form": "3(alpha+beta)+9|H|^2"}
     return out
@@ -370,7 +370,7 @@ def _bound_kind(space, points) -> str | None:
     return None
 
 
-def bound_check(space: AmbientModel, points, m: int, tol: float = BOUND_TOL) -> dict:
+def bound_check(space: AmbientModel, points, m: int) -> dict:
     """Mean-curvature bound for proper biharmonic CMC submanifolds.
 
     Complex case: |H|^2 <= inf (2 alpha + 3 beta)/2 for Lagrangian surfaces,
@@ -414,8 +414,8 @@ def bound_check(space: AmbientModel, points, m: int, tol: float = BOUND_TOL) -> 
         out["failed_hypothesis"] = "positive_bound"
         return out
 
-    within = h2 <= bound + tol
-    equality = abs(h2 - bound) < max(tol, 1e-9 * (1.0 + bound))
+    within = h2 <= bound + BOUND_TOL
+    equality = abs(h2 - bound) < max(BOUND_TOL, 1e-9 * (1.0 + bound))
     if equality:
         devs = [p.pseudo_deviation for p in points if p.pseudo_deviation is not None]
         out["equality_case"] = {

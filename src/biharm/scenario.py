@@ -18,7 +18,7 @@ Document schema (see README for the full field list)::
       "domain":    {"axes": [{"lo": 0, "hi": 6.28, "samples": 3,
                               "periodic": true}, ...]},
       "constants": {"name": value, ...},
-      "checks":    [{"op": "residual", "tol": 1e-6}, ...],
+      "checks":    [{"op": "residual"}, ...],
       "expect":    {"verdict": "ProperBiharmonic", ...}
     }
 """
@@ -58,8 +58,6 @@ from .exprs import (
 )
 from .jets import DomainError, n_entries
 from .residuals import (
-    BOUND_TOL,
-    CHARACTERIZATION_TOL,
     CLOSED_FORM,
     GENERAL,
     MINIMAL_TOL,
@@ -80,6 +78,7 @@ from .residuals import (
 )
 from .structure import CLASSIFY_TOL, classify, decompose, verify_relations
 from .submanifold import (
+    PSEUDO_UMBILICAL_TOL,
     Axis,
     ImmersionModel,
     fd_normal_laplacian,
@@ -125,16 +124,10 @@ class ConfigError(Exception):
 
 
 @dataclass
-class CheckSpec:
-    op: str
-    tol: float | None                 # the document's, else the check's declared default
-
-
-@dataclass
 class ScenarioConfig:
     ambient: AmbientModel
     immersion: ImmersionModel
-    checks: list[CheckSpec]
+    checks: list[str]                 # the requested check ops
     constants: dict
     expect: dict
     raw: dict = field(default_factory=dict)
@@ -194,35 +187,51 @@ def _boolean(value, path) -> bool:
     return value
 
 
+def _list(value, path, n=None) -> list:
+    """``value``, which must be a list, of ``n`` entries when given."""
+    if not isinstance(value, list):
+        raise ConfigError(f"expected a list, got {value!r}", path)
+    if n is not None and len(value) != n:
+        raise ConfigError(f"expected {n} entries, got {len(value)}", path)
+    return value
+
+
+def _names(value, path) -> tuple[str, ...]:
+    """A list of distinct identifiers."""
+    for i, name in enumerate(_list(value, path)):
+        if not isinstance(name, str):
+            raise ConfigError(f"expected a name, got {name!r}", f"{path}[{i}]")
+    _parse("0", value, path, {})  # the parser's rules for parameter names, at this path
+    return tuple(value)
+
+
 def _load_ambient(doc, constants, path) -> AmbientModel:
     if "catalog" in _mapping(doc, path):
         return _load_catalog(doc, constants, path, catalog.AMBIENTS, catalog.ambient)
     kind = _require(doc, "kind", path)
-    if kind not in KIND_FIELDS:
+    if not isinstance(kind, str) or kind not in KIND_FIELDS:
         raise ConfigError(f"unknown kind {kind!r}", path + ".kind")
     backend = doc.get("backend", "chart")
-    if backend not in BACKEND_FIELDS:
+    if not isinstance(backend, str) or backend not in BACKEND_FIELDS:
         raise ConfigError(f"unknown backend {backend!r}", path + ".backend")
     _mapping(doc, path, INLINE_AMBIENT_FIELDS + KIND_FIELDS[kind] + BACKEND_FIELDS[backend])
-    coords = tuple(_require(doc, "coordinates", path))
+    coords = _names(_require(doc, "coordinates", path), path + ".coordinates")
+    dim = _integer(_require(doc, "dim", path), path + ".dim")
+    rep_dim = dim if backend == "chart" else len(coords)
+
+    def vec(entries, at, n=rep_dim):
+        return tuple(_parse(e, coords, f"{at}[{i}]", constants)
+                     for i, e in enumerate(_list(entries, at, n)))
 
     def mat(key):
-        rows = _require(doc, key, path)
-        out = []
-        for i, row in enumerate(rows):
-            out.append(tuple(_parse(e, coords, f"{path}.{key}[{i}][{j}]", constants)
-                             for j, e in enumerate(row)))
-        return tuple(out)
-
-    def vec(key, source=None):
-        entries = source if source is not None else _require(doc, key, path)
-        return tuple(_parse(e, coords, f"{path}.{key}[{i}]", constants)
-                     for i, e in enumerate(entries))
+        at = f"{path}.{key}"
+        return tuple(vec(row, f"{at}[{i}]")
+                     for i, row in enumerate(_list(_require(doc, key, path), at, rep_dim)))
 
     names = ("alpha", "beta") if kind == KIND_COMPLEX else ("f1", "f2", "f3")
     coeffs_doc = _mapping(_require(doc, "coefficients", path), path + ".coefficients", names)
-    coeffs = vec("coefficients", [str(_require(coeffs_doc, n, path + ".coefficients"))
-                                  for n in names])
+    coeffs = vec([str(_require(coeffs_doc, n, path + ".coefficients")) for n in names],
+                 path + ".coefficients", None)
     tag = None
     if doc.get("tag"):
         tag_doc = _mapping(doc["tag"], path + ".tag", ("family", "value"))
@@ -236,7 +245,7 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
         name=doc.get("name", "inline"),
         kind=kind,
         backend=backend,
-        dim=_integer(_require(doc, "dim", path), path + ".dim"),
+        dim=dim,
         coords=coords,
         coeffs=coeffs,
         tag=tag,
@@ -246,12 +255,12 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
         kwargs["cstruct"] = mat("complex_structure")
     else:
         kwargs["phi"] = mat("phi")
-        kwargs["reeb"] = vec("reeb")
+        kwargs["reeb"] = vec(_require(doc, "reeb", path), path + ".reeb")
     if backend == "chart":
         kwargs["metric"] = mat("metric")
     else:
-        kwargs["normals"] = tuple(
-            vec("normals", nf) for nf in _require(doc, "normals", path))
+        normals = _list(_require(doc, "normals", path), path + ".normals")
+        kwargs["normals"] = tuple(vec(nf, f"{path}.normals[{k}]") for k, nf in enumerate(normals))
     try:
         return AmbientModel(**kwargs)
     except GeometryError as e:
@@ -298,12 +307,9 @@ def _load_immersion(doc, space, constants, path) -> ImmersionModel:
     if "catalog" in _mapping(doc, path):
         imm = _load_catalog(doc, constants, path, catalog.IMMERSIONS, catalog.immersion, space)
     else:
-        params = tuple(_require(_mapping(doc, path, INLINE_IMMERSION_FIELDS), "params", path))
-        comps = _require(doc, "components", path)
-        if len(comps) != space.rep_dim:
-            raise ConfigError(
-                f"{len(comps)} components for ambient of representation "
-                f"dimension {space.rep_dim}", path + ".components")
+        _mapping(doc, path, INLINE_IMMERSION_FIELDS)
+        params = _names(_require(doc, "params", path), path + ".params")
+        comps = _list(_require(doc, "components", path), path + ".components", space.rep_dim)
         components = tuple(
             _parse(c, params, f"{path}.components[{i}]", constants)
             for i, c in enumerate(comps))
@@ -344,25 +350,17 @@ def _load_domain(doc, path) -> tuple[Axis, ...]:
     return tuple(axes)
 
 
-def _load_check(doc, path, seen) -> CheckSpec:
-    """A check entry: its op and its tol (the declared default unless the
-    entry sets one)."""
+def _load_check(doc, path, seen) -> str:
+    """A check entry's op; the entry holds nothing else."""
     op = _require(_mapping(doc, path), "op", path)
     if not isinstance(op, str) or op not in CHECKS:
         raise ConfigError(f"unknown check op {op!r}", path + ".op")
     if op in seen:
         raise ConfigError(f"duplicate check op {op!r}", path + ".op")
-    declared = CHECKS[op]
-    spec = CheckSpec(op, declared.tol)
-    for key, value in doc.items():
-        if key == "tol" and declared.tol is not None:
-            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (numeric and 0 <= value < math.inf):
-                raise ConfigError(f"expected a finite number >= 0, got {value!r}", path + ".tol")
-            spec.tol = value
-        elif key != "op":
+    for key in doc:
+        if key != "op":
             raise ConfigError(f"unknown field {key!r} of check {op!r}", f"{path}.{key}")
-    return spec
+    return op
 
 
 def load_scenario(document) -> ScenarioConfig:
@@ -393,13 +391,13 @@ def load_scenario(document) -> ScenarioConfig:
         raise ConfigError("expected a list", "checks")
     checks = []
     for i, c in enumerate(checks_doc):
-        checks.append(_load_check(c, f"checks[{i}]", [spec.op for spec in checks]))
+        checks.append(_load_check(c, f"checks[{i}]", checks))
     return ScenarioConfig(
         ambient=space,
         immersion=imm,
         checks=checks,
         constants=constants,
-        expect=_load_expect(doc.get("expect", {}), [spec.op for spec in checks]),
+        expect=_load_expect(doc.get("expect", {}), checks),
         raw=doc,
     )
 
@@ -467,8 +465,9 @@ def _require_finite(data: PointData):
         raise DomainError("non-finite " + ", ".join(bad))
 
 
-# the faults that fail a sample (a batch of samples: every one of them)
-_POINT_FAULTS = (GeometryError, ArithmeticError, np.linalg.LinAlgError)
+# the faults that fail a sample (a batch of samples: every one of them); one
+# raised outside the grid ends the command as a geometry error
+POINT_FAULTS = (GeometryError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def _faults_raise():
@@ -482,7 +481,7 @@ def _evaluate_point(cfg: ScenarioConfig, u, needs: frozenset, order: int, pg=Non
     try:
         with _faults_raise():
             return _evaluate_point_data(cfg, u, needs, order, pg)
-    except _POINT_FAULTS as e:
+    except POINT_FAULTS as e:
         return PointData(u=tuple(u), error=str(e))
 
 
@@ -566,7 +565,7 @@ def _run_block(rows, needs: frozenset, order: int):
                 normal_jets(batch)
             if SCALAR in needs:
                 intrinsic_jets(batch)
-    except _POINT_FAULTS:
+    except POINT_FAULTS:
         configs = [list(g) for _, g in groupby(rows, key=lambda row: id(row[2]))]
         if len(configs) > 1:
             for config_rows in configs:
@@ -638,7 +637,7 @@ def run_check(cfg: ScenarioConfig) -> Report:
     normal derivatives, split, residuals) plus what the requested checks
     declare; see :data:`CHECKS`.
     """
-    needs = {RESIDUALS}.union(*(CHECKS[spec.op].needs for spec in cfg.checks))
+    needs = {RESIDUALS}.union(*(CHECKS[op].needs for op in cfg.checks))
     records = _run_grid(cfg, needs)
     ok = [r for r in records if r.error is None]
     if not ok:
@@ -679,8 +678,7 @@ def run_check(cfg: ScenarioConfig) -> Report:
     }
 
     grid = _Grid(cfg, ok, aggregates)
-    checks_out = {spec.op: {"op": spec.op, **CHECKS[spec.op].run(grid, spec)}
-                  for spec in cfg.checks}
+    checks_out = {op: {"op": op, **CHECKS[op].run(grid)} for op in cfg.checks}
 
     points_doc = []
     for d in records:
@@ -716,7 +714,11 @@ def run_check(cfg: ScenarioConfig) -> Report:
 # -- checks ----------------------------------------------------------------------
 #
 # One function per check op, registered with the per-sample quantities it
-# reads.  ``run_check`` hands each the grid and its CheckSpec.
+# reads.  ``run_check`` hands each the grid; a check's tolerance is fixed.
+
+RELATIONS_TOL = 1e-10   # the largest residual of a relation of the split
+GAUSS_TOL = 1e-6        # intrinsic against Gauss-side scalar curvature
+STRUCTURE_TOL = 1e-9    # the largest residual of a structure identity
 
 
 @dataclass
@@ -728,51 +730,48 @@ class _Grid:
 
 @dataclass(frozen=True)
 class Declared:
-    """A check or sweep objective and the per-sample quantities it reads.
-    A check also declares its default ``tol`` (None: it takes none)."""
+    """A check or sweep objective and the per-sample quantities it reads."""
 
     needs: frozenset
     run: Callable
-    tol: float | None = None
 
 
 CHECKS: dict[str, Declared] = {}
 
 
-def _declare(table: dict, name: str, *needs: str, tol=None):
+def _declare(table: dict, name: str, *needs: str):
     def register(fn):
-        table[name] = Declared(frozenset(needs), fn, tol)
+        table[name] = Declared(frozenset(needs), fn)
         return fn
     return register
 
 
-@_declare(CHECKS, "residual", RESIDUALS, tol=PROPER_TOL)
-def _check_residual(grid, spec) -> dict:
+@_declare(CHECKS, "residual", RESIDUALS)
+def _check_residual(grid) -> dict:
     datas, agg = grid.datas, grid.aggregates
     worst = max(agg["max_normal_residual"], agg["max_tangential_residual"])
     return {
-        "tol": spec.tol,
+        "tol": PROPER_TOL,
         "max_residual": worst,
-        "status": "ok" if worst <= spec.tol else "violated",
+        "status": "ok" if worst <= PROPER_TOL else "violated",
         "verdict": grid.aggregates["verdict"],
         "terms": {k: max(d.residuals[GENERAL].terms[k] for d in datas)
                   for k in datas[0].residuals[GENERAL].terms},
     }
 
 
-@_declare(CHECKS, "characterization", COEFFICIENTS, SPLIT, RESIDUALS, SCALAR,
-          tol=CHARACTERIZATION_TOL)
-def _check_characterization(grid, spec) -> dict:
-    return cmc_characterization(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim, spec.tol)
+@_declare(CHECKS, "characterization", COEFFICIENTS, SPLIT, RESIDUALS, SCALAR)
+def _check_characterization(grid) -> dict:
+    return cmc_characterization(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim)
 
 
-@_declare(CHECKS, "bound", COEFFICIENTS, SPLIT, RESIDUALS, PSEUDO, tol=BOUND_TOL)
-def _check_bound(grid, spec) -> dict:
-    return bound_check(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim, spec.tol)
+@_declare(CHECKS, "bound", COEFFICIENTS, SPLIT, RESIDUALS, PSEUDO)
+def _check_bound(grid) -> dict:
+    return bound_check(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim)
 
 
 @_declare(CHECKS, "audit", COEFFICIENTS, SPLIT)
-def _check_audit(grid, spec) -> dict:
+def _check_audit(grid) -> dict:
     findings = nonexistence_audit(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim)
     contradiction = any(
         f["relevant"] and f["applies"] for f in findings
@@ -780,22 +779,22 @@ def _check_audit(grid, spec) -> dict:
     return {"status": "contradiction" if contradiction else "ok", "findings": findings}
 
 
-@_declare(CHECKS, "relations", RELATIONS, tol=1e-10)
-def _check_relations(grid, spec) -> dict:
+@_declare(CHECKS, "relations", RELATIONS)
+def _check_relations(grid) -> dict:
     worst = {}
     for d in grid.datas:
         if d.relations:
             for k, v in d.relations.items():
                 worst[k] = max(worst.get(k, 0.0), v)
-    status = "ok" if worst and max(worst.values()) <= spec.tol else "violated"
-    return {"tol": spec.tol, "residuals": worst, "status": status}
+    status = "ok" if worst and max(worst.values()) <= RELATIONS_TOL else "violated"
+    return {"tol": RELATIONS_TOL, "residuals": worst, "status": status}
 
 
-@_declare(CHECKS, "gauss", COEFFICIENTS, SCALAR, tol=1e-6)
-def _check_gauss(grid, spec) -> dict:
+@_declare(CHECKS, "gauss", COEFFICIENTS, SCALAR)
+def _check_gauss(grid) -> dict:
     datas = grid.datas
     worst = max(abs(d.scal_intrinsic - d.scal_via_gauss) for d in datas)
-    out = {"tol": spec.tol, "max_gap": worst, "status": "ok" if worst <= spec.tol else "violated"}
+    out = {"tol": GAUSS_TOL, "max_gap": worst, "status": "ok" if worst <= GAUSS_TOL else "violated"}
     if grid.cfg.ambient.kind == KIND_COMPLEX and grid.cfg.immersion.dim == 3:
         form = max(
             abs(d.scal_via_gauss - (2.0 * characterization_target(KIND_COMPLEX, 3, d.coeffs)
@@ -805,20 +804,21 @@ def _check_gauss(grid, spec) -> dict:
     return out
 
 
-@_declare(CHECKS, "structure", GEOMETRY, tol=1e-9)
-def _check_structure(grid, spec) -> dict:
+@_declare(CHECKS, "structure", GEOMETRY)
+def _check_structure(grid) -> dict:
     pts = [grid.cfg.immersion.values("components", d.u) for d in grid.datas[:6]]
     residuals = verify_structure(grid.cfg.ambient, pts)
-    return {"tol": spec.tol, "residuals": residuals,
-            "status": "ok" if max(residuals.values()) <= spec.tol else "violated"}
+    return {"tol": STRUCTURE_TOL, "residuals": residuals,
+            "status": "ok" if max(residuals.values()) <= STRUCTURE_TOL else "violated"}
 
 
-@_declare(CHECKS, "pseudo_umbilical", PSEUDO, tol=1e-8)
-def _check_pseudo_umbilical(grid, spec) -> dict:
+@_declare(CHECKS, "pseudo_umbilical", PSEUDO)
+def _check_pseudo_umbilical(grid) -> dict:
     devs = [d.pseudo_deviation for d in grid.datas if d.pseudo_deviation is not None]
     if not devs:
         return {"status": "NotApplicable"}
-    return {"max_deviation": max(devs), "status": "ok" if max(devs) < spec.tol else "violated"}
+    return {"max_deviation": max(devs),
+            "status": "ok" if max(devs) < PSEUDO_UMBILICAL_TOL else "violated"}
 
 
 # -- parameter sweeps --------------------------------------------------------------

@@ -51,6 +51,7 @@ from .jets import (
 # programs.
 
 RANK_TOL = 1e-8
+PSEUDO_UMBILICAL_TOL = 1e-8   # |A_H - |H|^2 Id|, and the |H| of a minimal point
 
 
 @dataclass(frozen=True)
@@ -518,14 +519,14 @@ def scalar_curvature(space: AmbientModel, pg: PointGeometry):
     return float(intrinsic), float(via_gauss)
 
 
-def pseudo_umbilical_check(pg: PointGeometry, tol: float = 1e-8):
+def pseudo_umbilical_check(pg: PointGeometry):
     """Deviation of A_H from |H|^2 Id; (None, None) at minimal points."""
-    if pg.mean_curvature_norm <= tol:
+    if pg.mean_curvature_norm <= PSEUDO_UMBILICAL_TOL:
         return None, None
     hn = pg.mean_normal_components
     a_h = np.einsum("a,aij->ij", hn, pg.second_fundamental)
     dev = float(np.linalg.norm(a_h - pg.mean_curvature_norm**2 * np.eye(pg.m)))
-    return dev < tol, dev
+    return dev < PSEUDO_UMBILICAL_TOL, dev
 
 
 # -- finite-difference oracle ----------------------------------------------------

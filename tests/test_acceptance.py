@@ -161,7 +161,7 @@ def test_criterion_4_known_proper_biharmonic_reproductions():
              {"catalog": "clifford_torus_s5", "params": {"theta": math.pi / 4}}),
         ]:
             rep = run_check(_scenario(ambient, immersion,
-                                      checks=[{"op": "residual", "tol": 1e-6}]))
+                                      checks=[{"op": "residual"}]))
             assert rep.verdict == "ProperBiharmonic"
             assert rep.aggregates["max_normal_residual"] <= 1e-6
             assert rep.aggregates["max_tangential_residual"] <= 1e-6
@@ -177,7 +177,7 @@ def test_criterion_4_known_proper_biharmonic_reproductions():
         assert abs(root - R_STAR) <= 1e-8
         rep = run_check(_scenario({"catalog": "cp2"},
                                   {"catalog": "geodesic_sphere_cp2", "params": {"r": root}},
-                                  checks=[{"op": "residual", "tol": 1e-6}]))
+                                  checks=[{"op": "residual"}]))
         assert rep.verdict == "ProperBiharmonic"
         assert rep.aggregates["h_min"] > 0.1
 
@@ -287,7 +287,7 @@ def test_criterion_8_gauss_equation_cross_check():
     with criterion(8, "Gauss-equation cross-check", 30.0):
         for ambient, immersion in CATALOG_SCENARIOS:
             rep = run_check(_scenario(ambient, immersion,
-                                      checks=[{"op": "gauss", "tol": 1e-6}]))
+                                      checks=[{"op": "gauss"}]))
             chk = rep.checks["gauss"]
             assert chk["status"] == "ok", (ambient, immersion, chk)
             if "hypersurface_form_gap" in chk:

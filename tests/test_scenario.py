@@ -12,7 +12,12 @@ from biharm import catalog
 from biharm.ambient import GeometryError
 from biharm.cli import main as cli_main
 from biharm.jets import n_entries
+from biharm.residuals import PROPER_TOL
 from biharm.scenario import (
+    CHECKS,
+    GAUSS_TOL,
+    RELATIONS_TOL,
+    STRUCTURE_TOL,
     ConfigError,
     convergence_study,
     emit_report,
@@ -122,7 +127,7 @@ def test_unknown_check_rejected():
 
 
 def test_duplicate_check_rejected(tmp_path, capsys):
-    checks = [{"op": "residual", "tol": 1e-12}, {"op": "residual", "tol": 10}]
+    checks = [{"op": "residual"}, {"op": "residual"}]
     with pytest.raises(ConfigError) as err:
         _cfg(checks=checks)
     assert "checks[1].op" in str(err.value) and "duplicate" in str(err.value)
@@ -248,6 +253,8 @@ _INLINE_S5 = json.loads((Path(__file__).parent / "data" / "inline_s5.json").read
                                                "axis": []})}, "immersion.domain.axis"),
     ({"domain": {"axes": [{"lo": 0.5, "hi": 2.6, "samples": 2}], "samples": 3}},
      "domain.samples"),
+    # a check entry holds only its op: every check's tolerance is fixed
+    *[({"checks": [{"op": op, "tol": 1e-6}]}, "checks[0].tol") for op in sorted(CHECKS)],
 ])
 def test_unknown_document_field_is_config_error(tmp_path, capsys, overrides, path):
     doc = {
@@ -267,6 +274,37 @@ def test_inline_contact_ambient_takes_its_kind_fields():
                          "immersion": {"params": ["u"], "components": ["u", "0", "0"],
                                        "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 2}]}}})
     assert cfg.ambient.kind == "generalized_sasakian"
+
+
+# an inline field of the wrong type, or a list of the wrong length, is a
+# config error at its path, not a TypeError or a broadcast error when the
+# model loads, compiles or runs
+@pytest.mark.parametrize("ambient, immersion, path", [
+    (dict(_FLAT_INLINE, kind=["generalized_complex"]), None, "ambient.kind"),
+    (dict(_FLAT_INLINE, backend={"chart": True}), None, "ambient.backend"),
+    (dict(_FLAT_INLINE, coordinates=5), None, "ambient.coordinates"),
+    (dict(_FLAT_INLINE, coordinates=[1, 2, 3, 4]), None, "ambient.coordinates[0]"),
+    (dict(_FLAT_INLINE, coordinates=["x1", "x1", "x2", "y2"]), None, "ambient.coordinates"),
+    (dict(_FLAT_INLINE, metric=5), None, "ambient.metric"),
+    (dict(_FLAT_INLINE, metric=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), None,
+     "ambient.metric"),
+    (dict(_FLAT_INLINE, complex_structure=[["0", "-1", "0", "0"], ["1", "0", "0"],
+                                           ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]),
+     None, "ambient.complex_structure[1]"),
+    (dict(_INLINE_S5["ambient"], normals=5), _INLINE_S5["immersion"], "ambient.normals"),
+    ({"catalog": "flat_c2"}, dict(_INLINE_PLANE, components=5), "immersion.components"),
+    # 3 chart coordinates cannot carry a 4-dimensional ambient
+    (dict(_FLAT_INLINE, coordinates=["x1", "y1", "x2"]), None, "ambient"),
+])
+def test_inline_shape_fault_is_config_error(tmp_path, capsys, ambient, immersion, path):
+    scn = tmp_path / "shape.json"
+    scn.write_text(json.dumps({
+        "ambient": ambient,
+        "immersion": immersion or {"catalog": "round_hypersphere"},
+    }))
+    assert cli_main(["check", str(scn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: "), err
 
 
 # expectations are validated when the document loads, for every subcommand:
@@ -314,9 +352,43 @@ def test_check_status_expectation_compares_the_requested_check(tmp_path, capsys)
     assert "EXPECT FAILED: expected checks.gauss.status='violated', got 'ok'" in err
 
 
-def test_check_tol_defaults_to_its_declaration():
-    cfg = _cfg(checks=[{"op": "residual"}, {"op": "gauss", "tol": 0}, {"op": "audit"}])
-    assert [spec.tol for spec in cfg.checks] == [1e-6, 0, None]
+def test_checks_load_as_their_ops():
+    cfg = _cfg(checks=[{"op": "residual"}, {"op": "gauss"}, {"op": "audit"}])
+    assert cfg.checks == ["residual", "gauss", "audit"]
+
+
+# each document's check fails at its fixed tolerance; a loose "tol" used to
+# let it read as passing, meet its expectation and exit 0
+@pytest.mark.parametrize("ambient, immersion, op, loose, claimed", [
+    # |B|^2 is 1.775 from its target 0
+    ({"catalog": "flat_c2"}, {"catalog": "round_hypersphere", "params": {"r": 1.3}},
+     "characterization", 100, "Satisfied"),
+    # |H|^2 = 3 above the bound 1
+    ({"catalog": "sasakian_sphere_s5"}, {"catalog": "small_hypersphere", "params": {"rho": 0.5}},
+     "bound", 10, "WithinBound"),
+])
+def test_loose_check_tol_cannot_pass_a_document(tmp_path, capsys, ambient, immersion, op,
+                                                loose, claimed):
+    doc = {"ambient": ambient, "immersion": immersion, "checks": [{"op": op, "tol": loose}],
+           "expect": {f"checks.{op}.status": claimed}}
+    scn = tmp_path / "loose.json"
+    scn.write_text(json.dumps(doc))
+    assert cli_main(["check", str(scn)]) == 2
+    assert "checks[0].tol: unknown field 'tol'" in capsys.readouterr().err
+    doc["checks"] = [{"op": op}]
+    scn.write_text(json.dumps(doc))
+    assert cli_main(["check", str(scn)]) == 1
+    assert f"expected checks.{op}.status={claimed!r}, got 'Violated'" in capsys.readouterr().err
+
+
+def test_echoed_check_tolerances_are_the_engines():
+    rep = run_check(_cfg(ambient={"catalog": "sasakian_r5"},
+                         immersion={"catalog": "hyperplane_y1"},
+                         checks=[{"op": op} for op in CHECKS]))
+    tols = {op: rep.checks[op].get("tol") for op in CHECKS}
+    assert tols == {"residual": PROPER_TOL, "relations": RELATIONS_TOL, "gauss": GAUSS_TOL,
+                    "structure": STRUCTURE_TOL, "characterization": None, "bound": None,
+                    "audit": None, "pseudo_umbilical": None}
 
 
 def test_overflowing_component_fails_points_not_the_run():
@@ -628,7 +700,7 @@ def test_minimal_catalog_scenario_verdict():
 def test_proper_biharmonic_scenario_verdict():
     cfg = _cfg(ambient={"catalog": "sasakian_sphere_s5"},
                immersion={"catalog": "small_hypersphere"},
-               checks=[{"op": "residual", "tol": 1e-6}])
+               checks=[{"op": "residual"}])
     rep = run_check(cfg)
     assert rep.verdict == "ProperBiharmonic"
     assert rep.checks["residual"]["status"] == "ok"
@@ -787,6 +859,40 @@ def test_cli_check_exit_codes(tmp_path, capsys):
                                   "immersion": {"catalog": "circle"}}))
     assert cli_main(["check", str(broken)]) == 2
     capsys.readouterr()
+
+
+# a point fault outside the grid records ends the command as a geometry
+# error, exit 2, not as a traceback with the exit 1 of a failed expectation
+def test_convergence_probe_fault_exits_2(tmp_path, capsys):
+    # log(u1) at the probe point u1 = -0.1585
+    scn = tmp_path / "probe.json"
+    scn.write_text(json.dumps({
+        "ambient": {"catalog": "flat_c2"},
+        "immersion": {"params": ["u1", "u2"], "components": ["u1", "u2", "log(u1)", "0"],
+                      "domain": {"axes": [{"lo": -1, "hi": 0.5, "samples": 3},
+                                          {"lo": 0, "hi": 1, "samples": 3}]}},
+    }))
+    assert cli_main(["convergence", str(scn)]) == 2
+    assert capsys.readouterr().err.startswith("geometry error: log of non-positive value")
+
+
+def test_structure_check_jet_fault_exits_2(tmp_path, capsys):
+    # phi's floats are fine on y1 = 0, its jets leave the domain of sqrt there
+    phi = [["0"] * 5 for _ in range(5)]
+    phi[2][0], phi[3][1], phi[0][2], phi[1][3] = "1", "1", "-1", "-1+0*sqrt(y1^2)"
+    scn = tmp_path / "structure.json"
+    scn.write_text(json.dumps({
+        "ambient": {"kind": "generalized_sasakian", "dim": 5,
+                    "coordinates": ["x1", "x2", "y1", "y2", "z"],
+                    "metric": [["1" if i == j else "0" for j in range(5)] for i in range(5)],
+                    "phi": phi, "reeb": ["0", "0", "0", "0", "1"],
+                    "coefficients": {"f1": "0", "f2": "0", "f3": "0"},
+                    "tag": {"family": "cosymplectic", "value": 0}},
+        "immersion": {"catalog": "hyperplane_y1"},
+        "checks": [{"op": "residual"}, {"op": "structure"}],
+    }))
+    assert cli_main(["check", str(scn)]) == 2
+    assert capsys.readouterr().err.startswith("geometry error: sqrt at non-positive value")
 
 
 def test_cli_catalog_list(capsys):
