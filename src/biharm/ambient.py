@@ -102,12 +102,48 @@ class AmbientModel(CompiledFields):
         return self.dim if self.backend == "chart" else len(self.coords)
 
 
+# -- float algebra over sample axes ------------------------------------------
+#
+# A float tensor at points of shape S + (n,) has the sample axes S in front.
+# Products run as numpy matmul over S with the core shapes of one sample, so
+# each sample gets the same BLAS call (dot, gemv or gemm) as a call at that
+# point alone: a batch is bitwise a loop over its points.
+
+def vec_mat(v, M):
+    """v @ M at every sample."""
+    return (v[..., None, :] @ M)[..., 0, :]
+
+
+def mat_vec(M, v):
+    """M @ v at every sample."""
+    return (M @ v[..., None])[..., 0]
+
+
+def dot(a, b):
+    """a @ b of vectors at every sample."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def norm(a, k: int = 1):
+    """Norm of the last ``k`` axes at every sample, as ``np.linalg.norm``."""
+    flat = a.reshape(a.shape[:a.ndim - k] + (-1,))
+    return np.sqrt(dot(flat, flat))
+
+
+def objects(value, keep=True):
+    """``value`` as Python objects over its sample axes, None where ``keep``
+    fails: an object array, or the object itself at S = ()."""
+    return np.where(keep, value, None)[()]
+
+
 # -- pointwise tensors -------------------------------------------------------
+#
+# Points ``x`` of shape S + (n,) run each program once, on arrays over S.
 
 def metric_at(space: AmbientModel, x) -> np.ndarray:
-    """Metric matrix in the vector representation at ``x`` (floats)."""
+    """Metric matrix in the vector representation at ``x``."""
     if space.backend == "embedded":
-        return np.eye(space.rep_dim)
+        return np.broadcast_to(np.eye(space.rep_dim), np.shape(x)[:-1] + (space.rep_dim,) * 2)
     g = space.values("metric", x)
     if np.linalg.eigvalsh(g).min() <= 0.0:
         raise GeometryError(f"metric not positive definite at {tuple(x)}")
@@ -121,8 +157,9 @@ def structure_at(space: AmbientModel, x):
     return space.values("phi", x), space.values("reeb", x)
 
 
-def coefficients_at(space: AmbientModel, x) -> tuple[float, ...]:
-    return tuple(float(c) for c in space.values("coeffs", x))
+def coefficients_at(space: AmbientModel, x) -> tuple:
+    """The curvature coefficients at ``x``, one array over S each."""
+    return tuple(np.moveaxis(space.values("coeffs", x), -1, 0))
 
 
 # -- jets of the metric and connection ---------------------------------------
@@ -175,30 +212,25 @@ def christoffel_point(space: AmbientModel, x) -> np.ndarray:
 
 
 def riemann_from_christoffel(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    """Riemann tensor values R[i,j,k,l]: R(e_i,e_j)e_k = sum_l R[i,j,k,l] e_l,
-    from the Christoffel values ``gamma[c, a, b]`` and their partials
-    ``dgamma[i, c, a, b]`` = d_i Gamma^c_ab at one point.
+    """Riemann tensor values R[..., i,j,k,l]: R(e_i,e_j)e_k = sum_l R[i,j,k,l] e_l,
+    from the Christoffel values ``gamma[..., c, a, b]`` and their partials
+    ``dgamma[..., i, c, a, b]`` = d_i Gamma^c_ab; leading axes are sample axes.
 
     Sign convention R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y].
     """
-    return ((np.einsum("iljk->ijkl", dgamma) - np.einsum("jlik->ijkl", dgamma))
-            + (np.einsum("lis,sjk->ijkl", gamma, gamma) - np.einsum("ljs,sik->ijkl", gamma, gamma)))
+    return ((np.einsum("...iljk->...ijkl", dgamma) - np.einsum("...jlik->...ijkl", dgamma))
+            + (np.einsum("...lis,...sjk->...ijkl", gamma, gamma)
+               - np.einsum("...ljs,...sik->...ijkl", gamma, gamma)))
 
 
-def riemann_from_metric_jets(g) -> np.ndarray:
-    """Riemann tensor values of the metric given by jets of order >= 2."""
-    gamma = christoffel_from_metric_jets(g)
-    return riemann_from_christoffel(gamma.value, gamma.gradient().value)
-
-
-def scalar_from_christoffel(g: np.ndarray, gamma: np.ndarray, dgamma: np.ndarray) -> float:
-    """Scalar curvature at one point from the metric values ``g`` and the
+def scalar_from_christoffel(g: np.ndarray, gamma: np.ndarray, dgamma: np.ndarray):
+    """Scalar curvature at every sample from the metric values ``g`` and the
     Christoffel values and partials (see :func:`riemann_from_christoffel`)."""
-    ricci = np.einsum("ijki->jk", riemann_from_christoffel(gamma, dgamma))
-    return float(np.einsum("jk,jk->", np.linalg.inv(g), ricci))
+    ricci = np.einsum("...ijki->...jk", riemann_from_christoffel(gamma, dgamma))
+    return np.einsum("...jk,...jk->...", np.linalg.inv(g), ricci)
 
 
-def scalar_from_metric_jets(g) -> float:
+def scalar_from_metric_jets(g):
     """Scalar curvature of the metric given by jets of order >= 2."""
     g = stack(g)
     gamma = christoffel_from_metric_jets(g)
@@ -211,17 +243,17 @@ def _twisted_term(g, S):
     """The building block g(SY, Z) SX - g(SX, Z) SY + 2 g(SY, X) SZ of a
     structure S (R_complex for S = J, R_fundform for S = phi), as
     T[x, y, z, a]."""
-    W = S.T @ g  # W[u, v] = g(S e_u, e_v)
-    return (np.einsum("yz,ax->xyza", W, S) - np.einsum("xz,ay->xyza", W, S)
-            + 2.0 * np.einsum("yx,az->xyza", W, S))
+    W = S.mT @ g  # W[u, v] = g(S e_u, e_v)
+    return (np.einsum("...yz,...ax->...xyza", W, S) - np.einsum("...xz,...ay->...xyza", W, S)
+            + 2.0 * np.einsum("...yx,...az->...xyza", W, S))
 
 
 class PointAmbient:
-    """The ambient tensors at one point, each evaluated on first use and
-    then kept: the metric ``g`` (checked positive definite), the curvature
-    ``coeffs``, the ``structure`` (J, or (phi, xi)) and the declared
-    ``curvature``.  A sample's readers share one snapshot, so each tensor
-    runs its program once per point."""
+    """The ambient tensors at the points ``x`` (shape S + (n,)), with S in
+    front, each evaluated on first use and then kept: the metric ``g``
+    (checked positive definite), the curvature ``coeffs``, the ``structure``
+    (J, or (phi, xi)) and the declared ``curvature``.  Their readers share
+    one snapshot, so each tensor runs its program once for all the points."""
 
     def __init__(self, space: AmbientModel, x):
         self.space = space
@@ -242,22 +274,24 @@ class PointAmbient:
     @cached_property
     def curvature(self) -> dict:
         """Each generalized curvature term, plus the coefficient-weighted
-        ``combined``, as (D, D, D, D) arrays T with R(X, Y)Z = T[x, y, z, a]
-        X^x Y^y Z^z."""
+        ``combined``, as S + (D, D, D, D) arrays T with R(X, Y)Z =
+        T[..., x, y, z, a] X^x Y^y Z^z."""
         g = self.g
-        eye = np.eye(len(g))
-        parts = {"const": np.einsum("yz,xa->xyza", g, eye) - np.einsum("xz,ya->xyza", g, eye)}
+        eye = np.eye(g.shape[-1])
+        parts = {"const": (np.einsum("...yz,xa->...xyza", g, eye)
+                           - np.einsum("...xz,ya->...xyza", g, eye))}
         if self.space.kind == KIND_COMPLEX:
             parts["complex"] = _twisted_term(g, self.structure)
         else:
             phi, xi = self.structure
-            eta = g @ xi
-            parts["reeb"] = (np.einsum("x,z,ya->xyza", eta, eta, eye)
-                             - np.einsum("y,z,xa->xyza", eta, eta, eye)
-                             + np.einsum("xz,y,a->xyza", g, eta, xi)
-                             - np.einsum("yz,x,a->xyza", g, eta, xi))
+            eta = mat_vec(g, xi)
+            parts["reeb"] = (np.einsum("...x,...z,ya->...xyza", eta, eta, eye)
+                             - np.einsum("...y,...z,xa->...xyza", eta, eta, eye)
+                             + np.einsum("...xz,...y,...a->...xyza", g, eta, xi)
+                             - np.einsum("...yz,...x,...a->...xyza", g, eta, xi))
             parts["fundform"] = _twisted_term(g, phi)
-        parts["combined"] = sum(c * t for c, t in zip(self.coeffs, parts.values()))
+        parts["combined"] = sum(c[..., None, None, None, None] * t
+                                for c, t in zip(self.coeffs, parts.values()))
         return parts
 
 

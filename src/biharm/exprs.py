@@ -266,8 +266,6 @@ def _call(fn: str, x):
         if x < 0.0:
             raise DomainError(f"sqrt of negative value {x:.6g}")
         return math.sqrt(x)
-    if fn == "tan" and math.cos(x) == 0.0:
-        raise DomainError("tan at a pole")
     return getattr(math, fn)(x)
 
 
@@ -379,9 +377,15 @@ class Program:
         return out
 
     def values(self, point, bindings: Bindings | None = None) -> np.ndarray:
-        """Float outputs at ``point``, as an array of the compiled shape."""
-        out = self.run([float(x) for x in point], bindings)
-        return np.array(out, dtype=float).reshape(self.shape)
+        """Float outputs at ``point``, as an array of the compiled shape;
+        points of shape S + (n,) run once on arrays over S, with S in front
+        of the outputs, and each element is the float run at its point."""
+        point = np.asarray(point, dtype=float)
+        batch = point.shape[:-1]
+        # one point runs on Python floats, so that its powers are the float path's
+        env = list(np.moveaxis(point, -1, 0)) if batch else point.tolist()
+        out = [np.broadcast_to(v, batch) for v in self.run(env, bindings)]
+        return np.stack(out, axis=-1, dtype=float).reshape(batch + self.shape)
 
     def jets(self, env, bindings: Bindings | None = None) -> Jet:
         """Jet outputs over the jet parameters ``env``, as one jet array of

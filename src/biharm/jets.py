@@ -433,10 +433,7 @@ class Jet:
         return self._series([cycle[j % 4] for j in range(self.order + 1)], "cos")
 
     def tan(self) -> "Jet":
-        c = self.cos()
-        if (c._values() == 0.0).any():
-            raise DomainError("tan at a pole")
-        return self.sin() / c
+        return self.sin() / self.cos()
 
     def atan(self) -> "Jet":
         # Taylor coefficients of atan at x0, from the reciprocal power series

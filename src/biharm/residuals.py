@@ -32,14 +32,19 @@ from .ambient import (
     GeometryError,
     coefficients_at,  # noqa: F401
     curvature_parts,  # noqa: F401
+    dot,
+    mat_vec,
+    norm,
     structure_at,  # noqa: F401
+    vec_mat,
 )
 from .structure import ClassificationFlags, DecompositionOperators
 from .submanifold import NormalFieldDerivatives, PointGeometry, project_tangent, _project_normal
 
 # coefficients_at, curvature_parts and structure_at are imported for
 # bench/tracing.py, which wraps them in this module's namespace; the residuals
-# read the ambient tensors from the sample's snapshot, ``pg.ambient``.
+# read the ambient tensors from the samples' snapshot, ``pg.ambient``.  Every
+# residual here is at all the samples of ``pg``, with the sample axes in front.
 
 GENERAL = "general"
 CLOSED_FORM = "closed_form"
@@ -57,6 +62,11 @@ BRANCH_PRIORITY = {
     KIND_COMPLEX: ("curve", "hypersurface", "complex_surface", "lagrangian_surface"),
     KIND_CONTACT: ("hypersurface", "xi_normal", "xi_tangent", "invariant", "anti_invariant"),
 }
+# The classification flag that activates each special-case branch at a sample.
+BRANCH_FLAGS = {"curve": "is_curve", "hypersurface": "is_hypersurface",
+                "complex_surface": "is_complex", "lagrangian_surface": "is_lagrangian",
+                "invariant": "is_invariant", "anti_invariant": "is_anti_invariant",
+                "xi_normal": "xi_normal", "xi_tangent": "xi_tangent"}
 
 # The mean-curvature bounds by ambient kind.  Complex: the bound is the grid
 # minimum of a coefficient expression.  Contact: it is (K - shift)/m, with
@@ -82,6 +92,11 @@ class BiharmonicResidual:
     def tangential_norm(self) -> float:
         return float(np.linalg.norm(self.tangential))
 
+    def at(self, index) -> "BiharmonicResidual":
+        """The residual of the sample at ``index`` of the sample axes."""
+        return BiharmonicResidual(self.normal[index], self.tangential[index],
+                                  {k: float(v[index]) for k, v in self.terms.items()})
+
 
 def characterization_target(kind: str, m: int, coeffs) -> float:
     """The constant that |B|^2 of a CMC hypersurface is held to: 3(alpha + beta)
@@ -96,7 +111,7 @@ def characterization_target(kind: str, m: int, coeffs) -> float:
 
 def curvature_trace(pg: PointGeometry):
     """sum_i R(X_i, H) X_i over the tangent frame, split into parts."""
-    total = np.einsum("ix,y,iz,xyza->a", pg.tangent_frame, pg.mean_curvature,
+    total = np.einsum("...ix,...y,...iz,...xyza->...a", pg.tangent_frame, pg.mean_curvature,
                       pg.tangent_frame, pg.ambient.curvature["combined"])
     return _project_normal(pg, total), project_tangent(pg, total)
 
@@ -115,23 +130,20 @@ def residual_general(space: AmbientModel, pg: PointGeometry, nd: NormalFieldDeri
     base_n, base_t = _bitension_base(pg, nd)
     normal = base_n + ctr_normal
     tangential = base_t + 2.0 * ctr_tangent
-    terms = {
-        "laplacian": float(np.linalg.norm(nd.laplacian)),
-        "trace_shape_mean": float(np.linalg.norm(nd.trace_shape_mean)),
-        "curvature_normal": float(np.linalg.norm(ctr_normal)),
-        "grad_h2": float(np.linalg.norm(nd.grad_h2)),
-        "trace_shape_gradient": float(np.linalg.norm(nd.trace_shape_gradient)),
-        "curvature_tangential": float(np.linalg.norm(ctr_tangent)),
-    }
-    return BiharmonicResidual(normal, tangential, terms)
+    terms = {"laplacian": nd.laplacian, "trace_shape_mean": nd.trace_shape_mean,
+             "curvature_normal": ctr_normal, "grad_h2": nd.grad_h2,
+             "trace_shape_gradient": nd.trace_shape_gradient, "curvature_tangential": ctr_tangent}
+    return BiharmonicResidual(normal, tangential, {k: norm(v) for k, v in terms.items()})
 
 
-def _vec_from_normal(pg, comps):
-    return np.asarray(comps) @ pg.normal_frame
+def _active(flags: ClassificationFlags, branch: str) -> bool:
+    """Whether the flags activate ``branch`` at some sample."""
+    return bool(np.any(getattr(flags, BRANCH_FLAGS[branch])))
 
 
-def _vec_from_tangent(pg, comps):
-    return np.asarray(comps) @ pg.tangent_frame
+def _coefficients(pg):
+    """The curvature coefficients, each with an axis to scale vectors by."""
+    return tuple(c[..., None] for c in pg.ambient.coeffs)
 
 
 def residual_gcsf(space, pg, nd, ops: DecompositionOperators,
@@ -139,57 +151,63 @@ def residual_gcsf(space, pg, nd, ops: DecompositionOperators,
     """Residuals for submanifolds of a generalized complex space form.
 
     Returns the closed-form trace version (``closed_form``) plus every
-    special-case branch whose hypotheses the flags support.
+    special-case branch whose hypotheses the flags support at some sample
+    (see :data:`BRANCH_FLAGS`).
     """
     if space.kind != KIND_COMPLEX:
         raise GeometryError("residual_gcsf needs a generalized complex ambient")
     m = pg.m
     if m >= 4:
         raise GeometryError("complex-case residuals cover submanifolds of dimension < 4")
-    alpha, beta = pg.ambient.coeffs
+    alpha, beta = _coefficients(pg)
     H = pg.mean_curvature
     hn = pg.mean_normal_components
-    lH = ops.nt @ hn                       # tangent components of J H
-    klH = _vec_from_normal(pg, ops.tn @ lH)
-    jlH = _vec_from_tangent(pg, ops.tt @ lH)
+    lH = mat_vec(ops.nt, hn)               # tangent components of J H
+    klH = vec_mat(mat_vec(ops.tn, lH), pg.normal_frame)
+    jlH = vec_mat(mat_vec(ops.tt, lH), pg.tangent_frame)
     base_n, base_t = _bitension_base(pg, nd)
 
     out = {
         CLOSED_FORM: BiharmonicResidual(
             base_n - m * alpha * H + 3.0 * beta * klH, base_t + 6.0 * beta * jlH)
     }
-    if flags.is_hypersurface:
+    if _active(flags, "hypersurface"):
         out["hypersurface"] = BiharmonicResidual(
             base_n - characterization_target(KIND_COMPLEX, m, (alpha, beta)) * H, base_t)
-    if flags.is_complex and m == 2:
+    if _active(flags, "complex_surface") and m == 2:
         out["complex_surface"] = BiharmonicResidual(base_n - 2.0 * alpha * H, base_t)
-    if flags.is_lagrangian:
+    if _active(flags, "lagrangian_surface"):
         out["lagrangian_surface"] = BiharmonicResidual(
             base_n - (2.0 * alpha + 3.0 * beta) * H, base_t)
-    if flags.is_curve:
-        mmH = _vec_from_normal(pg, ops.nn @ (ops.nn @ hn))
+    if _active(flags, "curve"):
+        mmH = vec_mat(mat_vec(ops.nn, mat_vec(ops.nn, hn)), pg.normal_frame)
         out["curve"] = BiharmonicResidual(base_n - alpha * H - 3.0 * beta * (H + mmH), base_t)
     return out
 
 
-def _gssf_rhs_closed_form(space, pg, ops, coeffs):
-    """Closed-form right-hand sides of the contact-case equations."""
-    f1, f2, f3 = coeffs
+def _gssf_rhs_closed_form(pg, ops):
+    """Closed-form right-hand sides of the contact-case equations, kept on
+    ``ops``: :func:`residual_gssf` and :func:`reduction_residual` of one
+    split compute them once."""
+    if "_closed_form" in vars(ops):
+        return ops._closed_form
+    f1, f2, f3 = _coefficients(pg)
     m = pg.m
     H = pg.mean_curvature
     hn = pg.mean_normal_components
-    tH = ops.nt @ hn
-    NtH = _vec_from_normal(pg, ops.tn @ tH)
-    PtH = _vec_from_tangent(pg, ops.tt @ tH)
-    xi_top = _vec_from_tangent(pg, ops.xi_tan)
-    xi_perp = _vec_from_normal(pg, ops.xi_nor)
-    eta_h = float(ops.xi_nor @ hn)
-    xt2 = float(ops.xi_tan @ ops.xi_tan)
+    tH = mat_vec(ops.nt, hn)
+    NtH = vec_mat(mat_vec(ops.tn, tH), pg.normal_frame)
+    PtH = vec_mat(mat_vec(ops.tt, tH), pg.tangent_frame)
+    xi_top = vec_mat(ops.xi_tan, pg.tangent_frame)
+    xi_perp = vec_mat(ops.xi_nor, pg.normal_frame)
+    eta_h = dot(ops.xi_nor, hn)[..., None]
+    xt2 = dot(ops.xi_tan, ops.xi_tan)[..., None]
     rhs_n = m * f1 * H - f2 * xt2 * H - m * f2 * eta_h * xi_perp - 3.0 * f3 * NtH
     rhs_t = -2.0 * f2 * (m - 1) * eta_h * xi_top - 6.0 * f3 * PtH
     aux = {"NtH": NtH, "PtH": PtH, "xi_top": xi_top, "xi_perp": xi_perp,
            "eta_h": eta_h, "xt2": xt2}
-    return rhs_n, rhs_t, aux
+    ops._closed_form = rhs_n, rhs_t, aux
+    return ops._closed_form
 
 
 def residual_gssf(space, pg, nd, ops: DecompositionOperators,
@@ -197,34 +215,34 @@ def residual_gssf(space, pg, nd, ops: DecompositionOperators,
     """Residuals for submanifolds of a generalized Sasakian space form."""
     if space.kind != KIND_CONTACT:
         raise GeometryError("residual_gssf needs a generalized Sasakian ambient")
-    f1, f2, f3 = pg.ambient.coeffs
+    f1, f2, f3 = _coefficients(pg)
     m = pg.m
     H = pg.mean_curvature
     base_n, base_t = _bitension_base(pg, nd)
-    rhs_n, rhs_t, aux = _gssf_rhs_closed_form(space, pg, ops, (f1, f2, f3))
+    rhs_n, rhs_t, aux = _gssf_rhs_closed_form(pg, ops)
     NtH, PtH = aux["NtH"], aux["PtH"]
     xi_top, xi_perp, eta_h, xt2 = aux["xi_top"], aux["xi_perp"], aux["eta_h"], aux["xt2"]
 
     out = {
         CLOSED_FORM: BiharmonicResidual(base_n - rhs_n, base_t - rhs_t)
     }
-    if flags.is_invariant:
+    if _active(flags, "invariant"):
         out["invariant"] = BiharmonicResidual(
             base_n - (m * f1 * H - f2 * xt2 * H - m * f2 * eta_h * xi_perp),
             base_t - rhs_t)
-    if flags.is_anti_invariant:
+    if _active(flags, "anti_invariant"):
         out["anti_invariant"] = BiharmonicResidual(
             base_n - rhs_n, base_t + 2.0 * f2 * (m - 1) * eta_h * xi_top)
-    if flags.xi_normal:
+    if _active(flags, "xi_normal"):
         _, xi_full = pg.ambient.structure
         out["xi_normal"] = BiharmonicResidual(
             base_n - (m * f1 * H - m * f2 * eta_h * xi_full - 3.0 * f3 * NtH),
             base_t)
-    if flags.xi_tangent:
+    if _active(flags, "xi_tangent"):
         out["xi_tangent"] = BiharmonicResidual(
             base_n - (m * f1 * H - f2 * H - 3.0 * f3 * NtH),
             base_t + 6.0 * f3 * PtH)
-    if flags.is_hypersurface:
+    if _active(flags, "hypersurface"):
         out["hypersurface"] = BiharmonicResidual(
             base_n - ((m * f1 + 3.0 * f3) * H - f2 * xt2 * H
                       - (m * f2 + 3.0 * f3) * eta_h * xi_perp),
@@ -240,7 +258,7 @@ def branch_of(kind: str, residuals: dict) -> str:
                 CLOSED_FORM if CLOSED_FORM in residuals else GENERAL)
 
 
-def reduction_residual(space, pg, ops) -> float:
+def reduction_residual(space, pg, ops):
     """How far the contact normal equation is from its constant-target form.
 
     Distance between the closed-form right-hand side and K H, with K the
@@ -250,10 +268,9 @@ def reduction_residual(space, pg, ops) -> float:
     condition under which the constant-mean-curvature characterization and
     the mean-curvature bounds apply.
     """
-    coeffs = pg.ambient.coeffs
-    rhs_n, _, _ = _gssf_rhs_closed_form(space, pg, ops, coeffs)
-    target = characterization_target(KIND_CONTACT, pg.m, coeffs) * pg.mean_curvature
-    return float(np.linalg.norm(rhs_n - target))
+    rhs_n, _, _ = _gssf_rhs_closed_form(pg, ops)
+    target = characterization_target(KIND_CONTACT, pg.m, _coefficients(pg)) * pg.mean_curvature
+    return norm(rhs_n - target)
 
 
 # -- aggregated verdicts --------------------------------------------------------

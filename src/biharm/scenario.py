@@ -47,6 +47,8 @@ from .ambient import (
     ClassicalTag,
     GeometryError,
     coefficients_at,  # noqa: F401
+    dot,
+    vec_mat,
     verify_structure,
 )
 from .exprs import (
@@ -58,6 +60,7 @@ from .exprs import (
 )
 from .jets import DomainError, n_entries
 from .residuals import (
+    BRANCH_FLAGS,
     CLOSED_FORM,
     GENERAL,
     MINIMAL_TOL,
@@ -83,16 +86,14 @@ from .submanifold import (
     ImmersionModel,
     fd_normal_laplacian,
     geometry_jet_size,
-    intrinsic_jets,
     normal_derivatives,
-    normal_jets,
     point_geometry,
     pseudo_umbilical_check,
     scalar_curvature,
 )
 
 # coefficients_at is imported for bench/tracing.py, which wraps it in this
-# module's namespace; a sample's coefficients come from its snapshot,
+# module's namespace; the samples' coefficients come from their snapshot,
 # ``pg.ambient``.
 
 SCHEMA_VERSION = 1
@@ -196,6 +197,14 @@ def _list(value, path, n=None) -> list:
     return value
 
 
+def _name(doc, path) -> str:
+    """The ``name`` of ``doc``, a string ("inline" when absent)."""
+    name = doc.get("name", "inline")
+    if not isinstance(name, str):
+        raise ConfigError(f"expected a string, got {name!r}", path)
+    return name
+
+
 def _names(value, path) -> tuple[str, ...]:
     """A list of distinct identifiers."""
     for i, name in enumerate(_list(value, path)):
@@ -242,7 +251,7 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
         tag = ClassicalTag(family, _number(_require(tag_doc, "value", path + ".tag"),
                                            path + ".tag.value"))
     kwargs = dict(
-        name=doc.get("name", "inline"),
+        name=_name(doc, path + ".name"),
         kind=kind,
         backend=backend,
         dim=dim,
@@ -317,7 +326,7 @@ def _load_immersion(doc, space, constants, path) -> ImmersionModel:
         if len(axes) != len(params):
             raise ConfigError("one domain axis per parameter is required", path + ".domain")
         imm = ImmersionModel(
-            name=doc.get("name", "inline"),
+            name=_name(doc, path + ".name"),
             dim=len(params),
             params=params,
             components=components,
@@ -375,6 +384,7 @@ def load_scenario(document) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
     _mapping(doc, "", DOCUMENT_FIELDS)
+    _name(doc, "name")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}", "schema_version")
@@ -465,7 +475,7 @@ def _require_finite(data: PointData):
         raise DomainError("non-finite " + ", ".join(bad))
 
 
-# the faults that fail a sample (a batch of samples: every one of them); one
+# the faults that fail a sample (a block of samples: every one of them); one
 # raised outside the grid ends the command as a geometry error
 POINT_FAULTS = (GeometryError, ArithmeticError, np.linalg.LinAlgError)
 
@@ -474,52 +484,64 @@ def _faults_raise():
     return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
-def _evaluate_point(cfg: ScenarioConfig, u, needs: frozenset, order: int, pg=None) -> PointData:
-    """The quantities ``needs`` at ``u``, each listed with what it rests on,
-    from its geometry ``pg`` if given, else from its own at jet order ``order``;
-    a geometric, arithmetic or non-finite fault fails just this point, naming the reason."""
-    try:
-        with _faults_raise():
-            return _evaluate_point_data(cfg, u, needs, order, pg)
-    except POINT_FAULTS as e:
-        return PointData(u=tuple(u), error=str(e))
-
-
-def _evaluate_point_data(cfg: ScenarioConfig, u, needs: frozenset, order: int, pg) -> PointData:
-    space, imm = cfg.ambient, cfg.immersion
-    if pg is None:
-        pg = point_geometry(space, imm, u, order)
-    data = PointData(u=tuple(u), h_norm=pg.mean_curvature_norm,
-                     b_norm2=pg.second_fundamental_norm2)
+def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
+              order: int) -> list[PointData]:
+    """The quantities ``needs``, each listed with what it rests on, at the
+    parameter points ``u`` (shape S + (m,)) from one geometry call at jet
+    order ``order``: one record per sample, in row-major order.  Every
+    stage runs over the sample axes; a geometric, arithmetic or non-finite
+    fault at any sample raises."""
+    pg = point_geometry(space, imm, u, order)
     if NORMAL in needs:
         nd = normal_derivatives(pg)
-        data.nabla_h_norm = nd.nabla_norm
     if SPLIT in needs:
         ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
-        data.flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
+        flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
     if RESIDUALS in needs:
-        residuals = data.residuals = {GENERAL: residual_general(space, pg, nd)}
+        residuals = {GENERAL: residual_general(space, pg, nd)}
         if space.kind == KIND_COMPLEX:
             if pg.m < 4:
-                residuals.update(residual_gcsf(space, pg, nd, ops, data.flags))
+                residuals.update(residual_gcsf(space, pg, nd, ops, flags))
         else:
-            residuals.update(residual_gssf(space, pg, nd, ops, data.flags))
-            data.reduction_residual = reduction_residual(space, pg, ops)
-        data.branch = branch_of(space.kind, residuals)
+            residuals.update(residual_gssf(space, pg, nd, ops, flags))
+            reduction = reduction_residual(space, pg, ops)
+        # the general normal residual along H, divided by |H| at each sample
+        along = dot(vec_mat(residuals[GENERAL].normal, pg.ambient_metric), pg.mean_curvature)
     if PSEUDO in needs:
-        _, data.pseudo_deviation = pseudo_umbilical_check(pg)
+        _, pseudo = pseudo_umbilical_check(pg)
     if SCALAR in needs:
-        data.scal_intrinsic, data.scal_via_gauss = scalar_curvature(space, pg)
+        intrinsic, via_gauss = scalar_curvature(space, pg)
     if RELATIONS in needs:
-        data.relations = verify_relations(ops)
-    _require_finite(data)
-    if COEFFICIENTS in needs:
-        data.coeffs = pg.ambient.coeffs
-    if RESIDUALS in needs and pg.mean_curvature_norm > 1e-9:
-        normal = data.residuals[GENERAL].normal
-        data.signed_normal = (float(normal @ pg.ambient_metric @ pg.mean_curvature)
-                              / pg.mean_curvature_norm)
-    return data
+        relations = verify_relations(ops)
+
+    records = []
+    for i in np.ndindex(pg.mean_curvature_norm.shape):
+        data = PointData(u=tuple(pg.u[i].tolist()), h_norm=float(pg.mean_curvature_norm[i]),
+                         b_norm2=float(pg.second_fundamental_norm2[i]))
+        if NORMAL in needs:
+            data.nabla_h_norm = float(nd.nabla_norm[i])
+        if SPLIT in needs:
+            data.flags = flags.at(i)
+        if RESIDUALS in needs:
+            data.residuals = {name: res.at(i) for name, res in residuals.items()
+                              if name not in BRANCH_FLAGS
+                              or getattr(data.flags, BRANCH_FLAGS[name])}
+            data.branch = branch_of(space.kind, data.residuals)
+            if space.kind == KIND_CONTACT:
+                data.reduction_residual = float(reduction[i])
+        if PSEUDO in needs:
+            data.pseudo_deviation = np.asarray(pseudo, dtype=object)[i]
+        if SCALAR in needs:
+            data.scal_intrinsic, data.scal_via_gauss = float(intrinsic[i]), float(via_gauss[i])
+        if RELATIONS in needs:
+            data.relations = {k: float(v[i]) for k, v in relations.items()}
+        _require_finite(data)
+        if COEFFICIENTS in needs:
+            data.coeffs = tuple(float(c[i]) for c in pg.ambient.coeffs)
+        if RESIDUALS in needs and data.h_norm > 1e-9:
+            data.signed_normal = float(along[i]) / data.h_norm
+        records.append(data)
+    return records
 
 
 # jet coefficients per field of a grid block: four samples of order-4 jets
@@ -550,32 +572,28 @@ def _block_model(models):
 
 
 def _run_block(rows, needs: frozenset, order: int):
-    """Evaluate the (config, sample, records) ``rows`` from one
-    ``point_geometry`` call, appending each sample's record to its config's
+    """Evaluate the (config, sample, records) ``rows`` as one block (a block
+    of one row at S = ()), appending each sample's record to its config's
     records.  A fault anywhere in the block reruns each config's rows as a
-    block of their own, and a block of one config one sample at a time, so
-    that each failed point keeps its own reason and no other config loses
-    its block."""
+    block of their own, and a block of one config one row at a time, so
+    that each failed row keeps its own reason and no other config loses its
+    block."""
     try:
         with _faults_raise():
-            batch = point_geometry(_block_model([cfg.ambient for cfg, _, _ in rows]),
-                                   _block_model([cfg.immersion for cfg, _, _ in rows]),
-                                   [u for _, u, _ in rows], order)
-            if NORMAL in needs:
-                normal_jets(batch)
-            if SCALAR in needs:
-                intrinsic_jets(batch)
-    except POINT_FAULTS:
+            records = _evaluate(_block_model([cfg.ambient for cfg, _, _ in rows]),
+                                _block_model([cfg.immersion for cfg, _, _ in rows]),
+                                rows[0][1] if len(rows) == 1 else [u for _, u, _ in rows],
+                                needs, order)
+    except POINT_FAULTS as e:
+        if len(rows) == 1:
+            rows[0][2].append(PointData(u=tuple(rows[0][1]), error=str(e)))
+            return
         configs = [list(g) for _, g in groupby(rows, key=lambda row: id(row[2]))]
-        if len(configs) > 1:
-            for config_rows in configs:
-                _run_block(config_rows, needs, order)
-        else:
-            for cfg, u, records in rows:
-                records.append(_evaluate_point(cfg, u, needs, order))
-    else:
-        for i, (cfg, u, records) in enumerate(rows):
-            records.append(_evaluate_point(cfg, u, needs, order, batch.sample(i, cfg.ambient)))
+        for part in configs if len(configs) > 1 else [[row] for row in rows]:
+            _run_block(part, needs, order)
+        return
+    for (_, _, out), record in zip(rows, records):
+        out.append(record)
 
 
 def _run_grids(cfgs, needs=QUANTITIES) -> list[list[PointData]]:
@@ -585,14 +603,12 @@ def _run_grids(cfgs, needs=QUANTITIES) -> list[list[PointData]]:
     The configs are one document at one or more values of its constants,
     as :meth:`ScenarioConfig.with_constant` makes them: they differ in
     their bindings alone.  Their (config, sample) rows run as consecutive
-    row blocks (:func:`_block_rows` rows), one ``point_geometry`` call each,
-    at jet order 2 when ``needs`` reads nothing of higher order, else at
-    :data:`JET_ORDER`; a block binds each constant that differs between its
-    rows to an array over them, so its programs run once for the block.
-    The jets of the normal derivatives and of the intrinsic curvature run
-    once per block too, when needed.  Every sample is then evaluated from
-    its row of the block with its own config; see :func:`_run_block` for a
-    block that faults.
+    row blocks (:func:`_block_rows` rows), each evaluated end to end over
+    its sample axis by :func:`_evaluate`, at jet order 2 when ``needs``
+    reads nothing of higher order, else at :data:`JET_ORDER`; a block binds
+    each constant that differs between its rows to an array over them, so
+    each of its programs runs once for the block.  See :func:`_run_block`
+    for a block that faults.
     """
     closed = {GEOMETRY, *needs}
     for q in needs:

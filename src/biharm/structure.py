@@ -25,17 +25,20 @@ import numpy as np
 
 from .ambient import (
     KIND_COMPLEX,
-    AmbientModel,
     GeometryError,
     PointAmbient,
-    metric_at,
+    mat_vec,
+    metric_at,  # noqa: F401
+    norm,
+    objects,
     structure_at,  # noqa: F401
-    tangent_projector,
+    tangent_projector,  # noqa: F401
 )
 
-# structure_at is imported for bench/tracing.py, which wraps it in this
-# module's namespace; decompose reads the structure from the sample's
-# snapshot, ``pg.ambient``.
+# metric_at, structure_at and tangent_projector are imported for
+# bench/tracing.py, which wraps them in this module's namespace; decompose
+# reads the metric and the structure from the samples' snapshot,
+# ``pg.ambient``.
 
 FRAME_TOL = 1e-10
 CLASSIFY_TOL = 1e-8       # block norms below it count as zero in classification
@@ -43,6 +46,8 @@ CLASSIFY_TOL = 1e-8       # block norms below it count as zero in classification
 
 @dataclass
 class DecompositionOperators:
+    """The blocks at every sample, with the sample axes S in front."""
+
     kind: str
     tt: np.ndarray
     tn: np.ndarray
@@ -53,73 +58,79 @@ class DecompositionOperators:
 
     @property
     def m(self) -> int:
-        return self.tt.shape[0]
+        return self.tt.shape[-1]
 
     @property
     def codim(self) -> int:
-        return self.nn.shape[0]
+        return self.nn.shape[-1]
 
 
 def decompose(amb: PointAmbient, tangent_frame, normal_frame) -> DecompositionOperators:
-    """Frame components of the tangential/normal split of J (or phi), with
-    the metric and the structure read from the snapshot ``amb``.
+    """Frame components of the tangential/normal split of J (or phi) at the
+    samples of the snapshot ``amb``, which gives the metric and the structure.
 
     Frames must be orthonormal for the ambient metric there (checked to
     1e-10); rows are vectors in the ambient representation.
     """
     g = amb.g
-    frames = np.vstack([tangent_frame, normal_frame])
-    gram = frames @ g @ frames.T
-    if np.abs(gram - np.eye(len(frames))).max() > FRAME_TOL:
+    Xt = np.asarray(tangent_frame, dtype=float)
+    Nu = np.asarray(normal_frame, dtype=float)
+    frames = np.concatenate([Xt, Nu], axis=-2)
+    gram = frames @ g @ frames.mT
+    if np.abs(gram - np.eye(frames.shape[-2])).max() > FRAME_TOL:
         raise GeometryError("frames are not orthonormal for the ambient metric")
 
     S, xi = (amb.structure, None) if amb.space.kind == KIND_COMPLEX else amb.structure
-
-    Xt = np.asarray(tangent_frame, dtype=float)
-    Nu = np.asarray(normal_frame, dtype=float)
     ops = DecompositionOperators(
         kind=amb.space.kind,
-        tt=Xt @ g @ (S @ Xt.T),
-        tn=Nu @ g @ (S @ Xt.T),
-        nt=Xt @ g @ (S @ Nu.T),
-        nn=Nu @ g @ (S @ Nu.T),
+        tt=Xt @ g @ (S @ Xt.mT),
+        tn=Nu @ g @ (S @ Xt.mT),
+        nt=Xt @ g @ (S @ Nu.mT),
+        nn=Nu @ g @ (S @ Nu.mT),
     )
     if xi is not None:
-        ops.xi_tan = Xt @ g @ xi
-        ops.xi_nor = Nu @ g @ xi
+        ops.xi_tan = mat_vec(Xt @ g, xi)
+        ops.xi_nor = mat_vec(Nu @ g, xi)
     return ops
 
 
 def verify_relations(ops: DecompositionOperators) -> dict:
-    """Spectral-norm residual of each relation the split must satisfy."""
+    """Spectral-norm residual of each relation the split must satisfy, at
+    every sample."""
     tt, tn, nt, nn = ops.tt, ops.tn, ops.nt, ops.nn
     m, c = ops.m, ops.codim
 
-    def norm(a):
-        return float(np.linalg.norm(a, 2)) if a.size else 0.0
+    def spectral(a):
+        return np.linalg.norm(a, 2, axis=(-2, -1))
+
+    def outer(a, b):
+        return a[..., :, None] * b[..., None, :]
 
     if ops.kind == KIND_COMPLEX:
         return {
-            "tangent_square": norm(tt @ tt + nt @ tn + np.eye(m)),
-            "normal_square": norm(nn @ nn + tn @ nt + np.eye(c)),
-            "mixed_normal_to_tangent": norm(tt @ nt + nt @ nn),
-            "mixed_tangent_to_normal": norm(tn @ tt + nn @ tn),
-            "adjoint_skew": norm(tn + nt.T),
+            "tangent_square": spectral(tt @ tt + nt @ tn + np.eye(m)),
+            "normal_square": spectral(nn @ nn + tn @ nt + np.eye(c)),
+            "mixed_normal_to_tangent": spectral(tt @ nt + nt @ nn),
+            "mixed_tangent_to_normal": spectral(tn @ tt + nn @ tn),
+            "adjoint_skew": spectral(tn + nt.mT),
         }
     xt, xn = ops.xi_tan, ops.xi_nor
     return {
-        "tangent_square": norm(tt @ tt + nt @ tn + np.eye(m) - np.outer(xt, xt)),
-        "normal_square": norm(nn @ nn + tn @ nt + np.eye(c) - np.outer(xn, xn)),
-        "mixed_normal_to_tangent": norm(tt @ nt + nt @ nn - np.outer(xt, xn)),
-        "mixed_tangent_to_normal": norm(tn @ tt + nn @ tn - np.outer(xn, xt)),
-        "adjoint_skew": norm(tn + nt.T),
-        "reeb_kernel": float(np.linalg.norm(tt @ xt + nt @ xn)
-                             + np.linalg.norm(tn @ xt + nn @ xn)),
+        "tangent_square": spectral(tt @ tt + nt @ tn + np.eye(m) - outer(xt, xt)),
+        "normal_square": spectral(nn @ nn + tn @ nt + np.eye(c) - outer(xn, xn)),
+        "mixed_normal_to_tangent": spectral(tt @ nt + nt @ nn - outer(xt, xn)),
+        "mixed_tangent_to_normal": spectral(tn @ tt + nn @ tn - outer(xn, xt)),
+        "adjoint_skew": spectral(tn + nt.mT),
+        "reeb_kernel": (norm(mat_vec(tt, xt) + mat_vec(nt, xn))
+                        + norm(mat_vec(tn, xt) + mat_vec(nn, xn))),
     }
 
 
 @dataclass
 class ClassificationFlags:
+    """Flags at the samples: a bool, or None where a sample decides nothing,
+    each; over sample axes S, an object array of them."""
+
     is_curve: bool
     is_hypersurface: bool
     is_complex: bool | None = None
@@ -136,42 +147,50 @@ class ClassificationFlags:
         """The flags by name, in field order: every field but the norms."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "norms"}
 
+    def at(self, index) -> "ClassificationFlags":
+        """The flags of the sample at ``index`` of the sample axes."""
+        flags = {k: None if v is None else np.asarray(v, dtype=object)[index]
+                 for k, v in self.as_dict().items()}
+        return ClassificationFlags(**flags, norms={k: float(v[index]) for k, v in self.norms.items()})
+
 
 def classify(ops: DecompositionOperators, dims, h_normal=None) -> ClassificationFlags:
-    """Per-point flags from Frobenius norms of the decomposition blocks.
+    """Flags at every sample from Frobenius norms of the decomposition blocks.
 
     ``dims`` is (intrinsic dimension, ambient manifold dimension);
     ``h_normal`` carries the normal-frame components of the mean curvature
-    vector, needed for the phi-H flags (not-applicable at minimal points).
+    vector, needed for the phi-H flags (None at minimal samples, where
+    |H| decides nothing; ``s_h`` and ``t_h`` are read there too).
     """
     m, ambient_dim = dims
-    norms = {
-        "tt": float(np.linalg.norm(ops.tt)),
-        "tn": float(np.linalg.norm(ops.tn)),
-        "nt": float(np.linalg.norm(ops.nt)),
-        "nn": float(np.linalg.norm(ops.nn)),
-    }
+    batch = ops.tt.shape[:-2]
+    norms = {k: norm(getattr(ops, k), 2) for k in ("tt", "tn", "nt", "nn")}
+
+    def flag(value, keep=True):
+        return objects(np.broadcast_to(value, batch), keep)
+
+    small = {k: v < CLASSIFY_TOL for k, v in norms.items()}
     flags = ClassificationFlags(
-        is_curve=(m == 1),
-        is_hypersurface=(m == ambient_dim - 1),
+        is_curve=flag(m == 1),
+        is_hypersurface=flag(m == ambient_dim - 1),
         norms=norms,
     )
     if ops.kind == KIND_COMPLEX:
-        flags.is_complex = norms["tn"] < CLASSIFY_TOL and norms["nt"] < CLASSIFY_TOL
-        flags.is_lagrangian = (m == 2 and ambient_dim == 4
-                               and norms["tt"] < CLASSIFY_TOL and norms["nn"] < CLASSIFY_TOL)
+        flags.is_complex = flag(small["tn"] & small["nt"])
+        flags.is_lagrangian = flag((m == 2 and ambient_dim == 4) & small["tt"] & small["nn"])
     else:
-        flags.is_invariant = norms["tn"] < CLASSIFY_TOL
-        flags.is_anti_invariant = norms["tt"] < CLASSIFY_TOL
-        norms["xi_tan"] = float(np.linalg.norm(ops.xi_tan))
-        norms["xi_nor"] = float(np.linalg.norm(ops.xi_nor))
-        flags.xi_tangent = norms["xi_nor"] < CLASSIFY_TOL
-        flags.xi_normal = norms["xi_tan"] < CLASSIFY_TOL
-        if h_normal is not None and float(np.linalg.norm(h_normal)) > CLASSIFY_TOL:
-            norms["s_h"] = float(np.linalg.norm(ops.nn @ h_normal))
-            norms["t_h"] = float(np.linalg.norm(ops.nt @ h_normal))
-            flags.phi_h_tangent = norms["s_h"] < CLASSIFY_TOL
-            flags.phi_h_normal = norms["t_h"] < CLASSIFY_TOL
+        flags.is_invariant = flag(small["tn"])
+        flags.is_anti_invariant = flag(small["tt"])
+        norms["xi_tan"] = norm(ops.xi_tan)
+        norms["xi_nor"] = norm(ops.xi_nor)
+        flags.xi_tangent = flag(norms["xi_nor"] < CLASSIFY_TOL)
+        flags.xi_normal = flag(norms["xi_tan"] < CLASSIFY_TOL)
+        if h_normal is not None:
+            decided = norm(h_normal) > CLASSIFY_TOL
+            norms["s_h"] = norm(mat_vec(ops.nn, h_normal))
+            norms["t_h"] = norm(mat_vec(ops.nt, h_normal))
+            flags.phi_h_tangent = flag(norms["s_h"] < CLASSIFY_TOL, decided)
+            flags.phi_h_normal = flag(norms["t_h"] < CLASSIFY_TOL, decided)
     return flags
 
 
@@ -180,26 +199,3 @@ def reeb_tangent_hypersurface_identities(ops: DecompositionOperators):
     pt = ops.tt @ ops.nt
     nt_plus = ops.tn @ ops.nt + np.eye(ops.codim)
     return float(np.linalg.norm(pt)), float(np.linalg.norm(nt_plus))
-
-
-def random_orthonormal_frames(space: AmbientModel, x, m: int, rng) -> tuple:
-    """A random metric-orthonormal splitting at ``x`` (test scaffolding)."""
-    g = metric_at(space, x)
-    d = space.rep_dim
-    raw = rng.standard_normal((d, d))
-    if space.backend == "embedded":
-        raw = raw @ tangent_projector(space, x).T
-    frames = []
-    for v in raw:
-        w = v.copy()
-        for f in frames:
-            w = w - (w @ g @ f) * f
-        n = float(np.sqrt(w @ g @ w))
-        if n > 1e-6:
-            frames.append(w / n)
-        if len(frames) == space.dim:
-            break
-    if len(frames) < space.dim:
-        raise GeometryError("could not build random frames")
-    frames = np.array(frames)
-    return frames[:m], frames[m:]

@@ -11,7 +11,6 @@ differences appear only inside the independent cross-check oracle
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,10 +25,14 @@ from .ambient import (
     christoffel_point,
     christoffel_symbols,
     curvature_parts,  # noqa: F401
+    mat_vec,
     metric_at,  # noqa: F401
+    norm,
+    objects,
     scalar_from_christoffel,
     scalar_from_metric_jets,  # noqa: F401
     tangent_projector,
+    vec_mat,
 )
 from .exprs import Bindings, CompiledFields, Expr, evaluate_jet_env  # noqa: F401
 from .jets import (
@@ -45,9 +48,9 @@ from .jets import (
 
 # metric_at, curvature_parts, scalar_from_metric_jets and evaluate_jet_env
 # are imported for bench/tracing.py, which wraps them in this module's
-# namespace; the ambient tensors at a sample come with its PointGeometry
-# (``ambient``, one snapshot per sample), the intrinsic curvature comes from
-# Christoffel values (``intrinsic_jets``), and expressions run as compiled
+# namespace; the ambient tensors at the samples come with their
+# PointGeometry (``ambient``, one snapshot per block), the intrinsic
+# curvature comes from Christoffel values, and expressions run as compiled
 # programs.
 
 RANK_TOL = 1e-8
@@ -103,7 +106,7 @@ def _lift(x, nb: int, k: int):
 
 class _Calc:
     """Covariant calculus along the immersion at the samples of ``pos``
-    (shape S + (d,)); ``sample(index)`` is the calculus of one sample."""
+    (shape S + (d,))."""
 
     def __init__(self, space, pos):
         self.space, self.m, self.nb = space, pos.nvars, len(pos.shape) - 1
@@ -112,14 +115,6 @@ class _Calc:
     def _rank(self, v):
         """Field axes of ``v`` besides the samples and the vector axis."""
         return v.coeffs.ndim - self.nb - 2
-
-    def sample(self, index):
-        out = copy.copy(self)
-        out.nb = 0
-        for name, value in vars(self).items():
-            if isinstance(value, Jet):
-                setattr(out, name, value[index])
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -264,58 +259,31 @@ def _complete_normal(calc, frames, need):
 @dataclass
 class PointGeometry:
     """The geometry at parameter points of shape S + (m,): every array has
-    the sample axes S in front, and a single sample (S = ()) carries its
-    ambient snapshot and plain floats.  ``sample(index)`` is one sample."""
+    the sample axes S in front, and ``ambient`` holds the ambient tensors at
+    the positions."""
 
-    u: tuple | np.ndarray
+    u: np.ndarray
     position: np.ndarray
     tangent_frame: np.ndarray        # rows are orthonormal tangent vectors
     normal_frame: np.ndarray         # rows are orthonormal normal vectors
     induced_metric: np.ndarray       # coordinate-basis first fundamental form
     ambient_metric: np.ndarray       # ambient metric at the position (identity if embedded)
-    ambient: PointAmbient | None = field(repr=False)  # ambient tensors at the position, on first use
+    ambient: PointAmbient = field(repr=False)  # ambient tensors at the position, on first use
     second_fundamental: np.ndarray   # [normal, i, j] frame components of B
     mean_curvature: np.ndarray       # ambient-representation vector
-    mean_curvature_norm: float | np.ndarray
-    second_fundamental_norm2: float | np.ndarray
+    mean_normal_components: np.ndarray  # normal-frame components of H
+    mean_curvature_norm: np.ndarray
+    second_fundamental_norm2: np.ndarray
     m: int
     order: int
     _state: dict = field(repr=False, default_factory=dict)
 
-    @property
-    def mean_normal_components(self) -> np.ndarray:
-        return self._state["h_normal"]
-
-    def sample(self, index, space: AmbientModel | None = None) -> "PointGeometry":
-        """The single-sample geometry at ``index`` of the sample axes: the
-        same values, jets and calculus as a call at that point alone.  Its
-        ambient snapshot is of ``space``, the model of that sample alone
-        when the batch bound a constant to an array over its rows (by
-        default the batch's model)."""
-        st = self._state
-        state = {k: v.sample(index) if k == "calc" else v[index] for k, v in st.items()}
-        position = self.position[index]
-        return PointGeometry(
-            u=tuple(self.u[index].tolist()),
-            position=position,
-            tangent_frame=self.tangent_frame[index],
-            normal_frame=self.normal_frame[index],
-            induced_metric=self.induced_metric[index],
-            ambient_metric=self.ambient_metric[index],
-            ambient=PointAmbient(space or st["calc"].space, position),
-            second_fundamental=self.second_fundamental[index],
-            mean_curvature=self.mean_curvature[index],
-            mean_curvature_norm=float(self.mean_curvature_norm[index]),
-            second_fundamental_norm2=float(self.second_fundamental_norm2[index]),
-            m=self.m,
-            order=self.order,
-            _state=state,
-        )
-
 
 @dataclass
 class NormalFieldDerivatives:
-    nabla_norm: float                # max_i |nabla-perp_{X_i} H|
+    """At every sample (sample axes S in front)."""
+
+    nabla_norm: np.ndarray           # max_i |nabla-perp_{X_i} H|
     laplacian: np.ndarray            # rough Laplacian of H in the normal bundle
     grad_h2: np.ndarray              # tangent vector grad |H|^2
     trace_shape_mean: np.ndarray     # sum_i B(X_i, A_H X_i)
@@ -327,13 +295,10 @@ def _orientation(calc, H, normals):
     nonvanishing component positive."""
     s = calc.inner(H, normals[..., 0, :]).coeffs[..., 0]
     nu = normals[..., 0, :].coeffs[..., 0]
-    signs = []
-    for s_row, nu_row in zip(s.reshape(-1).tolist(), nu.reshape(s.size, -1).tolist()):
-        flip = s_row < -1e-12
-        if abs(s_row) <= 1e-12:
-            flip = next((c for c in nu_row if abs(c) > 1e-12), 0.0) < 0.0
-        signs.append(-1.0 if flip else 1.0)
-    return np.reshape(signs, s.shape)
+    big = np.abs(nu) > 1e-12
+    first = np.take_along_axis(nu, big.argmax(-1)[..., None], -1)[..., 0]
+    flip = np.where(np.abs(s) <= 1e-12, big.any(-1) & (first < 0.0), s < -1e-12)
+    return np.where(flip, -1.0, 1.0)
 
 
 def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) -> PointGeometry:
@@ -386,80 +351,61 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
         "nablaXX": nablaXX,
         "H": H,
         "g_ind": g_ind,
-        "h_normal": h_n_vals,
     }
-    single = not batch
     return PointGeometry(
-        u=tuple(u.tolist()) if single else u,
+        u=u,
         position=position,
         tangent_frame=frames.value,
         normal_frame=normals.value,
         induced_metric=gram,
         ambient_metric=(calc.g.value if space.backend == "chart"
                         else np.broadcast_to(np.eye(calc.d), batch + (calc.d, calc.d)).copy()),
-        ambient=PointAmbient(space, position) if single else None,
+        ambient=PointAmbient(space, position),
         second_fundamental=b_vals,
         mean_curvature=H.value,
-        mean_curvature_norm=float(h_norm) if single else h_norm,
-        second_fundamental_norm2=float(b_norm2) if single else b_norm2,
+        mean_normal_components=h_n_vals,
+        mean_curvature_norm=h_norm,
+        second_fundamental_norm2=b_norm2,
         m=m,
         order=order,
         _state=state,
     )
 
 
-def normal_jets(pg: PointGeometry) -> None:
-    """The jet part of :func:`normal_derivatives` at every sample of ``pg``:
-    nabla-perp H (``w`` in normal-frame components, ``W`` as a vector), its
-    ambient covariant derivative, the induced-connection drift and
-    grad <H, H>, kept as value arrays in ``pg``'s state, so that
-    ``pg.sample(index)`` carries them."""
+def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
+    """Normal-connection derivatives of the mean curvature field at every
+    sample of ``pg``: nabla-perp H (``w`` in normal-frame components, ``W``
+    as a vector) and its ambient covariant derivative in one jet pass, the
+    rest in float algebra over the sample axes."""
     if pg.order < 4:
         raise GeometryError("normal derivatives need immersion jets of order 4")
-    st = pg._state
+    st, m = pg._state, pg.m
     calc, frames, coeffs, normals, H = (st[k] for k in ("calc", "frames", "coeffs", "normals", "H"))
-
     DH = (coeffs[..., :, :, None] * calc.covd(H)[..., None, :, :]).sum(-2)
     w = calc.inner(normals[..., :, None, :], DH[..., None, :, :])
     W = (w[..., :, :, None] * normals[..., :, None, :]).sum(-3)
-    diag = np.arange(pg.m)
-    st.update(
-        w=w.value,
-        W=W.value,
-        cov_W=calc.covd(W).value,
-        drift=calc.inner(st["nablaXX"][..., diag, diag, :][..., :, None, :],
-                         frames[..., None, :, :]).value,
-        grad_hh=calc.inner(H, H).gradient(axis=calc.nb).value,
-    )
+    diag = np.arange(m)
+    drift = calc.inner(st["nablaXX"][..., diag, diag, :][..., :, None, :],
+                       frames[..., None, :, :]).value
+    grad_hh = calc.inner(H, H).gradient(axis=calc.nb).value
+    cov_w, w, W, cvals = calc.covd(W).value, w.value, W.value, coeffs.value
 
-
-def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
-    """Normal-connection derivatives of the mean curvature field at one
-    sample (of a batch: ``pg.sample(index)``), from the jets of
-    :func:`normal_jets`, run here unless the batch ran it."""
-    if pg.ambient is None:
-        raise GeometryError("normal derivatives take the geometry of one sample")
-    st = pg._state
-    if "w" not in st:
-        normal_jets(pg)
-    m = pg.m
-    w_vals, w_field, cov_w, drift = st["w"], st["W"], st["cov_W"], st["drift"]
-    nabla_norm = float(np.sqrt((w_vals**2).sum(axis=0)).max()) if m else 0.0
-
+    nabla_norm = np.sqrt((w**2).sum(-2)).max(-1)
     # rough Laplacian: sum_i nabla-perp_{X_i} nabla-perp_{X_i} H
-    #                  - nabla-perp over the induced-connection drift
-    cvals = st["coeffs"].value
-    lap = np.zeros(st["calc"].d)
-    for i in range(m):
-        lap += _project_normal(pg, cvals[i] @ cov_w[:, i])
-        lap -= drift[i] @ w_field
+    #                  - nabla-perp over the induced-connection drift,
+    # summed left to right as term_1 - drift_1 + term_2 - drift_2 + ..., the
+    # order of the reports' values
+    nabla_ww = vec_mat(cvals, cov_w.swapaxes(-3, -2))
+    terms = np.stack([_project(pg.normal_frame[..., None, :, :],
+                               pg.ambient_metric[..., None, :, :], nabla_ww),
+                      -vec_mat(drift, W[..., None, :, :])], -2)
+    lap = terms.reshape(terms.shape[:-3] + (2 * m, -1)).sum(-2)
 
-    grad = (cvals @ st["grad_hh"]) @ pg.tangent_frame
-
+    grad = vec_mat(mat_vec(cvals, grad_hh), pg.tangent_frame)
     bv = pg.second_fundamental
     hn = pg.mean_normal_components
-    trace_mean = np.einsum("aij,a,bij->b", bv, hn, bv) @ pg.normal_frame
-    trace_grad = np.einsum("aij,ai->j", bv, w_vals) @ pg.tangent_frame
+    trace_mean = vec_mat(np.einsum("...aij,...a,...bij->...b", bv, hn, bv), pg.normal_frame)
+    trace_grad = vec_mat(np.einsum("...aij,...ai->...j", bv, w), pg.tangent_frame)
 
     return NormalFieldDerivatives(
         nabla_norm=nabla_norm,
@@ -471,11 +417,10 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
 
 
 def _project(frame, g, vec):
-    """Projection of ``vec`` onto the span of the g-orthonormal rows of ``frame``."""
-    out = np.zeros_like(vec)
-    for e in frame:
-        out += (e @ g @ vec) * e
-    return out
+    """Projection of ``vec`` onto the span of the g-orthonormal rows of
+    ``frame``, at every sample."""
+    coef = frame[..., :, None, :] @ g[..., None, :, :] @ vec[..., None, :, None]
+    return (coef[..., 0] * frame).sum(-2)
 
 
 def _project_normal(pg, vec):
@@ -486,47 +431,38 @@ def project_tangent(pg, vec):
     return _project(pg.tangent_frame, pg.ambient_metric, vec)
 
 
-def intrinsic_jets(pg: PointGeometry) -> None:
-    """The induced metric's Christoffel symbols and their first partials at
-    every sample of ``pg``, kept as value arrays in its state (a curve has
-    no intrinsic curvature and keeps none)."""
-    if pg.m > 1:
-        gamma = christoffel_from_metric_jets(pg._state["g_ind"])
-        pg._state.update(gamma_ind=gamma.value,
-                         dgamma_ind=gamma.gradient(axis=pg._state["calc"].nb).value)
-
-
 def scalar_curvature(space: AmbientModel, pg: PointGeometry):
-    """(intrinsic, via_gauss) scalar curvature of the induced metric.
+    """(intrinsic, via_gauss) scalar curvature of the induced metric at
+    every sample.
 
-    ``intrinsic`` comes from the induced metric's own Christoffel jets (of
-    :func:`intrinsic_jets`, run here unless the batch ran it);
+    ``intrinsic`` comes from the induced metric's own Christoffel jets;
     ``via_gauss`` contracts the ambient algebraic curvature over the tangent
     frame and adds m^2 |H|^2 - |B|^2.  Their agreement is the Gauss-equation
     consistency check.
     """
     m, st = pg.m, pg._state
     if m == 1:
-        intrinsic = 0.0
+        intrinsic = np.zeros(pg.mean_curvature_norm.shape)
     else:
-        if "gamma_ind" not in st:
-            intrinsic_jets(pg)
-        intrinsic = scalar_from_christoffel(pg.induced_metric, st["gamma_ind"], st["dgamma_ind"])
+        gamma = christoffel_from_metric_jets(st["g_ind"])
+        intrinsic = scalar_from_christoffel(pg.induced_metric, gamma.value,
+                                            gamma.gradient(axis=st["calc"].nb).value)
     frame = pg.tangent_frame
-    amb = np.einsum("ia,ix,jy,jz,xyza->", frame @ pg.ambient_metric, frame, frame, frame,
-                    pg.ambient.curvature["combined"])
+    amb = np.einsum("...ia,...ix,...jy,...jz,...xyza->...", frame @ pg.ambient_metric, frame,
+                    frame, frame, pg.ambient.curvature["combined"])
     via_gauss = amb + m * m * pg.mean_curvature_norm**2 - pg.second_fundamental_norm2
-    return float(intrinsic), float(via_gauss)
+    return intrinsic, via_gauss
 
 
 def pseudo_umbilical_check(pg: PointGeometry):
-    """Deviation of A_H from |H|^2 Id; (None, None) at minimal points."""
-    if pg.mean_curvature_norm <= PSEUDO_UMBILICAL_TOL:
-        return None, None
+    """Whether A_H is |H|^2 Id at every sample, and its deviation; None at
+    minimal samples (see :func:`objects`)."""
     hn = pg.mean_normal_components
-    a_h = np.einsum("a,aij->ij", hn, pg.second_fundamental)
-    dev = float(np.linalg.norm(a_h - pg.mean_curvature_norm**2 * np.eye(pg.m)))
-    return dev < PSEUDO_UMBILICAL_TOL, dev
+    a_h = np.einsum("...a,...aij->...ij", hn, pg.second_fundamental)
+    h2 = pg.mean_curvature_norm**2
+    dev = norm(a_h - h2[..., None, None] * np.eye(pg.m), 2)
+    keep = pg.mean_curvature_norm > PSEUDO_UMBILICAL_TOL
+    return objects(dev < PSEUDO_UMBILICAL_TOL, keep), objects(dev, keep)
 
 
 # -- finite-difference oracle ----------------------------------------------------

@@ -14,6 +14,15 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
+from biharm.ambient import (
+    AmbientModel,
+    GeometryError,
+    christoffel_from_metric_jets,
+    metric_at,
+    riemann_from_christoffel,
+    tangent_projector,
+)
+
 mp.mp.dps = 40
 
 
@@ -108,3 +117,32 @@ def poly_to_source(coeffs: dict, params) -> str:
                 term.append(f"{name}^{k}")
         parts.append("*".join(term))
     return " + ".join(parts) if parts else "0"
+
+
+def riemann_from_metric_jets(g) -> np.ndarray:
+    """Riemann tensor values of the metric given by jets of order >= 2."""
+    gamma = christoffel_from_metric_jets(g)
+    return riemann_from_christoffel(gamma.value, gamma.gradient().value)
+
+
+def random_orthonormal_frames(space: AmbientModel, x, m: int, rng) -> tuple:
+    """A random metric-orthonormal splitting at ``x``."""
+    g = metric_at(space, x)
+    d = space.rep_dim
+    raw = rng.standard_normal((d, d))
+    if space.backend == "embedded":
+        raw = raw @ tangent_projector(space, x).T
+    frames = []
+    for v in raw:
+        w = v.copy()
+        for f in frames:
+            w = w - (w @ g @ f) * f
+        n = float(np.sqrt(w @ g @ w))
+        if n > 1e-6:
+            frames.append(w / n)
+        if len(frames) == space.dim:
+            break
+    if len(frames) < space.dim:
+        raise GeometryError("could not build random frames")
+    frames = np.array(frames)
+    return frames[:m], frames[m:]

@@ -20,12 +20,12 @@ from biharm import catalog
 from biharm.scenario import load_scenario, run_check, sweep_solve, convergence_study
 from biharm.structure import (
     decompose,
-    random_orthonormal_frames,
     reeb_tangent_hypersurface_identities,
     verify_relations,
 )
 from biharm.ambient import PointAmbient, curvature_parts, metric_at, structure_at
 from biharm.submanifold import point_geometry
+from conftest import random_orthonormal_frames
 
 
 @contextmanager

@@ -17,10 +17,10 @@ from biharm.ambient import (
     curvature_parts,
     metric_at,
     metric_jet,
-    riemann_from_metric_jets,
     structure_at,
     verify_structure,
 )
+from conftest import riemann_from_metric_jets
 
 
 def test_tag_coefficients():

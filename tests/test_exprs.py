@@ -347,25 +347,3 @@ def test_array_constant_with_one_bad_row_raises_domain_error(src, bad):
     with pytest.raises(DomainError):  # as the float run of that row alone
         prog.run([0.3], {"c": bad})
     prog.run([0.3], {"c": 0.5})
-
-
-def test_array_constant_keeps_the_tan_pole_check_per_row(monkeypatch):
-    # No double is an exact pole of tan, so a cosine that reads 0 at c = 1.5
-    # stands in for one: the row that meets it raises, as its float run does.
-    import biharm.exprs as exprs
-
-    class PoleAt15:
-        def __getattr__(self, name):
-            return getattr(math, name)
-
-        @staticmethod
-        def cos(x):
-            return 0.0 if x == 1.5 else math.cos(x)
-
-    monkeypatch.setattr(exprs, "math", PoleAt15())
-    prog = compile_program(parse_expression("tan(c)*u1", ["u1"]))
-    with pytest.raises(DomainError, match="tan at a pole"):
-        prog.run([0.3], {"c": 1.5})
-    with pytest.raises(DomainError, match="tan at a pole"):
-        prog.run([0.3], {"c": np.array([0.5, 1.5, 2.0])})
-    prog.run([0.3], {"c": np.array([0.5, 1.4, 2.0])})

@@ -33,8 +33,9 @@ from biharm.residuals import (
     residual_general,
     residual_gssf,
 )
-from biharm.structure import ClassificationFlags, classify, decompose, random_orthonormal_frames
+from biharm.structure import ClassificationFlags, classify, decompose
 from biharm.submanifold import normal_derivatives, point_geometry
+from conftest import random_orthonormal_frames
 
 
 def _full_point(space_name, imm_name, u, params=None, ambient_params=None):

@@ -197,6 +197,13 @@ _FLAT_INLINE = {
     ({"domain": {"axes": [{"lo": -math.inf, "hi": 1, "samples": 2}]}}, "domain.axes[0].lo"),
     ({"ambient": dict(_FLAT_INLINE, tag={"family": "complex_space_form", "value": math.inf})},
      "ambient.tag.value"),
+    # a name is a string, at the top level and on inline models
+    ({"name": {"a": 1}}, "name"),
+    ({"name": 5}, "name"),
+    ({"ambient": dict(_FLAT_INLINE, name=["x"])}, "ambient.name"),
+    ({"immersion": {"name": None, "params": ["u", "v"], "components": ["u", "v", "0", "0"],
+                    "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 2}] * 2}}},
+     "immersion.name"),
 ])
 def test_malformed_document_field_is_config_error(tmp_path, capsys, overrides, path):
     doc = {
@@ -415,16 +422,19 @@ def test_nan_residual_at_second_sample_fails_that_point(monkeypatch):
 
     calls = []
     real = scenario.residual_general
+    second = _cfg().immersion.grid()[1]
 
     def poisoned(space, pg, nd):
+        # the second sample's normal residual is NaN, in its block and alone
         res = real(space, pg, nd)
-        calls.append(pg.u)
-        if len(calls) == 2:
-            res.normal = res.normal * float("nan")
+        calls.append(np.shape(pg.u)[:-1])
+        bad = (pg.u == second).all(-1)
+        res.normal = np.where(bad[..., None], float("nan"), res.normal)
         return res
 
     monkeypatch.setattr(scenario, "residual_general", poisoned)
     rep = run_check(_cfg())
+    assert calls == [(8,)] + [()] * 8 + [(4,)]  # the faulting block reruns row by row
     assert rep.aggregates["points_failed"] == 1
     bad = rep.document["points"][1]
     assert "non-finite" in bad["error"] and "normal residual" in bad["error"]
@@ -432,21 +442,29 @@ def test_nan_residual_at_second_sample_fails_that_point(monkeypatch):
 
 
 @pytest.mark.parametrize("target, poison, reason", [
-    ("verify_relations", lambda out: dict(out, adjoint_skew=math.nan), "adjoint_skew relation"),
-    ("pseudo_umbilical_check", lambda out: (None, math.nan), "pseudo-umbilical deviation"),
+    ("verify_relations",
+     lambda out, bad: dict(out, adjoint_skew=np.where(bad, math.nan, out["adjoint_skew"])),
+     "adjoint_skew relation"),
+    ("pseudo_umbilical_check", lambda out, bad: (out[0], np.where(bad, math.nan, out[1])),
+     "pseudo-umbilical deviation"),
 ])
 def test_nan_reduced_value_at_second_sample_fails_that_point(monkeypatch, target, poison, reason):
     # the aggregates reduce these with max, which drops a NaN that is not first
     import biharm.scenario as scenario
 
-    calls = []
-    real = getattr(scenario, target)
+    second = _cfg().immersion.grid()[1]
+    real_geometry, real = scenario.point_geometry, getattr(scenario, target)
+    rows = []
+
+    def geometry(*args):
+        pg = real_geometry(*args)
+        rows[:] = [(pg.u == second).all(-1)]  # the second sample's row of this block
+        return pg
 
     def poisoned(*args):
-        out = real(*args)
-        calls.append(out)
-        return poison(out) if len(calls) == 2 else out
+        return poison(real(*args), rows[0])
 
+    monkeypatch.setattr(scenario, "point_geometry", geometry)
     monkeypatch.setattr(scenario, target, poisoned)
     rep = run_check(_cfg(checks=[{"op": "relations"}, {"op": "pseudo_umbilical"}]))
     assert rep.aggregates["points_failed"] == 1
@@ -468,7 +486,7 @@ def test_order2_grid_batch_fault_reruns_each_sample(monkeypatch):
                              {"lo": 0, "hi": 1, "samples": 2}]},
     })
     needs = frozenset((scenario.GEOMETRY, scenario.COEFFICIENTS))
-    expected = [scenario._evaluate_point(cfg, u, needs, 2) for u in cfg.immersion.grid()]
+    expected = [_single(cfg, u, needs, 2) for u in cfg.immersion.grid()]
     calls = []
     real = submanifold.point_geometry
 
@@ -503,8 +521,7 @@ def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
                              {"lo": 0, "hi": 1, "samples": 4}]},
     }, checks=[{"op": "residual"}])
     needs = frozenset((scenario.GEOMETRY, scenario.RESIDUALS, scenario.NORMAL, scenario.SPLIT))
-    expected = [scenario._evaluate_point(cfg, u, needs, scenario.JET_ORDER)
-                for u in cfg.immersion.grid()]
+    expected = [_single(cfg, u, needs, scenario.JET_ORDER) for u in cfg.immersion.grid()]
     calls = []
     real = submanifold.point_geometry
 
@@ -522,11 +539,10 @@ def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
 
 
 def test_normal_jet_stage_fault_reruns_that_block_per_sample(monkeypatch):
-    # a fault in a block's normal-jet stage (here at u1 = 1) fails the whole
-    # block; it reruns one sample at a time, so that only the samples that
-    # fault on their own fail, each with its own reason
+    # a fault in a block's normal-derivative stage (here at u1 = 1) fails the
+    # whole block; it reruns one sample at a time, so that only the samples
+    # that fault on their own fail, each with its own reason
     import biharm.scenario as scenario
-    import biharm.submanifold as submanifold
     from biharm.jets import DomainError
 
     monkeypatch.setattr(scenario, "_BLOCK_COEFFS", 6 * n_entries(2 + 4, 4))  # 6-sample blocks
@@ -538,23 +554,47 @@ def test_normal_jet_stage_fault_reruns_that_block_per_sample(monkeypatch):
     }, checks=[{"op": "residual"}])
     grid = cfg.immersion.grid()
     expected = scenario._run_grid(cfg, {scenario.RESIDUALS})
-    real, calls = submanifold.normal_jets, []
+    real, calls = scenario.normal_derivatives, []
 
     def faulty(pg):
         calls.append(np.shape(pg.position)[:-1])
         bad = [tuple(u) for u in np.reshape(pg.u, (-1, 2)).tolist() if u[0] == 1.0]
         if bad:
             raise DomainError(f"normal-jet fault at {bad}")
-        real(pg)
+        return real(pg)
 
-    monkeypatch.setattr(scenario, "normal_jets", faulty)
-    monkeypatch.setattr(submanifold, "normal_jets", faulty)
+    monkeypatch.setattr(scenario, "normal_derivatives", faulty)
     records = scenario._run_grid(cfg, {scenario.RESIDUALS})
     assert calls == [(6,), (6,)] + [()] * 6  # two blocks, then the second per sample
     assert [r.error is None for r in records] == [True] * 8 + [False] * 4
     assert [r.error for r in records[8:]] == [f"normal-jet fault at {[u]}" for u in grid[8:]]
     assert all(_same(a, b) for a, b in zip(records[:8], expected))
     assert run_check(cfg).verdict == "Inconclusive"
+
+
+def test_one_row_tail_fault_fails_only_that_row(monkeypatch):
+    # a tail stage that faults at one grid sample fails its block, which
+    # reruns row by row: that row alone fails with its own reason, and every
+    # other record is bitwise the clean run's
+    import biharm.scenario as scenario
+
+    cfg = _cfg(checks=[{"op": "residual"}, {"op": "gauss"}, {"op": "relations"}])
+    grid = cfg.immersion.grid()
+    clean = scenario._run_grid(cfg, {scenario.RESIDUALS, scenario.SCALAR, scenario.RELATIONS})
+    real, calls = scenario.scalar_curvature, []
+
+    def faulty(space, pg):
+        calls.append(np.shape(pg.u)[:-1])
+        if (pg.u == grid[5]).all(-1).any():
+            raise GeometryError(f"tail fault at {tuple(grid[5])}")
+        return real(space, pg)
+
+    monkeypatch.setattr(scenario, "scalar_curvature", faulty)
+    records = scenario._run_grid(cfg, {scenario.RESIDUALS, scenario.SCALAR, scenario.RELATIONS})
+    assert calls == [(8,)] + [()] * 8 + [(4,)]
+    assert [r.error for r in records] == [None] * 5 + [f"tail fault at {grid[5]}"] + [None] * 6
+    assert records[5].u == grid[5]
+    assert all(_same(a, b) for i, (a, b) in enumerate(zip(records, clean)) if i != 5)
 
 
 def test_sweep_range_must_be_finite_with_at_least_two_samples(tmp_path, capsys):
@@ -585,6 +625,15 @@ def test_convergence_steps_must_be_finite_and_positive(tmp_path, capsys):
     for steps in ((), [], 0.05, (0.05, "0.025"), (0.05, math.nan)):
         with pytest.raises(ConfigError, match="convergence.steps"):
             convergence_study(cfg, steps)
+
+
+def _single(cfg, u, needs, order):
+    """The record of the one sample ``u``, run as a block of one row (S = ())."""
+    import biharm.scenario as scenario
+
+    records = []
+    scenario._run_block([(cfg, u, records)], needs, order)
+    return records[0]
 
 
 def _same(a, b) -> bool:
@@ -618,7 +667,7 @@ def test_grid_blocks_change_no_record(ambient, immersion, blocks):
     assert len(records) == len(grid)
     for u, record in zip(grid, records):
         assert record.error is None
-        single = scenario._evaluate_point(cfg, u, scenario.QUANTITIES, scenario.JET_ORDER)
+        single = _single(cfg, u, scenario.QUANTITIES, scenario.JET_ORDER)
         assert _same(record, single), u
 
 
@@ -1001,15 +1050,16 @@ def test_residual_only_document_skips_unrequested_quantities(monkeypatch, ambien
 
     skipped = ("scalar_curvature", "verify_relations", "pseudo_umbilical_check")
     calls = _count_calls(monkeypatch, scenario, skipped + ("normal_derivatives",))
-    rep = run_check(_cfg(ambient=ambient, immersion=immersion))
-    points = rep.aggregates["points_total"]
+    cfg = _cfg(ambient=ambient, immersion=immersion)
+    rep = run_check(cfg)
+    blocks = math.ceil(rep.aggregates["points_total"] / scenario._block_rows(cfg, scenario.JET_ORDER))
     assert rep.aggregates["points_failed"] == 0
     assert {name: calls[name] for name in skipped} == dict.fromkeys(skipped, 0)
-    assert calls["normal_derivatives"] == points  # the verdict still needs the residuals
+    assert calls["normal_derivatives"] == blocks  # the verdict still needs the residuals
 
     all_checks = [{"op": op} for op in scenario.CHECKS]
     run_check(_cfg(ambient=ambient, immersion=immersion, checks=all_checks))
-    assert {name: calls[name] for name in skipped} == dict.fromkeys(skipped, points)
+    assert {name: calls[name] for name in skipped} == dict.fromkeys(skipped, blocks)
 
 
 @pytest.mark.parametrize("r", [0.3, R_STAR, 0.9])
@@ -1036,7 +1086,7 @@ def test_curvature_tensor_is_built_once_per_sample_and_only_on_demand(monkeypatc
     build = PointAmbient.__dict__["curvature"].func
 
     def counted(amb):
-        builds.append(tuple(amb.x))
+        builds.append(np.shape(amb.x)[:-1])
         return build(amb)
 
     prop = cached_property(counted)
@@ -1045,8 +1095,9 @@ def test_curvature_tensor_is_built_once_per_sample_and_only_on_demand(monkeypatc
     cfg = _cfg(ambient={"catalog": "cp2"}, immersion={"catalog": "geodesic_sphere_cp2"},
                checks=[{"op": "residual"}, {"op": "gauss"}])
     rep = run_check(cfg)
-    # the curvature trace and the Gauss contraction share one tensor per sample
-    assert rep.aggregates["points_total"] == len(builds) == len(set(builds)) == 8
+    # the curvature trace and the Gauss contraction share one tensor per
+    # sample, built for the grid's one block
+    assert rep.aggregates["points_total"] == 8 and builds == [(8,)]
     builds.clear()
     sweep_solve(cfg, "r", 0.3, 0.9, 3, "characterization_gap")
     assert builds == []
@@ -1186,9 +1237,12 @@ def test_sweep_value_failing_everywhere_is_partial_not_fatal(tmp_path, capsys):
 
 
 def test_each_ambient_tensor_runs_once_per_sample(monkeypatch):
-    # For the sample's ambient snapshot, which every curvature, coefficient
-    # and structure reader shares, decompose included.
+    # For the samples' ambient snapshot, which every curvature, coefficient
+    # and structure reader shares, decompose included: one program run on
+    # arrays per grid block.
     from collections import Counter
+
+    import biharm.scenario as scenario
 
     from biharm.exprs import CompiledFields
 
@@ -1205,9 +1259,10 @@ def test_each_ambient_tensor_runs_once_per_sample(monkeypatch):
     monkeypatch.setattr(CompiledFields, "values", counted)
     rep = run_check(cfg)
     samples = rep.aggregates["points_total"]
-    assert rep.aggregates["points_failed"] == 0 and samples > 1
+    blocks = math.ceil(samples / scenario._block_rows(cfg, scenario.JET_ORDER))
+    assert rep.aggregates["points_failed"] == 0 and samples > blocks > 1
     for name in ("metric", "phi", "reeb", "coeffs"):
-        assert runs[name] == samples, (name, runs[name], samples)
+        assert runs[name] == blocks, (name, runs[name], blocks)
 
 
 def _legendre_torus_doc():

@@ -19,9 +19,7 @@ from biharm.submanifold import (
     Axis,
     ImmersionModel,
     fd_normal_laplacian,
-    intrinsic_jets,
     normal_derivatives,
-    normal_jets,
     point_geometry,
     pseudo_umbilical_check,
     scalar_curvature,
@@ -311,27 +309,29 @@ def test_grid_batch_equals_per_sample_calls_bitwise(space_name, imm_name, params
     batch = point_geometry(space, imm, grid, order)
     assert batch.position.shape == (len(grid), space.rep_dim)
     if order == 4:  # the block stages of a grid run
-        normal_jets(batch)
-        intrinsic_jets(batch)
+        nd = normal_derivatives(batch)
+        scal = scalar_curvature(space, batch)
     for i, u in enumerate(grid):
-        one, row = point_geometry(space, imm, u, order), batch.sample(i)
-        assert row.u == one.u == u
+        one = point_geometry(space, imm, u, order)
+        assert tuple(batch.u[i].tolist()) == tuple(one.u.tolist()) == u
         for name in VALUES:
-            assert _bitwise(getattr(row, name), getattr(one, name)), (i, name)
             assert _bitwise(getattr(batch, name)[i], getattr(one, name)), (i, name)
         for key in JETS:
-            assert _bitwise(row._state[key].coeffs, one._state[key].coeffs), (i, key)
+            assert _bitwise(batch._state[key].coeffs[i], one._state[key].coeffs), (i, key)
+        # the block's ambient programs run once on arrays, each row as its point alone
+        assert _bitwise(np.array(batch.ambient.coeffs)[:, i], one.ambient.coeffs), i
+        for key, tensor in batch.ambient.curvature.items():
+            assert _bitwise(tensor[i], one.ambient.curvature[key]), (i, key)
         if order == 4:
-            # the row reads the block's stage values; the single point runs its own
-            assert "w" in row._state and ("gamma_ind" in row._state or imm.dim == 1)
-            a, b = normal_derivatives(row), normal_derivatives(one)
+            # the block's rows against the same stages run at this point alone
+            b = normal_derivatives(one)
             for name in ("nabla_norm", "laplacian", "grad_h2", "trace_shape_mean",
                          "trace_shape_gradient"):
-                assert _bitwise(getattr(a, name), getattr(b, name)), (i, name)
-            scal = scalar_curvature(space, row)
-            assert _bitwise(scal, scalar_curvature(space, one)), i
+                assert _bitwise(getattr(nd, name)[i], getattr(b, name)), (i, name)
+            row = [v[i] for v in scal]
+            assert _bitwise(row, scalar_curvature(space, one)), i
             if imm.dim > 1:
-                assert _bitwise(scal[0], scalar_from_metric_jets(one._state["g_ind"])), i
+                assert _bitwise(row[0], scalar_from_metric_jets(one._state["g_ind"])), i
 
 
 TAGGED = [name for name in sorted(catalog.AMBIENTS) if catalog.ambient(name).tag is not None]
