@@ -128,8 +128,8 @@ def verify_relations(ops: DecompositionOperators) -> dict:
 
 @dataclass
 class ClassificationFlags:
-    """Flags at the samples: a bool, or None where a sample decides nothing,
-    each; over sample axes S, an object array of them."""
+    """A sample's flags, each a bool, or None where the sample decides
+    nothing; over sample axes S, each flag is an object array of them."""
 
     is_curve: bool
     is_hypersurface: bool

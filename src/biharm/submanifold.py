@@ -393,8 +393,7 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
     nabla_norm = np.sqrt((w**2).sum(-2)).max(-1)
     # rough Laplacian: sum_i nabla-perp_{X_i} nabla-perp_{X_i} H
     #                  - nabla-perp over the induced-connection drift,
-    # summed left to right as term_1 - drift_1 + term_2 - drift_2 + ..., the
-    # order of the reports' values
+    # summed left to right, term_1 - drift_1 + term_2 - ..., as the pinned reports
     nabla_ww = vec_mat(cvals, cov_w.swapaxes(-3, -2))
     terms = np.stack([_project(pg.normal_frame[..., None, :, :],
                                pg.ambient_metric[..., None, :, :], nabla_ww),
