@@ -130,6 +130,16 @@ def norm(a, k: int = 1):
     return np.sqrt(dot(flat, flat))
 
 
+def spectral(M):
+    """Spectral norm of the matrix at every sample, as ``np.linalg.norm(M, 2)``."""
+    return np.linalg.norm(M, 2, axis=(-2, -1))
+
+
+def outer(a, b):
+    """a (x) b of vectors at every sample."""
+    return a[..., :, None] * b[..., None, :]
+
+
 def objects(value, keep=True):
     """``value`` as Python objects over its sample axes, None where ``keep``
     fails: an object array, or the object itself at S = ()."""
@@ -304,163 +314,139 @@ def curvature_parts(space: AmbientModel, x, X, Y, Z) -> dict:
 # -- embedded-backend helpers --------------------------------------------------
 
 def tangent_projector(space: AmbientModel, x) -> np.ndarray:
-    """Orthogonal projector of R^D onto the tangent space of N at ``x``."""
+    """Orthogonal projector of R^D onto the tangent space of N at the points
+    ``x`` (shape S + (n,)), as S + (D, D) from one run of the normals; the
+    identity on a chart."""
+    P = np.broadcast_to(np.eye(space.rep_dim), np.shape(x)[:-1] + (space.rep_dim,) * 2)
     if space.backend != "embedded":
-        return np.eye(space.rep_dim)
-    P = np.eye(space.rep_dim)
-    for n in space.values("normals", x):
-        n = n / np.linalg.norm(n)
-        P -= np.outer(n, n)
+        return P
+    for n in np.moveaxis(space.values("normals", x), -2, 0):
+        n = n / norm(n)[..., None]
+        P = P - outer(n, n)
     return P
 
 
 # -- structure verification -----------------------------------------------------
+#
+# Every identity is an array over the sample axes of a snapshot; the audit
+# reduces each with one max.
 
-def _algebraic_residuals_complex(g, J):
-    r = {"square": np.linalg.norm(J @ J + np.eye(len(g)), 2)}
-    r["compatibility"] = np.linalg.norm(J.T @ g @ J - g, 2)
-    return r
-
-
-def _algebraic_residuals_contact(g, phi, xi, P=None):
-    # P restricts the identities to the tangent space of an embedded model;
-    # the raw matrix identities only hold on tangent vectors.
-    n = len(g)
-    if P is None:
-        P = np.eye(n)
-    eta = g @ xi
-    r = {
-        "reeb_unit": abs(eta @ xi - 1.0),
-        "square": np.linalg.norm(P.T @ (phi @ phi + np.eye(n) - np.outer(xi, eta)) @ P, 2),
-        "compatibility": np.linalg.norm(P.T @ (phi.T @ g @ phi - (g - np.outer(eta, eta))) @ P, 2),
-        "reeb_kernel": np.linalg.norm(phi @ xi),
+def _algebraic_residuals(amb: PointAmbient, P) -> dict:
+    """The algebraic structure identities at every sample.  ``P`` restricts
+    the contact ones to the tangent space of an embedded model; the raw
+    matrix identities only hold on tangent vectors."""
+    g = amb.g
+    eye = np.eye(g.shape[-1])
+    if amb.space.kind == KIND_COMPLEX:
+        J = amb.structure
+        return {"square": spectral(J @ J + eye), "compatibility": spectral(J.mT @ g @ J - g)}
+    phi, xi = amb.structure
+    eta = mat_vec(g, xi)
+    return {
+        "reeb_unit": abs(dot(eta, xi) - 1.0),
+        "square": spectral(P.mT @ (phi @ phi + eye - outer(xi, eta)) @ P),
+        "compatibility": spectral(P.mT @ (phi.mT @ g @ phi - (g - outer(eta, eta))) @ P),
+        "reeb_kernel": norm(mat_vec(phi, xi)),
     }
-    return r
 
 
-def _covariant_residuals_chart(space: AmbientModel, ambs: list):
-    """Covariant-identity residuals at the points of ``ambs``, one dict per
-    point; the Christoffel symbols and the structure-field jets of all the
-    points run as one batch."""
-    d = space.dim
-    points = np.array([amb.x for amb in ambs], dtype=float)
-    env = seed_point(points, 1)
-    gammas = christoffel_point(space, points)
-    fam = space.tag.family
+def _covariant_residuals_chart(amb: PointAmbient) -> dict:
+    """|nabla T - rhs| of each covariant identity at every sample of ``amb``;
+    the Christoffel symbols and the structure-field jets run as one batch."""
+    space, x = amb.space, amb.x
+    env = seed_point(x, 1)
+    gam = christoffel_point(space, x)
 
-    def fields(name):
-        """Values, and plain first partials [n, a, ...] = d_a T, of a structure field."""
+    def field(name):
+        """Values, and plain first partials [..., a, ...] = d_a T, of a structure field."""
         f = space.jets(name, env)
-        return f.value, f.gradient(axis=1).value
+        return f.value, f.gradient(axis=x.ndim - 1).value
 
-    def nabla(gam, v, dv):
-        """Covariant derivative of a structure field at one point: [a, c, b] =
-        (nabla_a T)^c_b for a (1,1)-tensor, [a, c] for a vector field."""
-        out = dv + np.einsum("cae,e...->ac...", gam, v)
-        if v.ndim == 2:
-            out -= np.einsum("eab,ce->acb", gam, v)
-        return out
+    def nabla(v, dv):
+        """Covariant derivative of a structure field at every sample:
+        [..., a, c, b] = (nabla_a T)^c_b for a (1,1)-tensor, [..., a, c] for a
+        vector field."""
+        if v.ndim == x.ndim:
+            return dv + np.einsum("...cae,...e->...ac", gam, v)
+        return (dv + np.einsum("...cae,...eb->...acb", gam, v)
+                - np.einsum("...eab,...ce->...acb", gam, v))
 
     if space.kind == KIND_COMPLEX:
-        J, dJ = fields("cstruct")
-        return [{"covariant_complex": float(np.abs(nabla(gam, v, dv)).max())}
-                for gam, v, dv in zip(gammas, J, dJ)]
-    (phis, dphis), (xis, dxis) = fields("phi"), fields("reeb")
-    out = []
-    for amb, gam, phiv, dphi, xiv, dxi in zip(ambs, gammas, phis, dphis, xis, dxis):
-        g = amb.g
-        nphi, nxi = nabla(gam, phiv, dphi), nabla(gam, xiv, dxi)
-        eta = g @ xiv
-        if fam == SASAKI:
-            rhs_phi = np.einsum("ab,c->acb", g, xiv) - np.einsum("b,ca->acb", eta, np.eye(d))
-            rhs_xi = -phiv.T
-        elif fam == KENMOTSU:
-            rhs_phi = -np.einsum("b,ca->acb", eta, phiv) - np.einsum("ab,c->acb", g @ phiv, xiv)
-            rhs_xi = np.eye(d) - np.outer(eta, xiv)
-        else:
-            rhs_phi = np.zeros((d, d, d))
-            rhs_xi = np.zeros((d, d))
-        out.append({
-            "covariant_phi": float(np.abs(nphi - rhs_phi).max()),
-            "covariant_reeb": float(np.abs(nxi - rhs_xi).max()),
-        })
-    return out
+        return {"covariant_complex": np.abs(nabla(*field("cstruct")))}
+    (phi, dphi), (xi, dxi) = field("phi"), field("reeb")
+    g, eye = amb.g, np.eye(space.dim)
+    eta = mat_vec(g, xi)
+    rhs_phi = rhs_xi = 0.0
+    if space.tag.family == SASAKI:
+        rhs_phi = np.einsum("...ab,...c->...acb", g, xi) - np.einsum("...b,ca->...acb", eta, eye)
+        rhs_xi = -phi.mT
+    elif space.tag.family == KENMOTSU:
+        rhs_phi = (-np.einsum("...b,...ca->...acb", eta, phi)
+                   - np.einsum("...ab,...c->...acb", g @ phi, xi))
+        rhs_xi = eye - outer(eta, xi)
+    return {"covariant_phi": np.abs(nabla(phi, dphi) - rhs_phi),
+            "covariant_reeb": np.abs(nabla(xi, dxi) - rhs_xi)}
 
 
-def _covariant_residuals_embedded(ambs: list, projectors: list):
-    # Differentiate the structure fields along great-circle-like curves
-    # c(t) = (x + tX)/|x + tX| using one-variable jets; the ambient covariant
-    # derivative is the curve derivative followed by tangential projection
-    # P.  The curves of all basis directions X at all the points run the
-    # phi and xi programs as one jet array, and all tangent fields Y of a
-    # point's basis go through each of its directions as one jet array.
-    space = ambs[0].space
-    D = space.rep_dim
-    bases = []
-    for P in projectors:
-        basis = []
-        for a in range(D):
-            v = P[:, a]
-            for b in basis:
+def _covariant_residuals_embedded(amb: PointAmbient, P) -> dict:
+    """|nabla T - rhs| of the Sasakian identities at every sample of ``amb``.
+
+    The structure fields are differentiated along great-circle-like curves
+    c(t) = (x + tX)/|x + tX| using one-variable jets; the ambient covariant
+    derivative is the curve derivative followed by tangential projection
+    ``P``.  The curves of every point's basis directions X form one axis,
+    and each curve carries every tangent field Y of its point's basis, so
+    the phi and xi programs and the residuals run in one pass over it.
+    """
+    space = amb.space
+    # each point's orthonormal basis of P's range, by Gram-Schmidt of its
+    # columns, in its first ``rank`` rows; rows after it stay zero and give
+    # zero residuals
+    Y, rank = np.zeros(P.shape), []
+    for Yk, Pk in zip(Y, P):
+        n = 0
+        for v in Pk.T:
+            for b in Yk[:n]:
                 v = v - (v @ b) * b
             if np.linalg.norm(v) > 1e-8:
-                basis.append(v / np.linalg.norm(v))
-        bases.append(np.array(basis))
-    starts = np.cumsum([0] + [len(Y) for Y in bases])
-    curves = Jet.constant(1, 1, np.concatenate(
-        [np.broadcast_to(np.asarray(amb.x, dtype=float), Y.shape) for amb, Y in zip(ambs, bases)]))
-    curves.coeffs[..., 1] = np.concatenate(bases)
+                Yk[n] = v / np.linalg.norm(v)
+                n += 1
+        rank.append(n)
+    Y = Y[:, :max(rank)]
+    X = Y[np.arange(Y.shape[1]) < np.array(rank)[:, None]]  # the curves' directions
+    point = np.repeat(np.arange(len(P)), rank)               # and their points
+    Y, P = Y[point], P[point]
+    phi0, xi0 = (a[point] for a in amb.structure)
+    curves = Jet.constant(1, 1, amb.x[point])
+    curves.coeffs[..., 1] = X
     curves = curves * (curves * curves).sum(-1).sqrt().reciprocal()[:, None]
     env = list(curves.transpose(1, 0))
-    phi_all = space.jets("phi", env)
-    dxi_all = space.jets("reeb", env).derivative(0).value
-    out = []
-    for amb, P, Y, lo, hi in zip(ambs, projectors, bases, starts, starts[1:]):
-        phi0, xi0 = amb.structure
-        eta0 = xi0  # Euclidean representation: eta(v) = <v, xi>
-        res_phi, res_xi = 0.0, 0.0
-        for X, pos, phi_j, dxi in zip(Y, curves[lo:hi], phi_all[lo:hi], dxi_all[lo:hi]):
-            res_xi = max(res_xi, np.abs(P @ dxi - (-(phi0 @ X))).max())
-            # Y extended along the curve as its projection onto T_c S
-            yfield = Y - (pos * Y).sum(-1)[:, None] * pos
-            phiy = (phi_j * yfield[:, None, :]).sum(-1)
-            d_phiy = phiy.derivative(0).value @ P.T
-            d_y = yfield.derivative(0).value @ P.T
-            lhs = d_phiy - d_y @ phi0.T
-            rhs = np.outer(Y @ X, xi0) - np.outer(Y @ eta0, X)
-            res_phi = max(res_phi, np.abs(lhs - rhs).max())
-        out.append({"covariant_phi": res_phi, "covariant_reeb": res_xi})
-    return out
+    dxi = space.jets("reeb", env).derivative(0).value
+    # Y extended along the curve as its projection onto T_c S
+    pos = curves[:, None, :]
+    yfield = Y - (pos * Y).sum(-1)[..., None] * pos
+    phiy = (space.jets("phi", env)[:, None] * yfield[..., None, :]).sum(-1)
+    lhs = phiy.derivative(0).value @ P.mT - yfield.derivative(0).value @ P.mT @ phi0.mT
+    # eta(v) = <v, xi> in the Euclidean representation
+    rhs = outer(mat_vec(Y, X), xi0) - outer(mat_vec(Y, xi0), X)
+    return {"covariant_phi": np.abs(lhs - rhs),
+            "covariant_reeb": np.abs(mat_vec(P, dxi) - (-mat_vec(phi0, X)))}
 
 
 def verify_structure(space: AmbientModel, points) -> dict[str, float]:
-    """Max residual of the algebraic structure identities, and of the
-    covariant-derivative identities when a classical tag is present, by
-    identity; the jets of the covariant identities run for all ``points`` as
-    one batch."""
-    residuals: dict[str, float] = {}
-
-    def keep(update):
-        for k, v in update.items():
-            residuals[k] = max(residuals.get(k, 0.0), float(v))
-
+    """Max residual over ``points`` (shape (k, n)) of each algebraic structure
+    identity, and of each covariant-derivative identity when a classical tag
+    is present, by identity.  The points run every tensor and jet as one
+    batch: one :class:`PointAmbient` and one :func:`tangent_projector`."""
+    points = np.asarray(points, dtype=float)
     if not len(points):
-        return residuals
-    ambs = [PointAmbient(space, x) for x in points]
-    contact = space.kind == KIND_CONTACT
-    projectors = [tangent_projector(space, x) if contact and space.backend == "embedded"
-                  else None for x in points]
-    covariant = [{}] * len(ambs)
+        return {}
+    amb = PointAmbient(space, points)
+    P = tangent_projector(space, points)
+    residuals = _algebraic_residuals(amb, P)
     if space.tag is not None:
         if space.backend == "chart":
-            covariant = _covariant_residuals_chart(space, ambs)
-        elif contact and space.tag.family == SASAKI:
-            covariant = _covariant_residuals_embedded(ambs, projectors)
-    for amb, P, cov in zip(ambs, projectors, covariant):
-        if contact:
-            phi, xi = amb.structure
-            keep(_algebraic_residuals_contact(amb.g, phi, xi, P))
-        else:
-            keep(_algebraic_residuals_complex(amb.g, amb.structure))
-        keep(cov)
-    return residuals
+            residuals.update(_covariant_residuals_chart(amb))
+        elif space.kind == KIND_CONTACT and space.tag.family == SASAKI:
+            residuals.update(_covariant_residuals_embedded(amb, P))
+    return {k: float(np.max(v)) for k, v in residuals.items()}

@@ -822,7 +822,7 @@ def _check_gauss(grid) -> dict:
 
 @_declare(CHECKS, "structure", GEOMETRY)
 def _check_structure(grid) -> dict:
-    pts = [grid.cfg.immersion.values("components", d.u) for d in grid.datas[:6]]
+    pts = grid.cfg.immersion.values("components", np.array([d.u for d in grid.datas[:6]]))
     residuals = verify_structure(grid.cfg.ambient, pts)
     return {"tol": STRUCTURE_TOL, "residuals": residuals,
             "status": "ok" if max(residuals.values()) <= STRUCTURE_TOL else "violated"}

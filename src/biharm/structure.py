@@ -31,6 +31,8 @@ from .ambient import (
     metric_at,  # noqa: F401
     norm,
     objects,
+    outer,
+    spectral,
     structure_at,  # noqa: F401
     tangent_projector,  # noqa: F401
 )
@@ -99,13 +101,6 @@ def verify_relations(ops: DecompositionOperators) -> dict:
     every sample."""
     tt, tn, nt, nn = ops.tt, ops.tn, ops.nt, ops.nn
     m, c = ops.m, ops.codim
-
-    def spectral(a):
-        return np.linalg.norm(a, 2, axis=(-2, -1))
-
-    def outer(a, b):
-        return a[..., :, None] * b[..., None, :]
-
     if ops.kind == KIND_COMPLEX:
         return {
             "tangent_square": spectral(tt @ tt + nt @ tn + np.eye(m)),

@@ -508,10 +508,8 @@ def fd_normal_laplacian(space: AmbientModel, imm: ImmersionModel, u, h: float) -
     H = pg.mean_curvature
     dpos = pg._state["pos"].gradient(axis=-2).value  # dpos[row, q] = d_q position
     base_rows = [at(v) for v in bases]
-    if space.backend == "chart":
-        conn = dict(zip(base_rows, christoffel_point(space, pg.position[base_rows])))
-    else:
-        conn = {i: tangent_projector(space, pg.position[i]) for i in base_rows}
+    connection = christoffel_point if space.backend == "chart" else tangent_projector
+    conn = dict(zip(base_rows, connection(space, pg.position[base_rows])))
 
     def W_at(v, q):
         # nabla-perp_{d_q} H by one central difference around v

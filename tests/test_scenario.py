@@ -1239,16 +1239,14 @@ def test_sweep_value_failing_everywhere_is_partial_not_fatal(tmp_path, capsys):
 def test_each_ambient_tensor_runs_once_per_sample(monkeypatch):
     # For the samples' ambient snapshot, which every curvature, coefficient
     # and structure reader shares, decompose included: one program run on
-    # arrays per grid block.
+    # arrays per grid block.  The structure audit adds one run of each
+    # tensor it reads, and of the immersion, for all its points together.
     from collections import Counter
 
     import biharm.scenario as scenario
 
     from biharm.exprs import CompiledFields
 
-    cfg = _cfg(ambient={"catalog": "kenmotsu_hyperbolic"},
-               immersion={"catalog": "hyperplane_y1"},
-               checks=[{"op": "residual"}, {"op": "gauss"}])
     runs = Counter()
     real = CompiledFields.values
 
@@ -1257,12 +1255,20 @@ def test_each_ambient_tensor_runs_once_per_sample(monkeypatch):
         return real(self, name, point)
 
     monkeypatch.setattr(CompiledFields, "values", counted)
-    rep = run_check(cfg)
-    samples = rep.aggregates["points_total"]
-    blocks = math.ceil(samples / scenario._block_rows(cfg, scenario.JET_ORDER))
-    assert rep.aggregates["points_failed"] == 0 and samples > blocks > 1
-    for name in ("metric", "phi", "reeb", "coeffs"):
-        assert runs[name] == blocks, (name, runs[name], blocks)
+    for structure in (0, 1):
+        cfg = _cfg(ambient={"catalog": "kenmotsu_hyperbolic"},
+                   immersion={"catalog": "hyperplane_y1"},
+                   checks=[{"op": "residual"}, {"op": "gauss"}] + [{"op": "structure"}] * structure)
+        runs.clear()
+        rep = run_check(cfg)
+        samples = rep.aggregates["points_total"]
+        blocks = math.ceil(samples / scenario._block_rows(cfg, scenario.JET_ORDER))
+        assert rep.aggregates["points_failed"] == 0 and samples > blocks > 1
+        assert len(rep.checks) == 2 + structure
+        for name in ("metric", "phi", "reeb"):
+            assert runs[name] == blocks + structure, (name, runs[name], blocks)
+        assert runs["coeffs"] == blocks
+        assert runs["components"] == structure
 
 
 def _legendre_torus_doc():
