@@ -192,13 +192,15 @@ def christoffel_symbols(ginv: Jet, dg: Jet) -> Jet:
     are sample axes."""
     n = ginv.shape[-1]
     low = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg) * 0.5
-    # Gamma is symmetric in (a, b): contract the upper triangle only
+    # Gamma is symmetric in (a, b): contract the upper triangle only, one
+    # upper index c at a time, so that no (n, n, n(n + 1)/2) product is held
     a, b = np.triu_indices(n)
-    upper = (ginv[..., :, :, None] * low[..., None, :, a, b]).sum(-2)
-    out = np.empty(upper.shape[:-2] + (n, n, n, upper.coeffs.shape[-1]))
-    out[..., :, a, b, :] = upper.coeffs
-    out[..., :, b, a, :] = upper.coeffs
-    return Jet(upper.space, out)
+    pairs = low[..., :, a, b]
+    out = np.empty(ginv.shape[:-2] + (n, n, n, ginv.coeffs.shape[-1]))
+    for c in range(n):
+        upper = (ginv[..., c, :, None] * pairs).sum(-2).coeffs
+        out[..., c, a, b, :] = out[..., c, b, a, :] = upper
+    return Jet(ginv.space, out)
 
 
 def christoffel_from_metric_jets(g) -> Jet:

@@ -397,7 +397,7 @@ class Program:
         own value."""
         ref = next(v for v in env if isinstance(v, Jet))
         batch, k = ref.shape, len(self.shape)
-        out = stack([v if isinstance(v, Jet) else Jet.constant(ref.nvars, ref.order, np.full(batch, v))
+        out = stack([v if isinstance(v, Jet) else ref.space.constant(np.full(batch, v))
                      for v in self.run(env, bindings)])
         coeffs = out.coeffs.reshape(self.shape + batch + out.coeffs.shape[-1:])
         return Jet(out.space, np.moveaxis(coeffs, range(k), range(len(batch), len(batch) + k)))

@@ -17,6 +17,11 @@ whatever its shape, is one call of the kernel :meth:`_JetSpace.mul`.
 Jets over different variable counts never mix; mixing orders truncates to
 the lower order (the product of two truncated expansions is only exact to
 the smaller order).
+
+A space may keep the variables past ``lead`` first-order (degree <= 1 in
+them): a quotient of the full jet ring, so every entry it keeps is exact,
+and bitwise the full space's (its indices and product terms are the full
+space's, in order).  It never mixes with the full space.
 """
 
 from __future__ import annotations
@@ -37,26 +42,17 @@ def n_entries(nvars: int, order: int) -> int:
     return math.comb(nvars + order, order)
 
 
-def _multi_indices(nvars, order):
-    out = []
-    for total in range(order + 1):
-        for combo in combinations_with_replacement(range(nvars), total):
-            idx = [0] * nvars
-            for v in combo:
-                idx[v] += 1
-            out.append(tuple(idx))
-    return out
-
-
 class _JetSpace:
-    """Index tables shared by every jet with the same (nvars, order)."""
+    """Index tables shared by every jet with the same (nvars, order, lead)."""
 
-    def __init__(self, nvars: int, order: int):
-        self.nvars = nvars
-        self.order = order
-        self.indices = _multi_indices(nvars, order)
+    def __init__(self, nvars: int, order: int, lead: int):
+        self.nvars, self.order, self.lead = nvars, order, lead
+        graded = (tuple(c.count(v) for v in range(nvars)) for total in range(order + 1)
+                  for c in combinations_with_replacement(range(nvars), total))
+        self.indices = [m for m in graded if sum(m[lead:]) <= 1]
         self.size = len(self.indices)
         self.position = {m: i for i, m in enumerate(self.indices)}
+        self.ends = [sum(sum(m) <= k for m in self.indices) for k in range(order + 1)]
         self._mul = None
         self._diff = {}
         self._restrict = {}
@@ -68,32 +64,25 @@ class _JetSpace:
             out, ia, ib, w = [], [], [], []
             for i, mi in enumerate(self.indices):
                 # indices are graded, so partners of degree <= order - |mi| are a prefix
-                for j, mj in enumerate(self.indices[: n_entries(self.nvars, self.order - sum(mi))]):
-                    coeff = 1.0
-                    for a, b in zip(mi, mj):
-                        coeff *= math.comb(a + b, a)
-                    out.append(self.position[tuple(a + b for a, b in zip(mi, mj))])
-                    ia.append(i)
-                    ib.append(j)
-                    w.append(coeff)
-            self._mul = (
-                np.array(out, dtype=np.intp),
-                np.array(ia, dtype=np.intp),
-                np.array(ib, dtype=np.intp),
-                np.array(w),
-            )
+                for j, mj in enumerate(self.indices[: self.ends[self.order - sum(mi)]]):
+                    k = self.position.get(tuple(a + b for a, b in zip(mi, mj)))
+                    if k is not None:  # else quadratic past lead, not kept
+                        out.append(k)
+                        ia.append(i)
+                        ib.append(j)
+                        w.append(math.prod(math.comb(a + b, a) for a, b in zip(mi, mj)))
+            self._mul = (*(np.array(x, dtype=np.intp) for x in (out, ia, ib)),
+                         np.array(w, dtype=float))
         return self._mul
 
     def diff_map(self, var: int):
         """Source positions of gamma + e_var for every gamma of degree < order."""
         if var not in self._diff:
-            sub = _space(self.nvars, self.order - 1)
-            src = np.empty(sub.size, dtype=np.intp)
-            for t, m in enumerate(sub.indices):
-                shifted = list(m)
-                shifted[var] += 1
-                src[t] = self.position[tuple(shifted)]
-            self._diff[var] = src
+            if var >= self.lead:
+                raise ValueError(f"no derivative in variable {var}, kept first-order")
+            sub = _space(self.nvars, self.order - 1, self.lead)
+            self._diff[var] = np.array([self.position[m[:var] + (m[var] + 1,) + m[var + 1:]]
+                                        for m in sub.indices], dtype=np.intp)
         return self._diff[var]
 
     def restrict_map(self, nvars: int, order: int, pad: tuple):
@@ -104,6 +93,19 @@ class _JetSpace:
             self._restrict[key] = np.array(
                 [self.position[m + pad] for m in sub.indices], dtype=np.intp)
         return self._restrict[key]
+
+    def constant(self, value) -> "Jet":
+        """Constant jets of this space at ``value`` (an array over the leading axes)."""
+        value = np.asarray(value, dtype=float)
+        c = np.zeros(value.shape + (self.size,))
+        c[..., 0] = value
+        return Jet(self, c)
+
+    def variable(self, var: int, value) -> "Jet":
+        c = self.constant(value).coeffs
+        if self.order >= 1:  # first-degree entries follow the value, in variable order
+            c[..., 1:1 + self.nvars] = np.eye(self.nvars)[var]
+        return Jet(self, c)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of coefficient arrays ``(..., >= size)``, broadcast over the
@@ -156,9 +158,12 @@ def _chunks(x, shape, step):
 _CHUNK_TERMS = 1 << 13
 
 
-@lru_cache(maxsize=None)
-def _space(nvars: int, order: int) -> _JetSpace:
-    return _JetSpace(nvars, order)
+def _space(nvars: int, order: int, lead: int | None = None) -> _JetSpace:
+    """The space whose variables past ``lead`` (default: none) are first-order."""
+    return _cached_space(nvars, order, nvars if lead is None else min(lead, nvars))
+
+
+_cached_space = lru_cache(maxsize=None)(_JetSpace)
 
 
 def _checked(values, what):
@@ -175,26 +180,16 @@ class Jet:
     __array_ufunc__ = None  # ndarray (op) Jet defers to the Jet operators
 
     def __init__(self, space: _JetSpace, coeffs: np.ndarray):
-        self.space = space
-        self.coeffs = coeffs
+        self.space, self.coeffs = space, coeffs
 
     # -- constructors ----------------------------------------------------
     @staticmethod
     def constant(nvars: int, order: int, value) -> "Jet":
-        sp = _space(nvars, order)
-        value = np.asarray(value, dtype=float)
-        c = np.zeros(value.shape + (sp.size,))
-        c[..., 0] = value
-        return Jet(sp, c)
+        return _space(nvars, order).constant(value)
 
     @staticmethod
     def variable(nvars: int, order: int, var: int, value: float) -> "Jet":
-        sp = _space(nvars, order)
-        c = np.zeros(sp.size)
-        c[0] = value
-        if order >= 1:
-            c[sp.position[tuple(1 if i == var else 0 for i in range(nvars))]] = 1.0
-        return Jet(sp, c)
+        return _space(nvars, order).variable(var, value)
 
     # -- inspection ------------------------------------------------------
     @property
@@ -218,8 +213,8 @@ class Jet:
     def partial(self, alpha):
         """Partial derivative for the multi-index ``alpha``."""
         alpha = tuple(alpha)
-        if len(alpha) != self.nvars or sum(alpha) > self.order:
-            raise ValueError(f"multi-index {alpha} outside jet of order {self.order}")
+        if alpha not in self.space.position:
+            raise ValueError(f"multi-index {alpha} outside the jet space (order {self.order})")
         v = self.coeffs[..., self.space.position[alpha]]
         return float(v) if v.ndim == 0 else v
 
@@ -256,7 +251,7 @@ class Jet:
             return self
         if order > self.order:
             raise ValueError("cannot extend a jet to higher order")
-        sp = _space(self.nvars, order)
+        sp = _space(self.nvars, order, self.space.lead)
         return Jet(sp, self.coeffs[..., : sp.size])
 
     def derivative(self, var: int) -> "Jet":
@@ -264,7 +259,8 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         src = self.space.diff_map(var)
-        return Jet(_space(self.nvars, self.order - 1), self.coeffs.take(src, axis=-1))
+        sp = _space(self.nvars, self.order - 1, self.space.lead)
+        return Jet(sp, self.coeffs.take(src, axis=-1))
 
     def gradient(self, axis: int = 0) -> "Jet":
         """Every first partial, stacked on a new leading axis at position
@@ -276,8 +272,8 @@ class Jet:
         """Coefficient arrays of two jets in their common space."""
         if other.space is self.space:
             return self.space, self.coeffs, other.coeffs
-        if other.nvars != self.nvars:
-            raise ValueError("jets over different variable counts")
+        if (other.nvars, other.space.lead) != (self.nvars, self.space.lead):
+            raise ValueError("jets over different variable counts or jet spaces")
         sp = self.space if self.order <= other.order else other.space
         return sp, self.coeffs[..., : sp.size], other.coeffs[..., : sp.size]
 
@@ -356,7 +352,7 @@ class Jet:
                   for j in range(k + 1)]
         delta = Jet(self.space, self.coeffs.copy())
         delta.coeffs[..., 0] = 0.0
-        acc = Jet.constant(self.nvars, k, coeffs[k])
+        acc = self.space.constant(coeffs[k])
         for j in range(k - 1, -1, -1):
             acc = acc * delta + coeffs[j]
         _checked(acc.coeffs, f"{name} jet")
@@ -417,7 +413,7 @@ class Jet:
             base = base * base if n > 1 else base
             n >>= 1
         if result is None:
-            return Jet.constant(self.nvars, self.order, np.ones(self.shape))
+            return self.space.constant(np.ones(self.shape))
         return result
 
     def sin(self) -> "Jet":
@@ -467,20 +463,21 @@ def stack(items, nvars: int | None = None, order: int | None = None, axis: int =
         return Jet.constant(nvars, order, float(items))
     parts = [stack(x, nvars, order) for x in items]
     sp = min((p.space for p in parts), key=lambda s: s.order)
-    if any(p.nvars != sp.nvars for p in parts):
-        raise ValueError("jets over different variable counts")
+    if len({(p.nvars, p.space.lead) for p in parts}) > 1:
+        raise ValueError("jets over different variable counts or jet spaces")
     return Jet(sp, np.stack([p.coeffs[..., : sp.size] for p in parts],
                             axis=axis - 1 if axis < 0 else axis))
 
 
 # -- cross-space plumbing -------------------------------------------------
 
-def embed(jet: Jet, nvars: int) -> Jet:
-    """View an m-variable jet inside a larger variable space (new vars inert)."""
-    if nvars < jet.nvars:
-        raise ValueError("target space smaller than source")
-    sp = _space(nvars, jet.order)
-    dst = sp.restrict_map(jet.nvars, jet.order, (0,) * (nvars - jet.nvars))
+def embed(jet: Jet, target) -> Jet:
+    """View an m-variable jet inside a larger variable space (new vars inert):
+    the full space over ``target`` variables, or the jet space ``target``."""
+    sp = target if isinstance(target, _JetSpace) else _space(target, jet.order)
+    if sp.order != jet.order or min(sp.lead, jet.space.lead) < jet.nvars:
+        raise ValueError("target space does not contain the source")
+    dst = sp.restrict_map(jet.nvars, jet.order, (0,) * (sp.nvars - jet.nvars))
     out = np.zeros(jet.shape + (sp.size,))
     out[..., dst] = jet.coeffs
     return Jet(sp, out)
@@ -506,14 +503,7 @@ def seed_point(point, order: int) -> list[Jet]:
     case S = ()."""
     point = np.asarray(point, dtype=float)
     sp = _space(point.shape[-1], order)
-    out = []
-    for i in range(sp.nvars):
-        c = np.zeros(point.shape[:-1] + (sp.size,))
-        c[..., 0] = point[..., i]
-        if order >= 1:
-            c[..., 1 + i] = 1.0  # first-degree entries follow the value, in variable order
-        out.append(Jet(sp, c))
-    return out
+    return [sp.variable(i, point[..., i]) for i in range(sp.nvars)]
 
 
 def jet_matrix_inverse(mat) -> Jet:
@@ -534,7 +524,7 @@ def jet_matrix_inverse(mat) -> Jet:
         raise DomainError("singular matrix of jets") from None
     step = Jet(a.space, -np.einsum("...ij,...jkz->...ikz", inv0, a.coeffs))
     step.coeffs[..., 0] = 0.0
-    head = Jet.constant(a.nvars, a.order, inv0)
+    head = a.space.constant(inv0)
     out = head
     for _ in range(a.order):
         out = head + (step[..., :, :, None] * out[..., None, :, :]).sum(-2)

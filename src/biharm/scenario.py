@@ -544,9 +544,9 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
     return records
 
 
-# jet coefficients per field of a grid block: four samples of order-4 jets
-# over the 9 variables of a hypersurface's augmented chart space, the
-# largest in the catalog, where each sample adds about 0.45 MB of peak memory
+# jet coefficients per field of a grid block: 11 samples of the catalog's
+# widest space, a 5-dimensional chart's hypersurface at order 4 (245, see
+# geometry_jet_size), at a traced peak of about 0.22 MB per sample
 _BLOCK_COEFFS = 4 * n_entries(9, 4)
 
 

@@ -38,6 +38,7 @@ from .exprs import Bindings, CompiledFields, Expr, evaluate_jet_env  # noqa: F40
 from .jets import (
     DomainError,
     Jet,
+    _space,
     embed,
     extract,
     jet_matrix_inverse,
@@ -120,8 +121,10 @@ class _Calc:
 @lru_cache(maxsize=None)
 def _displacements(m: int, d: int, order: int) -> Jet:
     """The d ambient displacement variables of the augmented (m + d)-variable
-    chart space, at 0, as one (d,) jet array (read only)."""
-    return stack([Jet.variable(m + d, order, m + a, 0.0) for a in range(d)])
+    chart space at 0, one (d,) jet array (read only), kept first-order: the
+    space holds n_entries(m, order) + d n_entries(m, order - 1) coefficients."""
+    sp = _space(m + d, order, lead=m)
+    return stack([sp.variable(m + a, 0.0) for a in range(d)])
 
 
 class _ChartCalc(_Calc):
@@ -131,15 +134,18 @@ class _ChartCalc(_Calc):
         super().__init__(space, pos)
         m, d, order = self.m, space.dim, pos.order
         self.d = d
-        aug = embed(pos, m + d) + _displacements(m, d, order)
+        disp = _displacements(m, d, order)
+        aug = embed(pos, disp.space) + disp
         g_aug = space.jets("metric", [aug[..., a] for a in range(d)])
         self.g = extract(g_aug, m, order)
         if np.linalg.eigvalsh(self.g.value).min() <= 0.0:
             raise GeometryError("ambient metric not positive definite along immersion")
         dg = stack([extract(g_aug, m, order - 1, extra=m + c) for c in range(d)], axis=-3)
+        del aug, g_aug  # the widest jets of the block go before the d^3 stages
         gamma = christoffel_symbols(jet_matrix_inverse(self.g.truncate(order - 1)), dg)
-        # precontracted Gamma(T_q, .)[q, c, b]: covd then costs d^2 products, not d^3
-        self.gamma_t = (gamma[..., None, :, :, :] * self.T[..., :, None, :, None]).sum(-2)
+        # precontracted Gamma(T_q, .)[q, c, b], one c at a time: covd then costs d^2 products
+        self.gamma_t = stack([(gamma[..., None, c, :, :] * self.T[..., :, :, None]).sum(-2)
+                              for c in range(d)], axis=-2)
 
     def inner(self, v, w):
         """g(v, w) over broadcast batches of equal rank; put the smaller batch in ``v``."""
@@ -186,10 +192,12 @@ def _make_calc(space, pos):
 
 def geometry_jet_size(space: AmbientModel, imm: ImmersionModel, order: int) -> int:
     """Coefficients per jet in the widest jet space of ``point_geometry`` at
-    ``order``: a chart's augmented space runs over the m parameters and the
-    d ambient displacements, an embedded calculus over the m parameters."""
-    nvars = imm.dim + (space.dim if space.backend == "chart" else 0)
-    return n_entries(nvars, order)
+    ``order``: n_entries(m, order) + d n_entries(m, order - 1) for a chart's
+    augmented space (m parameters, d first-order displacements), and
+    n_entries(m, order) for an embedded calculus."""
+    if space.backend == "chart":
+        return _displacements(imm.dim, space.dim, order).space.size
+    return n_entries(imm.dim, order)
 
 
 # -- frames --------------------------------------------------------------------

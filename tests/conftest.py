@@ -22,6 +22,7 @@ from biharm.ambient import (
     riemann_from_christoffel,
     tangent_projector,
 )
+from biharm.jets import Jet, embed, extract, jet_matrix_inverse, stack
 
 mp.mp.dps = 40
 
@@ -123,6 +124,30 @@ def riemann_from_metric_jets(g) -> np.ndarray:
     """Riemann tensor values of the metric given by jets of order >= 2."""
     gamma = christoffel_from_metric_jets(g)
     return riemann_from_christoffel(gamma.value, gamma.gradient().value)
+
+
+def full_chart_calc(space: AmbientModel, pos):
+    """``g`` and ``gamma_t`` of a chart calculus along the immersion jets
+    ``pos``, over the full (m + d)-variable augmented jet space, with the
+    Christoffel upper triangle and the precontraction each taken as one
+    product: the reference that the first-order displacement space must
+    reproduce bitwise."""
+    m, d, order = pos.nvars, space.dim, pos.order
+    disp = stack([Jet.variable(m + d, order, m + a, 0.0) for a in range(d)])
+    aug = embed(pos, m + d) + disp
+    g_aug = space.jets("metric", [aug[..., a] for a in range(d)])
+    g = extract(g_aug, m, order)
+    dg = stack([extract(g_aug, m, order - 1, extra=m + c) for c in range(d)], axis=-3)
+    ginv = jet_matrix_inverse(g.truncate(order - 1))
+    low = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg) * 0.5
+    a, b = np.triu_indices(d)
+    upper = (ginv[..., :, :, None] * low[..., None, :, a, b]).sum(-2)
+    out = np.empty(upper.shape[:-2] + (d, d, d, upper.coeffs.shape[-1]))
+    out[..., :, a, b, :] = upper.coeffs
+    out[..., :, b, a, :] = upper.coeffs
+    gamma = Jet(upper.space, out)
+    T = pos.gradient(axis=-2)
+    return g, (gamma[..., None, :, :, :] * T[..., :, None, :, None]).sum(-2)
 
 
 def random_orthonormal_frames(space: AmbientModel, x, m: int, rng) -> tuple:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import biharm.jets as jets_module
 from biharm.jets import (
     DomainError,
     Jet,
@@ -17,6 +18,7 @@ from biharm.jets import (
     jet_matrix_inverse,
     n_entries,
     seed_point,
+    stack,
 )
 
 from conftest import fd_partial, poly_partial, random_poly
@@ -322,3 +324,108 @@ def test_chunked_product_gathers_rows_without_broadcast_copies():
     assert product.shape == (16, 4, 4, 5)
     assert product.coeffs.tobytes() == _per_element(lambda x, y: x * y, a, b).tobytes()
     assert peak <= 1.5 * product.coeffs.nbytes, (peak, product.coeffs.nbytes)
+
+
+# -- the space that keeps its trailing variables first-order ------------------
+
+LINEAR_CASES = [(m, d, k) for m, d in ((1, 4), (3, 4), (4, 5)) for k in (2, 4)]
+
+
+def _split_pair(rng, m, d, k, shape, base=None):
+    """A random jet of the full (m + d)-variable space and the same jet in
+    the space first-order past ``m``, with the positions of the kept
+    entries in the full space."""
+    full, lin = _space(m + d, k), _space(m + d, k, lead=m)
+    keep = np.array([full.position[mi] for mi in lin.indices])
+    coeffs = rng.uniform(-1.0, 1.0, shape + (full.size,))
+    coeffs[..., 0] = rng.uniform(0.5, 1.5, shape) if base is None else base
+    return Jet(full, coeffs), Jet(lin, coeffs[..., keep].copy()), keep
+
+
+def _kept(full_result, lin_result, keep):
+    assert lin_result.space.lead < lin_result.nvars
+    assert lin_result.coeffs.tobytes() == full_result.coeffs[..., keep].tobytes()
+
+
+@pytest.mark.parametrize("m, d, k", LINEAR_CASES)
+def test_first_order_space_keeps_the_graded_subsequence(m, d, k):
+    lin = _space(m + d, k, lead=m)
+    assert lin.size == n_entries(m, k) + d * n_entries(m, k - 1)
+    assert lin.indices == [mi for mi in _space(m + d, k).indices if sum(mi[m:]) <= 1]
+    assert _space(m + d, k, lead=m) is lin and _space(m + d, k, lead=m + d) is _space(m + d, k)
+    rng = np.random.default_rng(m + 10 * d + 100 * k)
+    a_full, a_lin, keep = _split_pair(rng, m, d, k, (2,))
+    for low in range(k + 1):  # truncation stays a prefix slice of the same space
+        _kept(a_full.truncate(low), a_lin.truncate(low), keep[:_space(m + d, low, lead=m).size])
+
+
+@pytest.mark.parametrize("m, d, k", LINEAR_CASES)
+def test_first_order_products_are_the_full_space_entries_bitwise(m, d, k):
+    rng = np.random.default_rng(7 * m + d + k)
+    # the last batch runs in several kernel passes of _CHUNK_TERMS terms
+    rows = 2 * jets_module._CHUNK_TERMS // len(_space(m + d, k, lead=m).mul_table()[0]) + 1
+    for shape_a, shape_b in (((), ()), ((3, 1, 2), (4, 1)), ((2,), (5, 2)), ((rows, 2), (2,))):
+        a_full, a_lin, keep = _split_pair(rng, m, d, k, shape_a)
+        b_full, b_lin, _ = _split_pair(rng, m, d, k, shape_b)
+        _kept(a_full * b_full, a_lin * b_lin, keep)
+        _kept(a_full - b_full, a_lin - b_lin, keep)
+
+
+@pytest.mark.parametrize("m, d, k", LINEAR_CASES)
+def test_first_order_series_and_inverse_are_the_full_space_entries_bitwise(m, d, k):
+    rng = np.random.default_rng(3 * m + 5 * d + k)
+    a_full, a_lin, keep = _split_pair(rng, m, d, k, (3,))
+    for name, fn in SERIES.items():
+        _kept(fn(a_full), fn(a_lin), keep)
+    _kept(a_full.powi(0), a_lin.powi(0), keep)
+    _kept(a_full.powi(-2), a_lin.powi(-2), keep)
+    # a diagonally dominant (3, 3) matrix of jets per sample
+    base = np.eye(3) * 4.0 + rng.uniform(-0.5, 0.5, (2, 3, 3))
+    mat_full, mat_lin, _ = _split_pair(rng, m, d, k, (2, 3, 3), base=base)
+    _kept(jet_matrix_inverse(mat_full), jet_matrix_inverse(mat_lin), keep)
+
+
+@pytest.mark.parametrize("m, d, k", LINEAR_CASES)
+def test_first_order_extract_is_the_full_space_extract_bitwise(m, d, k):
+    rng = np.random.default_rng(11 * m + d + k)
+    a_full, a_lin, _ = _split_pair(rng, m, d, k, (2, 3))
+    assert extract(a_lin, m, k).coeffs.tobytes() == extract(a_full, m, k).coeffs.tobytes()
+    for c in range(d):
+        got = extract(a_lin, m, k - 1, extra=m + c)
+        assert got.coeffs.tobytes() == extract(a_full, m, k - 1, extra=m + c).coeffs.tobytes()
+    # embedding the parameter jets and adding the first-order variables
+    u = seed_point(rng.uniform(-1.0, 1.0, (2, m)), k)
+    lin = _space(m + d, k, lead=m)
+    for i, x in enumerate(u):
+        eps_full = Jet.variable(m + d, k, m + i % d, 0.0)
+        eps_lin = lin.variable(m + i % d, 0.0)
+        _kept(embed(x, m + d) + eps_full, embed(x, lin) + eps_lin,
+              [_space(m + d, k).position[mi] for mi in lin.indices])
+
+
+def test_first_order_and_full_jets_never_mix():
+    rng = np.random.default_rng(0)
+    a_full, a_lin, _ = _split_pair(rng, 3, 4, 4, (2,))
+    for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: y - x):
+        with pytest.raises(ValueError):
+            op(a_full, a_lin)
+        with pytest.raises(ValueError):
+            op(a_full.truncate(2), a_lin)  # a lower order does not make them one space
+    with pytest.raises(ValueError):
+        stack([a_full, a_lin])
+    with pytest.raises(ValueError):
+        stack([a_lin.truncate(3), a_full])
+
+
+def test_first_order_space_refuses_what_it_does_not_hold():
+    rng = np.random.default_rng(1)
+    _, a_lin, _ = _split_pair(rng, 3, 4, 4, ())
+    assert a_lin.partial((1, 0, 0, 0, 1, 0, 0)) == a_lin.coeffs[
+        a_lin.space.position[(1, 0, 0, 0, 1, 0, 0)]]
+    for alpha in ((0, 0, 0, 2, 0, 0, 0), (1, 0, 0, 1, 1, 0, 0)):
+        with pytest.raises(ValueError):
+            a_lin.partial(alpha)  # dropped: quadratic in the trailing variables
+    assert a_lin.derivative(2).space is _space(7, 3, lead=3)
+    for var in range(3, 7):
+        with pytest.raises(ValueError):
+            a_lin.derivative(var)

@@ -25,6 +25,7 @@ from biharm.scenario import (
     run_check,
     sweep_solve,
 )
+from biharm.submanifold import geometry_jet_size
 
 
 def _cfg(**overrides):
@@ -417,9 +418,19 @@ def test_overflowing_component_fails_points_not_the_run():
     assert all(p["error"] for p in failed)
 
 
+def _block_budget(monkeypatch, cfg, rows):
+    """Set the block budget to ``rows`` samples of ``cfg``'s order-4 grid."""
+    import biharm.scenario as scenario
+
+    size = geometry_jet_size(cfg.ambient, cfg.immersion, scenario.JET_ORDER)
+    monkeypatch.setattr(scenario, "_BLOCK_COEFFS", rows * size)
+    assert scenario._block_rows(cfg, scenario.JET_ORDER) == rows
+
+
 def test_nan_residual_at_second_sample_fails_that_point(monkeypatch):
     import biharm.scenario as scenario
 
+    _block_budget(monkeypatch, _cfg(), 8)  # 8 + 4 samples
     calls = []
     real = scenario.residual_general
     second = _cfg().immersion.grid()[1]
@@ -513,13 +524,13 @@ def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
     import biharm.scenario as scenario
     import biharm.submanifold as submanifold
 
-    monkeypatch.setattr(scenario, "_BLOCK_COEFFS", 6 * n_entries(2 + 4, 4))  # 6-sample blocks
     cfg = _cfg(constants={"c": 0.6}, immersion={
         "components": ["u1", "u2", "sqrt(c - u1)", "0"],
         "params": ["u1", "u2"],
         "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 3},
                              {"lo": 0, "hi": 1, "samples": 4}]},
     }, checks=[{"op": "residual"}])
+    _block_budget(monkeypatch, cfg, 6)  # 6-sample blocks
     needs = frozenset((scenario.GEOMETRY, scenario.RESIDUALS, scenario.NORMAL, scenario.SPLIT))
     expected = [_single(cfg, u, needs, scenario.JET_ORDER) for u in cfg.immersion.grid()]
     calls = []
@@ -545,13 +556,13 @@ def test_normal_jet_stage_fault_reruns_that_block_per_sample(monkeypatch):
     import biharm.scenario as scenario
     from biharm.jets import DomainError
 
-    monkeypatch.setattr(scenario, "_BLOCK_COEFFS", 6 * n_entries(2 + 4, 4))  # 6-sample blocks
     cfg = _cfg(immersion={
         "components": ["u1", "u2", "u1 * u2", "0"],
         "params": ["u1", "u2"],
         "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 3},
                              {"lo": 0, "hi": 1, "samples": 4}]},
     }, checks=[{"op": "residual"}])
+    _block_budget(monkeypatch, cfg, 6)  # 6-sample blocks
     grid = cfg.immersion.grid()
     expected = scenario._run_grid(cfg, {scenario.RESIDUALS})
     real, calls = scenario.normal_derivatives, []
@@ -579,6 +590,7 @@ def test_one_row_tail_fault_fails_only_that_row(monkeypatch):
     import biharm.scenario as scenario
 
     cfg = _cfg(checks=[{"op": "residual"}, {"op": "gauss"}, {"op": "relations"}])
+    _block_budget(monkeypatch, cfg, 8)  # 8 + 4 samples
     grid = cfg.immersion.grid()
     clean = scenario._run_grid(cfg, {scenario.RESIDUALS, scenario.SCALAR, scenario.RELATIONS})
     real, calls = scenario.scalar_curvature, []
@@ -653,14 +665,17 @@ def _same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("ambient, immersion, blocks", [
-    ("sasakian_r5", "hyperplane_y1", 4),             # chart, 9 jet variables
+    ("sasakian_r5", "hyperplane_y1", 4),             # chart, 9 jet variables, 4-sample blocks
     ("sasakian_sphere_s5", "clifford_torus_s5", 1),  # embedded, 4 jet variables
     ("flat_c2", "round_hypersphere", 2),             # chart, 8 + 4 samples
 ])
-def test_grid_blocks_change_no_record(ambient, immersion, blocks):
+def test_grid_blocks_change_no_record(monkeypatch, ambient, immersion, blocks):
     import biharm.scenario as scenario
 
     cfg = _cfg(ambient={"catalog": ambient}, immersion={"catalog": immersion})
+    rows = {"hyperplane_y1": 4, "round_hypersphere": 8}.get(immersion)
+    if rows:  # the catalog budget runs these grids in fewer blocks
+        _block_budget(monkeypatch, cfg, rows)
     grid = cfg.immersion.grid()
     assert math.ceil(len(grid) / scenario._block_rows(cfg, scenario.JET_ORDER)) == blocks
     records = scenario._run_grid(cfg)
@@ -669,6 +684,25 @@ def test_grid_blocks_change_no_record(ambient, immersion, blocks):
         assert record.error is None
         single = _single(cfg, u, scenario.QUANTITIES, scenario.JET_ORDER)
         assert _same(record, single), u
+
+
+@pytest.mark.parametrize("ambient, immersion, blocks", [
+    ("sasakian_r5", "hyperplane_y1", 2),  # 16 samples, 11 per block
+    ("cosymplectic_r5", "graph_surface", 1),
+    ("flat_c2", "round_hypersphere", 1),
+])
+def test_catalog_budget_sizes_blocks_by_the_first_order_chart_space(ambient, immersion, blocks):
+    # the augmented chart space keeps its displacements first-order, so the
+    # catalog's widest grids run in fewer, larger blocks than over the full space
+    import biharm.scenario as scenario
+
+    cfg = _cfg(ambient={"catalog": ambient}, immersion={"catalog": immersion})
+    m, d = cfg.immersion.dim, cfg.ambient.dim
+    size = geometry_jet_size(cfg.ambient, cfg.immersion, scenario.JET_ORDER)
+    assert size == n_entries(m, 4) + d * n_entries(m, 3)
+    rows = scenario._block_rows(cfg, scenario.JET_ORDER)
+    assert rows == scenario._BLOCK_COEFFS // size > scenario._BLOCK_COEFFS // n_entries(m + d, 4)
+    assert math.ceil(len(cfg.immersion.grid()) / rows) == blocks
 
 
 def test_immersion_must_have_lower_dimension():

@@ -15,6 +15,7 @@ from biharm.ambient import (
     verify_structure,
 )
 from biharm.exprs import parse_expression
+from biharm.jets import n_entries, seed_point
 from biharm.submanifold import (
     Axis,
     ImmersionModel,
@@ -24,6 +25,8 @@ from biharm.submanifold import (
     pseudo_umbilical_check,
     scalar_curvature,
 )
+
+from conftest import full_chart_calc
 
 
 def _setup(space_name, imm_name, params=None, ambient_params=None):
@@ -332,6 +335,38 @@ def test_grid_batch_equals_per_sample_calls_bitwise(space_name, imm_name, params
             assert _bitwise(row, scalar_curvature(space, one)), i
             if imm.dim > 1:
                 assert _bitwise(row[0], scalar_from_metric_jets(one._state["g_ind"])), i
+
+
+def _chart_pairs():
+    """Every chart catalog ambient with each catalog immersion of its
+    representation dimension."""
+    pairs = []
+    for space_name in sorted(catalog.AMBIENTS):
+        space = catalog.ambient(space_name)
+        for imm_name in sorted(catalog.IMMERSIONS) if space.backend == "chart" else ():
+            try:
+                catalog.immersion(imm_name, space)
+            except ValueError:  # another representation dimension
+                continue
+            pairs.append((space_name, imm_name))
+    return pairs
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("space_name, imm_name", _chart_pairs())
+def test_chart_calc_equals_the_full_augmented_space_bitwise(space_name, imm_name, order):
+    # the augmented metric keeps the displacements first-order, and the
+    # Christoffel stages run one upper index at a time: the calculus's
+    # metric and precontracted connection are the full space's, bit for bit
+    space, imm = _setup(space_name, imm_name)
+    m, d = imm.dim, space.dim
+    pos = imm.jets("components", seed_point(np.array(imm.grid()), order))
+    calc = sm._ChartCalc(space, pos)
+    g, gamma_t = full_chart_calc(space, pos)
+    assert calc.g.space is g.space and _bitwise(calc.g.coeffs, g.coeffs)
+    assert calc.gamma_t.space is gamma_t.space and _bitwise(calc.gamma_t.coeffs, gamma_t.coeffs)
+    size = sm.geometry_jet_size(space, imm, order)
+    assert size == n_entries(m, order) + d * n_entries(m, order - 1) < n_entries(m + d, order)
 
 
 TAGGED = [name for name in sorted(catalog.AMBIENTS) if catalog.ambient(name).tag is not None]
