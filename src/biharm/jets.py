@@ -46,10 +46,15 @@ class _JetSpace:
     """Index tables shared by every jet with the same (nvars, order, lead)."""
 
     def __init__(self, nvars: int, order: int, lead: int):
-        self.nvars, self.order, self.lead = nvars, order, lead
-        graded = (tuple(c.count(v) for v in range(nvars)) for total in range(order + 1)
-                  for c in combinations_with_replacement(range(nvars), total))
-        self.indices = [m for m in graded if sum(m[lead:]) <= 1]
+        self.nvars = nvars
+        self.order = order
+        self.lead = lead
+        self.indices = []
+        for total in range(order + 1):
+            for combo in combinations_with_replacement(range(nvars), total):
+                idx = tuple(combo.count(v) for v in range(nvars))
+                if sum(idx[lead:]) <= 1:  # first-order past lead
+                    self.indices.append(idx)
         self.size = len(self.indices)
         self.position = {m: i for i, m in enumerate(self.indices)}
         self.ends = [sum(sum(m) <= k for m in self.indices) for k in range(order + 1)]
@@ -71,8 +76,12 @@ class _JetSpace:
                         ia.append(i)
                         ib.append(j)
                         w.append(math.prod(math.comb(a + b, a) for a, b in zip(mi, mj)))
-            self._mul = (*(np.array(x, dtype=np.intp) for x in (out, ia, ib)),
-                         np.array(w, dtype=float))
+            self._mul = (
+                np.array(out, dtype=np.intp),
+                np.array(ia, dtype=np.intp),
+                np.array(ib, dtype=np.intp),
+                np.array(w, dtype=float),
+            )
         return self._mul
 
     def diff_map(self, var: int):
@@ -180,7 +189,8 @@ class Jet:
     __array_ufunc__ = None  # ndarray (op) Jet defers to the Jet operators
 
     def __init__(self, space: _JetSpace, coeffs: np.ndarray):
-        self.space, self.coeffs = space, coeffs
+        self.space = space
+        self.coeffs = coeffs
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -471,10 +481,8 @@ def stack(items, nvars: int | None = None, order: int | None = None, axis: int =
 
 # -- cross-space plumbing -------------------------------------------------
 
-def embed(jet: Jet, target) -> Jet:
-    """View an m-variable jet inside a larger variable space (new vars inert):
-    the full space over ``target`` variables, or the jet space ``target``."""
-    sp = target if isinstance(target, _JetSpace) else _space(target, jet.order)
+def embed(jet: Jet, sp: _JetSpace) -> Jet:
+    """View an m-variable jet inside the larger jet space ``sp`` (new vars inert)."""
     if sp.order != jet.order or min(sp.lead, jet.space.lead) < jet.nvars:
         raise ValueError("target space does not contain the source")
     dst = sp.restrict_map(jet.nvars, jet.order, (0,) * (sp.nvars - jet.nvars))

@@ -134,7 +134,7 @@ def full_chart_calc(space: AmbientModel, pos):
     reproduce bitwise."""
     m, d, order = pos.nvars, space.dim, pos.order
     disp = stack([Jet.variable(m + d, order, m + a, 0.0) for a in range(d)])
-    aug = embed(pos, m + d) + disp
+    aug = embed(pos, disp.space) + disp
     g_aug = space.jets("metric", [aug[..., a] for a in range(d)])
     g = extract(g_aug, m, order)
     dg = stack([extract(g_aug, m, order - 1, extra=m + c) for c in range(d)], axis=-3)

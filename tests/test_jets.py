@@ -186,7 +186,7 @@ def test_domain_errors():
 def test_embed_and_extract_roundtrip():
     u1, u2 = seed_point([0.4, 0.7], 3)
     f = u1.sin() * u2 + u2 * u2
-    big = embed(f, 5)
+    big = embed(f, _space(5, 3))
     assert big.nvars == 5
     back = extract(big, 2, 3)
     assert np.allclose(back.coeffs, f.coeffs)
@@ -196,7 +196,7 @@ def test_extract_epsilon_slice_is_directional_derivative():
     # augment with one extra variable and evaluate f(u, eps) = sin(u + eps);
     # the eps slice must equal the jet of cos(u)
     (u,) = seed_point([0.6], 3)
-    aug_u = embed(u, 2)
+    aug_u = embed(u, _space(2, 3))
     eps = Jet.variable(2, 3, 1, 0.0)
     f = (aug_u + eps).sin()
     d_eps = extract(f, 1, 2, extra=1)
@@ -399,7 +399,7 @@ def test_first_order_extract_is_the_full_space_extract_bitwise(m, d, k):
     for i, x in enumerate(u):
         eps_full = Jet.variable(m + d, k, m + i % d, 0.0)
         eps_lin = lin.variable(m + i % d, 0.0)
-        _kept(embed(x, m + d) + eps_full, embed(x, lin) + eps_lin,
+        _kept(embed(x, _space(m + d, k)) + eps_full, embed(x, lin) + eps_lin,
               [_space(m + d, k).position[mi] for mi in lin.indices])
 
 

@@ -1,9 +1,9 @@
-"""One sha256 per benchmark workload over its outputs at seeds 0..N-1.
+"""One sha256 per benchmark workload over its outputs at seeds 0-9.
 
-    python3 tools/output_digest.py [--seeds 10]
+    python3 tools/output_digest.py
 
 For every workload of ``bench/workloads.py`` the tool runs one pass
-(``run_pass``) at each seed 0..N-1 with the biharm package in this
+(``run_pass``) at each seed 0-9 with the biharm package in this
 checkout's ``src``, and hashes the outputs in a bitwise form: every float
 as its ``float.hex``, every array as its dtype, shape and raw bytes, a
 raised exception as its type and message.  Two checkouts whose digests
@@ -13,7 +13,6 @@ agree gave byte-identical outputs at those seeds.  The tool only reads
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import importlib.util
@@ -26,6 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from biharm import scenario  # noqa: E402
+
+SEEDS = 10  # every workload is hashed over seeds 0..SEEDS-1
 
 
 def _workloads():
@@ -53,19 +54,16 @@ def canonical(x) -> str:
     return repr(x)
 
 
-def digest(workload, seeds: int) -> str:
+def digest(workload) -> str:
     h = hashlib.sha256()
-    for seed in range(seeds):
+    for seed in range(SEEDS):
         h.update(canonical(workload(seed).run_pass(scenario)).encode())
     return h.hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=10)
-    args = parser.parse_args(argv)
+def main() -> int:
     for name, workload in _workloads().items():
-        print(f"{name} {digest(workload, args.seeds)}")
+        print(f"{name} {digest(workload)}")
     return 0
 
 
