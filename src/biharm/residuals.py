@@ -18,7 +18,7 @@ property, not an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,7 +39,8 @@ from .ambient import (
     vec_mat,
 )
 from .structure import ClassificationFlags, DecompositionOperators
-from .submanifold import NormalFieldDerivatives, PointGeometry, project_tangent, _project_normal
+from .submanifold import (PSEUDO_UMBILICAL_TOL, NormalFieldDerivatives, PointGeometry,
+                          _project_normal, project_tangent)
 
 # coefficients_at, curvature_parts and structure_at are imported for
 # bench/tracing.py, which wraps them in this module's namespace; the residuals
@@ -84,24 +85,11 @@ class BiharmonicResidual:
     tangential: np.ndarray
     terms: dict = field(default_factory=dict)
 
-    @property
-    def normal_norm(self) -> float:
-        return float(np.linalg.norm(self.normal))
 
-    @property
-    def tangential_norm(self) -> float:
-        return float(np.linalg.norm(self.tangential))
-
-    def at(self, index) -> "BiharmonicResidual":
-        """The residual of the sample at ``index`` of the sample axes."""
-        return BiharmonicResidual(self.normal[index], self.tangential[index],
-                                  {k: float(v[index]) for k, v in self.terms.items()})
-
-
-def characterization_target(kind: str, m: int, coeffs) -> float:
+def characterization_target(kind: str, m: int, coeffs):
     """The constant that |B|^2 of a CMC hypersurface is held to: 3(alpha + beta)
     in a generalized complex space form, K = m f1 - f2 + 3 f3 in a
-    generalized Sasakian one."""
+    generalized Sasakian one; a column of them for coefficient columns."""
     if kind == KIND_COMPLEX:
         alpha, beta = coeffs
         return 3.0 * (alpha + beta)
@@ -250,12 +238,17 @@ def residual_gssf(space, pg, nd, ops: DecompositionOperators,
     return out
 
 
-def branch_of(kind: str, residuals: dict) -> str:
-    """The residual a sample reports as its branch: the first special-case
-    branch in :data:`BRANCH_PRIORITY` that its flags activated, else the
+def branch_of(kind: str, residuals: dict, active: dict) -> np.ndarray:
+    """The residual each sample reports as its branch: the first special-case
+    branch in :data:`BRANCH_PRIORITY` that its flags activate (``active``
+    holds the samples at which each computed branch is active), else the
     closed form, else the general split."""
-    return next((name for name in BRANCH_PRIORITY[kind] if name in residuals),
-                CLOSED_FORM if CLOSED_FORM in residuals else GENERAL)
+    branch = np.full(residuals[GENERAL].normal.shape[:-1],
+                     CLOSED_FORM if CLOSED_FORM in residuals else GENERAL, dtype=object)
+    for name in reversed(BRANCH_PRIORITY[kind]):
+        if name in active:
+            branch = np.where(active[name], name, branch)
+    return branch
 
 
 def reduction_residual(space, pg, ops):
@@ -277,54 +270,94 @@ def reduction_residual(space, pg, ops):
 
 
 @dataclass
-class PointData:
-    """One grid sample's result.  A failed sample carries its ``error`` and
-    nothing else; on a clean one, a quantity that the grid run was not asked
-    for stays None (``residuals`` stays empty)."""
+class GridSamples:
+    """A grid's clean samples as columns: every field has the sample axis in
+    front, the samples in grid order.  A quantity that the grid run was not
+    asked for stays None.  The flags, the pseudo-umbilical deviation and the
+    signed normal residual are object columns, None at a sample that decides
+    nothing."""
 
-    u: tuple
-    error: str | None = None
-    h_norm: float | None = None
-    b_norm2: float | None = None
-    coeffs: tuple | None = None
-    flags: ClassificationFlags | None = None
-    scal_intrinsic: float | None = None
-    scal_via_gauss: float | None = None
-    pseudo_deviation: float | None = None
-    nabla_h_norm: float | None = None
-    reduction_residual: float | None = None
-    residuals: dict[str, BiharmonicResidual] = field(default_factory=dict)
+    u: np.ndarray
+    h_norm: np.ndarray
+    b_norm2: np.ndarray
+    coeffs: tuple | None = None             # one column per curvature coefficient
+    flags: dict | None = None               # by flag name, in field order
+    nabla_h_norm: np.ndarray | None = None
+    scal_intrinsic: np.ndarray | None = None
+    scal_via_gauss: np.ndarray | None = None
+    pseudo_deviation: np.ndarray | None = None
+    reduction_residual: np.ndarray | None = None
+    normal_residual: np.ndarray | None = None      # norms of the general split
+    tangential_residual: np.ndarray | None = None
+    terms: dict | None = None                      # norms of its terms
+    closed_form_gap: np.ndarray | None = None      # largest residual gap to the general split
+    branch_gap: np.ndarray | None = None           # the same over the active branches
+    branch: np.ndarray | None = None               # see :func:`branch_of`
+    signed_normal: np.ndarray | None = None        # general normal residual along H/|H|
     relations: dict | None = None
-    branch: str | None = None          # see :func:`branch_of`
-    signed_normal: float | None = None  # general normal residual along H/|H|
 
 
-def _cmc(points) -> tuple[bool, float]:
-    hs = [p.h_norm for p in points]
-    spread = max(hs) - min(hs)
-    return spread < CMC_RTOL * (1.0 + max(hs)), max(hs)
+def map_columns(fn, *records):
+    """``fn`` of the corresponding columns of ``records`` (grid samples, or the
+    dicts and tuples of columns in them), nested as they are; None stays None."""
+    first = records[0]
+    if first is None:
+        return None
+    if isinstance(first, GridSamples):
+        return GridSamples(**{f.name: map_columns(fn, *(getattr(r, f.name) for r in records))
+                              for f in fields(first)})
+    if isinstance(first, dict):
+        return {k: map_columns(fn, *(r[k] for r in records)) for k in first}
+    if isinstance(first, tuple):
+        return tuple(map_columns(fn, *parts) for parts in zip(*records))
+    return fn(*records)
 
 
-def flag_consensus(points) -> dict:
+def decided(column) -> np.ndarray:
+    """The entries of a column that are not None (all of a float column)."""
+    return column[np.not_equal(column, None)]
+
+
+def _cmc(samples) -> tuple[bool, float]:
+    hmax = float(samples.h_norm.max())
+    return hmax - float(samples.h_norm.min()) < CMC_RTOL * (1.0 + hmax), hmax
+
+
+def flag_consensus(samples) -> dict:
     """Each classification flag over the grid: True when every sample that
     decides it says True, False when one says False, None when none decides."""
     out = {}
-    flags = [p.flags.as_dict() for p in points]
-    for name in flags[0]:
-        known = [f[name] for f in flags if f[name] is not None]
-        out[name] = all(known) if known else None
+    for name, column in samples.flags.items():
+        known = decided(column)
+        out[name] = bool(known.all()) if known.size else None
     return out
 
 
-def contact_reduction_ok(points) -> bool:
-    vals = [p.reduction_residual for p in points if p.reduction_residual is not None]
-    if not vals:
+def contact_reduction_ok(samples) -> bool:
+    if samples.reduction_residual is None:
         return False
-    scale = 1.0 + max(p.h_norm for p in points)
-    return max(vals) <= REDUCTION_TOL * scale
+    scale = 1.0 + float(samples.h_norm.max())
+    return float(samples.reduction_residual.max()) <= REDUCTION_TOL * scale
 
 
-def cmc_characterization(space: AmbientModel, points, m: int) -> dict:
+def pseudo_umbilical(samples) -> tuple[float | None, bool]:
+    """The largest pseudo-umbilical deviation over the samples that decide it,
+    and whether it is below :data:`PSEUDO_UMBILICAL_TOL`; (None, False) when
+    no sample decides it."""
+    devs = decided(samples.pseudo_deviation)
+    if not devs.size:
+        return None, False
+    worst = float(devs.max())
+    return worst, worst < PSEUDO_UMBILICAL_TOL
+
+
+def squares(column):
+    """The squares of a column as Python's float ``**`` gives them: numpy's
+    ``**2`` (a product) differs from it in the last bit on some values."""
+    return np.float_power(column, 2)
+
+
+def cmc_characterization(space: AmbientModel, samples, m: int) -> dict:
     """Constant-mean-curvature characterization |B|^2 = target for hypersurfaces.
 
     Complex ambient: target 3(alpha + beta), with the equivalent scalar
@@ -333,9 +366,8 @@ def cmc_characterization(space: AmbientModel, points, m: int) -> dict:
     terms of the normal equation vanish identically on the grid.  Returns
     the report entry: ``status`` is Satisfied, Violated or NotApplicable.
     """
-    points = list(points)
-    cmc, hmax = _cmc(points)
-    flags = flag_consensus(points)
+    cmc, hmax = _cmc(samples)
+    flags = flag_consensus(samples)
     hyp = {
         "cmc": cmc,
         "nonzero_mean_curvature": hmax > MINIMAL_TOL,
@@ -345,7 +377,7 @@ def cmc_characterization(space: AmbientModel, points, m: int) -> dict:
     holds = dict(hyp, xi_tangent=True)
     if space.kind == KIND_CONTACT:
         hyp["xi_tangent"] = flags["xi_tangent"] is True
-        hyp["equation_reduces"] = contact_reduction_ok(points)
+        hyp["equation_reduces"] = contact_reduction_ok(samples)
         holds["xi_tangent"] = hyp["xi_tangent"] or hyp["equation_reduces"]
     out = {"status": "NotApplicable", "target": None, "gap": None, "hypotheses": hyp,
            "failed_hypothesis": None, "scalar_check": None}
@@ -354,23 +386,18 @@ def cmc_characterization(space: AmbientModel, points, m: int) -> dict:
             out["failed_hypothesis"] = name
             return out
 
-    gaps, targets, scal_gaps = [], [], []
-    for p in points:
-        target = characterization_target(space.kind, m, p.coeffs)
-        if space.kind == KIND_COMPLEX:
-            scal_gaps.append(abs(p.scal_intrinsic - (target + 9.0 * p.h_norm**2)))
-        targets.append(target)
-        gaps.append(abs(p.b_norm2 - target))
-    gap = max(gaps)
+    target = characterization_target(space.kind, m, samples.coeffs)
+    gap = float(np.abs(samples.b_norm2 - target).max())
     out.update(status="Satisfied" if gap < CHARACTERIZATION_TOL else "Violated",
-               target=targets[0], gap=gap)
+               target=float(target[0]), gap=gap)
     if space.kind == KIND_COMPLEX:
-        out["scalar_check"] = {"max_gap": max(scal_gaps), "form": "3(alpha+beta)+9|H|^2"}
+        scal_gap = np.abs(samples.scal_intrinsic - (target + 9.0 * squares(samples.h_norm)))
+        out["scalar_check"] = {"max_gap": float(scal_gap.max()), "form": "3(alpha+beta)+9|H|^2"}
     return out
 
 
-def _bound_kind(space, points) -> str | None:
-    flags = flag_consensus(points)
+def _bound_kind(space, samples) -> str | None:
+    flags = flag_consensus(samples)
     if space.kind == KIND_COMPLEX:
         if flags["is_lagrangian"] is True:
             return "lagrangian"
@@ -378,7 +405,7 @@ def _bound_kind(space, points) -> str | None:
             return "complex_surface"
         return None
     xi_t = flags["xi_tangent"] is True
-    reduces = contact_reduction_ok(points)
+    reduces = contact_reduction_ok(samples)
     if (xi_t or reduces) and (flags["phi_h_tangent"] is not False
                               or flags["is_hypersurface"] is True):
         return "xi_phi_h_tangent"
@@ -387,24 +414,24 @@ def _bound_kind(space, points) -> str | None:
     return None
 
 
-def bound_check(space: AmbientModel, points, m: int) -> dict:
+def bound_check(space: AmbientModel, samples, m: int) -> dict:
     """Mean-curvature bound for proper biharmonic CMC submanifolds.
 
     Complex case: |H|^2 <= inf (2 alpha + 3 beta)/2 for Lagrangian surfaces,
     |H|^2 <= inf alpha for complex surfaces.  Contact case: |H|^2 <= K/m
     with xi and phi(H) tangent, or (K-3)/m with phi(H) normal, where K is
-    the grid minimum of m f1 - f2 + 3 f3 over the declared coefficients.  At equality the pseudo-umbilical and parallel-H
-    characterization is reported.  Infima are minima over grid samples.
+    the grid minimum of m f1 - f2 + 3 f3 over the declared coefficients.  At
+    equality the pseudo-umbilical (the rule of :func:`pseudo_umbilical`) and
+    parallel-H characterization is reported.  Infima are minima over grid samples.
     The kind (one of :data:`BOUND_KINDS` for the ambient) is matched from
     the flags.  Returns the report entry: ``status`` is
     WithinBound, Violated or NotApplicable.
     """
-    points = list(points)
-    cmc, hmax = _cmc(points)
+    cmc, hmax = _cmc(samples)
     # infima are taken over grid samples, never claimed globally
     hyp = {"cmc": cmc, "nonzero_mean_curvature": hmax > MINIMAL_TOL,
            "infimum": "min_over_grid_samples"}
-    kind = _bound_kind(space, points)
+    kind = _bound_kind(space, samples)
     out = {"kind": kind or "unmatched", "status": "NotApplicable", "k_value": None,
            "bound": None, "h2": None, "within_bound": None, "equality": None,
            "equality_case": None, "hypotheses": hyp, "failed_hypothesis": None}
@@ -418,9 +445,9 @@ def bound_check(space: AmbientModel, points, m: int) -> dict:
             return out
 
     if space.kind == KIND_COMPLEX:
-        bound = min(BOUND_KINDS[KIND_COMPLEX][kind](*p.coeffs) for p in points)
+        bound = float(BOUND_KINDS[KIND_COMPLEX][kind](*samples.coeffs).min())
     else:
-        k_value = min(characterization_target(KIND_CONTACT, m, p.coeffs) for p in points)
+        k_value = float(characterization_target(KIND_CONTACT, m, samples.coeffs).min())
         shift = BOUND_KINDS[KIND_CONTACT][kind]
         bound = None if k_value <= shift else (k_value - shift) / m
         out["k_value"] = k_value
@@ -434,17 +461,16 @@ def bound_check(space: AmbientModel, points, m: int) -> dict:
     within = h2 <= bound + BOUND_TOL
     equality = abs(h2 - bound) < max(BOUND_TOL, 1e-9 * (1.0 + bound))
     if equality:
-        devs = [p.pseudo_deviation for p in points if p.pseudo_deviation is not None]
         out["equality_case"] = {
-            "pseudo_umbilical": bool(devs) and max(devs) < 1e-6,
-            "parallel_mean_curvature": max(p.nabla_h_norm for p in points) < 1e-6,
+            "pseudo_umbilical": pseudo_umbilical(samples)[1],
+            "parallel_mean_curvature": float(samples.nabla_h_norm.max()) < 1e-6,
         }
     out.update(status="WithinBound" if within else "Violated", within_bound=within,
                equality=equality)
     return out
 
 
-def nonexistence_audit(space: AmbientModel, points, m: int) -> list[dict]:
+def nonexistence_audit(space: AmbientModel, samples, m: int) -> list[dict]:
     """Which non-existence statements cover the scenario's flag pattern.
 
     A finding is ``relevant`` when the scenario matches the statement's
@@ -453,30 +479,30 @@ def nonexistence_audit(space: AmbientModel, points, m: int) -> list[dict]:
     the theory and is flagged by the runner as a hard failure.  Returns the
     findings as report entries.
     """
-    points = list(points)
-    cmc = _cmc(points)[0]
-    flags = flag_consensus(points)
+    cmc = _cmc(samples)[0]
+    flags = flag_consensus(samples)
 
     def finding(rule, relevant, applies, detail):
         return {"rule": rule, "relevant": relevant, "applies": applies, "detail": detail}
 
     if space.kind == KIND_COMPLEX:
-        ab = [p.coeffs[0] + p.coeffs[1] for p in points]
-        lag = [2.0 * p.coeffs[0] + 3.0 * p.coeffs[1] for p in points]
-        comp = [p.coeffs[0] for p in points]
+        alpha, beta = samples.coeffs
+        ab = float((alpha + beta).max())
+        lag = float((2.0 * alpha + 3.0 * beta).max())
+        comp = float(alpha.max())
         return [
             finding("cmc_hypersurface_nonpositive_scalar",
-                    cmc and flags["is_hypersurface"] is True, max(ab) <= 0.0,
-                    {"sup_alpha_plus_beta": max(ab)}),
+                    cmc and flags["is_hypersurface"] is True, ab <= 0.0,
+                    {"sup_alpha_plus_beta": ab}),
             finding("cmc_lagrangian_surface", cmc and flags["is_lagrangian"] is True,
-                    max(lag) <= 0.0, {"sup_2alpha_plus_3beta": max(lag)}),
+                    lag <= 0.0, {"sup_2alpha_plus_3beta": lag}),
             finding("cmc_complex_surface", cmc and flags["is_complex"] is True,
-                    max(comp) <= 0.0, {"sup_alpha": max(comp)}),
+                    comp <= 0.0, {"sup_alpha": comp}),
         ]
 
     xi_t = flags["xi_tangent"] is True
-    kvals = [characterization_target(KIND_CONTACT, m, p.coeffs) for p in points]
-    detail = {"sup_target": max(kvals)}
+    kmax = float(characterization_target(KIND_CONTACT, m, samples.coeffs).max())
+    detail = {"sup_target": kmax}
     if space.tag is not None and space.tag.family in (SASAKI, KENMOTSU, COSYMPLECTIC):
         c = space.tag.value
         if space.tag.family == SASAKI:
@@ -490,26 +516,25 @@ def nonexistence_audit(space: AmbientModel, points, m: int) -> list[dict]:
     return [
         finding("cmc_reeb_tangent_hypersurface",
                 cmc and xi_t and flags["is_hypersurface"] is True,
-                max(kvals) <= 0.0, detail),
+                kmax <= 0.0, detail),
         # a grid on which no sample decides phi(H) (a minimal one) reads as
         # phi(H) tangent here: a vacuous truth that the report pins still hold
         finding("cmc_xi_phi_h_tangent", cmc and xi_t and flags["phi_h_tangent"] is not False,
-                max(kvals) <= 0.0, {"sup_k": max(kvals)}),
+                kmax <= 0.0, {"sup_k": kmax}),
         finding("cmc_xi_tangent_phi_h_normal", cmc and xi_t and flags["phi_h_normal"] is True,
-                max(kvals) <= 3.0, {"sup_k": max(kvals), "threshold": 3.0}),
+                kmax <= 3.0, {"sup_k": kmax, "threshold": 3.0}),
     ]
 
 
-def proper_biharmonic_verdict(points) -> str:
+def proper_biharmonic_verdict(samples) -> str:
     """MinimalHenceBiharmonic | ProperBiharmonic | NotBiharmonic from the grid.
 
     Biharmonic means both residual norms stay below :data:`PROPER_TOL` at
     every sample; proper additionally needs a mean curvature bounded away
     from 0.
     """
-    hmax = max(p.h_norm for p in points)
-    worst = max(max(p.residuals[GENERAL].normal_norm,
-                    p.residuals[GENERAL].tangential_norm) for p in points)
+    hmax = float(samples.h_norm.max())
+    worst = max(float(samples.normal_residual.max()), float(samples.tangential_residual.max()))
     if not worst <= PROPER_TOL:
         return "NotBiharmonic"
     return "MinimalHenceBiharmonic" if hmax <= MINIMAL_TOL else "ProperBiharmonic"

@@ -48,6 +48,8 @@ from .ambient import (
     GeometryError,
     coefficients_at,  # noqa: F401
     dot,
+    norm,
+    objects,
     vec_mat,
     verify_structure,
 )
@@ -65,23 +67,26 @@ from .residuals import (
     GENERAL,
     MINIMAL_TOL,
     PROPER_TOL,
-    PointData,
+    GridSamples,
     _cmc,
     bound_check,
     branch_of,
     characterization_target,
     cmc_characterization,
+    decided,
     flag_consensus,
+    map_columns,
     nonexistence_audit,
     proper_biharmonic_verdict,
+    pseudo_umbilical,
     reduction_residual,
     residual_gcsf,
     residual_general,
     residual_gssf,
+    squares,
 )
 from .structure import CLASSIFY_TOL, classify, decompose, verify_relations
 from .submanifold import (
-    PSEUDO_UMBILICAL_TOL,
     Axis,
     ImmersionModel,
     fd_normal_laplacian,
@@ -454,23 +459,20 @@ _REQUIRES = {RESIDUALS: (NORMAL, SPLIT), RELATIONS: (SPLIT,)}
 _ORDER2 = frozenset((GEOMETRY, COEFFICIENTS))
 
 
-def _require_finite(data: PointData):
-    """Raise DomainError naming every computed sample quantity that is not
-    finite: the aggregates reduce them with ``max``, which would drop a NaN."""
-    values = {"|H|": data.h_norm, "|B|^2": data.b_norm2}
-    if data.scal_intrinsic is not None:
-        values["intrinsic scalar curvature"] = data.scal_intrinsic
-        values["Gauss scalar curvature"] = data.scal_via_gauss
-    if data.pseudo_deviation is not None:
-        values["pseudo-umbilical deviation"] = data.pseudo_deviation
-    if data.reduction_residual is not None:
-        values["reduction residual"] = data.reduction_residual
-    for name, res in data.residuals.items():
-        values[f"{name} normal residual"] = res.normal_norm
-        values[f"{name} tangential residual"] = res.tangential_norm
-    for name, v in (data.relations or {}).items():
-        values[f"{name} relation"] = v
-    bad = [name for name, v in values.items() if not math.isfinite(v)]
+def _require_finite(samples: GridSamples, residual_norms: dict):
+    """Raise DomainError naming every computed quantity that is not finite at
+    some sample: the aggregates reduce them with ``max``, which would drop a
+    NaN.  ``residual_norms`` holds each residual's norms, 0 at the samples
+    where it does not count."""
+    values = {"|H|": samples.h_norm, "|B|^2": samples.b_norm2,
+              "intrinsic scalar curvature": samples.scal_intrinsic,
+              "Gauss scalar curvature": samples.scal_via_gauss,
+              "pseudo-umbilical deviation": samples.pseudo_deviation,
+              "reduction residual": samples.reduction_residual,
+              **residual_norms,
+              **{f"{name} relation": v for name, v in (samples.relations or {}).items()}}
+    bad = [name for name, v in values.items()
+           if v is not None and not np.isfinite(decided(v).astype(float)).all()]
     if bad:
         raise DomainError("non-finite " + ", ".join(bad))
 
@@ -485,18 +487,26 @@ def _faults_raise():
 
 
 def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
-              order: int) -> list[PointData]:
+              order: int) -> GridSamples:
     """The quantities ``needs``, each listed with what it rests on, at the
-    parameter points ``u`` (shape S + (m,)) from one geometry call at jet
-    order ``order``: one record per sample, in row-major order.  Every
-    stage runs over the sample axes; a geometric, arithmetic or non-finite
-    fault at any sample raises."""
+    parameter points ``u`` (shape S + (m,), S one axis or none) from one
+    geometry call at jet order ``order``: the samples' columns (one row at
+    S = ()).  Every stage runs over the sample axes; a geometric, arithmetic
+    or non-finite fault at any sample raises."""
     pg = point_geometry(space, imm, u, order)
+    S = pg.mean_curvature_norm.shape
+    out = GridSamples(u=pg.u, h_norm=pg.mean_curvature_norm, b_norm2=pg.second_fundamental_norm2)
+    residual_norms = {}
+    if COEFFICIENTS in needs:
+        out.coeffs = pg.ambient.coeffs
     if NORMAL in needs:
         nd = normal_derivatives(pg)
+        out.nabla_h_norm = nd.nabla_norm
     if SPLIT in needs:
         ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
         flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
+        out.flags = {k: np.broadcast_to(np.asarray(v, dtype=object), S)
+                     for k, v in flags.as_dict().items()}
     if RESIDUALS in needs:
         residuals = {GENERAL: residual_general(space, pg, nd)}
         if space.kind == KIND_COMPLEX:
@@ -504,44 +514,39 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
                 residuals.update(residual_gcsf(space, pg, nd, ops, flags))
         else:
             residuals.update(residual_gssf(space, pg, nd, ops, flags))
-            reduction = reduction_residual(space, pg, ops)
-        # the general normal residual along H, divided by |H| at each sample
-        along = dot(vec_mat(residuals[GENERAL].normal, pg.ambient_metric), pg.mean_curvature)
+            out.reduction_residual = reduction_residual(space, pg, ops)
+        gen = residuals[GENERAL]
+        # a special-case branch counts only at the samples whose flags activate it
+        active = {name: out.flags[BRANCH_FLAGS[name]].astype(bool)
+                  for name in residuals if name in BRANCH_FLAGS}
+        out.branch = branch_of(space.kind, residuals, active)
+        out.normal_residual, out.tangential_residual = norm(gen.normal), norm(gen.tangential)
+        out.terms = gen.terms
+        gaps = {}
+        for name, res in residuals.items():
+            counts = active.get(name, True)
+            residual_norms[f"{name} normal residual"] = np.where(counts, norm(res.normal), 0.0)
+            residual_norms[f"{name} tangential residual"] = np.where(counts, norm(res.tangential), 0.0)
+            if name != GENERAL:
+                gaps[name] = np.where(counts, np.maximum(norm(res.normal - gen.normal),
+                                                         norm(res.tangential - gen.tangential)), 0.0)
+        out.closed_form_gap = gaps.pop(CLOSED_FORM, np.zeros(S))
+        out.branch_gap = np.max([np.zeros(S), *gaps.values()], axis=0)
+        # the general normal residual along H, divided by |H| where |H| > 1e-9
+        along = dot(vec_mat(gen.normal, pg.ambient_metric), pg.mean_curvature)
+        signed = out.h_norm > 1e-9
+        out.signed_normal = np.asarray(
+            objects(along / np.where(signed, out.h_norm, 1.0), signed), dtype=object)
     if PSEUDO in needs:
-        _, pseudo = pseudo_umbilical_check(pg)
+        out.pseudo_deviation = np.asarray(pseudo_umbilical_check(pg)[1], dtype=object)
     if SCALAR in needs:
-        intrinsic, via_gauss = scalar_curvature(space, pg)
+        out.scal_intrinsic, out.scal_via_gauss = scalar_curvature(space, pg)
     if RELATIONS in needs:
-        relations = verify_relations(ops)
-
-    records = []
-    for i in np.ndindex(pg.mean_curvature_norm.shape):
-        data = PointData(u=tuple(pg.u[i].tolist()), h_norm=float(pg.mean_curvature_norm[i]),
-                         b_norm2=float(pg.second_fundamental_norm2[i]))
-        if NORMAL in needs:
-            data.nabla_h_norm = float(nd.nabla_norm[i])
-        if SPLIT in needs:
-            data.flags = flags.at(i)
-        if RESIDUALS in needs:
-            data.residuals = {name: res.at(i) for name, res in residuals.items()
-                              if name not in BRANCH_FLAGS
-                              or getattr(data.flags, BRANCH_FLAGS[name])}
-            data.branch = branch_of(space.kind, data.residuals)
-            if space.kind == KIND_CONTACT:
-                data.reduction_residual = float(reduction[i])
-        if PSEUDO in needs:
-            data.pseudo_deviation = np.asarray(pseudo, dtype=object)[i]
-        if SCALAR in needs:
-            data.scal_intrinsic, data.scal_via_gauss = float(intrinsic[i]), float(via_gauss[i])
-        if RELATIONS in needs:
-            data.relations = {k: float(v[i]) for k, v in relations.items()}
-        _require_finite(data)
-        if COEFFICIENTS in needs:
-            data.coeffs = tuple(float(c[i]) for c in pg.ambient.coeffs)
-        if RESIDUALS in needs and data.h_norm > 1e-9:
-            data.signed_normal = float(along[i]) / data.h_norm
-        records.append(data)
-    return records
+        out.relations = verify_relations(ops)
+    if S == ():  # one row
+        out, residual_norms = map_columns(lambda a: np.asarray(a)[None], (out, residual_norms))
+    _require_finite(out, residual_norms)
+    return out
 
 
 # jet coefficients per field of a grid block: 11 samples of the catalog's
@@ -572,33 +577,40 @@ def _block_model(models):
 
 
 def _run_block(rows, needs: frozenset, order: int):
-    """Evaluate the (config, sample, records) ``rows`` as one block (a block
-    of one row at S = ()), appending each sample's record to its config's
-    records.  A fault anywhere in the block reruns each config's rows as a
-    block of their own, and a block of one config one row at a time, so
-    that each failed row keeps its own reason and no other config loses its
-    block."""
+    """Evaluate the (config, row, u, out) ``rows`` as one block (a block of one
+    row at S = ()): each config's ``out``, a pair of lists, gets the columns
+    of its clean rows and its failed rows as ``(row, u, error)``.  A fault
+    anywhere in the block reruns each config's rows as a block of their own,
+    and a block of one config one row at a time, so that each failed row
+    keeps its own reason and no other config loses its block."""
     try:
         with _faults_raise():
-            records = _evaluate(_block_model([cfg.ambient for cfg, _, _ in rows]),
-                                _block_model([cfg.immersion for cfg, _, _ in rows]),
-                                rows[0][1] if len(rows) == 1 else [u for _, u, _ in rows],
+            samples = _evaluate(_block_model([r[0].ambient for r in rows]),
+                                _block_model([r[0].immersion for r in rows]),
+                                rows[0][2] if len(rows) == 1 else [r[2] for r in rows],
                                 needs, order)
     except POINT_FAULTS as e:
         if len(rows) == 1:
-            rows[0][2].append(PointData(u=tuple(rows[0][1]), error=str(e)))
+            _, row, u, (_, failed) = rows[0]
+            failed.append((row, u, str(e)))
             return
-        configs = [list(g) for _, g in groupby(rows, key=lambda row: id(row[2]))]
-        for part in configs if len(configs) > 1 else [[row] for row in rows]:
+        configs = [list(g) for _, g in groupby(rows, key=lambda r: id(r[3]))]
+        for part in configs if len(configs) > 1 else [[r] for r in rows]:
             _run_block(part, needs, order)
         return
-    for (_, _, out), record in zip(rows, records):
-        out.append(record)
+    start = 0
+    for _, group in groupby(rows, key=lambda r: id(r[3])):
+        group = list(group)
+        chunks, _ = group[0][3]
+        chunks.append(map_columns(lambda a: a[start:start + len(group)], samples))
+        start += len(group)
 
 
-def _run_grids(cfgs, needs=QUANTITIES) -> list[list[PointData]]:
+def _run_grids(cfgs, needs=QUANTITIES) -> list[tuple[GridSamples | None, list]]:
     """``needs`` at every grid sample of each of the configs ``cfgs``, with
-    the geometry and what they rest on: one list of records per config.
+    the geometry and what they rest on: per config, the columns of its clean
+    samples (None when there is none) and its failed rows as
+    ``(row, u, error)``, both in grid order.
 
     The configs are one document at one or more values of its constants,
     as :meth:`ScenarioConfig.with_constant` makes them: they differ in
@@ -615,17 +627,18 @@ def _run_grids(cfgs, needs=QUANTITIES) -> list[list[PointData]]:
         closed.update(_REQUIRES.get(q, ()))
     closed = frozenset(closed)
     order = 2 if closed <= _ORDER2 else JET_ORDER
-    grids = [[] for _ in cfgs]
-    rows = [(cfg, u, records) for cfg, records in zip(cfgs, grids)
-            for u in cfg.immersion.grid()]
+    grids = [([], []) for _ in cfgs]
+    rows = [(cfg, row, u, out) for cfg, out in zip(cfgs, grids)
+            for row, u in enumerate(cfg.immersion.grid())]
     size = _block_rows(cfgs[0], order)
     for start in range(0, len(rows), size):
         _run_block(rows[start:start + size], closed, order)
-    return grids
+    return [(map_columns(lambda *a: np.concatenate(a), *chunks) if chunks else None, failed)
+            for chunks, failed in grids]
 
 
-def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> list[PointData]:
-    """The records of :func:`_run_grids` for the one config ``cfg``."""
+def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> tuple[GridSamples | None, list]:
+    """The grid of :func:`_run_grids` for the one config ``cfg``."""
     return _run_grids([cfg], needs)[0]
 
 
@@ -654,62 +667,38 @@ def run_check(cfg: ScenarioConfig) -> Report:
     declare; see :data:`CHECKS`.
     """
     needs = {RESIDUALS}.union(*(CHECKS[op].needs for op in cfg.checks))
-    records = _run_grid(cfg, needs)
-    ok = [r for r in records if r.error is None]
-    if not ok:
-        raise GeometryError(
-            "no grid point evaluated cleanly: " + (records[0].error or "empty grid"))
-
-    hs = [d.h_norm for d in ok]
-    # a verdict must hold at every sample: a partial grid decides nothing
-    verdict = proper_biharmonic_verdict(ok) if len(ok) == len(records) else "Inconclusive"
-
-    branch_gap = 0.0
-    closed_form_gap = 0.0
-    for d in ok:
-        gen = d.residuals[GENERAL]
-        for name, res in d.residuals.items():
-            gap = max(np.linalg.norm(res.normal - gen.normal),
-                      np.linalg.norm(res.tangential - gen.tangential))
-            if name == CLOSED_FORM:
-                closed_form_gap = max(closed_form_gap, gap)
-            elif name != GENERAL:
-                branch_gap = max(branch_gap, gap)
+    samples, failed = _run_grid(cfg, needs)
+    if samples is None:
+        raise GeometryError("no grid point evaluated cleanly: " + failed[0][2])
 
     aggregates = {
-        "points_total": len(records),
-        "points_failed": len(records) - len(ok),
-        "h_min": min(hs),
-        "h_max": max(hs),
-        "b_norm2_min": min(d.b_norm2 for d in ok),
-        "b_norm2_max": max(d.b_norm2 for d in ok),
-        "cmc": _cmc(ok)[0],
-        "max_normal_residual": max(d.residuals[GENERAL].normal_norm for d in ok),
-        "max_tangential_residual": max(d.residuals[GENERAL].tangential_norm for d in ok),
-        "max_closed_form_vs_general": closed_form_gap,
-        "max_branch_vs_general": branch_gap,
-        "verdict": verdict,
-        "classification": flag_consensus(ok),
-        "branch": ok[0].branch,
+        "points_total": len(samples.h_norm) + len(failed),
+        "points_failed": len(failed),
+        "h_min": float(samples.h_norm.min()),
+        "h_max": float(samples.h_norm.max()),
+        "b_norm2_min": float(samples.b_norm2.min()),
+        "b_norm2_max": float(samples.b_norm2.max()),
+        "cmc": _cmc(samples)[0],
+        "max_normal_residual": float(samples.normal_residual.max()),
+        "max_tangential_residual": float(samples.tangential_residual.max()),
+        "max_closed_form_vs_general": float(samples.closed_form_gap.max()),
+        "max_branch_vs_general": float(samples.branch_gap.max()),
+        # a verdict must hold at every sample: a partial grid decides nothing
+        "verdict": "Inconclusive" if failed else proper_biharmonic_verdict(samples),
+        "classification": flag_consensus(samples),
+        "branch": samples.branch[0],
     }
 
-    grid = _Grid(cfg, ok, aggregates)
+    grid = _Grid(cfg, samples, aggregates)
     checks_out = {op: {"op": op, **CHECKS[op].run(grid)} for op in cfg.checks}
 
-    points_doc = []
-    for d in records:
-        if d.error is not None:
-            points_doc.append({"u": list(d.u), "error": d.error})
-            continue
-        points_doc.append({
-            "u": list(d.u),
-            "h_norm": d.h_norm,
-            "b_norm2": d.b_norm2,
-            "normal_residual": d.residuals[GENERAL].normal_norm,
-            "tangential_residual": d.residuals[GENERAL].tangential_norm,
-            "branch": d.branch,
-            "flags": d.flags.as_dict(),
-        })
+    columns = ("u", "h_norm", "b_norm2", "normal_residual", "tangential_residual", "branch")
+    values = zip(*(getattr(samples, k).tolist() for k in columns))
+    flags = zip(*(v.tolist() for v in samples.flags.values()))
+    points_doc = [dict(zip(columns, row), flags=dict(zip(samples.flags, f)))
+                  for row, f in zip(values, flags)]
+    for row, u, error in failed:  # in grid order, so that each lands at its row
+        points_doc.insert(row, {"u": list(u), "error": error})
 
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -740,7 +729,7 @@ STRUCTURE_TOL = 1e-9    # the largest residual of a structure identity
 @dataclass
 class _Grid:
     cfg: ScenarioConfig
-    datas: list[PointData]       # the samples that evaluated cleanly
+    samples: GridSamples         # the samples that evaluated cleanly
     aggregates: dict
 
 
@@ -764,31 +753,30 @@ def _declare(table: dict, name: str, *needs: str):
 
 @_declare(CHECKS, "residual", RESIDUALS)
 def _check_residual(grid) -> dict:
-    datas, agg = grid.datas, grid.aggregates
+    agg = grid.aggregates
     worst = max(agg["max_normal_residual"], agg["max_tangential_residual"])
     return {
         "tol": PROPER_TOL,
         "max_residual": worst,
         "status": "ok" if worst <= PROPER_TOL else "violated",
-        "verdict": grid.aggregates["verdict"],
-        "terms": {k: max(d.residuals[GENERAL].terms[k] for d in datas)
-                  for k in datas[0].residuals[GENERAL].terms},
+        "verdict": agg["verdict"],
+        "terms": {k: float(v.max()) for k, v in grid.samples.terms.items()},
     }
 
 
 @_declare(CHECKS, "characterization", COEFFICIENTS, SPLIT, RESIDUALS, SCALAR)
 def _check_characterization(grid) -> dict:
-    return cmc_characterization(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim)
+    return cmc_characterization(grid.cfg.ambient, grid.samples, grid.cfg.immersion.dim)
 
 
 @_declare(CHECKS, "bound", COEFFICIENTS, SPLIT, RESIDUALS, PSEUDO)
 def _check_bound(grid) -> dict:
-    return bound_check(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim)
+    return bound_check(grid.cfg.ambient, grid.samples, grid.cfg.immersion.dim)
 
 
 @_declare(CHECKS, "audit", COEFFICIENTS, SPLIT)
 def _check_audit(grid) -> dict:
-    findings = nonexistence_audit(grid.cfg.ambient, grid.datas, grid.cfg.immersion.dim)
+    findings = nonexistence_audit(grid.cfg.ambient, grid.samples, grid.cfg.immersion.dim)
     contradiction = any(
         f["relevant"] and f["applies"] for f in findings
     ) and grid.aggregates["verdict"] == "ProperBiharmonic"
@@ -797,32 +785,26 @@ def _check_audit(grid) -> dict:
 
 @_declare(CHECKS, "relations", RELATIONS)
 def _check_relations(grid) -> dict:
-    worst = {}
-    for d in grid.datas:
-        if d.relations:
-            for k, v in d.relations.items():
-                worst[k] = max(worst.get(k, 0.0), v)
+    worst = {k: float(v.max()) for k, v in grid.samples.relations.items()}
     status = "ok" if worst and max(worst.values()) <= RELATIONS_TOL else "violated"
     return {"tol": RELATIONS_TOL, "residuals": worst, "status": status}
 
 
 @_declare(CHECKS, "gauss", COEFFICIENTS, SCALAR)
 def _check_gauss(grid) -> dict:
-    datas = grid.datas
-    worst = max(abs(d.scal_intrinsic - d.scal_via_gauss) for d in datas)
+    s = grid.samples
+    worst = float(np.abs(s.scal_intrinsic - s.scal_via_gauss).max())
     out = {"tol": GAUSS_TOL, "max_gap": worst, "status": "ok" if worst <= GAUSS_TOL else "violated"}
     if grid.cfg.ambient.kind == KIND_COMPLEX and grid.cfg.immersion.dim == 3:
-        form = max(
-            abs(d.scal_via_gauss - (2.0 * characterization_target(KIND_COMPLEX, 3, d.coeffs)
-                                    - d.b_norm2 + 9.0 * d.h_norm**2))
-            for d in datas)
-        out["hypersurface_form_gap"] = form
+        form = np.abs(s.scal_via_gauss - (2.0 * characterization_target(KIND_COMPLEX, 3, s.coeffs)
+                                          - s.b_norm2 + 9.0 * squares(s.h_norm)))
+        out["hypersurface_form_gap"] = float(form.max())
     return out
 
 
 @_declare(CHECKS, "structure", GEOMETRY)
 def _check_structure(grid) -> dict:
-    pts = grid.cfg.immersion.values("components", np.array([d.u for d in grid.datas[:6]]))
+    pts = grid.cfg.immersion.values("components", grid.samples.u[:6])
     residuals = verify_structure(grid.cfg.ambient, pts)
     return {"tol": STRUCTURE_TOL, "residuals": residuals,
             "status": "ok" if max(residuals.values()) <= STRUCTURE_TOL else "violated"}
@@ -830,11 +812,10 @@ def _check_structure(grid) -> dict:
 
 @_declare(CHECKS, "pseudo_umbilical", PSEUDO)
 def _check_pseudo_umbilical(grid) -> dict:
-    devs = [d.pseudo_deviation for d in grid.datas if d.pseudo_deviation is not None]
-    if not devs:
+    deviation, holds = pseudo_umbilical(grid.samples)
+    if deviation is None:
         return {"status": "NotApplicable"}
-    return {"max_deviation": max(devs),
-            "status": "ok" if max(devs) < PSEUDO_UMBILICAL_TOL else "violated"}
+    return {"max_deviation": deviation, "status": "ok" if holds else "violated"}
 
 
 # -- parameter sweeps --------------------------------------------------------------
@@ -859,21 +840,20 @@ SWEEP_OBJECTIVES: dict[str, Declared] = {}
 
 
 @_declare(SWEEP_OBJECTIVES, "normal_residual", RESIDUALS)
-def _objective_normal_residual(cfg, records) -> float:
+def _objective_normal_residual(cfg, samples) -> float:
     """The signed general normal residual of largest magnitude over the grid
     (the first on ties); the largest normal-residual norm when some sample
     has no sign (a minimal point)."""
-    signed = [d.signed_normal for d in records]
-    if None in signed:
-        return max(d.residuals[GENERAL].normal_norm for d in records)
-    return max(signed, key=abs)
+    signed = decided(samples.signed_normal).astype(float)
+    if signed.size < samples.signed_normal.size:
+        return float(samples.normal_residual.max())
+    return float(signed[np.argmax(np.abs(signed))])
 
 
 @_declare(SWEEP_OBJECTIVES, "characterization_gap", COEFFICIENTS)
-def _objective_characterization_gap(cfg, records) -> float:
+def _objective_characterization_gap(cfg, samples) -> float:
     kind, m = cfg.ambient.kind, cfg.immersion.dim
-    return float(np.mean([d.b_norm2 - characterization_target(kind, m, d.coeffs)
-                          for d in records]))
+    return float(np.mean(samples.b_norm2 - characterization_target(kind, m, samples.coeffs)))
 
 
 class _GridFailed(GeometryError):
@@ -886,18 +866,16 @@ def _sweep_declared(objective: str) -> Declared:
     return SWEEP_OBJECTIVES[objective]
 
 
-def _sweep_objective(cfg: ScenarioConfig, objective: str, records=None) -> float:
-    """The objective on the scenario grid, from its grid's ``records`` for
-    the objective's needs when given; NaN when part of the grid failed,
+def _sweep_objective(cfg: ScenarioConfig, objective: str, grid=None) -> float:
+    """The objective on the scenario grid, from its :func:`_run_grid` result
+    for the objective's needs when given; NaN when part of the grid failed,
     :class:`_GridFailed`, carrying the first point's error, when all of it
     did."""
     declared = _sweep_declared(objective)
-    if records is None:
-        records = _run_grid(cfg, declared.needs)
-    failed = sum(r.error is not None for r in records)
-    if failed == len(records):
-        raise _GridFailed(records[0].error)
-    return math.nan if failed else declared.run(cfg, records)
+    samples, failed = grid or _run_grid(cfg, declared.needs)
+    if samples is None:
+        raise _GridFailed(failed[0][2])
+    return math.nan if failed else declared.run(cfg, samples)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -978,9 +956,9 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     needs = _sweep_declared(objective).needs
     partial, evaluated, errors = [], [], []
 
-    def objective_at(value: float, value_cfg: ScenarioConfig, records=None) -> float:
+    def objective_at(value: float, value_cfg: ScenarioConfig, grid=None) -> float:
         try:
-            y = _sweep_objective(value_cfg, objective, records)
+            y = _sweep_objective(value_cfg, objective, grid)
         except _GridFailed as e:
             errors.append(f"{parameter}={value:g}: {e}")
             y = math.nan
@@ -995,8 +973,7 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
 
     xs = list(np.linspace(lo, hi, samples))
     cfgs = [cfg.with_constant(parameter, x) for x in xs]
-    ys = [objective_at(x, c, records)
-          for x, c, records in zip(xs, cfgs, _run_grids(cfgs, needs))]
+    ys = [objective_at(x, c, grid) for x, c, grid in zip(xs, cfgs, _run_grids(cfgs, needs))]
     if xs and not evaluated:
         raise GeometryError("no sampled value evaluated at any grid point; first error at "
                             + errors[0])
@@ -1074,7 +1051,7 @@ def _fmt(value, digits):
     if isinstance(value, dict):
         items = sorted(value.items(), key=lambda kv: str(kv[0]))
         return "{" + ",".join(f"{json.dumps(str(k))}:{_fmt(v, digits)}" for k, v in items) + "}"
-    return json.dumps(str(value))
+    raise TypeError(f"cannot write a {type(value).__name__} into a report")
 
 
 def emit_report(report: Report, format: str = "document") -> str:

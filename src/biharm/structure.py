@@ -19,7 +19,7 @@ of individual blocks drive submanifold classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,17 +136,10 @@ class ClassificationFlags:
     xi_normal: bool | None = None
     phi_h_tangent: bool | None = None
     phi_h_normal: bool | None = None
-    norms: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        """The flags by name, in field order: every field but the norms."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "norms"}
-
-    def at(self, index) -> "ClassificationFlags":
-        """The flags of the sample at ``index`` of the sample axes."""
-        flags = {k: None if v is None else np.asarray(v, dtype=object)[index]
-                 for k, v in self.as_dict().items()}
-        return ClassificationFlags(**flags, norms={k: float(v[index]) for k, v in self.norms.items()})
+        """The flags by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def classify(ops: DecompositionOperators, dims, h_normal=None) -> ClassificationFlags:
@@ -154,38 +147,29 @@ def classify(ops: DecompositionOperators, dims, h_normal=None) -> Classification
 
     ``dims`` is (intrinsic dimension, ambient manifold dimension);
     ``h_normal`` carries the normal-frame components of the mean curvature
-    vector, needed for the phi-H flags (None at minimal samples, where
-    |H| decides nothing; ``s_h`` and ``t_h`` are read there too).
+    vector, needed for the phi-H flags (None at minimal samples, where |H|
+    decides nothing).
     """
     m, ambient_dim = dims
     batch = ops.tt.shape[:-2]
-    norms = {k: norm(getattr(ops, k), 2) for k in ("tt", "tn", "nt", "nn")}
 
     def flag(value, keep=True):
         return objects(np.broadcast_to(value, batch), keep)
 
-    small = {k: v < CLASSIFY_TOL for k, v in norms.items()}
-    flags = ClassificationFlags(
-        is_curve=flag(m == 1),
-        is_hypersurface=flag(m == ambient_dim - 1),
-        norms=norms,
-    )
+    small = {k: norm(getattr(ops, k), 2) < CLASSIFY_TOL for k in ("tt", "tn", "nt", "nn")}
+    flags = ClassificationFlags(is_curve=flag(m == 1), is_hypersurface=flag(m == ambient_dim - 1))
     if ops.kind == KIND_COMPLEX:
         flags.is_complex = flag(small["tn"] & small["nt"])
         flags.is_lagrangian = flag((m == 2 and ambient_dim == 4) & small["tt"] & small["nn"])
     else:
         flags.is_invariant = flag(small["tn"])
         flags.is_anti_invariant = flag(small["tt"])
-        norms["xi_tan"] = norm(ops.xi_tan)
-        norms["xi_nor"] = norm(ops.xi_nor)
-        flags.xi_tangent = flag(norms["xi_nor"] < CLASSIFY_TOL)
-        flags.xi_normal = flag(norms["xi_tan"] < CLASSIFY_TOL)
+        flags.xi_tangent = flag(norm(ops.xi_nor) < CLASSIFY_TOL)
+        flags.xi_normal = flag(norm(ops.xi_tan) < CLASSIFY_TOL)
         if h_normal is not None:
             decided = norm(h_normal) > CLASSIFY_TOL
-            norms["s_h"] = norm(mat_vec(ops.nn, h_normal))
-            norms["t_h"] = norm(mat_vec(ops.nt, h_normal))
-            flags.phi_h_tangent = flag(norms["s_h"] < CLASSIFY_TOL, decided)
-            flags.phi_h_normal = flag(norms["t_h"] < CLASSIFY_TOL, decided)
+            flags.phi_h_tangent = flag(norm(mat_vec(ops.nn, h_normal)) < CLASSIFY_TOL, decided)
+            flags.phi_h_normal = flag(norm(mat_vec(ops.nt, h_normal)) < CLASSIFY_TOL, decided)
     return flags
 
 

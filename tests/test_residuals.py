@@ -18,11 +18,12 @@ from biharm.ambient import (
     coefficients_for_tag,
     curvature_parts,
     metric_at,
+    norm,
     structure_at,
 )
 from biharm.residuals import (
     CLOSED_FORM,
-    PointData,
+    GridSamples,
     bound_check,
     characterization_target,
     cmc_characterization,
@@ -107,13 +108,13 @@ def test_flat_hypersphere_residual_value():
     space, pg, nd, ops, flags = _full_point("flat_c2", "round_hypersphere",
                                             (0.8, 1.2, 2.5), {"r": 1.0})
     res = residual_general(space, pg, nd)
-    assert res.normal_norm == pytest.approx(3.0, rel=1e-12)
-    assert res.tangential_norm < 1e-12
+    assert norm(res.normal) == pytest.approx(3.0, rel=1e-12)
+    assert norm(res.tangential) < 1e-12
     for r in (0.5, 2.0):
         space2, pg2, nd2, *_ = _full_point("flat_c2", "round_hypersphere",
                                            (0.8, 1.2, 2.5), {"r": r})
         res2 = residual_general(space2, pg2, nd2)
-        assert res2.normal_norm == pytest.approx(3.0 / r**3, rel=1e-12)
+        assert norm(res2.normal) == pytest.approx(3.0 / r**3, rel=1e-12)
 
 
 def test_scale_covariance_in_flat_ambient():
@@ -125,18 +126,18 @@ def test_scale_covariance_in_flat_ambient():
         imm = catalog.immersion("product_torus", space, {"a": lam, "b": 0.6 * lam})
         pg = point_geometry(space, imm, u)
         nd = normal_derivatives(pg)
-        norm = residual_general(space, pg, nd).normal_norm
+        normal = norm(residual_general(space, pg, nd).normal)
         if base is None:
-            base = norm
+            base = normal
         else:
-            assert norm == pytest.approx(base / lam**3, rel=1e-7)
+            assert normal == pytest.approx(base / lam**3, rel=1e-7)
 
 
 def test_minimal_point_is_biharmonic():
     space, pg, nd, ops, flags = _full_point("sasakian_r5", "hyperplane_y1",
                                             (0.3, -0.2, 0.5, 0.1))
     res = residual_general(space, pg, nd)
-    assert res.normal_norm < 1e-13 and res.tangential_norm < 1e-13
+    assert norm(res.normal) < 1e-13 and norm(res.tangential) < 1e-13
 
 
 def test_gcsf_closed_form_matches_general_split():
@@ -205,8 +206,8 @@ def test_proper_biharmonic_residuals():
     for space_name, imm_name, params, u in cases:
         space, pg, nd, ops, flags = _full_point(space_name, imm_name, u, params)
         res = residual_general(space, pg, nd)
-        assert res.normal_norm < 1e-6, imm_name
-        assert res.tangential_norm < 1e-6, imm_name
+        assert norm(res.normal) < 1e-6, imm_name
+        assert norm(res.tangential) < 1e-6, imm_name
         assert pg.mean_curvature_norm > 0.1, imm_name
 
 
@@ -215,7 +216,7 @@ def _grid_data(space, imm, checks=()):
 
     cfg = ScenarioConfig(ambient=space, immersion=imm, checks=[], constants={},
                          expect={}, raw={})
-    return [d for d in _run_grid(cfg) if d.error is None]
+    return _run_grid(cfg)[0]  # the clean samples
 
 
 def test_characterization_geodesic_sphere():
@@ -286,9 +287,8 @@ def test_bound_k_value_of_tagged_contact_ambients_matches_closed_form(name, x):
     # K comes from the samples' coefficients; on a tagged catalog ambient it
     # equals the family's closed form
     space = catalog.ambient(name)
-    flags = ClassificationFlags(is_curve=False, is_hypersurface=False, xi_tangent=True)
-    points = [PointData(u=(0.0,), h_norm=0.5, coeffs=coefficients_at(space, x),
-                        nabla_h_norm=0.0, flags=flags) for _ in range(2)]
+    points = _samples([{"xi_tangent": True}] * 2, coeffs=coefficients_at(space, np.array([x, x])),
+                      nabla_h_norm=np.zeros(2))
     for m in range(1, 5):
         rep = bound_check(space, points, m)
         assert rep["kind"] == "xi_phi_h_tangent"
@@ -297,25 +297,53 @@ def test_bound_k_value_of_tagged_contact_ambients_matches_closed_form(name, x):
                                   abs=1e-12), m
 
 
+def _samples(flags, h_norm=0.5, **columns):
+    """Synthetic grid samples, one per dict of ``flags`` (``is_curve`` and
+    ``is_hypersurface`` False and every other flag None unless it names
+    them), at |H| ``h_norm`` and |B|^2 1, with the further ``columns``."""
+    rows = [ClassificationFlags(**{"is_curve": False, "is_hypersurface": False, **f}).as_dict()
+            for f in flags]
+    n = len(rows)
+    return GridSamples(u=np.zeros((n, 1)), h_norm=np.full(n, h_norm), b_norm2=np.ones(n),
+                       flags={k: np.array([r[k] for r in rows], dtype=object) for k in rows[0]},
+                       **columns)
+
+
 def _with_flags(**flags):
-    return PointData(u=(0.0,), flags=ClassificationFlags(is_curve=False, is_hypersurface=True,
-                                                         **flags))
+    return dict(is_hypersurface=True, **flags)
 
 
 def test_flag_consensus_is_tri_state():
     # a flag no sample decides is None, one that every deciding sample sets
     # is True, and one that any sample clears is False
-    consensus = flag_consensus([_with_flags(xi_tangent=None, phi_h_tangent=None,
-                                            phi_h_normal=None, xi_normal=True),
-                                _with_flags(xi_tangent=None, phi_h_tangent=True,
-                                            phi_h_normal=False, xi_normal=True)])
+    consensus = flag_consensus(_samples([_with_flags(xi_tangent=None, phi_h_tangent=None,
+                                                     phi_h_normal=None, xi_normal=True),
+                                         _with_flags(xi_tangent=None, phi_h_tangent=True,
+                                                     phi_h_normal=False, xi_normal=True)]))
     assert consensus["xi_tangent"] is None
     assert consensus["phi_h_tangent"] is True
     assert consensus["phi_h_normal"] is False
     assert consensus["xi_normal"] is True
     assert consensus["is_hypersurface"] is True and consensus["is_curve"] is False
-    assert flag_consensus([_with_flags(xi_normal=False), _with_flags(xi_normal=True)]) \
+    assert flag_consensus(_samples([_with_flags(xi_normal=False), _with_flags(xi_normal=True)])) \
         ["xi_normal"] is False
+
+
+def test_bound_equality_case_reads_the_pseudo_umbilical_rule():
+    # a Lagrangian grid at equality, |H|^2 = inf (2 alpha + 3 beta)/2 = 1,
+    # whose pseudo-umbilical deviation 1e-7 is above PSEUDO_UMBILICAL_TOL:
+    # the equality case and the pseudo_umbilical check both say it is not
+    # pseudo-umbilical
+    import biharm.scenario as scenario
+
+    samples = _samples([{"is_lagrangian": True}] * 2, h_norm=1.0,
+                       coeffs=(np.ones(2), np.zeros(2)), nabla_h_norm=np.zeros(2),
+                       pseudo_deviation=np.array([1e-7, 0.0], dtype=object))
+    rep = bound_check(catalog.ambient("cp2"), samples, 2)
+    assert rep["kind"] == "lagrangian" and rep["equality"] is True
+    assert rep["equality_case"] == {"pseudo_umbilical": False, "parallel_mean_curvature": True}
+    check = scenario.CHECKS["pseudo_umbilical"].run(scenario._Grid(None, samples, {}))
+    assert check == {"max_deviation": 1e-7, "status": "violated"}
 
 
 def test_bound_equality_small_hypersphere():
@@ -345,7 +373,7 @@ def test_bound_lagrangian_value_formula():
     space = catalog.ambient("cp2")
     imm = catalog.immersion("product_torus", space, {"a": 0.6, "b": 0.8})
     data = _grid_data(space, imm)
-    assert all(d.flags.is_lagrangian for d in data)
+    assert all(data.flags["is_lagrangian"])
     rep = bound_check(space, data, 2)
     assert rep["kind"] == "lagrangian"
     assert rep["bound"] == pytest.approx(2.5)

@@ -12,7 +12,7 @@ from biharm import catalog
 from biharm.ambient import GeometryError
 from biharm.cli import main as cli_main
 from biharm.jets import n_entries
-from biharm.residuals import PROPER_TOL
+from biharm.residuals import PROPER_TOL, map_columns
 from biharm.scenario import (
     CHECKS,
     GAUSS_TOL,
@@ -506,12 +506,12 @@ def test_order2_grid_batch_fault_reruns_each_sample(monkeypatch):
         return real(space, imm, u, order)
 
     monkeypatch.setattr(scenario, "point_geometry", counted)
-    records = scenario._run_grid(cfg, {scenario.COEFFICIENTS})
+    samples, failed = scenario._run_grid(cfg, {scenario.COEFFICIENTS})
     # one batch, then one call per sample, all at the block's jet order
     assert calls == [((6, 2), 2)] + [((2,), 2)] * 6
-    assert [r.error for r in records] == [r.error for r in expected]
-    assert [r.error is None for r in records] == [True] * 4 + [False] * 2
-    assert all(a.b_norm2 == b.b_norm2 for a, b in zip(records[:4], expected))
+    assert _errors(failed, 6) == [error for _, error in expected]
+    assert [error is None for error in _errors(failed, 6)] == [True] * 4 + [False] * 2
+    assert samples.b_norm2.tolist() == [single.b_norm2[0] for single, _ in expected[:4]]
 
     res = sweep_solve(cfg, "c", 0.6, 1.4, 3, "characterization_gap")
     assert res.partial == [0.6, 1.0]
@@ -541,11 +541,11 @@ def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
         return real(space, imm, u, order)
 
     monkeypatch.setattr(scenario, "point_geometry", counted)
-    records = scenario._run_grid(cfg, {scenario.RESIDUALS})
+    _, failed = scenario._run_grid(cfg, {scenario.RESIDUALS})
     assert calls == [((6, 2), 4), ((6, 2), 4)] + [((2,), 4)] * 6
-    assert [r.error for r in records] == [r.error for r in expected]
-    assert [r.error is None for r in records] == [True] * 8 + [False] * 4
-    assert all("sqrt" in r.error for r in records[8:])
+    assert _errors(failed, 12) == [error for _, error in expected]
+    assert [error is None for error in _errors(failed, 12)] == [True] * 8 + [False] * 4
+    assert all("sqrt" in error for error in _errors(failed, 12)[8:])
     assert run_check(cfg).verdict == "Inconclusive"
 
 
@@ -564,7 +564,7 @@ def test_normal_jet_stage_fault_reruns_that_block_per_sample(monkeypatch):
     }, checks=[{"op": "residual"}])
     _block_budget(monkeypatch, cfg, 6)  # 6-sample blocks
     grid = cfg.immersion.grid()
-    expected = scenario._run_grid(cfg, {scenario.RESIDUALS})
+    expected, _ = scenario._run_grid(cfg, {scenario.RESIDUALS})
     real, calls = scenario.normal_derivatives, []
 
     def faulty(pg):
@@ -575,11 +575,12 @@ def test_normal_jet_stage_fault_reruns_that_block_per_sample(monkeypatch):
         return real(pg)
 
     monkeypatch.setattr(scenario, "normal_derivatives", faulty)
-    records = scenario._run_grid(cfg, {scenario.RESIDUALS})
+    samples, failed = scenario._run_grid(cfg, {scenario.RESIDUALS})
     assert calls == [(6,), (6,)] + [()] * 6  # two blocks, then the second per sample
-    assert [r.error is None for r in records] == [True] * 8 + [False] * 4
-    assert [r.error for r in records[8:]] == [f"normal-jet fault at {[u]}" for u in grid[8:]]
-    assert all(_same(a, b) for a, b in zip(records[:8], expected))
+    assert [error is None for error in _errors(failed, 12)] == [True] * 8 + [False] * 4
+    assert failed == [(row, grid[row], f"normal-jet fault at {[grid[row]]}")
+                      for row in range(8, 12)]
+    assert _same(samples, map_columns(lambda a: a[:8], expected))
     assert run_check(cfg).verdict == "Inconclusive"
 
 
@@ -592,7 +593,7 @@ def test_one_row_tail_fault_fails_only_that_row(monkeypatch):
     cfg = _cfg(checks=[{"op": "residual"}, {"op": "gauss"}, {"op": "relations"}])
     _block_budget(monkeypatch, cfg, 8)  # 8 + 4 samples
     grid = cfg.immersion.grid()
-    clean = scenario._run_grid(cfg, {scenario.RESIDUALS, scenario.SCALAR, scenario.RELATIONS})
+    clean, _ = scenario._run_grid(cfg, {scenario.RESIDUALS, scenario.SCALAR, scenario.RELATIONS})
     real, calls = scenario.scalar_curvature, []
 
     def faulty(space, pg):
@@ -602,11 +603,12 @@ def test_one_row_tail_fault_fails_only_that_row(monkeypatch):
         return real(space, pg)
 
     monkeypatch.setattr(scenario, "scalar_curvature", faulty)
-    records = scenario._run_grid(cfg, {scenario.RESIDUALS, scenario.SCALAR, scenario.RELATIONS})
+    samples, failed = scenario._run_grid(cfg, {scenario.RESIDUALS, scenario.SCALAR,
+                                               scenario.RELATIONS})
     assert calls == [(8,)] + [()] * 8 + [(4,)]
-    assert [r.error for r in records] == [None] * 5 + [f"tail fault at {grid[5]}"] + [None] * 6
-    assert records[5].u == grid[5]
-    assert all(_same(a, b) for i, (a, b) in enumerate(zip(records, clean)) if i != 5)
+    assert _errors(failed, 12) == [None] * 5 + [f"tail fault at {grid[5]}"] + [None] * 6
+    assert failed[0][1] == grid[5]
+    assert _same(samples, map_columns(lambda a: np.delete(a, 5, axis=0), clean))
 
 
 def test_sweep_range_must_be_finite_with_at_least_two_samples(tmp_path, capsys):
@@ -640,18 +642,30 @@ def test_convergence_steps_must_be_finite_and_positive(tmp_path, capsys):
 
 
 def _single(cfg, u, needs, order):
-    """The record of the one sample ``u``, run as a block of one row (S = ())."""
+    """The one sample ``u`` run as a block of one row (S = ()): its columns
+    and None, or None and its error."""
     import biharm.scenario as scenario
 
-    records = []
-    scenario._run_block([(cfg, u, records)], needs, order)
-    return records[0]
+    chunks, failed = [], []
+    scenario._run_block([(cfg, 0, u, (chunks, failed))], needs, order)
+    return (chunks[0], None) if chunks else (None, failed[0][2])
+
+
+def _errors(failed, rows) -> list:
+    """Each grid row's error from a grid's ``failed`` rows, None at a clean row."""
+    errors = [None] * rows
+    for row, _, error in failed:
+        errors[row] = error
+    return errors
 
 
 def _same(a, b) -> bool:
-    """Equal values, floats and arrays compared bitwise."""
+    """Equal values, floats and arrays compared bitwise, object arrays
+    entry by entry."""
     if type(a) is not type(b):
         return False
+    if isinstance(a, np.ndarray) and a.dtype == object:
+        return b.dtype == object and a.shape == b.shape and _same(a.tolist(), b.tolist())
     if dataclasses.is_dataclass(a):
         return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
     if isinstance(a, dict):
@@ -678,12 +692,12 @@ def test_grid_blocks_change_no_record(monkeypatch, ambient, immersion, blocks):
         _block_budget(monkeypatch, cfg, rows)
     grid = cfg.immersion.grid()
     assert math.ceil(len(grid) / scenario._block_rows(cfg, scenario.JET_ORDER)) == blocks
-    records = scenario._run_grid(cfg)
-    assert len(records) == len(grid)
-    for u, record in zip(grid, records):
-        assert record.error is None
-        single = _single(cfg, u, scenario.QUANTITIES, scenario.JET_ORDER)
-        assert _same(record, single), u
+    samples, failed = scenario._run_grid(cfg)
+    assert failed == [] and len(samples.h_norm) == len(grid)
+    for row, u in enumerate(grid):
+        single, error = _single(cfg, u, scenario.QUANTITIES, scenario.JET_ORDER)
+        assert error is None
+        assert _same(map_columns(lambda a: a[row:row + 1], samples), single), u
 
 
 @pytest.mark.parametrize("ambient, immersion, blocks", [
@@ -889,20 +903,19 @@ def test_sweep_reports_pole_as_discontinuity_not_root():
 
 def test_normal_residual_objective_reads_every_sample():
     import biharm.scenario as scenario
-    from biharm.residuals import GENERAL, BiharmonicResidual, PointData
+    from biharm.residuals import GridSamples
 
-    def sample(signed, norm):
-        res = BiharmonicResidual(normal=np.array([norm, 0.0]), tangential=np.zeros(2))
-        return PointData(u=(0.0,), h_norm=1.0, b_norm2=1.0, residuals={GENERAL: res},
-                         signed_normal=signed)
+    def samples(signed, norms):
+        n = len(norms)
+        return GridSamples(u=np.zeros((n, 1)), h_norm=np.ones(n), b_norm2=np.ones(n),
+                           normal_residual=np.array(norms),
+                           signed_normal=np.array(signed, dtype=object))
 
     objective = scenario.SWEEP_OBJECTIVES["normal_residual"].run
     # the largest magnitude, keeping its sign; the first one on ties
-    records = [sample(0.1, 0.1), sample(-0.5, 0.5), sample(0.5, 0.5), sample(0.2, 0.2)]
-    assert objective(None, records) == -0.5
+    assert objective(None, samples([0.1, -0.5, 0.5, 0.2], [0.1, 0.5, 0.5, 0.2])) == -0.5
     # a sample with no sign (a minimal point): the largest norm
-    records[3] = sample(None, 0.7)
-    assert objective(None, records) == 0.7
+    assert objective(None, samples([0.1, -0.5, 0.5, None], [0.1, 0.5, 0.5, 0.7])) == 0.7
 
 
 def test_sweep_unknown_parameter():
@@ -1036,6 +1049,17 @@ def test_cli_report_out_file(tmp_path):
     assert parsed["aggregates"]["verdict"] == "NotBiharmonic"
 
 
+def test_report_refuses_values_of_unknown_type():
+    # a numpy bool is not a bool: writing it as the string "True" would
+    # hide that a column value reached the document unconverted
+    from biharm.scenario import Report
+
+    for value in (np.bool_(True), object()):
+        with pytest.raises(TypeError):
+            emit_report(Report({"aggregates": {"cmc": value}}))
+    assert emit_report(Report({"aggregates": {"cmc": True}})) == '{"aggregates":{"cmc":true}}'
+
+
 def test_checks_never_silently_skipped():
     cfg = _cfg(ambient={"catalog": "sasakian_r5"},
                immersion={"catalog": "hyperplane_y1"},
@@ -1104,7 +1128,7 @@ def test_characterization_gap_objective_equals_full_pipeline_bitwise(monkeypatch
                immersion={"catalog": "geodesic_sphere_cp2", "params": {"r": 0.5}},
                domain=GEODESIC_SWEEP_DOMAIN).with_constant("r", r)
     objective = scenario.SWEEP_OBJECTIVES["characterization_gap"]
-    full = objective.run(cfg, scenario._run_grid(cfg))  # every quantity, jet order 4
+    full = objective.run(cfg, scenario._run_grid(cfg)[0])  # every quantity, jet order 4
     calls = _count_calls(monkeypatch, scenario, ("normal_derivatives",))
     fast = scenario._sweep_objective(cfg, "characterization_gap")
     assert calls["normal_derivatives"] == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from biharm import catalog
-from biharm.ambient import GeometryError, PointAmbient
+from biharm.ambient import GeometryError, PointAmbient, norm
 from biharm.structure import (
     DecompositionOperators,
     classify,
@@ -70,7 +70,7 @@ def test_product_torus_is_lagrangian():
     flags = classify(ops, (2, 4), pg.mean_normal_components)
     assert flags.is_lagrangian is True
     assert flags.is_complex is False
-    assert flags.norms["tt"] < 1e-12 and flags.norms["nn"] < 1e-12
+    assert norm(ops.tt, 2) < 1e-12 and norm(ops.nn, 2) < 1e-12
 
 
 def test_hypersphere_flags():
@@ -80,7 +80,7 @@ def test_hypersphere_flags():
     assert flags.is_hypersurface and not flags.is_curve
     assert flags.is_complex is False and flags.is_lagrangian is False
     # codimension 1 forces the normal-normal block to vanish
-    assert flags.norms["nn"] < 1e-12
+    assert norm(ops.nn, 2) < 1e-12
 
 
 def test_hyperplane_reeb_tangent_and_lemma():

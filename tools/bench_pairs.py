@@ -13,6 +13,7 @@ side (each side runs half its pairs in either slot), then one
 ``--trace 1`` run per side at seed 0.  Runs are sequential, so the two
 sides never share the machine.  The output keeps every run's result line,
 metadata and slot, plus per-metric medians, quartiles and pair wins.
+SIGTERM ends the tool as an exit does, so the slot copies are removed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -79,6 +81,10 @@ def summary(before: list[dict], after: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("before", type=Path)
@@ -89,6 +95,18 @@ def main(argv=None) -> int:
     spec = json.loads((args.after / "BENCHMARK.json").read_text())
     doc = {"machine": {"python": platform.python_version(), "platform": platform.platform()},
            "command": spec["command"], "seconds": spec["run_seconds"], "workloads": {}}
+    # a SystemExit unwinds the temporary directory; a bare SIGTERM would not
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        _run_pairs(args, spec, doc)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    return 0
+
+
+def _run_pairs(args, spec: dict, doc: dict) -> None:
+    """Every workload's pairs and traced runs from two slot copies, written
+    to ``args.out`` after each workload."""
     with tempfile.TemporaryDirectory(prefix="bench_slots_") as tmp:
         base = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__")
@@ -111,7 +129,6 @@ def main(argv=None) -> int:
                 "traced": traced,
             }
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
 
 
 if __name__ == "__main__":
