@@ -19,7 +19,7 @@ from .ambient import (
     coefficients_for_tag,
     verify_structure,
 )
-from .structure import ClassificationFlags, DecompositionOperators, classify, decompose, verify_relations
+from .structure import DecompositionOperators, classify, decompose, verify_relations
 from .submanifold import (
     Axis,
     ImmersionModel,
@@ -55,7 +55,6 @@ __all__ = [
     "BiharmonicResidual",
     "Bindings",
     "ClassicalTag",
-    "ClassificationFlags",
     "ConfigError",
     "DecompositionOperators",
     "DomainError",

@@ -193,7 +193,11 @@ def christoffel_symbols(ginv: Jet, dg: Jet) -> Jet:
     n = ginv.shape[-1]
     low = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg) * 0.5
     # Gamma is symmetric in (a, b): contract the upper triangle only, one
-    # upper index c at a time, so that no (n, n, n(n + 1)/2) product is held
+    # upper index c at a time, so that no (n, n, n(n + 1)/2) product is held.
+    # One contraction over every c, here and for _ChartCalc.gamma_t, gives
+    # the same bits and saves small blocks a few kernel calls, but raised
+    # the seed-0 peak_rss_mb of the check-catalog and sweep-geodesic
+    # benchmarks by 0.6-0.8 MB (2-vCPU VM, numpy 2.4.6), so the loop stays.
     a, b = np.triu_indices(n)
     pairs = low[..., :, a, b]
     out = np.empty(ginv.shape[:-2] + (n, n, n, ginv.coeffs.shape[-1]))

@@ -38,7 +38,7 @@ from .ambient import (
     structure_at,  # noqa: F401
     vec_mat,
 )
-from .structure import ClassificationFlags, DecompositionOperators
+from .structure import DecompositionOperators
 from .submanifold import (PSEUDO_UMBILICAL_TOL, NormalFieldDerivatives, PointGeometry,
                           _project_normal, project_tangent)
 
@@ -124,9 +124,9 @@ def residual_general(space: AmbientModel, pg: PointGeometry, nd: NormalFieldDeri
     return BiharmonicResidual(normal, tangential, {k: norm(v) for k, v in terms.items()})
 
 
-def _active(flags: ClassificationFlags, branch: str) -> bool:
+def _active(flags: dict, branch: str) -> bool:
     """Whether the flags activate ``branch`` at some sample."""
-    return bool(np.any(getattr(flags, BRANCH_FLAGS[branch])))
+    return bool(np.any(flags[BRANCH_FLAGS[branch]]))
 
 
 def _coefficients(pg):
@@ -135,7 +135,7 @@ def _coefficients(pg):
 
 
 def residual_gcsf(space, pg, nd, ops: DecompositionOperators,
-                  flags: ClassificationFlags) -> dict[str, BiharmonicResidual]:
+                  flags: dict) -> dict[str, BiharmonicResidual]:
     """Residuals for submanifolds of a generalized complex space form.
 
     Returns the closed-form trace version (``closed_form``) plus every
@@ -174,11 +174,7 @@ def residual_gcsf(space, pg, nd, ops: DecompositionOperators,
 
 
 def _gssf_rhs_closed_form(pg, ops):
-    """Closed-form right-hand sides of the contact-case equations, kept on
-    ``ops``: :func:`residual_gssf` and :func:`reduction_residual` of one
-    split compute them once."""
-    if "_closed_form" in vars(ops):
-        return ops._closed_form
+    """Closed-form right-hand sides of the contact-case equations."""
     f1, f2, f3 = _coefficients(pg)
     m = pg.m
     H = pg.mean_curvature
@@ -194,12 +190,11 @@ def _gssf_rhs_closed_form(pg, ops):
     rhs_t = -2.0 * f2 * (m - 1) * eta_h * xi_top - 6.0 * f3 * PtH
     aux = {"NtH": NtH, "PtH": PtH, "xi_top": xi_top, "xi_perp": xi_perp,
            "eta_h": eta_h, "xt2": xt2}
-    ops._closed_form = rhs_n, rhs_t, aux
-    return ops._closed_form
+    return rhs_n, rhs_t, aux
 
 
 def residual_gssf(space, pg, nd, ops: DecompositionOperators,
-                  flags: ClassificationFlags) -> dict[str, BiharmonicResidual]:
+                  flags: dict) -> dict[str, BiharmonicResidual]:
     """Residuals for submanifolds of a generalized Sasakian space form."""
     if space.kind != KIND_CONTACT:
         raise GeometryError("residual_gssf needs a generalized Sasakian ambient")
@@ -281,7 +276,7 @@ class GridSamples:
     h_norm: np.ndarray
     b_norm2: np.ndarray
     coeffs: tuple | None = None             # one column per curvature coefficient
-    flags: dict | None = None               # by flag name, in field order
+    flags: dict | None = None               # keyed by structure.FLAGS
     nabla_h_norm: np.ndarray | None = None
     scal_intrinsic: np.ndarray | None = None
     scal_via_gauss: np.ndarray | None = None

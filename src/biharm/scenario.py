@@ -506,7 +506,7 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
         ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
         flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
         out.flags = {k: np.broadcast_to(np.asarray(v, dtype=object), S)
-                     for k, v in flags.as_dict().items()}
+                     for k, v in flags.items()}
     if RESIDUALS in needs:
         residuals = {GENERAL: residual_general(space, pg, nd)}
         if space.kind == KIND_COMPLEX:

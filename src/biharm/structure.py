@@ -19,7 +19,7 @@ of individual blocks drive submanifold classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,29 +121,16 @@ def verify_relations(ops: DecompositionOperators) -> dict:
     }
 
 
-@dataclass
-class ClassificationFlags:
-    """A sample's flags, each a bool, or None where the sample decides
-    nothing; over sample axes S, each flag is an object array of them."""
-
-    is_curve: bool
-    is_hypersurface: bool
-    is_complex: bool | None = None
-    is_lagrangian: bool | None = None
-    is_invariant: bool | None = None
-    is_anti_invariant: bool | None = None
-    xi_tangent: bool | None = None
-    xi_normal: bool | None = None
-    phi_h_tangent: bool | None = None
-    phi_h_normal: bool | None = None
-
-    def as_dict(self) -> dict:
-        """The flags by name, in field order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+# The classification flags, in report order; an ambient kind decides only
+# some of them, and classify sets the others to None.
+FLAGS = ("is_curve", "is_hypersurface", "is_complex", "is_lagrangian", "is_invariant",
+         "is_anti_invariant", "xi_tangent", "xi_normal", "phi_h_tangent", "phi_h_normal")
 
 
-def classify(ops: DecompositionOperators, dims, h_normal=None) -> ClassificationFlags:
-    """Flags at every sample from Frobenius norms of the decomposition blocks.
+def classify(ops: DecompositionOperators, dims, h_normal=None) -> dict:
+    """Flags at every sample from Frobenius norms of the decomposition blocks,
+    keyed by :data:`FLAGS` in order: each a bool, or None where the sample
+    decides nothing; over sample axes S, each flag is an object array of them.
 
     ``dims`` is (intrinsic dimension, ambient manifold dimension);
     ``h_normal`` carries the normal-frame components of the mean curvature
@@ -157,19 +144,21 @@ def classify(ops: DecompositionOperators, dims, h_normal=None) -> Classification
         return objects(np.broadcast_to(value, batch), keep)
 
     small = {k: norm(getattr(ops, k), 2) < CLASSIFY_TOL for k in ("tt", "tn", "nt", "nn")}
-    flags = ClassificationFlags(is_curve=flag(m == 1), is_hypersurface=flag(m == ambient_dim - 1))
+    flags = dict.fromkeys(FLAGS)
+    flags["is_curve"] = flag(m == 1)
+    flags["is_hypersurface"] = flag(m == ambient_dim - 1)
     if ops.kind == KIND_COMPLEX:
-        flags.is_complex = flag(small["tn"] & small["nt"])
-        flags.is_lagrangian = flag((m == 2 and ambient_dim == 4) & small["tt"] & small["nn"])
+        flags["is_complex"] = flag(small["tn"] & small["nt"])
+        flags["is_lagrangian"] = flag((m == 2 and ambient_dim == 4) & small["tt"] & small["nn"])
     else:
-        flags.is_invariant = flag(small["tn"])
-        flags.is_anti_invariant = flag(small["tt"])
-        flags.xi_tangent = flag(norm(ops.xi_nor) < CLASSIFY_TOL)
-        flags.xi_normal = flag(norm(ops.xi_tan) < CLASSIFY_TOL)
+        flags["is_invariant"] = flag(small["tn"])
+        flags["is_anti_invariant"] = flag(small["tt"])
+        flags["xi_tangent"] = flag(norm(ops.xi_nor) < CLASSIFY_TOL)
+        flags["xi_normal"] = flag(norm(ops.xi_tan) < CLASSIFY_TOL)
         if h_normal is not None:
             decided = norm(h_normal) > CLASSIFY_TOL
-            flags.phi_h_tangent = flag(norm(mat_vec(ops.nn, h_normal)) < CLASSIFY_TOL, decided)
-            flags.phi_h_normal = flag(norm(mat_vec(ops.nt, h_normal)) < CLASSIFY_TOL, decided)
+            flags["phi_h_tangent"] = flag(norm(mat_vec(ops.nn, h_normal)) < CLASSIFY_TOL, decided)
+            flags["phi_h_normal"] = flag(norm(mat_vec(ops.nt, h_normal)) < CLASSIFY_TOL, decided)
     return flags
 
 

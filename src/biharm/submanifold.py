@@ -11,7 +11,6 @@ differences appear only inside the independent cross-check oracle
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -143,7 +142,8 @@ class _ChartCalc(_Calc):
         dg = stack([extract(g_aug, m, order - 1, extra=m + c) for c in range(d)], axis=-3)
         del aug, g_aug  # the widest jets of the block go before the d^3 stages
         gamma = christoffel_symbols(jet_matrix_inverse(self.g.truncate(order - 1)), dg)
-        # precontracted Gamma(T_q, .)[q, c, b], one c at a time: covd then costs d^2 products
+        # precontracted Gamma(T_q, .)[q, c, b], one c at a time: covd then costs
+        # d^2 products; the loop keeps the peak flat (see christoffel_symbols)
         self.gamma_t = stack([(gamma[..., None, c, :, :] * self.T[..., :, :, None]).sum(-2)
                               for c in range(d)], axis=-2)
 
@@ -231,6 +231,17 @@ def _pick(jet, batch, picks):
     return Jet(jet.space, rows.reshape(batch + rows.shape[1:]))
 
 
+def _pivots(norms, taken):
+    """Each row's pivot among the candidates' remaining norms^2 (rows x
+    candidates): the lowest untaken index within 1e-14 of the row's largest
+    untaken finite norm^2, which must exceed RANK_TOL^2."""
+    free = np.where(taken | ~np.isfinite(norms), -np.inf, norms)
+    best = free.max(-1)
+    if not (best > RANK_TOL**2).all():
+        raise GeometryError("could not complete an orthonormal normal frame")
+    return (free >= best[:, None] - 1e-14).argmax(-1)
+
+
 def _complete_normal(calc, frames, need):
     """Pivoted Gram-Schmidt completion of the tangent frame to a normal
     frame; every sample takes its own pivots, applied by a gather."""
@@ -239,24 +250,16 @@ def _complete_normal(calc, frames, need):
         X = frames[..., i:i + 1, :]
         reduced = reduced - calc.inner(X, reduced)[..., :, None] * X
     batch = frames.shape[:-2]
-    used = [set() for _ in range(math.prod(batch))]
+    taken = np.zeros(reduced.shape[:-1], dtype=bool).reshape(-1, reduced.shape[-2])
+    rows = np.arange(len(taken))
     normals = []
     while len(normals) < need:
         v = reduced
         for N in normals:
             v = v - calc.inner(N[..., None, :], v)[..., :, None] * N[..., None, :]
         n2 = calc.inner(v, v)
-        picks = []
-        for taken, norms in zip(used, n2.coeffs[..., 0].reshape(len(used), -1).tolist()):
-            best, best_norm = None, -1.0
-            for idx, norm in enumerate(norms):
-                # strict improvement; ties keep lowest index
-                if idx not in taken and norm > best_norm + 1e-14:
-                    best, best_norm = idx, norm
-            if best is None or best_norm <= RANK_TOL**2:
-                raise GeometryError("could not complete an orthonormal normal frame")
-            taken.add(best)
-            picks.append(best)
+        picks = _pivots(n2.coeffs[..., 0].reshape(taken.shape), taken)
+        taken[rows, picks] = True
         normals.append(_pick(n2, batch, picks).powr(-0.5)[..., None] * _pick(v, batch, picks))
     return stack(normals, axis=-2)
 

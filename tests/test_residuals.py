@@ -34,7 +34,7 @@ from biharm.residuals import (
     residual_general,
     residual_gssf,
 )
-from biharm.structure import ClassificationFlags, classify, decompose
+from biharm.structure import FLAGS, classify, decompose
 from biharm.submanifold import normal_derivatives, point_geometry
 from conftest import random_orthonormal_frames
 
@@ -189,7 +189,7 @@ def test_parallel_h_reduction_lagrangian():
     # tr B(., A_H .) = (2 alpha + 3 beta) H for Lagrangian surfaces
     space, pg, nd, ops, flags = _full_point("flat_c2", "product_torus",
                                             (1.0, 2.2), {"a": 1.0, "b": 0.7})
-    assert flags.is_lagrangian and nd.nabla_norm < 1e-9
+    assert flags["is_lagrangian"] and nd.nabla_norm < 1e-9
     alpha, beta = (0.0, 0.0)
     variants = residual_gcsf(space, pg, nd, ops, flags)
     collapsed = nd.trace_shape_mean - (2 * alpha + 3 * beta) * pg.mean_curvature
@@ -301,7 +301,8 @@ def _samples(flags, h_norm=0.5, **columns):
     """Synthetic grid samples, one per dict of ``flags`` (``is_curve`` and
     ``is_hypersurface`` False and every other flag None unless it names
     them), at |H| ``h_norm`` and |B|^2 1, with the further ``columns``."""
-    rows = [ClassificationFlags(**{"is_curve": False, "is_hypersurface": False, **f}).as_dict()
+    assert all(set(f) <= set(FLAGS) for f in flags)
+    rows = [dict.fromkeys(FLAGS) | {"is_curve": False, "is_hypersurface": False, **f}
             for f in flags]
     n = len(rows)
     return GridSamples(u=np.zeros((n, 1)), h_norm=np.full(n, h_norm), b_norm2=np.ones(n),
@@ -429,5 +430,5 @@ def test_reduction_residual_vanishes_when_xi_terms_drop():
     # Sasakian R^5 has f2 = f3 = -1; a graph surface with xi not tangent
     # does not reduce
     space, pg, nd, ops, flags = _full_point("sasakian_r5", "graph_surface", (0.3, 0.2))
-    assert not flags.xi_tangent
+    assert not flags["xi_tangent"]
     assert reduction_residual(space, pg, ops) > 1e-3

@@ -6,6 +6,7 @@ import pytest
 from biharm import catalog
 from biharm.ambient import GeometryError, PointAmbient, norm
 from biharm.structure import (
+    FLAGS,
     DecompositionOperators,
     classify,
     decompose,
@@ -68,8 +69,8 @@ def test_product_torus_is_lagrangian():
     space, pg = _frames_from_immersion("flat_c2", "product_torus", (0.7, 1.9))
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     flags = classify(ops, (2, 4), pg.mean_normal_components)
-    assert flags.is_lagrangian is True
-    assert flags.is_complex is False
+    assert flags["is_lagrangian"] is True
+    assert flags["is_complex"] is False
     assert norm(ops.tt, 2) < 1e-12 and norm(ops.nn, 2) < 1e-12
 
 
@@ -77,8 +78,10 @@ def test_hypersphere_flags():
     space, pg = _frames_from_immersion("flat_c2", "round_hypersphere", (0.7, 1.1, 0.9))
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     flags = classify(ops, (3, 4), pg.mean_normal_components)
-    assert flags.is_hypersurface and not flags.is_curve
-    assert flags.is_complex is False and flags.is_lagrangian is False
+    assert tuple(flags) == FLAGS
+    assert flags["is_hypersurface"] and not flags["is_curve"]
+    assert flags["is_complex"] is False and flags["is_lagrangian"] is False
+    assert all(flags[k] is None for k in FLAGS[4:])
     # codimension 1 forces the normal-normal block to vanish
     assert norm(ops.nn, 2) < 1e-12
 
@@ -87,7 +90,9 @@ def test_hyperplane_reeb_tangent_and_lemma():
     space, pg = _frames_from_immersion("sasakian_r5", "hyperplane_y1", (0.2, -0.4, 0.3, 0.6))
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     flags = classify(ops, (4, 5), pg.mean_normal_components)
-    assert flags.xi_tangent is True and flags.xi_normal is False
+    assert tuple(flags) == FLAGS
+    assert flags["xi_tangent"] is True and flags["xi_normal"] is False
+    assert flags["is_complex"] is None and flags["is_lagrangian"] is None
     pt, nt = reeb_tangent_hypersurface_identities(ops)
     assert pt <= 1e-9 and nt <= 1e-9
 
@@ -113,8 +118,8 @@ def test_xi_normal_forces_anti_invariance():
     nf = np.eye(5)[4:]
     ops = decompose(PointAmbient(co, (0.1, 0.2, 0.3, 0.4, 0.5)), tf, nf)
     flags = classify(ops, (4, 5), None)
-    assert flags.xi_normal is True
-    assert flags.is_anti_invariant is False
+    assert flags["xi_normal"] is True
+    assert flags["is_anti_invariant"] is False
 
 
 def test_frame_independence_of_flags_and_relations():
@@ -124,7 +129,7 @@ def test_frame_independence_of_flags_and_relations():
     rng = np.random.RandomState(7)
     base_ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     base_rel = verify_relations(base_ops)
-    base_flags = classify(base_ops, (4, 5), pg.mean_normal_components).as_dict()
+    base_flags = classify(base_ops, (4, 5), pg.mean_normal_components)
     for _ in range(10):
         q, _ = np.linalg.qr(rng.randn(4, 4))
         tf = q @ pg.tangent_frame
@@ -134,7 +139,7 @@ def test_frame_independence_of_flags_and_relations():
         rel = verify_relations(ops)
         for key in base_rel:
             assert rel[key] == pytest.approx(base_rel[key], abs=1e-9)
-        assert classify(ops, (4, 5), None).as_dict() == {
+        assert classify(ops, (4, 5), None) == {
             k: v for k, v in base_flags.items()
             if k not in ("phi_h_tangent", "phi_h_normal")} | {
             "phi_h_tangent": None, "phi_h_normal": None}
@@ -145,7 +150,7 @@ def test_phi_h_flags_not_applicable_when_minimal():
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     flags = classify(ops, (4, 5), pg.mean_normal_components)
     assert pg.mean_curvature_norm < 1e-12
-    assert flags.phi_h_tangent is None and flags.phi_h_normal is None
+    assert flags["phi_h_tangent"] is None and flags["phi_h_normal"] is None
 
 
 def test_clifford_torus_flags():
@@ -153,6 +158,6 @@ def test_clifford_torus_flags():
         "sasakian_sphere_s5", "clifford_torus_s5", (0.8, 1.1, 0.9, 2.2))
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     flags = classify(ops, (4, 5), pg.mean_normal_components)
-    assert flags.xi_tangent is True
-    assert flags.phi_h_tangent is True
-    assert flags.phi_h_normal is False
+    assert flags["xi_tangent"] is True
+    assert flags["phi_h_tangent"] is True
+    assert flags["phi_h_normal"] is False

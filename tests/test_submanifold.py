@@ -410,6 +410,32 @@ def test_batch_rows_take_their_own_orientation_and_pivots(monkeypatch):
     assert len(set(pivots[0])) > 1
 
 
+def test_pivot_rule_takes_lowest_index_within_1e14_of_the_largest():
+    free = np.zeros((1, 3), dtype=bool)
+    # an exact tie takes the lowest index, also after a taken one
+    assert sm._pivots(np.array([[0.5, 2.0, 2.0]]), free).tolist() == [1]
+    assert sm._pivots(np.array([[2.0, 2.0, 2.0]]), np.array([[True, False, False]])).tolist() == [1]
+    # a chain of near-equal norms: index 1 is within 1e-14 of the largest
+    chain = np.array([[1.0, 1.0 + 0.6e-14, 1.0 + 1.2e-14]])
+    assert sm._pivots(chain, free).tolist() == [1]
+    # each row picks on its own; a taken or non-finite candidate is never picked
+    norms = np.array([[1.0, 3.0, 2.0], [np.inf, 1.0, np.nan], [4.0, 5.0, 1.0]])
+    taken = np.array([[False, False, False], [False, False, False], [False, True, False]])
+    assert sm._pivots(norms, taken).tolist() == [1, 1, 0]
+
+
+@pytest.mark.parametrize("norms, taken", [
+    ([[1.0, 2.0]], [[True, True]]),                       # every candidate taken
+    ([[1e-16, 1e-17]], [[False, False]]),                 # at or below RANK_TOL^2
+    ([[sm.RANK_TOL**2, 0.0]], [[False, False]]),
+    ([[np.nan, np.inf]], [[False, False]]),               # no finite candidate
+    ([[1.0, 2.0], [1e-20, 0.0]], [[False, False]] * 2),   # one row short of rank
+])
+def test_pivot_rule_raises_without_a_finite_pivot_above_rank_tol(norms, taken):
+    with pytest.raises(GeometryError, match="normal frame"):
+        sm._pivots(np.array(norms), np.array(taken))
+
+
 def test_a_batch_fault_raises_for_the_whole_batch():
     space = catalog.ambient("flat_c2")
     params = ("u1", "u2")
