@@ -83,17 +83,15 @@ def decompose(amb: PointAmbient, tangent_frame, normal_frame) -> DecompositionOp
         raise GeometryError("frames are not orthonormal for the ambient metric")
 
     S, xi = (amb.structure, None) if amb.space.kind == KIND_COMPLEX else amb.structure
-    ops = DecompositionOperators(
+    return DecompositionOperators(
         kind=amb.space.kind,
         tt=Xt @ g @ (S @ Xt.mT),
         tn=Nu @ g @ (S @ Xt.mT),
         nt=Xt @ g @ (S @ Nu.mT),
         nn=Nu @ g @ (S @ Nu.mT),
+        xi_tan=None if xi is None else mat_vec(Xt @ g, xi),
+        xi_nor=None if xi is None else mat_vec(Nu @ g, xi),
     )
-    if xi is not None:
-        ops.xi_tan = mat_vec(Xt @ g, xi)
-        ops.xi_nor = mat_vec(Nu @ g, xi)
-    return ops
 
 
 def verify_relations(ops: DecompositionOperators) -> dict:
