@@ -120,8 +120,6 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    if args.what != "list":
-        raise ConfigError(f"unknown catalog action {args.what!r}")
     for title, entries in (("ambient models", catalog.AMBIENTS),
                            ("immersions", catalog.IMMERSIONS)):
         print(f"{title}:")

@@ -247,7 +247,7 @@ def _load_ambient(doc, constants, path) -> AmbientModel:
     coeffs = vec([str(_require(coeffs_doc, n, path + ".coefficients")) for n in names],
                  path + ".coefficients", None)
     tag = None
-    if doc.get("tag"):
+    if "tag" in doc:
         tag_doc = _mapping(doc["tag"], path + ".tag", ("family", "value"))
         family = _require(tag_doc, "family", path + ".tag")
         if family not in TAG_FAMILIES[kind]:
@@ -391,7 +391,7 @@ def load_scenario(document) -> ScenarioConfig:
     _mapping(doc, "", DOCUMENT_FIELDS)
     _name(doc, "name")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}", "schema_version")
     constants = _numbers(doc.get("constants", {}), "constants")
     space = _load_ambient(_require(doc, "ambient", ""), constants, "ambient")
@@ -489,10 +489,9 @@ def _faults_raise():
 def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
               order: int) -> GridSamples:
     """The quantities ``needs``, each listed with what it rests on, at the
-    parameter points ``u`` (shape S + (m,), S one axis or none) from one
-    geometry call at jet order ``order``: the samples' columns (one row at
-    S = ()).  Every stage runs over the sample axes; a geometric, arithmetic
-    or non-finite fault at any sample raises."""
+    parameter points ``u`` (shape (rows, m)) from one geometry call at jet
+    order ``order``: the samples' columns.  Every stage runs over the sample
+    axis; a geometric, arithmetic or non-finite fault at any sample raises."""
     pg = point_geometry(space, imm, u, order)
     S = pg.mean_curvature_norm.shape
     out = GridSamples(u=pg.u, h_norm=pg.mean_curvature_norm, b_norm2=pg.second_fundamental_norm2)
@@ -543,8 +542,6 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
         out.scal_intrinsic, out.scal_via_gauss = scalar_curvature(space, pg)
     if RELATIONS in needs:
         out.relations = verify_relations(ops)
-    if S == ():  # one row
-        out, residual_norms = map_columns(lambda a: np.asarray(a)[None], (out, residual_norms))
     _require_finite(out, residual_norms)
     return out
 
@@ -577,18 +574,17 @@ def _block_model(models):
 
 
 def _run_block(rows, needs: frozenset, order: int):
-    """Evaluate the (config, row, u, out) ``rows`` as one block (a block of one
-    row at S = ()): each config's ``out``, a pair of lists, gets the columns
-    of its clean rows and its failed rows as ``(row, u, error)``.  A fault
-    anywhere in the block reruns each config's rows as a block of their own,
-    and a block of one config one row at a time, so that each failed row
-    keeps its own reason and no other config loses its block."""
+    """Evaluate the (config, row, u, out) ``rows`` as one block, of shape
+    (rows, m) also for one row: each config's ``out``, a pair of lists, gets
+    the columns of its clean rows and its failed rows as ``(row, u, error)``.
+    A fault anywhere in the block reruns each config's rows as a block of
+    their own, and a block of one config as blocks of one row, so that each
+    failed row keeps its own reason and no other config loses its block."""
     try:
         with _faults_raise():
             samples = _evaluate(_block_model([r[0].ambient for r in rows]),
                                 _block_model([r[0].immersion for r in rows]),
-                                rows[0][2] if len(rows) == 1 else [r[2] for r in rows],
-                                needs, order)
+                                [r[2] for r in rows], needs, order)
     except POINT_FAULTS as e:
         if len(rows) == 1:
             _, row, u, (_, failed) = rows[0]
@@ -606,7 +602,7 @@ def _run_block(rows, needs: frozenset, order: int):
         start += len(group)
 
 
-def _run_grids(cfgs, needs=QUANTITIES) -> list[tuple[GridSamples | None, list]]:
+def _run_grids(cfgs, needs) -> list[tuple[GridSamples | None, list]]:
     """``needs`` at every grid sample of each of the configs ``cfgs``, with
     the geometry and what they rest on: per config, the columns of its clean
     samples (None when there is none) and its failed rows as
@@ -637,11 +633,6 @@ def _run_grids(cfgs, needs=QUANTITIES) -> list[tuple[GridSamples | None, list]]:
             for chunks, failed in grids]
 
 
-def _run_grid(cfg: ScenarioConfig, needs=QUANTITIES) -> tuple[GridSamples | None, list]:
-    """The grid of :func:`_run_grids` for the one config ``cfg``."""
-    return _run_grids([cfg], needs)[0]
-
-
 @dataclass
 class Report:
     document: dict
@@ -667,7 +658,7 @@ def run_check(cfg: ScenarioConfig) -> Report:
     declare; see :data:`CHECKS`.
     """
     needs = {RESIDUALS}.union(*(CHECKS[op].needs for op in cfg.checks))
-    samples, failed = _run_grid(cfg, needs)
+    [(samples, failed)] = _run_grids([cfg], needs)
     if samples is None:
         raise GeometryError("no grid point evaluated cleanly: " + failed[0][2])
 
@@ -856,28 +847,6 @@ def _objective_characterization_gap(cfg, samples) -> float:
     return float(np.mean(samples.b_norm2 - characterization_target(kind, m, samples.coeffs)))
 
 
-class _GridFailed(GeometryError):
-    """Every point of a sweep value's grid failed."""
-
-
-def _sweep_declared(objective: str) -> Declared:
-    if objective not in SWEEP_OBJECTIVES:
-        raise ConfigError(f"unknown sweep objective {objective!r}")
-    return SWEEP_OBJECTIVES[objective]
-
-
-def _sweep_objective(cfg: ScenarioConfig, objective: str, grid=None) -> float:
-    """The objective on the scenario grid, from its :func:`_run_grid` result
-    for the objective's needs when given; NaN when part of the grid failed,
-    :class:`_GridFailed`, carrying the first point's error, when all of it
-    did."""
-    declared = _sweep_declared(objective)
-    samples, failed = grid or _run_grid(cfg, declared.needs)
-    if samples is None:
-        raise _GridFailed(failed[0][2])
-    return math.nan if failed else declared.run(cfg, samples)
-
-
 _EPS = float(np.finfo(float).eps)
 SWEEP_XTOL = 1e-10     # bracket width at which a sweep's root search stops
 
@@ -935,15 +904,16 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     each sign change with Brent's method; ``lo`` and ``hi`` must be finite
     and ``samples`` an integer of at least 2.
 
-    The sampled values run their grids as shared geometry blocks (see
-    :func:`_run_grids`); Brent's steps run one value at a time.  A limit
-    counts as a root only if |f| there is at or below |f| at both ends of
-    its sampled bracket (a sample that lands on a root is its own limit);
-    otherwise the objective changed sign across a pole or a jump, and the
-    limit is reported as a discontinuity.  A value whose grid failed at some or all grid points
-    gives a NaN objective: it is listed under ``partial``, never ends a
-    bracket, and a NaN inside a bracket ends that bracket's search.  Only a
-    sweep in which no sampled value evaluated at any grid point raises.
+    The sampled values and Brent's steps take one route: the sampled values
+    run their grids in one :func:`_run_grids` call, as shared geometry
+    blocks, and each Brent step in a call of its own.  A limit counts as a
+    root only if |f| there is at or below |f| at both ends of its sampled
+    bracket (a sample that lands on a root is its own limit); otherwise the
+    objective changed sign across a pole or a jump, and the limit is
+    reported as a discontinuity.  A value whose grid failed at some or all
+    grid points gives a NaN objective: it is listed under ``partial``, never
+    ends a bracket, and a NaN inside a bracket ends that bracket's search.
+    Only a sweep in which no sampled value evaluated at any grid point raises.
     """
     known = set(cfg.constants) | set(cfg.immersion.bindings) | set(cfg.ambient.bindings)
     if parameter not in known:
@@ -953,27 +923,29 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     samples = _integer(samples, "sweep.range")
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples!r}", "sweep.range")
-    needs = _sweep_declared(objective).needs
+    if objective not in SWEEP_OBJECTIVES:
+        raise ConfigError(f"unknown sweep objective {objective!r}")
+    declared = SWEEP_OBJECTIVES[objective]
     partial, evaluated, errors = [], [], []
 
-    def objective_at(value: float, value_cfg: ScenarioConfig, grid=None) -> float:
-        try:
-            y = _sweep_objective(value_cfg, objective, grid)
-        except _GridFailed as e:
-            errors.append(f"{parameter}={value:g}: {e}")
-            y = math.nan
-        else:
-            evaluated.append(value)
-        if math.isnan(y):
-            partial.append(value)
-        return y
-
-    def f(value: float) -> float:
-        return objective_at(value, cfg.with_constant(parameter, value))
+    def objectives(values: list) -> list[float]:
+        """The objective at each of ``values``, from one grid run over all of
+        them; NaN at a value whose grid failed in part or everywhere."""
+        cfgs = [cfg.with_constant(parameter, x) for x in values]
+        ys = []
+        for x, value_cfg, (clean, failed) in zip(values, cfgs, _run_grids(cfgs, declared.needs)):
+            if clean is None:
+                errors.append(f"{parameter}={x:g}: {failed[0][2]}")
+            else:
+                evaluated.append(x)
+            y = math.nan if failed else declared.run(value_cfg, clean)
+            if math.isnan(y):
+                partial.append(x)
+            ys.append(y)
+        return ys
 
     xs = list(np.linspace(lo, hi, samples))
-    cfgs = [cfg.with_constant(parameter, x) for x in xs]
-    ys = [objective_at(x, c, grid) for x, c, grid in zip(xs, cfgs, _run_grids(cfgs, needs))]
+    ys = objectives(xs)
     if xs and not evaluated:
         raise GeometryError("no sampled value evaluated at any grid point; first error at "
                             + errors[0])
@@ -982,7 +954,7 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
         if y0 == 0.0:
             roots.append(x0)
         elif y0 * y1 < 0.0:  # false when either end is NaN
-            limit = _zeroin(f, x0, x1, y0, y1)
+            limit = _zeroin(lambda x: objectives([x])[0], x0, x1, y0, y1)
             if limit is not None:
                 x, fx = limit
                 (roots if abs(fx) <= min(abs(y0), abs(y1)) else jumps).append(x)

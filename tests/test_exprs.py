@@ -40,31 +40,33 @@ def test_constants_ast():
     assert evaluate_expr(e, (), {"r": 3.0}) == pytest.approx(6.0 * math.pi)
 
 
-def test_unbalanced_parenthesis_position():
+@pytest.mark.parametrize("source, position, message", [
+    ("1 +", 4, "expected a value, found end of input"),
+    ("()", 2, "expected a value, found ')'"),
+    ("*2", 1, "expected a value, found '*'"),
+    ("sin + 1", 1, "function 'sin' needs an argument list"),
+    ("sin(u1", 7, "expected ')', found end of input"),
+    ("u1 + @", 6, "unknown token '@'"),
+    ("1 2", 3, "trailing input 2.0"),
+    ("sinh(u1)", 1, "unknown function 'sinh'"),
+], ids=["dangling-operator", "empty-parentheses", "leading-operator", "bare-function",
+        "unbalanced-parenthesis", "unknown-token", "trailing-input", "unknown-function"])
+def test_syntax_error_position(source, position, message):
     with pytest.raises(ExprSyntaxError) as err:
-        parse_expression("sin(u1", ["u1"])
-    assert err.value.position == 7
-
-
-def test_unknown_token_position():
-    with pytest.raises(ExprSyntaxError) as err:
-        parse_expression("u1 + @", ["u1"])
-    assert err.value.position == 6
-
-
-def test_trailing_input():
-    with pytest.raises(ExprSyntaxError):
-        parse_expression("1 2", [])
-
-
-def test_unknown_function():
-    with pytest.raises(ExprSyntaxError):
-        parse_expression("sinh(u1)", ["u1"])
+        parse_expression(source, ["u1"])
+    assert err.value.position == position
+    assert str(err.value) == f"{message} at position {position}"
 
 
 def test_duplicate_params_rejected():
     with pytest.raises(ExprError):
         parse_expression("u1", ["u1", "u1"])
+
+
+@pytest.mark.parametrize("name", ["sin", "1x"])
+def test_invalid_param_name_rejected(name):
+    with pytest.raises(ExprError, match=f"invalid parameter name '{name}'"):
+        parse_expression("0", [name])
 
 
 def test_precedence_and_associativity():

@@ -212,11 +212,11 @@ def test_proper_biharmonic_residuals():
 
 
 def _grid_data(space, imm, checks=()):
-    from biharm.scenario import ScenarioConfig, _run_grid
+    from biharm.scenario import QUANTITIES, ScenarioConfig, _run_grids
 
     cfg = ScenarioConfig(ambient=space, immersion=imm, checks=[], constants={},
                          expect={}, raw={})
-    return _run_grid(cfg)[0]  # the clean samples
+    return _run_grids([cfg], QUANTITIES)[0][0]  # the clean samples
 
 
 def test_characterization_geodesic_sphere():

@@ -205,6 +205,10 @@ _FLAT_INLINE = {
     ({"immersion": {"name": None, "params": ["u", "v"], "components": ["u", "v", "0", "0"],
                     "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 2}] * 2}}},
      "immersion.name"),
+    # a tag that is present is a mapping with a family and a value
+    *[({"ambient": dict(_FLAT_INLINE, tag=tag)}, "ambient.tag")
+      for tag in ({}, 0, False, [], "", None)],
+    ({"schema_version": True}, "schema_version"),
 ])
 def test_malformed_document_field_is_config_error(tmp_path, capsys, overrides, path):
     doc = {
@@ -445,7 +449,7 @@ def test_nan_residual_at_second_sample_fails_that_point(monkeypatch):
 
     monkeypatch.setattr(scenario, "residual_general", poisoned)
     rep = run_check(_cfg())
-    assert calls == [(8,)] + [()] * 8 + [(4,)]  # the faulting block reruns row by row
+    assert calls == [(8,)] + [(1,)] * 8 + [(4,)]  # the faulting block reruns row by row
     assert rep.aggregates["points_failed"] == 1
     bad = rep.document["points"][1]
     assert "non-finite" in bad["error"] and "normal residual" in bad["error"]
@@ -506,9 +510,9 @@ def test_order2_grid_batch_fault_reruns_each_sample(monkeypatch):
         return real(space, imm, u, order)
 
     monkeypatch.setattr(scenario, "point_geometry", counted)
-    samples, failed = scenario._run_grid(cfg, {scenario.COEFFICIENTS})
+    [(samples, failed)] = scenario._run_grids([cfg], {scenario.COEFFICIENTS})
     # one batch, then one call per sample, all at the block's jet order
-    assert calls == [((6, 2), 2)] + [((2,), 2)] * 6
+    assert calls == [((6, 2), 2)] + [((1, 2), 2)] * 6
     assert _errors(failed, 6) == [error for _, error in expected]
     assert [error is None for error in _errors(failed, 6)] == [True] * 4 + [False] * 2
     assert samples.b_norm2.tolist() == [single.b_norm2[0] for single, _ in expected[:4]]
@@ -541,8 +545,8 @@ def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
         return real(space, imm, u, order)
 
     monkeypatch.setattr(scenario, "point_geometry", counted)
-    _, failed = scenario._run_grid(cfg, {scenario.RESIDUALS})
-    assert calls == [((6, 2), 4), ((6, 2), 4)] + [((2,), 4)] * 6
+    [(_, failed)] = scenario._run_grids([cfg], {scenario.RESIDUALS})
+    assert calls == [((6, 2), 4), ((6, 2), 4)] + [((1, 2), 4)] * 6
     assert _errors(failed, 12) == [error for _, error in expected]
     assert [error is None for error in _errors(failed, 12)] == [True] * 8 + [False] * 4
     assert all("sqrt" in error for error in _errors(failed, 12)[8:])
@@ -564,7 +568,7 @@ def test_normal_jet_stage_fault_reruns_that_block_per_sample(monkeypatch):
     }, checks=[{"op": "residual"}])
     _block_budget(monkeypatch, cfg, 6)  # 6-sample blocks
     grid = cfg.immersion.grid()
-    expected, _ = scenario._run_grid(cfg, {scenario.RESIDUALS})
+    [(expected, _)] = scenario._run_grids([cfg], {scenario.RESIDUALS})
     real, calls = scenario.normal_derivatives, []
 
     def faulty(pg):
@@ -575,8 +579,8 @@ def test_normal_jet_stage_fault_reruns_that_block_per_sample(monkeypatch):
         return real(pg)
 
     monkeypatch.setattr(scenario, "normal_derivatives", faulty)
-    samples, failed = scenario._run_grid(cfg, {scenario.RESIDUALS})
-    assert calls == [(6,), (6,)] + [()] * 6  # two blocks, then the second per sample
+    [(samples, failed)] = scenario._run_grids([cfg], {scenario.RESIDUALS})
+    assert calls == [(6,), (6,)] + [(1,)] * 6  # two blocks, then the second per sample
     assert [error is None for error in _errors(failed, 12)] == [True] * 8 + [False] * 4
     assert failed == [(row, grid[row], f"normal-jet fault at {[grid[row]]}")
                       for row in range(8, 12)]
@@ -593,7 +597,8 @@ def test_one_row_tail_fault_fails_only_that_row(monkeypatch):
     cfg = _cfg(checks=[{"op": "residual"}, {"op": "gauss"}, {"op": "relations"}])
     _block_budget(monkeypatch, cfg, 8)  # 8 + 4 samples
     grid = cfg.immersion.grid()
-    clean, _ = scenario._run_grid(cfg, {scenario.RESIDUALS, scenario.SCALAR, scenario.RELATIONS})
+    [(clean, _)] = scenario._run_grids([cfg], {scenario.RESIDUALS, scenario.SCALAR,
+                                               scenario.RELATIONS})
     real, calls = scenario.scalar_curvature, []
 
     def faulty(space, pg):
@@ -603,12 +608,25 @@ def test_one_row_tail_fault_fails_only_that_row(monkeypatch):
         return real(space, pg)
 
     monkeypatch.setattr(scenario, "scalar_curvature", faulty)
-    samples, failed = scenario._run_grid(cfg, {scenario.RESIDUALS, scenario.SCALAR,
-                                               scenario.RELATIONS})
-    assert calls == [(8,)] + [()] * 8 + [(4,)]
+    [(samples, failed)] = scenario._run_grids([cfg], {scenario.RESIDUALS, scenario.SCALAR,
+                                                      scenario.RELATIONS})
+    assert calls == [(8,)] + [(1,)] * 8 + [(4,)]
     assert _errors(failed, 12) == [None] * 5 + [f"tail fault at {grid[5]}"] + [None] * 6
     assert failed[0][1] == grid[5]
     assert _same(samples, map_columns(lambda a: np.delete(a, 5, axis=0), clean))
+
+
+def test_float_overflow_in_a_one_row_rerun_reads_numpys_reason():
+    # the coefficient overflows at x1 = 1: the block faults and its rows
+    # rerun as blocks of one row, arrays of shape (1, m) like the block's,
+    # so each failed row reads numpy's overflow text
+    coeffs = {"alpha": "(1e200*x1)*1e200", "beta": "0"}
+    cfg = _cfg(ambient=dict(_FLAT_INLINE, coefficients=coeffs), immersion=_INLINE_PLANE)
+    rep = run_check(cfg)
+    assert [(p["u"], p.get("error")) for p in rep.document["points"]] == [
+        ([0.0, 0.0], None), ([0.0, 1.0], None),
+        ([1.0, 0.0], "overflow encountered in multiply"),
+        ([1.0, 1.0], "overflow encountered in multiply")]
 
 
 def test_sweep_range_must_be_finite_with_at_least_two_samples(tmp_path, capsys):
@@ -642,13 +660,23 @@ def test_convergence_steps_must_be_finite_and_positive(tmp_path, capsys):
 
 
 def _single(cfg, u, needs, order):
-    """The one sample ``u`` run as a block of one row (S = ()): its columns
-    and None, or None and its error."""
+    """The one sample ``u`` run as a block of one row (shape (1, m)): its
+    columns and None, or None and its error."""
     import biharm.scenario as scenario
 
     chunks, failed = [], []
     scenario._run_block([(cfg, 0, u, (chunks, failed))], needs, order)
     return (chunks[0], None) if chunks else (None, failed[0][2])
+
+
+def _value_objective(cfg, objective) -> float:
+    """The sweep objective on ``cfg``'s grid, run alone for the objective's
+    needs: NaN when any row failed."""
+    import biharm.scenario as scenario
+
+    declared = scenario.SWEEP_OBJECTIVES[objective]
+    [(samples, failed)] = scenario._run_grids([cfg], declared.needs)
+    return math.nan if failed else declared.run(cfg, samples)
 
 
 def _errors(failed, rows) -> list:
@@ -692,7 +720,7 @@ def test_grid_blocks_change_no_record(monkeypatch, ambient, immersion, blocks):
         _block_budget(monkeypatch, cfg, rows)
     grid = cfg.immersion.grid()
     assert math.ceil(len(grid) / scenario._block_rows(cfg, scenario.JET_ORDER)) == blocks
-    samples, failed = scenario._run_grid(cfg)
+    [(samples, failed)] = scenario._run_grids([cfg], scenario.QUANTITIES)
     assert failed == [] and len(samples.h_norm) == len(grid)
     for row, u in enumerate(grid):
         single, error = _single(cfg, u, scenario.QUANTITIES, scenario.JET_ORDER)
@@ -956,6 +984,10 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert cli_main(["check", str(broken)]) == 2
     capsys.readouterr()
 
+    missing = tmp_path / "missing.json"
+    assert cli_main(["check", str(missing)]) == 2
+    assert capsys.readouterr().err == f"config error: no such config file: {missing}\n"
+
 
 # a point fault outside the grid records ends the command as a geometry
 # error, exit 2, not as a traceback with the exit 1 of a failed expectation
@@ -1017,6 +1049,14 @@ def test_cli_sweep_with_expectations(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["sweep", str(scn), "--param", "r", "--range", "oops"]) == 2
     capsys.readouterr()
+    # criterion 6 has one root in the range, not the two expected
+    scn.write_text(json.dumps({
+        "ambient": {"catalog": "cp2"},
+        "immersion": {"catalog": "geodesic_sphere_cp2"},
+        "expect": {"sweep": {"roots_count": 2}},
+    }))
+    assert cli_main(["sweep", str(scn), "--param", "r", "--range", "0.2:1.2:20"]) == 1
+    assert "EXPECT FAILED: expected 2 roots, found 1" in capsys.readouterr().err
 
 
 def test_cli_convergence_with_expectation(tmp_path, capsys):
@@ -1128,9 +1168,9 @@ def test_characterization_gap_objective_equals_full_pipeline_bitwise(monkeypatch
                immersion={"catalog": "geodesic_sphere_cp2", "params": {"r": 0.5}},
                domain=GEODESIC_SWEEP_DOMAIN).with_constant("r", r)
     objective = scenario.SWEEP_OBJECTIVES["characterization_gap"]
-    full = objective.run(cfg, scenario._run_grid(cfg)[0])  # every quantity, jet order 4
+    full = objective.run(cfg, scenario._run_grids([cfg], scenario.QUANTITIES)[0][0])  # order 4
     calls = _count_calls(monkeypatch, scenario, ("normal_derivatives",))
-    fast = scenario._sweep_objective(cfg, "characterization_gap")
+    fast = _value_objective(cfg, "characterization_gap")
     assert calls["normal_derivatives"] == 0
     assert fast == full
 
@@ -1410,12 +1450,7 @@ def test_sweep_over_shared_blocks_equals_the_per_value_loop_bitwise(
 
     cfg = load_scenario(doc)
     res = sweep_solve(cfg, parameter, *sweep_range, objective)
-    expected = []
-    for x in res.values:
-        try:
-            expected.append(scenario._sweep_objective(cfg.with_constant(parameter, x), objective))
-        except scenario._GridFailed:
-            expected.append(math.nan)
+    expected = [_value_objective(cfg.with_constant(parameter, x), objective) for x in res.values]
     assert _same(res.objective, expected)
     nan_values = [x for x, y in zip(res.values, expected) if math.isnan(y)]
     assert res.partial[:len(nan_values)] == nan_values
@@ -1450,9 +1485,6 @@ def test_a_faulting_value_costs_its_shared_block_at_most_one_call(monkeypatch):
     assert res.partial and res.roots == [] and res.discontinuities == []
     shared, calls["point_geometry"] = calls["point_geometry"], 0
     for x in res.values:
-        try:
-            scenario._sweep_objective(cfg.with_constant("c", x), "characterization_gap")
-        except scenario._GridFailed:
-            pass
+        _value_objective(cfg.with_constant("c", x), "characterization_gap")
     blocks = math.ceil(len(res.values) * len(cfg.immersion.grid()) / scenario._block_rows(cfg, 2))
     assert shared <= calls["point_geometry"] + blocks
