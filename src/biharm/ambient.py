@@ -269,11 +269,15 @@ class PointAmbient:
     front, each evaluated on first use and then kept: the metric ``g``
     (checked positive definite), the curvature ``coeffs``, the ``structure``
     (J, or (phi, xi)) and the declared ``curvature``.  Their readers share
-    one snapshot, so each tensor runs its program once for all the points."""
+    one snapshot, so each tensor runs its program once for all the points.
+    A caller that already holds the metric at ``x``, checked, passes it as
+    ``g``: a geometry's snapshot takes its calculus's metric so."""
 
-    def __init__(self, space: AmbientModel, x):
+    def __init__(self, space: AmbientModel, x, g=None):
         self.space = space
         self.x = x
+        if g is not None:
+            self.g = g
 
     @cached_property
     def g(self) -> np.ndarray:

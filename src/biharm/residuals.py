@@ -275,7 +275,7 @@ class GridSamples:
     u: np.ndarray
     h_norm: np.ndarray
     b_norm2: np.ndarray
-    coeffs: tuple | None = None             # one column per curvature coefficient
+    coeffs: tuple | None = None             # one column per curvature coefficient (always set)
     flags: dict | None = None               # keyed by structure.FLAGS
     nabla_h_norm: np.ndarray | None = None
     scal_intrinsic: np.ndarray | None = None

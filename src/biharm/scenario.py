@@ -141,12 +141,11 @@ class ScenarioConfig:
     def with_constant(self, name: str, value: float) -> "ScenarioConfig":
         doc = json.loads(json.dumps(self.raw))
         doc.setdefault("constants", {})[name] = value
-        imm = doc.get("immersion", {})
-        if isinstance(imm, dict) and name in imm.get("params", {}):
-            imm["params"][name] = value
-        amb = doc.get("ambient", {})
-        if isinstance(amb, dict) and name in amb.get("params", {}):
-            amb["params"][name] = value
+        # a catalog entry's params override the constants; an inline
+        # immersion's params name its parameters, which shadow them
+        for model in (doc["immersion"], doc["ambient"]):
+            if isinstance(model.get("params"), dict) and name in model["params"]:
+                model["params"][name] = value
         return load_scenario(doc)
 
 
@@ -442,21 +441,15 @@ def _load_expect(doc, ops) -> dict:
 # ones it reads; a grid run computes only their union, together with what
 # they rest on, and gates exactly those for finiteness.
 
-GEOMETRY = "geometry"            # frames, B and H; |H| and |B|^2 (always computed)
-COEFFICIENTS = "coefficients"    # curvature coefficients at the sample
-NORMAL = "normal_derivatives"    # nabla-perp H and its normal Laplacian
+GEOMETRY = "geometry"            # frames, B and H; |H|, |B|^2, coefficients (always computed)
 SPLIT = "split"                  # tangential/normal split of J or phi, flags
-RESIDUALS = "residuals"          # general, closed-form and branch residuals
+RESIDUALS = "residuals"          # nabla-perp H, its normal Laplacian; every branch's residuals
 SCALAR = "scalar_curvature"      # intrinsic and Gauss-equation scalar curvature
 RELATIONS = "relations"          # algebraic relations of the split
 PSEUDO = "pseudo_umbilical"      # deviation of A_H from |H|^2 Id
 
-QUANTITIES = frozenset((GEOMETRY, COEFFICIENTS, NORMAL, SPLIT, RESIDUALS, SCALAR,
-                        RELATIONS, PSEUDO))
-_REQUIRES = {RESIDUALS: (NORMAL, SPLIT), RELATIONS: (SPLIT,)}
-# |H|, |B|^2 and the coefficients read jets only to second order, and come
-# out bitwise the same at jet order 2 as at order 4
-_ORDER2 = frozenset((GEOMETRY, COEFFICIENTS))
+QUANTITIES = frozenset((GEOMETRY, SPLIT, RESIDUALS, SCALAR, RELATIONS, PSEUDO))
+_REQUIRES = {RESIDUALS: (SPLIT,), RELATIONS: (SPLIT,)}
 
 
 def _require_finite(samples: GridSamples, residual_norms: dict):
@@ -494,23 +487,18 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
     axis; a geometric, arithmetic or non-finite fault at any sample raises."""
     pg = point_geometry(space, imm, u, order)
     S = pg.mean_curvature_norm.shape
-    out = GridSamples(u=pg.u, h_norm=pg.mean_curvature_norm, b_norm2=pg.second_fundamental_norm2)
+    out = GridSamples(u=pg.u, h_norm=pg.mean_curvature_norm, b_norm2=pg.second_fundamental_norm2,
+                      coeffs=pg.ambient.coeffs)
     residual_norms = {}
-    if COEFFICIENTS in needs:
-        out.coeffs = pg.ambient.coeffs
-    if NORMAL in needs:
-        nd = normal_derivatives(pg)
-        out.nabla_h_norm = nd.nabla_norm
     if SPLIT in needs:
         ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
-        flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
-        out.flags = {k: np.broadcast_to(np.asarray(v, dtype=object), S)
-                     for k, v in flags.items()}
+        out.flags = flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
     if RESIDUALS in needs:
+        nd = normal_derivatives(pg)
+        out.nabla_h_norm = nd.nabla_norm
         residuals = {GENERAL: residual_general(space, pg, nd)}
         if space.kind == KIND_COMPLEX:
-            if pg.m < 4:
-                residuals.update(residual_gcsf(space, pg, nd, ops, flags))
+            residuals.update(residual_gcsf(space, pg, nd, ops, flags))
         else:
             residuals.update(residual_gssf(space, pg, nd, ops, flags))
             out.reduction_residual = reduction_residual(space, pg, ops)
@@ -532,7 +520,7 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
         out.closed_form_gap = gaps.pop(CLOSED_FORM, np.zeros(S))
         out.branch_gap = np.max([np.zeros(S), *gaps.values()], axis=0)
         # the general normal residual along H, divided by |H| where |H| > 1e-9
-        along = dot(vec_mat(gen.normal, pg.ambient_metric), pg.mean_curvature)
+        along = dot(vec_mat(gen.normal, pg.ambient.g), pg.mean_curvature)
         signed = out.h_norm > 1e-9
         out.signed_normal = np.asarray(
             objects(along / np.where(signed, out.h_norm, 1.0), signed), dtype=object)
@@ -622,7 +610,9 @@ def _run_grids(cfgs, needs) -> list[tuple[GridSamples | None, list]]:
     for q in needs:
         closed.update(_REQUIRES.get(q, ()))
     closed = frozenset(closed)
-    order = 2 if closed <= _ORDER2 else JET_ORDER
+    # |H|, |B|^2 and the coefficients read jets only to second order, and come
+    # out bitwise the same at jet order 2 as at order 4
+    order = 2 if closed == {GEOMETRY} else JET_ORDER
     grids = [([], []) for _ in cfgs]
     rows = [(cfg, row, u, out) for cfg, out in zip(cfgs, grids)
             for row, u in enumerate(cfg.immersion.grid())]
@@ -755,17 +745,17 @@ def _check_residual(grid) -> dict:
     }
 
 
-@_declare(CHECKS, "characterization", COEFFICIENTS, SPLIT, RESIDUALS, SCALAR)
+@_declare(CHECKS, "characterization", SPLIT, RESIDUALS, SCALAR)
 def _check_characterization(grid) -> dict:
     return cmc_characterization(grid.cfg.ambient, grid.samples, grid.cfg.immersion.dim)
 
 
-@_declare(CHECKS, "bound", COEFFICIENTS, SPLIT, RESIDUALS, PSEUDO)
+@_declare(CHECKS, "bound", SPLIT, RESIDUALS, PSEUDO)
 def _check_bound(grid) -> dict:
     return bound_check(grid.cfg.ambient, grid.samples, grid.cfg.immersion.dim)
 
 
-@_declare(CHECKS, "audit", COEFFICIENTS, SPLIT)
+@_declare(CHECKS, "audit", SPLIT)
 def _check_audit(grid) -> dict:
     findings = nonexistence_audit(grid.cfg.ambient, grid.samples, grid.cfg.immersion.dim)
     contradiction = any(
@@ -781,7 +771,7 @@ def _check_relations(grid) -> dict:
     return {"tol": RELATIONS_TOL, "residuals": worst, "status": status}
 
 
-@_declare(CHECKS, "gauss", COEFFICIENTS, SCALAR)
+@_declare(CHECKS, "gauss", SCALAR)
 def _check_gauss(grid) -> dict:
     s = grid.samples
     worst = float(np.abs(s.scal_intrinsic - s.scal_via_gauss).max())
@@ -841,7 +831,7 @@ def _objective_normal_residual(cfg, samples) -> float:
     return float(signed[np.argmax(np.abs(signed))])
 
 
-@_declare(SWEEP_OBJECTIVES, "characterization_gap", COEFFICIENTS)
+@_declare(SWEEP_OBJECTIVES, "characterization_gap", GEOMETRY)
 def _objective_characterization_gap(cfg, samples) -> float:
     kind, m = cfg.ambient.kind, cfg.immersion.dim
     return float(np.mean(samples.b_norm2 - characterization_target(kind, m, samples.coeffs)))

@@ -128,7 +128,8 @@ FLAGS = ("is_curve", "is_hypersurface", "is_complex", "is_lagrangian", "is_invar
 def classify(ops: DecompositionOperators, dims, h_normal=None) -> dict:
     """Flags at every sample from Frobenius norms of the decomposition blocks,
     keyed by :data:`FLAGS` in order: each a bool, or None where the sample
-    decides nothing; over sample axes S, each flag is an object array of them.
+    decides nothing; over sample axes S, each flag is an object column of
+    them, also where the ambient kind decides none of them.
 
     ``dims`` is (intrinsic dimension, ambient manifold dimension);
     ``h_normal`` carries the normal-frame components of the mean curvature
@@ -142,7 +143,7 @@ def classify(ops: DecompositionOperators, dims, h_normal=None) -> dict:
         return objects(np.broadcast_to(value, batch), keep)
 
     small = {k: norm(getattr(ops, k), 2) < CLASSIFY_TOL for k in ("tt", "tn", "nt", "nn")}
-    flags = dict.fromkeys(FLAGS)
+    flags = {name: flag(None) for name in FLAGS}
     flags["is_curve"] = flag(m == 1)
     flags["is_hypersurface"] = flag(m == ambient_dim - 1)
     if ops.kind == KIND_COMPLEX:

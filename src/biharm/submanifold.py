@@ -271,14 +271,14 @@ def _complete_normal(calc, frames, need):
 class PointGeometry:
     """The geometry at parameter points of shape S + (m,): every array has
     the sample axes S in front, and ``ambient`` holds the ambient tensors at
-    the positions."""
+    the positions, its metric ``g`` the one the frames are orthonormal for
+    (the calculus's on a chart, the identity on an embedded ambient)."""
 
     u: np.ndarray
     position: np.ndarray
     tangent_frame: np.ndarray        # rows are orthonormal tangent vectors
     normal_frame: np.ndarray         # rows are orthonormal normal vectors
     induced_metric: np.ndarray       # coordinate-basis first fundamental form
-    ambient_metric: np.ndarray       # ambient metric at the position (identity if embedded)
     ambient: PointAmbient = field(repr=False)  # ambient tensors at the position, on first use
     second_fundamental: np.ndarray   # [normal, i, j] frame components of B
     mean_curvature: np.ndarray       # ambient-representation vector
@@ -369,9 +369,7 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
         tangent_frame=frames.value,
         normal_frame=normals.value,
         induced_metric=gram,
-        ambient_metric=(calc.g.value if space.backend == "chart"
-                        else np.broadcast_to(np.eye(calc.d), batch + (calc.d, calc.d)).copy()),
-        ambient=PointAmbient(space, position),
+        ambient=PointAmbient(space, position, calc.g.value if space.backend == "chart" else None),
         second_fundamental=b_vals,
         mean_curvature=H.value,
         mean_normal_components=h_n_vals,
@@ -407,7 +405,7 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
     # summed left to right, term_1 - drift_1 + term_2 - ..., as the pinned reports
     nabla_ww = vec_mat(cvals, cov_w.swapaxes(-3, -2))
     terms = np.stack([_project(pg.normal_frame[..., None, :, :],
-                               pg.ambient_metric[..., None, :, :], nabla_ww),
+                               pg.ambient.g[..., None, :, :], nabla_ww),
                       -vec_mat(drift, W[..., None, :, :])], -2)
     lap = terms.reshape(terms.shape[:-3] + (2 * m, -1)).sum(-2)
 
@@ -434,11 +432,11 @@ def _project(frame, g, vec):
 
 
 def _project_normal(pg, vec):
-    return _project(pg.normal_frame, pg.ambient_metric, vec)
+    return _project(pg.normal_frame, pg.ambient.g, vec)
 
 
 def project_tangent(pg, vec):
-    return _project(pg.tangent_frame, pg.ambient_metric, vec)
+    return _project(pg.tangent_frame, pg.ambient.g, vec)
 
 
 def scalar_curvature(space: AmbientModel, pg: PointGeometry):
@@ -458,7 +456,7 @@ def scalar_curvature(space: AmbientModel, pg: PointGeometry):
         intrinsic = scalar_from_christoffel(pg.induced_metric, gamma.value,
                                             gamma.gradient(axis=st["calc"].nb).value)
     frame = pg.tangent_frame
-    amb = np.einsum("...ia,...ix,...jy,...jz,...xyza->...", frame @ pg.ambient_metric, frame,
+    amb = np.einsum("...ia,...ix,...jy,...jz,...xyza->...", frame @ pg.ambient.g, frame,
                     frame, frame, pg.ambient.curvature["combined"])
     via_gauss = amb + m * m * pg.mean_curvature_norm**2 - pg.second_fundamental_norm2
     return intrinsic, via_gauss
@@ -527,7 +525,7 @@ def fd_normal_laplacian(space: AmbientModel, imm: ImmersionModel, u, h: float) -
         dH = (H[at(_shifted(v, q, h))] - H[at(_shifted(v, q, -h))]) / (2.0 * h)
         i = at(v)
         cov = _covd_pointwise(space, conn[i], dpos[i, q], H[i], dH)
-        return _project(pg.normal_frame[i], pg.ambient_metric[i], cov)
+        return _project(pg.normal_frame[i], pg.ambient.g[i], cov)
 
     i0 = at(u)
     ginv = np.linalg.inv(pg.induced_metric[i0])
@@ -541,7 +539,7 @@ def fd_normal_laplacian(space: AmbientModel, imm: ImmersionModel, u, h: float) -
         for q in range(m):
             dW = (W_at(_shifted(u, p, h), q) - W_at(_shifted(u, p, -h), q)) / (2.0 * h)
             cov = _covd_pointwise(space, conn[i0], dpos[i0, p], W0[q], dW)
-            term = _project(pg.normal_frame[i0], pg.ambient_metric[i0], cov)
+            term = _project(pg.normal_frame[i0], pg.ambient.g[i0], cov)
             term = term - np.einsum("r,rc->c", gamma_ind[:, p, q], np.array(W0))
             lap += ginv[p, q] * term
     return lap

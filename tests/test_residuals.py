@@ -390,6 +390,29 @@ def test_bound_lagrangian_flat_not_applicable():
     assert rep["failed_hypothesis"] == "positive_bound"
 
 
+@pytest.mark.parametrize("f1, h_norm, status, failed", [
+    (2.0, 0.5, "WithinBound", None),      # K = 4, bound (K - 3)/m = 0.5 at m = 2
+    (2.0, 0.8, "Violated", None),
+    (1.0, 0.5, "NotApplicable", "positive_bound"),  # K = 2 <= 3
+])
+def test_bound_xi_tangent_phi_h_normal_kind(f1, h_norm, status, failed):
+    # xi tangent and phi(H) normal, on a grid whose normal equation does not
+    # reduce (reduction residual 1): the bound (K - 3)/m of that kind
+    space = catalog.ambient("sasakian_r5")
+    flags = {"xi_tangent": True, "phi_h_normal": True, "phi_h_tangent": False}
+    samples = _samples([flags] * 2, h_norm=h_norm, reduction_residual=np.ones(2),
+                       coeffs=(np.full(2, f1), np.zeros(2), np.zeros(2)))
+    rep = bound_check(space, samples, 2)
+    assert rep["kind"] == "xi_tangent_phi_h_normal"
+    assert rep["k_value"] == 2.0 * f1
+    assert (rep["status"], rep["failed_hypothesis"]) == (status, failed)
+    if failed is None:
+        assert rep["bound"] == 0.5 and rep["equality"] is False
+    findings = {f["rule"]: f for f in nonexistence_audit(space, samples, 2)}
+    assert findings["cmc_xi_tangent_phi_h_normal"]["relevant"] is True
+    assert findings["cmc_xi_tangent_phi_h_normal"]["applies"] is (2.0 * f1 <= 3.0)
+
+
 def test_audit_sasakian_r5_applies():
     space = catalog.ambient("sasakian_r5")
     imm = catalog.immersion("hyperplane_y1", space)

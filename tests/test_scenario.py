@@ -209,6 +209,14 @@ _FLAT_INLINE = {
     *[({"ambient": dict(_FLAT_INLINE, tag=tag)}, "ambient.tag")
       for tag in ({}, 0, False, [], "", None)],
     ({"schema_version": True}, "schema_version"),
+    # a domain has axes, each with hi > lo and a sample, one per parameter
+    ({"domain": {"axes": []}}, "domain"),
+    ({"domain": {"axes": [{"lo": 1, "hi": 1, "samples": 2}]}}, "domain.axes[0]"),
+    ({"domain": {"axes": [{"lo": 0, "hi": 1, "samples": 0}]}}, "domain.axes[0]"),
+    ({"domain": {"axes": [{"lo": 0, "hi": 1, "samples": 2}]}}, "domain"),
+    ({"immersion": {"params": ["u", "v"], "components": ["u", "v", "0", "0"],
+                    "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 2}]}}},
+     "immersion.domain"),
 ])
 def test_malformed_document_field_is_config_error(tmp_path, capsys, overrides, path):
     doc = {
@@ -222,6 +230,20 @@ def test_malformed_document_field_is_config_error(tmp_path, capsys, overrides, p
     assert cli_main(["check", str(scn)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: "), err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "invalid JSON"),
+    ("[1]", "config root must be a mapping"),
+])
+def test_unreadable_document_is_config_error_at_the_root(tmp_path, capsys, text, message):
+    with pytest.raises(ConfigError) as err:
+        load_scenario(text)
+    assert err.value.path == "" and str(err.value).startswith(message)
+    scn = tmp_path / "bad.json"
+    scn.write_text(text)
+    assert cli_main(["check", str(scn)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 _INLINE_PLANE = {
@@ -500,7 +522,7 @@ def test_order2_grid_batch_fault_reruns_each_sample(monkeypatch):
         "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 3},
                              {"lo": 0, "hi": 1, "samples": 2}]},
     })
-    needs = frozenset((scenario.GEOMETRY, scenario.COEFFICIENTS))
+    needs = frozenset((scenario.GEOMETRY,))
     expected = [_single(cfg, u, needs, 2) for u in cfg.immersion.grid()]
     calls = []
     real = submanifold.point_geometry
@@ -510,7 +532,7 @@ def test_order2_grid_batch_fault_reruns_each_sample(monkeypatch):
         return real(space, imm, u, order)
 
     monkeypatch.setattr(scenario, "point_geometry", counted)
-    [(samples, failed)] = scenario._run_grids([cfg], {scenario.COEFFICIENTS})
+    [(samples, failed)] = scenario._run_grids([cfg], {scenario.GEOMETRY})
     # one batch, then one call per sample, all at the block's jet order
     assert calls == [((6, 2), 2)] + [((1, 2), 2)] * 6
     assert _errors(failed, 6) == [error for _, error in expected]
@@ -520,6 +542,33 @@ def test_order2_grid_batch_fault_reruns_each_sample(monkeypatch):
     res = sweep_solve(cfg, "c", 0.6, 1.4, 3, "characterization_gap")
     assert res.partial == [0.6, 1.0]
     assert math.isnan(res.objective[0]) and math.isfinite(res.objective[2])
+
+
+def _indefinite_metric_doc(hi):
+    # a chart metric diag(1, 1, 1, x1), singular at x1 = 0 and indefinite
+    # below, along a plane over u1 in [-1, hi]
+    metric = [row[:] for row in _IDENTITY]
+    metric[3][3] = "x1"
+    return {"ambient": dict(_FLAT_INLINE, metric=metric),
+            "immersion": {"params": ["u1", "u2"], "components": ["u1", "u2", "0", "0"],
+                          "domain": {"axes": [{"lo": -1, "hi": hi, "samples": 3},
+                                              {"lo": 0, "hi": 1, "samples": 2}]}}}
+
+
+def test_grid_rows_fail_where_the_ambient_metric_is_not_positive_definite(tmp_path, capsys):
+    # the calculus's check fails exactly the rows with u1 <= 0, each with its
+    # reason, and a partial grid decides nothing
+    rep = run_check(load_scenario(_indefinite_metric_doc(1)))
+    failed = [p for p in rep.document["points"] if "error" in p]
+    assert [p["u"][0] for p in failed] == [-1.0, -1.0, 0.0, 0.0]
+    assert all(p["error"] == "ambient metric not positive definite along immersion"
+               for p in failed)
+    assert rep.aggregates["points_failed"] == 4 and rep.verdict == "Inconclusive"
+    # with no clean row, the command ends as a geometry error
+    scn = tmp_path / "indefinite.json"
+    scn.write_text(json.dumps(_indefinite_metric_doc(-0.5)))
+    assert cli_main(["check", str(scn)]) == 2
+    assert "ambient metric not positive definite along immersion" in capsys.readouterr().err
 
 
 def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
@@ -535,7 +584,7 @@ def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
                              {"lo": 0, "hi": 1, "samples": 4}]},
     }, checks=[{"op": "residual"}])
     _block_budget(monkeypatch, cfg, 6)  # 6-sample blocks
-    needs = frozenset((scenario.GEOMETRY, scenario.RESIDUALS, scenario.NORMAL, scenario.SPLIT))
+    needs = frozenset((scenario.GEOMETRY, scenario.RESIDUALS, scenario.SPLIT))
     expected = [_single(cfg, u, needs, scenario.JET_ORDER) for u in cfg.immersion.grid()]
     calls = []
     real = submanifold.point_geometry
@@ -1363,7 +1412,9 @@ def test_each_ambient_tensor_runs_once_per_sample(monkeypatch):
         blocks = math.ceil(samples / scenario._block_rows(cfg, scenario.JET_ORDER))
         assert rep.aggregates["points_failed"] == 0 and samples > blocks > 1
         assert len(rep.checks) == 2 + structure
-        for name in ("metric", "phi", "reeb"):
+        # the blocks' metric is the one their calculus evaluated as jets
+        assert runs["metric"] == structure
+        for name in ("phi", "reeb"):
             assert runs[name] == blocks + structure, (name, runs[name], blocks)
         assert runs["coeffs"] == blocks
         assert runs["components"] == structure
@@ -1457,6 +1508,48 @@ def test_sweep_over_shared_blocks_equals_the_per_value_loop_bitwise(
     # one-sample blocks and one value per grid run: the loop of single points
     monkeypatch.setattr(scenario, "_block_rows", lambda cfg, order: 1)
     assert _same(res, sweep_solve(cfg, parameter, *sweep_range, objective))
+
+
+def test_sweep_rewrites_a_catalog_ambient_parameter():
+    # rho named in the ambient's params, which override the constants: each
+    # sampled value is the document loaded with that rho in its params
+    doc = _geodesic_sweep_doc()
+    doc["ambient"]["params"] = {"rho": 1.0}
+    res = sweep_solve(load_scenario(doc), "rho", 0.5, 1.5, 3)
+    expected = []
+    for x in res.values:
+        doc["ambient"]["params"]["rho"] = x
+        expected.append(_value_objective(load_scenario(doc), "characterization_gap"))
+    assert _same(res.objective, expected)
+    assert len(set(expected)) == 3
+
+
+@pytest.mark.parametrize("objective", ["characterization_gap", "normal_residual"])
+def test_sampled_values_on_a_root_are_roots(objective):
+    # a plane is minimal in flat C^2 at every c: both objectives read 0.0 at
+    # every sampled value, the last one included
+    cfg = _cfg(constants={"c": 0.0}, immersion={
+        "params": ["u1", "u2"], "components": ["u1", "u2", "0*c", "0"],
+        "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 2}] * 2}})
+    res = sweep_solve(cfg, "c", 0.0, 1.0, 3, objective)
+    assert res.objective == [0.0, 0.0, 0.0]
+    assert res.roots == [0.0, 0.5, 1.0] and res.discontinuities == []
+
+
+def test_cli_sweep_over_a_constant_shadowed_by_a_parameter(tmp_path, capsys):
+    # the constant u1 is shadowed by the immersion's parameter u1: sweeping it
+    # leaves the inline params as they are, and the objective is constant
+    scn = tmp_path / "shadowed.json"
+    scn.write_text(json.dumps({
+        "ambient": {"catalog": "flat_c2"},
+        "constants": {"u1": 0.5},
+        "immersion": {"params": ["u1", "u2"], "components": ["cos(u1)", "sin(u1)", "u2", "0"],
+                      "domain": {"axes": [{"lo": 0, "hi": 1, "samples": 3},
+                                          {"lo": 0, "hi": 1, "samples": 2}]}},
+    }))
+    assert cli_main(["sweep", str(scn), "--param", "u1", "--range", "0:1:3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(set(out["samples"])) == 1 and out["roots"] == [] and out["partial"] == []
 
 
 def test_criterion_6_sweep_shares_geometry_blocks_between_values(monkeypatch):

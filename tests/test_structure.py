@@ -86,6 +86,26 @@ def test_hypersphere_flags():
     assert norm(ops.nn, 2) < 1e-12
 
 
+@pytest.mark.parametrize("space_name, imm_name", [("flat_c2", "round_hypersphere"),
+                                                  ("sasakian_r5", "hyperplane_y1")])
+def test_flags_over_sample_axes_are_object_columns(space_name, imm_name):
+    # every flag is a column over the samples, of None where the ambient kind
+    # decides nothing, and each row is the flag of that point alone
+    space = catalog.ambient(space_name)
+    imm = catalog.immersion(imm_name, space)
+    grid = imm.grid()[:3]
+    pg = point_geometry(space, imm, grid, order=2)
+    ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
+    flags = classify(ops, (imm.dim, space.dim), pg.mean_normal_components)
+    assert tuple(flags) == FLAGS
+    assert all(v.dtype == object and v.shape == (3,) for v in flags.values())
+    for i, u in enumerate(grid):
+        _, one = _frames_from_immersion(space_name, imm_name, u)
+        ops = decompose(one.ambient, one.tangent_frame, one.normal_frame)
+        row = classify(ops, (imm.dim, space.dim), one.mean_normal_components)
+        assert {k: v[i] for k, v in flags.items()} == row
+
+
 def test_hyperplane_reeb_tangent_and_lemma():
     space, pg = _frames_from_immersion("sasakian_r5", "hyperplane_y1", (0.2, -0.4, 0.3, 0.6))
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)

@@ -62,10 +62,12 @@ def test_point_geometry_carries_the_ambient_metric():
 
     space, imm = _setup("cp2", "geodesic_sphere_cp2", {"r": 0.6})
     pg = point_geometry(space, imm, (0.7, 1.3, 2.1))
-    assert np.abs(pg.ambient_metric - metric_at(space, pg.position)).max() < 1e-15
+    # the snapshot holds the calculus's metric, the one the frames are orthonormal for
+    assert _bitwise(pg.ambient.g, pg._state["calc"].g.value)
+    assert np.abs(pg.ambient.g - metric_at(space, pg.position)).max() < 1e-15
     space, imm = _setup("sasakian_sphere_s5", "small_hypersphere")
     pg = point_geometry(space, imm, imm.grid()[0])
-    assert np.array_equal(pg.ambient_metric, np.eye(6))
+    assert np.array_equal(pg.ambient.g, np.eye(6))
 
 
 def test_b_symmetry_and_shape_adjointness():
@@ -295,7 +297,7 @@ BATCH_CASES = [
     ("sasakian_sphere_s5", "clifford_torus_s5", None),
 ]
 VALUES = ("position", "tangent_frame", "normal_frame", "second_fundamental", "mean_curvature",
-          "mean_curvature_norm", "second_fundamental_norm2", "induced_metric", "ambient_metric")
+          "mean_curvature_norm", "second_fundamental_norm2", "induced_metric")
 JETS = ("pos", "g_ind", "frames", "coeffs", "normals", "nablaXX", "H")
 
 
@@ -322,6 +324,7 @@ def test_grid_batch_equals_per_sample_calls_bitwise(space_name, imm_name, params
         for key in JETS:
             assert _bitwise(batch._state[key].coeffs[i], one._state[key].coeffs), (i, key)
         # the block's ambient programs run once on arrays, each row as its point alone
+        assert _bitwise(batch.ambient.g[i], one.ambient.g), i
         assert _bitwise(np.array(batch.ambient.coeffs)[:, i], one.ambient.coeffs), i
         for key, tensor in batch.ambient.curvature.items():
             assert _bitwise(tensor[i], one.ambient.curvature[key]), (i, key)
@@ -465,7 +468,7 @@ def _fd_reference(space, imm, u, h, points):
     def project_normal(pg, vec):
         out = np.zeros_like(vec)
         for nu in pg.normal_frame:
-            out += (nu @ pg.ambient_metric @ vec) * nu
+            out += (nu @ pg.ambient.g @ vec) * nu
         return out
 
     def W_at(v, q):
