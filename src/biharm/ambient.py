@@ -14,8 +14,10 @@ Two metric backends:
 * ``chart`` -- metric components are expressions in ambient coordinates;
   covariant derivatives go through Christoffel symbols obtained from jets.
 * ``embedded`` -- the ambient manifold sits isometrically in Euclidean
-  space; covariant differentiation is Euclidean differentiation followed by
-  tangential projection, and all vectors carry embedding-space components.
+  space; covariant differentiation is Euclidean differentiation along the
+  lines x + tX through any point of N, tangent fields extended by the
+  model's normals, then tangential projection, against the same table of
+  structure identities as a chart; vectors carry embedding-space components.
 """
 
 from __future__ import annotations
@@ -339,108 +341,100 @@ def tangent_projector(space: AmbientModel, x) -> np.ndarray:
 # -- structure verification -----------------------------------------------------
 #
 # Every identity is an array over the sample axes of a snapshot; the audit
-# reduces each with one max.
+# reduces each with one max.  Both backends share each identity: ``P``
+# restricts the algebraic ones to the tangent space (P = I on a chart), and a
+# backend supplies only the covariant derivatives along the rows E of a
+# tangent basis, which one table of right-hand sides is compared with.
 
 def _algebraic_residuals(amb: PointAmbient, P) -> dict:
-    """The algebraic structure identities at every sample.  ``P`` restricts
-    the contact ones to the tangent space of an embedded model; the raw
-    matrix identities only hold on tangent vectors."""
+    """The algebraic structure identities at every sample, on tangent vectors:
+    the raw matrix identities of an embedded model only hold there."""
     g = amb.g
     eye = np.eye(g.shape[-1])
+
+    def tangent(M):
+        return spectral(P.mT @ M @ P)
+
     if amb.space.kind == KIND_COMPLEX:
         J = amb.structure
-        return {"square": spectral(J @ J + eye), "compatibility": spectral(J.mT @ g @ J - g)}
+        return {"square": tangent(J @ J + eye), "compatibility": tangent(J.mT @ g @ J - g)}
     phi, xi = amb.structure
     eta = mat_vec(g, xi)
     return {
         "reeb_unit": abs(dot(eta, xi) - 1.0),
-        "square": spectral(P.mT @ (phi @ phi + eye - outer(xi, eta)) @ P),
-        "compatibility": spectral(P.mT @ (phi.mT @ g @ phi - (g - outer(eta, eta))) @ P),
+        "square": tangent(phi @ phi + eye - outer(xi, eta)),
+        "compatibility": tangent(phi.mT @ g @ phi - (g - outer(eta, eta))),
         "reeb_kernel": norm(mat_vec(phi, xi)),
     }
 
 
-def _covariant_residuals_chart(amb: PointAmbient) -> dict:
-    """|nabla T - rhs| of each covariant identity at every sample of ``amb``;
-    the Christoffel symbols and the structure-field jets run as one batch."""
+def _covariant_residuals(amb: PointAmbient, E, nabla) -> dict:
+    """|nabla T - rhs| of each covariant identity of the tag's family at every
+    sample.  ``nabla(name)`` is a backend's (nabla_{E_i} T) E_j, as
+    [..., i, j, :], of the (1,1)-tensor field ``name``, and nabla_{E_i} T, as
+    [..., i, :], of a vector field.  The right-hand sides (Blair 2010) are
+    nabla J = 0, and for (nabla_X phi)Y and nabla_X xi: Sasakian
+    g(X, Y)xi - eta(Y)X and -phi X, Kenmotsu -g(X, phi Y)xi - eta(Y)phi X and
+    X - eta(X)xi, cosymplectic 0 and 0."""
+    if amb.space.kind == KIND_COMPLEX:
+        return {"covariant_complex": np.abs(nabla("cstruct"))}
+    g, (phi, xi), family = amb.g, amb.structure, amb.space.tag.family
+    eta_E = mat_vec(E, mat_vec(g, xi))
+    rhs_phi = rhs_xi = 0.0
+    if family == SASAKI:
+        rhs_phi = ((E @ g @ E.mT)[..., None] * xi[..., None, None, :]
+                   - eta_E[..., None, :, None] * E[..., :, None, :])
+        rhs_xi = -(E @ phi.mT)
+    elif family == KENMOTSU:
+        phi_E = E @ phi.mT
+        rhs_phi = (-(E @ g @ phi_E.mT)[..., None] * xi[..., None, None, :]
+                   - eta_E[..., None, :, None] * phi_E[..., :, None, :])
+        rhs_xi = E - eta_E[..., None] * xi[..., None, :]
+    return {"covariant_phi": np.abs(nabla("phi") - rhs_phi),
+            "covariant_reeb": np.abs(nabla("reeb") - rhs_xi)}
+
+
+def _chart_nabla(amb: PointAmbient):
+    """The coordinate basis E = I, and ``nabla`` of :func:`_covariant_residuals`
+    from the Christoffel symbols and the field jets, one batch each."""
     space, x = amb.space, amb.x
     env = seed_point(x, 1)
     gam = christoffel_point(space, x)
 
-    def field(name):
-        """Values, and plain first partials [..., a, ...] = d_a T, of a structure field."""
+    def nabla(name):
         f = space.jets(name, env)
-        return f.value, f.gradient(axis=x.ndim - 1).value
-
-    def nabla(v, dv):
-        """Covariant derivative of a structure field at every sample:
-        [..., a, c, b] = (nabla_a T)^c_b for a (1,1)-tensor, [..., a, c] for a
-        vector field."""
+        v, dv = f.value, f.gradient(axis=x.ndim - 1).value  # dv[..., a, ...] = d_a T
         if v.ndim == x.ndim:
             return dv + np.einsum("...cae,...e->...ac", gam, v)
-        return (dv + np.einsum("...cae,...eb->...acb", gam, v)
-                - np.einsum("...eab,...ce->...acb", gam, v))
+        return np.swapaxes(dv + np.einsum("...cae,...eb->...acb", gam, v)
+                           - np.einsum("...eab,...ce->...acb", gam, v), -1, -2)
 
-    if space.kind == KIND_COMPLEX:
-        return {"covariant_complex": np.abs(nabla(*field("cstruct")))}
-    (phi, dphi), (xi, dxi) = field("phi"), field("reeb")
-    g, eye = amb.g, np.eye(space.dim)
-    eta = mat_vec(g, xi)
-    rhs_phi = rhs_xi = 0.0
-    if space.tag.family == SASAKI:
-        rhs_phi = np.einsum("...ab,...c->...acb", g, xi) - np.einsum("...b,ca->...acb", eta, eye)
-        rhs_xi = -phi.mT
-    elif space.tag.family == KENMOTSU:
-        rhs_phi = (-np.einsum("...b,...ca->...acb", eta, phi)
-                   - np.einsum("...ab,...c->...acb", g @ phi, xi))
-        rhs_xi = eye - outer(eta, xi)
-    return {"covariant_phi": np.abs(nabla(phi, dphi) - rhs_phi),
-            "covariant_reeb": np.abs(nabla(xi, dxi) - rhs_xi)}
+    return np.broadcast_to(np.eye(space.dim), gam.shape[:-1]), nabla
 
 
-def _covariant_residuals_embedded(amb: PointAmbient, P) -> dict:
-    """|nabla T - rhs| of the Sasakian identities at every sample of ``amb``.
+def _embedded_nabla(amb: PointAmbient, P):
+    """Each sample's orthonormal tangent basis E, the eigenvectors of ``P``
+    for eigenvalue 1, and ``nabla`` of :func:`_covariant_residuals` along the
+    lines x + t E_i, one first-order jet axis: nabla_X V = P D_X V, and
+    (nabla_X T)Y = P D_X(T Y) - T P D_X Y, each Y = E_j extended off the
+    point by the model's normals, as the tangent projection of E_j."""
+    space, x = amb.space, amb.x
+    E = np.linalg.eigh(P)[1][..., -space.dim:].mT
+    lines = Jet.variable(1, 1, 0, 0.0) * E + x[..., None, :]
+    env = [lines[..., a] for a in range(space.rep_dim)]
+    n = space.jets("normals", env)[..., None, :, :]  # [..., i, 1, k, :]
+    Y = E[..., None, :, :] - (((n * E[..., None, :, None, :]).sum(-1)
+                               / (n * n).sum(-1))[..., None] * n).sum(-2)
 
-    The structure fields are differentiated along great-circle-like curves
-    c(t) = (x + tX)/|x + tX| using one-variable jets; the ambient covariant
-    derivative is the curve derivative followed by tangential projection
-    ``P``.  The curves of every point's basis directions X form one axis,
-    and each curve carries every tangent field Y of its point's basis, so
-    the phi and xi programs and the residuals run in one pass over it.
-    """
-    space = amb.space
-    # each point's orthonormal basis of P's range, by Gram-Schmidt of its
-    # columns, in its first ``rank`` rows; rows after it stay zero and give
-    # zero residuals
-    Y, rank = np.zeros(P.shape), []
-    for Yk, Pk in zip(Y, P):
-        n = 0
-        for v in Pk.T:
-            for b in Yk[:n]:
-                v = v - (v @ b) * b
-            if np.linalg.norm(v) > 1e-8:
-                Yk[n] = v / np.linalg.norm(v)
-                n += 1
-        rank.append(n)
-    Y = Y[:, :max(rank)]
-    X = Y[np.arange(Y.shape[1]) < np.array(rank)[:, None]]  # the curves' directions
-    point = np.repeat(np.arange(len(P)), rank)               # and their points
-    Y, P = Y[point], P[point]
-    phi0, xi0 = (a[point] for a in amb.structure)
-    curves = Jet.constant(1, 1, amb.x[point])
-    curves.coeffs[..., 1] = X
-    curves = curves * (curves * curves).sum(-1).sqrt().reciprocal()[:, None]
-    env = list(curves.transpose(1, 0))
-    dxi = space.jets("reeb", env).derivative(0).value
-    # Y extended along the curve as its projection onto T_c S
-    pos = curves[:, None, :]
-    yfield = Y - (pos * Y).sum(-1)[..., None] * pos
-    phiy = (space.jets("phi", env)[:, None] * yfield[..., None, :]).sum(-1)
-    lhs = phiy.derivative(0).value @ P.mT - yfield.derivative(0).value @ P.mT @ phi0.mT
-    # eta(v) = <v, xi> in the Euclidean representation
-    rhs = outer(mat_vec(Y, X), xi0) - outer(mat_vec(Y, xi0), X)
-    return {"covariant_phi": np.abs(lhs - rhs),
-            "covariant_reeb": np.abs(mat_vec(P, dxi) - (-mat_vec(phi0, X)))}
+    def nabla(name):
+        f = space.jets(name, env)
+        if f.shape == E.shape:
+            return f.derivative(0).value @ P  # P is symmetric
+        TY = (f[..., :, None, :, :] * Y[..., None, :]).sum(-1)
+        dTY, dY = (v.derivative(0).value @ P[..., None, :, :] for v in (TY, Y))
+        return dTY - dY @ f.value.mT
+
+    return E, nabla
 
 
 def verify_structure(space: AmbientModel, points) -> dict[str, float]:
@@ -455,8 +449,6 @@ def verify_structure(space: AmbientModel, points) -> dict[str, float]:
     P = tangent_projector(space, points)
     residuals = _algebraic_residuals(amb, P)
     if space.tag is not None:
-        if space.backend == "chart":
-            residuals.update(_covariant_residuals_chart(amb))
-        elif space.kind == KIND_CONTACT and space.tag.family == SASAKI:
-            residuals.update(_covariant_residuals_embedded(amb, P))
+        basis = _chart_nabla(amb) if space.backend == "chart" else _embedded_nabla(amb, P)
+        residuals.update(_covariant_residuals(amb, *basis))
     return {k: float(np.max(v)) for k, v in residuals.items()}

@@ -76,6 +76,13 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"bad --range {args.range!r}, need LO:HI:N", "sweep.range") from None
     result: SweepResult = sweep_solve(cfg, args.param, lo, hi, n, args.objective)
+    amb = cfg.ambient
+    programs = [cfg.immersion.program("components")] + [
+        amb.program(f) for f in ("metric", "cstruct", "phi", "reeb", "coeffs", "normals")
+        if getattr(amb, f) is not None]
+    if not any(args.param in p.consts for p in programs):
+        print(f"note: no expression of the scenario reads {args.param!r}; "
+              "the objective does not depend on it", file=sys.stderr)
     doc = {
         "parameter": result.parameter,
         "objective": result.objective_name,

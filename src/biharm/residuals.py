@@ -111,7 +111,7 @@ def _bitension_base(pg: PointGeometry, nd: NormalFieldDerivatives):
             0.5 * pg.m * nd.grad_h2 + 2.0 * nd.trace_shape_gradient)
 
 
-def residual_general(space: AmbientModel, pg: PointGeometry, nd: NormalFieldDerivatives) -> BiharmonicResidual:
+def residual_general(pg: PointGeometry, nd: NormalFieldDerivatives) -> BiharmonicResidual:
     """Residual of the split bitension equations with the curvature trace
     evaluated directly from the ambient algebraic curvature."""
     ctr_normal, ctr_tangent = curvature_trace(pg)
@@ -246,7 +246,7 @@ def branch_of(kind: str, residuals: dict, active: dict) -> np.ndarray:
     return branch
 
 
-def reduction_residual(space, pg, ops):
+def reduction_residual(pg, ops):
     """How far the contact normal equation is from its constant-target form.
 
     Distance between the closed-form right-hand side and K H, with K the
@@ -272,7 +272,7 @@ class GridSamples:
     signed normal residual are object columns, None at a sample that decides
     nothing."""
 
-    u: np.ndarray
+    u: np.ndarray                           # (k, m): m is the intrinsic dimension
     h_norm: np.ndarray
     b_norm2: np.ndarray
     coeffs: tuple | None = None             # one column per curvature coefficient (always set)
@@ -352,7 +352,7 @@ def squares(column):
     return np.float_power(column, 2)
 
 
-def cmc_characterization(space: AmbientModel, samples, m: int) -> dict:
+def cmc_characterization(space: AmbientModel, samples) -> dict:
     """Constant-mean-curvature characterization |B|^2 = target for hypersurfaces.
 
     Complex ambient: target 3(alpha + beta), with the equivalent scalar
@@ -381,7 +381,7 @@ def cmc_characterization(space: AmbientModel, samples, m: int) -> dict:
             out["failed_hypothesis"] = name
             return out
 
-    target = characterization_target(space.kind, m, samples.coeffs)
+    target = characterization_target(space.kind, samples.u.shape[-1], samples.coeffs)
     gap = float(np.abs(samples.b_norm2 - target).max())
     out.update(status="Satisfied" if gap < CHARACTERIZATION_TOL else "Violated",
                target=float(target[0]), gap=gap)
@@ -409,7 +409,7 @@ def _bound_kind(space, samples) -> str | None:
     return None
 
 
-def bound_check(space: AmbientModel, samples, m: int) -> dict:
+def bound_check(space: AmbientModel, samples) -> dict:
     """Mean-curvature bound for proper biharmonic CMC submanifolds.
 
     Complex case: |H|^2 <= inf (2 alpha + 3 beta)/2 for Lagrangian surfaces,
@@ -442,6 +442,7 @@ def bound_check(space: AmbientModel, samples, m: int) -> dict:
     if space.kind == KIND_COMPLEX:
         bound = float(BOUND_KINDS[KIND_COMPLEX][kind](*samples.coeffs).min())
     else:
+        m = samples.u.shape[-1]
         k_value = float(characterization_target(KIND_CONTACT, m, samples.coeffs).min())
         shift = BOUND_KINDS[KIND_CONTACT][kind]
         bound = None if k_value <= shift else (k_value - shift) / m
@@ -465,7 +466,7 @@ def bound_check(space: AmbientModel, samples, m: int) -> dict:
     return out
 
 
-def nonexistence_audit(space: AmbientModel, samples, m: int) -> list[dict]:
+def nonexistence_audit(space: AmbientModel, samples) -> list[dict]:
     """Which non-existence statements cover the scenario's flag pattern.
 
     A finding is ``relevant`` when the scenario matches the statement's
@@ -495,7 +496,7 @@ def nonexistence_audit(space: AmbientModel, samples, m: int) -> list[dict]:
                     comp <= 0.0, {"sup_alpha": comp}),
         ]
 
-    xi_t = flags["xi_tangent"] is True
+    xi_t, m = flags["xi_tangent"] is True, samples.u.shape[-1]
     kmax = float(characterization_target(KIND_CONTACT, m, samples.coeffs).max())
     detail = {"sup_target": kmax}
     if space.tag is not None and space.tag.family in (SASAKI, KENMOTSU, COSYMPLECTIC):

@@ -492,16 +492,16 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
     residual_norms = {}
     if SPLIT in needs:
         ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
-        out.flags = flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
+        out.flags = flags = classify(ops, pg.mean_normal_components)
     if RESIDUALS in needs:
         nd = normal_derivatives(pg)
         out.nabla_h_norm = nd.nabla_norm
-        residuals = {GENERAL: residual_general(space, pg, nd)}
+        residuals = {GENERAL: residual_general(pg, nd)}
         if space.kind == KIND_COMPLEX:
             residuals.update(residual_gcsf(space, pg, nd, ops, flags))
         else:
             residuals.update(residual_gssf(space, pg, nd, ops, flags))
-            out.reduction_residual = reduction_residual(space, pg, ops)
+            out.reduction_residual = reduction_residual(pg, ops)
         gen = residuals[GENERAL]
         # a special-case branch counts only at the samples whose flags activate it
         active = {name: out.flags[BRANCH_FLAGS[name]].astype(bool)
@@ -527,7 +527,7 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
     if PSEUDO in needs:
         out.pseudo_deviation = np.asarray(pseudo_umbilical_check(pg)[1], dtype=object)
     if SCALAR in needs:
-        out.scal_intrinsic, out.scal_via_gauss = scalar_curvature(space, pg)
+        out.scal_intrinsic, out.scal_via_gauss = scalar_curvature(pg)
     if RELATIONS in needs:
         out.relations = verify_relations(ops)
     _require_finite(out, residual_norms)
@@ -747,17 +747,17 @@ def _check_residual(grid) -> dict:
 
 @_declare(CHECKS, "characterization", SPLIT, RESIDUALS, SCALAR)
 def _check_characterization(grid) -> dict:
-    return cmc_characterization(grid.cfg.ambient, grid.samples, grid.cfg.immersion.dim)
+    return cmc_characterization(grid.cfg.ambient, grid.samples)
 
 
 @_declare(CHECKS, "bound", SPLIT, RESIDUALS, PSEUDO)
 def _check_bound(grid) -> dict:
-    return bound_check(grid.cfg.ambient, grid.samples, grid.cfg.immersion.dim)
+    return bound_check(grid.cfg.ambient, grid.samples)
 
 
 @_declare(CHECKS, "audit", SPLIT)
 def _check_audit(grid) -> dict:
-    findings = nonexistence_audit(grid.cfg.ambient, grid.samples, grid.cfg.immersion.dim)
+    findings = nonexistence_audit(grid.cfg.ambient, grid.samples)
     contradiction = any(
         f["relevant"] and f["applies"] for f in findings
     ) and grid.aggregates["verdict"] == "ProperBiharmonic"

@@ -125,18 +125,17 @@ FLAGS = ("is_curve", "is_hypersurface", "is_complex", "is_lagrangian", "is_invar
          "is_anti_invariant", "xi_tangent", "xi_normal", "phi_h_tangent", "phi_h_normal")
 
 
-def classify(ops: DecompositionOperators, dims, h_normal=None) -> dict:
+def classify(ops: DecompositionOperators, h_normal=None) -> dict:
     """Flags at every sample from Frobenius norms of the decomposition blocks,
     keyed by :data:`FLAGS` in order: each a bool, or None where the sample
     decides nothing; over sample axes S, each flag is an object column of
     them, also where the ambient kind decides none of them.
 
-    ``dims`` is (intrinsic dimension, ambient manifold dimension);
-    ``h_normal`` carries the normal-frame components of the mean curvature
-    vector, needed for the phi-H flags (None at minimal samples, where |H|
-    decides nothing).
+    The blocks give the dimension and the codimension; ``h_normal`` carries
+    the normal-frame components of the mean curvature vector, needed for the
+    phi-H flags (None at minimal samples, where |H| decides nothing).
     """
-    m, ambient_dim = dims
+    m, codim = ops.m, ops.codim
     batch = ops.tt.shape[:-2]
 
     def flag(value, keep=True):
@@ -145,10 +144,10 @@ def classify(ops: DecompositionOperators, dims, h_normal=None) -> dict:
     small = {k: norm(getattr(ops, k), 2) < CLASSIFY_TOL for k in ("tt", "tn", "nt", "nn")}
     flags = {name: flag(None) for name in FLAGS}
     flags["is_curve"] = flag(m == 1)
-    flags["is_hypersurface"] = flag(m == ambient_dim - 1)
+    flags["is_hypersurface"] = flag(codim == 1)
     if ops.kind == KIND_COMPLEX:
         flags["is_complex"] = flag(small["tn"] & small["nt"])
-        flags["is_lagrangian"] = flag((m == 2 and ambient_dim == 4) & small["tt"] & small["nn"])
+        flags["is_lagrangian"] = flag((m == 2 and codim == 2) & small["tt"] & small["nn"])
     else:
         flags["is_invariant"] = flag(small["tn"])
         flags["is_anti_invariant"] = flag(small["tt"])

@@ -439,7 +439,7 @@ def project_tangent(pg, vec):
     return _project(pg.tangent_frame, pg.ambient.g, vec)
 
 
-def scalar_curvature(space: AmbientModel, pg: PointGeometry):
+def scalar_curvature(pg: PointGeometry):
     """(intrinsic, via_gauss) scalar curvature of the induced metric at
     every sample.
 

@@ -5,9 +5,13 @@ import pytest
 
 from biharm import catalog
 from biharm.ambient import (
+    COMPLEX_SPACE_FORM,
     COSYMPLECTIC,
     KENMOTSU,
+    KIND_COMPLEX,
+    KIND_CONTACT,
     SASAKI,
+    AmbientModel,
     ClassicalTag,
     GeometryError,
     PointAmbient,
@@ -20,6 +24,7 @@ from biharm.ambient import (
     structure_at,
     verify_structure,
 )
+from biharm.exprs import parse_expression
 from conftest import riemann_from_metric_jets
 
 
@@ -228,6 +233,68 @@ def test_verify_structure_embedded_sphere():
     assert max(residuals.values()) <= 1e-9, residuals
     assert "covariant_phi" in residuals
     assert "covariant_reeb" in residuals
+
+
+def _rotated_j(angle: str):
+    """The standard J of R^4 conjugated by the rotation of the (p1, p3) plane
+    by ``angle``, as rows of expressions."""
+    c, s = f"cos({angle})", f"sin({angle})"
+    return [["0", f"-{c}", "0", s], [c, "0", s, "0"],
+            ["0", f"-{s}", "0", f"-{c}"], [f"-{s}", "0", c, "0"]]
+
+
+def _flat_model(kind, backend, n, block, family):
+    """A flat R^n chart, or R^(n-1) in R^n with normal e_n, with ``block``
+    on p1..p4 as its J or phi (and xi = e5), tagged ``family``."""
+    coords = tuple(f"p{a}" for a in range(1, n + 1))
+    rows = [list(r) + ["0"] * (n - 4) for r in block] + [["0"] * n] * (n - 4)
+
+    def exprs(entries):
+        return tuple(parse_expression(e, coords) for e in entries)
+
+    def unit(k):
+        return exprs("1" if a == k else "0" for a in range(n))
+
+    matrix = tuple(exprs(r) for r in rows)
+    fields = ({"metric": tuple(unit(a) for a in range(n))} if backend == "chart"
+              else {"normals": (unit(n - 1),)})
+    if kind == KIND_COMPLEX:
+        fields.update(cstruct=matrix, coeffs=exprs(["0"] * 2))
+    else:
+        fields.update(phi=matrix, reeb=unit(4), coeffs=exprs(["0"] * 3))
+    return AmbientModel(name="flat", kind=kind, backend=backend, dim=4 + (kind == KIND_CONTACT),
+                        coords=coords, tag=ClassicalTag(family, 0.0), **fields)
+
+
+_AUDIT_POINTS = np.random.RandomState(5).uniform(-0.5, 0.5, (6, 6)) * [1, 1, 1, 1, 1, 0]
+
+
+def test_embedded_rotating_cosymplectic_phi_reads_as_its_chart_twin():
+    # phi turns with p5 along R^5 in R^6: not parallel, on either backend
+    embedded = verify_structure(
+        _flat_model(KIND_CONTACT, "embedded", 6, _rotated_j("p5"), COSYMPLECTIC), _AUDIT_POINTS)
+    chart = verify_structure(
+        _flat_model(KIND_CONTACT, "chart", 5, _rotated_j("p5"), COSYMPLECTIC), _AUDIT_POINTS[:, :5])
+    assert embedded["covariant_phi"] > 0.5
+    assert abs(embedded["covariant_phi"] - chart["covariant_phi"]) <= 1e-12
+    assert embedded.keys() == chart.keys()
+
+
+@pytest.mark.parametrize("kind, n, angle, violated", [
+    (KIND_CONTACT, 6, "0", set()),
+    (KIND_COMPLEX, 5, "0", set()),
+    (KIND_COMPLEX, 5, "p1", {"covariant_complex"}),
+])
+def test_embedded_flat_structures_read_on_their_tangent_space(kind, n, angle, violated):
+    # a constant J or phi on a flat N is parallel, and its matrix identities
+    # hold on T N even where they fail on the normal e_n; a J that turns with
+    # p1 fails nabla J = 0 alone
+    family = COSYMPLECTIC if kind == KIND_CONTACT else COMPLEX_SPACE_FORM
+    residuals = verify_structure(_flat_model(kind, "embedded", n, _rotated_j(angle), family),
+                                 _AUDIT_POINTS[:, :n])
+    assert {k for k, v in residuals.items() if v > 1e-12} == violated, residuals
+    assert all(residuals[k] > 0.5 for k in violated)
+    assert any(k.startswith("covariant") for k in residuals)
 
 
 def test_complex_dimension_enforced():

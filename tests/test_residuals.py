@@ -45,7 +45,7 @@ def _full_point(space_name, imm_name, u, params=None, ambient_params=None):
     pg = point_geometry(space, imm, u)
     nd = normal_derivatives(pg)
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
-    flags = classify(ops, (pg.m, space.dim), pg.mean_normal_components)
+    flags = classify(ops, pg.mean_normal_components)
     return space, pg, nd, ops, flags
 
 
@@ -107,13 +107,13 @@ def test_contact_curvature_trace_identity():
 def test_flat_hypersphere_residual_value():
     space, pg, nd, ops, flags = _full_point("flat_c2", "round_hypersphere",
                                             (0.8, 1.2, 2.5), {"r": 1.0})
-    res = residual_general(space, pg, nd)
+    res = residual_general(pg, nd)
     assert norm(res.normal) == pytest.approx(3.0, rel=1e-12)
     assert norm(res.tangential) < 1e-12
     for r in (0.5, 2.0):
         space2, pg2, nd2, *_ = _full_point("flat_c2", "round_hypersphere",
                                            (0.8, 1.2, 2.5), {"r": r})
-        res2 = residual_general(space2, pg2, nd2)
+        res2 = residual_general(pg2, nd2)
         assert norm(res2.normal) == pytest.approx(3.0 / r**3, rel=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_scale_covariance_in_flat_ambient():
         imm = catalog.immersion("product_torus", space, {"a": lam, "b": 0.6 * lam})
         pg = point_geometry(space, imm, u)
         nd = normal_derivatives(pg)
-        normal = norm(residual_general(space, pg, nd).normal)
+        normal = norm(residual_general(pg, nd).normal)
         if base is None:
             base = normal
         else:
@@ -136,7 +136,7 @@ def test_scale_covariance_in_flat_ambient():
 def test_minimal_point_is_biharmonic():
     space, pg, nd, ops, flags = _full_point("sasakian_r5", "hyperplane_y1",
                                             (0.3, -0.2, 0.5, 0.1))
-    res = residual_general(space, pg, nd)
+    res = residual_general(pg, nd)
     assert norm(res.normal) < 1e-13 and norm(res.tangential) < 1e-13
 
 
@@ -151,7 +151,7 @@ def test_gcsf_closed_form_matches_general_split():
     ]
     for space_name, imm_name, params, u in cases:
         space, pg, nd, ops, flags = _full_point(space_name, imm_name, u, params)
-        general = residual_general(space, pg, nd)
+        general = residual_general(pg, nd)
         variants = residual_gcsf(space, pg, nd, ops, flags)
         for name, res in variants.items():
             assert np.abs(res.normal - general.normal).max() < 1e-8, (imm_name, name)
@@ -169,7 +169,7 @@ def test_gssf_closed_form_matches_general_split():
     ]
     for space_name, imm_name, params, u in cases:
         space, pg, nd, ops, flags = _full_point(space_name, imm_name, u, params)
-        general = residual_general(space, pg, nd)
+        general = residual_general(pg, nd)
         variants = residual_gssf(space, pg, nd, ops, flags)
         assert CLOSED_FORM in variants
         for name, res in variants.items():
@@ -205,7 +205,7 @@ def test_proper_biharmonic_residuals():
     ]
     for space_name, imm_name, params, u in cases:
         space, pg, nd, ops, flags = _full_point(space_name, imm_name, u, params)
-        res = residual_general(space, pg, nd)
+        res = residual_general(pg, nd)
         assert norm(res.normal) < 1e-6, imm_name
         assert norm(res.tangential) < 1e-6, imm_name
         assert pg.mean_curvature_norm > 0.1, imm_name
@@ -224,7 +224,7 @@ def test_characterization_geodesic_sphere():
     space = catalog.ambient("cp2")
     imm = catalog.immersion("geodesic_sphere_cp2", space, {"r": rstar})
     data = _grid_data(space, imm)
-    v = cmc_characterization(space, data, 3)
+    v = cmc_characterization(space, data)
     assert v["status"] == "Satisfied"
     assert v["target"] == pytest.approx(6.0)
     assert v["scalar_check"]["max_gap"] < 1e-8
@@ -234,7 +234,7 @@ def test_characterization_flat_sphere_violated():
     space = catalog.ambient("flat_c2")
     imm = catalog.immersion("round_hypersphere", space, {"r": 1.0})
     data = _grid_data(space, imm)
-    v = cmc_characterization(space, data, 3)
+    v = cmc_characterization(space, data)
     assert v["status"] == "Violated"
     assert v["target"] == 0.0
     assert v["gap"] == pytest.approx(3.0)
@@ -245,7 +245,7 @@ def test_characterization_small_hypersphere():
     for rho, expected in ((2**-0.5, "Satisfied"), (0.65, "Violated")):
         imm = catalog.immersion("small_hypersphere", space, {"rho": rho})
         data = _grid_data(space, imm)
-        v = cmc_characterization(space, data, 4)
+        v = cmc_characterization(space, data)
         assert v["status"] == expected, rho
         assert v["target"] == pytest.approx(4.0)
 
@@ -254,7 +254,7 @@ def test_characterization_not_applicable_for_minimal():
     space = catalog.ambient("sasakian_r5")
     imm = catalog.immersion("hyperplane_y1", space)
     data = _grid_data(space, imm)
-    v = cmc_characterization(space, data, 4)
+    v = cmc_characterization(space, data)
     assert v["status"] == "NotApplicable"
     assert v["failed_hypothesis"] == "nonzero_mean_curvature"
 
@@ -287,25 +287,26 @@ def test_bound_k_value_of_tagged_contact_ambients_matches_closed_form(name, x):
     # K comes from the samples' coefficients; on a tagged catalog ambient it
     # equals the family's closed form
     space = catalog.ambient(name)
-    points = _samples([{"xi_tangent": True}] * 2, coeffs=coefficients_at(space, np.array([x, x])),
-                      nabla_h_norm=np.zeros(2))
     for m in range(1, 5):
-        rep = bound_check(space, points, m)
+        points = _samples([{"xi_tangent": True}] * 2, m=m, nabla_h_norm=np.zeros(2),
+                          coeffs=coefficients_at(space, np.array([x, x])))
+        rep = bound_check(space, points)
         assert rep["kind"] == "xi_phi_h_tangent"
         k = rep["k_value"]
         assert k == pytest.approx(CLASSICAL_TARGETS[space.tag.family](m, space.tag.value),
                                   abs=1e-12), m
 
 
-def _samples(flags, h_norm=0.5, **columns):
-    """Synthetic grid samples, one per dict of ``flags`` (``is_curve`` and
-    ``is_hypersurface`` False and every other flag None unless it names
-    them), at |H| ``h_norm`` and |B|^2 1, with the further ``columns``."""
+def _samples(flags, h_norm=0.5, m=2, **columns):
+    """Synthetic grid samples of an ``m``-dimensional submanifold, one per
+    dict of ``flags`` (``is_curve`` and ``is_hypersurface`` False and every
+    other flag None unless it names them), at |H| ``h_norm`` and |B|^2 1,
+    with the further ``columns``."""
     assert all(set(f) <= set(FLAGS) for f in flags)
     rows = [dict.fromkeys(FLAGS) | {"is_curve": False, "is_hypersurface": False, **f}
             for f in flags]
     n = len(rows)
-    return GridSamples(u=np.zeros((n, 1)), h_norm=np.full(n, h_norm), b_norm2=np.ones(n),
+    return GridSamples(u=np.zeros((n, m)), h_norm=np.full(n, h_norm), b_norm2=np.ones(n),
                        flags={k: np.array([r[k] for r in rows], dtype=object) for k in rows[0]},
                        **columns)
 
@@ -340,7 +341,7 @@ def test_bound_equality_case_reads_the_pseudo_umbilical_rule():
     samples = _samples([{"is_lagrangian": True}] * 2, h_norm=1.0,
                        coeffs=(np.ones(2), np.zeros(2)), nabla_h_norm=np.zeros(2),
                        pseudo_deviation=np.array([1e-7, 0.0], dtype=object))
-    rep = bound_check(catalog.ambient("cp2"), samples, 2)
+    rep = bound_check(catalog.ambient("cp2"), samples)
     assert rep["kind"] == "lagrangian" and rep["equality"] is True
     assert rep["equality_case"] == {"pseudo_umbilical": False, "parallel_mean_curvature": True}
     check = scenario.CHECKS["pseudo_umbilical"].run(scenario._Grid(None, samples, {}))
@@ -351,7 +352,7 @@ def test_bound_equality_small_hypersphere():
     space = catalog.ambient("sasakian_sphere_s5")
     imm = catalog.immersion("small_hypersphere", space, {"rho": 2**-0.5})
     data = _grid_data(space, imm)
-    rep = bound_check(space, data, 4)
+    rep = bound_check(space, data)
     assert rep["kind"] == "xi_phi_h_tangent"
     assert rep["k_value"] == pytest.approx(4.0)
     assert rep["bound"] == pytest.approx(1.0)
@@ -364,7 +365,7 @@ def test_bound_broken_by_perturbed_radius():
     space = catalog.ambient("sasakian_sphere_s5")
     imm = catalog.immersion("small_hypersphere", space, {"rho": 0.65})
     data = _grid_data(space, imm)
-    rep = bound_check(space, data, 4)
+    rep = bound_check(space, data)
     assert rep["equality"] is False
     assert rep["within_bound"] is False  # |H|^2 = (1-rho^2)/rho^2 > 1, not biharmonic
 
@@ -375,7 +376,7 @@ def test_bound_lagrangian_value_formula():
     imm = catalog.immersion("product_torus", space, {"a": 0.6, "b": 0.8})
     data = _grid_data(space, imm)
     assert all(data.flags["is_lagrangian"])
-    rep = bound_check(space, data, 2)
+    rep = bound_check(space, data)
     assert rep["kind"] == "lagrangian"
     assert rep["bound"] == pytest.approx(2.5)
 
@@ -384,7 +385,7 @@ def test_bound_lagrangian_flat_not_applicable():
     space = catalog.ambient("flat_c2")
     imm = catalog.immersion("product_torus", space, {"a": 1.0, "b": 0.5})
     data = _grid_data(space, imm)
-    rep = bound_check(space, data, 2)
+    rep = bound_check(space, data)
     assert rep["kind"] == "lagrangian"
     assert rep["status"] == "NotApplicable"
     assert rep["failed_hypothesis"] == "positive_bound"
@@ -402,13 +403,13 @@ def test_bound_xi_tangent_phi_h_normal_kind(f1, h_norm, status, failed):
     flags = {"xi_tangent": True, "phi_h_normal": True, "phi_h_tangent": False}
     samples = _samples([flags] * 2, h_norm=h_norm, reduction_residual=np.ones(2),
                        coeffs=(np.full(2, f1), np.zeros(2), np.zeros(2)))
-    rep = bound_check(space, samples, 2)
+    rep = bound_check(space, samples)
     assert rep["kind"] == "xi_tangent_phi_h_normal"
     assert rep["k_value"] == 2.0 * f1
     assert (rep["status"], rep["failed_hypothesis"]) == (status, failed)
     if failed is None:
         assert rep["bound"] == 0.5 and rep["equality"] is False
-    findings = {f["rule"]: f for f in nonexistence_audit(space, samples, 2)}
+    findings = {f["rule"]: f for f in nonexistence_audit(space, samples)}
     assert findings["cmc_xi_tangent_phi_h_normal"]["relevant"] is True
     assert findings["cmc_xi_tangent_phi_h_normal"]["applies"] is (2.0 * f1 <= 3.0)
 
@@ -417,7 +418,7 @@ def test_audit_sasakian_r5_applies():
     space = catalog.ambient("sasakian_r5")
     imm = catalog.immersion("hyperplane_y1", space)
     data = _grid_data(space, imm)
-    findings = {f["rule"]: f for f in nonexistence_audit(space, data, 4)}
+    findings = {f["rule"]: f for f in nonexistence_audit(space, data)}
     f = findings["cmc_reeb_tangent_hypersurface"]
     assert f["relevant"] and f["applies"]
     assert f["detail"]["c_threshold"] == pytest.approx(-10.0 / 6.0)
@@ -430,7 +431,7 @@ def test_audit_flat_complex_applies():
     space = catalog.ambient("flat_c2")
     imm = catalog.immersion("round_hypersphere", space, {"r": 1.0})
     data = _grid_data(space, imm)
-    findings = {f["rule"]: f for f in nonexistence_audit(space, data, 3)}
+    findings = {f["rule"]: f for f in nonexistence_audit(space, data)}
     f = findings["cmc_hypersurface_nonpositive_scalar"]
     assert f["relevant"] and f["applies"]
 
@@ -439,7 +440,7 @@ def test_audit_positive_curvature_does_not_apply():
     space = catalog.ambient("sasakian_sphere_s5")
     imm = catalog.immersion("small_hypersphere", space, {"rho": 2**-0.5})
     data = _grid_data(space, imm)
-    findings = {f["rule"]: f for f in nonexistence_audit(space, data, 4)}
+    findings = {f["rule"]: f for f in nonexistence_audit(space, data)}
     assert findings["cmc_reeb_tangent_hypersurface"]["applies"] is False
     assert findings["cmc_xi_phi_h_tangent"]["applies"] is False
 
@@ -449,9 +450,9 @@ def test_reduction_residual_vanishes_when_xi_terms_drop():
     # the constant-target form even though xi is not tangent
     space, pg, nd, ops, flags = _full_point(
         "sasakian_sphere_s5", "small_hypersphere", (0.9, 1.2, 0.7, 2.1), {"rho": 0.8})
-    assert reduction_residual(space, pg, ops) < 1e-12
+    assert reduction_residual(pg, ops) < 1e-12
     # Sasakian R^5 has f2 = f3 = -1; a graph surface with xi not tangent
     # does not reduce
     space, pg, nd, ops, flags = _full_point("sasakian_r5", "graph_surface", (0.3, 0.2))
     assert not flags["xi_tangent"]
-    assert reduction_residual(space, pg, ops) > 1e-3
+    assert reduction_residual(pg, ops) > 1e-3

@@ -461,9 +461,9 @@ def test_nan_residual_at_second_sample_fails_that_point(monkeypatch):
     real = scenario.residual_general
     second = _cfg().immersion.grid()[1]
 
-    def poisoned(space, pg, nd):
+    def poisoned(pg, nd):
         # the second sample's normal residual is NaN, in its block and alone
-        res = real(space, pg, nd)
+        res = real(pg, nd)
         calls.append(np.shape(pg.u)[:-1])
         bad = (pg.u == second).all(-1)
         res.normal = np.where(bad[..., None], float("nan"), res.normal)
@@ -650,11 +650,11 @@ def test_one_row_tail_fault_fails_only_that_row(monkeypatch):
                                                scenario.RELATIONS})
     real, calls = scenario.scalar_curvature, []
 
-    def faulty(space, pg):
+    def faulty(pg):
         calls.append(np.shape(pg.u)[:-1])
         if (pg.u == grid[5]).all(-1).any():
             raise GeometryError(f"tail fault at {tuple(grid[5])}")
-        return real(space, pg)
+        return real(pg)
 
     monkeypatch.setattr(scenario, "scalar_curvature", faulty)
     [(samples, failed)] = scenario._run_grids([cfg], {scenario.RESIDUALS, scenario.SCALAR,
@@ -838,6 +838,18 @@ def test_inline_embedded_ambient_reports_as_the_catalog_sphere():
     assert inline.verdict == "ProperBiharmonic"
     assert inline.aggregates == ref.aggregates
     assert inline.checks == ref.checks
+
+
+def test_translated_sphere_is_the_same_sasakian_space_form(capsys):
+    # the catalog S^5 moved by 2 along p1, written inline: an isometric copy,
+    # so every structure identity holds, the covariant ones included
+    path = Path(__file__).parent / "data" / "inline_s5_translated.json"
+    rep = run_check(load_scenario(json.loads(path.read_text())))
+    structure = rep.checks["structure"]
+    assert rep.verdict == "ProperBiharmonic" and structure["status"] == "ok"
+    assert max(structure["residuals"]["covariant_phi"],
+               structure["residuals"]["covariant_reeb"]) <= 1e-12
+    assert cli_main(["check", str(path)]) == 0  # its expect block holds
 
 
 def test_bound_kind_is_matched_from_the_flags_never_forced(tmp_path, capsys):
@@ -1087,7 +1099,7 @@ def test_cli_sweep_with_expectations(tmp_path, capsys):
     }))
     assert cli_main(["sweep", str(scn), "--param", "r", "--range", "0.5:2.0:5",
                      "--objective", "normal_residual"]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().err == ""  # the immersion reads r: no note
     scn.write_text(json.dumps({
         "ambient": {"catalog": "flat_c2"},
         "immersion": {"catalog": "round_hypersphere", "params": {"r": 1.0}},
@@ -1538,7 +1550,8 @@ def test_sampled_values_on_a_root_are_roots(objective):
 
 def test_cli_sweep_over_a_constant_shadowed_by_a_parameter(tmp_path, capsys):
     # the constant u1 is shadowed by the immersion's parameter u1: sweeping it
-    # leaves the inline params as they are, and the objective is constant
+    # leaves the inline params as they are, the objective is constant, and
+    # a note on stderr says that no expression reads it
     scn = tmp_path / "shadowed.json"
     scn.write_text(json.dumps({
         "ambient": {"catalog": "flat_c2"},
@@ -1548,8 +1561,11 @@ def test_cli_sweep_over_a_constant_shadowed_by_a_parameter(tmp_path, capsys):
                                           {"lo": 0, "hi": 1, "samples": 2}]}},
     }))
     assert cli_main(["sweep", str(scn), "--param", "u1", "--range", "0:1:3"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
     assert len(set(out["samples"])) == 1 and out["roots"] == [] and out["partial"] == []
+    assert captured.err == ("note: no expression of the scenario reads 'u1'; "
+                            "the objective does not depend on it\n")
 
 
 def test_criterion_6_sweep_shares_geometry_blocks_between_values(monkeypatch):

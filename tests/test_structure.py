@@ -68,7 +68,7 @@ def test_nonorthonormal_frames_rejected():
 def test_product_torus_is_lagrangian():
     space, pg = _frames_from_immersion("flat_c2", "product_torus", (0.7, 1.9))
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
-    flags = classify(ops, (2, 4), pg.mean_normal_components)
+    flags = classify(ops, pg.mean_normal_components)
     assert flags["is_lagrangian"] is True
     assert flags["is_complex"] is False
     assert norm(ops.tt, 2) < 1e-12 and norm(ops.nn, 2) < 1e-12
@@ -77,7 +77,7 @@ def test_product_torus_is_lagrangian():
 def test_hypersphere_flags():
     space, pg = _frames_from_immersion("flat_c2", "round_hypersphere", (0.7, 1.1, 0.9))
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
-    flags = classify(ops, (3, 4), pg.mean_normal_components)
+    flags = classify(ops, pg.mean_normal_components)
     assert tuple(flags) == FLAGS
     assert flags["is_hypersurface"] and not flags["is_curve"]
     assert flags["is_complex"] is False and flags["is_lagrangian"] is False
@@ -96,20 +96,20 @@ def test_flags_over_sample_axes_are_object_columns(space_name, imm_name):
     grid = imm.grid()[:3]
     pg = point_geometry(space, imm, grid, order=2)
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
-    flags = classify(ops, (imm.dim, space.dim), pg.mean_normal_components)
+    flags = classify(ops, pg.mean_normal_components)
     assert tuple(flags) == FLAGS
     assert all(v.dtype == object and v.shape == (3,) for v in flags.values())
     for i, u in enumerate(grid):
         _, one = _frames_from_immersion(space_name, imm_name, u)
         ops = decompose(one.ambient, one.tangent_frame, one.normal_frame)
-        row = classify(ops, (imm.dim, space.dim), one.mean_normal_components)
+        row = classify(ops, one.mean_normal_components)
         assert {k: v[i] for k, v in flags.items()} == row
 
 
 def test_hyperplane_reeb_tangent_and_lemma():
     space, pg = _frames_from_immersion("sasakian_r5", "hyperplane_y1", (0.2, -0.4, 0.3, 0.6))
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
-    flags = classify(ops, (4, 5), pg.mean_normal_components)
+    flags = classify(ops, pg.mean_normal_components)
     assert tuple(flags) == FLAGS
     assert flags["xi_tangent"] is True and flags["xi_normal"] is False
     assert flags["is_complex"] is None and flags["is_lagrangian"] is None
@@ -137,7 +137,7 @@ def test_xi_normal_forces_anti_invariance():
     tf = np.eye(5)[:4]
     nf = np.eye(5)[4:]
     ops = decompose(PointAmbient(co, (0.1, 0.2, 0.3, 0.4, 0.5)), tf, nf)
-    flags = classify(ops, (4, 5), None)
+    flags = classify(ops, None)
     assert flags["xi_normal"] is True
     assert flags["is_anti_invariant"] is False
 
@@ -149,7 +149,7 @@ def test_frame_independence_of_flags_and_relations():
     rng = np.random.RandomState(7)
     base_ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
     base_rel = verify_relations(base_ops)
-    base_flags = classify(base_ops, (4, 5), pg.mean_normal_components)
+    base_flags = classify(base_ops, pg.mean_normal_components)
     for _ in range(10):
         q, _ = np.linalg.qr(rng.randn(4, 4))
         tf = q @ pg.tangent_frame
@@ -159,7 +159,7 @@ def test_frame_independence_of_flags_and_relations():
         rel = verify_relations(ops)
         for key in base_rel:
             assert rel[key] == pytest.approx(base_rel[key], abs=1e-9)
-        assert classify(ops, (4, 5), None) == {
+        assert classify(ops, None) == {
             k: v for k, v in base_flags.items()
             if k not in ("phi_h_tangent", "phi_h_normal")} | {
             "phi_h_tangent": None, "phi_h_normal": None}
@@ -168,7 +168,7 @@ def test_frame_independence_of_flags_and_relations():
 def test_phi_h_flags_not_applicable_when_minimal():
     space, pg = _frames_from_immersion("sasakian_r5", "hyperplane_y1", (0.0, 0.0, 0.0, 0.0))
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
-    flags = classify(ops, (4, 5), pg.mean_normal_components)
+    flags = classify(ops, pg.mean_normal_components)
     assert pg.mean_curvature_norm < 1e-12
     assert flags["phi_h_tangent"] is None and flags["phi_h_normal"] is None
 
@@ -177,7 +177,7 @@ def test_clifford_torus_flags():
     space, pg = _frames_from_immersion(
         "sasakian_sphere_s5", "clifford_torus_s5", (0.8, 1.1, 0.9, 2.2))
     ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
-    flags = classify(ops, (4, 5), pg.mean_normal_components)
+    flags = classify(ops, pg.mean_normal_components)
     assert flags["xi_tangent"] is True
     assert flags["phi_h_tangent"] is True
     assert flags["phi_h_normal"] is False

@@ -183,7 +183,7 @@ def test_minimal_point_traces_vanish():
 def test_scalar_curvature_hypersphere():
     space, imm = _setup("flat_c2", "round_hypersphere", {"r": 1.3})
     pg = point_geometry(space, imm, (0.8, 1.2, 2.5))
-    intrinsic, via_gauss = scalar_curvature(space, pg)
+    intrinsic, via_gauss = scalar_curvature(pg)
     assert intrinsic == pytest.approx(6 / 1.3**2, rel=1e-9)
     assert via_gauss == pytest.approx(6 / 1.3**2, rel=1e-9)
 
@@ -193,7 +193,7 @@ def test_scalar_curvature_great_hypersphere():
     space, imm = _setup("sasakian_sphere_s5", "small_hypersphere", {"rho": 1.0})
     pg = point_geometry(space, imm, (0.9, 1.4, 0.6, 2.2))
     assert pg.second_fundamental_norm2 < 1e-24
-    intrinsic, via_gauss = scalar_curvature(space, pg)
+    intrinsic, via_gauss = scalar_curvature(pg)
     assert intrinsic == pytest.approx(12.0, rel=1e-9)
     assert via_gauss == pytest.approx(12.0, rel=1e-9)
 
@@ -254,8 +254,8 @@ def test_reparametrization_invariance():
     assert pg_v.mean_curvature_norm == pytest.approx(pg_u.mean_curvature_norm, abs=1e-7)
     assert pg_v.second_fundamental_norm2 == pytest.approx(
         pg_u.second_fundamental_norm2, abs=1e-7)
-    assert scalar_curvature(space, pg_v)[0] == pytest.approx(
-        scalar_curvature(space, pg_u)[0], abs=1e-7)
+    assert scalar_curvature(pg_v)[0] == pytest.approx(
+        scalar_curvature(pg_u)[0], abs=1e-7)
     assert np.abs(nd_v.laplacian - nd_u.laplacian).max() < 1e-7
 
 
@@ -315,7 +315,7 @@ def test_grid_batch_equals_per_sample_calls_bitwise(space_name, imm_name, params
     assert batch.position.shape == (len(grid), space.rep_dim)
     if order == 4:  # the block stages of a grid run
         nd = normal_derivatives(batch)
-        scal = scalar_curvature(space, batch)
+        scal = scalar_curvature(batch)
     for i, u in enumerate(grid):
         one = point_geometry(space, imm, u, order)
         assert tuple(batch.u[i].tolist()) == tuple(one.u.tolist()) == u
@@ -335,7 +335,7 @@ def test_grid_batch_equals_per_sample_calls_bitwise(space_name, imm_name, params
                          "trace_shape_gradient"):
                 assert _bitwise(getattr(nd, name)[i], getattr(b, name)), (i, name)
             row = [v[i] for v in scal]
-            assert _bitwise(row, scalar_curvature(space, one)), i
+            assert _bitwise(row, scalar_curvature(one)), i
             if imm.dim > 1:
                 assert _bitwise(row[0], scalar_from_metric_jets(one._state["g_ind"])), i
 
