@@ -15,9 +15,10 @@ Two metric backends:
   covariant derivatives go through Christoffel symbols obtained from jets.
 * ``embedded`` -- the ambient manifold sits isometrically in Euclidean
   space; covariant differentiation is Euclidean differentiation along the
-  lines x + tX through any point of N, tangent fields extended by the
-  model's normals, then tangential projection, against the same table of
-  structure identities as a chart; vectors carry embedding-space components.
+  lines x + tX through any point of N, tangent fields extended and then
+  projected by P = I - n^T n, n the :func:`orthonormal_normals` of the
+  model, against the same table of structure identities as a chart;
+  vectors carry embedding-space components.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ SASAKI = "sasaki"
 KENMOTSU = "kenmotsu"
 COSYMPLECTIC = "cosymplectic"
 COMPLEX_SPACE_FORM = "complex_space_form"
+
+RANK_TOL = 1e-8  # Gram-Schmidt: a row of remaining norm <= RANK_TOL is dependent
 
 
 class GeometryError(Exception):
@@ -216,17 +219,10 @@ def christoffel_from_metric_jets(g) -> Jet:
     return christoffel_symbols(jet_matrix_inverse(g.truncate(dg.order)), dg)
 
 
-def christoffel_jet(space: AmbientModel, x, order: int):
-    """Jets of the chart Christoffel symbols Gamma^c_ab at ``x`` (order <= 2)."""
-    if order > 2:
-        raise ValueError("christoffel jets supported up to order 2")
-    return christoffel_from_metric_jets(metric_jet(space, x, order + 1))
-
-
 def christoffel_point(space: AmbientModel, x) -> np.ndarray:
     """Gamma^c_ab at ``x``; points of shape S + (n,) give S + (n, n, n) from
     one batched metric jet."""
-    return christoffel_jet(space, x, 0).value
+    return christoffel_from_metric_jets(metric_jet(space, x, 1)).value
 
 
 def riemann_from_christoffel(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
@@ -325,17 +321,30 @@ def curvature_parts(space: AmbientModel, x, X, Y, Z) -> dict:
 
 # -- embedded-backend helpers --------------------------------------------------
 
+def orthonormal_normals(n: Jet) -> Jet:
+    """Gram-Schmidt in row order on an embedded model's normal fields ``n`` (a
+    jet array S + (k, D), order 0 for float values), so that they need only
+    span the normal space; a row left with norm <= RANK_TOL raises GeometryError."""
+    rows = []
+    for k in range(n.shape[-2]):
+        v = n[..., k, :]
+        for e in rows:
+            v = v - (v * e).sum(-1)[..., None] * e
+        n2 = (v * v).sum(-1)
+        if (n2.coeffs[..., 0] <= RANK_TOL**2).any():
+            raise GeometryError(f"ambient normal fields linearly dependent (field {k + 1})")
+        rows.append(v * n2.powr(-0.5)[..., None])
+    return stack(rows, axis=-2)
+
+
 def tangent_projector(space: AmbientModel, x) -> np.ndarray:
-    """Orthogonal projector of R^D onto the tangent space of N at the points
-    ``x`` (shape S + (n,)), as S + (D, D) from one run of the normals; the
-    identity on a chart."""
+    """Orthogonal projector P = I - n^T n of R^D onto T N at the points ``x``
+    (shape S + (n,)), n the orthonormalized normals, as S + (D, D); I on a chart."""
     P = np.broadcast_to(np.eye(space.rep_dim), np.shape(x)[:-1] + (space.rep_dim,) * 2)
     if space.backend != "embedded":
         return P
-    for n in np.moveaxis(space.values("normals", x), -2, 0):
-        n = n / norm(n)[..., None]
-        P = P - outer(n, n)
-    return P
+    n = orthonormal_normals(space.jets("normals", seed_point(x, 0))).value
+    return P - n.mT @ n
 
 
 # -- structure verification -----------------------------------------------------
@@ -417,14 +426,13 @@ def _embedded_nabla(amb: PointAmbient, P):
     for eigenvalue 1, and ``nabla`` of :func:`_covariant_residuals` along the
     lines x + t E_i, one first-order jet axis: nabla_X V = P D_X V, and
     (nabla_X T)Y = P D_X(T Y) - T P D_X Y, each Y = E_j extended off the
-    point by the model's normals, as the tangent projection of E_j."""
+    point as the tangent projection of E_j, by the orthonormalized normals."""
     space, x = amb.space, amb.x
     E = np.linalg.eigh(P)[1][..., -space.dim:].mT
     lines = Jet.variable(1, 1, 0, 0.0) * E + x[..., None, :]
     env = [lines[..., a] for a in range(space.rep_dim)]
-    n = space.jets("normals", env)[..., None, :, :]  # [..., i, 1, k, :]
-    Y = E[..., None, :, :] - (((n * E[..., None, :, None, :]).sum(-1)
-                               / (n * n).sum(-1))[..., None] * n).sum(-2)
+    n = orthonormal_normals(space.jets("normals", env))[..., None, :, :]  # [..., i, 1, k, :]
+    Y = E[..., None, :, :] - ((n * E[..., None, :, None, :]).sum(-1)[..., None] * n).sum(-2)
 
     def nabla(name):
         f = space.jets(name, env)

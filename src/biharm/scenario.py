@@ -438,18 +438,16 @@ def _load_expect(doc, ops) -> dict:
 # -- grid evaluation -------------------------------------------------------------
 #
 # Per-sample quantities.  Every check and every sweep objective declares the
-# ones it reads; a grid run computes only their union, together with what
-# they rest on, and gates exactly those for finiteness.
+# ones it reads, with what they rest on; a grid run computes only their
+# union and the geometry, and gates exactly those for finiteness.
 
 GEOMETRY = "geometry"            # frames, B and H; |H|, |B|^2, coefficients (always computed)
-SPLIT = "split"                  # tangential/normal split of J or phi, flags
-RESIDUALS = "residuals"          # nabla-perp H, its normal Laplacian; every branch's residuals
+RESIDUALS = "residuals"          # J or phi split, flags; nabla-perp H, its Laplacian; residuals
 SCALAR = "scalar_curvature"      # intrinsic and Gauss-equation scalar curvature
 RELATIONS = "relations"          # algebraic relations of the split
 PSEUDO = "pseudo_umbilical"      # deviation of A_H from |H|^2 Id
 
-QUANTITIES = frozenset((GEOMETRY, SPLIT, RESIDUALS, SCALAR, RELATIONS, PSEUDO))
-_REQUIRES = {RESIDUALS: (SPLIT,), RELATIONS: (SPLIT,)}
+QUANTITIES = frozenset((GEOMETRY, RESIDUALS, SCALAR, RELATIONS, PSEUDO))
 
 
 def _require_finite(samples: GridSamples, residual_norms: dict):
@@ -490,10 +488,11 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
     out = GridSamples(u=pg.u, h_norm=pg.mean_curvature_norm, b_norm2=pg.second_fundamental_norm2,
                       coeffs=pg.ambient.coeffs)
     residual_norms = {}
-    if SPLIT in needs:
+    if RESIDUALS in needs:
         ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
         out.flags = flags = classify(ops, pg.mean_normal_components)
-    if RESIDUALS in needs:
+        if RELATIONS in needs:
+            out.relations = verify_relations(ops)
         nd = normal_derivatives(pg)
         out.nabla_h_norm = nd.nabla_norm
         residuals = {GENERAL: residual_general(pg, nd)}
@@ -528,8 +527,6 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
         out.pseudo_deviation = np.asarray(pseudo_umbilical_check(pg)[1], dtype=object)
     if SCALAR in needs:
         out.scal_intrinsic, out.scal_via_gauss = scalar_curvature(pg)
-    if RELATIONS in needs:
-        out.relations = verify_relations(ops)
     _require_finite(out, residual_norms)
     return out
 
@@ -592,9 +589,9 @@ def _run_block(rows, needs: frozenset, order: int):
 
 def _run_grids(cfgs, needs) -> list[tuple[GridSamples | None, list]]:
     """``needs`` at every grid sample of each of the configs ``cfgs``, with
-    the geometry and what they rest on: per config, the columns of its clean
-    samples (None when there is none) and its failed rows as
-    ``(row, u, error)``, both in grid order.
+    the geometry: per config, the columns of its clean samples (None when
+    there is none) and its failed rows as ``(row, u, error)``, both in grid
+    order.
 
     The configs are one document at one or more values of its constants,
     as :meth:`ScenarioConfig.with_constant` makes them: they differ in
@@ -606,10 +603,7 @@ def _run_grids(cfgs, needs) -> list[tuple[GridSamples | None, list]]:
     each of its programs runs once for the block.  See :func:`_run_block`
     for a block that faults.
     """
-    closed = {GEOMETRY, *needs}
-    for q in needs:
-        closed.update(_REQUIRES.get(q, ()))
-    closed = frozenset(closed)
+    closed = frozenset((GEOMETRY, *needs))
     # |H|, |B|^2 and the coefficients read jets only to second order, and come
     # out bitwise the same at jet order 2 as at order 4
     order = 2 if closed == {GEOMETRY} else JET_ORDER
@@ -745,17 +739,17 @@ def _check_residual(grid) -> dict:
     }
 
 
-@_declare(CHECKS, "characterization", SPLIT, RESIDUALS, SCALAR)
+@_declare(CHECKS, "characterization", RESIDUALS, SCALAR)
 def _check_characterization(grid) -> dict:
     return cmc_characterization(grid.cfg.ambient, grid.samples)
 
 
-@_declare(CHECKS, "bound", SPLIT, RESIDUALS, PSEUDO)
+@_declare(CHECKS, "bound", RESIDUALS, PSEUDO)
 def _check_bound(grid) -> dict:
     return bound_check(grid.cfg.ambient, grid.samples)
 
 
-@_declare(CHECKS, "audit", SPLIT)
+@_declare(CHECKS, "audit", RESIDUALS)
 def _check_audit(grid) -> dict:
     findings = nonexistence_audit(grid.cfg.ambient, grid.samples)
     contradiction = any(
@@ -764,7 +758,7 @@ def _check_audit(grid) -> dict:
     return {"status": "contradiction" if contradiction else "ok", "findings": findings}
 
 
-@_declare(CHECKS, "relations", RELATIONS)
+@_declare(CHECKS, "relations", RESIDUALS, RELATIONS)
 def _check_relations(grid) -> dict:
     worst = {k: float(v.max()) for k, v in grid.samples.relations.items()}
     status = "ok" if worst and max(worst.values()) <= RELATIONS_TOL else "violated"

@@ -18,6 +18,7 @@ import numpy as np
 
 from .ambient import (
     AmbientModel,
+    RANK_TOL,
     GeometryError,
     PointAmbient,
     christoffel_from_metric_jets,
@@ -28,6 +29,7 @@ from .ambient import (
     metric_at,  # noqa: F401
     norm,
     objects,
+    orthonormal_normals,
     scalar_from_christoffel,
     scalar_from_metric_jets,  # noqa: F401
     tangent_projector,
@@ -53,7 +55,6 @@ from .jets import (
 # curvature comes from Christoffel values, and expressions run as compiled
 # programs.
 
-RANK_TOL = 1e-8
 PSEUDO_UMBILICAL_TOL = 1e-8   # |A_H - |H|^2 Id|, and the |H| of a minimal point
 
 
@@ -168,7 +169,7 @@ class _EmbeddedCalc(_Calc):
         super().__init__(space, pos)
         self.d = space.rep_dim
         n = space.jets("normals", [pos[..., a] for a in range(self.d)])
-        self.normals = n * self.inner(n, n).powr(-0.5)[..., None]
+        self.normals = orthonormal_normals(n)
 
     def inner(self, v, w):
         return (v * w).sum(-1)

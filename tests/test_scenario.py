@@ -584,7 +584,7 @@ def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
                              {"lo": 0, "hi": 1, "samples": 4}]},
     }, checks=[{"op": "residual"}])
     _block_budget(monkeypatch, cfg, 6)  # 6-sample blocks
-    needs = frozenset((scenario.GEOMETRY, scenario.RESIDUALS, scenario.SPLIT))
+    needs = frozenset((scenario.GEOMETRY, scenario.RESIDUALS))
     expected = [_single(cfg, u, needs, scenario.JET_ORDER) for u in cfg.immersion.grid()]
     calls = []
     real = submanifold.point_geometry
@@ -850,6 +850,81 @@ def test_translated_sphere_is_the_same_sasakian_space_form(capsys):
     assert max(structure["residuals"]["covariant_phi"],
                structure["residuals"]["covariant_reeb"]) <= 1e-12
     assert cli_main(["check", str(path)]) == 0  # its expect block holds
+
+
+# Embedded normals that only span the normal space: the flat C^2 in R^6
+# (standard J on p1..p4) around a radius-1.3 round 3-sphere, and the catalog
+# S^5 padded to S^5 x {0} in R^7 around its proper biharmonic hypersphere
+_E5, _E6 = ["0", "0", "0", "0", "1", "0"], ["0", "0", "0", "0", "0", "1"]
+_FLAT_C2_IN_R6 = {
+    "kind": "generalized_complex", "backend": "embedded", "dim": 4,
+    "coordinates": ["p1", "p2", "p3", "p4", "p5", "p6"],
+    "complex_structure": [["0", "-1", "0", "0", "0", "0"], ["1", "0", "0", "0", "0", "0"],
+                          ["0", "0", "0", "-1", "0", "0"], ["0", "0", "1", "0", "0", "0"],
+                          ["0"] * 6, ["0"] * 6],
+    "coefficients": {"alpha": "0", "beta": "0"},
+}
+_S5_IN_R7 = json.loads((Path(__file__).parent / "data"
+                        / "inline_s5_r7_mixed_normals.json").read_text())
+
+
+def _flat_c2_in_r6(normals):
+    return {"ambient": dict(_FLAT_C2_IN_R6, normals=normals),
+            "constants": {"r": 1.3},
+            "immersion": {"params": ["u1", "u2", "u3"],
+                          "components": ["r*cos(u1)", "r*sin(u1)*cos(u2)",
+                                         "r*sin(u1)*sin(u2)*cos(u3)",
+                                         "r*sin(u1)*sin(u2)*sin(u3)", "0", "0"],
+                          "domain": {"axes": [{"lo": lo, "hi": lo + 0.04, "samples": 2}
+                                              for lo in (2.08, 2.18, 3.914)]}},
+            "checks": _S5_IN_R7["checks"]}
+
+
+def _bench_compare():
+    """``compare`` of ``bench/workloads.py``: the reference gate's rule."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.compare
+
+
+@pytest.mark.parametrize("mixed, twin, verdict", [
+    # e5 + e6 is not normal to e5: projecting by each one alone once read a
+    # round sphere of flat space as minimal
+    (_flat_c2_in_r6([_E5, ["0", "0", "0", "0", "1", "1"]]), _flat_c2_in_r6([_E5, _E6]),
+     "NotBiharmonic"),
+    (_flat_c2_in_r6([["0", "0", "0", "0", "2", "0"], ["0", "0", "0", "0", "3", "-1"]]),
+     _flat_c2_in_r6([_E5, _E6]), "NotBiharmonic"),
+    # (p, 0) and (p, 1) once read the proper biharmonic hypersphere as not biharmonic
+    (_S5_IN_R7, dict(_S5_IN_R7, ambient=dict(
+        _S5_IN_R7["ambient"], normals=[_S5_IN_R7["ambient"]["normals"][0], ["0"] * 6 + ["1"]])),
+     "ProperBiharmonic"),
+])
+def test_embedded_normals_that_span_read_as_their_orthonormal_twin(mixed, twin, verdict):
+    rep, ref = (run_check(load_scenario(doc)).document for doc in (mixed, twin))
+    assert rep["aggregates"]["verdict"] == ref["aggregates"]["verdict"] == verdict
+    assert rep["checks"]["structure"]["status"] == "ok"
+    if verdict == "NotBiharmonic":  # the radius-1.3 sphere of flat space
+        assert rep["aggregates"]["h_max"] == pytest.approx(1 / 1.3, rel=1e-12)
+    del rep["scenario"], ref["scenario"]
+    assert _bench_compare()(rep, ref) == []
+
+
+def test_dependent_embedded_normals_fail_every_point(tmp_path, capsys):
+    import biharm.scenario as scenario
+
+    doc = _flat_c2_in_r6([_E5, ["0", "0", "0", "0", "2", "0"]])
+    cfg = load_scenario(doc)
+    [(samples, failed)] = scenario._run_grids([cfg], {scenario.RESIDUALS})
+    assert samples is None
+    assert _errors(failed, 8) == ["ambient normal fields linearly dependent (field 2)"] * 8
+    scn = tmp_path / "dependent.json"
+    scn.write_text(json.dumps(doc))
+    assert cli_main(["check", str(scn)]) == 2
+    assert "linearly dependent" in capsys.readouterr().err
 
 
 def test_bound_kind_is_matched_from_the_flags_never_forced(tmp_path, capsys):
