@@ -42,7 +42,7 @@ KENMOTSU = "kenmotsu"
 COSYMPLECTIC = "cosymplectic"
 COMPLEX_SPACE_FORM = "complex_space_form"
 
-RANK_TOL = 1e-8  # Gram-Schmidt: a row of remaining norm <= RANK_TOL is dependent
+RANK_TOL = 1e-8  # Gram-Schmidt: a row left with norm <= RANK_TOL (relative on normals) is dependent
 
 
 class GeometryError(Exception):
@@ -324,14 +324,15 @@ def curvature_parts(space: AmbientModel, x, X, Y, Z) -> dict:
 def orthonormal_normals(n: Jet) -> Jet:
     """Gram-Schmidt in row order on an embedded model's normal fields ``n`` (a
     jet array S + (k, D), order 0 for float values), so that they need only
-    span the normal space; a row left with norm <= RANK_TOL raises GeometryError."""
+    span the normal space; a row left with norm <= RANK_TOL times its own
+    norm raises GeometryError, whatever the fields' scale."""
     rows = []
     for k in range(n.shape[-2]):
         v = n[..., k, :]
         for e in rows:
             v = v - (v * e).sum(-1)[..., None] * e
         n2 = (v * v).sum(-1)
-        if (n2.coeffs[..., 0] <= RANK_TOL**2).any():
+        if (n2.coeffs[..., 0] <= RANK_TOL**2 * (n.coeffs[..., k, :, 0]**2).sum(-1)).any():
             raise GeometryError(f"ambient normal fields linearly dependent (field {k + 1})")
         rows.append(v * n2.powr(-0.5)[..., None])
     return stack(rows, axis=-2)

@@ -531,9 +531,9 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
     return out
 
 
-# jet coefficients per field of a grid block: 11 samples of the catalog's
-# widest space, a 5-dimensional chart's hypersurface at order 4 (245, see
-# geometry_jet_size), at a traced peak of about 0.22 MB per sample
+# jet coefficients per field of a grid block: 26 samples of the catalog's
+# widest space, a 5-dimensional chart's hypersurface at order 4 (its order-3
+# metric's 110, see geometry_jet_size), at a traced peak of 0.11 MB per sample
 _BLOCK_COEFFS = 4 * n_entries(9, 4)
 
 
@@ -604,8 +604,8 @@ def _run_grids(cfgs, needs) -> list[tuple[GridSamples | None, list]]:
     for a block that faults.
     """
     closed = frozenset((GEOMETRY, *needs))
-    # |H|, |B|^2 and the coefficients read jets only to second order, and come
-    # out bitwise the same at jet order 2 as at order 4
+    # |H|, |B|^2 and the coefficients read only the values of B and H, which
+    # run at jet order 0 there and come out bitwise the same as at order 4
     order = 2 if closed == {GEOMETRY} else JET_ORDER
     grids = [([], []) for _ in cfgs]
     rows = [(cfg, row, u, out) for cfg, out in zip(cfgs, grids)

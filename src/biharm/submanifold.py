@@ -4,7 +4,9 @@ Every derivative comes from jet arithmetic: the immersion components are
 evaluated as order-4 jets of the parameters, frames and fundamental forms
 are assembled in jet arithmetic, and the normal-bundle quantities needed by
 the biharmonicity equations (nabla-perp H, its rough Laplacian, grad |H|^2,
-the curvature-style traces) fall out as exact point values.  Finite
+the curvature-style traces) fall out as exact point values.  A stage runs
+one order lower per derivative still to be taken of it (at seed order k,
+frames at k - 1, B and H at k - 2); truncation changes no bit.  Finite
 differences appear only inside the independent cross-check oracle
 :func:`fd_normal_laplacian`.
 """
@@ -120,9 +122,9 @@ class _Calc:
 
 @lru_cache(maxsize=None)
 def _displacements(m: int, d: int, order: int) -> Jet:
-    """The d ambient displacement variables of the augmented (m + d)-variable
-    chart space at 0, one (d,) jet array (read only), kept first-order: the
-    space holds n_entries(m, order) + d n_entries(m, order - 1) coefficients."""
+    """The d ambient displacement variables of the (m + d)-variable chart
+    space at 0 (at the metric's order, one below the seed), kept first-order:
+    n_entries(m, order) + d n_entries(m, order - 1) coefficients; read only."""
     sp = _space(m + d, order, lead=m)
     return stack([sp.variable(m + a, 0.0) for a in range(d)])
 
@@ -132,10 +134,10 @@ class _ChartCalc(_Calc):
 
     def __init__(self, space, pos):
         super().__init__(space, pos)
-        m, d, order = self.m, space.dim, pos.order
+        m, d, order = self.m, space.dim, self.T.order  # g at the tangents' order
         self.d = d
         disp = _displacements(m, d, order)
-        aug = embed(pos, disp.space) + disp
+        aug = embed(pos.truncate(order), disp.space) + disp
         g_aug = space.jets("metric", [aug[..., a] for a in range(d)])
         self.g = extract(g_aug, m, order)
         if np.linalg.eigvalsh(self.g.value).min() <= 0.0:
@@ -156,10 +158,11 @@ class _ChartCalc(_Calc):
     def covd(self, v):
         """Ambient covariant derivatives S + (m, ...) of the fields ``v`` along every parameter."""
         gt = _lift(self.gamma_t, self.nb + 1, self._rank(v))
-        return v.gradient(axis=self.nb) + (gt * _lift(v, self.nb, 1)[..., None, :]).sum(-1)
+        dv = v.gradient(axis=self.nb)
+        return dv + (gt * _lift(v.truncate(dv.order), self.nb, 1)[..., None, :]).sum(-1)
 
     def frame_candidates(self):
-        return Jet.constant(self.m, self.T.order, np.eye(self.d))
+        return Jet.constant(self.m, self.T.order - 1, np.eye(self.d))
 
 
 class _EmbeddedCalc(_Calc):
@@ -168,7 +171,7 @@ class _EmbeddedCalc(_Calc):
     def __init__(self, space, pos):
         super().__init__(space, pos)
         self.d = space.rep_dim
-        n = space.jets("normals", [pos[..., a] for a in range(self.d)])
+        n = space.jets("normals", [pos[..., a].truncate(self.T.order - 1) for a in range(self.d)])
         self.normals = orthonormal_normals(n)
 
     def inner(self, v, w):
@@ -184,7 +187,7 @@ class _EmbeddedCalc(_Calc):
 
     def frame_candidates(self):
         eye = np.broadcast_to(np.eye(self.d), self.T.shape[:-2] + (self.d, self.d))
-        return self.project(Jet.constant(self.m, self.T.order, eye))
+        return self.project(Jet.constant(self.m, self.T.order - 1, eye))
 
 
 def _make_calc(space, pos):
@@ -193,24 +196,24 @@ def _make_calc(space, pos):
 
 def geometry_jet_size(space: AmbientModel, imm: ImmersionModel, order: int) -> int:
     """Coefficients per jet in the widest jet space of ``point_geometry`` at
-    ``order``: n_entries(m, order) + d n_entries(m, order - 1) for a chart's
-    augmented space (m parameters, d first-order displacements), and
-    n_entries(m, order) for an embedded calculus."""
+    ``order``: the positions' n_entries(m, order), or for a chart the
+    augmented metric's n_entries(m, order - 1) + d n_entries(m, order - 2)
+    (m parameters, d first-order displacements) if that is wider."""
+    size = n_entries(imm.dim, order)
     if space.backend == "chart":
-        return _displacements(imm.dim, space.dim, order).space.size
-    return n_entries(imm.dim, order)
+        return max(size, _displacements(imm.dim, space.dim, order - 1).space.size)
+    return size
 
 
 # -- frames --------------------------------------------------------------------
 
 
-def _orthonormal_tangent(calc, T):
-    """Gram-Schmidt on the coordinate tangent fields, tracking coefficients."""
-    m = T.shape[-2]
-    eye = Jet.constant(calc.m, T.order, np.eye(m))
+def _orthonormal_tangent(calc):
+    """Gram-Schmidt on the coordinate tangent fields, tracking coefficients one order lower."""
+    eye = Jet.constant(calc.m, calc.T.order - 1, np.eye(calc.m))
     frames, coeffs = [], []
-    for i in range(m):
-        v, c = T[..., i, :], eye[i]
+    for i in range(calc.m):
+        v, c = calc.T[..., i, :], eye[i]
         for Xj, cj in zip(frames, coeffs):
             dot = calc.inner(Xj, v)[..., None]
             v = v - dot * Xj
@@ -244,8 +247,9 @@ def _pivots(norms, taken):
 
 
 def _complete_normal(calc, frames, need):
-    """Pivoted Gram-Schmidt completion of the tangent frame to a normal
-    frame; every sample takes its own pivots, applied by a gather."""
+    """Pivoted Gram-Schmidt completion of the tangent frame to a normal frame
+    one order below it; every sample takes its own pivots, applied by a gather."""
+    frames = frames.truncate(frames.order - 1)
     reduced = calc.frame_candidates()
     for i in range(frames.shape[-2]):
         X = frames[..., i:i + 1, :]
@@ -305,7 +309,7 @@ class NormalFieldDerivatives:
 def _orientation(calc, H, normals):
     """Per-sample sign of a hypersurface normal: <H, nu> >= 0, else first
     nonvanishing component positive."""
-    s = calc.inner(H, normals[..., 0, :]).coeffs[..., 0]
+    s = calc.inner(H.truncate(0), normals[..., 0, :]).coeffs[..., 0]
     nu = normals[..., 0, :].coeffs[..., 0]
     big = np.abs(nu) > 1e-12
     first = np.take_along_axis(nu, big.argmax(-1)[..., None], -1)[..., 0]
@@ -321,7 +325,7 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
     batch, m = u.shape[:-1], imm.dim
     pos = imm.jets("components", seed_point(u, order))
     calc = _make_calc(space, pos)
-    T = calc.T
+    T = calc.T.truncate(min(calc.T.order, 2))  # scalar curvature reads 2nd derivatives
     g_ind = calc.inner(T[..., :, None, :], T[..., None, :, :])
     gram = g_ind.value
     if not np.isfinite(gram).all():
@@ -329,7 +333,7 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) 
     if np.linalg.eigvalsh(gram).min() <= RANK_TOL**2:
         raise GeometryError(f"immersion differential rank-deficient at {tuple(u.tolist())}")
 
-    frames, coeffs = _orthonormal_tangent(calc, T)
+    frames, coeffs = _orthonormal_tangent(calc)
     codim = space.dim - m
     normals = _complete_normal(calc, frames, codim)
 
@@ -395,9 +399,9 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
     w = calc.inner(normals[..., :, None, :], DH[..., None, :, :])
     W = (w[..., :, :, None] * normals[..., :, None, :]).sum(-3)
     diag = np.arange(m)
-    drift = calc.inner(st["nablaXX"][..., diag, diag, :][..., :, None, :],
+    drift = calc.inner(st["nablaXX"][..., diag, diag, :].truncate(0)[..., :, None, :],
                        frames[..., None, :, :]).value
-    grad_hh = calc.inner(H, H).gradient(axis=calc.nb).value
+    grad_hh = calc.inner(H.truncate(1), H).gradient(axis=calc.nb).value
     cov_w, w, W, cvals = calc.covd(W).value, w.value, W.value, coeffs.value
 
     nabla_norm = np.sqrt((w**2).sum(-2)).max(-1)

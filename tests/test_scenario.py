@@ -778,19 +778,21 @@ def test_grid_blocks_change_no_record(monkeypatch, ambient, immersion, blocks):
 
 
 @pytest.mark.parametrize("ambient, immersion, blocks", [
-    ("sasakian_r5", "hyperplane_y1", 2),  # 16 samples, 11 per block
+    ("sasakian_r5", "hyperplane_y1", 1),  # 16 samples, 26 per block
     ("cosymplectic_r5", "graph_surface", 1),
     ("flat_c2", "round_hypersphere", 1),
 ])
 def test_catalog_budget_sizes_blocks_by_the_first_order_chart_space(ambient, immersion, blocks):
-    # the augmented chart space keeps its displacements first-order, so the
-    # catalog's widest grids run in fewer, larger blocks than over the full space
+    # the augmented chart space keeps its displacements first-order and runs
+    # one order below the seed, so the catalog's widest grids run in fewer,
+    # larger blocks than over the full space or at the seed order
     import biharm.scenario as scenario
 
     cfg = _cfg(ambient={"catalog": ambient}, immersion={"catalog": immersion})
     m, d = cfg.immersion.dim, cfg.ambient.dim
     size = geometry_jet_size(cfg.ambient, cfg.immersion, scenario.JET_ORDER)
-    assert size == n_entries(m, 4) + d * n_entries(m, 3)
+    seeded = n_entries(m, 4) + d * n_entries(m, 3)
+    assert size == max(n_entries(m, 4), n_entries(m, 3) + d * n_entries(m, 2)) < seeded
     rows = scenario._block_rows(cfg, scenario.JET_ORDER)
     assert rows == scenario._BLOCK_COEFFS // size > scenario._BLOCK_COEFFS // n_entries(m + d, 4)
     assert math.ceil(len(cfg.immersion.grid()) / rows) == blocks
@@ -897,6 +899,10 @@ def _bench_compare():
     (_flat_c2_in_r6([_E5, ["0", "0", "0", "0", "1", "1"]]), _flat_c2_in_r6([_E5, _E6]),
      "NotBiharmonic"),
     (_flat_c2_in_r6([["0", "0", "0", "0", "2", "0"], ["0", "0", "0", "0", "3", "-1"]]),
+     _flat_c2_in_r6([_E5, _E6]), "NotBiharmonic"),
+    # dependence is relative to each field's own norm: 1e-9 e5, 1e-9 e6 once
+    # failed every point as dependent
+    (_flat_c2_in_r6([["0", "0", "0", "0", "1e-9", "0"], ["0", "0", "0", "0", "0", "1e-9"]]),
      _flat_c2_in_r6([_E5, _E6]), "NotBiharmonic"),
     # (p, 0) and (p, 1) once read the proper biharmonic hypersphere as not biharmonic
     (_S5_IN_R7, dict(_S5_IN_R7, ambient=dict(
@@ -1489,9 +1495,12 @@ def test_each_ambient_tensor_runs_once_per_sample(monkeypatch):
         return real(self, name, point)
 
     monkeypatch.setattr(CompiledFields, "values", counted)
+    # the catalog hyperplane_y1 (16 samples) runs in one block: 3^2 2^2 samples take two
+    axes = [{"lo": -0.8, "hi": 0.8, "samples": n} for n in (3, 3, 2, 2)]
+    hyperplane = {"params": ["u1", "u2", "u3", "u4"], "components": ["u1", "u2", "0", "u3", "u4"],
+                  "domain": {"axes": axes}}
     for structure in (0, 1):
-        cfg = _cfg(ambient={"catalog": "kenmotsu_hyperbolic"},
-                   immersion={"catalog": "hyperplane_y1"},
+        cfg = _cfg(ambient={"catalog": "kenmotsu_hyperbolic"}, immersion=hyperplane,
                    checks=[{"op": "residual"}, {"op": "gauss"}] + [{"op": "structure"}] * structure)
         runs.clear()
         rep = run_check(cfg)

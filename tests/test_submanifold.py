@@ -358,18 +358,72 @@ def _chart_pairs():
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("space_name, imm_name", _chart_pairs())
 def test_chart_calc_equals_the_full_augmented_space_bitwise(space_name, imm_name, order):
-    # the augmented metric keeps the displacements first-order, and the
-    # Christoffel stages run one upper index at a time: the calculus's
-    # metric and precontracted connection are the full space's, bit for bit
+    # the augmented metric keeps the displacements first-order and runs one
+    # order below the seed, and the Christoffel stages run one upper index at
+    # a time, one order lower again: the calculus's metric and precontracted
+    # connection are the full seed-order space's, truncated, bit for bit
     space, imm = _setup(space_name, imm_name)
     m, d = imm.dim, space.dim
     pos = imm.jets("components", seed_point(np.array(imm.grid()), order))
     calc = sm._ChartCalc(space, pos)
     g, gamma_t = full_chart_calc(space, pos)
+    g, gamma_t = g.truncate(order - 1), gamma_t.truncate(order - 2)
     assert calc.g.space is g.space and _bitwise(calc.g.coeffs, g.coeffs)
     assert calc.gamma_t.space is gamma_t.space and _bitwise(calc.gamma_t.coeffs, gamma_t.coeffs)
     size = sm.geometry_jet_size(space, imm, order)
-    assert size == n_entries(m, order) + d * n_entries(m, order - 1) < n_entries(m + d, order)
+    widest = max(n_entries(m, order), n_entries(m, order - 1) + d * n_entries(m, order - 2))
+    assert size == widest < n_entries(m + d, order)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("space_name, imm_name", [
+    ("sasakian_r5", "hyperplane_y1"),
+    ("cp2", "geodesic_sphere_cp2"),
+    ("sasakian_sphere_s5", "clifford_torus_s5"),  # embedded
+])
+def test_each_stage_runs_at_the_order_its_readers_need(space_name, imm_name, order):
+    # one order lower per derivative still to be taken: covariant derivatives
+    # read the frames, so they stay one below the seed, and everything a
+    # covariant derivative or a projection adds to runs one below that
+    space, imm = _setup(space_name, imm_name)
+    st = point_geometry(space, imm, imm.grid()[:3], order)._state
+    calc, k = st["calc"], order
+    expected = {"pos": k, "frames": k - 1, "g_ind": min(k - 1, 2), "coeffs": k - 2,
+                "normals": k - 2, "nablaXX": k - 2, "H": k - 2}
+    assert {key: st[key].order for key in expected} == expected
+    if space.backend == "chart":
+        assert (calc.g.order, calc.gamma_t.order) == (k - 1, k - 2)
+    else:
+        assert calc.normals.order == k - 2
+
+
+def test_no_product_runs_above_the_order_its_readers_need(monkeypatch):
+    # a work-count tripwire on one order-4 chart block: the components are
+    # linear, so every product belongs to a stage past the positions
+    from biharm.jets import _JetSpace
+
+    space, imm = _setup("sasakian_r5", "hyperplane_y1")
+    products, stage = [], ["geometry"]
+    mul, inverse, init = _JetSpace.mul, sm.jet_matrix_inverse, sm._ChartCalc.__init__
+
+    def counted(self, a, b):
+        products.append((stage[0], self.order))
+        return mul(self, a, b)
+
+    def connection(mat):  # the Christoffel symbols and gamma_t follow the inverse
+        stage[0] = "connection"
+        return inverse(mat)
+
+    def calc_init(self, *args):
+        init(self, *args)
+        stage[0] = "geometry"
+
+    monkeypatch.setattr(_JetSpace, "mul", counted)
+    monkeypatch.setattr(sm, "jet_matrix_inverse", connection)
+    monkeypatch.setattr(sm._ChartCalc, "__init__", calc_init)
+    normal_derivatives(point_geometry(space, imm, imm.grid(), 4))
+    orders = {name: {o for s, o in products if s == name} for name in ("geometry", "connection")}
+    assert max(orders["geometry"]) == 3 and orders["connection"] == {2}
 
 
 TAGGED = [name for name in sorted(catalog.AMBIENTS) if catalog.ambient(name).tag is not None]

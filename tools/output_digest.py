@@ -1,6 +1,6 @@
 """One sha256 per benchmark workload over its outputs at seeds 0-9.
 
-    python3 tools/output_digest.py
+    python3 tools/output_digest.py [--against PATH]
 
 For every workload of ``bench/workloads.py`` the tool runs one pass
 (``run_pass``) at each seed 0-9 with the biharm package in this
@@ -9,13 +9,20 @@ as its ``float.hex``, every array as its dtype, shape and raw bytes, a
 raised exception as its type and message.  Two checkouts whose digests
 agree gave byte-identical outputs at those seeds.  The tool only reads
 ``bench/workloads.py``.
+
+With ``--against PATH`` it also hashes the checkout at PATH, by running
+that checkout's own copy of this tool in a subprocess, prints both digests
+on each workload's line (``same`` or ``DIFFERENT`` after them) and exits 1
+if any differs or is missing on either side.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,10 +68,27 @@ def digest(workload) -> str:
     return h.hexdigest()
 
 
-def main() -> int:
-    for name, workload in _workloads().items():
-        print(f"{name} {digest(workload)}")
-    return 0
+def _digests_of(checkout: Path) -> dict[str, str]:
+    """The digests printed by ``checkout``'s own copy of this tool."""
+    proc = subprocess.run([sys.executable, "tools/output_digest.py"], cwd=checkout,
+                          capture_output=True, text=True, check=True)
+    return dict(line.split() for line in proc.stdout.splitlines())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, help="a second checkout to compare with")
+    args = parser.parse_args(argv)
+    ours = {name: digest(workload) for name, workload in _workloads().items()}
+    if args.against is None:
+        for name, value in ours.items():
+            print(f"{name} {value}")
+        return 0
+    theirs = _digests_of(args.against)
+    for name in {**ours, **theirs}:
+        a, b = ours.get(name, "missing"), theirs.get(name, "missing")
+        print(f"{name} {a} {b} {'same' if a == b != 'missing' else 'DIFFERENT'}")
+    return 0 if ours == theirs else 1
 
 
 if __name__ == "__main__":
