@@ -2,30 +2,31 @@
 
 Ambient catalog:
 
-================== ============================================================
-flat_c2            flat C^2 chart, constant complex structure, alpha = beta = 0
-cp2                Fubini-Study chart of CP^2 with holomorphic sectional
-                   curvature 4*rho (alpha = beta = rho), identity metric at 0
-synthetic_complex  flat R^4 chart with constant alpha != beta; algebraic
-                   curvature only, used for pipeline tests
-sasakian_r5        standard Sasakian structure on R^5, phi-sectional
-                   curvature -3 (f1 = 0, f2 = f3 = -1)
-sasakian_sphere_s5 unit S^5 in R^6 with its standard Sasakian structure,
-                   phi-sectional curvature 1 (f1 = 1, f2 = f3 = 0)
-kenmotsu_hyperbolic warped product line x_{e^t} C^2 (hyperbolic space),
-                   Kenmotsu with c = -1 (f1 = -1, f2 = f3 = 0)
-cosymplectic_r5    flat R^5 product structure, c = 0 (all coefficients 0)
-================== ============================================================
+=================== ===========================================================================
+name                description
+=================== ===========================================================================
+flat_c2             flat C², constant complex structure, α = β = 0
+cp2                 Fubini–Study chart, holomorphic sectional curvature `4*rho` (α = β = rho)
+synthetic_complex   flat chart carrying constant α ≠ β (algebraic curvature only)
+sasakian_r5         standard Sasakian R⁵, φ-sectional curvature −3 (f = (0, −1, −1))
+sasakian_sphere_s5  unit S⁵ ⊂ R⁶ with its standard Sasakian structure (f = (1, 0, 0))
+kenmotsu_hyperbolic warped product line ×ₑᵗ C², Kenmotsu with c = −1 (f = (−1, 0, 0))
+cosymplectic_r5     flat product R⁴ × R, c = 0
+=================== ===========================================================================
 
 Entries are expression templates over named parameters, each declared with
 its default in :data:`AMBIENTS` or :data:`IMMERSIONS`.  A scenario binds each
 one to the default, unless the document's constants name it, unless the
 model's own params do; a params name the entry does not declare is an error.
+The chart ambients come from one builder per kind, :func:`_complex_chart` and
+:func:`_contact_chart`; an immersion that reads nothing of its ambient is one
+row of :data:`_FIXED`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .ambient import (
     COMPLEX_SPACE_FORM,
@@ -41,191 +42,152 @@ from .exprs import parse_expression
 from .submanifold import Axis, ImmersionModel
 
 
-def _pexpr(source, params):
-    return parse_expression(source, params)
+class UndeclaredParameter(ValueError):
+    """A params name that the catalog entry does not declare; ``name`` is it."""
+
+    def __init__(self, entry: str, name: str, declared):
+        super().__init__(f"{entry} declares no parameter {name!r} (it declares "
+                         f"{', '.join(declared) or 'none'})")
+        self.name = name
 
 
 def _matrix(rows, params):
-    return tuple(tuple(_pexpr(e, params) for e in row) for row in rows)
+    return tuple(tuple(parse_expression(e, params) for e in row) for row in rows)
 
 
 def _vector(entries, params):
-    return tuple(_pexpr(e, params) for e in entries)
+    return tuple(parse_expression(e, params) for e in entries)
 
 
-_J_STANDARD = (
-    ("0", "-1", "0", "0"),
-    ("1", "0", "0", "0"),
-    ("0", "0", "0", "-1"),
-    ("0", "0", "1", "0"),
-)
+def _square(n, entries=None):
+    """The n x n matrix of expression strings with ``entries`` ((row, column)
+    -> expression) and "0" elsewhere; without entries, the identity."""
+    if entries is None:
+        entries = {(k, k): "1" for k in range(n)}
+    return [[entries.get((i, j), "0") for j in range(n)] for i in range(n)]
 
 
-def _flat_c2(params):
-    coords = ("x1", "y1", "x2", "y2")
-    eye = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+def _turn(pairs):
+    """The entries of the structure taking d/dx to d/dy and d/dy to -d/dx for
+    each coordinate index pair (x, y)."""
+    entries = {}
+    for x, y in pairs:
+        entries[y, x], entries[x, y] = "1", "-1"
+    return entries
+
+
+# -- chart ambients ------------------------------------------------------------
+
+_C2 = ("x1", "y1", "x2", "y2")
+_J_C2 = _square(4, _turn(((0, 1), (2, 3))))
+
+
+def _complex_chart(name, coeffs, params, metric=None, tag=None):
+    """A chart of C^2 with the standard J; ``metric`` as :func:`_square`'s entries."""
     return AmbientModel(
-        name="flat_c2",
+        name=name,
         kind=KIND_COMPLEX,
         backend="chart",
         dim=4,
-        coords=coords,
-        metric=_matrix(eye, coords),
-        cstruct=_matrix(_J_STANDARD, coords),
-        coeffs=_vector(("0", "0"), coords),
-        tag=ClassicalTag(COMPLEX_SPACE_FORM, 0.0),
+        coords=_C2,
+        metric=_matrix(_square(4, metric), _C2),
+        cstruct=_matrix(_J_C2, _C2),
+        coeffs=_vector(coeffs, _C2),
+        tag=tag,
+        bindings=params,
     )
 
 
-def _fubini_study_rows():
+def _flat_c2(params):
+    return _complex_chart("flat_c2", ("0", "0"), params, tag=ClassicalTag(COMPLEX_SPACE_FORM, 0.0))
+
+
+def _fubini_study():
     # Real components of ((1 + rho|z|^2) I - rho zbar z) / (1 + rho|z|^2)^2
     # in coordinates (x1, y1, x2, y2) with z_k = x_k + i y_k.
     w = "(1+rho*(x1^2+y1^2+x2^2+y2^2))"
-    rows = [[None] * 4 for _ in range(4)]
     x = ["x1", "x2"]
     y = ["y1", "y2"]
+    g = {}
     for i in range(4):
         for j in range(4):
             k, l = i // 2, j // 2
             ix, jx = i % 2 == 0, j % 2 == 0
             if ix == jx:  # x-x or y-y block
                 delta = w if k == l else "0"
-                rows[i][j] = f"({delta}-rho*({x[k]}*{x[l]}+{y[k]}*{y[l]}))/{w}^2"
+                g[i, j] = f"({delta}-rho*({x[k]}*{x[l]}+{y[k]}*{y[l]}))/{w}^2"
             elif ix:  # x_k with y_l
-                rows[i][j] = f"(-rho*({x[k]}*{y[l]}-{y[k]}*{x[l]}))/{w}^2"
+                g[i, j] = f"(-rho*({x[k]}*{y[l]}-{y[k]}*{x[l]}))/{w}^2"
             else:  # y_k with x_l
-                rows[i][j] = f"(-rho*({x[l]}*{y[k]}-{y[l]}*{x[k]}))/{w}^2"
-    return rows
+                g[i, j] = f"(-rho*({x[l]}*{y[k]}-{y[l]}*{x[k]}))/{w}^2"
+    return g
 
 
 def _cp2(params):
     rho = params["rho"]
     if rho <= 0.0:
         raise ValueError("cp2 needs rho > 0")
-    coords = ("x1", "y1", "x2", "y2")
-    return AmbientModel(
-        name="cp2",
-        kind=KIND_COMPLEX,
-        backend="chart",
-        dim=4,
-        coords=coords,
-        metric=_matrix(_fubini_study_rows(), coords),
-        cstruct=_matrix(_J_STANDARD, coords),
-        coeffs=_vector(("rho", "rho"), coords),
-        tag=ClassicalTag(COMPLEX_SPACE_FORM, rho),
-        bindings=params,
-    )
+    return _complex_chart("cp2", ("rho", "rho"), params, _fubini_study(),
+                          ClassicalTag(COMPLEX_SPACE_FORM, rho))
 
 
 def _synthetic_complex(params):
-    coords = ("x1", "y1", "x2", "y2")
-    eye = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    return _complex_chart("synthetic_complex", ("alpha", "beta"), params)
+
+
+def _contact_chart(name, coords, phi, reeb, coeffs, tag, params, metric=None):
+    """A chart of R^5; ``phi`` and ``metric`` as :func:`_square`'s entries."""
     return AmbientModel(
-        name="synthetic_complex",
-        kind=KIND_COMPLEX,
+        name=name,
+        kind=KIND_CONTACT,
         backend="chart",
-        dim=4,
+        dim=5,
         coords=coords,
-        metric=_matrix(eye, coords),
-        cstruct=_matrix(_J_STANDARD, coords),
-        coeffs=_vector(("alpha", "beta"), coords),
+        metric=_matrix(_square(5, metric), coords),
+        phi=_matrix(_square(5, phi), coords),
+        reeb=_vector(reeb, coords),
+        coeffs=_vector(coeffs, coords),
+        tag=tag,
         bindings=params,
     )
 
 
+_R5 = ("x1", "x2", "y1", "y2", "z")
+
+
 def _sasakian_r5(params):
-    coords = ("x1", "x2", "y1", "y2", "z")
-    g = [["0"] * 5 for _ in range(5)]
-    for i, xi in enumerate(("x1", "x2")):
-        for j, xj in enumerate(("x1", "x2")):
-            delta = "1" if i == j else "0"
-            g[i][j] = f"({delta}+y{i+1}*y{j+1})/4"
-        g[i][4] = g[4][i] = f"-y{i+1}/4"
-    g[2][2] = g[3][3] = "1/4"
-    g[4][4] = "1/4"
-    phi = [["0"] * 5 for _ in range(5)]
+    g = {(k, k): "1/4" for k in (2, 3, 4)}
+    for i in range(2):
+        for j in range(2):
+            g[i, j] = f"({int(i == j)}+y{i+1}*y{j+1})/4"
+        g[i, 4] = g[4, i] = f"-y{i+1}/4"
     # phi dx_i = -dy_i, phi dy_i = dx_i + y_i dz, phi dz = 0
-    phi[2][0] = "-1"
-    phi[3][1] = "-1"
-    phi[0][2] = "1"
-    phi[1][3] = "1"
-    phi[4][2] = "y1"
-    phi[4][3] = "y2"
-    return AmbientModel(
-        name="sasakian_r5",
-        kind=KIND_CONTACT,
-        backend="chart",
-        dim=5,
-        coords=coords,
-        metric=_matrix(g, coords),
-        phi=_matrix(phi, coords),
-        reeb=_vector(("0", "0", "0", "0", "2"), coords),
-        coeffs=_vector(("0", "-1", "-1"), coords),
-        tag=ClassicalTag(SASAKI, -3.0),
-    )
+    phi = _turn(((2, 0), (3, 1))) | {(4, 2): "y1", (4, 3): "y2"}
+    return _contact_chart("sasakian_r5", _R5, phi, ("0", "0", "0", "0", "2"), ("0", "-1", "-1"),
+                          ClassicalTag(SASAKI, -3.0), params, g)
 
 
 def _cosymplectic_r5(params):
-    coords = ("x1", "x2", "y1", "y2", "z")
-    eye = [["1" if i == j else "0" for j in range(5)] for i in range(5)]
-    phi = [["0"] * 5 for _ in range(5)]
-    phi[2][0] = "1"
-    phi[3][1] = "1"
-    phi[0][2] = "-1"
-    phi[1][3] = "-1"
-    return AmbientModel(
-        name="cosymplectic_r5",
-        kind=KIND_CONTACT,
-        backend="chart",
-        dim=5,
-        coords=coords,
-        metric=_matrix(eye, coords),
-        phi=_matrix(phi, coords),
-        reeb=_vector(("0", "0", "0", "0", "1"), coords),
-        coeffs=_vector(("0", "0", "0"), coords),
-        tag=ClassicalTag(COSYMPLECTIC, 0.0),
-    )
+    return _contact_chart("cosymplectic_r5", _R5, _turn(((0, 2), (1, 3))),
+                          ("0", "0", "0", "0", "1"), ("0", "0", "0"),
+                          ClassicalTag(COSYMPLECTIC, 0.0), params)
 
 
 def _kenmotsu_hyperbolic(params):
-    coords = ("t", "x1", "y1", "x2", "y2")
-    g = [["0"] * 5 for _ in range(5)]
-    g[0][0] = "1"
-    for i in range(1, 5):
-        g[i][i] = "exp(2*t)"
-    phi = [["0"] * 5 for _ in range(5)]
-    phi[2][1] = "1"
-    phi[4][3] = "1"
-    phi[1][2] = "-1"
-    phi[3][4] = "-1"
-    return AmbientModel(
-        name="kenmotsu_hyperbolic",
-        kind=KIND_CONTACT,
-        backend="chart",
-        dim=5,
-        coords=coords,
-        metric=_matrix(g, coords),
-        phi=_matrix(phi, coords),
-        reeb=_vector(("1", "0", "0", "0", "0"), coords),
-        coeffs=_vector(("-1", "0", "0"), coords),
-        tag=ClassicalTag(KENMOTSU, -1.0),
-    )
+    g = {(0, 0): "1"} | {(k, k): "exp(2*t)" for k in range(1, 5)}
+    return _contact_chart("kenmotsu_hyperbolic", ("t", "x1", "y1", "x2", "y2"),
+                          _turn(((1, 2), (3, 4))), ("1", "0", "0", "0", "0"), ("-1", "0", "0"),
+                          ClassicalTag(KENMOTSU, -1.0), params, g)
 
 
 def _sasakian_sphere_s5(params):
     coords = tuple(f"p{a}" for a in range(1, 7))
     # complex structure of R^6 = C^3 pairing (p1,p2), (p3,p4), (p5,p6)
-    j0 = [[0] * 6 for _ in range(6)]
-    for k in range(3):
-        j0[2 * k + 1][2 * k] = 1
-        j0[2 * k][2 * k + 1] = -1
+    j0 = _square(6, _turn(((0, 1), (2, 3), (4, 5))))
     j0p = ["-p2", "p1", "-p4", "p3", "-p6", "p5"]
     xi = [f"-({e})" for e in j0p]  # xi = -J0 p
-    phi = [[None] * 6 for _ in range(6)]
     # phi X = J0 X - <X, xi> p restricted to the tangent space of the sphere
-    for a in range(6):
-        for b in range(6):
-            phi[a][b] = f"{j0[a][b]}-p{a+1}*({xi[b]})"
+    phi = [[f"{j0[a][b]}-p{a+1}*({xi[b]})" for b in range(6)] for a in range(6)]
     return AmbientModel(
         name="sasakian_sphere_s5",
         kind=KIND_CONTACT,
@@ -260,7 +222,7 @@ def _entry(entries: dict, kind: str, name: str, params: dict | None):
     build, defaults = entries[name]
     undeclared = sorted(set(params or {}) - set(defaults))
     if undeclared:
-        raise ValueError(f"{name} declares no parameter {undeclared[0]!r}")
+        raise UndeclaredParameter(name, undeclared[0], defaults)
     return build, {**defaults, **{k: float(v) for k, v in (params or {}).items()}}
 
 
@@ -289,94 +251,47 @@ def _immersion(name, space, params, components, axes):
 
 
 TWO_PI = 2.0 * math.pi
+_ARC = Axis(0.5, 2.6, 2)  # a polar angle short of both poles
 
 
-def _affine_plane(space, params):
-    return _immersion(
-        "affine_plane", space, params,
+def _loop(lo, samples):
+    return Axis(lo, lo + TWO_PI, samples, periodic=True)
+
+
+# name -> (components, axes, declared parameters with their defaults) of the
+# immersions that read nothing of their ambient
+_FIXED = {
+    "affine_plane": (
         ("u1", "u2", "0", "0"),
-        (Axis(-1.0, 1.0, 2), Axis(-1.0, 1.0, 2)),
-    )
-
-
-def _round_hypersphere(space, params):
-    comps = (
-        "r*cos(u1)",
-        "r*sin(u1)*cos(u2)",
-        "r*sin(u1)*sin(u2)*cos(u3)",
-        "r*sin(u1)*sin(u2)*sin(u3)",
-    )
-    axes = (Axis(0.5, 2.6, 2), Axis(0.5, 2.6, 2), Axis(0.3, 0.3 + TWO_PI, 3, periodic=True))
-    return _immersion("round_hypersphere", space, params, comps, axes)
-
-
-def _product_torus(space, params):
-    comps = ("a*cos(u1)", "a*sin(u1)", "b*cos(u2)", "b*sin(u2)")
-    axes = (Axis(0.3, 0.3 + TWO_PI, 3, periodic=True), Axis(0.9, 0.9 + TWO_PI, 3, periodic=True))
-    return _immersion("product_torus", space, params, comps, axes)
-
-
-def _geodesic_sphere_cp2(space, params):
-    comps = (
-        "tan(r)*cos(u1)*cos(u2)",
-        "tan(r)*cos(u1)*sin(u2)",
-        "tan(r)*sin(u1)*cos(u3)",
-        "tan(r)*sin(u1)*sin(u3)",
-    )
-    axes = (
-        Axis(0.35, 1.2, 2),
-        Axis(0.4, 0.4 + TWO_PI, 2, periodic=True),
-        Axis(1.1, 1.1 + TWO_PI, 2, periodic=True),
-    )
-    return _immersion("geodesic_sphere_cp2", space, params, comps, axes)
-
-
-def _circle(space, params):
-    comps = ("r*cos(u1)", "r*sin(u1)", "0", "0")
-    return _immersion(
-        "circle", space, params, comps, (Axis(0.2, 0.2 + TWO_PI, 4, periodic=True),)
-    )
-
-
-def _helix(space, params):
-    comps = ("a*cos(u1)", "a*sin(u1)", "b*u1", "0")
-    return _immersion("helix", space, params, comps, (Axis(0.0, 6.0, 4),))
-
-
-def _small_hypersphere(space, params):
-    comps = (
-        "rho*cos(u1)",
-        "rho*sin(u1)*cos(u2)",
-        "rho*sin(u1)*sin(u2)*cos(u3)",
-        "rho*sin(u1)*sin(u2)*sin(u3)*cos(u4)",
-        "rho*sin(u1)*sin(u2)*sin(u3)*sin(u4)",
-        "sqrt(1-rho^2)",
-    )
-    axes = (
-        Axis(0.5, 2.6, 2),
-        Axis(0.5, 2.6, 2),
-        Axis(0.5, 2.6, 2),
-        Axis(0.45, 0.45 + TWO_PI, 2, periodic=True),
-    )
-    return _immersion("small_hypersphere", space, params, comps, axes)
-
-
-def _clifford_torus_s5(space, params):
-    comps = (
-        "cos(theta)*cos(u1)",
-        "cos(theta)*sin(u1)",
-        "sin(theta)*cos(u2)",
-        "sin(theta)*sin(u2)*cos(u3)",
-        "sin(theta)*sin(u2)*sin(u3)*cos(u4)",
-        "sin(theta)*sin(u2)*sin(u3)*sin(u4)",
-    )
-    axes = (
-        Axis(0.35, 0.35 + TWO_PI, 2, periodic=True),
-        Axis(0.5, 2.6, 2),
-        Axis(0.5, 2.6, 2),
-        Axis(0.8, 0.8 + TWO_PI, 2, periodic=True),
-    )
-    return _immersion("clifford_torus_s5", space, params, comps, axes)
+        (Axis(-1.0, 1.0, 2), Axis(-1.0, 1.0, 2)), {}),
+    "round_hypersphere": (
+        ("r*cos(u1)", "r*sin(u1)*cos(u2)", "r*sin(u1)*sin(u2)*cos(u3)",
+         "r*sin(u1)*sin(u2)*sin(u3)"),
+        (_ARC, _ARC, _loop(0.3, 3)), {"r": 1.0}),
+    "product_torus": (
+        ("a*cos(u1)", "a*sin(u1)", "b*cos(u2)", "b*sin(u2)"),
+        (_loop(0.3, 3), _loop(0.9, 3)), {"a": 1.0, "b": 1.0}),
+    "geodesic_sphere_cp2": (
+        ("tan(r)*cos(u1)*cos(u2)", "tan(r)*cos(u1)*sin(u2)", "tan(r)*sin(u1)*cos(u3)",
+         "tan(r)*sin(u1)*sin(u3)"),
+        (Axis(0.35, 1.2, 2), _loop(0.4, 2), _loop(1.1, 2)), {"r": 0.5}),
+    "circle": (
+        ("r*cos(u1)", "r*sin(u1)", "0", "0"),
+        (_loop(0.2, 4),), {"r": 1.0}),
+    "helix": (
+        ("a*cos(u1)", "a*sin(u1)", "b*u1", "0"),
+        (Axis(0.0, 6.0, 4),), {"a": 1.0, "b": 0.5}),
+    "small_hypersphere": (
+        ("rho*cos(u1)", "rho*sin(u1)*cos(u2)", "rho*sin(u1)*sin(u2)*cos(u3)",
+         "rho*sin(u1)*sin(u2)*sin(u3)*cos(u4)", "rho*sin(u1)*sin(u2)*sin(u3)*sin(u4)",
+         "sqrt(1-rho^2)"),
+        (_ARC, _ARC, _ARC, _loop(0.45, 2)), {"rho": 0.7071067811865476}),
+    "clifford_torus_s5": (
+        ("cos(theta)*cos(u1)", "cos(theta)*sin(u1)", "sin(theta)*cos(u2)",
+         "sin(theta)*sin(u2)*cos(u3)", "sin(theta)*sin(u2)*sin(u3)*cos(u4)",
+         "sin(theta)*sin(u2)*sin(u3)*sin(u4)"),
+        (_loop(0.35, 2), _ARC, _ARC, _loop(0.8, 2)), {"theta": math.pi / 4.0}),
+}
 
 
 def _hyperplane_y1(space, params):
@@ -396,30 +311,16 @@ def _hyperplane_y1(space, params):
 def _graph_surface(space, params):
     if "y1" not in space.coords:
         raise ValueError("graph_surface needs an ambient with a y1 coordinate")
-    comps = []
-    for c in space.coords:
-        if c == "x1":
-            comps.append("u1")
-        elif c == "x2":
-            comps.append("u2")
-        elif c == "y1":
-            comps.append("u1^2")
-        else:
-            comps.append("0")
+    graph = {"x1": "u1", "x2": "u2", "y1": "u1^2"}
+    comps = tuple(graph.get(c, "0") for c in space.coords)
     axes = (Axis(-0.8, 0.8, 3), Axis(-0.8, 0.8, 3))
-    return _immersion("graph_surface", space, params, tuple(comps), axes)
+    return _immersion("graph_surface", space, params, comps, axes)
 
 
 # name -> (builder, declared parameters with their defaults)
 IMMERSIONS = {
-    "affine_plane": (_affine_plane, {}),
-    "round_hypersphere": (_round_hypersphere, {"r": 1.0}),
-    "product_torus": (_product_torus, {"a": 1.0, "b": 1.0}),
-    "geodesic_sphere_cp2": (_geodesic_sphere_cp2, {"r": 0.5}),
-    "circle": (_circle, {"r": 1.0}),
-    "helix": (_helix, {"a": 1.0, "b": 0.5}),
-    "small_hypersphere": (_small_hypersphere, {"rho": 0.7071067811865476}),
-    "clifford_torus_s5": (_clifford_torus_s5, {"theta": math.pi / 4.0}),
+    **{name: (partial(_immersion, name, components=comps, axes=axes), defaults)
+       for name, (comps, axes, defaults) in _FIXED.items()},
     "hyperplane_y1": (_hyperplane_y1, {}),
     "graph_surface": (_graph_surface, {}),
 }

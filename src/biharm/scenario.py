@@ -87,6 +87,7 @@ from .residuals import (
 )
 from .structure import CLASSIFY_TOL, classify, decompose, verify_relations
 from .submanifold import (
+    JET_ORDER,
     Axis,
     ImmersionModel,
     fd_normal_laplacian,
@@ -102,9 +103,6 @@ from .submanifold import (
 # ``pg.ambient``.
 
 SCHEMA_VERSION = 1
-# the jet order of every grid that reads past second derivatives: the normal
-# Laplacian needs 4, and a higher order gives the same values, only slower
-JET_ORDER = 4
 
 # the classical families an inline ambient's ``tag`` may name, per kind
 TAG_FAMILIES = {KIND_COMPLEX: (COMPLEX_SPACE_FORM,),
@@ -306,12 +304,10 @@ def _load_catalog(doc, constants, path, entries, build, *args):
         raise ConfigError(f"unknown catalog entry {name!r}", path + ".catalog")
     declared = entries[name][1]
     params = _numbers(doc.get("params", {}), path + ".params")
-    undeclared = sorted(set(params) - set(declared))
-    if undeclared:
-        raise ConfigError(f"{name} declares no parameter {undeclared[0]!r} (it declares "
-                          f"{', '.join(declared) or 'none'})", f"{path}.params.{undeclared[0]}")
     try:
         return build(name, *args, {k: v for k, v in constants.items() if k in declared} | params)
+    except catalog.UndeclaredParameter as e:
+        raise ConfigError(str(e), f"{path}.params.{e.name}") from None
     except ValueError as e:
         raise ConfigError(str(e), path) from None
 
@@ -446,8 +442,6 @@ RESIDUALS = "residuals"          # J or phi split, flags; nabla-perp H, its Lapl
 SCALAR = "scalar_curvature"      # intrinsic and Gauss-equation scalar curvature
 RELATIONS = "relations"          # algebraic relations of the split
 PSEUDO = "pseudo_umbilical"      # deviation of A_H from |H|^2 Id
-
-QUANTITIES = frozenset((GEOMETRY, RESIDUALS, SCALAR, RELATIONS, PSEUDO))
 
 
 def _require_finite(samples: GridSamples, residual_norms: dict):

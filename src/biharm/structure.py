@@ -158,10 +158,3 @@ def classify(ops: DecompositionOperators, h_normal=None) -> dict:
             flags["phi_h_tangent"] = flag(norm(mat_vec(ops.nn, h_normal)) < CLASSIFY_TOL, decided)
             flags["phi_h_normal"] = flag(norm(mat_vec(ops.nt, h_normal)) < CLASSIFY_TOL, decided)
     return flags
-
-
-def reeb_tangent_hypersurface_identities(ops: DecompositionOperators):
-    """(|P t|, |N t + Id|): both must vanish on a hypersurface with tangent Reeb field."""
-    pt = ops.tt @ ops.nt
-    nt_plus = ops.tn @ ops.nt + np.eye(ops.codim)
-    return float(np.linalg.norm(pt)), float(np.linalg.norm(nt_plus))

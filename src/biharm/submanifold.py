@@ -58,6 +58,10 @@ from .jets import (
 # programs.
 
 PSEUDO_UMBILICAL_TOL = 1e-8   # |A_H - |H|^2 Id|, and the |H| of a minimal point
+# the seed order of the immersion jets that the normal Laplacian of H needs: it
+# takes two derivatives of H, itself second derivatives of the immersion; a
+# higher order gives the same values, only slower
+JET_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -317,7 +321,8 @@ def _orientation(calc, H, normals):
     return np.where(flip, -1.0, 1.0)
 
 
-def point_geometry(space: AmbientModel, imm: ImmersionModel, u, order: int = 4) -> PointGeometry:
+def point_geometry(space: AmbientModel, imm: ImmersionModel, u,
+                   order: int = JET_ORDER) -> PointGeometry:
     """Frames, fundamental forms and mean curvature at the parameter points
     ``u`` (shape S + (m,)), every sample in one jet pass; one point is the
     case S = ().  A fault at any sample raises for the whole batch."""
@@ -391,8 +396,8 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
     sample of ``pg``: nabla-perp H (``w`` in normal-frame components, ``W``
     as a vector) and its ambient covariant derivative in one jet pass, the
     rest in float algebra over the sample axes."""
-    if pg.order < 4:
-        raise GeometryError("normal derivatives need immersion jets of order 4")
+    if pg.order < JET_ORDER:
+        raise GeometryError(f"normal derivatives need immersion jets of order {JET_ORDER}")
     st, m = pg._state, pg.m
     calc, frames, coeffs, normals, H = (st[k] for k in ("calc", "frames", "coeffs", "normals", "H"))
     DH = (coeffs[..., :, :, None] * calc.covd(H)[..., None, :, :]).sum(-2)

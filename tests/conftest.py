@@ -23,8 +23,13 @@ from biharm.ambient import (
     tangent_projector,
 )
 from biharm.jets import Jet, embed, extract, jet_matrix_inverse, stack
+from biharm.scenario import GEOMETRY, PSEUDO, RELATIONS, RESIDUALS, SCALAR
+from biharm.structure import DecompositionOperators
 
 mp.mp.dps = 40
+
+# every per-sample quantity a grid run can compute
+QUANTITIES = frozenset((GEOMETRY, RESIDUALS, SCALAR, RELATIONS, PSEUDO))
 
 
 def central_diff(f, x, h):
@@ -171,3 +176,10 @@ def random_orthonormal_frames(space: AmbientModel, x, m: int, rng) -> tuple:
         raise GeometryError("could not build random frames")
     frames = np.array(frames)
     return frames[:m], frames[m:]
+
+
+def reeb_tangent_hypersurface_identities(ops: DecompositionOperators):
+    """(|P t|, |N t + Id|): both must vanish on a hypersurface with tangent Reeb field."""
+    pt = ops.tt @ ops.nt
+    nt_plus = ops.tn @ ops.nt + np.eye(ops.codim)
+    return float(np.linalg.norm(pt)), float(np.linalg.norm(nt_plus))

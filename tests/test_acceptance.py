@@ -18,14 +18,10 @@ import pytest
 
 from biharm import catalog
 from biharm.scenario import load_scenario, run_check, sweep_solve, convergence_study
-from biharm.structure import (
-    decompose,
-    reeb_tangent_hypersurface_identities,
-    verify_relations,
-)
+from biharm.structure import decompose, verify_relations
 from biharm.ambient import PointAmbient, curvature_parts, metric_at, structure_at
 from biharm.submanifold import point_geometry
-from conftest import random_orthonormal_frames
+from conftest import random_orthonormal_frames, reeb_tangent_hypersurface_identities
 
 
 @contextmanager

@@ -36,7 +36,7 @@ from biharm.residuals import (
 )
 from biharm.structure import FLAGS, classify, decompose
 from biharm.submanifold import normal_derivatives, point_geometry
-from conftest import random_orthonormal_frames
+from conftest import QUANTITIES, random_orthonormal_frames
 
 
 def _full_point(space_name, imm_name, u, params=None, ambient_params=None):
@@ -212,7 +212,7 @@ def test_proper_biharmonic_residuals():
 
 
 def _grid_data(space, imm, checks=()):
-    from biharm.scenario import QUANTITIES, ScenarioConfig, _run_grids
+    from biharm.scenario import ScenarioConfig, _run_grids
 
     cfg = ScenarioConfig(ambient=space, immersion=imm, checks=[], constants={},
                          expect={}, raw={})

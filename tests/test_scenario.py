@@ -11,6 +11,7 @@ import pytest
 from biharm import catalog
 from biharm.ambient import GeometryError
 from biharm.cli import main as cli_main
+from biharm.exprs import DEFAULT_BINDINGS, expr_constants
 from biharm.jets import n_entries
 from biharm.residuals import PROPER_TOL, map_columns
 from biharm.scenario import (
@@ -26,6 +27,7 @@ from biharm.scenario import (
     sweep_solve,
 )
 from biharm.submanifold import geometry_jet_size
+from conftest import QUANTITIES
 
 
 def _cfg(**overrides):
@@ -82,6 +84,60 @@ def test_catalog_params_must_be_declared(model, entry, name):
             catalog.ambient(entry, {name: 2.0})
         else:
             catalog.immersion(entry, catalog.ambient("flat_c2"), {name: 2.0})
+
+
+def test_undeclared_parameter_error_names_the_parameter():
+    with pytest.raises(catalog.UndeclaredParameter) as err:
+        catalog.ambient("cp2", {"rho": 1.0, "rh0": 2.0})
+    assert err.value.name == "rh0"
+    with pytest.raises(ConfigError) as err:
+        _cfg(ambient={"catalog": "cp2", "params": {"rh0": 2.0}})
+    assert str(err.value) == "ambient.params.rh0: cp2 declares no parameter 'rh0' (it declares rho)"
+    with pytest.raises(ConfigError) as err:
+        _cfg(immersion={"catalog": "affine_plane", "params": {"r": 2.0}})
+    assert str(err.value) == ("immersion.params.r: affine_plane declares no parameter 'r' "
+                              "(it declares none)")
+
+
+def _expressions(field):
+    """The expressions of a nested tuple field."""
+    if isinstance(field, tuple):
+        for item in field:
+            yield from _expressions(item)
+    elif field is not None:
+        yield field
+
+
+def test_catalog_expressions_read_only_what_they_declare():
+    # catalog entries are parsed without the inline loader's unbound-constant
+    # rule: a name that is neither a coordinate or parameter of the model nor
+    # a declared parameter would read whatever a document's constants bind
+    admitted = set()
+    for name, (_, declared) in catalog.AMBIENTS.items():
+        space = catalog.ambient(name)
+        for field in ("metric", "cstruct", "phi", "reeb", "coeffs", "normals"):
+            for expr in _expressions(getattr(space, field)):
+                assert expr_constants(expr) <= set(declared) | set(DEFAULT_BINDINGS), (name, field)
+        for imm_name, (_, imm_declared) in catalog.IMMERSIONS.items():
+            try:
+                imm = catalog.immersion(imm_name, space)
+            except ValueError:
+                continue
+            admitted.add(imm_name)
+            for expr in imm.components:
+                assert expr_constants(expr) <= set(imm_declared) | set(DEFAULT_BINDINGS), \
+                    (name, imm_name)
+    assert admitted == set(catalog.IMMERSIONS)
+
+
+def test_catalog_docstring_table_matches_the_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Catalog", 1)[1].split("\n## ", 1)[0]
+    rows = [(n.strip("`"), d) for n, d in
+            (line.strip("| ").split(" | ") for line in section.splitlines() if line.startswith("| `"))]
+    doc = catalog.__doc__.split("=\n", 2)[2].split("\n=")[0]
+    assert [tuple(line.split(None, 1)) for line in doc.splitlines()] == rows
+    assert sorted(name for name, _ in rows) == sorted(catalog.AMBIENTS)
 
 
 def test_document_constants_may_name_anything():
@@ -769,10 +825,10 @@ def test_grid_blocks_change_no_record(monkeypatch, ambient, immersion, blocks):
         _block_budget(monkeypatch, cfg, rows)
     grid = cfg.immersion.grid()
     assert math.ceil(len(grid) / scenario._block_rows(cfg, scenario.JET_ORDER)) == blocks
-    [(samples, failed)] = scenario._run_grids([cfg], scenario.QUANTITIES)
+    [(samples, failed)] = scenario._run_grids([cfg], QUANTITIES)
     assert failed == [] and len(samples.h_norm) == len(grid)
     for row, u in enumerate(grid):
-        single, error = _single(cfg, u, scenario.QUANTITIES, scenario.JET_ORDER)
+        single, error = _single(cfg, u, QUANTITIES, scenario.JET_ORDER)
         assert error is None
         assert _same(map_columns(lambda a: a[row:row + 1], samples), single), u
 
@@ -1310,7 +1366,7 @@ def test_characterization_gap_objective_equals_full_pipeline_bitwise(monkeypatch
                immersion={"catalog": "geodesic_sphere_cp2", "params": {"r": 0.5}},
                domain=GEODESIC_SWEEP_DOMAIN).with_constant("r", r)
     objective = scenario.SWEEP_OBJECTIVES["characterization_gap"]
-    full = objective.run(cfg, scenario._run_grids([cfg], scenario.QUANTITIES)[0][0])  # order 4
+    full = objective.run(cfg, scenario._run_grids([cfg], QUANTITIES)[0][0])  # order 4
     calls = _count_calls(monkeypatch, scenario, ("normal_derivatives",))
     fast = _value_objective(cfg, "characterization_gap")
     assert calls["normal_derivatives"] == 0

@@ -10,11 +10,10 @@ from biharm.structure import (
     DecompositionOperators,
     classify,
     decompose,
-    reeb_tangent_hypersurface_identities,
     verify_relations,
 )
 from biharm.submanifold import point_geometry
-from conftest import random_orthonormal_frames
+from conftest import random_orthonormal_frames, reeb_tangent_hypersurface_identities
 
 
 def _frames_from_immersion(space_name, imm_name, u, params=None, ambient_params=None):
