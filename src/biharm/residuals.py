@@ -19,6 +19,7 @@ property, not an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,18 +58,6 @@ CHARACTERIZATION_TOL = 1e-5   # |B|^2 against its target
 BOUND_TOL = 1e-8              # |H|^2 against the mean-curvature bound
 REDUCTION_TOL = 1e-8          # contact normal equation against its constant-target form
 
-# The special-case branches by ambient kind, in the order in which a sample
-# reports the first one its flags activate (see :func:`branch_of`).
-BRANCH_PRIORITY = {
-    KIND_COMPLEX: ("curve", "hypersurface", "complex_surface", "lagrangian_surface"),
-    KIND_CONTACT: ("hypersurface", "xi_normal", "xi_tangent", "invariant", "anti_invariant"),
-}
-# The classification flag that activates each special-case branch at a sample.
-BRANCH_FLAGS = {"curve": "is_curve", "hypersurface": "is_hypersurface",
-                "complex_surface": "is_complex", "lagrangian_surface": "is_lagrangian",
-                "invariant": "is_invariant", "anti_invariant": "is_anti_invariant",
-                "xi_normal": "xi_normal", "xi_tangent": "xi_tangent"}
-
 # The mean-curvature bounds by ambient kind.  Complex: the bound is the grid
 # minimum of a coefficient expression.  Contact: it is (K - shift)/m, with
 # K the characterization target, and needs K > shift.
@@ -84,6 +73,7 @@ class BiharmonicResidual:
     normal: np.ndarray
     tangential: np.ndarray
     terms: dict = field(default_factory=dict)
+    active: np.ndarray | bool = True     # the samples at which it counts
 
 
 def characterization_target(kind: str, m: int, coeffs):
@@ -124,141 +114,124 @@ def residual_general(pg: PointGeometry, nd: NormalFieldDerivatives) -> Biharmoni
     return BiharmonicResidual(normal, tangential, {k: norm(v) for k, v in terms.items()})
 
 
-def _active(flags: dict, branch: str) -> bool:
-    """Whether the flags activate ``branch`` at some sample."""
-    return bool(np.any(flags[BRANCH_FLAGS[branch]]))
+def _rhs_terms(kind: str, pg: PointGeometry, ops: DecompositionOperators) -> SimpleNamespace:
+    """What the right-hand sides of ``kind``'s rows read: m, H, the coefficients
+    (with an axis to scale vectors by), NtH and PtH (the normal and tangent
+    parts of J or phi of the tangent part of J H or phi H); mmH (the normal
+    part of J twice on the normal part of H), or xi, its parts and the f1
+    and f2 terms of the closed form (f12_n normal, f12_t tangential)."""
+    hn = pg.mean_normal_components
+    th = mat_vec(ops.nt, hn)               # tangent components of J H or phi H
+    t = SimpleNamespace(m=pg.m, H=pg.mean_curvature,
+                        NtH=vec_mat(mat_vec(ops.tn, th), pg.normal_frame),
+                        PtH=vec_mat(mat_vec(ops.tt, th), pg.tangent_frame))
+    coeffs = tuple(c[..., None] for c in pg.ambient.coeffs)
+    if kind == KIND_COMPLEX:
+        t.alpha, t.beta = coeffs
+        t.mmH = vec_mat(mat_vec(ops.nn, mat_vec(ops.nn, hn)), pg.normal_frame)
+        return t
+    t.f1, t.f2, t.f3 = coeffs
+    t.xi = pg.ambient.structure[1]
+    t.xi_top = vec_mat(ops.xi_tan, pg.tangent_frame)
+    t.xi_perp = vec_mat(ops.xi_nor, pg.normal_frame)
+    t.eta_h = dot(ops.xi_nor, hn)[..., None]           # eta(H)
+    t.xt2 = dot(ops.xi_tan, ops.xi_tan)[..., None]     # |xi_top|^2
+    t.f12_n = t.m * t.f1 * t.H - t.f2 * t.xt2 * t.H - t.m * t.f2 * t.eta_h * t.xi_perp
+    t.f12_t = -2.0 * t.f2 * (t.m - 1) * t.eta_h * t.xi_top
+    return t
 
 
-def _coefficients(pg):
-    """The curvature coefficients, each with an axis to scale vectors by."""
-    return tuple(c[..., None] for c in pg.ambient.coeffs)
+# The particular cases of the paper, one table per ambient kind.  A row is
+# name: (the flag that activates it, None for every sample; the dimension m
+# it needs, None for any; its right-hand side (normal, tangential) from the
+# quantities of :func:`_rhs_terms`).  Its residual, the bitension base minus
+# that right-hand side, is computed when the flag holds at some sample of
+# the block and counts where it holds.  The rows are in report priority (see
+# :func:`branch_of`), the closed form last.  ``invariant`` is computed and
+# enters ``max_branch_vs_general`` but is never the reported branch: phi
+# keeps the tangent space at an invariant sample, so xi (phi's kernel,
+# orthogonal to its image) is tangent or normal, and ``xi_normal`` or
+# ``xi_tangent`` ranks first.
+BRANCHES = {
+    KIND_COMPLEX: {
+        "curve": ("is_curve", None, lambda t: (t.alpha * t.H + 3.0 * t.beta * (t.H + t.mmH), 0.0)),
+        "hypersurface": ("is_hypersurface", None, lambda t: (
+            characterization_target(KIND_COMPLEX, t.m, (t.alpha, t.beta)) * t.H, 0.0)),
+        "complex_surface": ("is_complex", 2, lambda t: (2.0 * t.alpha * t.H, 0.0)),
+        "lagrangian_surface": ("is_lagrangian", None, lambda t: (
+            (2.0 * t.alpha + 3.0 * t.beta) * t.H, 0.0)),
+        CLOSED_FORM: (None, None, lambda t: (
+            t.m * t.alpha * t.H - 3.0 * t.beta * t.NtH, -6.0 * t.beta * t.PtH)),
+    },
+    KIND_CONTACT: {
+        "hypersurface": ("is_hypersurface", None, lambda t: (
+            (t.m * t.f1 + 3.0 * t.f3) * t.H - t.f2 * t.xt2 * t.H
+            - (t.m * t.f2 + 3.0 * t.f3) * t.eta_h * t.xi_perp,
+            -(2.0 * (t.m - 1) * t.f2 + 6.0 * t.f3) * t.eta_h * t.xi_top)),
+        "xi_normal": ("xi_normal", None, lambda t: (
+            t.m * t.f1 * t.H - t.m * t.f2 * t.eta_h * t.xi - 3.0 * t.f3 * t.NtH, 0.0)),
+        "xi_tangent": ("xi_tangent", None, lambda t: (
+            t.m * t.f1 * t.H - t.f2 * t.H - 3.0 * t.f3 * t.NtH, -6.0 * t.f3 * t.PtH)),
+        "invariant": ("is_invariant", None, lambda t: (t.f12_n, t.f12_t - 6.0 * t.f3 * t.PtH)),
+        "anti_invariant": ("is_anti_invariant", None, lambda t: (
+            t.f12_n - 3.0 * t.f3 * t.NtH, t.f12_t)),
+        CLOSED_FORM: (None, None, lambda t: (
+            t.f12_n - 3.0 * t.f3 * t.NtH, t.f12_t - 6.0 * t.f3 * t.PtH)),
+    },
+}
+
+
+def _table_residuals(kind, pg, nd, ops, flags) -> dict[str, BiharmonicResidual]:
+    """Each row of ``kind``'s table that applies to ``pg``: the bitension base
+    minus the row's right-hand side, normal and tangential."""
+    t = _rhs_terms(kind, pg, ops)
+    base_n, base_t = _bitension_base(pg, nd)
+    out = {}
+    for name, (flag, m, rhs) in BRANCHES[kind].items():
+        active = True if flag is None else np.asarray(flags[flag], dtype=bool)
+        if np.any(active) and m in (None, pg.m):
+            rhs_n, rhs_t = rhs(t)
+            out[name] = BiharmonicResidual(base_n - rhs_n, base_t - rhs_t, active=active)
+    return out
 
 
 def residual_gcsf(space, pg, nd, ops: DecompositionOperators,
                   flags: dict) -> dict[str, BiharmonicResidual]:
-    """Residuals for submanifolds of a generalized complex space form.
-
-    Returns the closed-form trace version (``closed_form``) plus every
-    special-case branch whose hypotheses the flags support at some sample
-    (see :data:`BRANCH_FLAGS`).
-    """
+    """Residuals in a generalized complex space form: its rows of :data:`BRANCHES`."""
     if space.kind != KIND_COMPLEX:
         raise GeometryError("residual_gcsf needs a generalized complex ambient")
-    m = pg.m
-    if m >= 4:
-        raise GeometryError("complex-case residuals cover submanifolds of dimension < 4")
-    alpha, beta = _coefficients(pg)
-    H = pg.mean_curvature
-    hn = pg.mean_normal_components
-    lH = mat_vec(ops.nt, hn)               # tangent components of J H
-    klH = vec_mat(mat_vec(ops.tn, lH), pg.normal_frame)
-    jlH = vec_mat(mat_vec(ops.tt, lH), pg.tangent_frame)
-    base_n, base_t = _bitension_base(pg, nd)
-
-    out = {
-        CLOSED_FORM: BiharmonicResidual(
-            base_n - m * alpha * H + 3.0 * beta * klH, base_t + 6.0 * beta * jlH)
-    }
-    if _active(flags, "hypersurface"):
-        out["hypersurface"] = BiharmonicResidual(
-            base_n - characterization_target(KIND_COMPLEX, m, (alpha, beta)) * H, base_t)
-    if _active(flags, "complex_surface") and m == 2:
-        out["complex_surface"] = BiharmonicResidual(base_n - 2.0 * alpha * H, base_t)
-    if _active(flags, "lagrangian_surface"):
-        out["lagrangian_surface"] = BiharmonicResidual(
-            base_n - (2.0 * alpha + 3.0 * beta) * H, base_t)
-    if _active(flags, "curve"):
-        mmH = vec_mat(mat_vec(ops.nn, mat_vec(ops.nn, hn)), pg.normal_frame)
-        out["curve"] = BiharmonicResidual(base_n - alpha * H - 3.0 * beta * (H + mmH), base_t)
-    return out
-
-
-def _gssf_rhs_closed_form(pg, ops):
-    """Closed-form right-hand sides of the contact-case equations."""
-    f1, f2, f3 = _coefficients(pg)
-    m = pg.m
-    H = pg.mean_curvature
-    hn = pg.mean_normal_components
-    tH = mat_vec(ops.nt, hn)
-    NtH = vec_mat(mat_vec(ops.tn, tH), pg.normal_frame)
-    PtH = vec_mat(mat_vec(ops.tt, tH), pg.tangent_frame)
-    xi_top = vec_mat(ops.xi_tan, pg.tangent_frame)
-    xi_perp = vec_mat(ops.xi_nor, pg.normal_frame)
-    eta_h = dot(ops.xi_nor, hn)[..., None]
-    xt2 = dot(ops.xi_tan, ops.xi_tan)[..., None]
-    rhs_n = m * f1 * H - f2 * xt2 * H - m * f2 * eta_h * xi_perp - 3.0 * f3 * NtH
-    rhs_t = -2.0 * f2 * (m - 1) * eta_h * xi_top - 6.0 * f3 * PtH
-    aux = {"NtH": NtH, "PtH": PtH, "xi_top": xi_top, "xi_perp": xi_perp,
-           "eta_h": eta_h, "xt2": xt2}
-    return rhs_n, rhs_t, aux
+    return _table_residuals(KIND_COMPLEX, pg, nd, ops, flags)
 
 
 def residual_gssf(space, pg, nd, ops: DecompositionOperators,
                   flags: dict) -> dict[str, BiharmonicResidual]:
-    """Residuals for submanifolds of a generalized Sasakian space form."""
+    """Residuals in a generalized Sasakian space form: its rows of :data:`BRANCHES`."""
     if space.kind != KIND_CONTACT:
         raise GeometryError("residual_gssf needs a generalized Sasakian ambient")
-    f1, f2, f3 = _coefficients(pg)
-    m = pg.m
-    H = pg.mean_curvature
-    base_n, base_t = _bitension_base(pg, nd)
-    rhs_n, rhs_t, aux = _gssf_rhs_closed_form(pg, ops)
-    NtH, PtH = aux["NtH"], aux["PtH"]
-    xi_top, xi_perp, eta_h, xt2 = aux["xi_top"], aux["xi_perp"], aux["eta_h"], aux["xt2"]
-
-    out = {
-        CLOSED_FORM: BiharmonicResidual(base_n - rhs_n, base_t - rhs_t)
-    }
-    if _active(flags, "invariant"):
-        out["invariant"] = BiharmonicResidual(
-            base_n - (m * f1 * H - f2 * xt2 * H - m * f2 * eta_h * xi_perp),
-            base_t - rhs_t)
-    if _active(flags, "anti_invariant"):
-        out["anti_invariant"] = BiharmonicResidual(
-            base_n - rhs_n, base_t + 2.0 * f2 * (m - 1) * eta_h * xi_top)
-    if _active(flags, "xi_normal"):
-        _, xi_full = pg.ambient.structure
-        out["xi_normal"] = BiharmonicResidual(
-            base_n - (m * f1 * H - m * f2 * eta_h * xi_full - 3.0 * f3 * NtH),
-            base_t)
-    if _active(flags, "xi_tangent"):
-        out["xi_tangent"] = BiharmonicResidual(
-            base_n - (m * f1 * H - f2 * H - 3.0 * f3 * NtH),
-            base_t + 6.0 * f3 * PtH)
-    if _active(flags, "hypersurface"):
-        out["hypersurface"] = BiharmonicResidual(
-            base_n - ((m * f1 + 3.0 * f3) * H - f2 * xt2 * H
-                      - (m * f2 + 3.0 * f3) * eta_h * xi_perp),
-            base_t + (2.0 * (m - 1) * f2 + 6.0 * f3) * eta_h * xi_top)
-    return out
+    return _table_residuals(KIND_CONTACT, pg, nd, ops, flags)
 
 
-def branch_of(kind: str, residuals: dict, active: dict) -> np.ndarray:
-    """The residual each sample reports as its branch: the first special-case
-    branch in :data:`BRANCH_PRIORITY` that its flags activate (``active``
-    holds the samples at which each computed branch is active), else the
-    closed form, else the general split."""
-    branch = np.full(residuals[GENERAL].normal.shape[:-1],
-                     CLOSED_FORM if CLOSED_FORM in residuals else GENERAL, dtype=object)
-    for name in reversed(BRANCH_PRIORITY[kind]):
-        if name in active:
-            branch = np.where(active[name], name, branch)
+def branch_of(kind: str, residuals: dict) -> np.ndarray:
+    """The residual each sample reports as its branch: the first row of the
+    kind's table in :data:`BRANCHES` that counts there, else the general split."""
+    branch = np.full(residuals[GENERAL].normal.shape[:-1], GENERAL, dtype=object)
+    for name in reversed(BRANCHES[kind]):
+        if name in residuals:
+            branch = np.where(residuals[name].active, name, branch)
     return branch
 
 
 def reduction_residual(pg, ops):
-    """How far the contact normal equation is from its constant-target form.
-
-    Distance between the closed-form right-hand side and K H, with K the
-    characterization target m f1 - f2 + 3 f3.
-    It vanishes whenever xi and phi(H) are tangent, and also when the
+    """How far the contact normal equation is from its constant-target form:
+    the distance between the normal right-hand side of the closed-form row
+    and K H, with K the characterization target m f1 - f2 + 3 f3.  It
+    vanishes whenever xi and phi(H) are tangent, and also when the
     coefficients in front of the structure terms vanish, which is the
     condition under which the constant-mean-curvature characterization and
-    the mean-curvature bounds apply.
-    """
-    rhs_n, _, _ = _gssf_rhs_closed_form(pg, ops)
-    target = characterization_target(KIND_CONTACT, pg.m, _coefficients(pg)) * pg.mean_curvature
-    return norm(rhs_n - target)
+    the mean-curvature bounds apply."""
+    t = _rhs_terms(KIND_CONTACT, pg, ops)
+    rhs_n, _ = BRANCHES[KIND_CONTACT][CLOSED_FORM][2](t)
+    return norm(rhs_n - characterization_target(KIND_CONTACT, t.m, (t.f1, t.f2, t.f3)) * t.H)
 
 
 # -- aggregated verdicts --------------------------------------------------------

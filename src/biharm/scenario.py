@@ -62,7 +62,6 @@ from .exprs import (
 )
 from .jets import DomainError, n_entries
 from .residuals import (
-    BRANCH_FLAGS,
     CLOSED_FORM,
     GENERAL,
     MINIMAL_TOL,
@@ -496,15 +495,12 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
             residuals.update(residual_gssf(space, pg, nd, ops, flags))
             out.reduction_residual = reduction_residual(pg, ops)
         gen = residuals[GENERAL]
-        # a special-case branch counts only at the samples whose flags activate it
-        active = {name: out.flags[BRANCH_FLAGS[name]].astype(bool)
-                  for name in residuals if name in BRANCH_FLAGS}
-        out.branch = branch_of(space.kind, residuals, active)
+        out.branch = branch_of(space.kind, residuals)
         out.normal_residual, out.tangential_residual = norm(gen.normal), norm(gen.tangential)
         out.terms = gen.terms
         gaps = {}
         for name, res in residuals.items():
-            counts = active.get(name, True)
+            counts = res.active  # a special-case branch counts where its flags activate it
             residual_norms[f"{name} normal residual"] = np.where(counts, norm(res.normal), 0.0)
             residual_norms[f"{name} tangential residual"] = np.where(counts, norm(res.tangential), 0.0)
             if name != GENERAL:

@@ -6,10 +6,17 @@ test.  ``fd_partial`` runs the differencing in mpmath's extended precision
 (central differences with Richardson extrapolation, step 1e-3), so third
 and fourth partials are still good to ~1e-10 where double precision would
 drown in roundoff.  The polynomial oracle differentiates coefficient
-dictionaries symbolically.
+dictionaries symbolically.  ``WITNESSES`` holds a proper-biharmonic
+example of each particular case of the paper that the catalog lacks.
 """
 
 from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -183,3 +190,77 @@ def reeb_tangent_hypersurface_identities(ops: DecompositionOperators):
     pt = ops.tt @ ops.nt
     nt_plus = ops.tn @ ops.nt + np.eye(ops.codim)
     return float(np.linalg.norm(pt)), float(np.linalg.norm(nt_plus))
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def torus_h_norm(radii) -> float:
+    """|H| of a Legendre torus of S^5 that is linear in the angles of the torus
+    {|z_k| = r_k} of C^3 (``radii``, squares summing to 1), and of its image
+    in CP^2(4), a Lagrangian torus.  The angle torus is flat, the Legendre
+    torus is totally geodesic in it, and its unit normal there is along the
+    Hopf circle, a geodesic of S^5.  So 2H is the trace over the angle torus
+    of its second fundamental form in S^5: sum_k (3 r_k - 1/r_k) times the
+    k-th unit radial vector."""
+    return 0.5 * math.sqrt(sum((3.0 * r - 1.0 / r) ** 2 for r in radii))
+
+
+@dataclass(frozen=True)
+class Witness:
+    """A proper-biharmonic example of one particular case of the paper (after
+    Sasahara, Glasgow Math. J. 49, 2007, and Publ. Math. Debrecen 67, 2005):
+    a scenario document with ``parameter`` at ``value``, |H| as a function of
+    that parameter, a ``near_miss`` value at which it is not biharmonic, the
+    branch that each sample reports, and the expected status of each check
+    named in ``statuses`` when all eight run."""
+    doc: dict
+    parameter: str
+    value: float
+    near_miss: float
+    h_norm: Callable[[float], float]
+    branch: str
+    statuses: dict
+
+
+_LOOP = {"axes": [{"lo": 0.2, "hi": 0.2 + 2.0 * math.pi, "samples": 4, "periodic": True}]}
+_TORI = {"bound": "WithinBound", "pseudo_umbilical": "violated"}   # neither is pseudo-umbilical
+_CIRCLES = {"bound": "NotApplicable", "pseudo_umbilical": "ok"}
+
+WITNESSES = {
+    # a geodesic circle of radius t = atan(r) in a CP^1(4): kappa = 2 cot 2t
+    "holomorphic_circle": Witness(
+        {"ambient": {"catalog": "cp2"},
+         "immersion": {"catalog": "circle", "params": {"r": math.tan(math.pi / 8.0)}}},
+        "r", math.tan(math.pi / 8.0), 0.3, lambda r: (1.0 - r * r) / r, "curve", _CIRCLES),
+    # a geodesic circle of radius t = atan(a) in an RP^2(1): kappa = cot t
+    "totally_real_circle": Witness(
+        {"ambient": {"catalog": "cp2"},
+         "immersion": {"params": ["u1"], "components": ["a*cos(u1)", "0", "a*sin(u1)", "0"],
+                       "domain": _LOOP},
+         "constants": {"a": 1.0}},
+        "a", 1.0, 0.9, lambda a: 1.0 / a, "curve", _CIRCLES),
+    # (e^{i u1}, b e^{i u2}) in the affine chart: radii (1, 1, b)/sqrt(2 + b^2)
+    "lagrangian_torus": Witness(
+        json.loads((DATA / "lagrangian_torus_cp2.json").read_text()),
+        "b", math.sqrt((7.0 - math.sqrt(41.0)) / 2.0), 0.6,
+        lambda b: torus_h_norm(np.array([1.0, 1.0, b]) / math.sqrt(2.0 + b * b)),
+        "lagrangian_surface", _TORI),
+    # a circle of radius rho in a great S^2 of S^5: kappa = sqrt(1/rho^2 - 1)
+    "s5_circle": Witness(
+        {"ambient": {"catalog": "sasakian_sphere_s5"},
+         "immersion": {"params": ["u1"],
+                       "components": ["rho*cos(u1)", "rho*sin(u1)", "sqrt(1 - rho^2)",
+                                      "0", "0", "0"],
+                       "domain": _LOOP},
+         "constants": {"rho": 2.0**-0.5}},
+        "rho", 2.0**-0.5, 0.5, lambda rho: math.sqrt(1.0 / rho**2 - 1.0), "anti_invariant",
+        _CIRCLES),
+    # the flat Legendre torus (s e^{i t1}, s e^{i t2}, sqrt(1 - 2 s^2) e^{i t3}),
+    # t1 = u1 + (1 - 2 s^2) u2, t2 = -u1 + (1 - 2 s^2) u2, t3 = -2 s^2 u2;
+    # minimal at s = 1/sqrt(3)
+    "legendre_torus": Witness(
+        json.loads((DATA / "legendre_torus_s5.json").read_text()),
+        "s", 0.5, 0.45, lambda s: torus_h_norm((s, s, math.sqrt(1.0 - 2.0 * s * s))),
+        "xi_normal", _TORI),
+}

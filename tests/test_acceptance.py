@@ -4,8 +4,9 @@ Each test is one acceptance criterion, pinned at its stated tolerance and
 runtime budget, and prints a single pass/fail line (run ``pytest -s`` to see
 them).  Expected values come from closed-form oracles computed in place:
 hypersphere and product-sphere principal curvatures, the geodesic-sphere
-radius solving 2 cot^2 r + 4 cot^2 2r = 6, and the constant
-K(m, c) = m f1 - f2 + 3 f3 of the classical contact space forms.
+radius solving 2 cot^2 r + 4 cot^2 2r = 6, the constant
+K(m, c) = m f1 - f2 + 3 f3 of the classical contact space forms, and the
+curvature of circles and flat tori (``conftest.WITNESSES``).
 """
 
 import json
@@ -21,7 +22,7 @@ from biharm.scenario import load_scenario, run_check, sweep_solve, convergence_s
 from biharm.structure import decompose, verify_relations
 from biharm.ambient import PointAmbient, curvature_parts, metric_at, structure_at
 from biharm.submanifold import point_geometry
-from conftest import random_orthonormal_frames, reeb_tangent_hypersurface_identities
+from conftest import WITNESSES, random_orthonormal_frames, reeb_tangent_hypersurface_identities
 
 
 @contextmanager
@@ -308,3 +309,31 @@ def test_criterion_10_fd_oracle_convergence():
         cfg = _scenario({"catalog": "sasakian_r5"}, {"catalog": "graph_surface"})
         out = convergence_study(cfg, steps=(0.05, 0.025))
         assert out["min_order"] >= 1.9
+
+
+ALL_CHECKS = [{"op": op} for op in ("residual", "characterization", "bound", "audit", "relations",
+                                    "gauss", "structure", "pseudo_umbilical")]
+
+
+@pytest.mark.parametrize("name", list(WITNESSES))
+def test_criterion_11_particular_case_witnesses(name):
+    # a proper-biharmonic example of each particular case that no catalog
+    # scenario reaches, reported by its branch, and a near miss of it
+    w = WITNESSES[name]
+    with criterion(11, f"witness {name}", 10.0):
+        cfg = load_scenario(dict(w.doc, checks=ALL_CHECKS))
+        rep = run_check(cfg)
+        agg = rep.aggregates
+        assert rep.verdict == "ProperBiharmonic"
+        h = w.h_norm(w.value)
+        assert abs(agg["h_min"] - h) <= 1e-10 and abs(agg["h_max"] - h) <= 1e-10
+        assert {p["branch"] for p in rep.document["points"]} == {w.branch}
+        assert agg["max_branch_vs_general"] <= 1e-12
+        assert agg["max_closed_form_vs_general"] <= 1e-12
+        for op in ("audit", "relations", "gauss", "structure"):
+            assert rep.checks[op]["status"] == "ok", op
+        for op, status in w.statuses.items():
+            assert rep.checks[op]["status"] == status, op
+        miss = run_check(cfg.with_constant(w.parameter, w.near_miss))
+        assert miss.verdict == "NotBiharmonic"
+        assert abs(miss.aggregates["h_max"] - w.h_norm(w.near_miss)) <= 1e-10

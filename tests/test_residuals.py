@@ -9,6 +9,7 @@ from biharm import catalog
 from biharm.ambient import (
     COSYMPLECTIC,
     KENMOTSU,
+    KIND_COMPLEX,
     KIND_CONTACT,
     SASAKI,
     ClassicalTag,
@@ -22,6 +23,7 @@ from biharm.ambient import (
     structure_at,
 )
 from biharm.residuals import (
+    BRANCHES,
     CLOSED_FORM,
     GridSamples,
     bound_check,
@@ -34,9 +36,10 @@ from biharm.residuals import (
     residual_general,
     residual_gssf,
 )
+from biharm.scenario import load_scenario, run_check
 from biharm.structure import FLAGS, classify, decompose
 from biharm.submanifold import normal_derivatives, point_geometry
-from conftest import QUANTITIES, random_orthonormal_frames
+from conftest import QUANTITIES, WITNESSES, random_orthonormal_frames
 
 
 def _full_point(space_name, imm_name, u, params=None, ambient_params=None):
@@ -175,6 +178,91 @@ def test_gssf_closed_form_matches_general_split():
         for name, res in variants.items():
             assert np.abs(res.normal - general.normal).max() < 1e-8, (imm_name, name)
             assert np.abs(res.tangential - general.tangential).max() < 1e-8, (imm_name, name)
+
+
+def _catalog_doc(ambient, immersion, **params):
+    return {"ambient": {"catalog": ambient}, "immersion": {"catalog": immersion, "params": params}}
+
+
+def _inline_doc(ambient, m, *components, lo=-0.6, hi=0.7):
+    return {"ambient": {"catalog": ambient},
+            "immersion": {"params": [f"u{i + 1}" for i in range(m)], "components": list(components),
+                          "domain": {"axes": [{"lo": lo, "hi": hi, "samples": 2}] * m}}}
+
+
+# S^3 = {z3 = 0} in S^5: invariant, so xi is tangent, and minimal, as every
+# invariant submanifold of a Sasakian ambient is
+INVARIANT_S3 = {
+    "ambient": {"catalog": "sasakian_sphere_s5"},
+    "immersion": {
+        "params": ["u1", "u2", "u3"],
+        "components": ["cos(u1)", "sin(u1)*cos(u2)", "sin(u1)*sin(u2)*cos(u3)",
+                       "sin(u1)*sin(u2)*sin(u3)", "0", "0"],
+        "domain": {"axes": [{"lo": 0.5, "hi": 2.6, "samples": 2},
+                            {"lo": 0.5, "hi": 2.6, "samples": 2},
+                            {"lo": 0.3, "hi": 0.3 + 2.0 * math.pi, "samples": 2,
+                             "periodic": True}]},
+    },
+}
+
+
+# scenarios that between them reach every row of both tables of
+# residuals.BRANCHES (the rows each reaches as comments), chosen so that a
+# changed coefficient of a row shows as a gap to the general split.  It
+# cannot show in the rows that only minimal submanifolds reach
+# (complex_surface and invariant), where every right-hand side vanishes, nor
+# in the complex hypersurface's tangential side, which vanishes on every
+# hypersurface of a Kaehler ambient.  Sasakian R^5 has coordinates
+# (x1, x2, y1, y2, z), xi along z, and f1 = 0, f2 = f3 = -1.
+ROW_SCENARIOS = [
+    *(w.doc for w in WITNESSES.values()),       # curve, lagrangian_surface, anti_invariant, xi_normal
+    _catalog_doc("cp2", "geodesic_sphere_cp2", r=0.7),                  # hypersurface
+    # a complex line of CP^2: complex surfaces of a Kaehler ambient are minimal
+    _catalog_doc("cp2", "affine_plane"),                                # complex_surface
+    # a surface of CP^2 that is neither complex nor Lagrangian
+    _inline_doc("cp2", 2, "u1", "0.5*u2", "u2", "0.3*u1^2", lo=-0.3, hi=0.4),  # closed form only
+    _catalog_doc("sasakian_sphere_s5", "small_hypersphere"),            # hypersurface
+    _catalog_doc("sasakian_sphere_s5", "clifford_torus_s5", theta=0.9),  # xi_tangent
+    _catalog_doc("sasakian_r5", "graph_surface"),                       # xi_normal at some samples
+    INVARIANT_S3,                                                       # invariant, xi_tangent
+    _inline_doc("sasakian_r5", 2, "u1", "0", "u1^2", "0", "u2"),        # xi_tangent, anti_invariant
+    _inline_doc("sasakian_r5", 3, "u1", "u2", "0.5*u2+u1^2", "0", "u3"),  # xi_tangent
+    _inline_doc("sasakian_r5", 4, "u1", "u2", "u3", "u4", "0.5*u1^2+u3"),  # hypersurface
+]
+
+
+def test_every_branch_row_is_reached_and_agrees_with_the_general_split():
+    reached = {kind: set() for kind in BRANCHES}
+    for doc in ROW_SCENARIOS:
+        cfg = load_scenario(doc)
+        kind = cfg.ambient.kind
+        pg = point_geometry(cfg.ambient, cfg.immersion, np.array(cfg.immersion.grid()))
+        nd = normal_derivatives(pg)
+        ops = decompose(pg.ambient, pg.tangent_frame, pg.normal_frame)
+        general = residual_general(pg, nd)
+        residuals = residual_gcsf if kind == KIND_COMPLEX else residual_gssf
+        flags = classify(ops, pg.mean_normal_components)
+        for row, res in residuals(cfg.ambient, pg, nd, ops, flags).items():
+            assert np.any(res.active), row
+            gap = np.maximum(norm(res.normal - general.normal),
+                             norm(res.tangential - general.tangential))
+            assert np.where(res.active, gap, 0.0).max() <= 1e-12, (row, doc)
+            reached[kind].add(row)
+    assert reached == {kind: set(rows) for kind, rows in BRANCHES.items()}
+
+
+@pytest.mark.parametrize("doc, branch", [
+    (INVARIANT_S3, "xi_tangent"),
+    # the (x1, y1) plane of cosymplectic R^5, whose xi is along z
+    (_inline_doc("cosymplectic_r5", 2, "u1", "0", "u2", "0", "0"), "xi_normal"),
+], ids=["s3-in-s5", "plane-in-cosymplectic-r5"])
+def test_an_invariant_submanifold_reports_a_reeb_branch(doc, branch):
+    # xi is tangent or normal where phi keeps the tangent space, and both of
+    # those rows rank before the invariant one, which enters only the gap
+    rep = run_check(load_scenario(doc))
+    assert rep.verdict == "MinimalHenceBiharmonic"
+    assert all(p["flags"]["is_invariant"] for p in rep.document["points"])
+    assert {p["branch"] for p in rep.document["points"]} == {branch}
 
 
 def test_gcsf_dimension_guard():

@@ -27,7 +27,7 @@ from biharm.scenario import (
     sweep_solve,
 )
 from biharm.submanifold import geometry_jet_size
-from conftest import QUANTITIES
+from conftest import QUANTITIES, WITNESSES
 
 
 def _cfg(**overrides):
@@ -1573,24 +1573,12 @@ def test_each_ambient_tensor_runs_once_per_sample(monkeypatch):
 
 
 def _legendre_torus_doc():
-    # the flat Legendre torus (s e^{i t1}, s e^{i t2}, sqrt(1 - 2 s^2) e^{i t3})
-    # of S^5, t1 = u1 + (1 - 2 s^2) u2, t2 = -u1 + (1 - 2 s^2) u2, t3 = -2 s^2 u2:
-    # proper biharmonic at s = 1/2, minimal at s = 1/sqrt(3); s runs inside
-    # sqrt and ^ on the embedded backend
-    t = "(1 - 2*s^2)*u2"
-    return {
-        "ambient": {"catalog": "sasakian_sphere_s5"},
-        "immersion": {
-            "components": [f"s*cos(u1 + {t})", f"s*sin(u1 + {t})",
-                           f"s*cos(-u1 + {t})", f"s*sin(-u1 + {t})",
-                           "sqrt(1 - 2*s^2)*cos(-2*s^2*u2)", "sqrt(1 - 2*s^2)*sin(-2*s^2*u2)"],
-            "params": ["u1", "u2"],
-            "domain": {"axes": [{"lo": 0.3, "hi": 2.0, "samples": 2},
-                                 {"lo": 0.4, "hi": 2.5, "samples": 2}]},
-        },
-        "constants": {"s": 0.5},
-        "checks": [{"op": "residual"}],
-    }
+    # the flat Legendre torus of S^5 (conftest.WITNESSES): proper biharmonic at
+    # s = 1/2, minimal at s = 1/sqrt(3); s runs inside sqrt and ^ on the
+    # embedded backend
+    doc = dict(WITNESSES["legendre_torus"].doc, checks=[{"op": "residual"}])
+    del doc["expect"]  # it expects a bound status, which needs the bound check
+    return doc
 
 
 def test_sweep_reports_a_root_that_falls_on_a_sample():
