@@ -59,6 +59,7 @@ class _JetSpace:
         self.position = {m: i for i, m in enumerate(self.indices)}
         self.ends = [sum(sum(m) <= k for m in self.indices) for k in range(order + 1)]
         self._mul = None
+        self._offsets = np.empty(0, dtype=np.intp)
         self._diff = {}
         self._restrict = {}
 
@@ -127,13 +128,18 @@ class _JetSpace:
         output array; each chunk gathers its operand rows through a row
         index of the broadcast, so the pass allocates the result plus one
         chunk's temporaries, never the operands at full broadcast size.
+        The bin offsets of r rows prefix those of more rows: a space keeps
+        one array of them, grown to the most rows (up to a chunk) in use.
         """
         out, ia, ib, w = self.mul_table()
         shape = np.broadcast(a[..., 0], b[..., 0]).shape  # twice as fast as broadcast_shapes
         rows = math.prod(shape)
         step = max(1, _CHUNK_TERMS // len(out))
+        r = min(rows, step)
+        if len(self._offsets) < r * len(out):  # term t of row i sums into i size + out[t]
+            self._offsets = (np.arange(0, r * self.size, self.size)[:, None] + out).ravel()
+        offsets = self._offsets[:r * len(out)]
         if rows > step:  # bound the temporaries: chunks of ``step`` rows
-            offsets = (np.arange(0, step * self.size, self.size)[:, None] + out).ravel()
             res = np.empty(rows * self.size)
             chunk_a, chunk_b = _chunks(a, shape, step), _chunks(b, shape, step)
             for i in range(0, rows, step):
@@ -146,7 +152,6 @@ class _JetSpace:
             return res.reshape(shape + (self.size,))
         terms = a.take(ia, axis=-1) * b.take(ib, axis=-1)
         terms *= w
-        offsets = (np.arange(0, rows * self.size, self.size)[:, None] + out).ravel()
         return np.bincount(offsets, weights=terms.ravel(), minlength=rows * self.size
                            ).reshape(shape + (self.size,))
 

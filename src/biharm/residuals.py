@@ -119,7 +119,11 @@ def _rhs_terms(kind: str, pg: PointGeometry, ops: DecompositionOperators) -> Sim
     (with an axis to scale vectors by), NtH and PtH (the normal and tangent
     parts of J or phi of the tangent part of J H or phi H); mmH (the normal
     part of J twice on the normal part of H), or xi, its parts and the f1
-    and f2 terms of the closed form (f12_n normal, f12_t tangential)."""
+    and f2 terms of the closed form (f12_n normal, f12_t tangential).  ``pg``
+    keeps the contact ones for its ``ops``: a block's branch and reduction
+    residuals both read them."""
+    if pg._state.get("rhs", (None,))[0] is ops:
+        return pg._state["rhs"][1]
     hn = pg.mean_normal_components
     th = mat_vec(ops.nt, hn)               # tangent components of J H or phi H
     t = SimpleNamespace(m=pg.m, H=pg.mean_curvature,
@@ -138,6 +142,7 @@ def _rhs_terms(kind: str, pg: PointGeometry, ops: DecompositionOperators) -> Sim
     t.xt2 = dot(ops.xi_tan, ops.xi_tan)[..., None]     # |xi_top|^2
     t.f12_n = t.m * t.f1 * t.H - t.f2 * t.xt2 * t.H - t.m * t.f2 * t.eta_h * t.xi_perp
     t.f12_t = -2.0 * t.f2 * (t.m - 1) * t.eta_h * t.xi_top
+    pg._state["rhs"] = (ops, t)
     return t
 
 

@@ -6,9 +6,9 @@ are assembled in jet arithmetic, and the normal-bundle quantities needed by
 the biharmonicity equations (nabla-perp H, its rough Laplacian, grad |H|^2,
 the curvature-style traces) fall out as exact point values.  A stage runs
 one order lower per derivative still to be taken of it (at seed order k,
-frames at k - 1, B and H at k - 2); truncation changes no bit.  Finite
-differences appear only inside the independent cross-check oracle
-:func:`fd_normal_laplacian`.
+frames at k - 1, H and the diagonal of B at k - 2, B off its diagonal at
+order 0); truncation changes no bit.  Finite differences appear only inside
+the independent cross-check oracle :func:`fd_normal_laplacian`.
 """
 
 from __future__ import annotations
@@ -86,12 +86,8 @@ class ImmersionModel(CompiledFields):
 
     def grid(self):
         """Sample points, row-major over axes; periodic axes drop the endpoint."""
-        axes = []
-        for ax in self.domain:
-            if ax.periodic:
-                axes.append(np.linspace(ax.lo, ax.hi, ax.samples, endpoint=False))
-            else:
-                axes.append(np.linspace(ax.lo, ax.hi, ax.samples))
+        axes = [np.linspace(ax.lo, ax.hi, ax.samples, endpoint=not ax.periodic)
+                for ax in self.domain]
         mesh = np.meshgrid(*axes, indexing="ij")
         return [tuple(float(m[idx]) for m in mesh) for idx in np.ndindex(*mesh[0].shape)]
 
@@ -122,6 +118,10 @@ class _Calc:
     def _rank(self, v):
         """Field axes of ``v`` besides the samples and the vector axis."""
         return v.coeffs.ndim - self.nb - 2
+
+    def inner(self, v, w):
+        """g(v, w) over broadcast batches of equal rank; put the smaller batch in ``v``."""
+        return (self.lower(v) * w).sum(-1)
 
 
 @lru_cache(maxsize=None)
@@ -154,10 +154,9 @@ class _ChartCalc(_Calc):
         self.gamma_t = stack([(gamma[..., None, c, :, :] * self.T[..., :, :, None]).sum(-2)
                               for c in range(d)], axis=-2)
 
-    def inner(self, v, w):
-        """g(v, w) over broadcast batches of equal rank; put the smaller batch in ``v``."""
-        g = _lift(self.g, self.nb, self._rank(v))
-        return ((g * v[..., :, None]).sum(-2) * w).sum(-1)
+    def lower(self, v):
+        """The covectors g v of the fields ``v``."""
+        return (_lift(self.g, self.nb, self._rank(v)) * v[..., :, None]).sum(-2)
 
     def covd(self, v):
         """Ambient covariant derivatives S + (m, ...) of the fields ``v`` along every parameter."""
@@ -178,8 +177,8 @@ class _EmbeddedCalc(_Calc):
         n = space.jets("normals", [pos[..., a].truncate(self.T.order - 1) for a in range(self.d)])
         self.normals = orthonormal_normals(n)
 
-    def inner(self, v, w):
-        return (v * w).sum(-1)
+    def lower(self, v):
+        return v
 
     def project(self, v):
         normals = _lift(self.normals, self.nb, self._rank(v))
@@ -215,11 +214,11 @@ def geometry_jet_size(space: AmbientModel, imm: ImmersionModel, order: int) -> i
 def _orthonormal_tangent(calc):
     """Gram-Schmidt on the coordinate tangent fields, tracking coefficients one order lower."""
     eye = Jet.constant(calc.m, calc.T.order - 1, np.eye(calc.m))
-    frames, coeffs = [], []
+    frames, coeffs, lowered = [], [], []
     for i in range(calc.m):
         v, c = calc.T[..., i, :], eye[i]
-        for Xj, cj in zip(frames, coeffs):
-            dot = calc.inner(Xj, v)[..., None]
+        for gXj, Xj, cj in zip(lowered, frames, coeffs):
+            dot = (gXj * v).sum(-1)[..., None]  # g(X_j, v)
             v = v - dot * Xj
             c = c - dot * cj
         n2 = calc.inner(v, v)
@@ -228,6 +227,8 @@ def _orthonormal_tangent(calc):
         inv = n2.powr(-0.5)[..., None]
         frames.append(inv * v)
         coeffs.append(inv * c)
+        if i + 1 < calc.m:  # g X_i, once for every later direction
+            lowered.append(calc.lower(frames[-1]))
     return stack(frames, axis=-2), stack(coeffs, axis=-2)
 
 
@@ -321,6 +322,13 @@ def _orientation(calc, H, normals):
     return np.where(flip, -1.0, 1.0)
 
 
+def _second_fundamental(calc, coeffs, cov, normals, i, j):
+    """nabla_{X_i} X_j = sum_q coeffs[i, q] cov[q, j] and the normal components
+    of B(X_i, X_j), for the index pairs (i, j) on a last axis."""
+    nabla = (coeffs[..., i, :, None] * cov.transpose(1, 0, 2)[..., j, :, :]).sum(-2)
+    return nabla, calc.inner(normals[..., :, None, :], nabla[..., None, :, :])
+
+
 def point_geometry(space: AmbientModel, imm: ImmersionModel, u,
                    order: int = JET_ORDER) -> PointGeometry:
     """Frames, fundamental forms and mean curvature at the parameter points
@@ -342,37 +350,32 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u,
     codim = space.dim - m
     normals = _complete_normal(calc, frames, codim)
 
-    # nabla_{X_i} X_j = sum_q coeffs[i, q] nabla_{d_q} X_j
-    nablaXX = (coeffs[..., :, :, None, None] * calc.covd(frames)[..., None, :, :, :]).sum(-3)
-    b = calc.inner(normals[..., :, None, None, :], nablaXX[..., None, :, :, :])
+    # B on every pair (i, j) at order 0, for its values; H reads only the
+    # diagonal, at order k - 2 (the one build when k - 2 = 0)
+    cov, ii = calc.covd(frames), np.arange(m)
+    nablaXX, b = _second_fundamental(calc, coeffs.truncate(0), cov.truncate(0),
+                                     normals.truncate(0), *np.indices((m, m)).reshape(2, -1))
+    b_vals = b.value.reshape(batch + (codim, m, m))
+    nablaXX, b = ((nablaXX[..., ii * (m + 1), :], b[..., :, ii * (m + 1)]) if coeffs.order == 0
+                  else _second_fundamental(calc, coeffs, cov, normals, ii, ii))
 
     # mean curvature field H = (1/m) sum_i B(X_i, X_i), as jets
-    diag = np.arange(m)
-    h_n = b[..., :, diag, diag].sum(-1) * (1.0 / m)
+    h_n = b.sum(-1) * (1.0 / m)
     H = (h_n[..., :, None] * normals).sum(-2)
 
     if codim == 1:
         sign = _orientation(calc, H, normals)
         if (sign < 0.0).any():
             normals = normals * sign[..., None, None]
-            b = b * sign[..., None, None, None]
+            b_vals = b_vals * sign[..., None, None, None]
             h_n = h_n * sign[..., None]
 
-    b_vals = b.value
     h_n_vals = h_n.value
     position = pos.value
     h_norm = np.sqrt((h_n_vals**2).sum(-1))
     b_norm2 = (b_vals**2).reshape(batch + (-1,)).sum(-1)
-    state = {
-        "calc": calc,
-        "pos": pos,
-        "frames": frames,
-        "coeffs": coeffs,
-        "normals": normals,
-        "nablaXX": nablaXX,
-        "H": H,
-        "g_ind": g_ind,
-    }
+    state = dict(calc=calc, pos=pos, frames=frames, coeffs=coeffs, normals=normals,
+                 nablaXX=nablaXX, H=H, g_ind=g_ind)
     return PointGeometry(
         u=u,
         position=position,
@@ -403,9 +406,7 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
     DH = (coeffs[..., :, :, None] * calc.covd(H)[..., None, :, :]).sum(-2)
     w = calc.inner(normals[..., :, None, :], DH[..., None, :, :])
     W = (w[..., :, :, None] * normals[..., :, None, :]).sum(-3)
-    diag = np.arange(m)
-    drift = calc.inner(st["nablaXX"][..., diag, diag, :].truncate(0)[..., :, None, :],
-                       frames[..., None, :, :]).value
+    drift = calc.inner(st["nablaXX"].truncate(0)[..., :, None, :], frames[..., None, :, :]).value
     grad_hh = calc.inner(H.truncate(1), H).gradient(axis=calc.nb).value
     cov_w, w, W, cvals = calc.covd(W).value, w.value, W.value, coeffs.value
 
@@ -425,13 +426,8 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
     trace_mean = vec_mat(np.einsum("...aij,...a,...bij->...b", bv, hn, bv), pg.normal_frame)
     trace_grad = vec_mat(np.einsum("...aij,...ai->...j", bv, w), pg.tangent_frame)
 
-    return NormalFieldDerivatives(
-        nabla_norm=nabla_norm,
-        laplacian=lap,
-        grad_h2=grad,
-        trace_shape_mean=trace_mean,
-        trace_shape_gradient=trace_grad,
-    )
+    return NormalFieldDerivatives(nabla_norm=nabla_norm, laplacian=lap, grad_h2=grad,
+                                  trace_shape_mean=trace_mean, trace_shape_gradient=trace_grad)
 
 
 def _project(frame, g, vec):
@@ -465,9 +461,12 @@ def scalar_curvature(pg: PointGeometry):
         gamma = christoffel_from_metric_jets(st["g_ind"])
         intrinsic = scalar_from_christoffel(pg.induced_metric, gamma.value,
                                             gamma.gradient(axis=st["calc"].nb).value)
+    # sum_ij R(X_i, X_j, X_j, X_i), one frame at a time
     frame = pg.tangent_frame
-    amb = np.einsum("...ia,...ix,...jy,...jz,...xyza->...", frame @ pg.ambient.g, frame,
-                    frame, frame, pg.ambient.curvature["combined"])
+    r = np.einsum("...ix,...xyza->...iyza", frame, pg.ambient.curvature["combined"])
+    r = np.einsum("...ia,...iyza->...iyz", frame @ pg.ambient.g, r)
+    r = np.einsum("...jy,...iyz->...ijz", frame, r)
+    amb = np.einsum("...jz,...ijz->...", frame, r)
     via_gauss = amb + m * m * pg.mean_curvature_norm**2 - pg.second_fundamental_norm2
     return intrinsic, via_gauss
 

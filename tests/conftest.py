@@ -29,7 +29,7 @@ from biharm.ambient import (
     riemann_from_christoffel,
     tangent_projector,
 )
-from biharm.jets import Jet, embed, extract, jet_matrix_inverse, stack
+from biharm.jets import _CHUNK_TERMS, Jet, embed, extract, jet_matrix_inverse, stack
 from biharm.scenario import GEOMETRY, PSEUDO, RELATIONS, RESIDUALS, SCALAR
 from biharm.structure import DecompositionOperators
 
@@ -160,6 +160,44 @@ def full_chart_calc(space: AmbientModel, pos):
     gamma = Jet(upper.space, out)
     T = pos.gradient(axis=-2)
     return g, (gamma[..., None, :, :, :] * T[..., :, None, :, None]).sum(-2)
+
+
+def fresh_offsets_mul(sp, a, b) -> np.ndarray:
+    """``sp.mul(a, b)`` with the ``bincount`` offsets of every chunk built
+    afresh, from operands copied at full broadcast size: the reference that
+    the kernel's cached offsets must reproduce bitwise."""
+    out, ia, ib, w = sp.mul_table()
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    rows, step = math.prod(shape), max(1, _CHUNK_TERMS // len(out))
+    a = np.broadcast_to(a, shape + a.shape[-1:]).reshape(rows, -1)
+    b = np.broadcast_to(b, shape + b.shape[-1:]).reshape(rows, -1)
+    res = np.empty((rows, sp.size))
+    for i in range(0, rows, step):
+        terms = a[i:i + step].take(ia, axis=-1) * b[i:i + step].take(ib, axis=-1)
+        terms *= w
+        n = len(terms)
+        offsets = (np.arange(0, n * sp.size, sp.size)[:, None] + out).ravel()
+        res[i:i + n] = np.bincount(offsets, weights=terms.ravel(),
+                                   minlength=n * sp.size).reshape(n, sp.size)
+    return res.reshape(shape + (sp.size,))
+
+
+def full_second_fundamental(calc, coeffs, frames, normals):
+    """nabla_{X_i} X_j and the normal components of B(X_i, X_j) on every
+    pair (i, j) at the order of ``coeffs``, each as one product over the
+    (m, m) block: the reference for the diagonal jets and the values that
+    ``point_geometry`` builds."""
+    nabla = (coeffs[..., :, :, None, None] * calc.covd(frames)[..., None, :, :, :]).sum(-3)
+    return nabla, calc.inner(normals[..., :, None, None, :], nabla[..., None, :, :, :])
+
+
+def gauss_einsum(pg) -> np.ndarray:
+    """The ambient term sum_ij R(X_i, X_j, X_j, X_i) of the Gauss-equation
+    scalar curvature as one 5-operand einsum over the tangent frame: the
+    reference for the pairwise chain of ``scalar_curvature``."""
+    frame = pg.tangent_frame
+    return np.einsum("...ia,...ix,...jy,...jz,...xyza->...", frame @ pg.ambient.g, frame,
+                     frame, frame, pg.ambient.curvature["combined"])
 
 
 def random_orthonormal_frames(space: AmbientModel, x, m: int, rng) -> tuple:

@@ -12,6 +12,7 @@ import biharm.jets as jets_module
 from biharm.jets import (
     DomainError,
     Jet,
+    _JetSpace,
     _space,
     embed,
     extract,
@@ -21,7 +22,7 @@ from biharm.jets import (
     stack,
 )
 
-from conftest import fd_partial, poly_partial, random_poly
+from conftest import fd_partial, fresh_offsets_mul, poly_partial, random_poly
 
 
 def jet_of(f_expr_jet, x, order=4):
@@ -324,6 +325,26 @@ def test_chunked_product_gathers_rows_without_broadcast_copies():
     assert product.shape == (16, 4, 4, 5)
     assert product.coeffs.tobytes() == _per_element(lambda x, y: x * y, a, b).tobytes()
     assert peak <= 1.5 * product.coeffs.nbytes, (peak, product.coeffs.nbytes)
+
+
+@pytest.mark.parametrize("nvars, order, lead", [(4, 4, 4), (2, 2, 2), (6, 3, 2)])
+def test_cached_offsets_give_the_fresh_offsets_products_bitwise(nvars, order, lead):
+    # a space of its own starts with an empty cache; row counts around the
+    # chunk size grow it and then read a prefix, with operands broadcast on
+    # either side or not at all
+    sp = _JetSpace(nvars, order, lead)
+    terms = len(sp.mul_table()[0])
+    step = max(1, jets_module._CHUNK_TERMS // terms)
+    rng = np.random.default_rng(11)
+    most = 0
+    for rows in (1, step - 1, step, step + 1, 3 * step + 5, 2):
+        for a_shape, b_shape in (((rows,), (rows,)), ((rows, 1), (1,)), ((1,), (rows, 1))):
+            a = rng.uniform(-1.0, 1.0, a_shape + (sp.size,))
+            b = rng.uniform(-1.0, 1.0, b_shape + (sp.size,))
+            assert sp.mul(a, b).tobytes() == fresh_offsets_mul(sp, a, b).tobytes(), (rows, a_shape)
+        # the offsets of the most rows used so far, never more than a chunk's
+        most = max(most, rows)
+        assert len(sp._offsets) == min(most, step) * terms <= step * terms
 
 
 # -- the space that keeps its trailing variables first-order ------------------

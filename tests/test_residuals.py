@@ -544,3 +544,24 @@ def test_reduction_residual_vanishes_when_xi_terms_drop():
     space, pg, nd, ops, flags = _full_point("sasakian_r5", "graph_surface", (0.3, 0.2))
     assert not flags["xi_tangent"]
     assert reduction_residual(pg, ops) > 1e-3
+
+
+def test_a_contact_block_builds_its_right_hand_side_quantities_once(monkeypatch):
+    # the branch residuals and the reduction residual of one block read the
+    # same quantities; other operators at the same samples get their own
+    import biharm.residuals as residuals_module
+
+    built, namespace = [], residuals_module.SimpleNamespace
+
+    def counted(**kwargs):
+        built.append(kwargs)
+        return namespace(**kwargs)
+
+    space, pg, nd, ops, flags = _full_point("sasakian_r5", "graph_surface", [(0.3, 0.2), (0.1, 0.4)])
+    expected = reduction_residual(pg, decompose(pg.ambient, pg.tangent_frame, pg.normal_frame))
+    monkeypatch.setattr(residuals_module, "SimpleNamespace", counted)
+    residual_gssf(space, pg, nd, ops, flags)
+    assert len(built) == 1
+    assert reduction_residual(pg, ops).tobytes() == expected.tobytes() and len(built) == 1
+    reduction_residual(pg, decompose(pg.ambient, pg.tangent_frame, pg.normal_frame))
+    assert len(built) == 2

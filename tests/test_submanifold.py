@@ -26,7 +26,9 @@ from biharm.submanifold import (
     scalar_curvature,
 )
 
-from conftest import full_chart_calc
+from biharm.scenario import load_scenario
+from conftest import full_chart_calc, full_second_fundamental, gauss_einsum
+from test_acceptance import CATALOG_SCENARIOS
 
 
 def _setup(space_name, imm_name, params=None, ambient_params=None):
@@ -381,16 +383,27 @@ def test_chart_calc_equals_the_full_augmented_space_bitwise(space_name, imm_name
     ("cp2", "geodesic_sphere_cp2"),
     ("sasakian_sphere_s5", "clifford_torus_s5"),  # embedded
 ])
-def test_each_stage_runs_at_the_order_its_readers_need(space_name, imm_name, order):
+def test_each_stage_runs_at_the_order_its_readers_need(monkeypatch, space_name, imm_name, order):
     # one order lower per derivative still to be taken: covariant derivatives
     # read the frames, so they stay one below the seed, and everything a
     # covariant derivative or a projection adds to runs one below that
+    builds, build = [], sm._second_fundamental
+
+    def recorded(calc, coeffs, cov, normals, i, j):
+        builds.append((coeffs.order, len(i)))
+        return build(calc, coeffs, cov, normals, i, j)
+
+    monkeypatch.setattr(sm, "_second_fundamental", recorded)
     space, imm = _setup(space_name, imm_name)
     st = point_geometry(space, imm, imm.grid()[:3], order)._state
-    calc, k = st["calc"], order
+    calc, k, m = st["calc"], order, imm.dim
     expected = {"pos": k, "frames": k - 1, "g_ind": min(k - 1, 2), "coeffs": k - 2,
                 "normals": k - 2, "nablaXX": k - 2, "H": k - 2}
     assert {key: st[key].order for key in expected} == expected
+    # B on all m^2 pairs at order 0 for its values; the diagonal that H and
+    # the drift read at k - 2, taken from that one build when k - 2 = 0
+    assert builds == [(0, m * m)] + ([(k - 2, m)] if k > 2 else [])
+    assert st["nablaXX"].shape == (3, m, calc.d)
     if space.backend == "chart":
         assert (calc.g.order, calc.gamma_t.order) == (k - 1, k - 2)
     else:
@@ -424,6 +437,54 @@ def test_no_product_runs_above_the_order_its_readers_need(monkeypatch):
     normal_derivatives(point_geometry(space, imm, imm.grid(), 4))
     orders = {name: {o for s, o in products if s == name} for name in ("geometry", "connection")}
     assert max(orders["geometry"]) == 3 and orders["connection"] == {2}
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("space_name, imm_name, params", BATCH_CASES)
+def test_b_diagonal_and_values_are_the_full_build_bitwise(space_name, imm_name, params, order):
+    # the diagonal jets of nabla_{X_i} X_j and B at k - 2, and the values of
+    # B off the diagonal at order 0, against one (m, m) build at k - 2
+    space, imm = _setup(space_name, imm_name, params)
+    pg = point_geometry(space, imm, imm.grid(), order)
+    st, ii = pg._state, np.arange(imm.dim)
+    nabla, b = full_second_fundamental(st["calc"], st["coeffs"], st["frames"], st["normals"])
+    assert _bitwise(st["nablaXX"].coeffs, nabla[..., ii, ii, :].coeffs)
+    h_n = b[..., :, ii, ii].sum(-1) * (1.0 / imm.dim)
+    assert _bitwise(st["H"].coeffs, (h_n[..., :, None] * st["normals"]).sum(-2).coeffs)
+    # the reference reads the oriented normals, point_geometry negates the
+    # values of B after their build: a zero may differ in its sign only
+    assert _bitwise(pg.second_fundamental + 0.0, b.value + 0.0)
+
+
+@pytest.mark.parametrize("ambient, immersion", CATALOG_SCENARIOS)
+def test_gauss_chain_matches_the_five_operand_einsum(ambient, immersion):
+    cfg = load_scenario({"ambient": ambient, "immersion": immersion})
+    pg = point_geometry(cfg.ambient, cfg.immersion, cfg.immersion.grid())
+    amb, h2, b2 = gauss_einsum(pg), pg.m**2 * pg.mean_curvature_norm**2, pg.second_fundamental_norm2
+    gap = np.abs(scalar_curvature(pg)[1] - (amb + h2 - b2))
+    assert (gap <= 1e-13 * (np.abs(amb) + h2 + b2)).all(), gap.max()
+
+
+def test_geometry_blocks_stay_within_their_kernel_work(monkeypatch):
+    # a work-count tripwire on one cp2 geodesic-sphere grid (m = 3, d = 4):
+    # the product terms of its order-4 block with the normal derivatives, and
+    # the terms and kernel calls of its order-2 block, which the many small
+    # blocks of the finite-difference oracle pay as a fixed cost per call
+    from biharm.jets import _JetSpace
+
+    space, imm = _setup("cp2", "geodesic_sphere_cp2", {"r": 0.7})
+    terms, mul = [], _JetSpace.mul
+
+    def counted(self, a, b):
+        terms.append(math.prod(np.broadcast(a[..., 0], b[..., 0]).shape) * len(self.mul_table()[0]))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(_JetSpace, "mul", counted)
+    normal_derivatives(point_geometry(space, imm, imm.grid(), 4))
+    assert sum(terms) <= 439_168, sum(terms)
+    terms.clear()
+    point_geometry(space, imm, imm.grid(), 2)
+    assert len(terms) <= 92 and sum(terms) <= 25_552, (len(terms), sum(terms))
 
 
 TAGGED = [name for name in sorted(catalog.AMBIENTS) if catalog.ambient(name).tag is not None]
