@@ -16,6 +16,7 @@ from biharm.ambient import (
 )
 from biharm.exprs import parse_expression
 from biharm.jets import n_entries, seed_point
+from biharm.scenario import load_scenario
 from biharm.submanifold import (
     Axis,
     ImmersionModel,
@@ -26,7 +27,6 @@ from biharm.submanifold import (
     scalar_curvature,
 )
 
-from biharm.scenario import load_scenario
 from conftest import full_chart_calc, full_second_fundamental, gauss_einsum
 from test_acceptance import CATALOG_SCENARIOS
 
