@@ -10,10 +10,10 @@ the split reads
 
 and substituting the algebraic curvature of a generalized complex or
 Sasakian space form turns the trace term into structure-operator
-expressions.  Every function here reports residual vectors for the general
-split, for the kind-specific closed form, and for whichever special-case
-branch the classification flags activate; agreement of all three is a test
-property, not an assumption.
+expressions.  Every function here reports residuals, as frame components,
+for the general split, for the kind-specific closed form, and for whichever
+special-case branch the classification flags activate; agreement of all
+three is a test property, not an assumption.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .ambient import (
     vec_mat,
 )
 from .structure import DecompositionOperators
-from .submanifold import (PSEUDO_UMBILICAL_TOL, NormalFieldDerivatives, PointGeometry,
-                          _project_normal, project_tangent)
+from .submanifold import PSEUDO_UMBILICAL_TOL, NormalFieldDerivatives, PointGeometry
 
 # coefficients_at, curvature_parts and structure_at are imported for
 # bench/tracing.py, which wraps them in this module's namespace; the residuals
@@ -70,10 +69,19 @@ BOUND_KINDS = {
 
 @dataclass
 class BiharmonicResidual:
-    normal: np.ndarray
-    tangential: np.ndarray
-    terms: dict = field(default_factory=dict)
+    """A residual's two parts at every sample, as g-orthonormal frame components."""
+
+    normal: np.ndarray                   # S + (codim,) on pg.normal_frame
+    tangential: np.ndarray               # S + (m,) on pg.tangent_frame
+    terms: dict = field(default_factory=dict)  # the general split's term lengths
     active: np.ndarray | bool = True     # the samples at which it counts
+
+
+def length(pg: PointGeometry, comps, normal: bool = True):
+    """The length of the vectors with normal-frame (else tangent-frame) components
+    ``comps``, the one rule for every length a report gives: today the Euclidean
+    length of their ambient coordinates, which depends on the chart."""
+    return norm(vec_mat(comps, pg.normal_frame if normal else pg.tangent_frame))
 
 
 def characterization_target(kind: str, m: int, coeffs):
@@ -88,10 +96,12 @@ def characterization_target(kind: str, m: int, coeffs):
 
 
 def curvature_trace(pg: PointGeometry):
-    """sum_i R(X_i, H) X_i over the tangent frame, split into parts."""
+    """sum_i R(X_i, H) X_i over the tangent frame: its normal-frame and
+    tangent-frame components."""
     total = np.einsum("...ix,...y,...iz,...xyza->...a", pg.tangent_frame, pg.mean_curvature,
                       pg.tangent_frame, pg.ambient.curvature["combined"])
-    return _project_normal(pg, total), project_tangent(pg, total)
+    low = vec_mat(total, pg.ambient.g)
+    return mat_vec(pg.normal_frame, low), mat_vec(pg.tangent_frame, low)
 
 
 def _bitension_base(pg: PointGeometry, nd: NormalFieldDerivatives):
@@ -108,36 +118,35 @@ def residual_general(pg: PointGeometry, nd: NormalFieldDerivatives) -> Biharmoni
     base_n, base_t = _bitension_base(pg, nd)
     normal = base_n + ctr_normal
     tangential = base_t + 2.0 * ctr_tangent
-    terms = {"laplacian": nd.laplacian, "trace_shape_mean": nd.trace_shape_mean,
-             "curvature_normal": ctr_normal, "grad_h2": nd.grad_h2,
-             "trace_shape_gradient": nd.trace_shape_gradient, "curvature_tangential": ctr_tangent}
-    return BiharmonicResidual(normal, tangential, {k: norm(v) for k, v in terms.items()})
+    terms = {"laplacian": length(pg, nd.laplacian),
+             "trace_shape_mean": length(pg, nd.trace_shape_mean),
+             "curvature_normal": length(pg, ctr_normal),
+             "grad_h2": length(pg, nd.grad_h2, normal=False),
+             "trace_shape_gradient": length(pg, nd.trace_shape_gradient, normal=False),
+             "curvature_tangential": length(pg, ctr_tangent, normal=False)}
+    return BiharmonicResidual(normal, tangential, terms)
 
 
 def _rhs_terms(kind: str, pg: PointGeometry, ops: DecompositionOperators) -> SimpleNamespace:
-    """What the right-hand sides of ``kind``'s rows read: m, H, the coefficients
-    (with an axis to scale vectors by), NtH and PtH (the normal and tangent
-    parts of J or phi of the tangent part of J H or phi H); mmH (the normal
-    part of J twice on the normal part of H), or xi, its parts and the f1
-    and f2 terms of the closed form (f12_n normal, f12_t tangential).  ``pg``
-    keeps the contact ones for its ``ops``: a block's branch and reduction
-    residuals both read them."""
+    """What the right-hand sides of ``kind``'s rows read, as frame components:
+    m, H, the coefficients (with an axis to scale vectors by), NtH and PtH
+    (the normal and tangent parts of J or phi of the tangent part of J H or
+    phi H); mmH (the normal part of J twice on the normal part of H), or the
+    parts of xi and the f1 and f2 terms of the closed form (f12_n normal,
+    f12_t tangential).  ``pg`` keeps the contact ones for its ``ops``: a
+    block's branch and reduction residuals both read them."""
     if pg._state.get("rhs", (None,))[0] is ops:
         return pg._state["rhs"][1]
     hn = pg.mean_normal_components
     th = mat_vec(ops.nt, hn)               # tangent components of J H or phi H
-    t = SimpleNamespace(m=pg.m, H=pg.mean_curvature,
-                        NtH=vec_mat(mat_vec(ops.tn, th), pg.normal_frame),
-                        PtH=vec_mat(mat_vec(ops.tt, th), pg.tangent_frame))
+    t = SimpleNamespace(m=pg.m, H=hn, NtH=mat_vec(ops.tn, th), PtH=mat_vec(ops.tt, th))
     coeffs = tuple(c[..., None] for c in pg.ambient.coeffs)
     if kind == KIND_COMPLEX:
         t.alpha, t.beta = coeffs
-        t.mmH = vec_mat(mat_vec(ops.nn, mat_vec(ops.nn, hn)), pg.normal_frame)
+        t.mmH = mat_vec(ops.nn, mat_vec(ops.nn, hn))
         return t
     t.f1, t.f2, t.f3 = coeffs
-    t.xi = pg.ambient.structure[1]
-    t.xi_top = vec_mat(ops.xi_tan, pg.tangent_frame)
-    t.xi_perp = vec_mat(ops.xi_nor, pg.normal_frame)
+    t.xi_top, t.xi_perp = ops.xi_tan, ops.xi_nor
     t.eta_h = dot(ops.xi_nor, hn)[..., None]           # eta(H)
     t.xt2 = dot(ops.xi_tan, ops.xi_tan)[..., None]     # |xi_top|^2
     t.f12_n = t.m * t.f1 * t.H - t.f2 * t.xt2 * t.H - t.m * t.f2 * t.eta_h * t.xi_perp
@@ -174,7 +183,7 @@ BRANCHES = {
             - (t.m * t.f2 + 3.0 * t.f3) * t.eta_h * t.xi_perp,
             -(2.0 * (t.m - 1) * t.f2 + 6.0 * t.f3) * t.eta_h * t.xi_top)),
         "xi_normal": ("xi_normal", None, lambda t: (
-            t.m * t.f1 * t.H - t.m * t.f2 * t.eta_h * t.xi - 3.0 * t.f3 * t.NtH, 0.0)),
+            t.m * t.f1 * t.H - t.m * t.f2 * t.eta_h * t.xi_perp - 3.0 * t.f3 * t.NtH, 0.0)),
         "xi_tangent": ("xi_tangent", None, lambda t: (
             t.m * t.f1 * t.H - t.f2 * t.H - 3.0 * t.f3 * t.NtH, -6.0 * t.f3 * t.PtH)),
         "invariant": ("is_invariant", None, lambda t: (t.f12_n, t.f12_t - 6.0 * t.f3 * t.PtH)),
@@ -236,7 +245,7 @@ def reduction_residual(pg, ops):
     the mean-curvature bounds apply."""
     t = _rhs_terms(KIND_CONTACT, pg, ops)
     rhs_n, _ = BRANCHES[KIND_CONTACT][CLOSED_FORM][2](t)
-    return norm(rhs_n - characterization_target(KIND_CONTACT, t.m, (t.f1, t.f2, t.f3)) * t.H)
+    return length(pg, rhs_n - characterization_target(KIND_CONTACT, t.m, (t.f1, t.f2, t.f3)) * t.H)
 
 
 # -- aggregated verdicts --------------------------------------------------------

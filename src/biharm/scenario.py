@@ -48,7 +48,6 @@ from .ambient import (
     GeometryError,
     coefficients_at,  # noqa: F401
     dot,
-    norm,
     objects,
     vec_mat,
     verify_structure,
@@ -74,6 +73,7 @@ from .residuals import (
     cmc_characterization,
     decided,
     flag_consensus,
+    length,
     map_columns,
     nonexistence_audit,
     proper_biharmonic_verdict,
@@ -496,20 +496,23 @@ def _evaluate(space: AmbientModel, imm: ImmersionModel, u, needs: frozenset,
             out.reduction_residual = reduction_residual(pg, ops)
         gen = residuals[GENERAL]
         out.branch = branch_of(space.kind, residuals)
-        out.normal_residual, out.tangential_residual = norm(gen.normal), norm(gen.tangential)
         out.terms = gen.terms
         gaps = {}
         for name, res in residuals.items():
             counts = res.active  # a special-case branch counts where its flags activate it
-            residual_norms[f"{name} normal residual"] = np.where(counts, norm(res.normal), 0.0)
-            residual_norms[f"{name} tangential residual"] = np.where(counts, norm(res.tangential), 0.0)
-            if name != GENERAL:
-                gaps[name] = np.where(counts, np.maximum(norm(res.normal - gen.normal),
-                                                         norm(res.tangential - gen.tangential)), 0.0)
+            normal, tangential = length(pg, res.normal), length(pg, res.tangential, normal=False)
+            residual_norms[f"{name} normal residual"] = np.where(counts, normal, 0.0)
+            residual_norms[f"{name} tangential residual"] = np.where(counts, tangential, 0.0)
+            if name == GENERAL:
+                out.normal_residual, out.tangential_residual = normal, tangential
+            else:
+                gaps[name] = np.where(counts, np.maximum(
+                    length(pg, res.normal - gen.normal),
+                    length(pg, res.tangential - gen.tangential, normal=False)), 0.0)
         out.closed_form_gap = gaps.pop(CLOSED_FORM, np.zeros(S))
         out.branch_gap = np.max([np.zeros(S), *gaps.values()], axis=0)
         # the general normal residual along H, divided by |H| where |H| > 1e-9
-        along = dot(vec_mat(gen.normal, pg.ambient.g), pg.mean_curvature)
+        along = dot(gen.normal, pg.mean_normal_components)
         signed = out.h_norm > 1e-9
         out.signed_normal = np.asarray(
             objects(along / np.where(signed, out.h_norm, 1.0), signed), dtype=object)
@@ -956,8 +959,7 @@ def convergence_study(cfg: ScenarioConfig, steps=CONVERGENCE_STEPS) -> dict:
     imm = cfg.immersion
     probe = tuple(0.5 * (ax.lo + ax.hi) + 0.061 * (ax.hi - ax.lo) for ax in imm.domain)
     pg = point_geometry(cfg.ambient, imm, probe, JET_ORDER)
-    nd = normal_derivatives(pg)
-    exact = nd.laplacian
+    exact = vec_mat(normal_derivatives(pg).laplacian, pg.normal_frame)
     errors = []
     for h in steps:
         fd = fd_normal_laplacian(cfg.ambient, imm, probe, h)

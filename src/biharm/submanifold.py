@@ -242,13 +242,13 @@ def _pick(jet, batch, picks):
 
 def _pivots(norms, taken):
     """Each row's pivot among the candidates' remaining norms^2 (rows x
-    candidates): the lowest untaken index within 1e-14 of the row's largest
-    untaken finite norm^2, which must exceed RANK_TOL^2."""
+    candidates): the lowest untaken index within 1e-14 relative of the row's
+    largest untaken finite norm^2, which must exceed RANK_TOL^2."""
     free = np.where(taken | ~np.isfinite(norms), -np.inf, norms)
     best = free.max(-1)
     if not (best > RANK_TOL**2).all():
         raise GeometryError("could not complete an orthonormal normal frame")
-    return (free >= best[:, None] - 1e-14).argmax(-1)
+    return (free >= best[:, None] * (1.0 - 1e-14)).argmax(-1)
 
 
 def _complete_normal(calc, frames, need):
@@ -302,13 +302,14 @@ class PointGeometry:
 
 @dataclass
 class NormalFieldDerivatives:
-    """At every sample (sample axes S in front)."""
+    """At every sample (sample axes S in front), as components on the g-orthonormal
+    frames: S + (codim,) on ``normal_frame``, S + (m,) on ``tangent_frame``."""
 
     nabla_norm: np.ndarray           # max_i |nabla-perp_{X_i} H|
-    laplacian: np.ndarray            # rough Laplacian of H in the normal bundle
-    grad_h2: np.ndarray              # tangent vector grad |H|^2
-    trace_shape_mean: np.ndarray     # sum_i B(X_i, A_H X_i)
-    trace_shape_gradient: np.ndarray # sum_i A_{nabla-perp_{X_i} H}(X_i)
+    laplacian: np.ndarray            # normal: rough Laplacian of H in the normal bundle
+    grad_h2: np.ndarray              # tangent: grad |H|^2
+    trace_shape_mean: np.ndarray     # normal: sum_i B(X_i, A_H X_i)
+    trace_shape_gradient: np.ndarray # tangent: sum_i A_{nabla-perp_{X_i} H}(X_i)
 
 
 def _orientation(calc, H, normals):
@@ -396,9 +397,9 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u,
 
 def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
     """Normal-connection derivatives of the mean curvature field at every
-    sample of ``pg``: nabla-perp H (``w`` in normal-frame components, ``W``
-    as a vector) and its ambient covariant derivative in one jet pass, the
-    rest in float algebra over the sample axes."""
+    sample of ``pg``, in frame components: nabla-perp H (``w`` in normal-frame
+    components, ``W`` as a vector field) and its ambient covariant derivative
+    in one jet pass, the rest in float algebra over the sample axes."""
     if pg.order < JET_ORDER:
         raise GeometryError(f"normal derivatives need immersion jets of order {JET_ORDER}")
     st, m = pg._state, pg.m
@@ -408,26 +409,21 @@ def normal_derivatives(pg: PointGeometry) -> NormalFieldDerivatives:
     W = (w[..., :, :, None] * normals[..., :, None, :]).sum(-3)
     drift = calc.inner(st["nablaXX"].truncate(0)[..., :, None, :], frames[..., None, :, :]).value
     grad_hh = calc.inner(H.truncate(1), H).gradient(axis=calc.nb).value
-    cov_w, w, W, cvals = calc.covd(W).value, w.value, W.value, coeffs.value
+    cov_w, w, cvals = calc.covd(W).value, w.value, coeffs.value
 
     nabla_norm = np.sqrt((w**2).sum(-2)).max(-1)
     # rough Laplacian: sum_i nabla-perp_{X_i} nabla-perp_{X_i} H
     #                  - nabla-perp over the induced-connection drift,
     # summed left to right, term_1 - drift_1 + term_2 - ..., as the pinned reports
     nabla_ww = vec_mat(cvals, cov_w.swapaxes(-3, -2))
-    terms = np.stack([_project(pg.normal_frame[..., None, :, :],
-                               pg.ambient.g[..., None, :, :], nabla_ww),
-                      -vec_mat(drift, W[..., None, :, :])], -2)
+    terms = np.stack([nabla_ww @ (pg.normal_frame @ pg.ambient.g).mT, -drift @ w.mT], -2)
     lap = terms.reshape(terms.shape[:-3] + (2 * m, -1)).sum(-2)
 
-    grad = vec_mat(mat_vec(cvals, grad_hh), pg.tangent_frame)
     bv = pg.second_fundamental
-    hn = pg.mean_normal_components
-    trace_mean = vec_mat(np.einsum("...aij,...a,...bij->...b", bv, hn, bv), pg.normal_frame)
-    trace_grad = vec_mat(np.einsum("...aij,...ai->...j", bv, w), pg.tangent_frame)
-
-    return NormalFieldDerivatives(nabla_norm=nabla_norm, laplacian=lap, grad_h2=grad,
-                                  trace_shape_mean=trace_mean, trace_shape_gradient=trace_grad)
+    return NormalFieldDerivatives(
+        nabla_norm=nabla_norm, laplacian=lap, grad_h2=mat_vec(cvals, grad_hh),
+        trace_shape_mean=np.einsum("...aij,...a,...bij->...b", bv, pg.mean_normal_components, bv),
+        trace_shape_gradient=np.einsum("...aij,...ai->...j", bv, w))
 
 
 def _project(frame, g, vec):
@@ -435,14 +431,6 @@ def _project(frame, g, vec):
     ``frame``, at every sample."""
     coef = frame[..., :, None, :] @ g[..., None, :, :] @ vec[..., None, :, None]
     return (coef[..., 0] * frame).sum(-2)
-
-
-def _project_normal(pg, vec):
-    return _project(pg.normal_frame, pg.ambient.g, vec)
-
-
-def project_tangent(pg, vec):
-    return _project(pg.tangent_frame, pg.ambient.g, vec)
 
 
 def scalar_curvature(pg: PointGeometry):

@@ -1,5 +1,5 @@
-"""Random inline curves and surfaces through ``biharm check``, and random
-normal fields of an embedded ambient.
+"""Random inline curves and surfaces through ``biharm check``, random
+normal fields of an embedded ambient, and random linear charts of flat C^2.
 
 Components come from a small grammar (polynomials, ``sin cos exp sqrt
 log``, quotients, integer powers) over bound names only, so every fault is
@@ -13,9 +13,12 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from biharm import catalog
 from biharm.ambient import tangent_projector
 from biharm.cli import main as cli_main
+from biharm.residuals import residual_general
 from biharm.scenario import load_scenario
+from biharm.submanifold import normal_derivatives, point_geometry
 
 AMBIENTS = {"flat_c2": 4, "cp2": 4, "sasakian_r5": 5, "cosymplectic_r5": 5,
             "kenmotsu_hyperbolic": 5}
@@ -97,3 +100,77 @@ def test_projector_of_mixed_normals_is_the_orthogonal_one(entries, points):
     assert np.abs(P @ P - P).max() <= 1e-12
     assert np.abs(normals @ P).max() <= 1e-12
     assert np.abs(P - orthogonal).max() <= 1e-12
+
+
+# catalog immersions of flat C^2 (dimension, parameters, components) to carry into a chart
+_FLAT_IMMERSIONS = {
+    "round_hypersphere": (3, {"r": 1.3},
+                          ("r*cos(u1)", "r*sin(u1)*cos(u2)", "r*sin(u1)*sin(u2)*cos(u3)",
+                           "r*sin(u1)*sin(u2)*sin(u3)")),
+    "product_torus": (2, {"a": 1.0, "b": 0.6},
+                      ("a*cos(u1)", "a*sin(u1)", "b*cos(u2)", "b*sin(u2)")),
+}
+_J_C2 = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
+
+
+def _orthogonal(entries):
+    return np.linalg.qr(np.reshape(entries, (4, 4)))[0]
+
+
+def _number(v):
+    return f"({float(v)!r})"
+
+
+_SQUARES = st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16)
+# x = A y: a pure scale 10^k, or Q1 diag(10^t) Q2 with condition <= 1e3
+CHART_CHANGES = st.one_of(
+    st.integers(-7, 7).map(lambda k: 10.0**k * np.eye(4)),
+    st.tuples(_SQUARES, st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4), _SQUARES).map(
+        lambda t: _orthogonal(t[0]) @ np.diag(10.0 ** np.array(t[1])) @ _orthogonal(t[2])),
+)
+
+
+def _frame_lengths(space, imm, u):
+    """The lengths of the general residual's parts and of the normal
+    derivatives' fields, read as frame components."""
+    pg = point_geometry(space, imm, u[:imm.dim])
+    nd = normal_derivatives(pg)
+    res = residual_general(pg, nd)
+    fields = {"normal": res.normal, "tangential": res.tangential, "laplacian": nd.laplacian,
+              "grad_h2": nd.grad_h2, "trace_shape_mean": nd.trace_shape_mean,
+              "trace_shape_gradient": nd.trace_shape_gradient}
+    return {name: float(np.linalg.norm(v)) for name, v in fields.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_FLAT_IMMERSIONS)), CHART_CHANGES,
+       st.lists(st.floats(0.5, 2.6), min_size=3, max_size=3))
+def test_frame_lengths_do_not_depend_on_the_chart(name, A, u):
+    # flat C^2 in the chart x = A y: metric A^T A, J' = A^-1 J A, components A^-1 x(u)
+    dim, params, comps = _FLAT_IMMERSIONS[name]
+    inv = np.linalg.inv(A)
+    doc = {
+        "ambient": {"kind": "generalized_complex", "backend": "chart", "dim": 4,
+                    "coordinates": ["x1", "y1", "x2", "y2"],
+                    "metric": [[_number(v) for v in row] for row in A.T @ A],
+                    "complex_structure": [[_number(v) for v in row] for row in inv @ _J_C2 @ A],
+                    "coefficients": {"alpha": "0", "beta": "0"}},
+        "immersion": {"params": [f"u{i + 1}" for i in range(dim)],
+                      "components": [" + ".join(f"{_number(v)}*({c})" for v, c in zip(row, comps))
+                                     for row in inv],
+                      "domain": {"axes": [{"lo": 0.5, "hi": 2.6, "samples": 2}] * dim}},
+        "constants": params,
+    }
+    cfg = load_scenario(doc)
+    space = catalog.ambient("flat_c2")
+    ref = _frame_lengths(space, catalog.immersion(name, space, params), np.array(u))
+    got = _frame_lengths(cfg.ambient, cfg.immersion, np.array(u))
+    # the chart's roundoff grows like eps cond(A)^3 (up to 4e-8 relative at
+    # cond(A) near 1e3), so both tolerances widen with it past cond(A) = 10
+    widen = 1e-14 * np.linalg.cond(A) ** 3
+    for key, value in ref.items():
+        if value > 1e-12:
+            assert abs(got[key] - value) <= max(1e-10, widen) * value, (key, got[key], value)
+        else:
+            assert got[key] < max(1e-12, widen), (key, got[key])

@@ -280,7 +280,7 @@ def test_parallel_h_reduction_lagrangian():
     assert flags["is_lagrangian"] and nd.nabla_norm < 1e-9
     alpha, beta = (0.0, 0.0)
     variants = residual_gcsf(space, pg, nd, ops, flags)
-    collapsed = nd.trace_shape_mean - (2 * alpha + 3 * beta) * pg.mean_curvature
+    collapsed = nd.trace_shape_mean - (2 * alpha + 3 * beta) * pg.mean_normal_components
     assert np.abs(variants["lagrangian_surface"].normal - collapsed).max() < 1e-9
 
 
