@@ -476,7 +476,7 @@ class CompiledFields:
     ``program(name)`` compiles attribute ``name`` on first use and keeps the
     program on the instance; a new tuple assigned to the attribute is
     compiled on its next use.  A field equal to one compiled before (as on
-    every reload of a model) reuses that program: programs hold no state
+    a model loaded again) reuses that program: programs hold no state
     between runs, and constants come from the model at each run.
     """
 

@@ -12,7 +12,8 @@ Coefficients have shape ``(..., size)``: the leading axes hold a whole
 vector field, matrix or tensor of jets (Neidinger's multivariate Taylor
 arrays, SIAM Review 52, 2010), and a scalar jet is the 0-d case.  Arithmetic
 broadcasts over the leading axes like numpy, and every product of two jets,
-whatever its shape, is one call of the kernel :meth:`_JetSpace.mul`.
+whatever its shape, is one call of the kernel :meth:`_JetSpace.mul`; at
+order 0 it is its one term a b as a float product, plus the 0.0 of its bin.
 
 Jets over different variable counts never mix; mixing orders truncates to
 the lower order (the product of two truncated expansions is only exact to
@@ -325,7 +326,7 @@ class Jet:
             if not (a.any() and b.any()):
                 shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
                 return Jet(sp, np.zeros(shape + (sp.size,)))
-            return Jet(sp, sp.mul(a, b))
+            return Jet(sp, a * b + 0.0 if sp.order == 0 else sp.mul(a, b))
         if isinstance(other, (int, float)):
             return Jet(self.space, self.coeffs * other)
         if isinstance(other, np.ndarray):  # an array of constants, over the leading axes

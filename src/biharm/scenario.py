@@ -25,12 +25,11 @@ Document schema (see README for the full field list)::
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import groupby
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -144,6 +143,18 @@ class ScenarioConfig:
             if isinstance(model.get("params"), dict) and name in model["params"]:
                 model["params"][name] = value
         return load_scenario(doc)
+
+    def check_constant(self, name: str, value: float) -> None:
+        """Raise the ConfigError that :meth:`with_constant` would, loading
+        nothing: only a catalog entry's builder reads a constant's value, so
+        each entry that declares ``name`` is built once with ``value``."""
+        for path, entries, build, *args in (
+                ("ambient", catalog.AMBIENTS, catalog.ambient),
+                ("immersion", catalog.IMMERSIONS, catalog.immersion, self.ambient)):
+            doc = self.raw[path]
+            if name in entries.get(doc.get("catalog"), ((), ()))[1]:
+                doc = {**doc, "params": {**doc.get("params", {}), name: value}}
+                _load_catalog(doc, self.constants, path, entries, build, *args)
 
 
 def _require(doc, key, path):
@@ -536,78 +547,57 @@ def _block_rows(cfg: ScenarioConfig, order: int) -> int:
     return max(1, _BLOCK_COEFFS // geometry_jet_size(cfg.ambient, cfg.immersion, order))
 
 
-def _block_model(models):
-    """The model of a block whose rows have ``models`` (one per row): the
-    first row's, with each constant that differs between the rows bound to
-    the array of the rows' values."""
-    first = models[0]
-    if all(m is first for m in models):
-        return first
-    block = copy.copy(first)
-    block.bindings = {
-        name: value if all(m.bindings[name] == value for m in models)
-        else np.array([m.bindings[name] for m in models], dtype=float)
-        for name, value in first.bindings.items()}
-    return block
+def _run_grids(cfg: ScenarioConfig, needs, name: str | None = None,
+               values=(math.nan,)) -> list[tuple[GridSamples | None, list]]:
+    """``needs`` at every grid sample of ``cfg``, with the geometry, at each
+    of ``values`` of its constant ``name`` (no name: once, as loaded): per
+    value, the columns of its clean samples (None if none) and its failed
+    rows as ``(row, u, error)``, both in grid order.
 
-
-def _run_block(rows, needs: frozenset, order: int):
-    """Evaluate the (config, row, u, out) ``rows`` as one block, of shape
-    (rows, m) also for one row: each config's ``out``, a pair of lists, gets
-    the columns of its clean rows and its failed rows as ``(row, u, error)``.
-    A fault anywhere in the block reruns each config's rows as a block of
-    their own, and a block of one config as blocks of one row, so that each
-    failed row keeps its own reason and no other config loses its block."""
-    try:
-        with _faults_raise():
-            samples = _evaluate(_block_model([r[0].ambient for r in rows]),
-                                _block_model([r[0].immersion for r in rows]),
-                                [r[2] for r in rows], needs, order)
-    except POINT_FAULTS as e:
-        if len(rows) == 1:
-            _, row, u, (_, failed) = rows[0]
-            failed.append((row, u, str(e)))
-            return
-        configs = [list(g) for _, g in groupby(rows, key=lambda r: id(r[3]))]
-        for part in configs if len(configs) > 1 else [[r] for r in rows]:
-            _run_block(part, needs, order)
-        return
-    start = 0
-    for _, group in groupby(rows, key=lambda r: id(r[3])):
-        group = list(group)
-        chunks, _ = group[0][3]
-        chunks.append(map_columns(lambda a: a[start:start + len(group)], samples))
-        start += len(group)
-
-
-def _run_grids(cfgs, needs) -> list[tuple[GridSamples | None, list]]:
-    """``needs`` at every grid sample of each of the configs ``cfgs``, with
-    the geometry: per config, the columns of its clean samples (None when
-    there is none) and its failed rows as ``(row, u, error)``, both in grid
-    order.
-
-    The configs are one document at one or more values of its constants,
-    as :meth:`ScenarioConfig.with_constant` makes them: they differ in
-    their bindings alone.  Their (config, sample) rows run as consecutive
-    row blocks (:func:`_block_rows` rows), each evaluated end to end over
-    its sample axis by :func:`_evaluate`, at jet order 2 when ``needs``
-    reads nothing of higher order, else at :data:`JET_ORDER`; a block binds
-    each constant that differs between its rows to an array over them, so
-    each of its programs runs once for the block.  See :func:`_run_block`
-    for a block that faults.
+    The grid is built once; its (value, sample) rows, value after value, run
+    as blocks of :func:`_block_rows` rows through :func:`_evaluate`, at jet
+    order 2 when ``needs`` reads nothing of higher order, else at
+    :data:`JET_ORDER`.  A block binds ``name`` on the loaded models (so every
+    value runs their compiled programs) to its rows' value, or their array
+    where they differ.  A faulting block reruns each value's rows as a block,
+    and a block of one value as blocks of one row (1, m), so each failed row
+    keeps its reason and no other value loses its block.
     """
     closed = frozenset((GEOMETRY, *needs))
     # |H|, |B|^2 and the coefficients read only the values of B and H, which
     # run at jet order 0 there and come out bitwise the same as at order 4
     order = 2 if closed == {GEOMETRY} else JET_ORDER
-    grids = [([], []) for _ in cfgs]
-    rows = [(cfg, row, u, out) for cfg, out in zip(cfgs, grids)
-            for row, u in enumerate(cfg.immersion.grid())]
-    size = _block_rows(cfgs[0], order)
-    for start in range(0, len(rows), size):
-        _run_block(rows[start:start + size], closed, order)
-    return [(map_columns(lambda *a: np.concatenate(a), *chunks) if chunks else None, failed)
-            for chunks, failed in grids]
+    grid = cfg.immersion.grid()
+    n, total = len(grid), len(grid) * len(values)
+    points, column = np.array(grid * len(values)), np.repeat(np.asarray(values, dtype=float), n)
+    loaded = [(m, m.bindings) for m in (cfg.ambient, cfg.immersion) if name in m.bindings]
+    chunks, failed = [], [[] for _ in values]
+    size = _block_rows(cfg, order)
+    todo = [(lo, min(lo + size, total)) for lo in range(0, total, size)][::-1]
+    try:
+        while todo:  # the row ranges still to run, as a stack: the next one last
+            lo, hi = todo.pop()
+            rows = column[lo:hi]
+            for m, bindings in loaded:
+                m.bindings = {**bindings, name: float(rows[0]) if (rows == rows[0]).all() else rows}
+            try:
+                with _faults_raise():
+                    chunks.append(_evaluate(cfg.ambient, cfg.immersion, points[lo:hi],
+                                            closed, order))
+            except POINT_FAULTS as e:
+                if hi - lo == 1:
+                    failed[lo // n].append((lo % n, grid[lo % n], str(e)))
+                    continue
+                # rerun each value's rows as a block, or a block of one value row by row
+                bounds = [lo, *(range((lo // n + 1) * n, hi, n) or range(lo + 1, hi)), hi]
+                todo += reversed([*zip(bounds, bounds[1:])])
+    finally:
+        for m, bindings in loaded:
+            m.bindings = bindings
+    columns = map_columns(lambda *a: np.concatenate(a), *chunks) if chunks else None
+    counts = [n - len(errors) for errors in failed]  # each value's clean rows
+    return [(map_columns(itemgetter(slice(end - count, end)), columns) if count else None, errors)
+            for count, end, errors in zip(counts, np.cumsum(counts), failed)]
 
 
 @dataclass
@@ -635,7 +625,7 @@ def run_check(cfg: ScenarioConfig) -> Report:
     declare; see :data:`CHECKS`.
     """
     needs = {RESIDUALS}.union(*(CHECKS[op].needs for op in cfg.checks))
-    [(samples, failed)] = _run_grids([cfg], needs)
+    [(samples, failed)] = _run_grids(cfg, needs)
     if samples is None:
         raise GeometryError("no grid point evaluated cleanly: " + failed[0][2])
 
@@ -883,14 +873,16 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
 
     The sampled values and Brent's steps take one route: the sampled values
     run their grids in one :func:`_run_grids` call, as shared geometry
-    blocks, and each Brent step in a call of its own.  A limit counts as a
-    root only if |f| there is at or below |f| at both ends of its sampled
-    bracket (a sample that lands on a root is its own limit); otherwise the
-    objective changed sign across a pole or a jump, and the limit is
-    reported as a discontinuity.  A value whose grid failed at some or all
-    grid points gives a NaN objective: it is listed under ``partial``, never
-    ends a bracket, and a NaN inside a bracket ends that bracket's search.
-    Only a sweep in which no sampled value evaluated at any grid point raises.
+    blocks, and each Brent step in a call of its own, all on the loaded
+    ``cfg`` (:meth:`ScenarioConfig.check_constant` rejects a value as its
+    loader would).  A limit counts as a root only if |f| there is at or
+    below |f| at both ends of its sampled bracket (a sample that lands on a
+    root is its own limit); otherwise the objective changed sign across a
+    pole or a jump, and the limit is reported as a discontinuity.  A value
+    whose grid failed at some or all grid points gives a NaN objective: it
+    is listed under ``partial``, never ends a bracket, and a NaN inside a
+    bracket ends that bracket's search.  Only a sweep in which no sampled
+    value evaluated at any grid point raises.
     """
     known = set(cfg.constants) | set(cfg.immersion.bindings) | set(cfg.ambient.bindings)
     if parameter not in known:
@@ -908,14 +900,15 @@ def sweep_solve(cfg: ScenarioConfig, parameter: str, lo: float, hi: float,
     def objectives(values: list) -> list[float]:
         """The objective at each of ``values``, from one grid run over all of
         them; NaN at a value whose grid failed in part or everywhere."""
-        cfgs = [cfg.with_constant(parameter, x) for x in values]
+        for x in values:
+            cfg.check_constant(parameter, x)
         ys = []
-        for x, value_cfg, (clean, failed) in zip(values, cfgs, _run_grids(cfgs, declared.needs)):
+        for x, (clean, failed) in zip(values, _run_grids(cfg, declared.needs, parameter, values)):
             if clean is None:
                 errors.append(f"{parameter}={x:g}: {failed[0][2]}")
             else:
                 evaluated.append(x)
-            y = math.nan if failed else declared.run(value_cfg, clean)
+            y = math.nan if failed else declared.run(cfg, clean)
             if math.isnan(y):
                 partial.append(x)
             ys.append(y)

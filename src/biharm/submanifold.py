@@ -240,13 +240,13 @@ def _pick(jet, batch, picks):
     return Jet(jet.space, rows.reshape(batch + rows.shape[1:]))
 
 
-def _pivots(norms, taken):
+def _pivots(norms, taken, scale):
     """Each row's pivot among the candidates' remaining norms^2 (rows x
     candidates): the lowest untaken index within 1e-14 relative of the row's
-    largest untaken finite norm^2, which must exceed RANK_TOL^2."""
+    largest untaken finite norm^2, which must exceed RANK_TOL^2 ``scale``."""
     free = np.where(taken | ~np.isfinite(norms), -np.inf, norms)
     best = free.max(-1)
-    if not (best > RANK_TOL**2).all():
+    if not (best > RANK_TOL**2 * scale).all():
         raise GeometryError("could not complete an orthonormal normal frame")
     return (free >= best[:, None] * (1.0 - 1e-14)).argmax(-1)
 
@@ -268,7 +268,10 @@ def _complete_normal(calc, frames, need):
         for N in normals:
             v = v - calc.inner(N[..., None, :], v)[..., :, None] * N[..., None, :]
         n2 = calc.inner(v, v)
-        picks = _pivots(n2.coeffs[..., 0].reshape(taken.shape), taken)
+        norms = n2.coeffs[..., 0].reshape(taken.shape)
+        if not normals:  # the candidates' own scale: their largest norm^2 at the first pivot
+            scale = np.where(np.isfinite(norms), norms, 0.0).max(-1)
+        picks = _pivots(norms, taken, scale)
         taken[rows, picks] = True
         normals.append(_pick(n2, batch, picks).powr(-0.5)[..., None] * _pick(v, batch, picks))
     return stack(normals, axis=-2)
@@ -351,8 +354,8 @@ def point_geometry(space: AmbientModel, imm: ImmersionModel, u,
     codim = space.dim - m
     normals = _complete_normal(calc, frames, codim)
 
-    # B on every pair (i, j) at order 0, for its values; H reads only the
-    # diagonal, at order k - 2 (the one build when k - 2 = 0)
+    # B on every pair (i, j) at order 0 (float products), for its values; H
+    # reads only the diagonal, at order k - 2 (the one build when k - 2 = 0)
     cov, ii = calc.covd(frames), np.arange(m)
     nablaXX, b = _second_fundamental(calc, coeffs.truncate(0), cov.truncate(0),
                                      normals.truncate(0), *np.indices((m, m)).reshape(2, -1))

@@ -284,6 +284,23 @@ def test_array_kernel_matches_scalar_loop(nvars, order_a, order_b, shape, b_kind
         _close(fn(a).coeffs, _per_element(fn, a))
 
 
+@pytest.mark.parametrize("nvars", [1, 3, 9])
+def test_order_zero_products_are_the_kernels_bitwise(nvars):
+    # order-0 products skip the kernel; a negative zero comes out as the
+    # kernel's 0.0, also where an order-2 operand meets an order-0 one
+    rng = np.random.default_rng(nvars)
+    values = np.concatenate([[0.0, -0.0, -0.0, 1e-300, -1e300, np.inf], rng.normal(size=18)])
+    a = Jet(_space(nvars, 0), values.reshape(4, 6, 1))
+    b = Jet(_space(nvars, 2), rng.normal(size=(1, 6, _space(nvars, 2).size)))
+    b.coeffs[..., 0] = rng.permutation(values)[:6]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y in ((a, a), (a, b), (b, a)):
+            sp, ca, cb = x._pair(y)
+            kernel, product = sp.mul(ca, cb), (x * y).coeffs
+            assert product.shape == kernel.shape
+            assert kernel.tobytes() == product.tobytes()
+
+
 def test_array_jet_series_rejects_non_finite():
     (u,) = seed_point([800.0], 2)
     with pytest.raises(DomainError):

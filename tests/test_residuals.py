@@ -304,7 +304,7 @@ def _grid_data(space, imm, checks=()):
 
     cfg = ScenarioConfig(ambient=space, immersion=imm, checks=[], constants={},
                          expect={}, raw={})
-    return _run_grids([cfg], QUANTITIES)[0][0]  # the clean samples
+    return _run_grids(cfg, QUANTITIES)[0][0]  # the clean samples
 
 
 def test_characterization_geodesic_sphere():

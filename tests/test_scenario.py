@@ -588,7 +588,7 @@ def test_order2_grid_batch_fault_reruns_each_sample(monkeypatch):
         return real(space, imm, u, order)
 
     monkeypatch.setattr(scenario, "point_geometry", counted)
-    [(samples, failed)] = scenario._run_grids([cfg], {scenario.GEOMETRY})
+    [(samples, failed)] = scenario._run_grids(cfg, {scenario.GEOMETRY})
     # one batch, then one call per sample, all at the block's jet order
     assert calls == [((6, 2), 2)] + [((1, 2), 2)] * 6
     assert _errors(failed, 6) == [error for _, error in expected]
@@ -650,7 +650,7 @@ def test_order4_grid_block_fault_reruns_that_block_per_sample(monkeypatch):
         return real(space, imm, u, order)
 
     monkeypatch.setattr(scenario, "point_geometry", counted)
-    [(_, failed)] = scenario._run_grids([cfg], {scenario.RESIDUALS})
+    [(_, failed)] = scenario._run_grids(cfg, {scenario.RESIDUALS})
     assert calls == [((6, 2), 4), ((6, 2), 4)] + [((1, 2), 4)] * 6
     assert _errors(failed, 12) == [error for _, error in expected]
     assert [error is None for error in _errors(failed, 12)] == [True] * 8 + [False] * 4
@@ -673,7 +673,7 @@ def test_normal_jet_stage_fault_reruns_that_block_per_sample(monkeypatch):
     }, checks=[{"op": "residual"}])
     _block_budget(monkeypatch, cfg, 6)  # 6-sample blocks
     grid = cfg.immersion.grid()
-    [(expected, _)] = scenario._run_grids([cfg], {scenario.RESIDUALS})
+    [(expected, _)] = scenario._run_grids(cfg, {scenario.RESIDUALS})
     real, calls = scenario.normal_derivatives, []
 
     def faulty(pg):
@@ -684,7 +684,7 @@ def test_normal_jet_stage_fault_reruns_that_block_per_sample(monkeypatch):
         return real(pg)
 
     monkeypatch.setattr(scenario, "normal_derivatives", faulty)
-    [(samples, failed)] = scenario._run_grids([cfg], {scenario.RESIDUALS})
+    [(samples, failed)] = scenario._run_grids(cfg, {scenario.RESIDUALS})
     assert calls == [(6,), (6,)] + [(1,)] * 6  # two blocks, then the second per sample
     assert [error is None for error in _errors(failed, 12)] == [True] * 8 + [False] * 4
     assert failed == [(row, grid[row], f"normal-jet fault at {[grid[row]]}")
@@ -702,8 +702,8 @@ def test_one_row_tail_fault_fails_only_that_row(monkeypatch):
     cfg = _cfg(checks=[{"op": "residual"}, {"op": "gauss"}, {"op": "relations"}])
     _block_budget(monkeypatch, cfg, 8)  # 8 + 4 samples
     grid = cfg.immersion.grid()
-    [(clean, _)] = scenario._run_grids([cfg], {scenario.RESIDUALS, scenario.SCALAR,
-                                               scenario.RELATIONS})
+    [(clean, _)] = scenario._run_grids(cfg, {scenario.RESIDUALS, scenario.SCALAR,
+                                             scenario.RELATIONS})
     real, calls = scenario.scalar_curvature, []
 
     def faulty(pg):
@@ -713,8 +713,8 @@ def test_one_row_tail_fault_fails_only_that_row(monkeypatch):
         return real(pg)
 
     monkeypatch.setattr(scenario, "scalar_curvature", faulty)
-    [(samples, failed)] = scenario._run_grids([cfg], {scenario.RESIDUALS, scenario.SCALAR,
-                                                      scenario.RELATIONS})
+    [(samples, failed)] = scenario._run_grids(cfg, {scenario.RESIDUALS, scenario.SCALAR,
+                                                    scenario.RELATIONS})
     assert calls == [(8,)] + [(1,)] * 8 + [(4,)]
     assert _errors(failed, 12) == [None] * 5 + [f"tail fault at {grid[5]}"] + [None] * 6
     assert failed[0][1] == grid[5]
@@ -769,9 +769,11 @@ def _single(cfg, u, needs, order):
     columns and None, or None and its error."""
     import biharm.scenario as scenario
 
-    chunks, failed = [], []
-    scenario._run_block([(cfg, 0, u, (chunks, failed))], needs, order)
-    return (chunks[0], None) if chunks else (None, failed[0][2])
+    try:
+        with scenario._faults_raise():
+            return scenario._evaluate(cfg.ambient, cfg.immersion, [u], needs, order), None
+    except scenario.POINT_FAULTS as e:
+        return None, str(e)
 
 
 def _value_objective(cfg, objective) -> float:
@@ -780,7 +782,7 @@ def _value_objective(cfg, objective) -> float:
     import biharm.scenario as scenario
 
     declared = scenario.SWEEP_OBJECTIVES[objective]
-    [(samples, failed)] = scenario._run_grids([cfg], declared.needs)
+    [(samples, failed)] = scenario._run_grids(cfg, declared.needs)
     return math.nan if failed else declared.run(cfg, samples)
 
 
@@ -825,7 +827,7 @@ def test_grid_blocks_change_no_record(monkeypatch, ambient, immersion, blocks):
         _block_budget(monkeypatch, cfg, rows)
     grid = cfg.immersion.grid()
     assert math.ceil(len(grid) / scenario._block_rows(cfg, scenario.JET_ORDER)) == blocks
-    [(samples, failed)] = scenario._run_grids([cfg], QUANTITIES)
+    [(samples, failed)] = scenario._run_grids(cfg, QUANTITIES)
     assert failed == [] and len(samples.h_norm) == len(grid)
     for row, u in enumerate(grid):
         single, error = _single(cfg, u, QUANTITIES, scenario.JET_ORDER)
@@ -980,7 +982,7 @@ def test_dependent_embedded_normals_fail_every_point(tmp_path, capsys):
 
     doc = _flat_c2_in_r6([_E5, ["0", "0", "0", "0", "2", "0"]])
     cfg = load_scenario(doc)
-    [(samples, failed)] = scenario._run_grids([cfg], {scenario.RESIDUALS})
+    [(samples, failed)] = scenario._run_grids(cfg, {scenario.RESIDUALS})
     assert samples is None
     assert _errors(failed, 8) == ["ambient normal fields linearly dependent (field 2)"] * 8
     scn = tmp_path / "dependent.json"
@@ -1324,6 +1326,21 @@ GEODESIC_SWEEP_DOMAIN = {"axes": [
 R_STAR = math.atan(math.sqrt(3.0 / (4.0 + math.sqrt(13.0))))
 
 
+def _count_objective_evaluations(monkeypatch, objective):
+    """A one-entry list that counts the calls of sweep objective ``objective``."""
+    import biharm.scenario as scenario
+
+    declared, evaluations = scenario.SWEEP_OBJECTIVES[objective], [0]
+
+    def counted(*args):
+        evaluations[0] += 1
+        return declared.run(*args)
+
+    monkeypatch.setitem(scenario.SWEEP_OBJECTIVES, objective,
+                        scenario.Declared(declared.needs, counted))
+    return evaluations
+
+
 def _count_calls(monkeypatch, module, names):
     calls = {name: 0 for name in names}
     for name in names:
@@ -1366,7 +1383,7 @@ def test_characterization_gap_objective_equals_full_pipeline_bitwise(monkeypatch
                immersion={"catalog": "geodesic_sphere_cp2", "params": {"r": 0.5}},
                domain=GEODESIC_SWEEP_DOMAIN).with_constant("r", r)
     objective = scenario.SWEEP_OBJECTIVES["characterization_gap"]
-    full = objective.run(cfg, scenario._run_grids([cfg], QUANTITIES)[0][0])  # order 4
+    full = objective.run(cfg, scenario._run_grids(cfg, QUANTITIES)[0][0])  # order 4
     calls = _count_calls(monkeypatch, scenario, ("normal_derivatives",))
     fast = _value_objective(cfg, "characterization_gap")
     assert calls["normal_derivatives"] == 0
@@ -1405,10 +1422,10 @@ def test_criterion_6_sweep_takes_at_most_eight_evaluations_per_root(monkeypatch)
     base = _cfg(ambient={"catalog": "cp2"},
                 immersion={"catalog": "geodesic_sphere_cp2", "params": {"r": 0.5}},
                 domain=GEODESIC_SWEEP_DOMAIN)
-    calls = _count_calls(monkeypatch, scenario, ("load_scenario",))  # one per evaluation
+    evaluations = _count_objective_evaluations(monkeypatch, "characterization_gap")
     res = sweep_solve(base, "r", 0.2, 1.2, 50, "characterization_gap")
     assert len(res.roots) == 1 and abs(res.roots[0] - R_STAR) <= 1e-10
-    assert 50 < calls["load_scenario"] <= 50 + 8
+    assert 50 < evaluations[0] <= 50 + 8
 
 
 def test_catalog_reports_unchanged_by_demand_driven_evaluation():
@@ -1650,6 +1667,18 @@ def test_sweep_over_shared_blocks_equals_the_per_value_loop_bitwise(
     assert _same(res, sweep_solve(cfg, parameter, *sweep_range, objective))
 
 
+def test_sweep_through_a_rejected_parameter_value_is_a_config_error(tmp_path, capsys):
+    # rho <= 0 is no CP^2: the loader rejects it, and so does a sweep over it
+    cfg = load_scenario(_geodesic_sweep_doc())
+    with pytest.raises(ConfigError, match=r"^ambient: cp2 needs rho > 0$"):
+        sweep_solve(cfg, "rho", -0.5, 0.5, 5)
+    assert cfg.ambient.bindings["rho"] == 1.0  # the loaded config is left as it was
+    scn = tmp_path / "rho.json"
+    scn.write_text(json.dumps(_geodesic_sweep_doc()))
+    assert cli_main(["sweep", str(scn), "--param", "rho", "--range=-0.5:0.5:5"]) == 2
+    assert "config error: ambient: cp2 needs rho > 0" in capsys.readouterr().err
+
+
 def test_sweep_rewrites_a_catalog_ambient_parameter():
     # rho named in the ambient's params, which override the constants: each
     # sampled value is the document loaded with that rho in its params
@@ -1704,10 +1733,59 @@ def test_criterion_6_sweep_shares_geometry_blocks_between_values(monkeypatch):
     rows = scenario._block_rows(base, 2)  # characterization_gap runs at jet order 2
     samples = 50 * len(base.immersion.grid())
     calls = _count_calls(monkeypatch, scenario, ("point_geometry", "load_scenario"))
+    evaluations = _count_objective_evaluations(monkeypatch, "characterization_gap")
     res = sweep_solve(base, "r", 0.2, 1.2, 50, "characterization_gap")
     assert len(res.roots) == 1
-    brent = calls["load_scenario"] - 50
+    brent = evaluations[0] - 50
     assert calls["point_geometry"] <= math.ceil(samples / rows) + brent
+    assert calls["load_scenario"] == 0  # every value runs the loaded config
+
+
+def test_a_sweep_leaves_the_loaded_models_as_they_were(monkeypatch):
+    # each block binds the swept value on the loaded models; the run puts
+    # their own bindings back, also when something other than a point fault
+    # ends it
+    import biharm.scenario as scenario
+
+    cfg = load_scenario(_geodesic_sweep_doc())
+    loaded = cfg.immersion.bindings
+    sweep_solve(cfg, "r", 0.2, 1.2, 5)
+    assert cfg.immersion.bindings is loaded and loaded == {"r": 0.5}
+
+    def broken(*args):
+        raise RuntimeError("not a point fault")
+
+    monkeypatch.setattr(scenario, "point_geometry", broken)
+    with pytest.raises(RuntimeError):
+        sweep_solve(cfg, "r", 0.2, 1.2, 5)
+    assert cfg.immersion.bindings is loaded and loaded == {"r": 0.5}
+
+
+def test_a_grid_run_frees_its_blocks_when_it_returns(monkeypatch):
+    # the blocks' columns are concatenated and then dropped: no reference
+    # cycle keeps them until the next garbage collection
+    import gc
+    import weakref
+
+    import biharm.scenario as scenario
+
+    cfg = load_scenario(_geodesic_sweep_doc())
+    real, blocks = scenario._evaluate, []
+
+    def kept(*args):
+        samples = real(*args)
+        blocks.append(weakref.ref(samples.h_norm))
+        return samples
+
+    monkeypatch.setattr(scenario, "_evaluate", kept)
+    monkeypatch.setattr(scenario, "_block_rows", lambda cfg, order: 3)  # 4 rows a value
+    gc.disable()
+    try:
+        out = scenario._run_grids(cfg, {scenario.GEOMETRY}, "r", [0.3, 0.5, 0.7])
+        assert len(blocks) == 4 and [len(clean.h_norm) for clean, _ in out] == [4, 4, 4]
+        assert all(block() is None for block in blocks)
+    finally:
+        gc.enable()
 
 
 def test_a_faulting_value_costs_its_shared_block_at_most_one_call(monkeypatch):

@@ -529,15 +529,15 @@ def test_batch_rows_take_their_own_orientation_and_pivots(monkeypatch):
 def test_pivot_rule_takes_lowest_index_within_1e14_of_the_largest():
     free = np.zeros((1, 3), dtype=bool)
     # an exact tie takes the lowest index, also after a taken one
-    assert sm._pivots(np.array([[0.5, 2.0, 2.0]]), free).tolist() == [1]
-    assert sm._pivots(np.array([[2.0, 2.0, 2.0]]), np.array([[True, False, False]])).tolist() == [1]
+    assert sm._pivots(np.array([[0.5, 2.0, 2.0]]), free, 1.0).tolist() == [1]
+    assert sm._pivots(np.array([[2.0, 2.0, 2.0]]), np.array([[True, False, False]]), 1.0).tolist() == [1]
     # a chain of near-equal norms: index 1 is within 1e-14 of the largest
     chain = np.array([[1.0, 1.0 + 0.6e-14, 1.0 + 1.2e-14]])
-    assert sm._pivots(chain, free).tolist() == [1]
+    assert sm._pivots(chain, free, 1.0).tolist() == [1]
     # each row picks on its own; a taken or non-finite candidate is never picked
     norms = np.array([[1.0, 3.0, 2.0], [np.inf, 1.0, np.nan], [4.0, 5.0, 1.0]])
     taken = np.array([[False, False, False], [False, False, False], [False, True, False]])
-    assert sm._pivots(norms, taken).tolist() == [1, 1, 0]
+    assert sm._pivots(norms, taken, 1.0).tolist() == [1, 1, 0]
 
 
 @pytest.mark.parametrize("norms, taken", [
@@ -549,7 +549,15 @@ def test_pivot_rule_takes_lowest_index_within_1e14_of_the_largest():
 ])
 def test_pivot_rule_raises_without_a_finite_pivot_above_rank_tol(norms, taken):
     with pytest.raises(GeometryError, match="normal frame"):
-        sm._pivots(np.array(norms), np.array(taken))
+        sm._pivots(np.array(norms), np.array(taken), 1.0)
+
+
+def test_pivot_rank_test_is_relative_to_each_rows_scale():
+    # the same norms^2 pass or fail with the scale of their row's candidates
+    norms, free = np.array([[1e-16, 1e-17], [1.0, 2.0]]), np.zeros((2, 2), dtype=bool)
+    assert sm._pivots(norms, free, np.array([1e-16, 2.0])).tolist() == [0, 1]
+    with pytest.raises(GeometryError, match="normal frame"):
+        sm._pivots(norms, free, np.array([1e-16, 2e16]))
 
 
 def test_a_batch_fault_raises_for_the_whole_batch():
